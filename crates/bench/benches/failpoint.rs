@@ -51,6 +51,6 @@ fn main() {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    h.note("points_instrumented", 11);
+    h.note("points_instrumented", 13);
     h.finish();
 }

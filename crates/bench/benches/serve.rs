@@ -1,6 +1,5 @@
 //! Serving-core throughput: N concurrent sessions against `e9patchd`'s
-//! two serving modes — the epoll reactor (default) and the legacy
-//! thread-per-connection path.
+//! socket serving core, the epoll reactor.
 //!
 //! Each session runs the same full patch job (version → binary →
 //! instructions → patches → emit) over a Unix socket backed by a shared
@@ -26,7 +25,7 @@ mod linux {
     use e9patch::Template;
     use e9proto::msg::{Command, Request};
     use e9proto::reactor::{serve_reactor, Listener, ReactorOptions};
-    use e9proto::server::{serve_connection_with, unix::serve_unix_with, ServeConfig};
+    use e9proto::server::{serve_connection_with, ServeConfig};
     use std::io::{BufRead, BufReader, Cursor, Write};
     use std::os::unix::net::{UnixListener, UnixStream};
     use std::path::{Path, PathBuf};
@@ -74,7 +73,7 @@ mod linux {
     }
 
     /// The reply stream every session must produce, computed through the
-    /// same `dispatch_line` choke point both serving modes funnel into.
+    /// same `dispatch_line` choke point the reactor funnels into.
     fn reference_replies(transcript: &[u8], config: &ServeConfig) -> Vec<u8> {
         let mut reader = Cursor::new(transcript.to_vec());
         let mut out: Vec<u8> = Vec::new();
@@ -153,25 +152,6 @@ mod linux {
         let _ = std::fs::remove_file(&sock);
     }
 
-    /// Boot the legacy thread-per-connection server with a connection
-    /// budget of exactly `n`, run the fleet, and join the drain.
-    fn run_threaded(n: usize, transcript: &[u8], expected: &[u8], config: &ServeConfig) {
-        let sock = scratch_sock();
-        let server = {
-            let (sock, config) = (sock.clone(), config.clone());
-            std::thread::spawn(move || serve_unix_with(&sock, Some(n), &config))
-        };
-        // serve_unix_with binds the socket itself; wait for it.
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while !sock.exists() {
-            assert!(Instant::now() < deadline, "threaded server never bound");
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        run_clients(&sock, n, transcript, expected);
-        server.join().unwrap().unwrap();
-        let _ = std::fs::remove_file(&sock);
-    }
-
     pub fn run() {
         let mut h = Harness::from_args("serve");
         let transcript = job_transcript();
@@ -196,16 +176,6 @@ mod linux {
             h.bench(&format!("reactor/{n}"), || {
                 run_reactor(n, &transcript, &expected, &config)
             });
-            h.throughput(Throughput::Elements(n as u64));
-            h.bench(&format!("threaded/{n}"), || {
-                run_threaded(n, &transcript, &expected, &config)
-            });
-            if let (Some(r), Some(t)) = (
-                h.median_ns(&format!("reactor/{n}")),
-                h.median_ns(&format!("threaded/{n}")),
-            ) {
-                h.note(&format!("reactor_vs_threaded_{n}"), format!("{:.3}", t / r));
-            }
         }
         h.finish();
     }

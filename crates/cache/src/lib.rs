@@ -1,8 +1,8 @@
 //! `e9cache` — content-addressed cache for finished rewrite artifacts.
 //!
 //! The rewrite pipeline is deterministic (byte-identical output for a
-//! given input since PR 1, enforced across `--jobs` since PR 4), which
-//! makes finished rewrites safely addressable by a digest of their
+//! given input; `--jobs` only sizes the input-hashing thread pool and
+//! never changes output bytes), which makes finished rewrites safely addressable by a digest of their
 //! inputs: `(input ELF bytes, patch batch, RewriteConfig, protocol/format
 //! version)`. This crate provides the storage half of that bargain — the
 //! key derivation lives in `e9proto::cachekey`, next to the wire codec it
@@ -11,7 +11,7 @@
 //! Two tiers, checked in order:
 //!
 //! 1. **Memory** ([`mem::MemLru`]): a bytes-capped LRU behind an interior
-//!    lock, shared by all daemon connection threads.
+//!    lock, shared by every daemon connection.
 //! 2. **Disk** ([`disk::DiskStore`]): a `objects/ab/cdef…` CAS with
 //!    atomic publish, read-time checksum verification, quarantine of
 //!    corrupt entries, and crash-tolerant size-budgeted eviction.

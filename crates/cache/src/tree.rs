@@ -1,13 +1,12 @@
-//! Shard-parallel tree hashing for cache keying.
+//! Parallel tree hashing for cache keying.
 //!
 //! Keying a rewrite request starts with a digest of the whole input
 //! binary — often the largest single hashing job in the pipeline. A plain
-//! sequential SHA-256 cannot use the worker pool that `--jobs N` already
-//! buys the planner, so large binaries key at single-core speed. The tree
-//! digest fixes that while staying **jobs-invariant**: the result depends
-//! only on the bytes, never on how many workers computed it, so a key
-//! produced with `--jobs 8` matches one produced with `--jobs 1` (the
-//! same invariant PR 4 pinned for planning itself).
+//! sequential SHA-256 keys at single-core speed; the tree digest hashes
+//! 1 MiB leaves on `--jobs N` threads while staying **jobs-invariant**:
+//! the result depends only on the bytes, never on how many workers
+//! computed it, so a key produced with `--jobs 8` matches one produced
+//! with `--jobs 1`.
 //!
 //! Construction:
 //!
@@ -16,8 +15,8 @@
 //!   equality `tree_digest(d, jobs) == digest(d)` holds literally — the
 //!   property `tests/sha_props.rs` pins.
 //! * larger inputs: the data is split into fixed 1 MiB leaves, each leaf
-//!   hashed independently (in parallel across `jobs` threads, contiguous
-//!   shards per worker), and the root is
+//!   hashed independently (in parallel across `jobs` threads, one
+//!   contiguous run of leaves per worker), and the root is
 //!   `sha256(DOMAIN ‖ le64(len) ‖ leaf₀ ‖ leaf₁ ‖ …)`.
 //!
 //! The domain string and the length prefix keep the root from colliding

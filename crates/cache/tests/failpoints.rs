@@ -29,13 +29,15 @@ fn disk_cache(dir: &PathBuf) -> Cache {
 fn transient_disk_read_error_is_a_miss_not_a_negative_entry() {
     let dir = tmpdir("transient");
     let key = digest(b"job");
+    // Hold the gate before any disk I/O, so another test's schedule
+    // cannot fire on the setup put (puts never reach `cache.disk.read`).
+    let _fp = e9failpt::activate_scoped("cache.disk.read=eio@once", 1).unwrap();
     // Publish a healthy positive entry to disk.
     disk_cache(&dir).put(&key, &Entry::Ok(b"artifact".to_vec()));
 
     // A fresh cache over the same store (empty memory tier) whose first
     // disk read hits an injected EIO.
     let cache = disk_cache(&dir);
-    let _fp = e9failpt::activate_scoped("cache.disk.read=eio@once", 1).unwrap();
 
     // The faulted lookup degrades to a miss — the caller runs cold.
     assert_eq!(cache.lookup(&key), None);

@@ -24,9 +24,6 @@ pub enum Error {
     /// trampoline address lies within ±2 GiB of all of them (only
     /// degenerate disassembly can produce this).
     UnreachableTargets(u64),
-    /// A planning worker thread panicked; the panic was caught at the
-    /// thread-pool boundary and converted into this error.
-    Internal(String),
 }
 
 impl fmt::Display for Error {
@@ -44,7 +41,6 @@ impl fmt::Display for Error {
             Error::UnreachableTargets(a) => {
                 write!(f, "instruction at {a:#x} has mutually unreachable rel32 targets")
             }
-            Error::Internal(msg) => write!(f, "internal error: {msg}"),
         }
     }
 }

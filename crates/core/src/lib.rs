@@ -62,7 +62,6 @@ pub mod lock;
 pub mod planner;
 pub mod pun;
 pub mod rewriter;
-pub mod shard;
 pub mod stats;
 pub mod trampoline;
 pub mod verify;

@@ -69,12 +69,6 @@ impl LockMap {
         }
     }
 
-    /// Iterate over all locked bytes in unspecified order (diagnostics and
-    /// shard-fence verification).
-    pub fn iter(&self) -> impl Iterator<Item = (u64, LockState)> + '_ {
-        self.locks.iter().map(|(&a, &s)| (a, s))
-    }
-
     /// Number of locked bytes (diagnostics).
     pub fn len(&self) -> usize {
         self.locks.len()
@@ -140,7 +134,7 @@ mod tests {
 
     #[test]
     fn overlapping_can_write_ranges_at_boundary() {
-        // Overlap queries at a shard-boundary-like split: every range that
+        // Overlap queries around a locked run's edges: every range that
         // shares ≥ 1 byte with a locked run is rejected, adjacent ones are
         // not, regardless of which side of the boundary they start on.
         let mut l = LockMap::new();
@@ -157,23 +151,6 @@ mod tests {
         ] {
             assert_eq!(l.can_write(start, len), want, "can_write({start:#x}, {len})");
         }
-    }
-
-    #[test]
-    fn iter_reports_every_locked_byte() {
-        let mut l = LockMap::new();
-        l.lock_modified(0x9000, 2);
-        l.lock_punned(0x9005, 1);
-        let mut got: Vec<(u64, LockState)> = l.iter().collect();
-        got.sort_by_key(|(a, _)| *a);
-        assert_eq!(
-            got,
-            vec![
-                (0x9000, LockState::Modified),
-                (0x9001, LockState::Modified),
-                (0x9005, LockState::Punned),
-            ]
-        );
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! the trampoline [`AddressSpace`]. Tentative multi-step tactics (T3) are
 //! computed against byte overlays and rolled back cleanly on failure.
 
-use crate::layout::{AddressSpace, StripeMask, Window};
+use crate::layout::{AddressSpace, Window};
 use crate::lock::LockMap;
 use crate::pun::PunJump;
 use crate::stats::{PatchStats, TacticKind};
@@ -83,10 +83,9 @@ pub struct RewriteConfig {
     pub grouping: bool,
     /// Trampoline placement policy within pun windows.
     pub alloc_policy: AllocPolicy,
-    /// Parallel planning: `None` runs the sequential legacy planner;
-    /// `Some(n)` runs the sharded pipeline (see [`crate::shard`]) with up
-    /// to `n` worker threads. For a fixed input the sharded output is
-    /// byte-identical for every `n >= 1`.
+    /// Worker threads for hashing the input into its cache key
+    /// (`e9cache::tree::tree_digest`); `None` means one. Planning is
+    /// always sequential, so output bytes never depend on this.
     pub jobs: Option<usize>,
 }
 
@@ -140,12 +139,6 @@ pub struct Planner<'a> {
     /// Per-site outcomes, in processing order.
     pub reports: Vec<SiteReport>,
     cfg: RewriteConfig,
-    /// Lane-ownership mask for parallel planning: wide-window allocations
-    /// are confined to owned stripe chunks (`None` = unrestricted).
-    mask: Option<StripeMask>,
-    /// In-place image writes `(addr, bytes)`, recorded when planning a
-    /// shard whose writes must later be replayed onto the master image.
-    journal: Option<Vec<(u64, Vec<u8>)>>,
 }
 
 impl<'a> Planner<'a> {
@@ -155,7 +148,7 @@ impl<'a> Planner<'a> {
     ///
     /// `reserved` lists extra `[start, end)` virtual ranges trampolines must
     /// avoid (instrumentation runtime segments, etc.).
-    pub fn initial_space(elf: &Elf, cfg: &RewriteConfig, reserved: &[(u64, u64)]) -> AddressSpace {
+    fn initial_space(elf: &Elf, cfg: &RewriteConfig, reserved: &[(u64, u64)]) -> AddressSpace {
         // Reservations are rounded out to *block* granularity (M pages):
         // the loader later maps whole blocks with MAP_FIXED, so no block
         // containing a trampoline may overlap existing segments.
@@ -185,20 +178,6 @@ impl<'a> Planner<'a> {
         reserved: &[(u64, u64)],
     ) -> Planner<'a> {
         let space = Self::initial_space(&elf, &cfg, reserved);
-        Self::with_space(elf, insns, cfg, space, None)
-    }
-
-    /// Create a planner over a pre-built address space — the parallel
-    /// pipeline's entry point: each shard gets a clone of the initial
-    /// space plus its lane's stripe `mask`, and writes are journaled for
-    /// replay onto the master image at merge time.
-    pub fn with_space(
-        elf: Elf,
-        insns: &'a BTreeMap<u64, Insn>,
-        cfg: RewriteConfig,
-        space: AddressSpace,
-        mask: Option<StripeMask>,
-    ) -> Planner<'a> {
         Planner {
             elf,
             insns,
@@ -209,8 +188,6 @@ impl<'a> Planner<'a> {
             traps: Vec::new(),
             reports: Vec::new(),
             cfg,
-            mask,
-            journal: mask.map(|_| Vec::new()),
         }
     }
 
@@ -231,33 +208,11 @@ impl<'a> Planner<'a> {
         self.elf
             .write_at(addr, bytes)
             .expect("planner writes stay within file-backed segments");
-        if let Some(journal) = &mut self.journal {
-            journal.push((addr, bytes.to_vec()));
-        }
     }
 
     /// Allocate trampoline space inside `window` per the configured
     /// placement policy.
-    ///
-    /// Under a lane mask, windows wide enough to be guaranteed an owned
-    /// stripe chunk allocate masked (collision-free across lanes by
-    /// construction); narrow windows — T1's `256^f` pun windows and exact
-    /// `f = 0` addresses — cannot honour a stripe, so they allocate
-    /// unmasked and the rare cross-lane collision is detected and repaired
-    /// deterministically at merge time (see [`crate::shard`]).
     fn alloc(&mut self, window: Window, size: u64) -> Option<u64> {
-        if let Some(mask) = self.mask {
-            if window.len() >= mask.wide_min() && size <= mask.chunk() {
-                return match self.cfg.alloc_policy {
-                    AllocPolicy::FirstFitLow => {
-                        self.space.alloc_in_masked(window, size, 1, &mask)
-                    }
-                    AllocPolicy::FirstFitHigh => {
-                        self.space.alloc_in_high_masked(window, size, 1, &mask)
-                    }
-                };
-            }
-        }
         match self.cfg.alloc_policy {
             AllocPolicy::FirstFitLow => self.space.alloc_in(window, size, 1),
             AllocPolicy::FirstFitHigh => self.space.alloc_in_high(window, size, 1),
@@ -694,7 +649,6 @@ impl<'a> Planner<'a> {
             traps: self.traps,
             space: self.space,
             reports: self.reports,
-            journal: self.journal.unwrap_or_default(),
         }
     }
 }
@@ -714,7 +668,4 @@ pub struct PlannerParts {
     pub space: AddressSpace,
     /// Per-site outcomes.
     pub reports: Vec<SiteReport>,
-    /// In-place image writes, in commit order (empty unless the planner
-    /// was journaling for a parallel shard; see [`Planner::with_space`]).
-    pub journal: Vec<(u64, Vec<u8>)>,
 }

@@ -158,16 +158,9 @@ impl Rewriter {
             .map(|s| (s.vaddr, s.vaddr + s.bytes.len() as u64))
             .collect();
 
-        let parts = match self.cfg.jobs {
-            None => {
-                let mut planner = Planner::new(elf, &insns, self.cfg, &reserved);
-                planner.patch_all(requests)?;
-                planner.into_parts()
-            }
-            // Sharded parallel planning; output is identical for every
-            // worker count (see the determinism contract in `shard`).
-            Some(_) => crate::shard::plan_parallel(elf, &insns, self.cfg, &reserved, requests)?,
-        };
+        let mut planner = Planner::new(elf, &insns, self.cfg, &reserved);
+        planner.patch_all(requests)?;
+        let parts = planner.into_parts();
 
         // Physical page grouping over the placed trampolines.
         let grouping: Grouping =

@@ -62,8 +62,8 @@ impl PatchStats {
         self.failed += 1;
     }
 
-    /// Fold another run's counters into this one (used by the parallel
-    /// pipeline to recompute the Table-1 row from per-shard stats).
+    /// Fold another run's counters into this one (sums Table-1 rows
+    /// across runs).
     pub fn merge(&mut self, other: &PatchStats) {
         self.b1 += other.b1;
         self.b2 += other.b2;

@@ -8,7 +8,7 @@
 //! serving rewrites through all of it.
 //!
 //! Every I/O boundary in the workspace — the cache's on-disk CAS, the
-//! frontend's atomic output writer, the wire client, the legacy threaded
+//! frontend's atomic output writer, the wire client, the stdio session
 //! server — carries a **named failpoint**: a compiled-in hook that can
 //! inject one of five fault classes on demand. The crate sits at the
 //! very bottom of the crate graph (zero dependencies, below `e9cache`)

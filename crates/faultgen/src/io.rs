@@ -22,10 +22,10 @@
 //!   writes / EINTR storms / failed renames: either a typed error with
 //!   the destination untouched, or a byte-exact file — never a torn
 //!   one, never stage-file droppings;
-//! * **threaded-server faults** — the accept/read/write path of the
-//!   thread-per-connection server under EINTR and EIO: interrupts are
-//!   invisible, hard errors cost at most that one connection and the
-//!   daemon keeps serving fresh ones.
+//! * **session-server faults** — the read/write path of the session
+//!   server that stdio `e9patchd` runs, under EINTR and EIO: interrupts
+//!   are invisible, a hard error costs only that one connection and a
+//!   fresh one still completes the job.
 //!
 //! The contract, shared by all four: every injected fault surfaces as a
 //! typed error or a degraded-but-correct result — never a panic, never
@@ -34,7 +34,7 @@
 use crate::Outcome;
 use e9cache::{Cache, CacheConfig};
 use e9proto::reactor::{serve_reactor, Listener, ReactorOptions};
-use e9proto::server::{unix::serve_unix_with, ServeConfig};
+use e9proto::server::ServeConfig;
 use e9proto::{ClientError, ProtoClient};
 use e9rng::StdRng;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -342,60 +342,37 @@ fn output_file_case(rng: &mut StdRng, root: &Path) -> Option<Outcome> {
     Some(judge(ok, injected))
 }
 
-/// Scenario D: the thread-per-connection Unix server under accept /
-/// read / write faults. Interrupts are invisible; a hard read error
-/// costs at most that one connection and the daemon keeps serving.
-fn threaded_server_case(rng: &mut StdRng, root: &Path) -> Option<Outcome> {
-    let sock = root.join("t.sock");
-    let mode = rng.gen_range(0..3u32);
+/// Scenario D: the session server (`serve_connection_with`, which stdio
+/// `e9patchd` runs) under read / write faults, driven over the socket
+/// pair of an in-process loopback. Interrupts are invisible; a hard read
+/// error ends only that one session, and a fresh one completes the job.
+fn session_server_case(rng: &mut StdRng) -> Option<Outcome> {
+    let hard = rng.gen_bool(1.0 / 3.0);
     // Baseline first: the in-process loopback shares the server-side
     // failpoint sites, so it must run before the spec goes live.
     let (bin, code) = variant_binary(0);
     let expected = expected_output(0)?;
-    let spec = match mode {
-        0 => format!("proto.server.accept=eintr@first:{}", rng.gen_range(1..=6u32)),
-        1 => {
-            let point = if rng.gen_bool(0.5) { "proto.server.read" } else { "proto.server.write" };
-            format!("{point}=eintr@first:{}", rng.gen_range(1..=8u32))
-        }
-        _ => "proto.server.read=eio@once".to_string(),
+    let spec = if hard {
+        "proto.server.read=eio@once".to_string()
+    } else {
+        let point = if rng.gen_bool(0.5) { "proto.server.read" } else { "proto.server.write" };
+        format!("{point}=eintr@first:{}", rng.gen_range(1..=8u32))
     };
     let before = e9failpt::injected_total();
     let guard = e9failpt::activate_scoped(&spec, rng.next_u64()).ok()?;
 
-    let config = ServeConfig {
-        io_timeout: Some(Duration::from_secs(10)),
-        serving_mode: "threaded",
-        ..ServeConfig::default()
-    };
-    let spath = sock.clone();
-    let server = std::thread::spawn(move || serve_unix_with(&spath, None, &config));
-
     let mut ok = true;
-    if mode == 2 {
-        // The poisoned connection dies with a transport-level error (or
-        // absorbs nothing if the fault fired on another syscall first);
-        // either way it must not take the daemon with it.
-        let mut victim = ProtoClient::connect_unix_retry(&sock, 8).ok()?;
-        let _ = drive_job(&mut victim, &bin, &code);
+    if hard {
+        // The poisoned session's first read fails and the server closes
+        // the connection: the client sees a typed error, not a hang.
+        let mut victim = ProtoClient::in_process().ok()?;
+        ok &= drive_job(&mut victim, &bin, &code).is_err();
     }
-    // The (next) healthy connection completes a byte-identical job.
-    match ProtoClient::connect_unix_retry(&sock, 8) {
-        Ok(mut client) => match drive_job(&mut client, &bin, &code) {
-            Ok(got) => ok &= got == expected,
-            Err(_) => ok = false,
-        },
-        Err(_) => ok = false,
-    }
+    // A fresh session completes a byte-identical job.
+    let mut client = ProtoClient::in_process().ok()?;
+    ok &= matches!(drive_job(&mut client, &bin, &code), Ok(got) if got == expected);
     let injected = e9failpt::injected_total() - before;
     drop(guard);
-
-    if let Ok(mut c) = ProtoClient::connect_unix_retry(&sock, 6) {
-        let _ = c.negotiate();
-        let _ = c.shutdown();
-    }
-    ok &= matches!(server.join(), Ok(Ok(())));
-    let _ = std::fs::remove_file(&sock);
     Some(judge(ok, injected))
 }
 
@@ -429,7 +406,7 @@ pub fn io_case(rng: &mut StdRng, root: &Path) -> Outcome {
             0 => disk_cache_case(rng, root),
             1 => client_transport_case(rng),
             2 => output_file_case(rng, root),
-            _ => threaded_server_case(rng, root),
+            _ => session_server_case(rng),
         };
         // Setup failures (bind, scratch dir, loopback spawn) mean the
         // case could not deliver its verdict: fail loudly rather than

@@ -18,13 +18,6 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// A valid full-session transcript used as the mutation baseline.
 pub fn baseline_script() -> Vec<u8> {
-    baseline_script_with_jobs(None)
-}
-
-/// [`baseline_script`] with an explicit `option jobs=<n>` line, so the
-/// campaign can damage transcripts that exercise the parallel sharded
-/// planner instead of the sequential one.
-pub fn baseline_script_with_jobs(jobs: Option<usize>) -> Vec<u8> {
     let bin = crate::elf::baseline_elf();
     let code = vec![
         0x48, 0x89, 0x03, 0x48, 0x83, 0xC0, 0x20, 0xC3, //
@@ -40,15 +33,6 @@ pub fn baseline_script_with_jobs(jobs: Option<usize>) -> Vec<u8> {
         out.push('\n');
     };
     push(Command::Version { version: 1 }, &mut out);
-    if let Some(n) = jobs {
-        push(
-            Command::Option {
-                name: "jobs".into(),
-                value: n.to_string(),
-            },
-            &mut out,
-        );
-    }
     push(Command::Binary { bytes: bin, digest: None }, &mut out);
     for i in &disasm {
         push(

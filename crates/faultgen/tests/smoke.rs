@@ -37,22 +37,6 @@ fn wire_campaign_is_panic_free() {
 }
 
 #[test]
-fn wire_campaign_over_parallel_planner_is_panic_free() {
-    // Same contract as the sequential wire campaign, but the baseline
-    // transcript selects the sharded worker-pool planner (option jobs=4):
-    // damaged streams must surface as typed errors, and a worker panic
-    // must never escape the session.
-    let seed = seed_from_env();
-    let report = e9faultgen::run_wire_campaign_with_jobs(seed, 200, Some(4));
-    assert!(
-        report.is_clean(),
-        "parallel wire campaign panicked; replay with --jobs 4:\n{}",
-        report.replay_lines()
-    );
-    assert!(report.rejected > 0, "no mutant was rejected: {}", report.summary());
-}
-
-#[test]
 fn cache_campaign_is_panic_free() {
     // Damaged on-disk cache entries must be refused with typed errors,
     // quarantined, and recoverable through the cold path — never served

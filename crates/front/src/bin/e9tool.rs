@@ -42,7 +42,9 @@ daemon's Unix socket, and `tcp:ADDR:PORT` connects to a daemon started
 with --listen-tcp. Output is byte-identical to the in-process path.
 `patch --cache-dir DIR` reuses finished rewrites from a content-addressed
 cache at DIR ($E9CACHE_DIR provides a default; --no-cache disables both).
-A hit is byte-identical to a cold rewrite. Inputs below the bypass
+A hit is byte-identical to a cold rewrite. `--jobs N` sets the number of
+threads that hash the input into its cache key; output bytes never
+depend on it. Inputs below the bypass
 threshold (--cache-bypass-bytes N or $E9CACHE_BYPASS_BYTES, default
 131072; 0 caches every size) skip the cache entirely — for tiny binaries
 the rewrite is cheaper than keying it.

@@ -379,8 +379,8 @@ pub fn run_job_cached(
             },
         ));
     }
-    // Hash the input exactly once (shard-parallel under --jobs; the tree
-    // digest is jobs-invariant so the key is too).
+    // Hash the input exactly once (on --jobs threads; the tree digest is
+    // jobs-invariant so the key is too).
     let bin_digest = e9cache::tree::tree_digest(job.binary, job.config.jobs.unwrap_or(1));
     let key = e9proto::cachekey::rewrite_key_from_digest(
         &bin_digest,

@@ -7,6 +7,18 @@ fn e9tool() -> Command {
     Command::new(env!("CARGO_BIN_EXE_e9tool"))
 }
 
+/// The `e9patchd` binary built next to `e9tool` (a workspace build, or
+/// `cargo test -p e9proto` alongside this package, puts it there).
+fn e9patchd() -> Command {
+    let path = std::path::Path::new(env!("CARGO_BIN_EXE_e9tool")).with_file_name("e9patchd");
+    assert!(
+        path.exists(),
+        "{} not built; run `cargo build -p e9proto --bin e9patchd` first",
+        path.display()
+    );
+    Command::new(path)
+}
+
 fn tmpdir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("e9tool-test-{name}-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
@@ -184,11 +196,13 @@ fn patch_backend_socket_matches_in_process() {
         .unwrap()
         .success());
 
-    // An in-thread daemon serving exactly one connection.
-    let server_sock = sock.clone();
-    let server = std::thread::spawn(move || {
-        e9proto::server::unix::serve_unix(&server_sock, Some(1)).unwrap();
-    });
+    // A daemon serving exactly one connection.
+    let mut server = e9patchd()
+        .arg("--socket")
+        .arg(&sock)
+        .args(["--max-conns", "1"])
+        .spawn()
+        .unwrap();
     for _ in 0..200 {
         if sock.exists() {
             break;
@@ -207,7 +221,7 @@ fn patch_backend_socket_matches_in_process() {
         .output()
         .unwrap();
     assert!(out.status.success(), "backend patch failed: {out:?}");
-    server.join().unwrap();
+    assert!(server.wait().unwrap().success(), "daemon did not exit cleanly");
 
     // The protocol round trip changes nothing: byte-identical outputs.
     let a = std::fs::read(&direct).unwrap();
@@ -277,6 +291,47 @@ fn patch_backend_tcp_matches_in_process() {
     let b = std::fs::read(&via).unwrap();
     assert_eq!(a, b, "tcp backend output diverged from in-process output");
 
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A cache filled by a `--jobs` run serves a later plain run: the key
+/// ignores `jobs`, so the hit must carry the bytes a cold sequential
+/// rewrite produces.
+#[test]
+fn cache_filled_with_jobs_serves_plain_run_identically() {
+    let dir = tmpdir("cache-jobs");
+    let elf = dir.join("p.elf");
+    let cache = dir.join("cache");
+    assert!(e9tool()
+        .args(["gen", "--profile", "perlbench", "--scale", "50", "-o"])
+        .arg(&elf)
+        .env("E9_SEED", "42")
+        .status()
+        .unwrap()
+        .success());
+    let patch = |out: &str, extra: &[&str]| {
+        let o = e9tool()
+            .arg("patch")
+            .arg(&elf)
+            .arg("-o")
+            .arg(dir.join(out))
+            .args(["--app", "a1"])
+            .args(extra)
+            .env_remove("E9CACHE_DIR")
+            .output()
+            .unwrap();
+        assert!(o.status.success(), "patch {extra:?} failed: {o:?}");
+        String::from_utf8_lossy(&o.stdout).into_owned()
+    };
+    let cached = ["--cache-dir", cache.to_str().unwrap(), "--cache-bypass-bytes", "0"];
+    let fill = patch("fill.e9", &[&["--jobs", "2"][..], &cached].concat());
+    assert!(fill.contains("cache: miss"), "fill run did not miss: {fill}");
+    let hit = patch("hit.e9", &cached);
+    assert!(hit.contains("cache: hit"), "plain run did not hit: {hit}");
+    patch("cold.e9", &["--no-cache"]);
+    let read = |f: &str| std::fs::read(dir.join(f)).unwrap();
+    assert!(read("hit.e9") == read("cold.e9"), "cache hit diverged from a cold rewrite");
+    assert!(read("fill.e9") == read("cold.e9"), "--jobs 2 output diverged from sequential");
     std::fs::remove_dir_all(&dir).ok();
 }
 

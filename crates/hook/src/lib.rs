@@ -10,7 +10,7 @@
 //! Because [`plan_hooks`] produces nothing but `PatchRequest`s and
 //! `ExtraSegment`s, hook jobs flow unchanged through every existing
 //! execution path: the in-process rewriter, the content-addressed rewrite
-//! cache, the `--jobs` sharded planner, and the `e9patchd` wire backends.
+//! cache, and the `e9patchd` wire backends.
 //! Identical specs produce identical batches, so all paths emit
 //! byte-identical binaries.
 //!
@@ -193,8 +193,8 @@ fn diverts(kind: Kind) -> bool {
 /// Targets are deduplicated by entry address and planned in address
 /// order, so a given (binary, spec) pair always yields the identical
 /// batch — the property that makes hook jobs cache-keyable and
-/// byte-identical across sequential/sharded planners and in-process/
-/// daemon backends.
+/// byte-identical across every `--jobs` value and in-process/daemon
+/// backends.
 ///
 /// # Errors
 ///

@@ -12,13 +12,11 @@
 //!
 //! ## Serving modes
 //!
-//! The socket modes default to the **reactor**: one `e9loop` epoll event
-//! loop multiplexing every connection (thousands of concurrent sessions,
+//! The socket modes run the **reactor**: one `e9loop` epoll event loop
+//! multiplexing every connection (thousands of concurrent sessions,
 //! request pipelining, admission control, graceful drain). Replies are
-//! byte-identical to the legacy thread-per-connection server, which
-//! remains available behind `--threaded`. `--socket` and `--listen-tcp`
-//! can be combined (one loop serves both); `--threaded` supports only
-//! `--socket`.
+//! byte-identical to `--stdio`, which runs the same request dispatch.
+//! `--socket` and `--listen-tcp` can be combined (one loop serves both).
 //!
 //! A client `shutdown` command stops the daemon cleanly: the listeners
 //! close immediately (late connections are refused, never hung) while
@@ -27,8 +25,8 @@
 //!
 //! ## Overload: the BUSY contract
 //!
-//! Under the reactor the daemon never stalls on an overloaded or hostile
-//! client; it sheds load with a typed `BUSY` (-7) error, `id: null`:
+//! The daemon never stalls on an overloaded or hostile client; it sheds
+//! load with a typed `BUSY` (-7) error, `id: null`:
 //!
 //! * arrivals past `--max-clients` get one BUSY line, then close;
 //! * requests arriving while queued replies exceed `--max-pending-bytes`
@@ -40,14 +38,13 @@
 //!
 //! * `--timeout-ms N` — idle timeout in milliseconds (default 30000; `0`
 //!   disables): a connection with no bytes moving either way for that
-//!   long is dropped. (In `--threaded` mode this is the per-read socket
-//!   timeout, as before.)
+//!   long is dropped.
 //! * `--max-line-bytes N` — longest accepted request line (default
 //!   67108864 = 64 MiB). Longer lines are drained and answered with a
 //!   typed `LIMIT` error; the connection survives.
-//! * `--jobs N` — default planner worker count for every session (the
-//!   parallel sharded pipeline; output is byte-identical for every N).
-//!   A client's explicit `option jobs` overrides it.
+//! * `--jobs N` — default number of threads that hash each session's
+//!   input into its cache key (output bytes never depend on it). A
+//!   client's explicit `option jobs` overrides it.
 //! * `--drain-ms N` — on shutdown, how long an in-flight connection may
 //!   sit inactive before being cut (default 5000).
 //!
@@ -75,7 +72,6 @@ USAGE:
                                             with --socket, one event loop)
 
 OPTIONS:
-  --threaded            legacy thread-per-connection mode (--socket only)
   --max-clients N       reactor connection cap; extra arrivals get a typed
                         BUSY error (default 1024)
   --max-pending-bytes N reactor loop-wide queued-reply budget; requests
@@ -84,7 +80,7 @@ OPTIONS:
   --drain-ms N          shutdown drain inactivity bound in ms (default 5000)
   --timeout-ms N        idle timeout in ms (default 30000, 0 = none)
   --max-line-bytes N    longest accepted request line (default 67108864)
-  --jobs N              default planner worker count (default: sequential)
+  --jobs N              threads that hash the input (default 1)
   --cache-dir PATH      enable the rewrite cache with an on-disk tier at PATH
   --cache-mem-bytes N   memory-tier budget in bytes (default 67108864;
                         without --cache-dir, enables memory-only caching)
@@ -116,7 +112,6 @@ fn main() -> ExitCode {
     let mut listen_tcp: Option<String> = None;
     let mut max_conns: Option<usize> = None;
     let mut stdio = false;
-    let mut threaded = false;
     let mut config = ServeConfig::default();
     let mut cache_config = e9cache::CacheConfig::default();
     let mut want_cache = false;
@@ -127,10 +122,6 @@ fn main() -> ExitCode {
         match argv[i].as_str() {
             "--stdio" => {
                 stdio = true;
-                i += 1;
-            }
-            "--threaded" => {
-                threaded = true;
                 i += 1;
             }
             "--socket" if i + 1 < argv.len() => {
@@ -228,10 +219,6 @@ fn main() -> ExitCode {
     if stdio && socket_mode {
         return usage();
     }
-    if threaded && (listen_tcp.is_some() || socket.is_none()) {
-        // The legacy mode only ever spoke Unix sockets.
-        return usage();
-    }
     if want_cache {
         match e9cache::Cache::open(&cache_config) {
             Ok(cache) => config.cache = Some(Arc::new(cache)),
@@ -244,23 +231,6 @@ fn main() -> ExitCode {
     let result = if !socket_mode {
         config.serving_mode = "stdio";
         e9proto::server::serve_stdio_with(&config)
-    } else if threaded {
-        #[cfg(unix)]
-        {
-            config.serving_mode = "threaded";
-            let path = std::path::PathBuf::from(socket.expect("checked"));
-            eprintln!(
-                "e9patchd: listening on {} (threaded, protocol version {})",
-                path.display(),
-                e9proto::PROTOCOL_VERSION
-            );
-            e9proto::server::unix::serve_unix_with(&path, max_conns, &config)
-        }
-        #[cfg(not(unix))]
-        {
-            eprintln!("e9patchd: --socket is only supported on Unix");
-            return ExitCode::from(2);
-        }
     } else {
         #[cfg(target_os = "linux")]
         {

@@ -1,10 +1,11 @@
 //! Cache-key derivation for finished rewrites.
 //!
 //! A rewrite's output is a pure function of `(input ELF bytes, the full
-//! command batch, the rewriter configuration)` — the pipeline has been
-//! deterministic since PR 1, and PR 4 pinned byte-identical output across
-//! every `--jobs` value. That makes the output safely addressable by a
-//! digest of those inputs, which is what [`rewrite_key`] computes.
+//! command batch, the rewriter configuration)` — the pipeline is
+//! deterministic, and planning is always sequential, so `--jobs` (which
+//! only sizes the input-hashing thread pool) cannot change output bytes.
+//! That makes the output safely addressable by a digest of those inputs,
+//! which is what [`rewrite_key`] computes.
 //!
 //! The batch is absorbed through a compact tagged binary framing: each
 //! logical step (`instruction`, `reserve`, `patch`) contributes a type
@@ -25,8 +26,8 @@
 //!
 //! Deliberately **excluded** from the key:
 //!
-//! * `jobs` — the parallelism degree changes wall-clock, not bytes
-//!   (PR 4's parity guarantee); including it would split the cache per
+//! * `jobs` — it sizes the tree-digest thread pool and changes
+//!   wall-clock, not bytes; including it would split the cache per
 //!   thread count for identical outputs.
 //! * anything about the serving surface (socket vs stdio vs in-process),
 //!   session limits, or I/O paths.
@@ -56,8 +57,8 @@ fn part(h: &mut Sha256, bytes: &[u8]) {
 }
 
 /// Canonical JSON encoding of the cache-relevant [`RewriteConfig`]
-/// fields (everything that can change output bytes; `jobs` is parity-
-/// guaranteed and therefore omitted).
+/// fields (everything that can change output bytes; `jobs` cannot, and
+/// is therefore omitted).
 pub fn config_json(cfg: &RewriteConfig) -> Json {
     crate::json::obj(vec![
         ("t1", Json::Bool(cfg.tactics.t1)),
@@ -212,8 +213,8 @@ mod tests {
 
     #[test]
     fn jobs_does_not_split_the_cache() {
-        // PR 4 guarantees byte-identical output for every jobs value, so
-        // the key must not depend on it.
+        // `jobs` only sizes the input-hashing thread pool; output bytes
+        // never depend on it, so the key must not either.
         let (bin, insns, extra, patches) = job();
         let mut cfg = RewriteConfig::default();
         let base = rewrite_key(&bin, &insns, &extra, &patches, &cfg);

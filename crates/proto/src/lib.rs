@@ -17,15 +17,16 @@
 //! * [`session`] — the per-connection state machine that buffers commands
 //!   and feeds the in-process [`e9patch::Rewriter`] on `emit`, preserving
 //!   the paper's S1 reverse-order batch semantics;
-//! * [`server`] — the serve loop: stdio sessions and a Unix-socket daemon
-//!   with one thread per connection;
-//! * [`reactor`] — the default serving mode (Linux): a single-threaded
+//! * [`server`] — the serve loop over one byte stream (stdio sessions) and
+//!   [`server::dispatch_line`], the one request choke point;
+//! * [`reactor`] — the socket serving core (Linux): a single-threaded
 //!   epoll event loop (`e9loop`) multiplexing every connection, with
 //!   admission control and graceful drain; replies are byte-identical to
-//!   the threaded path;
+//!   stdio sessions;
 //! * [`client`] — the frontend side, used by `e9tool patch --backend`.
 //!
-//! The `e9patchd` binary wraps [`server`] as a standalone daemon.
+//! The `e9patchd` binary wraps [`server`] and [`reactor`] as a standalone
+//! daemon.
 //!
 //! ## Wire format
 //!

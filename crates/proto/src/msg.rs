@@ -1402,7 +1402,7 @@ impl CacheStatsReply {
 /// operator's one-call view of every degradation the daemon can be in.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct HealthReply {
-    /// Which serving core answered: `stdio`, `threaded`, `reactor`, or
+    /// Which serving core answered: `stdio`, `reactor`, or
     /// `in-process` (no daemon at all).
     pub serving_mode: String,
     /// Connections refused at accept time (admission control).

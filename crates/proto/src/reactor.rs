@@ -1,10 +1,10 @@
-//! The reactor serving mode: `e9patchd`'s default multiplexed transport.
+//! The reactor serving mode: `e9patchd`'s multiplexed socket transport.
 //!
 //! Glue between the protocol-agnostic `e9loop` event loop and this
 //! crate's [`Session`] state machine. The reactor owns sockets, framing,
 //! fairness, admission control and drain; every complete request line
 //! still funnels through [`dispatch_line`](crate::server::dispatch_line)
-//! — the exact choke point the threaded path uses — so replies are
+//! — the exact choke point stdio sessions use — so replies are
 //! byte-identical between the two serving modes (asserted by the
 //! `reactor_daemon` integration tests and verify.sh stage 8).
 //!
@@ -82,7 +82,7 @@ fn busy_line() -> Vec<u8> {
 
 /// One connection's service: a [`Session`] behind the shared
 /// [`dispatch_line`] choke point, with per-request panic isolation
-/// exactly like the threaded path.
+/// exactly like [`serve_connection_with`](crate::server::serve_connection_with).
 pub struct SessionService {
     session: Session,
     shed: Arc<ShedCounters>,
@@ -91,7 +91,7 @@ pub struct SessionService {
 impl Service for SessionService {
     fn on_line(&mut self, line: &[u8]) -> Option<Vec<u8>> {
         if line.iter().all(u8::is_ascii_whitespace) {
-            return None; // blank lines are skipped, same as threaded
+            return None; // blank lines are skipped, same as stdio
         }
         let resp =
             match catch_unwind(AssertUnwindSafe(|| dispatch_line(&mut self.session, line))) {
@@ -107,7 +107,7 @@ impl Service for SessionService {
     }
 
     fn on_oversized(&mut self, cap: usize) -> Vec<u8> {
-        // Byte-identical to the threaded server's oversized-line reply.
+        // Byte-identical to `serve_connection_with`'s oversized-line reply.
         let resp = Response::err(
             None,
             RpcError::new(
@@ -169,8 +169,7 @@ impl ServiceFactory for SessionFactory {
 /// graceful drain completes.
 ///
 /// `config.io_timeout` becomes the idle timeout: a connection with no
-/// bytes moving in either direction for that long is cut, replacing the
-/// threaded path's per-read socket timeout.
+/// bytes moving in either direction for that long is cut.
 ///
 /// # Errors
 ///

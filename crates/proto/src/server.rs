@@ -1,16 +1,14 @@
 //! The server loop: line-delimited JSON-RPC sessions over arbitrary byte
-//! streams, stdio, and a Unix-domain socket (one thread per connection).
+//! streams and stdio. Socket transports are served by the reactor
+//! ([`crate::reactor`]), which runs the same [`dispatch_line`].
 //!
 //! Each connection gets its own [`Session`]; a `shutdown` command ends the
-//! connection and — for the socket server — stops the accept loop, so a
-//! client can bring the daemon down cleanly. [`serve_unix`] also accepts a
-//! connection budget (`max_conns`) for run-one-job-and-exit uses such as
-//! CI smoke stages.
+//! connection.
 
 use crate::json;
 use crate::msg::{code, Request, Response, RpcError};
 use crate::session::{Session, SessionLimits};
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -51,19 +49,19 @@ pub struct ServeConfig {
     pub max_line_bytes: usize,
     /// Per-session resource quotas, enforced by [`Session`].
     pub limits: SessionLimits,
-    /// Socket read/write timeout (`None` = block forever). Only the Unix
-    /// socket transport can enforce this; stdio ignores it.
+    /// Idle timeout for socket connections (`None` = wait forever). The
+    /// reactor enforces it; stdio ignores it.
     pub io_timeout: Option<Duration>,
-    /// Default planner worker count for every session served with this
-    /// config (`e9patchd --jobs`). A client's explicit `option jobs`
-    /// overrides it; `None` keeps the sequential planner.
+    /// Default number of threads that hash each session's input into its
+    /// cache key (`e9patchd --jobs`). A client's explicit `option jobs`
+    /// overrides it; `None` means one. Output bytes never depend on it.
     pub default_jobs: Option<usize>,
     /// Shared rewrite cache (`e9patchd --cache-dir` / `--cache-mem-bytes`).
     /// One [`Arc`](std::sync::Arc) handed to every connection's session,
     /// so all clients pool artifacts; `None` disables caching.
     pub cache: Option<std::sync::Arc<e9cache::Cache>>,
     /// Which serving core this config drives, as reported by the `health`
-    /// command: `stdio`, `threaded`, `reactor`, or `in-process`.
+    /// command: `stdio`, `reactor`, or `in-process`.
     pub serving_mode: &'static str,
     /// Shared load-shedding counters, reported by `health`.
     pub shed: Arc<ShedCounters>,
@@ -184,7 +182,7 @@ pub fn serve_connection<R: BufRead, W: Write>(reader: &mut R, writer: &mut W) ->
 /// [`serve_connection`] with explicit hardening knobs.
 ///
 /// Three classes of bad input are survived in-band, keeping the
-/// connection and the accept loop alive:
+/// connection (and the daemon) alive:
 ///
 /// * request lines longer than `config.max_line_bytes` → drained,
 ///   answered with [`code::LIMIT`];
@@ -320,103 +318,6 @@ pub fn serve_stdio_with(config: &ServeConfig) -> io::Result<()> {
     let mut writer = stdout.lock();
     serve_connection_with(&mut reader, &mut writer, config)?;
     Ok(())
-}
-
-/// Unix-domain socket server: accept loop with one thread per connection.
-#[cfg(unix)]
-pub mod unix {
-    use super::*;
-    use std::os::unix::net::{UnixListener, UnixStream};
-    use std::path::{Path, PathBuf};
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Arc;
-
-    /// Bind `path` and serve until a client sends `shutdown` or `max_conns`
-    /// connections have been accepted (`None` = unlimited). The socket file
-    /// is replaced on bind and removed on exit. Uses [`ServeConfig`]
-    /// defaults; see [`serve_unix_with`].
-    ///
-    /// # Errors
-    ///
-    /// Bind/accept failures. Per-connection I/O errors only end that
-    /// connection.
-    pub fn serve_unix(path: &Path, max_conns: Option<usize>) -> io::Result<()> {
-        serve_unix_with(path, max_conns, &ServeConfig::default())
-    }
-
-    /// [`serve_unix`] with explicit hardening knobs.
-    ///
-    /// Each accepted stream gets `config.io_timeout` as both its read and
-    /// write timeout, so a client that connects and then stalls (or stops
-    /// draining responses) is disconnected instead of pinning a server
-    /// thread forever. Connection threads are panic-isolated twice over:
-    /// request handling is caught inside [`serve_connection_with`], and a
-    /// residual unwind in the transport layer is caught here so it can
-    /// never poison the accept loop. On exit (shutdown or connection
-    /// budget) all live connection threads are joined — a graceful drain,
-    /// not an abort — before the socket file is removed.
-    ///
-    /// # Errors
-    ///
-    /// Bind/accept failures. Per-connection I/O errors only end that
-    /// connection.
-    pub fn serve_unix_with(
-        path: &Path,
-        max_conns: Option<usize>,
-        config: &ServeConfig,
-    ) -> io::Result<()> {
-        let _ = std::fs::remove_file(path);
-        let listener = UnixListener::bind(path)?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let sockpath: PathBuf = path.to_path_buf();
-        let mut handles = Vec::new();
-        let mut accepted = 0usize;
-        while !stop.load(Ordering::SeqCst) {
-            // `accept` is the classic EINTR victim: a stray signal must
-            // re-check the stop flag and keep accepting, not kill the
-            // daemon's accept loop.
-            let (stream, _) = match e9failpt::fail_io("proto.server.accept")
-                .and_then(|()| listener.accept())
-            {
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                other => other?,
-            };
-            if stop.load(Ordering::SeqCst) {
-                break; // the wake-up connection after a shutdown
-            }
-            accepted += 1;
-            let stop = Arc::clone(&stop);
-            let wake = sockpath.clone();
-            let config = config.clone();
-            handles.push(std::thread::spawn(move || {
-                let served =
-                    catch_unwind(AssertUnwindSafe(|| handle_stream(stream, &config)));
-                if let Ok(Ok(true)) = served {
-                    stop.store(true, Ordering::SeqCst);
-                    // Unblock the accept loop so it can observe the flag.
-                    let _ = UnixStream::connect(&wake);
-                }
-            }));
-            if let Some(max) = max_conns {
-                if accepted >= max {
-                    break;
-                }
-            }
-        }
-        for h in handles {
-            let _ = h.join();
-        }
-        let _ = std::fs::remove_file(&sockpath);
-        Ok(())
-    }
-
-    fn handle_stream(stream: UnixStream, config: &ServeConfig) -> io::Result<bool> {
-        stream.set_read_timeout(config.io_timeout)?;
-        stream.set_write_timeout(config.io_timeout)?;
-        let mut writer = stream.try_clone()?;
-        let mut reader = BufReader::new(stream);
-        serve_connection_with(&mut reader, &mut writer, config)
-    }
 }
 
 #[cfg(test)]

@@ -115,8 +115,9 @@ impl Session {
         }
     }
 
-    /// Set a default worker count for planning, as if the client had sent
-    /// `option jobs=<n>`. A later explicit `option jobs` overrides it.
+    /// Set a default worker count for hashing the input, as if the client
+    /// had sent `option jobs=<n>`. A later explicit `option jobs`
+    /// overrides it.
     pub fn set_default_jobs(&mut self, jobs: Option<usize>) {
         self.config.jobs = jobs;
     }

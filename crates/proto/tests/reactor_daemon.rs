@@ -1,5 +1,5 @@
 //! End-to-end tests of the reactor serving mode against the real
-//! `e9patchd` binary: byte-identity with the legacy threaded path, the
+//! `e9patchd` binary: byte-identity with stdio sessions, the
 //! TCP transport, request pipelining, graceful drain, and the BUSY
 //! admission/backpressure contract.
 
@@ -136,35 +136,56 @@ fn reference(bin: &[u8], disasm: &[e9x86::insn::Insn], sites: &[u64]) -> Vec<u8>
 
 /// The whole response transcript — every reply line for a pipelined full
 /// patch job, emit included — must be byte-identical between the reactor
-/// and the legacy thread-per-connection server.
+/// and a stdio session, which runs the same `dispatch_line` through
+/// `serve_connection_with`.
 #[test]
-fn reactor_replies_are_byte_identical_to_threaded() {
+fn reactor_replies_are_byte_identical_to_stdio() {
     let dir = temp_dir("ident");
     let (bin, disasm, sites) = workload();
     let (transcript, n) = job_transcript(&bin, &disasm, &sites);
 
     let mut transcripts = Vec::new();
-    for mode in ["reactor", "threaded"] {
-        let sock = dir.join(format!("{mode}.sock"));
-        let mut cmd = Proc::new(daemon_path());
-        cmd.arg("--socket").arg(&sock).args(["--max-conns", "1"]);
-        if mode == "threaded" {
-            cmd.arg("--threaded");
-        }
-        let mut daemon = Reap(cmd.stderr(Stdio::null()).spawn().unwrap());
-        wait_for_sock(&sock);
-        let mut stream = UnixStream::connect(&sock).unwrap();
-        // One write: the entire job is pipelined.
-        stream.write_all(transcript.as_bytes()).unwrap();
-        let mut reader = BufReader::new(stream.try_clone().unwrap());
-        let lines = read_lines(&mut reader, n);
-        drop((stream, reader));
-        wait_for_exit(&mut daemon);
-        transcripts.push(lines);
-    }
+    let sock = dir.join("reactor.sock");
+    let mut daemon = Reap(
+        Proc::new(daemon_path())
+            .arg("--socket")
+            .arg(&sock)
+            .args(["--max-conns", "1"])
+            .stderr(Stdio::null())
+            .spawn()
+            .unwrap(),
+    );
+    wait_for_sock(&sock);
+    let mut stream = UnixStream::connect(&sock).unwrap();
+    // One write: the entire job is pipelined.
+    stream.write_all(transcript.as_bytes()).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    transcripts.push(read_lines(&mut reader, n));
+    drop((stream, reader));
+    wait_for_exit(&mut daemon);
+
+    let mut daemon = Reap(
+        Proc::new(daemon_path())
+            .arg("--stdio")
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::null())
+            .spawn()
+            .unwrap(),
+    );
+    // Feed stdin from a thread so a full stdout pipe cannot deadlock us.
+    let mut stdin = daemon.0.stdin.take().unwrap();
+    let feeder = {
+        let transcript = transcript.clone();
+        std::thread::spawn(move || stdin.write_all(transcript.as_bytes()).unwrap())
+    };
+    let mut reader = BufReader::new(daemon.0.stdout.take().unwrap());
+    transcripts.push(read_lines(&mut reader, n));
+    feeder.join().unwrap();
+    wait_for_exit(&mut daemon);
     assert_eq!(
         transcripts[0], transcripts[1],
-        "reactor and threaded transcripts diverge"
+        "reactor and stdio transcripts diverge"
     );
     // And the emitted binary matches the in-process rewriter.
     let last = transcripts[0].last().unwrap();

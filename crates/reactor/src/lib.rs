@@ -15,7 +15,7 @@
 //! admission control and shutdown. Keeping the protocol out of this
 //! crate is what lets the fault-injection harness drive the loop with a
 //! hostile service-free client while the daemon reuses the exact
-//! `dispatch_line` choke point the threaded path hardened.
+//! `dispatch_line` choke point its stdio sessions use.
 //!
 //! ## Why a reactor at all
 //!
@@ -97,9 +97,8 @@ pub trait ServiceFactory {
     fn admission_busy(&self) -> Vec<u8>;
 }
 
-/// Reactor tuning knobs. Defaults match the threaded server's hardening
-/// posture (64 MiB lines, 30 s idle cut) plus serving-scale admission
-/// bounds.
+/// Reactor tuning knobs. Defaults match `e9patchd`'s hardening posture
+/// (64 MiB lines, 30 s idle cut) plus serving-scale admission bounds.
 #[derive(Debug, Clone)]
 pub struct Config {
     /// Longest accepted request line in bytes, newline included. Longer
@@ -569,7 +568,7 @@ impl<F: ServiceFactory> Reactor<F> {
             }
         }
         // EOF: a trailing unterminated line is still one request (the
-        // threaded reader behaves identically), then flush-and-close.
+        // stdio reader behaves identically), then flush-and-close.
         let Some(conn) = self.slab.get_mut(token) else {
             return;
         };

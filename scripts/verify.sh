@@ -14,9 +14,10 @@
 #   5. fault-injection smoke: a seeded e9fault campaign (520 structured
 #      mutants across the ELF and wire surfaces) must complete with zero
 #      panics; failures print an E9FAULT_SEED replay line
-#   6. parallel planning determinism: --jobs 1 and --jobs 4 must produce
-#      byte-identical patched binaries (and match the sequential output),
-#      plus a bench_parallel smoke run
+#   6. --jobs determinism: a run without --jobs and a --jobs 4 run must
+#      produce byte-identical patched binaries (--jobs only sizes the
+#      input-hashing thread pool), and a cache filled by a --jobs 2 run
+#      must serve a later plain run a hit byte-identical to a cold rewrite
 #   7. rewrite cache: patching twice with --cache-dir must report a miss
 #      then a hit with byte-identical output, a tiny input through a
 #      default-threshold cache must report a bypass, --no-cache must skip
@@ -25,13 +26,13 @@
 #      bench run must show the warm memory hit beating the uncached
 #      rewrite at the largest rung (the hot-path perf gate; the committed
 #      results/bench_cache.json is restored afterwards)
-#   8. serving core: the reactor (default) and legacy --threaded daemons
-#      must patch byte-identically (and match the in-process output), the
-#      TCP transport must serve a full job through e9tool --backend tcp:,
-#      a seeded loop-surface fault campaign (hostile client behaviors
-#      against a live reactor) must pass, and the bench_serve smoke runs
-#      512 concurrent sessions against both serving modes with every
-#      client asserting byte-identity against an in-process reference
+#   8. serving core: the reactor daemon must patch byte-identically to
+#      the in-process output, the TCP transport must serve a full job
+#      through e9tool --backend tcp:, a seeded loop-surface fault campaign
+#      (hostile client behaviors against a live reactor) must pass, and
+#      the bench_serve smoke runs 512 concurrent sessions against the
+#      reactor with every client asserting byte-identity against an
+#      in-process reference
 #   9. environmental I/O faults: a seeded io-surface campaign (24 cases
 #      driving ENOSPC/EIO/EINTR/short-write/failed-rename schedules
 #      through full rewrite jobs against live daemons) must pass, and a
@@ -41,8 +42,8 @@
 #      recovers — the whole walk observed through `e9tool health`
 #  10. hook smoke: `e9tool hook --func 'f*' --call-original` must leave
 #      program stdout byte-identical under e9vm while every counter
-#      fires (the payload side effect), hook planning must be
-#      byte-identical across --jobs 1 / --jobs 4 and through a live
+#      fires (the payload side effect), hook output must be
+#      byte-identical with and without --jobs and through a live
 #      daemon, and a run without --call-original must also preserve
 #      stdout
 #
@@ -93,18 +94,24 @@ echo "backend output byte-identical to in-process: ok"
 
 echo "== fault-injection smoke (E9FAULT_SEED=${E9FAULT_SEED:-42}) =="
 target/release/e9fault --seed "${E9FAULT_SEED:-42}" --elf-cases 320 --wire-cases 200
-target/release/e9fault --seed "${E9FAULT_SEED:-42}" --elf-cases 0 --wire-cases 120 --jobs 4
 
-echo "== parallel planning determinism (--jobs 1 vs --jobs 4) =="
-"${e9tool[@]}" patch "$tmp/a.elf" -o "$tmp/a.j1.e9" --app a1 --verify --jobs 1
+echo "== --jobs determinism (no --jobs vs --jobs 4, cross-jobs cache hit) =="
 "${e9tool[@]}" patch "$tmp/a.elf" -o "$tmp/a.j4.e9" --app a1 --verify --jobs 4
-cmp "$tmp/a.j1.e9" "$tmp/a.j4.e9"
+cmp "$tmp/a.e9" "$tmp/a.j4.e9"
 "${e9tool[@]}" gen --profile perlbench --scale 200 -o "$tmp/p.elf"
-"${e9tool[@]}" patch "$tmp/p.elf" -o "$tmp/p.j1.e9" --app a1 --jobs 1
-"${e9tool[@]}" patch "$tmp/p.elf" -o "$tmp/p.j4.e9" --app a1 --jobs 4
-cmp "$tmp/p.j1.e9" "$tmp/p.j4.e9"
-echo "parallel output byte-identical across worker counts: ok"
-cargo bench -q --offline -p e9bench --bench parallel -- --smoke --no-json
+"${e9tool[@]}" patch "$tmp/p.elf" -o "$tmp/p.seq.e9" --app a1 --no-cache
+"${e9tool[@]}" patch "$tmp/p.elf" -o "$tmp/p.j4.e9" --app a1 --no-cache --jobs 4
+cmp "$tmp/p.seq.e9" "$tmp/p.j4.e9"
+# The cache key ignores --jobs, so a cache filled by a --jobs run must
+# hand a later plain run the bytes a cold sequential rewrite produces.
+"${e9tool[@]}" patch "$tmp/p.elf" -o "$tmp/p.fill.e9" --app a1 --jobs 2 \
+  --cache-dir "$tmp/cache-jobs" --cache-bypass-bytes 0 | tee "$tmp/j1.log"
+grep -q "cache: miss" "$tmp/j1.log" || { echo "--jobs 2 fill run did not miss" >&2; exit 1; }
+"${e9tool[@]}" patch "$tmp/p.elf" -o "$tmp/p.hit.e9" --app a1 \
+  --cache-dir "$tmp/cache-jobs" --cache-bypass-bytes 0 | tee "$tmp/j2.log"
+grep -q "cache: hit" "$tmp/j2.log" || { echo "plain run did not hit the --jobs cache" >&2; exit 1; }
+cmp "$tmp/p.seq.e9" "$tmp/p.hit.e9"
+echo "output and cache hits byte-identical across --jobs: ok"
 
 echo "== rewrite cache (cold store, warm hit, byte-identical) =="
 cdir="$tmp/cache"
@@ -164,26 +171,19 @@ if ! awk -v w="$warm" -v u="$uncached" 'BEGIN { exit !(w < u) }'; then
 fi
 echo "perf gate: warm hit ($warm ns) beats uncached rewrite ($uncached ns) at $top_rung"
 
-echo "== serving core: reactor vs threaded byte-identity =="
+echo "== serving core: reactor vs in-process byte-identity =="
 rsock="$tmp/e9.reactor.sock"
-tsock="$tmp/e9.threaded.sock"
 target/release/e9patchd --socket "$rsock" --max-conns 1 &
 rpid=$!
-target/release/e9patchd --socket "$tsock" --threaded --max-conns 1 &
-tpid=$!
 for _ in $(seq 1 100); do
-  [ -S "$rsock" ] && [ -S "$tsock" ] && break
+  [ -S "$rsock" ] && break
   sleep 0.05
 done
-[ -S "$rsock" ] && [ -S "$tsock" ] \
-  || { echo "serving-core daemons never bound their sockets" >&2; exit 1; }
+[ -S "$rsock" ] || { echo "reactor daemon never bound its socket" >&2; exit 1; }
 "${e9tool[@]}" patch "$tmp/a.elf" -o "$tmp/a.reactor.e9" --app a1 --backend "$rsock"
-"${e9tool[@]}" patch "$tmp/a.elf" -o "$tmp/a.threaded.e9" --app a1 --backend "$tsock"
 wait "$rpid"
-wait "$tpid"
-cmp "$tmp/a.reactor.e9" "$tmp/a.threaded.e9"
 cmp "$tmp/a.e9" "$tmp/a.reactor.e9"
-echo "reactor and threaded outputs byte-identical (and match in-process): ok"
+echo "reactor output byte-identical to in-process: ok"
 
 echo "== serving core: TCP transport =="
 target/release/e9patchd --listen-tcp 127.0.0.1:0 --max-conns 1 2>"$tmp/tcp.log" &
@@ -267,11 +267,11 @@ grep -E "^hook +[0-9]+ .* calls [1-9]" "$tmp/h.co.counters" >/dev/null \
 "${e9tool[@]}" hook "$tmp/h.elf" -o "$tmp/h.plain.hk" --func 'f*'
 "${e9tool[@]}" run "$tmp/h.plain.hk" >"$tmp/h.plain.out" 2>/dev/null
 cmp "$tmp/h.orig.out" "$tmp/h.plain.out"
-# Hook planning is deterministic across worker counts (like stage 6,
-# sequential-vs-sharded may differ; every sharded width must agree)…
+# Hook output does not depend on --jobs (like stage 6)…
 "${e9tool[@]}" hook "$tmp/h.elf" -o "$tmp/h.j1.hk" --func 'f*' --call-original --jobs 1
 "${e9tool[@]}" hook "$tmp/h.elf" -o "$tmp/h.j4.hk" --func 'f*' --call-original --jobs 4
-cmp "$tmp/h.j1.hk" "$tmp/h.j4.hk"
+cmp "$tmp/h.co.hk" "$tmp/h.j1.hk"
+cmp "$tmp/h.co.hk" "$tmp/h.j4.hk"
 # …and through a live daemon serving the hook wire command.
 hsock="$tmp/e9.hook.sock"
 target/release/e9patchd --socket "$hsock" --max-conns 1 &
