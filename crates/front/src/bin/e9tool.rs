@@ -9,7 +9,7 @@
 //! $ e9tool run demo.elf && e9tool run demo.e9   # identical behaviour
 //! ```
 
-use e9front::{instrument, Application, Options, Payload};
+use e9front::{Application, Options, Payload};
 use e9patch::{RewriteConfig, Tactics};
 use std::process::ExitCode;
 
@@ -47,7 +47,12 @@ threads that hash the input into its cache key; output bytes never
 depend on it. Inputs below the bypass
 threshold (--cache-bypass-bytes N or $E9CACHE_BYPASS_BYTES, default
 131072; 0 caches every size) skip the cache entirely — for tiny binaries
-the rewrite is cheaper than keying it.
+the rewrite is cheaper than keying it. The cache flags configure this
+process's cache: with --backend, cache on the daemon instead
+(`e9patchd --cache-dir`, `--cache-bypass-bytes`). The in-process cache
+and a daemon's derive the same keys, so they can share one directory.
+`patch` and `hook` print `cache: hit|miss|bypass` whenever a cache took
+part, local or remote.
 `hook` installs register-preserving function hooks at symbol-resolved
 entry points: --func takes exact names or shell globs (resolved against
 .symtab, falling back to .dynsym), --addr takes explicit entry addresses
@@ -263,7 +268,7 @@ fn cmd_disasm(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Resolve the rewrite-cache directory for `patch` from flags and the
+/// Resolve the rewrite-cache directory for `patch`/`hook` from flags and the
 /// environment. `--cache-dir DIR` wins; otherwise `$E9CACHE_DIR` provides
 /// an ambient default. `--no-cache` disables both. Contradictory spellings
 /// are hard errors (exit 1), not silent precedence rules.
@@ -326,6 +331,79 @@ fn resolve_bypass_bytes(args: &Args) -> Result<Option<u64>, String> {
     }
 }
 
+/// Where `patch` and `hook` run the rewrite.
+enum Route {
+    /// In-process, uncached.
+    Local,
+    /// In-process through the cache at DIR, with an optional bypass
+    /// threshold.
+    Cached(std::path::PathBuf, Option<u64>),
+    /// On the `--backend` daemon, which applies its own cache policy.
+    Backend(String),
+}
+
+/// Resolve `--backend`, `--cache-dir`/`--no-cache` and
+/// `--cache-bypass-bytes` (and their environment defaults) into a
+/// [`Route`]. Nothing is opened yet, so flag errors come before any
+/// input is read. The cache flags describe this process's cache, so
+/// spelling one out next to `--backend` is an error; the ambient
+/// environment variables are ignored there.
+fn resolve_route(args: &Args) -> Result<Route, String> {
+    let cache_dir = resolve_cache_dir(args)?;
+    if let Some(spec) = args.value("backend") {
+        if args.flag("cache-bypass-bytes") {
+            return Err("--cache-bypass-bytes applies to the in-process cache; set the \
+                        threshold behind --backend with `e9patchd --cache-bypass-bytes` instead"
+                .into());
+        }
+        return Ok(Route::Backend(spec.to_string()));
+    }
+    let bypass_bytes = resolve_bypass_bytes(args)?;
+    Ok(match cache_dir {
+        Some(dir) => Route::Cached(dir, bypass_bytes),
+        None => Route::Local,
+    })
+}
+
+/// Open `route` (the cache, or a backend connection), run the job on it,
+/// and print the `cache: hit|miss|bypass` line and, for an in-process
+/// cache, its counter summary.
+fn run_on<T>(
+    route: Route,
+    run: impl FnOnce(e9front::Exec) -> Result<T, e9front::FrontError>,
+    outcome: impl Fn(&T) -> Option<&e9front::CacheOutcome>,
+) -> Result<T, String> {
+    let (res, summary) = match route {
+        Route::Local => (run(e9front::Exec::Local), None),
+        Route::Cached(dir, bypass_bytes) => {
+            let cache = e9cache::Cache::open(&e9cache::CacheConfig {
+                dir: Some(dir.clone()),
+                bypass_bytes,
+                ..e9cache::CacheConfig::default()
+            })
+            .map_err(|e| format!("cannot open cache {}: {e}", dir.display()))?;
+            let res = run(e9front::Exec::Cached(&cache));
+            (res, Some(cache.stats().summary()))
+        }
+        Route::Backend(spec) => (run(e9front::Exec::Backend(&mut backend_client(&spec)?)), None),
+    };
+    let res = res.map_err(|e| e.to_string())?;
+    if let Some(c) = outcome(&res) {
+        let digest = c.digest.as_deref().unwrap_or("");
+        match c.disposition {
+            e9proto::CacheDisposition::Hit => println!("cache: hit {digest}"),
+            e9proto::CacheDisposition::Bypass => {
+                println!("cache: bypass (input below threshold, not keyed)");
+            }
+            _ => println!("cache: miss — stored {digest}"),
+        }
+    }
+    if let Some(summary) = summary {
+        println!("{summary}");
+    }
+    Ok(res)
+}
+
 /// Validate the address part of a `--backend tcp:ADDR:PORT` spec.
 ///
 /// The check is purely syntactic (host non-empty, numeric port) so a
@@ -366,6 +444,13 @@ fn backend_client(spec: &str) -> Result<e9proto::ProtoClient, String> {
     }
 }
 
+/// The flags `patch` and `hook` share: output, rewriter configuration
+/// ([`rewrite_config_from`]) and where the job runs ([`resolve_route`]).
+const REWRITE_FLAGS: &[&str] = &[
+    "out", "no-t1", "no-t2", "no-t3", "b0", "granularity", "jobs", "no-grouping", "backend",
+    "cache-dir", "no-cache", "cache-bypass-bytes",
+];
+
 /// Build the rewriter configuration from the shared tactic/size/jobs
 /// flags (`patch` and `hook` accept the same set).
 fn rewrite_config_from(args: &Args) -> Result<RewriteConfig, String> {
@@ -394,26 +479,8 @@ fn rewrite_config_from(args: &Args) -> Result<RewriteConfig, String> {
 }
 
 fn cmd_patch(args: &Args) -> Result<(), String> {
-    args.check_flags(&[
-        "out",
-        "app",
-        "payload",
-        "no-t1",
-        "no-t2",
-        "no-t3",
-        "b0",
-        "granularity",
-        "jobs",
-        "no-grouping",
-        "report",
-        "verify",
-        "backend",
-        "cache-dir",
-        "no-cache",
-        "cache-bypass-bytes",
-    ])?;
-    let cache_dir = resolve_cache_dir(args)?;
-    let bypass_bytes = resolve_bypass_bytes(args)?;
+    args.check_flags(&[REWRITE_FLAGS, &["app", "payload", "report", "verify"]].concat())?;
+    let route = resolve_route(args)?;
     let path = args.positional.first().ok_or("patch requires BINARY")?;
     let out_path = args.value("out").ok_or("patch requires -o OUT")?;
     let bytes = read_input(path)?;
@@ -438,50 +505,17 @@ fn cmd_patch(args: &Args) -> Result<(), String> {
     let config = rewrite_config_from(args)?;
 
     let opts = Options { app, payload, config };
-    let mut cache_summary = None;
-    let res = match args.value("backend") {
-        None => match &cache_dir {
-            None => instrument(&bytes, &opts).map_err(|e| e.to_string())?,
-            Some(dir) => {
-                let cache = e9cache::Cache::open(&e9cache::CacheConfig {
-                    dir: Some(dir.clone()),
-                    bypass_bytes,
-                    ..e9cache::CacheConfig::default()
-                })
-                .map_err(|e| format!("cannot open cache {}: {e}", dir.display()))?;
-                let disasm = e9front::disassemble_text(&bytes).map_err(|e| e.to_string())?;
-                let res = e9front::instrument_cached(&bytes, &disasm, &opts, &cache)
-                    .map_err(|e| e.to_string())?;
-                cache_summary = Some(cache.stats().summary());
-                res
-            }
-        },
-        Some(spec) => {
-            let disasm = e9front::disassemble_text(&bytes).map_err(|e| e.to_string())?;
-            let mut client = backend_client(spec)?;
-            e9front::instrument_via_backend(&bytes, &disasm, &opts, &mut client)
-                .map_err(|e| e.to_string())?
-        }
-    };
-    if let Some(c) = &res.cache {
-        let digest = c.digest.as_deref().unwrap_or("");
-        match c.disposition {
-            e9proto::CacheDisposition::Hit => println!("cache: hit {digest}"),
-            e9proto::CacheDisposition::Bypass => {
-                println!("cache: bypass (input below threshold, not keyed)");
-            }
-            _ => println!("cache: miss — stored {digest}"),
-        }
-    }
-    if let Some(summary) = cache_summary {
-        println!("{summary}");
-    }
+    let disasm = e9front::disassemble_text(&bytes).map_err(|e| e.to_string())?;
+    let res = run_on(
+        route,
+        |exec| e9front::instrument_on(&bytes, &disasm, &opts, exec),
+        |r| r.cache.as_ref(),
+    )?;
     e9front::output::write_atomic(std::path::Path::new(out_path), &res.rewrite.binary)
         .map_err(|e| format!("cannot write {out_path}: {e}"))?;
     if args.flag("verify") {
         let orig = parse_input(path, &bytes)?;
         let patched = e9elf::Elf::parse(&res.rewrite.binary).map_err(|e| e.to_string())?;
-        let disasm = e9front::disassemble_text(&bytes).map_err(|e| e.to_string())?;
         match e9patch::verify::verify(
             &orig,
             &patched,
@@ -550,26 +584,8 @@ fn parse_addr(s: &str) -> Result<u64, String> {
 }
 
 fn cmd_hook(args: &Args) -> Result<(), String> {
-    args.check_flags(&[
-        "out",
-        "func",
-        "addr",
-        "payload",
-        "call-original",
-        "no-t1",
-        "no-t2",
-        "no-t3",
-        "b0",
-        "granularity",
-        "jobs",
-        "no-grouping",
-        "backend",
-        "cache-dir",
-        "no-cache",
-        "cache-bypass-bytes",
-    ])?;
-    let cache_dir = resolve_cache_dir(args)?;
-    let bypass_bytes = resolve_bypass_bytes(args)?;
+    args.check_flags(&[REWRITE_FLAGS, &["func", "addr", "payload", "call-original"]].concat())?;
+    let route = resolve_route(args)?;
     let path = args.positional.first().ok_or("hook requires BINARY")?;
     let out_path = args.value("out").ok_or("hook requires -o OUT")?;
     let bytes = read_input(path)?;
@@ -617,43 +633,11 @@ fn cmd_hook(args: &Args) -> Result<(), String> {
         Ok(d) => d,
         Err(_) => e9front::disassemble_exec_segments(&bytes).map_err(|e| e.to_string())?,
     };
-    let mut cache_summary = None;
-    let res = match args.value("backend") {
-        None => match &cache_dir {
-            None => e9front::hook_with_disasm(&bytes, &disasm, &spec, config)
-                .map_err(|e| e.to_string())?,
-            Some(dir) => {
-                let cache = e9cache::Cache::open(&e9cache::CacheConfig {
-                    dir: Some(dir.clone()),
-                    bypass_bytes,
-                    ..e9cache::CacheConfig::default()
-                })
-                .map_err(|e| format!("cannot open cache {}: {e}", dir.display()))?;
-                let res = e9front::hook_cached(&bytes, &disasm, &spec, config, &cache)
-                    .map_err(|e| e.to_string())?;
-                cache_summary = Some(cache.stats().summary());
-                res
-            }
-        },
-        Some(backend) => {
-            let mut client = backend_client(backend)?;
-            e9front::hook_via_backend(&bytes, &disasm, &spec, config, &mut client)
-                .map_err(|e| e.to_string())?
-        }
-    };
-    if let Some(c) = &res.cache {
-        let digest = c.digest.as_deref().unwrap_or("");
-        match c.disposition {
-            e9proto::CacheDisposition::Hit => println!("cache: hit {digest}"),
-            e9proto::CacheDisposition::Bypass => {
-                println!("cache: bypass (input below threshold, not keyed)");
-            }
-            _ => println!("cache: miss — stored {digest}"),
-        }
-    }
-    if let Some(summary) = cache_summary {
-        println!("{summary}");
-    }
+    let res = run_on(
+        route,
+        |exec| e9front::hook_on(&bytes, &disasm, &spec, config, exec),
+        |h| h.cache.as_ref(),
+    )?;
     e9front::output::write_atomic(std::path::Path::new(out_path), &res.rewrite.binary)
         .map_err(|e| format!("cannot write {out_path}: {e}"))?;
     for h in &res.hooks {

@@ -13,6 +13,17 @@
 //!
 //! and the §6.3 hardening payload (low-fat redzone checking).
 //!
+//! Every rewrite is one [`Job`] run on one [`Exec`]: in-process
+//! ([`Exec::Local`]), through a rewrite cache ([`Exec::Cached`], using
+//! the cache policy an `e9patchd` session also uses, so the two share
+//! artifacts) or on a protocol backend ([`Exec::Backend`]). [`execute`]
+//! runs a job; the drivers [`instrument_on`] and [`hook_on`] plan one and
+//! run it. All three give byte-identical output. The older per-path entry
+//! points (`instrument_{with_disasm,cached,via_backend}`,
+//! `hook_{with_disasm,cached,via_backend}`, [`run_job`],
+//! [`output_from_reply`]) are one-line wrappers kept because the
+//! benchmark in `perfbench/` compiles against them.
+//!
 //! ```no_run
 //! use e9front::{instrument, Application, Payload, Options};
 //!
@@ -29,7 +40,8 @@ pub mod recursive;
 pub mod trace;
 
 use e9elf::Elf;
-use e9patch::{ExtraSegment, PatchRequest, RewriteConfig, RewriteOutput, Rewriter, Template};
+use e9proto::cachekey::CachedRewriteError;
+use e9patch::{ExtraSegment, PatchRequest, RewriteConfig, RewriteOutput, Template};
 use e9x86::decode::linear_sweep;
 use e9x86::insn::Insn;
 
@@ -147,6 +159,17 @@ impl std::error::Error for FrontError {}
 impl From<e9patch::Error> for FrontError {
     fn from(e: e9patch::Error) -> Self {
         FrontError::Rewrite(e)
+    }
+}
+
+impl From<CachedRewriteError> for FrontError {
+    fn from(e: CachedRewriteError) -> Self {
+        match e {
+            CachedRewriteError::Rewrite(e) => FrontError::Rewrite(e),
+            CachedRewriteError::Cached { code, message } => {
+                FrontError::CachedFailure { code, message }
+            }
+        }
     }
 }
 
@@ -271,9 +294,8 @@ pub fn instrument(binary: &[u8], opts: &Options) -> Result<Instrumented, FrontEr
 /// The frontend's planning output: everything a rewriting backend needs
 /// besides the binary and disassembly themselves.
 ///
-/// [`plan`] is shared by the in-process path ([`instrument_with_disasm`])
-/// and the protocol path ([`instrument_via_backend`]); feeding both the
-/// same plan is what makes their outputs byte-identical.
+/// [`instrument_on`] feeds the same plan to every [`Exec`], which is what
+/// makes their outputs byte-identical.
 #[derive(Debug)]
 pub struct Plan {
     /// Selected patch-site addresses, in disassembly order.
@@ -291,8 +313,105 @@ pub struct Plan {
     pub trace_addr: Option<u64>,
 }
 
+/// One fully-planned rewrite job: the batch every [`Exec`] consumes
+/// identically. Any driver that lowers its work to a `Job`
+/// (instrumentation via [`plan`], hooking via [`e9hook::plan_hooks`])
+/// inherits the byte-identity guarantee across all three for free.
+pub use e9proto::cachekey::Job;
+
+/// Where a job's rewrite runs. The two drivers, [`instrument_on`] and
+/// [`hook_on`], take one; each variant yields byte-identical output for
+/// the same job.
+pub enum Exec<'a> {
+    /// The in-process [`e9patch::Rewriter`], uncached.
+    Local,
+    /// The in-process rewriter behind a rewrite cache, through the one
+    /// cache policy [`e9proto::cachekey::cached_rewrite`] that an
+    /// `e9patchd` session also uses — so the two derive the same key and
+    /// share artifacts. Corrupt entries degrade to a cold rewrite.
+    Cached(&'a e9cache::Cache),
+    /// A protocol backend (the paper's frontend/backend split). The wire
+    /// round trip and server-side re-decode preserve every input bit.
+    Backend(&'a mut e9proto::ProtoClient),
+}
+
+/// Execute a job on `exec`, reporting how a cache took part (`None` when
+/// none did).
+///
+/// # Errors
+///
+/// Rewriting failures, [`FrontError::CachedFailure`] when a negative
+/// cache entry replays a known-failing job, and any transport or in-band
+/// backend failure. Per-site patch failures are *not* errors; see
+/// [`RewriteOutput::stats`].
+pub fn execute(
+    job: &Job,
+    exec: Exec,
+) -> Result<(RewriteOutput, Option<CacheOutcome>), FrontError> {
+    let cache = match exec {
+        Exec::Local => None,
+        Exec::Cached(cache) => Some(cache),
+        Exec::Backend(client) => {
+            send_job_inputs(client, job.binary, job.disasm, &job.config)?;
+            for seg in job.extra {
+                client.reserve(seg)?;
+            }
+            for r in job.requests {
+                client.patch(r.addr, r.template.clone())?;
+            }
+            return Ok(finish(client.emit()?));
+        }
+    };
+    Ok(finish(e9proto::cachekey::cached_rewrite(cache, &mut None, job)?))
+}
+
+/// Split a reply into the output and the cache outcome it reports.
+fn finish(mut reply: e9proto::EmitReply) -> (RewriteOutput, Option<CacheOutcome>) {
+    let cache = match reply.cache {
+        e9proto::CacheDisposition::Off => None,
+        disposition => Some(CacheOutcome {
+            disposition,
+            digest: reply.digest.take(),
+        }),
+    };
+    (reply.into(), cache)
+}
+
+/// Plan instrumentation for `binary` per `opts` and rewrite it on `exec`.
+///
+/// # Errors
+///
+/// Planning errors, plus those of [`execute`].
+pub fn instrument_on(
+    binary: &[u8],
+    disasm: &[Insn],
+    opts: &Options,
+    exec: Exec,
+) -> Result<Instrumented, FrontError> {
+    let p = plan(binary, disasm, opts)?;
+    let (rewrite, cache) = execute(
+        &Job {
+            binary,
+            disasm,
+            requests: &p.requests,
+            extra: &p.extra,
+            config: opts.config,
+        },
+        exec,
+    )?;
+    Ok(Instrumented {
+        rewrite,
+        sites: p.sites.len(),
+        violations_addr: p.violations_addr,
+        counter_addr: p.counter_addr,
+        trace_addr: p.trace_addr,
+        cache,
+    })
+}
+
 /// [`instrument`] with caller-provided disassembly info (e.g. from
-/// `e9synth`, which knows its exact code extent).
+/// `e9synth`, which knows its exact code extent): [`instrument_on`]
+/// with [`Exec::Local`].
 ///
 /// # Errors
 ///
@@ -302,147 +421,51 @@ pub fn instrument_with_disasm(
     disasm: &[Insn],
     opts: &Options,
 ) -> Result<Instrumented, FrontError> {
-    let p = plan(binary, disasm, opts)?;
-    let rewrite = run_job(&Job {
-        binary,
-        disasm,
-        requests: &p.requests,
-        extra: &p.extra,
-        config: opts.config,
-    })?;
-    Ok(Instrumented {
-        rewrite,
-        sites: p.sites.len(),
-        violations_addr: p.violations_addr,
-        counter_addr: p.counter_addr,
-        trace_addr: p.trace_addr,
-        cache: None,
-    })
+    instrument_on(binary, disasm, opts, Exec::Local)
 }
 
-/// One fully-planned rewrite job: the batch every execution path —
-/// in-process ([`run_job`]), cached ([`run_job_cached`]) and protocol
-/// backend ([`run_job_via_backend`]) — consumes identically. Any driver
-/// that lowers its work to a `Job` (instrumentation via [`plan`], hooking
-/// via [`e9hook::plan_hooks`]) inherits the byte-identity guarantee
-/// across all three paths for free.
-#[derive(Debug, Clone, Copy)]
-pub struct Job<'a> {
-    /// The input binary.
-    pub binary: &'a [u8],
-    /// Disassembly info (instruction locations and sizes).
-    pub disasm: &'a [Insn],
-    /// The patch batch.
-    pub requests: &'a [PatchRequest],
-    /// Runtime segments to inject.
-    pub extra: &'a [ExtraSegment],
-    /// Rewriter configuration.
-    pub config: RewriteConfig,
-}
-
-/// Execute a job with the in-process [`Rewriter`].
+/// [`instrument_on`] with [`Exec::Cached`].
 ///
 /// # Errors
 ///
-/// Rewriting failures. Per-site patch failures are *not* errors; see
-/// [`RewriteOutput::stats`].
-pub fn run_job(job: &Job) -> Result<RewriteOutput, FrontError> {
-    Rewriter::new(job.config)
-        .rewrite(job.binary, job.disasm, job.requests, job.extra)
-        .map_err(FrontError::Rewrite)
-}
-
-/// Execute a job through a rewrite cache. The key is derived exactly as
-/// an `e9patchd` session would derive it (same codec, same config
-/// encoding), so the in-process path and a daemon with the same
-/// `--cache-dir` share artifacts. Corrupt or unreadable entries degrade
-/// to a cold rewrite.
-///
-/// # Errors
-///
-/// As [`run_job`], plus [`FrontError::CachedFailure`] when a negative
-/// entry short-circuits a known-failing job.
-pub fn run_job_cached(
-    job: &Job,
+/// As [`instrument_on`].
+pub fn instrument_cached(
+    binary: &[u8],
+    disasm: &[Insn],
+    opts: &Options,
     cache: &e9cache::Cache,
-) -> Result<(RewriteOutput, CacheOutcome), FrontError> {
-    if cache.should_bypass(job.binary.len() as u64) {
-        // Below the break-even size the rewrite is cheaper than keying
-        // it: run cold, report the bypass, store nothing (failures
-        // included — a negative entry would pay the keying cost too).
-        let rewrite = run_job(job)?;
-        return Ok((
-            rewrite,
-            CacheOutcome {
-                disposition: e9proto::CacheDisposition::Bypass,
-                digest: None,
-            },
-        ));
-    }
-    // Hash the input exactly once (on --jobs threads; the tree digest is
-    // jobs-invariant so the key is too).
-    let bin_digest = e9cache::tree::tree_digest(job.binary, job.config.jobs.unwrap_or(1));
-    let key = e9proto::cachekey::rewrite_key_from_digest(
-        &bin_digest,
-        job.disasm,
-        job.extra,
-        job.requests,
-        &job.config,
-    );
-    let digest = Some(e9cache::sha256::hex(&key));
-    match cache.lookup(&key) {
-        Some(e9cache::Hit::Payload(blob)) => {
-            // Stored payload is the compact binary emit reply of the cold
-            // run, served as a zero-copy view; an undecodable one falls
-            // through to a cold rewrite.
-            if let Ok(reply) = e9proto::EmitReply::decode_bin(&blob) {
-                return Ok((
-                    output_from_reply(reply),
-                    CacheOutcome {
-                        disposition: e9proto::CacheDisposition::Hit,
-                        digest,
-                    },
-                ));
-            }
-        }
-        Some(e9cache::Hit::Negative { code, message }) => {
-            return Err(FrontError::CachedFailure { code, message });
-        }
-        None => {}
-    }
-    match run_job(job) {
-        Ok(rewrite) => {
-            let stored = reply_from_output(&rewrite).encode_bin();
-            cache.put(&key, &e9cache::Entry::Ok(stored));
-            Ok((
-                rewrite,
-                CacheOutcome {
-                    disposition: e9proto::CacheDisposition::Miss,
-                    digest,
-                },
-            ))
-        }
-        Err(FrontError::Rewrite(e)) => {
-            // Rewrite failures are deterministic — cache them as negative
-            // entries so the next attempt replays the typed error.
-            cache.put(
-                &key,
-                &e9cache::Entry::Negative {
-                    code: e9proto::msg::code::REWRITE,
-                    message: e.to_string(),
-                },
-            );
-            Err(FrontError::Rewrite(e))
-        }
-        Err(other) => Err(other),
-    }
+) -> Result<Instrumented, FrontError> {
+    instrument_on(binary, disasm, opts, Exec::Cached(cache))
+}
+
+/// [`instrument_on`] with [`Exec::Backend`].
+///
+/// # Errors
+///
+/// As [`instrument_on`].
+pub fn instrument_via_backend(
+    binary: &[u8],
+    disasm: &[Insn],
+    opts: &Options,
+    client: &mut e9proto::ProtoClient,
+) -> Result<Instrumented, FrontError> {
+    instrument_on(binary, disasm, opts, Exec::Backend(client))
+}
+
+/// [`execute`] with [`Exec::Local`], dropping the (absent) cache outcome.
+///
+/// # Errors
+///
+/// Rewriting failures.
+pub fn run_job(job: &Job) -> Result<RewriteOutput, FrontError> {
+    execute(job, Exec::Local).map(|(out, _)| out)
 }
 
 /// Stream a job's shared inputs — protocol handshake, rewriter options,
 /// binary (with its pre-computed tree digest) and disassembly info — to a
 /// backend. Patch-batch delivery is the caller's: explicit
-/// `reserve`/`patch` streaming ([`run_job_via_backend`]) or server-side
-/// planning (the `hook` command).
+/// `reserve`/`patch` streaming ([`execute`]) or server-side planning
+/// (the `hook` command, [`hook_on`]).
 fn send_job_inputs(
     client: &mut e9proto::ProtoClient,
     binary: &[u8],
@@ -476,29 +499,6 @@ fn send_job_inputs(
         client.instruction(i.addr, i.bytes())?;
     }
     Ok(())
-}
-
-/// Execute a job through a protocol backend. The plan, wire round trip
-/// and server-side re-decode preserve every input bit, so the output is
-/// byte-identical to [`run_job`] for the same job.
-///
-/// # Errors
-///
-/// Any transport or in-band backend failure.
-pub fn run_job_via_backend(
-    job: &Job,
-    client: &mut e9proto::ProtoClient,
-) -> Result<(RewriteOutput, Option<CacheOutcome>), FrontError> {
-    send_job_inputs(client, job.binary, job.disasm, &job.config)?;
-    for seg in job.extra {
-        client.reserve(seg)?;
-    }
-    for r in job.requests {
-        client.patch(r.addr, r.template.clone())?;
-    }
-    let reply = client.emit()?;
-    let cache = CacheOutcome::from_reply(&reply);
-    Ok((output_from_reply(reply), cache))
 }
 
 /// Select sites and build the payload runtime for `binary`, without
@@ -619,86 +619,10 @@ pub fn plan(binary: &[u8], disasm: &[Insn], opts: &Options) -> Result<Plan, Fron
     })
 }
 
-/// [`instrument_with_disasm`], but driving the rewrite through a protocol
-/// backend (the paper's frontend/backend split) instead of calling
-/// [`Rewriter`] in-process. The plan, wire round trip and server-side
-/// re-decode preserve every input bit, so the output is byte-identical to
-/// the in-process path for the same binary, options and seed.
-///
-/// # Errors
-///
-/// Planning errors, plus any transport or in-band backend failure.
-pub fn instrument_via_backend(
-    binary: &[u8],
-    disasm: &[Insn],
-    opts: &Options,
-    client: &mut e9proto::ProtoClient,
-) -> Result<Instrumented, FrontError> {
-    let p = plan(binary, disasm, opts)?;
-    let (rewrite, cache) = run_job_via_backend(
-        &Job {
-            binary,
-            disasm,
-            requests: &p.requests,
-            extra: &p.extra,
-            config: opts.config,
-        },
-        client,
-    )?;
-    Ok(Instrumented {
-        rewrite,
-        sites: p.sites.len(),
-        violations_addr: p.violations_addr,
-        counter_addr: p.counter_addr,
-        trace_addr: p.trace_addr,
-        cache,
-    })
-}
-
 /// Convert a wire [`e9proto::EmitReply`] back into the in-process
-/// [`RewriteOutput`] shape (shared by the backend and cached paths).
+/// [`RewriteOutput`] shape.
 pub fn output_from_reply(reply: e9proto::EmitReply) -> RewriteOutput {
-    RewriteOutput {
-        binary: reply.binary,
-        stats: reply.stats,
-        size: reply.size,
-        loader_addr: reply.loader_addr,
-        trap_count: reply.trap_count as usize,
-        reports: reply.reports,
-        mappings: reply
-            .mappings
-            .iter()
-            .map(|m| e9patch::loader::Mapping {
-                vaddr: m.vaddr,
-                file_off: m.file_off,
-                len: m.len,
-            })
-            .collect(),
-    }
-}
-
-/// Inverse of [`output_from_reply`]: the canonical reply form of a cold
-/// rewrite, which is what the cache stores.
-fn reply_from_output(out: &RewriteOutput) -> e9proto::EmitReply {
-    e9proto::EmitReply {
-        binary: out.binary.clone(),
-        stats: out.stats,
-        size: out.size,
-        loader_addr: out.loader_addr,
-        trap_count: out.trap_count as u64,
-        reports: out.reports.clone(),
-        mappings: out
-            .mappings
-            .iter()
-            .map(|m| e9proto::msg::WireMapping {
-                vaddr: m.vaddr,
-                file_off: m.file_off,
-                len: m.len,
-            })
-            .collect(),
-        cache: e9proto::CacheDisposition::Off,
-        digest: None,
-    }
+    reply.into()
 }
 
 /// How the cache participated in an instrumentation run.
@@ -712,61 +636,9 @@ pub struct CacheOutcome {
     pub digest: Option<String>,
 }
 
-impl CacheOutcome {
-    fn from_reply(reply: &e9proto::EmitReply) -> Option<CacheOutcome> {
-        match reply.cache {
-            e9proto::CacheDisposition::Off => None,
-            d => Some(CacheOutcome {
-                disposition: d,
-                digest: reply.digest.clone(),
-            }),
-        }
-    }
-}
-
-/// [`instrument_with_disasm`] through a rewrite cache: the job key is
-/// derived exactly as an `e9patchd` session would derive it (same codec,
-/// same config encoding), so the in-process path and a daemon with the
-/// same `--cache-dir` share artifacts.
-///
-/// A hit returns bytes identical to a cold rewrite — guaranteed by the
-/// pipeline's determinism and re-checked end-to-end in the integration
-/// suite. Corrupt or unreadable entries degrade to a cold rewrite.
-///
-/// # Errors
-///
-/// As [`instrument_with_disasm`], plus [`FrontError::CachedFailure`] when
-/// a negative entry short-circuits a known-failing job.
-pub fn instrument_cached(
-    binary: &[u8],
-    disasm: &[Insn],
-    opts: &Options,
-    cache: &e9cache::Cache,
-) -> Result<Instrumented, FrontError> {
-    let p = plan(binary, disasm, opts)?;
-    let (rewrite, outcome) = run_job_cached(
-        &Job {
-            binary,
-            disasm,
-            requests: &p.requests,
-            extra: &p.extra,
-            config: opts.config,
-        },
-        cache,
-    )?;
-    Ok(Instrumented {
-        rewrite,
-        sites: p.sites.len(),
-        violations_addr: p.violations_addr,
-        counter_addr: p.counter_addr,
-        trace_addr: p.trace_addr,
-        cache: Some(outcome),
-    })
-}
-
 // ---- hooking driver ------------------------------------------------------
 
-/// Result of the hooking drivers ([`hook_functions`] and friends).
+/// Result of the hooking drivers ([`hook_on`] and its wrappers).
 #[derive(Debug)]
 pub struct Hooked {
     /// Rewriting output (hooked binary + statistics).
@@ -783,71 +655,40 @@ pub struct Hooked {
     pub cache: Option<CacheOutcome>,
 }
 
-/// Hook functions in `binary` per `spec`: disassemble, resolve symbols,
-/// plan trampolines and rewrite in-process. Uses the `.text` frontend
-/// with the executable-segment fallback for section-stripped binaries
-/// (where [`e9hook::HookSpec::addrs`] is the expected targeting mode).
+/// Hook functions in `binary` per `spec` and rewrite on `exec`. Hook
+/// planning is deterministic, so the lowered batch — and its cache key —
+/// is identical for identical (binary, spec, config).
+///
+/// On [`Exec::Backend`] the spec travels as one `hook` command and the
+/// *server* plans it against its copy of the binary and disassembly,
+/// buffering the same batch a local plan would have streamed; the
+/// emitted binary and the daemon's cache key stay byte-identical.
 ///
 /// # Errors
 ///
-/// Disassembly, hook-planning and rewriting failures.
-pub fn hook_functions(
-    binary: &[u8],
-    spec: &e9hook::HookSpec,
-    config: RewriteConfig,
-) -> Result<Hooked, FrontError> {
-    let disasm = match disassemble_text(binary) {
-        Ok(d) => d,
-        Err(_) => disassemble_exec_segments(binary)?,
-    };
-    hook_with_disasm(binary, &disasm, spec, config)
-}
-
-/// [`hook_functions`] with caller-provided disassembly info.
-///
-/// # Errors
-///
-/// As [`hook_functions`].
-pub fn hook_with_disasm(
+/// Hook-planning failures (returned in-band by a backend), plus those of
+/// [`execute`].
+pub fn hook_on(
     binary: &[u8],
     disasm: &[Insn],
     spec: &e9hook::HookSpec,
     config: RewriteConfig,
+    exec: Exec,
 ) -> Result<Hooked, FrontError> {
+    if let Exec::Backend(client) = exec {
+        send_job_inputs(client, binary, disasm, &config)?;
+        let planned = client.hook(spec)?;
+        let (rewrite, cache) = finish(client.emit()?);
+        return Ok(Hooked {
+            rewrite,
+            hooks: planned.hooks,
+            counters_addr: planned.counters_addr,
+            manifest_addr: planned.manifest_addr,
+            cache,
+        });
+    }
     let plan = e9hook::plan_hooks(binary, disasm, spec)?;
-    let rewrite = run_job(&Job {
-        binary,
-        disasm,
-        requests: &plan.requests,
-        extra: &plan.extra,
-        config,
-    })?;
-    Ok(Hooked {
-        rewrite,
-        hooks: plan.hooks,
-        counters_addr: plan.counters_addr,
-        manifest_addr: plan.manifest_addr,
-        cache: None,
-    })
-}
-
-/// [`hook_with_disasm`] through a rewrite cache. Hook planning is
-/// deterministic, so the lowered batch — and therefore the cache key —
-/// is identical for identical (binary, spec, config), and a warm hit
-/// returns bytes identical to the cold rewrite.
-///
-/// # Errors
-///
-/// As [`hook_with_disasm`], plus [`FrontError::CachedFailure`].
-pub fn hook_cached(
-    binary: &[u8],
-    disasm: &[Insn],
-    spec: &e9hook::HookSpec,
-    config: RewriteConfig,
-    cache: &e9cache::Cache,
-) -> Result<Hooked, FrontError> {
-    let plan = e9hook::plan_hooks(binary, disasm, spec)?;
-    let (rewrite, outcome) = run_job_cached(
+    let (rewrite, cache) = execute(
         &Job {
             binary,
             disasm,
@@ -855,28 +696,51 @@ pub fn hook_cached(
             extra: &plan.extra,
             config,
         },
-        cache,
+        exec,
     )?;
     Ok(Hooked {
         rewrite,
         hooks: plan.hooks,
         counters_addr: plan.counters_addr,
         manifest_addr: plan.manifest_addr,
-        cache: Some(outcome),
+        cache,
     })
 }
 
-/// [`hook_with_disasm`] through a protocol backend: the spec travels
-/// over the wire as one `hook` command and the *server* plans it against
-/// its copy of the binary and disassembly. Server-side planning buffers
-/// the same batch a local plan would have streamed, so the emitted
-/// binary — and the daemon's cache key for it — is byte-identical to
-/// every other path.
+/// [`hook_on`] with [`Exec::Local`].
 ///
 /// # Errors
 ///
-/// Planning errors (returned in-band by the server), plus any transport
-/// or backend failure.
+/// As [`hook_on`].
+pub fn hook_with_disasm(
+    binary: &[u8],
+    disasm: &[Insn],
+    spec: &e9hook::HookSpec,
+    config: RewriteConfig,
+) -> Result<Hooked, FrontError> {
+    hook_on(binary, disasm, spec, config, Exec::Local)
+}
+
+/// [`hook_on`] with [`Exec::Cached`].
+///
+/// # Errors
+///
+/// As [`hook_on`].
+pub fn hook_cached(
+    binary: &[u8],
+    disasm: &[Insn],
+    spec: &e9hook::HookSpec,
+    config: RewriteConfig,
+    cache: &e9cache::Cache,
+) -> Result<Hooked, FrontError> {
+    hook_on(binary, disasm, spec, config, Exec::Cached(cache))
+}
+
+/// [`hook_on`] with [`Exec::Backend`].
+///
+/// # Errors
+///
+/// As [`hook_on`].
 pub fn hook_via_backend(
     binary: &[u8],
     disasm: &[Insn],
@@ -884,17 +748,7 @@ pub fn hook_via_backend(
     config: RewriteConfig,
     client: &mut e9proto::ProtoClient,
 ) -> Result<Hooked, FrontError> {
-    send_job_inputs(client, binary, disasm, &config)?;
-    let planned = client.hook(spec)?;
-    let reply = client.emit()?;
-    let cache = CacheOutcome::from_reply(&reply);
-    Ok(Hooked {
-        rewrite: output_from_reply(reply),
-        hooks: planned.hooks,
-        counters_addr: planned.counters_addr,
-        manifest_addr: planned.manifest_addr,
-        cache,
-    })
+    hook_on(binary, disasm, spec, config, Exec::Backend(client))
 }
 
 #[cfg(test)]

@@ -21,6 +21,9 @@ fn e9patchd() -> Command {
 
 fn tmpdir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("e9tool-test-{name}-{}", std::process::id()));
+    // Start clean: leftovers of an earlier process with this pid (a
+    // socket, a filled cache) would change what the test observes.
+    let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     dir
 }
@@ -197,19 +200,7 @@ fn patch_backend_socket_matches_in_process() {
         .success());
 
     // A daemon serving exactly one connection.
-    let mut server = e9patchd()
-        .arg("--socket")
-        .arg(&sock)
-        .args(["--max-conns", "1"])
-        .spawn()
-        .unwrap();
-    for _ in 0..200 {
-        if sock.exists() {
-            break;
-        }
-        std::thread::sleep(std::time::Duration::from_millis(10));
-    }
-    assert!(sock.exists(), "daemon socket never appeared");
+    let mut server = daemon_on(&sock, &[]);
 
     let out = e9tool()
         .arg("patch")
@@ -332,6 +323,114 @@ fn cache_filled_with_jobs_serves_plain_run_identically() {
     let read = |f: &str| std::fs::read(dir.join(f)).unwrap();
     assert!(read("hit.e9") == read("cold.e9"), "cache hit diverged from a cold rewrite");
     assert!(read("fill.e9") == read("cold.e9"), "--jobs 2 output diverged from sequential");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Spawn `e9patchd --socket SOCK` with `extra` flags, serving one
+/// connection, and wait for its socket to appear.
+#[cfg(unix)]
+fn daemon_on(sock: &std::path::Path, extra: &[&std::ffi::OsStr]) -> std::process::Child {
+    let server = e9patchd()
+        .arg("--socket")
+        .arg(sock)
+        .args(["--max-conns", "1"])
+        .args(extra)
+        .spawn()
+        .unwrap();
+    for _ in 0..200 {
+        if sock.exists() {
+            break;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(10));
+    }
+    assert!(sock.exists(), "daemon socket never appeared");
+    server
+}
+
+/// A cache directory filled by in-process `e9tool patch --cache-dir`
+/// serves a daemon started on the same directory: same key, a hit, and
+/// the same bytes.
+#[cfg(unix)]
+#[test]
+fn local_cache_fill_is_a_daemon_hit() {
+    let dir = tmpdir("cache-shared");
+    let elf = dir.join("demo.elf");
+    let cache = dir.join("cache");
+    let sock = dir.join("e9.sock");
+    assert!(e9tool()
+        .args(["gen", "--tiny", "cli-cache-shared", "-o"])
+        .arg(&elf)
+        .status()
+        .unwrap()
+        .success());
+    let patch = |out: &str, extra: &[&std::ffi::OsStr]| {
+        let o = e9tool()
+            .arg("patch")
+            .arg(&elf)
+            .arg("-o")
+            .arg(dir.join(out))
+            .args(["--app", "a1", "--payload", "counter"])
+            .args(extra)
+            .env_remove("E9CACHE_DIR")
+            // Unparseable on purpose: the flag overrides it locally, and
+            // behind --backend the ambient value is ignored.
+            .env("E9CACHE_BYPASS_BYTES", "not-a-number")
+            .output()
+            .unwrap();
+        assert!(o.status.success(), "patch {extra:?} failed: {o:?}");
+        String::from_utf8_lossy(&o.stdout).into_owned()
+    };
+    let fill = patch(
+        "local.e9",
+        &["--cache-dir".as_ref(), cache.as_os_str(), "--cache-bypass-bytes".as_ref(), "0".as_ref()],
+    );
+    let digest = fill
+        .lines()
+        .find_map(|l| l.strip_prefix("cache: miss — stored "))
+        .unwrap_or_else(|| panic!("local run did not miss: {fill}"))
+        .to_string();
+
+    // The tiny input is below the daemon's default bypass threshold too.
+    let mut server = daemon_on(
+        &sock,
+        &["--cache-dir".as_ref(), cache.as_os_str(), "--cache-bypass-bytes".as_ref(), "0".as_ref()],
+    );
+    let hit = patch("daemon.e9", &["--backend".as_ref(), sock.as_os_str()]);
+    assert!(server.wait().unwrap().success(), "daemon did not exit cleanly");
+    assert!(hit.contains(&format!("cache: hit {digest}")), "no hit on {digest}: {hit}");
+    let read = |f: &str| std::fs::read(dir.join(f)).unwrap();
+    assert!(read("local.e9") == read("daemon.e9"), "daemon hit diverged from the local fill");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `--cache-bypass-bytes` configures this process's cache, which
+/// `--backend` does not use: spelling it out there is an error naming the
+/// daemon's flag, like `--cache-dir`.
+#[test]
+fn cache_bypass_bytes_with_backend_is_rejected() {
+    let dir = tmpdir("bypass-backend");
+    let elf = dir.join("demo.elf");
+    assert!(e9tool()
+        .args(["gen", "--tiny", "cli-bypass-backend", "-o"])
+        .arg(&elf)
+        .status()
+        .unwrap()
+        .success());
+    for cmd in [&["patch", "--app", "a1"][..], &["hook", "--func", "f*"]] {
+        let out = e9tool()
+            .arg(cmd[0])
+            .arg(&elf)
+            .arg("-o")
+            .arg(dir.join("never.e9"))
+            .args(&cmd[1..])
+            .args(["--backend", "stdio", "--cache-bypass-bytes", "0"])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(1), "{cmd:?}: {out:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("e9patchd --cache-bypass-bytes"), "{cmd:?} stderr: {err}");
+        assert!(!dir.join("never.e9").exists());
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

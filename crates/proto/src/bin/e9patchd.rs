@@ -119,100 +119,62 @@ fn main() -> ExitCode {
     let mut reactor_opts = e9proto::reactor::ReactorOptions::default();
     let mut i = 0;
     while i < argv.len() {
-        match argv[i].as_str() {
-            "--stdio" => {
-                stdio = true;
-                i += 1;
+        let flag = argv[i].as_str();
+        if flag == "--stdio" {
+            stdio = true;
+            i += 1;
+            continue;
+        }
+        // Every other flag takes one value; a bad or missing one is a
+        // usage error.
+        let Some(v) = argv.get(i + 1) else {
+            return usage();
+        };
+        i += 2;
+        let ok = match flag {
+            "--socket" => {
+                socket = Some(v.clone());
+                true
             }
-            "--socket" if i + 1 < argv.len() => {
-                socket = Some(argv[i + 1].clone());
-                i += 2;
+            "--listen-tcp" => {
+                listen_tcp = Some(v.clone());
+                true
             }
-            "--listen-tcp" if i + 1 < argv.len() => {
-                listen_tcp = Some(argv[i + 1].clone());
-                i += 2;
-            }
-            "--max-conns" if i + 1 < argv.len() => {
-                match argv[i + 1].parse() {
-                    Ok(n) => max_conns = Some(n),
-                    Err(_) => return usage(),
-                }
-                i += 2;
+            "--max-conns" => v.parse().map(|n| max_conns = Some(n)).is_ok(),
+            #[cfg(target_os = "linux")]
+            "--max-clients" => positive(v).map(|n| reactor_opts.max_clients = n).is_some(),
+            #[cfg(target_os = "linux")]
+            "--max-pending-bytes" => {
+                v.parse().map(|n| reactor_opts.pending_budget_bytes = n).is_ok()
             }
             #[cfg(target_os = "linux")]
-            "--max-clients" if i + 1 < argv.len() => {
-                match argv[i + 1].parse::<usize>() {
-                    Ok(n) if n >= 1 => reactor_opts.max_clients = n,
-                    _ => return usage(),
-                }
-                i += 2;
-            }
-            #[cfg(target_os = "linux")]
-            "--max-pending-bytes" if i + 1 < argv.len() => {
-                match argv[i + 1].parse::<usize>() {
-                    Ok(n) => reactor_opts.pending_budget_bytes = n,
-                    Err(_) => return usage(),
-                }
-                i += 2;
-            }
-            #[cfg(target_os = "linux")]
-            "--drain-ms" if i + 1 < argv.len() => {
-                match argv[i + 1].parse::<u64>() {
-                    Ok(ms) => reactor_opts.drain_timeout = Duration::from_millis(ms),
-                    Err(_) => return usage(),
-                }
-                i += 2;
-            }
-            "--timeout-ms" if i + 1 < argv.len() => {
-                match argv[i + 1].parse::<u64>() {
-                    Ok(0) => config.io_timeout = None,
-                    Ok(ms) => config.io_timeout = Some(Duration::from_millis(ms)),
-                    Err(_) => return usage(),
-                }
-                i += 2;
-            }
-            "--max-line-bytes" if i + 1 < argv.len() => {
-                match argv[i + 1].parse::<usize>() {
-                    Ok(n) if n > 0 => config.max_line_bytes = n,
-                    _ => return usage(),
-                }
-                i += 2;
-            }
-            "--jobs" if i + 1 < argv.len() => {
-                match argv[i + 1].parse::<usize>() {
-                    Ok(n) if n >= 1 => config.default_jobs = Some(n),
-                    _ => return usage(),
-                }
-                i += 2;
-            }
-            "--cache-dir" if i + 1 < argv.len() => {
-                cache_config.dir = Some(std::path::PathBuf::from(&argv[i + 1]));
+            "--drain-ms" => v
+                .parse()
+                .map(|ms| reactor_opts.drain_timeout = Duration::from_millis(ms))
+                .is_ok(),
+            "--timeout-ms" => v
+                .parse()
+                .map(|ms| config.io_timeout = (ms > 0).then(|| Duration::from_millis(ms)))
+                .is_ok(),
+            "--max-line-bytes" => positive(v).map(|n| config.max_line_bytes = n).is_some(),
+            "--jobs" => positive(v).map(|n| config.default_jobs = Some(n)).is_some(),
+            "--cache-dir" => {
+                cache_config.dir = Some(std::path::PathBuf::from(v));
                 want_cache = true;
-                i += 2;
+                true
             }
-            "--cache-mem-bytes" if i + 1 < argv.len() => {
-                match argv[i + 1].parse::<usize>() {
-                    Ok(n) => cache_config.mem_bytes = Some(n),
-                    Err(_) => return usage(),
-                }
+            "--cache-mem-bytes" => {
                 want_cache = true;
-                i += 2;
+                v.parse().map(|n| cache_config.mem_bytes = Some(n)).is_ok()
             }
-            "--cache-disk-bytes" if i + 1 < argv.len() => {
-                match argv[i + 1].parse::<u64>() {
-                    Ok(n) => cache_config.disk_bytes = Some(n),
-                    Err(_) => return usage(),
-                }
-                i += 2;
+            "--cache-disk-bytes" => v.parse().map(|n| cache_config.disk_bytes = Some(n)).is_ok(),
+            "--cache-bypass-bytes" => {
+                v.parse().map(|n| cache_config.bypass_bytes = Some(n)).is_ok()
             }
-            "--cache-bypass-bytes" if i + 1 < argv.len() => {
-                match argv[i + 1].parse::<u64>() {
-                    Ok(n) => cache_config.bypass_bytes = Some(n),
-                    Err(_) => return usage(),
-                }
-                i += 2;
-            }
-            _ => return usage(),
+            _ => false,
+        };
+        if !ok {
+            return usage();
         }
     }
     let socket_mode = socket.is_some() || listen_tcp.is_some();
@@ -253,6 +215,11 @@ fn main() -> ExitCode {
     }
 }
 
+/// Parse a count that must be at least one.
+fn positive(v: &str) -> Option<usize> {
+    v.parse().ok().filter(|&n| n >= 1)
+}
+
 /// Bind the requested listeners, announce them on stderr (the TCP line
 /// prints the *resolved* address, so `--listen-tcp 127.0.0.1:0` callers
 /// can parse the kernel-assigned port), and run the reactor.
@@ -268,8 +235,15 @@ fn serve_reactor_mode(
     let mut sock_path = None;
     if let Some(path) = socket {
         let path = std::path::PathBuf::from(path);
-        let _ = std::fs::remove_file(&path);
-        let l = std::os::unix::net::UnixListener::bind(&path)?;
+        // Bind under a staging name and rename into place once listening:
+        // the path then appears only when connections are accepted, so a
+        // client that waits for it never meets a bound-but-deaf socket,
+        // and a stale socket file is replaced atomically.
+        let mut staging = path.clone().into_os_string();
+        staging.push(".binding");
+        let _ = std::fs::remove_file(&staging);
+        let l = std::os::unix::net::UnixListener::bind(&staging)?;
+        std::fs::rename(&staging, &path)?;
         eprintln!(
             "e9patchd: listening on {} (reactor, protocol version {})",
             path.display(),

@@ -5,7 +5,7 @@
 //! deterministic, and planning is always sequential, so `--jobs` (which
 //! only sizes the input-hashing thread pool) cannot change output bytes.
 //! That makes the output safely addressable by a digest of those inputs,
-//! which is what [`rewrite_key`] computes.
+//! which is what [`rewrite_key_from_digest`] computes.
 //!
 //! The batch is absorbed through a compact tagged binary framing: each
 //! logical step (`instruction`, `reserve`, `patch`) contributes a type
@@ -32,6 +32,24 @@
 //! * anything about the serving surface (socket vs stdio vs in-process),
 //!   session limits, or I/O paths.
 //!
+//! ## The cache policy, in one function
+//!
+//! [`cached_rewrite`] is the only code that consults the cache. An
+//! `e9patchd` session's `emit` and every in-process e9front driver call
+//! it with the same [`Job`], so the two derive the same key and read and
+//! write the same entries. Its steps, in order:
+//!
+//! 1. **bypass** — below [`Cache::should_bypass`]'s size the rewrite runs
+//!    cold and nothing is keyed or stored (failures included);
+//! 2. **digest** — the input's tree digest, computed at most once per
+//!    caller-held memo (a session's verified intake digest is reused);
+//! 3. **key** — [`rewrite_key_from_digest`];
+//! 4. **lookup** — a stored reply is decoded and served; an undecodable
+//!    one falls through cold; a negative entry replays its error;
+//! 5. **cold rewrite**, then **put** — the reply on success, a
+//!    `Negative{REWRITE, message}` entry on a rewrite error;
+//! 6. **stamp** — the reply's `cache` disposition and hex `digest`.
+//!
 //! Versioning: the key material starts with a domain tag plus
 //! [`e9cache::FORMAT_VERSION`] and [`PROTOCOL_VERSION`], so any change to
 //! the entry encoding or the wire grammar re-keys the world instead of
@@ -40,10 +58,10 @@
 //! key material.
 
 use crate::json::Json;
-use crate::msg::{Command, PROTOCOL_VERSION};
-use e9cache::{Digest, Sha256};
+use crate::msg::{code, CacheDisposition, Command, EmitReply, RpcError, PROTOCOL_VERSION};
+use e9cache::{Cache, Digest, Entry, Hit, Sha256};
 use e9patch::planner::AllocPolicy;
-use e9patch::{ExtraSegment, PatchRequest, RewriteConfig};
+use e9patch::{ExtraSegment, PatchRequest, RewriteConfig, Rewriter};
 use e9x86::insn::Insn;
 
 /// Domain-separation tag (NUL-terminated so no other use of the hash can
@@ -139,25 +157,131 @@ pub fn rewrite_key_from_digest(
     h.finish()
 }
 
-/// Derive the content-address of a rewrite job from the raw input bytes.
-/// Convenience over [`rewrite_key_from_digest`]; hashes the binary
-/// single-threaded — callers that hold a worker count should compute
-/// [`e9cache::tree::tree_digest`] themselves and use the `_from_digest`
-/// form.
-pub fn rewrite_key(
-    binary: &[u8],
-    insns: &[Insn],
-    extra: &[ExtraSegment],
-    patches: &[PatchRequest],
-    cfg: &RewriteConfig,
-) -> Digest {
-    rewrite_key_from_digest(&e9cache::tree::tree_digest(binary, 1), insns, extra, patches, cfg)
+/// One fully planned rewrite job: the batch every execution path
+/// consumes. An in-process driver builds it from its plan; a session
+/// builds it from the commands it buffered.
+#[derive(Debug, Clone, Copy)]
+pub struct Job<'a> {
+    /// The input binary.
+    pub binary: &'a [u8],
+    /// Disassembly info (instruction locations and sizes).
+    pub disasm: &'a [Insn],
+    /// The patch batch.
+    pub requests: &'a [PatchRequest],
+    /// Runtime segments to inject.
+    pub extra: &'a [ExtraSegment],
+    /// Rewriter configuration.
+    pub config: RewriteConfig,
+}
+
+/// Why [`cached_rewrite`] produced no output.
+#[derive(Debug)]
+pub enum CachedRewriteError {
+    /// The rewriter failed on this job. Unless the job was bypassed, a
+    /// negative entry now records the failure.
+    Rewrite(e9patch::Error),
+    /// A negative entry replayed: this exact job failed before, with this
+    /// wire code and message.
+    Cached {
+        /// The wire error code of the original failure.
+        code: i64,
+        /// The original failure message.
+        message: String,
+    },
+}
+
+impl From<CachedRewriteError> for RpcError {
+    fn from(e: CachedRewriteError) -> RpcError {
+        match e {
+            CachedRewriteError::Rewrite(e) => RpcError::new(code::REWRITE, e.to_string()),
+            CachedRewriteError::Cached { code, message } => RpcError::new(code, message),
+        }
+    }
+}
+
+/// Run `job` through `cache` (or cold, when there is none) and return its
+/// reply, stamped with the cache disposition and hex key. This is the
+/// whole cache policy; the module docs list its steps. `binary_digest`
+/// memoizes the input's tree digest: it is filled on the first keyed run
+/// and reused after.
+///
+/// # Errors
+///
+/// A rewrite failure, or the replay of a cached one.
+pub fn cached_rewrite(
+    cache: Option<&Cache>,
+    binary_digest: &mut Option<Digest>,
+    job: &Job,
+) -> Result<EmitReply, CachedRewriteError> {
+    let cold = || {
+        Rewriter::new(job.config)
+            .rewrite(job.binary, job.disasm, job.requests, job.extra)
+            .map(EmitReply::from)
+    };
+    let Some(cache) = cache else {
+        return cold().map_err(CachedRewriteError::Rewrite);
+    };
+    if cache.should_bypass(job.binary.len() as u64) {
+        // Below the break-even size the rewrite is cheaper than keying
+        // it. Failures propagate unstored: a negative entry would pay
+        // the keying cost the bypass exists to avoid.
+        let reply = cold().map_err(CachedRewriteError::Rewrite)?;
+        return Ok(EmitReply { cache: CacheDisposition::Bypass, ..reply });
+    }
+    // Digest-once: the tree digest is jobs-invariant, so hashing on
+    // `jobs` threads leaves the key unchanged.
+    let bin_digest = *binary_digest.get_or_insert_with(|| {
+        e9cache::tree::tree_digest(job.binary, job.config.jobs.unwrap_or(1))
+    });
+    let key =
+        rewrite_key_from_digest(&bin_digest, job.disasm, job.extra, job.requests, &job.config);
+    let digest = Some(e9cache::sha256::hex(&key));
+    match cache.lookup(&key) {
+        // The stored payload is the compact reply of the cold run,
+        // handed back as a zero-copy view. An undecodable one (codec
+        // drift, which FORMAT_VERSION should preclude) falls through.
+        Some(Hit::Payload(blob)) => {
+            if let Ok(reply) = EmitReply::decode_bin(&blob) {
+                return Ok(EmitReply { cache: CacheDisposition::Hit, digest, ..reply });
+            }
+        }
+        Some(Hit::Negative { code, message }) => {
+            return Err(CachedRewriteError::Cached { code, message });
+        }
+        None => {}
+    }
+    match cold() {
+        Ok(reply) => {
+            // The compact encoding carries neither disposition nor
+            // digest, so the stored artifact is stamp-independent.
+            cache.put(&key, &Entry::Ok(reply.encode_bin()));
+            Ok(EmitReply { cache: CacheDisposition::Miss, digest, ..reply })
+        }
+        Err(e) => {
+            // Rewrite failures are deterministic: cache them so the next
+            // attempt replays the error without re-running the rewriter.
+            let message = e.to_string();
+            cache.put(&key, &Entry::Negative { code: code::REWRITE, message });
+            Err(CachedRewriteError::Rewrite(e))
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use e9patch::Template;
+
+    /// The key of a job given the raw input bytes.
+    fn rewrite_key(
+        binary: &[u8],
+        insns: &[Insn],
+        extra: &[ExtraSegment],
+        patches: &[PatchRequest],
+        cfg: &RewriteConfig,
+    ) -> Digest {
+        rewrite_key_from_digest(&e9cache::tree::tree_digest(binary, 1), insns, extra, patches, cfg)
+    }
 
     fn insn(addr: u64, bytes: &[u8]) -> Insn {
         e9x86::decode::decode(bytes, addr).expect("test instruction decodes")

@@ -20,7 +20,7 @@
 //! `codec_props` suite checks for arbitrary messages.
 
 use crate::json::{obj, Json};
-use e9patch::{PatchStats, SiteReport, SizeStats, TacticKind, Template};
+use e9patch::{PatchStats, RewriteOutput, SiteReport, SizeStats, TacticKind, Template};
 use std::fmt;
 
 /// The protocol version this crate speaks. Negotiated by the mandatory
@@ -687,16 +687,10 @@ impl Response {
 
 // ---- typed emit reply ---------------------------------------------------
 
-/// One loader mapping in an [`EmitReply`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WireMapping {
-    /// Virtual destination address.
-    pub vaddr: u64,
-    /// File offset of the merged physical block.
-    pub file_off: u64,
-    /// Length in bytes.
-    pub len: u64,
-}
+/// One loader mapping in an [`EmitReply`]: the rewriter's own
+/// [`Mapping`](e9patch::loader::Mapping), so converting between a reply
+/// and a [`RewriteOutput`] moves the table instead of copying it.
+pub use e9patch::loader::Mapping as WireMapping;
 
 /// How the rewrite cache participated in an `emit`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -1115,6 +1109,40 @@ impl EmitReply {
             cache: CacheDisposition::Off,
             digest: None,
         })
+    }
+}
+
+/// The one conversion from the rewriter's output to its reply form
+/// (what a session sends and what the cache stores). Both directions
+/// move every buffer; the cache fields start unset.
+impl From<RewriteOutput> for EmitReply {
+    fn from(out: RewriteOutput) -> EmitReply {
+        EmitReply {
+            binary: out.binary,
+            stats: out.stats,
+            size: out.size,
+            loader_addr: out.loader_addr,
+            trap_count: out.trap_count as u64,
+            reports: out.reports,
+            mappings: out.mappings,
+            cache: CacheDisposition::Off,
+            digest: None,
+        }
+    }
+}
+
+/// Inverse of `From<RewriteOutput>`; drops the per-response cache fields.
+impl From<EmitReply> for RewriteOutput {
+    fn from(reply: EmitReply) -> RewriteOutput {
+        RewriteOutput {
+            binary: reply.binary,
+            stats: reply.stats,
+            size: reply.size,
+            loader_addr: reply.loader_addr,
+            trap_count: reply.trap_count as usize,
+            reports: reply.reports,
+            mappings: reply.mappings,
+        }
     }
 }
 

@@ -2,9 +2,11 @@
 //!
 //! Glue between the protocol-agnostic `e9loop` event loop and this
 //! crate's [`Session`] state machine. The reactor owns sockets, framing,
-//! fairness, admission control and drain; every complete request line
-//! still funnels through [`dispatch_line`](crate::server::dispatch_line)
-//! — the exact choke point stdio sessions use — so replies are
+//! fairness, admission control and drain. The serving glue is shared with
+//! the stdio loop: sessions come from [`Session::from_config`], every
+//! complete request line is answered by [`reply_line`] (blank-line skip,
+//! panic isolation, [`dispatch_line`](crate::server::dispatch_line)) and
+//! every over-long one by [`oversized_line`], so replies are
 //! byte-identical between the two serving modes (asserted by the
 //! `reactor_daemon` integration tests and verify.sh stage 8).
 //!
@@ -24,12 +26,11 @@
 //!   delivered to it).
 
 use crate::msg::{code, Response, RpcError};
-use crate::server::{dispatch_line, ServeConfig, ShedCounters};
+use crate::server::{encode_line, oversized_line, reply_line, ServeConfig, ShedCounters};
 use crate::session::Session;
 use e9loop::Config as LoopConfig;
 pub use e9loop::{Listener, Service, ServiceFactory, Summary};
 use std::io;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
@@ -68,21 +69,12 @@ impl Default for ReactorOptions {
 
 /// The one BUSY line, shared by admission shed and budget shed.
 fn busy_line() -> Vec<u8> {
-    let resp = Response::err(
-        None,
-        RpcError::new(
-            code::BUSY,
-            "server over capacity; request shed, retry later",
-        ),
-    );
-    let mut out = resp.encode().into_bytes();
-    out.push(b'\n');
-    out
+    let msg = "server over capacity; request shed, retry later";
+    encode_line(&Response::err(None, RpcError::new(code::BUSY, msg)))
 }
 
-/// One connection's service: a [`Session`] behind the shared
-/// [`dispatch_line`] choke point, with per-request panic isolation
-/// exactly like [`serve_connection_with`](crate::server::serve_connection_with).
+/// One connection's service: a [`Session`] answered through the same
+/// [`reply_line`] and [`oversized_line`] the stdio loop uses.
 pub struct SessionService {
     session: Session,
     shed: Arc<ShedCounters>,
@@ -90,34 +82,11 @@ pub struct SessionService {
 
 impl Service for SessionService {
     fn on_line(&mut self, line: &[u8]) -> Option<Vec<u8>> {
-        if line.iter().all(u8::is_ascii_whitespace) {
-            return None; // blank lines are skipped, same as stdio
-        }
-        let resp =
-            match catch_unwind(AssertUnwindSafe(|| dispatch_line(&mut self.session, line))) {
-                Ok(resp) => resp,
-                Err(_) => Response::err(
-                    None,
-                    RpcError::new(code::INTERNAL, "internal error while handling request"),
-                ),
-            };
-        let mut out = resp.encode().into_bytes();
-        out.push(b'\n');
-        Some(out)
+        reply_line(&mut self.session, line)
     }
 
     fn on_oversized(&mut self, cap: usize) -> Vec<u8> {
-        // Byte-identical to `serve_connection_with`'s oversized-line reply.
-        let resp = Response::err(
-            None,
-            RpcError::new(
-                code::LIMIT,
-                format!("request line exceeds {cap} bytes; see --max-line-bytes"),
-            ),
-        );
-        let mut out = resp.encode().into_bytes();
-        out.push(b'\n');
-        out
+        oversized_line(cap)
     }
 
     fn on_busy(&mut self, _line: &[u8]) -> Vec<u8> {
@@ -148,12 +117,8 @@ impl ServiceFactory for SessionFactory {
     type Svc = SessionService;
 
     fn connect(&mut self) -> SessionService {
-        let mut session = Session::with_limits(self.config.limits.clone());
-        session.set_default_jobs(self.config.default_jobs);
-        session.set_cache(self.config.cache.clone());
-        session.set_health(self.config.serving_mode, Arc::clone(&self.config.shed));
         SessionService {
-            session,
+            session: Session::from_config(&self.config),
             shed: Arc::clone(&self.config.shed),
         }
     }

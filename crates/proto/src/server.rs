@@ -1,6 +1,9 @@
 //! The server loop: line-delimited JSON-RPC sessions over arbitrary byte
 //! streams and stdio. Socket transports are served by the reactor
-//! ([`crate::reactor`]), which runs the same [`dispatch_line`].
+//! ([`crate::reactor`]), which shares this module's glue: sessions come
+//! from [`Session::from_config`], request lines are answered by
+//! [`reply_line`] (through [`dispatch_line`]) and over-long lines by
+//! [`oversized_line`].
 //!
 //! Each connection gets its own [`Session`]; a `shutdown` command ends the
 //! connection.
@@ -188,11 +191,11 @@ pub fn serve_connection<R: BufRead, W: Write>(reader: &mut R, writer: &mut W) ->
 ///   answered with [`code::LIMIT`];
 /// * malformed or over-quota requests → typed errors from
 ///   [`dispatch_line`] / [`Session`];
-/// * a panic inside request handling → caught here, answered with
-///   [`code::INTERNAL`]. [`dispatch_line`] itself stays panic-free by
-///   construction (the fault-injection campaign drives it directly and
-///   treats any unwind as a bug); this catch is defence in depth so one
-///   connection's bug can never take the daemon down.
+/// * a panic inside request handling → caught by [`reply_line`],
+///   answered with [`code::INTERNAL`]. [`dispatch_line`] itself stays
+///   panic-free by construction (the fault-injection campaign drives it
+///   directly and treats any unwind as a bug); this catch is defence in
+///   depth so one connection's bug can never take the daemon down.
 ///
 /// # Errors
 ///
@@ -203,51 +206,57 @@ pub fn serve_connection_with<R: BufRead, W: Write>(
     writer: &mut W,
     config: &ServeConfig,
 ) -> io::Result<bool> {
-    let mut session = Session::with_limits(config.limits.clone());
-    session.set_default_jobs(config.default_jobs);
-    session.set_cache(config.cache.clone());
-    session.set_health(config.serving_mode, Arc::clone(&config.shed));
+    let mut session = Session::from_config(config);
     let mut line = Vec::new();
     loop {
-        let response = match read_capped_line(reader, &mut line, config.max_line_bytes)? {
+        let reply = match read_capped_line(reader, &mut line, config.max_line_bytes)? {
             LineRead::Eof => return Ok(false),
-            LineRead::Oversized => Response::err(
-                None,
-                RpcError::new(
-                    code::LIMIT,
-                    format!(
-                        "request line exceeds {} bytes; see --max-line-bytes",
-                        config.max_line_bytes
-                    ),
-                ),
-            ),
-            LineRead::Line => {
-                if line.iter().all(|b| b.is_ascii_whitespace()) {
-                    continue;
-                }
-                match catch_unwind(AssertUnwindSafe(|| dispatch_line(&mut session, &line))) {
-                    Ok(resp) => resp,
-                    Err(_) => Response::err(
-                        None,
-                        RpcError::new(code::INTERNAL, "internal error while handling request"),
-                    ),
-                }
-            }
+            LineRead::Oversized => oversized_line(config.max_line_bytes),
+            LineRead::Line => match reply_line(&mut session, &line) {
+                Some(reply) => reply,
+                None => continue,
+            },
         };
-        let text = response.encode();
         // The injection point sits *before* any bytes land, so a retried
         // interrupt can never duplicate a partial response. (Real EINTR
         // mid-write is already absorbed inside `write_all`.)
         e9failpt::retry::retry_interrupted(e9failpt::retry::EINTR_BUDGET, || {
             e9failpt::fail_io("proto.server.write")?;
-            writer.write_all(text.as_bytes())?;
-            writer.write_all(b"\n")?;
+            writer.write_all(&reply)?;
             writer.flush()
         })?;
         if session.shutdown_requested() {
             return Ok(true);
         }
     }
+}
+
+/// The newline-terminated reply to one complete request line, shared by
+/// the stdio loop and the reactor: `None` for a blank line (skipped, no
+/// reply), otherwise [`dispatch_line`]'s response, or [`code::INTERNAL`]
+/// if handling panicked.
+pub fn reply_line(session: &mut Session, line: &[u8]) -> Option<Vec<u8>> {
+    if line.iter().all(u8::is_ascii_whitespace) {
+        return None;
+    }
+    let resp = catch_unwind(AssertUnwindSafe(|| dispatch_line(session, line))).unwrap_or_else(|_| {
+        Response::err(None, RpcError::new(code::INTERNAL, "internal error while handling request"))
+    });
+    Some(encode_line(&resp))
+}
+
+/// The newline-terminated [`code::LIMIT`] reply to a request line longer
+/// than `cap` bytes, shared by the stdio loop and the reactor.
+pub fn oversized_line(cap: usize) -> Vec<u8> {
+    let msg = format!("request line exceeds {cap} bytes; see --max-line-bytes");
+    encode_line(&Response::err(None, RpcError::new(code::LIMIT, msg)))
+}
+
+/// A response as one wire line.
+pub(crate) fn encode_line(resp: &Response) -> Vec<u8> {
+    let mut out = resp.encode().into_bytes();
+    out.push(b'\n');
+    out
 }
 
 /// Parse and execute one raw request line against `session`.

@@ -17,15 +17,20 @@
 //! `option` and `reserve` are also legal between `version` and `binary`.
 //! After `emit` the session stays usable — more patches or option changes
 //! followed by another `emit` re-run the rewrite over the full batch.
+//!
+//! `emit` goes through [`cachekey::cached_rewrite`], the same cache
+//! policy the in-process frontend uses. The session adds only its digest
+//! memo: a digest the client sent with `binary` is verified at intake and
+//! reused. Server loops build sessions with [`Session::from_config`].
 
 use crate::cachekey;
-use crate::msg::{code, CacheAction, CacheDisposition, CacheStatsReply, Command, EmitReply,
-                 HealthReply, HookReply, RpcError, WireMapping, PROTOCOL_VERSION};
+use crate::msg::{code, CacheAction, CacheStatsReply, Command, HealthReply, HookReply, RpcError,
+                 PROTOCOL_VERSION};
 use crate::json::{obj, Json};
-use crate::server::ShedCounters;
-use e9cache::{Cache, Entry, Hit};
+use crate::server::{ServeConfig, ShedCounters};
+use e9cache::Cache;
 use e9patch::planner::AllocPolicy;
-use e9patch::{ExtraSegment, PatchRequest, RewriteConfig, Rewriter};
+use e9patch::{ExtraSegment, PatchRequest, RewriteConfig};
 use e9x86::insn::Insn;
 use std::sync::Arc;
 
@@ -80,13 +85,13 @@ pub struct Session {
     /// Serving core reported by `health` (`in-process` when no server
     /// loop owns this session).
     serving_mode: &'static str,
-    /// Shared load-shedding counters (one per server), when served.
-    shed: Option<Arc<ShedCounters>>,
+    /// Shared load-shedding counters (one per server).
+    shed: Arc<ShedCounters>,
 }
 
 impl Default for Session {
     fn default() -> Session {
-        Session::with_limits(SessionLimits::default())
+        Session::from_config(&ServeConfig::default())
     }
 }
 
@@ -96,48 +101,51 @@ impl Session {
         Session::default()
     }
 
-    /// A fresh session with explicit resource quotas.
-    pub fn with_limits(limits: SessionLimits) -> Session {
+    /// The session a server hands each connection: `config`'s quotas,
+    /// default `jobs` (a client's `option jobs` overrides it), shared
+    /// cache, and the serving-core identity and shed counters `health`
+    /// reports. Every server loop builds its sessions here.
+    pub fn from_config(config: &ServeConfig) -> Session {
         Session {
             version: None,
             binary: None,
             binary_digest: None,
-            config: RewriteConfig::default(),
+            config: RewriteConfig {
+                jobs: config.default_jobs,
+                ..RewriteConfig::default()
+            },
             insns: Vec::new(),
             extra: Vec::new(),
             extra_bytes: 0,
             patches: Vec::new(),
-            limits,
+            limits: config.limits,
             shutdown: false,
-            cache: None,
-            serving_mode: "in-process",
-            shed: None,
+            cache: config.cache.clone(),
+            serving_mode: config.serving_mode,
+            shed: Arc::clone(&config.shed),
         }
-    }
-
-    /// Set a default worker count for hashing the input, as if the client
-    /// had sent `option jobs=<n>`. A later explicit `option jobs`
-    /// overrides it.
-    pub fn set_default_jobs(&mut self, jobs: Option<usize>) {
-        self.config.jobs = jobs;
-    }
-
-    /// Attach a rewrite cache. The daemon passes one shared [`Arc`] to
-    /// every connection's session, so all clients pool their artifacts.
-    pub fn set_cache(&mut self, cache: Option<Arc<Cache>>) {
-        self.cache = cache;
-    }
-
-    /// Attach the serving-core identity and shared shed counters that the
-    /// `health` command reports. Server loops call this right after
-    /// construction; an unserved session reports `in-process` and zeros.
-    pub fn set_health(&mut self, serving_mode: &'static str, shed: Arc<ShedCounters>) {
-        self.serving_mode = serving_mode;
-        self.shed = Some(shed);
     }
 
     fn over_limit(what: &str, cap: usize) -> RpcError {
         RpcError::new(code::LIMIT, format!("session quota exceeded: {what} (max {cap})"))
+    }
+
+    /// Check that `segments` more reserved segments holding `bytes` and
+    /// `patches` more patch requests fit the quotas, naming the first
+    /// one they break. Every intake command checks here before any
+    /// buffer grows, so a rejected command leaves the session unchanged.
+    fn admit(&self, segments: usize, bytes: usize, patches: usize) -> Result<(), RpcError> {
+        let l = &self.limits;
+        if self.extra.len() + segments > l.max_extra_segments {
+            return Err(Self::over_limit("reserve segments", l.max_extra_segments));
+        }
+        if self.extra_bytes.saturating_add(bytes) > l.max_extra_bytes {
+            return Err(Self::over_limit("reserve bytes", l.max_extra_bytes));
+        }
+        if self.patches.len() + patches > l.max_patches {
+            return Err(Self::over_limit("patches", l.max_patches));
+        }
+        Ok(())
     }
 
     /// Whether a `shutdown` command has been handled.
@@ -168,15 +176,7 @@ impl Session {
                 exec,
                 write,
             } => {
-                if self.extra.len() >= self.limits.max_extra_segments {
-                    return Err(Self::over_limit(
-                        "reserve segments",
-                        self.limits.max_extra_segments,
-                    ));
-                }
-                if self.extra_bytes.saturating_add(bytes.len()) > self.limits.max_extra_bytes {
-                    return Err(Self::over_limit("reserve bytes", self.limits.max_extra_bytes));
-                }
+                self.admit(1, bytes.len(), 0)?;
                 self.extra_bytes += bytes.len();
                 self.extra.push(ExtraSegment {
                     vaddr,
@@ -191,9 +191,7 @@ impl Session {
                 if self.binary.is_none() {
                     return Err(RpcError::state("patch before binary"));
                 }
-                if self.patches.len() >= self.limits.max_patches {
-                    return Err(Self::over_limit("patches", self.limits.max_patches));
-                }
+                self.admit(0, 0, 1)?;
                 self.patches.push(PatchRequest { addr, template });
                 Ok(Json::Obj(Vec::new()))
             }
@@ -359,21 +357,9 @@ impl Session {
         };
         let plan = e9hook::plan_hooks(binary, &self.insns, &spec)
             .map_err(|e| RpcError::new(code::REWRITE, e.to_string()))?;
-        // Admit the whole plan or none of it: quota checks run before any
-        // buffer grows, so a rejected hook leaves the session unchanged.
-        if self.extra.len() + plan.extra.len() > self.limits.max_extra_segments {
-            return Err(Self::over_limit(
-                "reserve segments",
-                self.limits.max_extra_segments,
-            ));
-        }
+        // Admit the whole plan or none of it.
         let plan_bytes: usize = plan.extra.iter().map(|s| s.bytes.len()).sum();
-        if self.extra_bytes.saturating_add(plan_bytes) > self.limits.max_extra_bytes {
-            return Err(Self::over_limit("reserve bytes", self.limits.max_extra_bytes));
-        }
-        if self.patches.len() + plan.requests.len() > self.limits.max_patches {
-            return Err(Self::over_limit("patches", self.limits.max_patches));
-        }
+        self.admit(plan.extra.len(), plan_bytes, plan.requests.len())?;
         self.extra_bytes += plan_bytes;
         self.extra.extend(plan.extra);
         self.patches.extend(plan.requests);
@@ -385,130 +371,26 @@ impl Session {
         .to_json())
     }
 
+    /// Run the buffered batch through the one cache policy,
+    /// [`cachekey::cached_rewrite`], reusing the session's digest memo.
     fn emit_cmd(&mut self) -> Result<Json, RpcError> {
-        if self.binary.is_none() {
-            return Err(RpcError::state("emit before binary"));
-        }
-        let Some(cache) = self.cache.clone() else {
-            return self.emit_cold().map(|r| r.to_json());
-        };
-        let binary_len = self.binary.as_ref().map_or(0, Vec::len) as u64;
-        if cache.should_bypass(binary_len) {
-            // Below the break-even size the rewrite is cheaper than
-            // keying it, so skip the cache entirely. Failures propagate
-            // unstored — a negative entry would pay the keying cost the
-            // bypass exists to avoid.
-            let mut reply = self.emit_cold()?;
-            reply.cache = CacheDisposition::Bypass;
-            return Ok(reply.to_json());
-        }
-        // Digest-once: hash the input at the first engaged emit (unless
-        // the client already sent a verified digest with `binary`), then
-        // reuse the 32-byte digest for every later keying.
-        if self.binary_digest.is_none() {
-            let binary = self.binary.as_deref().expect("checked above");
-            self.binary_digest =
-                Some(e9cache::tree::tree_digest(binary, self.config.jobs.unwrap_or(1)));
-        }
-        let bin_digest = self.binary_digest.expect("just ensured");
-        let key = cachekey::rewrite_key_from_digest(
-            &bin_digest,
-            &self.insns,
-            &self.extra,
-            &self.patches,
-            &self.config,
-        );
-        let digest = e9cache::sha256::hex(&key);
-        match cache.lookup(&key) {
-            Some(Hit::Payload(blob)) => {
-                // The stored payload is the compact binary reply of the
-                // cold run, handed back as a zero-copy view; decode and
-                // stamp the hit disposition. An undecodable payload
-                // (encoder/decoder drift, which FORMAT_VERSION should
-                // preclude) falls through cold.
-                if let Ok(mut reply) = EmitReply::decode_bin(&blob) {
-                    reply.cache = CacheDisposition::Hit;
-                    reply.digest = Some(digest);
-                    return Ok(reply.to_json());
-                }
-            }
-            Some(Hit::Negative { code, message }) => {
-                // Known-failing request: replay the original typed error
-                // without re-running the rewriter.
-                return Err(RpcError::new(code, message));
-            }
-            None => {}
-        }
-        match self.emit_cold() {
-            Ok(mut reply) => {
-                // The compact encoding carries neither disposition nor
-                // digest — the server stamps both per response — so the
-                // stored artifact is stamp-order independent.
-                cache.put(&key, &Entry::Ok(reply.encode_bin()));
-                reply.cache = CacheDisposition::Miss;
-                reply.digest = Some(digest);
-                Ok(reply.to_json())
-            }
-            Err(e) => {
-                // Rewrite failures are deterministic too — cache them as
-                // negative entries. State/limit errors are about *this*
-                // session, not the job, and are not cached.
-                if e.code == code::REWRITE {
-                    cache.put(
-                        &key,
-                        &Entry::Negative {
-                            code: e.code,
-                            message: e.message.clone(),
-                        },
-                    );
-                }
-                Err(e)
-            }
-        }
-    }
-
-    /// The uncached rewrite: run the planner over the buffered batch.
-    fn emit_cold(&self) -> Result<EmitReply, RpcError> {
         let Some(binary) = self.binary.as_deref() else {
             return Err(RpcError::state("emit before binary"));
         };
-        let out = Rewriter::new(self.config)
-            .rewrite(binary, &self.insns, &self.patches, &self.extra)
-            .map_err(|e| RpcError::new(code::REWRITE, e.to_string()))?;
-        Ok(EmitReply {
-            binary: out.binary,
-            stats: out.stats,
-            size: out.size,
-            loader_addr: out.loader_addr,
-            trap_count: out.trap_count as u64,
-            reports: out.reports,
-            mappings: out
-                .mappings
-                .iter()
-                .map(|m| WireMapping {
-                    vaddr: m.vaddr,
-                    file_off: m.file_off,
-                    len: m.len,
-                })
-                .collect(),
-            cache: CacheDisposition::Off,
-            digest: None,
-        })
+        let job = cachekey::Job {
+            binary,
+            disasm: &self.insns,
+            requests: &self.patches,
+            extra: &self.extra,
+            config: self.config,
+        };
+        let reply = cachekey::cached_rewrite(self.cache.as_deref(), &mut self.binary_digest, &job)?;
+        Ok(reply.to_json())
     }
 
     fn cache_cmd(&mut self, action: CacheAction) -> Result<Json, RpcError> {
         match action {
-            CacheAction::Stats => {
-                let reply = match &self.cache {
-                    Some(c) => CacheStatsReply {
-                        enabled: true,
-                        disk: c.has_disk(),
-                        stats: c.stats(),
-                    },
-                    None => CacheStatsReply::default(),
-                };
-                Ok(reply.to_json())
-            }
+            CacheAction::Stats => Ok(self.cache_stats().to_json()),
             CacheAction::Clear => {
                 let (cleared, disk_removed) = match &self.cache {
                     Some(c) => (true, c.clear()),
@@ -525,19 +407,7 @@ impl Session {
     /// Assemble the `health` snapshot: serving core, shed counters,
     /// fault-injection state and the cache/breaker counters.
     fn health_reply(&self) -> HealthReply {
-        let cache = match &self.cache {
-            Some(c) => CacheStatsReply {
-                enabled: true,
-                disk: c.has_disk(),
-                stats: c.stats(),
-            },
-            None => CacheStatsReply::default(),
-        };
-        let (shed_admission, shed_busy) = self
-            .shed
-            .as_ref()
-            .map(|s| s.snapshot())
-            .unwrap_or((0, 0));
+        let (shed_admission, shed_busy) = self.shed.snapshot();
         HealthReply {
             serving_mode: self.serving_mode.to_string(),
             shed_admission,
@@ -545,7 +415,19 @@ impl Session {
             faults_enabled: e9failpt::is_enabled(),
             fault_spec: e9failpt::active_spec().unwrap_or_default(),
             faults_injected: e9failpt::injected_total(),
-            cache,
+            cache: self.cache_stats(),
+        }
+    }
+
+    /// The cache counters `cache stats` and `health` report.
+    fn cache_stats(&self) -> CacheStatsReply {
+        match &self.cache {
+            Some(c) => CacheStatsReply {
+                enabled: true,
+                disk: c.has_disk(),
+                stats: c.stats(),
+            },
+            None => CacheStatsReply::default(),
         }
     }
 }
@@ -553,7 +435,16 @@ impl Session {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use e9patch::Template;
+    use crate::msg::EmitReply;
+    use e9patch::{Rewriter, Template};
+
+    /// A session sharing `cache`, as a daemon connection would.
+    fn cached_session(cache: Option<Arc<Cache>>) -> Session {
+        Session::from_config(&ServeConfig {
+            cache,
+            ..ServeConfig::default()
+        })
+    }
 
     /// A tiny non-PIE binary (Figure-1 shape) plus its code bytes.
     fn tiny() -> (Vec<u8>, Vec<u8>, u64) {
@@ -710,8 +601,10 @@ mod tests {
             assert_eq!(e.code, code::INVALID_PARAMS, "value {bad:?}");
         }
         // The daemon-level default is overridable by the client.
-        let mut d = Session::new();
-        d.set_default_jobs(Some(8));
+        let mut d = Session::from_config(&ServeConfig {
+            default_jobs: Some(8),
+            ..ServeConfig::default()
+        });
         d.handle(Command::Version { version: 1 }).unwrap();
         assert_eq!(d.config.jobs, Some(8));
         d.handle(Command::Option {
@@ -751,8 +644,7 @@ mod tests {
     fn primed_session(cache: Option<Arc<Cache>>) -> Session {
         let (bin, code, base) = tiny();
         let disasm = e9x86::decode::linear_sweep(&code, base);
-        let mut s = Session::new();
-        s.set_cache(cache);
+        let mut s = cached_session(cache);
         s.handle(Command::Version { version: 1 }).unwrap();
         s.handle(Command::Binary { bytes: bin, digest: None }).unwrap();
         for i in &disasm {
@@ -825,8 +717,7 @@ mod tests {
     fn failing_rewrite_is_cached_negatively() {
         let (bin, _, _) = tiny();
         let cache = Arc::new(Cache::in_memory_no_bypass());
-        let mut s = Session::new();
-        s.set_cache(Some(Arc::clone(&cache)));
+        let mut s = cached_session(Some(Arc::clone(&cache)));
         s.handle(Command::Version { version: 1 }).unwrap();
         s.handle(Command::Binary { bytes: bin, digest: None }).unwrap();
         // A patch at an address with no declared instruction fails the
@@ -865,8 +756,7 @@ mod tests {
     fn bypassed_failures_are_not_cached_negatively() {
         let (bin, _, _) = tiny();
         let cache = Arc::new(Cache::in_memory());
-        let mut s = Session::new();
-        s.set_cache(Some(Arc::clone(&cache)));
+        let mut s = cached_session(Some(Arc::clone(&cache)));
         s.handle(Command::Version { version: 1 }).unwrap();
         s.handle(Command::Binary { bytes: bin, digest: None }).unwrap();
         s.handle(Command::Patch {
@@ -968,9 +858,12 @@ mod tests {
         let shed = Arc::new(ShedCounters::default());
         shed.admission.fetch_add(3, std::sync::atomic::Ordering::Relaxed);
         shed.busy.fetch_add(5, std::sync::atomic::Ordering::Relaxed);
-        let mut d = Session::new();
-        d.set_cache(Some(Arc::new(Cache::in_memory())));
-        d.set_health("reactor", shed);
+        let mut d = Session::from_config(&ServeConfig {
+            cache: Some(Arc::new(Cache::in_memory())),
+            serving_mode: "reactor",
+            shed,
+            ..ServeConfig::default()
+        });
         let h = HealthReply::from_json(&d.handle(Command::Health).unwrap()).unwrap();
         assert_eq!(h.serving_mode, "reactor");
         assert!(h.cache.enabled);

@@ -76,6 +76,9 @@ fn stdio_daemon_matches_in_process() {
 #[test]
 fn unix_socket_daemon_matches_in_process_and_shuts_down() {
     let dir = std::env::temp_dir().join(format!("e9patchd-test-{}", std::process::id()));
+    // A stale socket left by an earlier process with this pid would pass
+    // the wait below before the daemon binds.
+    let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     let sock = dir.join("e9.sock");
 
@@ -94,7 +97,7 @@ fn unix_socket_daemon_matches_in_process_and_shuts_down() {
     }
 
     let (bin, disasm, sites) = workload();
-    let mut client = ProtoClient::connect_unix(&sock).unwrap();
+    let mut client = ProtoClient::connect_unix_retry(&sock, 8).unwrap();
     let via = drive(&mut client, &bin, &disasm, &sites);
     assert_eq!(via, reference(&bin, &disasm, &sites));
 
@@ -124,6 +127,9 @@ fn client_killed_mid_batch_does_not_poison_the_daemon() {
     use std::io::Write;
 
     let dir = std::env::temp_dir().join(format!("e9patchd-midbatch-{}", std::process::id()));
+    // A stale socket left by an earlier process with this pid would pass
+    // the wait below before the daemon binds.
+    let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     let sock = dir.join("e9.sock");
 
@@ -188,6 +194,9 @@ fn daemon_rejects_oversized_lines_in_band() {
     use std::io::{BufRead, BufReader, Write};
 
     let dir = std::env::temp_dir().join(format!("e9patchd-maxline-{}", std::process::id()));
+    // A stale socket left by an earlier process with this pid would pass
+    // the wait below before the daemon binds.
+    let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     let sock = dir.join("e9.sock");
 

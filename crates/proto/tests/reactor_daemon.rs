@@ -20,6 +20,9 @@ fn daemon_path() -> &'static str {
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("e9reactor-{tag}-{}", std::process::id()));
+    // Start clean: a stale socket from an earlier process with this pid
+    // would satisfy `wait_for_sock` before the daemon binds.
+    let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     dir
 }

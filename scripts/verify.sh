@@ -4,7 +4,9 @@
 # Fully hermetic: no network, no registry access (all dependencies are
 # in-tree path crates; see "Hermetic build" in README.md). Runs:
 #
-#   1. tier-1: release build + full workspace test suite
+#   1. tier-1: release build + full workspace test suite (the root
+#      manifest's default-members make plain `cargo test` cover every
+#      crate too)
 #   2. bench smoke: every `cargo bench` target compiles and executes
 #   3. seed-pinned reproducibility: two E9_SEED=42 synth+rewrite runs
 #      must produce byte-identical artifacts
@@ -46,6 +48,9 @@
 #      byte-identical with and without --jobs and through a live
 #      daemon, and a run without --call-original must also preserve
 #      stdout
+#  11. flake gate: the suites that race on process-global state or live
+#      daemons (e9cache failpoints, e9proto reactor_daemon and
+#      cache_daemon) each rerun 5 times; any failure fails the gate
 #
 # Knobs: E9QCHECK_CASES scales property-test depth (default 64);
 # E9_SEED pins the generator seed used by step 3's CLI runs;
@@ -286,5 +291,15 @@ done
 wait "$hpid"
 cmp "$tmp/h.co.hk" "$tmp/h.wire.hk"
 echo "hooked stdout identical, counters fired, jobs/daemon byte-identical: ok"
+
+echo "== flake gate: failpoint and daemon suites, 5 reruns each =="
+for suite in "e9cache failpoints" "e9proto reactor_daemon" "e9proto cache_daemon"; do
+  set -- $suite
+  for run in 1 2 3 4 5; do
+    cargo test -q --offline -p "$1" --test "$2" >"$tmp/flake.log" 2>&1 \
+      || { echo "flake gate: $1/$2 failed on run $run" >&2; cat "$tmp/flake.log" >&2; exit 1; }
+  done
+  echo "$1/$2: 5/5 passed"
+done
 
 echo "ALL CHECKS PASSED"
