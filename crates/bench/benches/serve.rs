@@ -24,7 +24,7 @@ mod linux {
     use e9bench::harness::{Harness, Throughput};
     use e9patch::Template;
     use e9proto::msg::{Command, Request};
-    use e9proto::reactor::{serve_reactor, Listener, ReactorOptions};
+    use e9proto::reactor::{serve_reactor, Listener};
     use e9proto::server::{serve_connection_with, ServeConfig};
     use std::io::{BufRead, BufReader, Cursor, Write};
     use std::os::unix::net::{UnixListener, UnixStream};
@@ -139,13 +139,10 @@ mod linux {
     fn run_reactor(n: usize, transcript: &[u8], expected: &[u8], config: &ServeConfig) {
         let sock = scratch_sock();
         let listener = UnixListener::bind(&sock).unwrap();
-        let opts = ReactorOptions {
-            accept_budget: Some(n),
-            ..ReactorOptions::default()
-        };
         let server = {
-            let config = config.clone();
-            std::thread::spawn(move || serve_reactor(vec![Listener::Unix(listener)], &config, &opts))
+            let mut config = config.clone();
+            config.transport.accept_budget = Some(n);
+            std::thread::spawn(move || serve_reactor(vec![Listener::Unix(listener)], &config))
         };
         run_clients(&sock, n, transcript, expected);
         server.join().unwrap().unwrap();

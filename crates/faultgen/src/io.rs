@@ -33,7 +33,7 @@
 
 use crate::Outcome;
 use e9cache::{Cache, CacheConfig};
-use e9proto::reactor::{serve_reactor, Listener, ReactorOptions};
+use e9proto::reactor::{serve_reactor, Listener};
 use e9proto::server::ServeConfig;
 use e9proto::{ClientError, ProtoClient};
 use e9rng::StdRng;
@@ -96,14 +96,15 @@ fn disk_cache_case(rng: &mut StdRng, root: &Path) -> Option<Outcome> {
     let config = ServeConfig {
         cache: Some(Arc::clone(&cache)),
         serving_mode: "reactor",
-        io_timeout: Some(Duration::from_secs(10)),
+        transport: e9loop::Config {
+            idle_timeout: Some(Duration::from_secs(10)),
+            ..e9loop::Config::default()
+        },
         ..ServeConfig::default()
     };
     let _ = std::fs::remove_file(&sock);
     let listener = std::os::unix::net::UnixListener::bind(&sock).ok()?;
-    let opts = ReactorOptions::default();
-    let server =
-        std::thread::spawn(move || serve_reactor(vec![Listener::Unix(listener)], &config, &opts));
+    let server = std::thread::spawn(move || serve_reactor(vec![Listener::Unix(listener)], &config));
 
     // One failpoint term against one disk-tier site. Write-side faults
     // walk the breaker; read-side faults are absorbed as misses and must

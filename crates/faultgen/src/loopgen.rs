@@ -23,7 +23,7 @@
 
 use crate::Outcome;
 use e9proto::msg::{Command, Request};
-use e9proto::reactor::{serve_reactor, Listener, ReactorOptions};
+use e9proto::reactor::{serve_reactor, Listener};
 use e9proto::server::ServeConfig;
 use e9rng::StdRng;
 use std::io::{BufRead, BufReader, Write};
@@ -34,20 +34,19 @@ use std::time::Duration;
 /// Reactor budgets for campaign runs: small enough that every shedding
 /// path (line cap, per-connection queue, admission) is reachable by a
 /// hostile client in milliseconds.
-fn campaign_config() -> (ServeConfig, ReactorOptions) {
-    let config = ServeConfig {
-        max_line_bytes: 2048,
-        io_timeout: Some(Duration::from_secs(10)),
+fn campaign_config() -> ServeConfig {
+    ServeConfig {
+        transport: e9loop::Config {
+            max_line_bytes: 2048,
+            idle_timeout: Some(Duration::from_secs(10)),
+            max_clients: 32,
+            pending_budget_bytes: 1 << 20,
+            conn_queue_bytes: 4096,
+            drain_timeout: Duration::from_secs(5),
+            ..e9loop::Config::default()
+        },
         ..ServeConfig::default()
-    };
-    let opts = ReactorOptions {
-        max_clients: 32,
-        pending_budget_bytes: 1 << 20,
-        conn_queue_bytes: 4096,
-        drain_timeout: Duration::from_secs(5),
-        ..ReactorOptions::default()
-    };
-    (config, opts)
+    }
 }
 
 fn connect(sock: &Path) -> Option<UnixStream> {
@@ -255,10 +254,8 @@ pub fn loop_case(rng: &mut StdRng, sock: &Path) -> Outcome {
     let Ok(listener) = UnixListener::bind(sock) else {
         return Outcome::Panicked;
     };
-    let (config, opts) = campaign_config();
-    let server = std::thread::spawn(move || {
-        serve_reactor(vec![Listener::Unix(listener)], &config, &opts)
-    });
+    let config = campaign_config();
+    let server = std::thread::spawn(move || serve_reactor(vec![Listener::Unix(listener)], &config));
 
     let mut any_typed = false;
     let mut parked = Vec::new();

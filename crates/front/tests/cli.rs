@@ -254,16 +254,10 @@ fn patch_backend_tcp_matches_in_process() {
     let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
     let server = std::thread::spawn(move || {
-        let opts = e9proto::reactor::ReactorOptions {
-            accept_budget: Some(1),
-            ..e9proto::reactor::ReactorOptions::default()
-        };
-        e9proto::reactor::serve_reactor(
-            vec![e9proto::reactor::Listener::Tcp(listener)],
-            &e9proto::server::ServeConfig::default(),
-            &opts,
-        )
-        .unwrap();
+        let mut config = e9proto::server::ServeConfig::default();
+        config.transport.accept_budget = Some(1);
+        e9proto::reactor::serve_reactor(vec![e9proto::reactor::Listener::Tcp(listener)], &config)
+            .unwrap();
     });
 
     let out = e9tool()

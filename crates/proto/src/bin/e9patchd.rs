@@ -15,8 +15,10 @@
 //! The socket modes run the **reactor**: one `e9loop` epoll event loop
 //! multiplexing every connection (thousands of concurrent sessions,
 //! request pipelining, admission control, graceful drain). Replies are
-//! byte-identical to `--stdio`, which runs the same request dispatch.
-//! `--socket` and `--listen-tcp` can be combined (one loop serves both).
+//! byte-identical to `--stdio`, which runs the same line framer and the
+//! same request dispatch. `--socket` and `--listen-tcp` can be combined
+//! (one loop serves both). Every flag below lands in one `ServeConfig`;
+//! its defaults are the ones listed. Socket modes need Linux.
 //!
 //! A client `shutdown` command stops the daemon cleanly: the listeners
 //! close immediately (late connections are refused, never hung) while
@@ -39,16 +41,20 @@
 //! * `--timeout-ms N` — idle timeout in milliseconds (default 30000; `0`
 //!   disables): a connection with no bytes moving either way for that
 //!   long is dropped.
-//! * `--max-line-bytes N` — longest accepted request line (default
-//!   67108864 = 64 MiB). Longer lines are drained and answered with a
-//!   typed `LIMIT` error; the connection survives.
+//! * `--max-line-bytes N` — longest accepted request line, newline
+//!   included (default 67108864 = 64 MiB), in every mode. Longer lines
+//!   are discarded and answered with a typed `LIMIT` error, even when
+//!   end of input cuts them off; the connection survives.
 //! * `--jobs N` — default number of threads that hash each session's
 //!   input into its cache key (output bytes never depend on it). A
 //!   client's explicit `option jobs` overrides it.
 //! * `--drain-ms N` — on shutdown, how long an in-flight connection may
 //!   sit inactive before being cut (default 5000).
+//! * `--max-clients N` (default 1024) and `--max-pending-bytes N`
+//!   (default 256 MiB) — the BUSY thresholds above. The per-connection
+//!   reply queue cap is 256 MiB.
 //!
-//! Rewrite cache (PR 5): `--cache-dir PATH` enables the two-tier
+//! Rewrite cache: `--cache-dir PATH` enables the two-tier
 //! content-addressed cache (memory LRU in front of an on-disk CAS at
 //! `PATH`), shared by every connection. `--cache-mem-bytes N` bounds (or,
 //! alone, enables memory-only caching); `--cache-disk-bytes N` adds
@@ -110,13 +116,10 @@ fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut socket: Option<String> = None;
     let mut listen_tcp: Option<String> = None;
-    let mut max_conns: Option<usize> = None;
     let mut stdio = false;
     let mut config = ServeConfig::default();
     let mut cache_config = e9cache::CacheConfig::default();
     let mut want_cache = false;
-    #[cfg(target_os = "linux")]
-    let mut reactor_opts = e9proto::reactor::ReactorOptions::default();
     let mut i = 0;
     while i < argv.len() {
         let flag = argv[i].as_str();
@@ -131,6 +134,7 @@ fn main() -> ExitCode {
             return usage();
         };
         i += 2;
+        let knobs = &mut config.transport;
         let ok = match flag {
             "--socket" => {
                 socket = Some(v.clone());
@@ -140,23 +144,18 @@ fn main() -> ExitCode {
                 listen_tcp = Some(v.clone());
                 true
             }
-            "--max-conns" => v.parse().map(|n| max_conns = Some(n)).is_ok(),
-            #[cfg(target_os = "linux")]
-            "--max-clients" => positive(v).map(|n| reactor_opts.max_clients = n).is_some(),
-            #[cfg(target_os = "linux")]
-            "--max-pending-bytes" => {
-                v.parse().map(|n| reactor_opts.pending_budget_bytes = n).is_ok()
-            }
-            #[cfg(target_os = "linux")]
+            "--max-conns" => v.parse().map(|n| knobs.accept_budget = Some(n)).is_ok(),
+            "--max-clients" => positive(v).map(|n| knobs.max_clients = n).is_some(),
+            "--max-pending-bytes" => v.parse().map(|n| knobs.pending_budget_bytes = n).is_ok(),
             "--drain-ms" => v
                 .parse()
-                .map(|ms| reactor_opts.drain_timeout = Duration::from_millis(ms))
+                .map(|ms| knobs.drain_timeout = Duration::from_millis(ms))
                 .is_ok(),
             "--timeout-ms" => v
                 .parse()
-                .map(|ms| config.io_timeout = (ms > 0).then(|| Duration::from_millis(ms)))
+                .map(|ms| knobs.idle_timeout = (ms > 0).then(|| Duration::from_millis(ms)))
                 .is_ok(),
-            "--max-line-bytes" => positive(v).map(|n| config.max_line_bytes = n).is_some(),
+            "--max-line-bytes" => positive(v).map(|n| knobs.max_line_bytes = n).is_some(),
             "--jobs" => positive(v).map(|n| config.default_jobs = Some(n)).is_some(),
             "--cache-dir" => {
                 cache_config.dir = Some(std::path::PathBuf::from(v));
@@ -197,8 +196,7 @@ fn main() -> ExitCode {
         #[cfg(target_os = "linux")]
         {
             config.serving_mode = "reactor";
-            reactor_opts.accept_budget = max_conns;
-            serve_reactor_mode(socket.as_deref(), listen_tcp.as_deref(), &config, &reactor_opts)
+            serve_reactor_mode(socket.as_deref(), listen_tcp.as_deref(), &config)
         }
         #[cfg(not(target_os = "linux"))]
         {
@@ -228,7 +226,6 @@ fn serve_reactor_mode(
     socket: Option<&str>,
     listen_tcp: Option<&str>,
     config: &ServeConfig,
-    opts: &e9proto::reactor::ReactorOptions,
 ) -> std::io::Result<()> {
     use e9loop::Listener;
     let mut listeners = Vec::new();
@@ -261,7 +258,7 @@ fn serve_reactor_mode(
         );
         listeners.push(Listener::Tcp(l));
     }
-    let result = e9proto::reactor::serve_reactor(listeners, config, opts);
+    let result = e9proto::reactor::serve_reactor(listeners, config);
     if let Some(path) = sock_path {
         let _ = std::fs::remove_file(&path);
     }

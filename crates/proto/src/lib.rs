@@ -17,12 +17,14 @@
 //! * [`session`] — the per-connection state machine that buffers commands
 //!   and feeds the in-process [`e9patch::Rewriter`] on `emit`, preserving
 //!   the paper's S1 reverse-order batch semantics;
-//! * [`server`] — the serve loop over one byte stream (stdio sessions) and
-//!   [`server::dispatch_line`], the one request choke point;
+//! * [`server`] — the serve loop over one byte stream (stdio sessions),
+//!   [`server::ServeConfig`] (the one set of serving knobs, both modes)
+//!   and [`server::dispatch_line`], the one request choke point;
 //! * [`reactor`] — the socket serving core (Linux): a single-threaded
 //!   epoll event loop (`e9loop`) multiplexing every connection, with
-//!   admission control and graceful drain; replies are byte-identical to
-//!   stdio sessions;
+//!   admission control and graceful drain; it frames lines with the
+//!   same `e9loop::LineFramer` as stdio sessions, and its replies are
+//!   byte-identical to theirs;
 //! * [`client`] — the frontend side, used by `e9tool patch --backend`.
 //!
 //! The `e9patchd` binary wraps [`server`] and [`reactor`] as a standalone

@@ -1,14 +1,20 @@
 //! The reactor serving mode: `e9patchd`'s multiplexed socket transport.
 //!
 //! Glue between the protocol-agnostic `e9loop` event loop and this
-//! crate's [`Session`] state machine. The reactor owns sockets, framing,
-//! fairness, admission control and drain. The serving glue is shared with
-//! the stdio loop: sessions come from [`Session::from_config`], every
-//! complete request line is answered by [`reply_line`] (blank-line skip,
-//! panic isolation, [`dispatch_line`](crate::server::dispatch_line)) and
-//! every over-long one by [`oversized_line`], so replies are
-//! byte-identical between the two serving modes (asserted by the
-//! `reactor_daemon` integration tests and verify.sh stage 8).
+//! crate's [`Session`] state machine. The reactor owns sockets, fairness,
+//! admission control and drain. Everything else is shared with the stdio
+//! loop, so replies are byte-identical between the two serving modes
+//! (asserted by the `reactor_daemon` integration tests and verify.sh
+//! stage 8):
+//!
+//! * one [`ServeConfig`], whose `transport` field is the `e9loop::Config`
+//!   handed to the loop as is;
+//! * one framer, `e9loop::LineFramer`, per connection in both modes;
+//! * sessions from [`Session::from_config`];
+//! * every complete request line answered by [`reply_line`] (blank-line
+//!   skip, panic isolation,
+//!   [`dispatch_line`](crate::server::dispatch_line)) and every over-long
+//!   one by [`oversized_line`].
 //!
 //! ## The BUSY contract
 //!
@@ -28,44 +34,10 @@
 use crate::msg::{code, Response, RpcError};
 use crate::server::{encode_line, oversized_line, reply_line, ServeConfig, ShedCounters};
 use crate::session::Session;
-use e9loop::Config as LoopConfig;
 pub use e9loop::{Listener, Service, ServiceFactory, Summary};
 use std::io;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::Duration;
-
-/// Reactor-specific serving knobs, layered on top of [`ServeConfig`]
-/// (which keeps owning the protocol-level hardening: line cap, session
-/// quotas, idle timeout, shared cache, default jobs).
-#[derive(Debug, Clone)]
-pub struct ReactorOptions {
-    /// Most live connections; arrivals beyond this get one BUSY line.
-    pub max_clients: usize,
-    /// Loop-wide cap on queued (unwritten) reply bytes; above it,
-    /// requests are answered BUSY instead of dispatched.
-    pub pending_budget_bytes: usize,
-    /// Per-connection cap on queued reply bytes; a client that stops
-    /// reading its replies is shed once it parks more than this.
-    pub conn_queue_bytes: usize,
-    /// During drain, how long an in-flight connection may sit *inactive*
-    /// before being cut; connections still making progress finish.
-    pub drain_timeout: Duration,
-    /// Total connections to accept before draining (`--max-conns`).
-    pub accept_budget: Option<usize>,
-}
-
-impl Default for ReactorOptions {
-    fn default() -> ReactorOptions {
-        ReactorOptions {
-            max_clients: 1024,
-            pending_budget_bytes: 256 << 20,
-            conn_queue_bytes: 256 << 20,
-            drain_timeout: Duration::from_millis(5_000),
-            accept_budget: None,
-        }
-    }
-}
 
 /// The one BUSY line, shared by admission shed and budget shed.
 fn busy_line() -> Vec<u8> {
@@ -105,14 +77,6 @@ pub struct SessionFactory {
     config: ServeConfig,
 }
 
-impl SessionFactory {
-    /// A factory serving sessions under `config`.
-    #[must_use]
-    pub fn new(config: ServeConfig) -> SessionFactory {
-        SessionFactory { config }
-    }
-}
-
 impl ServiceFactory for SessionFactory {
     type Svc = SessionService;
 
@@ -130,29 +94,17 @@ impl ServiceFactory for SessionFactory {
 }
 
 /// Serve the protocol over `listeners` on one reactor thread until a
-/// client sends `shutdown` (or the accept budget is spent) and the
-/// graceful drain completes.
-///
-/// `config.io_timeout` becomes the idle timeout: a connection with no
-/// bytes moving in either direction for that long is cut.
+/// client sends `shutdown` (or `config.transport.accept_budget` is spent)
+/// and the graceful drain completes. Every loop knob comes from
+/// `config.transport`.
 ///
 /// # Errors
 ///
 /// Listener registration and epoll failures. Per-connection I/O errors
 /// only end that connection.
-pub fn serve_reactor(
-    listeners: Vec<Listener>,
-    config: &ServeConfig,
-    opts: &ReactorOptions,
-) -> io::Result<Summary> {
-    let loop_config = LoopConfig {
-        max_line_bytes: config.max_line_bytes,
-        max_clients: opts.max_clients,
-        pending_budget_bytes: opts.pending_budget_bytes,
-        conn_queue_bytes: opts.conn_queue_bytes,
-        idle_timeout: config.io_timeout,
-        drain_timeout: opts.drain_timeout,
-        accept_budget: opts.accept_budget,
+pub fn serve_reactor(listeners: Vec<Listener>, config: &ServeConfig) -> io::Result<Summary> {
+    let factory = SessionFactory {
+        config: config.clone(),
     };
-    e9loop::serve(listeners, SessionFactory::new(config.clone()), loop_config)
+    e9loop::serve(listeners, factory, config.transport.clone())
 }

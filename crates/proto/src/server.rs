@@ -1,8 +1,9 @@
 //! The server loop: line-delimited JSON-RPC sessions over arbitrary byte
 //! streams and stdio. Socket transports are served by the reactor
-//! ([`crate::reactor`]), which shares this module's glue: sessions come
-//! from [`Session::from_config`], request lines are answered by
-//! [`reply_line`] (through [`dispatch_line`]) and over-long lines by
+//! ([`crate::reactor`]), which shares this module's glue: one
+//! [`ServeConfig`], request lines split by `e9loop`'s [`LineFramer`],
+//! sessions from [`Session::from_config`], complete lines answered by
+//! [`reply_line`] (through [`dispatch_line`]) and over-long ones by
 //! [`oversized_line`].
 //!
 //! Each connection gets its own [`Session`]; a `shutdown` command ends the
@@ -11,11 +12,11 @@
 use crate::json;
 use crate::msg::{code, Request, Response, RpcError};
 use crate::session::{Session, SessionLimits};
+use e9loop::{Frame, LineFramer};
 use std::io::{self, BufRead, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Load-shedding counters, shared by every connection of one server so
 /// the `health` command can report how much work was refused. Both
@@ -43,18 +44,17 @@ impl ShedCounters {
 /// exhaust is bounded here, not in the session state machine.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Longest accepted request line in bytes, newline included. Binaries
-    /// travel hex-encoded on one line, so this caps the largest `binary`
-    /// payload at roughly half this value; raise it (or `e9patchd
-    /// --max-line-bytes`) for very large inputs. Oversized lines are
-    /// drained and answered with a [`code::LIMIT`] error; the connection
-    /// stays up.
-    pub max_line_bytes: usize,
+    /// Framing and socket knobs, each with the one default `e9patchd`
+    /// runs with. The line cap (`max_line_bytes`, newline included)
+    /// applies in every mode: binaries travel hex-encoded on one line, so
+    /// it caps the largest `binary` payload at roughly half its value;
+    /// raise it (or `e9patchd --max-line-bytes`) for very large inputs.
+    /// Oversized lines are discarded and answered with a [`code::LIMIT`]
+    /// error; the connection stays up. The rest (idle timeout, admission,
+    /// queues, drain, accept budget) drive the reactor; stdio ignores them.
+    pub transport: e9loop::Config,
     /// Per-session resource quotas, enforced by [`Session`].
     pub limits: SessionLimits,
-    /// Idle timeout for socket connections (`None` = wait forever). The
-    /// reactor enforces it; stdio ignores it.
-    pub io_timeout: Option<Duration>,
     /// Default number of threads that hash each session's input into its
     /// cache key (`e9patchd --jobs`). A client's explicit `option jobs`
     /// overrides it; `None` means one. Output bytes never depend on it.
@@ -73,97 +73,12 @@ pub struct ServeConfig {
 impl Default for ServeConfig {
     fn default() -> ServeConfig {
         ServeConfig {
-            max_line_bytes: 64 << 20,
+            transport: e9loop::Config::default(),
             limits: SessionLimits::default(),
-            io_timeout: Some(Duration::from_millis(30_000)),
             default_jobs: None,
             cache: None,
             serving_mode: "in-process",
             shed: Arc::new(ShedCounters::default()),
-        }
-    }
-}
-
-/// Outcome of one capped line read.
-enum LineRead {
-    /// Clean end of stream.
-    Eof,
-    /// A complete line is in the buffer.
-    Line,
-    /// The line exceeded the cap; it was drained up to its newline (or
-    /// EOF) and the buffer contents are meaningless.
-    Oversized,
-}
-
-/// Read one `\n`-terminated line into `buf`, refusing to buffer more than
-/// `cap` bytes. An over-long line is consumed (so the stream stays framed)
-/// but not stored.
-fn read_capped_line<R: BufRead>(
-    reader: &mut R,
-    buf: &mut Vec<u8>,
-    cap: usize,
-) -> io::Result<LineRead> {
-    buf.clear();
-    loop {
-        // EINTR during a socket read is not end-of-session: `fill_buf`
-        // propagates it raw (unlike `write_all`, which retries
-        // internally), so without this retry a signal delivered to a
-        // serving thread — profiler, debugger attach, SIGCHLD — would
-        // tear down an innocent connection.
-        let chunk = match e9failpt::fail_io("proto.server.read").and_then(|()| reader.fill_buf()) {
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            other => other?,
-        };
-        if chunk.is_empty() {
-            return Ok(if buf.is_empty() {
-                LineRead::Eof
-            } else {
-                LineRead::Line // unterminated final line
-            });
-        }
-        match chunk.iter().position(|&b| b == b'\n') {
-            Some(pos) => {
-                let take = pos + 1;
-                let fits = buf.len().saturating_add(take) <= cap;
-                if fits {
-                    buf.extend_from_slice(&chunk[..take]);
-                }
-                reader.consume(take);
-                return Ok(if fits { LineRead::Line } else { LineRead::Oversized });
-            }
-            None => {
-                let take = chunk.len();
-                if buf.len().saturating_add(take) > cap {
-                    reader.consume(take);
-                    drain_to_newline(reader)?;
-                    return Ok(LineRead::Oversized);
-                }
-                buf.extend_from_slice(chunk);
-                reader.consume(take);
-            }
-        }
-    }
-}
-
-/// Discard stream bytes up to and including the next newline (or EOF).
-fn drain_to_newline<R: BufRead>(reader: &mut R) -> io::Result<()> {
-    loop {
-        let chunk = match reader.fill_buf() {
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            other => other?,
-        };
-        if chunk.is_empty() {
-            return Ok(());
-        }
-        match chunk.iter().position(|&b| b == b'\n') {
-            Some(pos) => {
-                reader.consume(pos + 1);
-                return Ok(());
-            }
-            None => {
-                let n = chunk.len();
-                reader.consume(n);
-            }
         }
     }
 }
@@ -187,8 +102,9 @@ pub fn serve_connection<R: BufRead, W: Write>(reader: &mut R, writer: &mut W) ->
 /// Three classes of bad input are survived in-band, keeping the
 /// connection (and the daemon) alive:
 ///
-/// * request lines longer than `config.max_line_bytes` → drained,
-///   answered with [`code::LIMIT`];
+/// * request lines longer than `config.transport.max_line_bytes` →
+///   discarded by the shared [`LineFramer`], answered with
+///   [`code::LIMIT`];
 /// * malformed or over-quota requests → typed errors from
 ///   [`dispatch_line`] / [`Session`];
 /// * a panic inside request handling → caught by [`reply_line`],
@@ -207,26 +123,46 @@ pub fn serve_connection_with<R: BufRead, W: Write>(
     config: &ServeConfig,
 ) -> io::Result<bool> {
     let mut session = Session::from_config(config);
-    let mut line = Vec::new();
+    let cap = config.transport.max_line_bytes;
+    let mut framer = LineFramer::new(cap);
     loop {
-        let reply = match read_capped_line(reader, &mut line, config.max_line_bytes)? {
-            LineRead::Eof => return Ok(false),
-            LineRead::Oversized => oversized_line(config.max_line_bytes),
-            LineRead::Line => match reply_line(&mut session, &line) {
-                Some(reply) => reply,
-                None => continue,
-            },
+        // EINTR during a socket read is not end-of-session: `fill_buf`
+        // propagates it raw (unlike `write_all`, which retries
+        // internally), so without this retry a signal delivered to a
+        // serving thread — profiler, debugger attach, SIGCHLD — would
+        // tear down an innocent connection.
+        let chunk = match e9failpt::fail_io("proto.server.read").and_then(|()| reader.fill_buf()) {
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            other => other?,
         };
-        // The injection point sits *before* any bytes land, so a retried
-        // interrupt can never duplicate a partial response. (Real EINTR
-        // mid-write is already absorbed inside `write_all`.)
-        e9failpt::retry::retry_interrupted(e9failpt::retry::EINTR_BUDGET, || {
-            e9failpt::fail_io("proto.server.write")?;
-            writer.write_all(&reply)?;
-            writer.flush()
-        })?;
-        if session.shutdown_requested() {
-            return Ok(true);
+        let eof = chunk.is_empty();
+        let (used, frame) = if eof {
+            (0, framer.finish())
+        } else {
+            framer.push(chunk)
+        };
+        let reply = match frame {
+            None => None,
+            Some(Frame::Oversized) => Some(oversized_line(cap)),
+            Some(Frame::Line(line)) => reply_line(&mut session, line),
+        };
+        reader.consume(used);
+        if let Some(reply) = reply {
+            // The injection point sits *before* any bytes land, so a
+            // retried interrupt can never duplicate a partial response.
+            // (Real EINTR mid-write is already absorbed inside
+            // `write_all`.)
+            e9failpt::retry::retry_interrupted(e9failpt::retry::EINTR_BUDGET, || {
+                e9failpt::fail_io("proto.server.write")?;
+                writer.write_all(&reply)?;
+                writer.flush()
+            })?;
+            if session.shutdown_requested() {
+                return Ok(true);
+            }
+        }
+        if eof {
+            return Ok(false);
         }
     }
 }
@@ -266,7 +202,7 @@ pub(crate) fn encode_line(resp: &Response) -> Vec<u8> {
 /// method keeps its id when one is recoverable, and session errors are
 /// forwarded verbatim.
 pub fn dispatch_line(session: &mut Session, line: &[u8]) -> Response {
-    let value = match json::parse(trim_ascii(line)) {
+    let value = match json::parse(line.trim_ascii()) {
         Ok(v) => v,
         Err(e) => {
             return Response::err(None, RpcError::new(code::PARSE, e.to_string()));
@@ -285,37 +221,10 @@ pub fn dispatch_line(session: &mut Session, line: &[u8]) -> Response {
     }
 }
 
-fn trim_ascii(mut b: &[u8]) -> &[u8] {
-    while let [rest @ .., last] = b {
-        if last.is_ascii_whitespace() {
-            b = rest;
-        } else {
-            break;
-        }
-    }
-    while let [first, rest @ ..] = b {
-        if first.is_ascii_whitespace() {
-            b = rest;
-        } else {
-            break;
-        }
-    }
-    b
-}
-
 /// Serve one session over the process's stdin/stdout (the `e9patchd`
-/// default mode: the client owns the process and its pipes).
-///
-/// # Errors
-///
-/// Transport-level I/O failures.
-pub fn serve_stdio() -> io::Result<()> {
-    serve_stdio_with(&ServeConfig::default())
-}
-
-/// [`serve_stdio`] with explicit hardening knobs. `config.io_timeout` is
-/// ignored: pipes have no portable read timeout, and the client owns the
-/// process anyway.
+/// default mode: the client owns the process and its pipes). Only the
+/// line cap of `config.transport` applies: pipes have no portable read
+/// timeout, and the client owns the process anyway.
 ///
 /// # Errors
 ///
@@ -371,7 +280,10 @@ mod tests {
     #[test]
     fn oversized_lines_get_limit_error_and_continue() {
         let config = ServeConfig {
-            max_line_bytes: 128,
+            transport: e9loop::Config {
+                max_line_bytes: 128,
+                ..e9loop::Config::default()
+            },
             ..ServeConfig::default()
         };
         let big = "x".repeat(4096);

@@ -199,6 +199,78 @@ fn reactor_replies_are_byte_identical_to_stdio() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Framing parity: at a small line cap, every framing edge gets the same
+/// reply bytes from a stdio session (`serve_connection_with`) and from a
+/// live reactor. The transcript covers blank and whitespace-only lines,
+/// a CRLF request, lines exactly at and one byte over the cap, an
+/// oversized line followed by a valid request, and an oversized
+/// unterminated final line.
+#[test]
+fn framing_edges_reply_identically_in_both_modes() {
+    const CAP: usize = 256;
+    let request = |id, cmd| Request { id, cmd }.encode();
+    let stats = |id| {
+        let action = e9proto::CacheAction::Stats;
+        request(id, Command::Cache { action })
+    };
+    // A valid request padded with trailing blanks to `len` bytes.
+    let padded = |id, len: usize| format!("{:<len$}", stats(id));
+    let mut transcript = String::new();
+    transcript.push_str("\n   \t\n");
+    transcript.push_str(&request(1, Command::Version { version: 1 }));
+    transcript.push_str("\r\n");
+    transcript.push_str(&padded(2, CAP - 1)); // with its newline: exactly the cap
+    transcript.push('\n');
+    transcript.push_str(&padded(3, CAP)); // one byte over
+    transcript.push('\n');
+    transcript.push_str(&"x".repeat(4 * CAP));
+    transcript.push('\n');
+    transcript.push_str(&stats(4));
+    transcript.push('\n');
+    transcript.push_str(&padded(5, 2 * CAP)); // oversized, unterminated
+
+    let mut config = e9proto::server::ServeConfig::default();
+    config.transport.max_line_bytes = CAP;
+    let mut stdio = Vec::new();
+    let mut input = std::io::Cursor::new(transcript.as_bytes());
+    e9proto::server::serve_connection_with(&mut input, &mut stdio, &config).unwrap();
+
+    let dir = temp_dir("framing");
+    let sock = dir.join("reactor.sock");
+    let mut daemon = Reap(
+        Proc::new(daemon_path())
+            .arg("--socket")
+            .arg(&sock)
+            .args(["--max-conns", "1", "--max-line-bytes", &CAP.to_string()])
+            .stderr(Stdio::null())
+            .spawn()
+            .unwrap(),
+    );
+    wait_for_sock(&sock);
+    let mut stream = UnixStream::connect(&sock).unwrap();
+    stream.write_all(transcript.as_bytes()).unwrap();
+    stream.shutdown(std::net::Shutdown::Write).unwrap();
+    let mut reactor = Vec::new();
+    stream.read_to_end(&mut reactor).unwrap();
+    wait_for_exit(&mut daemon);
+
+    let (stdio, reactor) = (String::from_utf8(stdio).unwrap(), String::from_utf8(reactor).unwrap());
+    assert_eq!(stdio, reactor, "stdio and reactor framing diverge");
+    // Version, at-cap stats, over-cap LIMIT, LIMIT, stats, tail LIMIT.
+    let codes: Vec<Option<i64>> = stdio
+        .lines()
+        .map(|l| {
+            let resp = e9proto::Response::decode(&e9proto::json::parse(l.as_bytes()).unwrap());
+            resp.unwrap().body.err().map(|e| e.code)
+        })
+        .collect();
+    assert_eq!(codes.len(), 6, "{stdio}");
+    for i in [2, 3, 5] {
+        assert_eq!(codes[i], Some(code::LIMIT), "reply {i}: {stdio}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// `--listen-tcp 127.0.0.1:0`: the daemon announces the resolved address
 /// on stderr; a TCP client completes a full job byte-identical to the
 /// in-process rewriter, and in-band shutdown still works.

@@ -1,0 +1,181 @@
+//! Request-line framing, shared by every serving mode.
+//!
+//! One [`LineFramer`] per connection splits an arbitrary chunking of the
+//! byte stream into request lines. The rules live only here:
+//!
+//! * a line ends at `\n`, which is not part of the line (a `\r` before
+//!   it is kept; the protocol trims whitespace);
+//! * the cap counts the newline: a line of `cap - 1` bytes plus its `\n`
+//!   fits, one byte more does not;
+//! * an over-cap line is never buffered past the cap: it is discarded up
+//!   to its newline and yields one [`Frame::Oversized`];
+//! * at end of stream a non-empty unterminated tail still yields its
+//!   line, or [`Frame::Oversized`] if it was over the cap.
+//!
+//! A line that arrives whole inside one chunk is handed out as a slice
+//! of that chunk, so framing copies only lines that straddle reads, into
+//! one buffer reused for the life of the connection.
+
+/// One framed request.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Frame<'a> {
+    /// A complete line, newline stripped.
+    Line(&'a [u8]),
+    /// A line longer than the cap; its bytes were discarded.
+    Oversized,
+}
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum State {
+    /// `buf` holds the start of the current line.
+    Filling,
+    /// The current line blew the cap; discarding until its newline.
+    Discarding,
+    /// `buf` holds a line already handed out; cleared on the next call.
+    Emitted,
+}
+
+/// Splits a byte stream into request lines of at most `cap` bytes,
+/// newline included. See the module docs for the rules.
+#[derive(Debug)]
+pub struct LineFramer {
+    cap: usize,
+    buf: Vec<u8>,
+    state: State,
+}
+
+impl LineFramer {
+    /// A framer for lines of at most `cap` bytes, newline included.
+    #[must_use]
+    pub fn new(cap: usize) -> LineFramer {
+        LineFramer {
+            cap,
+            buf: Vec::new(),
+            state: State::Filling,
+        }
+    }
+
+    /// Consume `input` up to and including its first newline. Returns
+    /// the number of bytes consumed and the frame that newline ended;
+    /// with no newline in `input`, all of it is consumed (buffered, or
+    /// discarded past the cap) and no frame is returned.
+    pub fn push<'a>(&'a mut self, input: &'a [u8]) -> (usize, Option<Frame<'a>>) {
+        if self.state == State::Emitted {
+            self.buf.clear();
+            self.state = State::Filling;
+        }
+        let Some(pos) = input.iter().position(|&b| b == b'\n') else {
+            if self.state == State::Filling {
+                if self.buf.len().saturating_add(input.len()) > self.cap {
+                    self.buf.clear();
+                    self.state = State::Discarding;
+                } else {
+                    self.buf.extend_from_slice(input);
+                }
+            }
+            return (input.len(), None);
+        };
+        let used = pos + 1;
+        let frame =
+            if self.state == State::Discarding || self.buf.len().saturating_add(used) > self.cap {
+                self.buf.clear();
+                self.state = State::Filling;
+                Frame::Oversized
+            } else if self.buf.is_empty() {
+                Frame::Line(&input[..pos])
+            } else {
+                self.buf.extend_from_slice(&input[..pos]);
+                self.state = State::Emitted;
+                Frame::Line(&self.buf)
+            };
+        (used, Some(frame))
+    }
+
+    /// End of stream: the frame for an unterminated tail, if one is
+    /// pending. The framer is empty afterwards.
+    pub fn finish(&mut self) -> Option<Frame<'_>> {
+        match std::mem::replace(&mut self.state, State::Emitted) {
+            State::Discarding => Some(Frame::Oversized),
+            State::Filling if !self.buf.is_empty() => Some(Frame::Line(&self.buf)),
+            _ => None,
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Frames as owned values: `Some(line)` or `None` for oversized.
+    type Owned = Option<Vec<u8>>;
+
+    fn own(frame: Frame<'_>) -> Owned {
+        match frame {
+            Frame::Line(l) => Some(l.to_vec()),
+            Frame::Oversized => None,
+        }
+    }
+
+    /// Feed `chunks` in order, then end the stream.
+    fn frames(cap: usize, chunks: &[&[u8]]) -> Vec<Owned> {
+        let mut framer = LineFramer::new(cap);
+        let mut out = Vec::new();
+        for chunk in chunks {
+            let mut rest = *chunk;
+            while !rest.is_empty() {
+                let (used, frame) = framer.push(rest);
+                out.extend(frame.map(own));
+                rest = &rest[used..];
+            }
+        }
+        out.extend(framer.finish().map(own));
+        assert_eq!(framer.finish(), None, "finish leaves the framer empty");
+        out
+    }
+
+    const CAP: usize = 8;
+
+    /// Every framing rule in one stream, at cap 8.
+    const STREAM: &[u8] = b"\n  \nab\r\n1234567\n12345678\nxxxxxxxxxxxxxxxxxxxx\nok\nyyyyyyyyyyyy";
+
+    fn expected() -> Vec<Owned> {
+        vec![
+            Some(b"".to_vec()),
+            Some(b"  ".to_vec()),
+            Some(b"ab\r".to_vec()),
+            Some(b"1234567".to_vec()), // 7 bytes + newline: exactly the cap
+            None,                      // 8 bytes + newline: one over
+            None,
+            Some(b"ok".to_vec()),
+            None, // oversized unterminated tail
+        ]
+    }
+
+    #[test]
+    fn whole_stream_yields_every_rule() {
+        assert_eq!(frames(CAP, &[STREAM]), expected());
+    }
+
+    #[test]
+    fn frames_do_not_depend_on_chunking() {
+        for i in 0..=STREAM.len() {
+            let (a, b) = STREAM.split_at(i);
+            assert_eq!(frames(CAP, &[a, b]), expected(), "split at {i}");
+        }
+        let bytes: Vec<&[u8]> = STREAM.chunks(1).collect();
+        assert_eq!(frames(CAP, &bytes), expected(), "one byte per chunk");
+    }
+
+    #[test]
+    fn end_of_stream_tails() {
+        assert_eq!(frames(CAP, &[b"tail"]), vec![Some(b"tail".to_vec())]);
+        // The cap counts a newline the tail never got: 8 bytes still fit.
+        assert_eq!(
+            frames(CAP, &[b"12345678"]),
+            vec![Some(b"12345678".to_vec())]
+        );
+        assert_eq!(frames(CAP, &[b"123456789"]), vec![None]);
+        assert_eq!(frames(CAP, &[b"ok\n"]), vec![Some(b"ok".to_vec())]);
+        assert_eq!(frames(CAP, &[]), Vec::<Owned>::new());
+    }
+}

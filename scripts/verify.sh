@@ -74,6 +74,17 @@ echo "== seed-pinned reproducibility (E9_SEED=${E9_SEED:-42}) =="
 export E9_SEED="${E9_SEED:-42}"
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
+
+# wait_for_socket PATH WHAT: poll up to 5 s for a daemon's Unix socket at
+# PATH; fail the gate naming WHAT if it never appears.
+wait_for_socket() {
+  for _ in $(seq 1 100); do
+    [ -S "$1" ] && return 0
+    sleep 0.05
+  done
+  echo "$2 never bound its socket" >&2
+  exit 1
+}
 e9tool=(cargo run -q --release --offline -p e9front --bin e9tool --)
 "${e9tool[@]}" gen --tiny verify -o "$tmp/a.elf"
 "${e9tool[@]}" gen --tiny verify -o "$tmp/b.elf"
@@ -87,11 +98,7 @@ echo "== e9patchd smoke (wire protocol vs in-process) =="
 sock="$tmp/e9.sock"
 target/release/e9patchd --socket "$sock" --max-conns 1 &
 daemon_pid=$!
-for _ in $(seq 1 100); do
-  [ -S "$sock" ] && break
-  sleep 0.05
-done
-[ -S "$sock" ] || { echo "daemon socket never appeared" >&2; exit 1; }
+wait_for_socket "$sock" "daemon"
 "${e9tool[@]}" patch "$tmp/a.elf" -o "$tmp/a.wire.e9" --app a1 --backend "$sock"
 wait "$daemon_pid"
 cmp "$tmp/a.e9" "$tmp/a.wire.e9"
@@ -180,11 +187,7 @@ echo "== serving core: reactor vs in-process byte-identity =="
 rsock="$tmp/e9.reactor.sock"
 target/release/e9patchd --socket "$rsock" --max-conns 1 &
 rpid=$!
-for _ in $(seq 1 100); do
-  [ -S "$rsock" ] && break
-  sleep 0.05
-done
-[ -S "$rsock" ] || { echo "reactor daemon never bound its socket" >&2; exit 1; }
+wait_for_socket "$rsock" "reactor daemon"
 "${e9tool[@]}" patch "$tmp/a.elf" -o "$tmp/a.reactor.e9" --app a1 --backend "$rsock"
 wait "$rpid"
 cmp "$tmp/a.e9" "$tmp/a.reactor.e9"
@@ -218,11 +221,7 @@ E9FAILPOINTS_SEED="${E9FAULT_SEED:-42}" \
   target/release/e9patchd --socket "$fsock" --cache-dir "$tmp/fault-cas" \
   --cache-bypass-bytes 0 2>"$tmp/faultd.log" &
 fpid=$!
-for _ in $(seq 1 100); do
-  [ -S "$fsock" ] && break
-  sleep 0.05
-done
-[ -S "$fsock" ] || { echo "fault daemon never bound its socket" >&2; exit 1; }
+wait_for_socket "$fsock" "fault daemon"
 grep -q "fault injection active" "$tmp/faultd.log" \
   || { echo "daemon did not announce fault injection" >&2; exit 1; }
 # Twelve distinct inputs (one Table 1 profile each) -> twelve distinct
@@ -281,11 +280,7 @@ cmp "$tmp/h.co.hk" "$tmp/h.j4.hk"
 hsock="$tmp/e9.hook.sock"
 target/release/e9patchd --socket "$hsock" --max-conns 1 &
 hpid=$!
-for _ in $(seq 1 100); do
-  [ -S "$hsock" ] && break
-  sleep 0.05
-done
-[ -S "$hsock" ] || { echo "hook daemon never bound its socket" >&2; exit 1; }
+wait_for_socket "$hsock" "hook daemon"
 "${e9tool[@]}" hook "$tmp/h.elf" -o "$tmp/h.wire.hk" --func 'f*' --call-original \
   --backend "$hsock"
 wait "$hpid"
