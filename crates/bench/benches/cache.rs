@@ -141,8 +141,8 @@ fn main() {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    // Keying cost: flat SHA-256 throughput, and the shard-parallel tree
-    // digest that actually keys large inputs.
+    // Keying cost: flat SHA-256 throughput, and the tree digest that
+    // actually keys large inputs.
     let buf_len = if h.is_smoke() { 4 * MIB } else { 64 * MIB };
     let mut buf = vec![0u8; buf_len];
     let mut state = 1u64;
@@ -155,12 +155,10 @@ fn main() {
     let flat_label = format!("sha256_digest/{}MiB", buf_len / MIB);
     h.throughput(Throughput::Bytes(buf.len() as u64));
     h.bench(&flat_label, || e9cache::digest(black_box(&buf)));
-    for jobs in [1usize, 2, 4] {
-        h.throughput(Throughput::Bytes(buf.len() as u64));
-        h.bench(&format!("tree_digest/{}MiB/jobs{jobs}", buf_len / MIB), || {
-            e9cache::tree::tree_digest(black_box(&buf), jobs)
-        });
-    }
+    h.throughput(Throughput::Bytes(buf.len() as u64));
+    h.bench(&format!("tree_digest/{}MiB", buf_len / MIB), || {
+        e9cache::tree::tree_digest(black_box(&buf), 1)
+    });
 
     // Derived: the smallest rung where the warm memory hit beats the
     // uncached rewrite. Everything below is bypass territory.

@@ -1,12 +1,11 @@
 //! `e9cache` — content-addressed cache for finished rewrite artifacts.
 //!
 //! The rewrite pipeline is deterministic (byte-identical output for a
-//! given input; `--jobs` only sizes the input-hashing thread pool and
-//! never changes output bytes), which makes finished rewrites safely addressable by a digest of their
-//! inputs: `(input ELF bytes, patch batch, RewriteConfig, protocol/format
-//! version)`. This crate provides the storage half of that bargain — the
-//! key derivation lives in `e9proto::cachekey`, next to the wire codec it
-//! reuses.
+//! given input), which makes finished rewrites safely addressable by a
+//! digest of their inputs: `(input ELF bytes, patch batch, RewriteConfig,
+//! protocol/format version)`. This crate provides the storage half of
+//! that bargain — the key derivation lives in `e9proto::cachekey`, next to
+//! the wire codec it reuses.
 //!
 //! Two tiers, checked in order:
 //!
@@ -260,22 +259,6 @@ impl Entry {
             }
         }
     }
-
-    /// Inverse of [`encode`](Entry::encode); `None` on any malformed
-    /// payload (the caller treats that as a corrupt entry). Copies the
-    /// payload — hot-path readers use [`Cache::lookup`]'s [`Hit`]
-    /// instead.
-    pub fn decode(raw: &[u8]) -> Option<Entry> {
-        match raw.split_first()? {
-            (b'P', rest) => Some(Entry::Ok(rest.to_vec())),
-            (b'N', rest) if rest.len() >= 8 => {
-                let code = i64::from_le_bytes(rest[..8].try_into().ok()?);
-                let message = std::str::from_utf8(&rest[8..]).ok()?.to_string();
-                Some(Entry::Negative { code, message })
-            }
-            _ => None,
-        }
-    }
 }
 
 /// The read-path view of a cache hit. A positive hit is a zero-copy
@@ -290,7 +273,9 @@ pub enum Hit {
 }
 
 impl Hit {
-    /// Decode the tagged payload `blob` without copying positive bytes.
+    /// Decode the tagged payload `blob` (the inverse of
+    /// [`Entry::encode`]) without copying positive bytes; `None` on any
+    /// malformed payload, which the caller treats as a corrupt entry.
     fn decode(blob: &Blob) -> Option<Hit> {
         match blob.first()? {
             b'P' => Some(Hit::Payload(blob.tail(1))),
@@ -685,16 +670,17 @@ mod tests {
 
     #[test]
     fn entry_encoding_round_trips() {
+        let decode = |raw: &[u8]| Hit::decode(&Blob::from_vec(raw.to_vec())).map(|h| h.to_entry());
         let pos = Entry::Ok(b"reply bytes".to_vec());
-        assert_eq!(Entry::decode(&pos.encode()), Some(pos));
+        assert_eq!(decode(&pos.encode()), Some(pos));
         let neg = Entry::Negative {
             code: -2,
             message: "no tactic admits site".into(),
         };
-        assert_eq!(Entry::decode(&neg.encode()), Some(neg));
-        assert_eq!(Entry::decode(b""), None);
-        assert_eq!(Entry::decode(b"X???"), None);
-        assert_eq!(Entry::decode(b"N\x01\x02"), None); // short code
+        assert_eq!(decode(&neg.encode()), Some(neg));
+        assert_eq!(decode(b""), None);
+        assert_eq!(decode(b"X???"), None);
+        assert_eq!(decode(b"N\x01\x02"), None); // short code
     }
 
     #[test]

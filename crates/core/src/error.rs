@@ -24,6 +24,13 @@ pub enum Error {
     /// trampoline address lies within ±2 GiB of all of them (only
     /// degenerate disassembly can produce this).
     UnreachableTargets(u64),
+    /// The configured granularity is zero, or its block of `M` pages does
+    /// not fit the usable address space
+    /// ([`MAX_GRANULARITY`](crate::planner::MAX_GRANULARITY)).
+    Granularity(u64),
+    /// No free address range was left for the loader, which needs this
+    /// many bytes.
+    NoLoaderSpace(u64),
 }
 
 impl fmt::Display for Error {
@@ -40,6 +47,15 @@ impl fmt::Display for Error {
             Error::DuplicatePatch(a) => write!(f, "duplicate patch request at {a:#x}"),
             Error::UnreachableTargets(a) => {
                 write!(f, "instruction at {a:#x} has mutually unreachable rel32 targets")
+            }
+            Error::Granularity(m) => write!(
+                f,
+                "granularity {m} out of range: want 1..={} pages, so that one block fits \
+                 the usable address space",
+                crate::planner::MAX_GRANULARITY
+            ),
+            Error::NoLoaderSpace(n) => {
+                write!(f, "address space exhausted placing the {n}-byte loader")
             }
         }
     }

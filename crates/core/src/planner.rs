@@ -7,7 +7,8 @@
 //! the trampoline [`AddressSpace`]. Tentative multi-step tactics (T3) are
 //! computed against byte overlays and rolled back cleanly on failure.
 
-use crate::layout::{AddressSpace, Window};
+use crate::error::Error;
+use crate::layout::{AddressSpace, Window, MAX_ADDR, MIN_ADDR};
 use crate::lock::LockMap;
 use crate::pun::PunJump;
 use crate::stats::{PatchStats, TacticKind};
@@ -83,10 +84,32 @@ pub struct RewriteConfig {
     pub grouping: bool,
     /// Trampoline placement policy within pun windows.
     pub alloc_policy: AllocPolicy,
-    /// Worker threads for hashing the input into its cache key
-    /// (`e9cache::tree::tree_digest`); `None` means one. Planning is
-    /// always sequential, so output bytes never depend on this.
+    /// Unused: no product path reads or sets it. Planning and input
+    /// hashing are sequential, so a worker count has nothing to size. It
+    /// stays only because the end-to-end benchmark reads it; the wire's
+    /// `option jobs` is accepted and ignored.
     pub jobs: Option<usize>,
+}
+
+/// The largest granularity `M` whose block of `M` pages fits the usable
+/// address space (`layout::MAX_ADDR - layout::MIN_ADDR`).
+pub const MAX_GRANULARITY: u64 = (MAX_ADDR - MIN_ADDR) / PAGE_SIZE;
+
+impl RewriteConfig {
+    /// Reject configurations the rewriter cannot run: a granularity of
+    /// zero, or one whose `M`-page block does not fit the usable address
+    /// space. [`Rewriter::rewrite`](crate::Rewriter::rewrite) runs this
+    /// first, and the wire decoder runs it on `option granularity`.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Granularity`] naming the rejected value.
+    pub fn check(&self) -> crate::error::Result<()> {
+        match self.granularity {
+            1..=MAX_GRANULARITY => Ok(()),
+            m => Err(Error::Granularity(m)),
+        }
+    }
 }
 
 impl Default for RewriteConfig {

@@ -1,6 +1,7 @@
 //! Top-level rewriting API: parse → plan (S1 over tactics) → group →
 //! emit (in-place patches + appended blocks + loader).
 
+use crate::error::Error;
 use crate::group::{self, Grouping};
 use crate::layout::Window;
 use crate::loader::{self, Mapping};
@@ -122,11 +123,6 @@ impl Rewriter {
         Rewriter { cfg }
     }
 
-    /// The active configuration.
-    pub fn config(&self) -> &RewriteConfig {
-        &self.cfg
-    }
-
     /// Rewrite `input`, diverting each requested instruction through a
     /// trampoline.
     ///
@@ -137,10 +133,11 @@ impl Rewriter {
     ///
     /// # Errors
     ///
-    /// Fails on malformed ELF input, duplicate requests, or requests naming
-    /// unknown instructions. Per-site patch *failures* are reported via
-    /// [`RewriteOutput::stats`], not as errors — mirroring the paper's
-    /// Succ% methodology.
+    /// Fails on an out-of-range granularity ([`RewriteConfig::check`]),
+    /// malformed ELF input, duplicate requests, requests naming unknown
+    /// instructions, or no address space left for the loader. Per-site
+    /// patch *failures* are reported via [`RewriteOutput::stats`], not as
+    /// errors — mirroring the paper's Succ% methodology.
     pub fn rewrite(
         &self,
         input: &[u8],
@@ -148,6 +145,7 @@ impl Rewriter {
         requests: &[PatchRequest],
         extra: &[ExtraSegment],
     ) -> crate::error::Result<RewriteOutput> {
+        self.cfg.check()?;
         let elf = Elf::parse(input)?;
         let input_bytes = elf.file_size() as u64;
         let orig_entry = elf.entry();
@@ -197,7 +195,7 @@ impl Rewriter {
         }
         let loader_addr = space
             .alloc_in(Window::all(), loader_ub as u64, PAGE_SIZE)
-            .expect("address space exhausted placing the loader");
+            .ok_or(Error::NoLoaderSpace(loader_ub as u64))?;
         let loader_code = loader::emit_loader(loader_addr, orig_entry, &mappings);
         debug_assert!(loader_code.len() <= loader_ub);
         patcher.add_segment(loader_addr, &loader_code, PF_R | PF_X);
@@ -236,7 +234,7 @@ impl Rewriter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::planner::Tactics;
+    use crate::planner::{Tactics, MAX_GRANULARITY};
     use crate::trampoline::Template;
     use e9elf::build::ElfBuilder;
     use e9x86::decode::linear_sweep;
@@ -400,6 +398,39 @@ mod tests {
             )
             .unwrap_err();
         assert!(matches!(err, crate::error::Error::NoSuchInstruction(_)));
+    }
+
+    #[test]
+    fn out_of_range_granularity_is_a_typed_error() {
+        // 0 has no block; 2^35-1 pages overrun the usable space; 2^52
+        // pages wrap the block size to zero.
+        let (bin, disasm) = fig1_binary();
+        let req = [PatchRequest {
+            addr: 0x401000,
+            template: Template::Empty,
+        }];
+        for m in [0, (1 << 35) - 1, 1 << 52, MAX_GRANULARITY + 1, u64::MAX] {
+            let cfg = RewriteConfig {
+                granularity: m,
+                ..RewriteConfig::default()
+            };
+            assert_eq!(cfg.check(), Err(Error::Granularity(m)));
+            let err = Rewriter::new(cfg).rewrite(&bin, &disasm, &req, &[]).unwrap_err();
+            assert_eq!(err, Error::Granularity(m));
+            assert!(err.to_string().contains(&format!("granularity {m} out of range")), "{err}");
+        }
+        // The largest accepted values run to a result or a typed error.
+        for m in [1 << 34, MAX_GRANULARITY] {
+            let cfg = RewriteConfig {
+                granularity: m,
+                ..RewriteConfig::default()
+            };
+            assert_eq!(cfg.check(), Ok(()));
+            match Rewriter::new(cfg).rewrite(&bin, &disasm, &req, &[]) {
+                Ok(_) | Err(Error::NoLoaderSpace(_)) => {}
+                Err(e) => panic!("M={m}: {e}"),
+            }
+        }
     }
 
     #[test]

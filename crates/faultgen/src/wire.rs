@@ -1,11 +1,11 @@
 //! Structured mutations for wire-protocol byte streams, and the
 //! session-survival check each mutant is judged by.
 //!
-//! A "case" is a full client transcript (version → binary → instructions
-//! → patch → emit) with damage applied: truncation mid-line (a client
-//! dying mid-batch), byte flips, numeric inflation, line reordering /
-//! duplication / deletion (state-machine abuse) and injected garbage
-//! lines. The contract under test: every line gets a response or a clean
+//! A "case" is a full client transcript (version → option → binary →
+//! instructions → patch → emit) with damage applied: truncation mid-line
+//! (a client dying mid-batch), byte flips, numeric inflation, line
+//! reordering / duplication / deletion (state-machine abuse) and injected
+//! garbage lines. The contract under test: every line gets a response or a clean
 //! cut — never a panic — and the session still answers a well-formed
 //! request afterwards.
 
@@ -33,6 +33,15 @@ pub fn baseline_script() -> Vec<u8> {
         out.push('\n');
     };
     push(Command::Version { version: 1 }, &mut out);
+    // A numeric rewriter option, so numeric mutations reach the config
+    // decoder as well as the envelope.
+    push(
+        Command::Option {
+            name: "granularity".into(),
+            value: "1".into(),
+        },
+        &mut out,
+    );
     push(Command::Binary { bytes: bin, digest: None }, &mut out);
     for i in &disasm {
         push(
@@ -104,7 +113,9 @@ fn flip_bytes(rng: &mut StdRng, bytes: &mut [u8]) {
 }
 
 /// Replace one run of ASCII digits with a much longer one: ids, addrs,
-/// counts and version numbers all inflate past `u64`.
+/// counts and version numbers inflate past `u64`, or to 2^52. Half the
+/// time the run is a whole number, such as an option value, so the digits
+/// inside hex payloads do not drown out the few numbers.
 fn inflate_numbers(rng: &mut StdRng, bytes: &mut Vec<u8>) {
     let digits: Vec<usize> = bytes
         .iter()
@@ -112,16 +123,26 @@ fn inflate_numbers(rng: &mut StdRng, bytes: &mut Vec<u8>) {
         .filter(|(_, b)| b.is_ascii_digit())
         .map(|(i, _)| i)
         .collect();
-    let Some(&start) = rng.choose(&digits) else {
+    let mut numbers = Vec::new();
+    let mut at = 0;
+    for word in bytes.split(|b| !b.is_ascii_alphanumeric()) {
+        if !word.is_empty() && word.iter().all(u8::is_ascii_digit) {
+            numbers.push(at);
+        }
+        at += word.len() + 1;
+    }
+    let pool = if !numbers.is_empty() && rng.gen_bool(0.5) { &numbers } else { &digits };
+    let Some(&start) = rng.choose(pool) else {
         return;
     };
     let end = bytes[start..]
         .iter()
         .position(|b| !b.is_ascii_digit())
         .map_or(bytes.len(), |n| start + n);
-    let bomb: &[u8] = match rng.gen_range(0..3u32) {
+    let bomb: &[u8] = match rng.gen_range(0..4u32) {
         0 => b"18446744073709551616",                    // u64::MAX + 1
         1 => b"99999999999999999999999999999999999999",  // way past u64
+        2 => b"4503599627370496",                        // 2^52
         _ => b"340282366920938463463374607431768211456", // 2^128
     };
     bytes.splice(start..end, bomb.iter().copied());

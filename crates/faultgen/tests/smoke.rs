@@ -9,7 +9,7 @@
 //!       --surface <elf|wire> --case <index>
 //! ```
 
-use e9faultgen::{case_rng, elf, seed_from_env, wire, Surface};
+use e9faultgen::{case_rng, elf, seed_from_env, wire, Outcome, Surface};
 
 #[test]
 fn elf_campaign_is_panic_free() {
@@ -127,4 +127,19 @@ fn mutants_actually_differ_from_baseline() {
         .filter(|&i| wire::mutate(&mut case_rng(1, Surface::Wire, i), &script) != script)
         .count();
     assert!(changed >= 15, "only {changed}/20 wire mutants differed");
+}
+
+#[test]
+fn inflated_granularity_is_rejected_not_panicked() {
+    // The baseline carries an `option granularity` line so numeric
+    // inflation reaches the config decoder; these values would panic the
+    // rewriter at `emit` if the decoder let them through.
+    let script = String::from_utf8(wire::baseline_script()).unwrap();
+    let line = r#""params":{"name":"granularity","value":"1"}"#;
+    assert!(script.contains(line), "no option granularity line in:\n{script}");
+    for m in ["34359738367", "4503599627370496"] {
+        let inflated = format!(r#""params":{{"name":"granularity","value":"{m}"}}"#);
+        let mutant = script.replace(line, &inflated);
+        assert_eq!(wire::wire_case(mutant.as_bytes()), Outcome::Rejected, "granularity {m}");
+    }
 }

@@ -23,13 +23,12 @@ USAGE:
   e9tool disasm BINARY [--limit N]
   e9tool patch BINARY -o OUT [--app a1|a2|a3|all] [--payload empty|counter|counters|lowfat|trace]
               [--no-t1] [--no-t2] [--no-t3] [--b0] [--granularity M] [--no-grouping]
-              [--jobs N] [--report] [--verify]
-              [--backend stdio|/path/to.sock|tcp:ADDR:PORT]
+              [--report] [--verify] [--backend stdio|/path/to.sock|tcp:ADDR:PORT]
               [--cache-dir DIR | --no-cache] [--cache-bypass-bytes N]
   e9tool hook BINARY -o OUT (--func NAME[,NAME..] | --addr ADDR[,ADDR..])
               [--payload counter|nop] [--call-original]
               [--no-t1] [--no-t2] [--no-t3] [--b0] [--granularity M] [--no-grouping]
-              [--jobs N] [--backend stdio|/path/to.sock|tcp:ADDR:PORT]
+              [--backend stdio|/path/to.sock|tcp:ADDR:PORT]
               [--cache-dir DIR | --no-cache] [--cache-bypass-bytes N]
   e9tool run  BINARY [--lowfat] [--max-steps N] [--hex-output] [--hook-counters]
   e9tool health --backend /path/to.sock|tcp:ADDR:PORT|stdio [--json]
@@ -42,9 +41,7 @@ daemon's Unix socket, and `tcp:ADDR:PORT` connects to a daemon started
 with --listen-tcp. Output is byte-identical to the in-process path.
 `patch --cache-dir DIR` reuses finished rewrites from a content-addressed
 cache at DIR ($E9CACHE_DIR provides a default; --no-cache disables both).
-A hit is byte-identical to a cold rewrite. `--jobs N` sets the number of
-threads that hash the input into its cache key; output bytes never
-depend on it. Inputs below the bypass
+A hit is byte-identical to a cold rewrite. Inputs below the bypass
 threshold (--cache-bypass-bytes N or $E9CACHE_BYPASS_BYTES, default
 131072; 0 caches every size) skip the cache entirely — for tiny binaries
 the rewrite is cheaper than keying it. The cache flags configure this
@@ -85,7 +82,7 @@ impl Args {
                 let takes_value = matches!(
                     name,
                     "tiny" | "profile" | "scale" | "app" | "payload" | "granularity"
-                        | "jobs" | "max-steps" | "limit" | "backend" | "cache-dir"
+                        | "max-steps" | "limit" | "backend" | "cache-dir"
                         | "cache-bypass-bytes" | "func" | "addr"
                 );
                 if takes_value && i + 1 < argv.len() {
@@ -447,14 +444,15 @@ fn backend_client(spec: &str) -> Result<e9proto::ProtoClient, String> {
 /// The flags `patch` and `hook` share: output, rewriter configuration
 /// ([`rewrite_config_from`]) and where the job runs ([`resolve_route`]).
 const REWRITE_FLAGS: &[&str] = &[
-    "out", "no-t1", "no-t2", "no-t3", "b0", "granularity", "jobs", "no-grouping", "backend",
-    "cache-dir", "no-cache", "cache-bypass-bytes",
+    "out", "no-t1", "no-t2", "no-t3", "b0", "granularity", "no-grouping", "backend", "cache-dir",
+    "no-cache", "cache-bypass-bytes",
 ];
 
-/// Build the rewriter configuration from the shared tactic/size/jobs
-/// flags (`patch` and `hook` accept the same set).
+/// Build the rewriter configuration from the shared tactic/size flags
+/// (`patch` and `hook` accept the same set), refusing one the rewriter
+/// cannot run before any backend or cache work starts.
 fn rewrite_config_from(args: &Args) -> Result<RewriteConfig, String> {
-    Ok(RewriteConfig {
+    let cfg = RewriteConfig {
         tactics: Tactics {
             t1: !args.flag("no-t1"),
             t2: !args.flag("no-t2"),
@@ -467,15 +465,10 @@ fn rewrite_config_from(args: &Args) -> Result<RewriteConfig, String> {
             .map(|s| s.parse().map_err(|_| "bad --granularity"))
             .transpose()?
             .unwrap_or(1),
-        jobs: args
-            .value("jobs")
-            .map(|s| match s.parse::<usize>() {
-                Ok(n) if n >= 1 => Ok(n),
-                _ => Err("bad --jobs (want an integer >= 1)"),
-            })
-            .transpose()?,
         ..RewriteConfig::default()
-    })
+    };
+    cfg.check().map_err(|e| format!("bad --granularity: {e}"))?;
+    Ok(cfg)
 }
 
 fn cmd_patch(args: &Args) -> Result<(), String> {

@@ -473,27 +473,11 @@ fn send_job_inputs(
     cfg: &RewriteConfig,
 ) -> Result<(), FrontError> {
     client.negotiate()?;
-    let bool_str = |b: bool| if b { "true" } else { "false" };
-    client.option("t1", bool_str(cfg.tactics.t1))?;
-    client.option("t2", bool_str(cfg.tactics.t2))?;
-    client.option("t3", bool_str(cfg.tactics.t3))?;
-    client.option("b0", bool_str(cfg.b0_fallback))?;
-    client.option("grouping", bool_str(cfg.grouping))?;
-    client.option("granularity", &cfg.granularity.to_string())?;
-    client.option(
-        "alloc",
-        match cfg.alloc_policy {
-            e9patch::AllocPolicy::FirstFitLow => "low",
-            e9patch::AllocPolicy::FirstFitHigh => "high",
-        },
-    )?;
-    if let Some(n) = cfg.jobs {
-        client.option("jobs", &n.to_string())?;
-    }
-    // Digest-once: hash the input here (with the planner's worker count),
-    // send it alongside the bytes, and the server verifies it at intake
-    // instead of re-hashing at every emit.
-    let bin_digest = e9cache::tree::tree_digest(binary, cfg.jobs.unwrap_or(1));
+    client.configure(cfg)?;
+    // Digest-once: hash the input here, send it alongside the bytes, and
+    // the server verifies it at intake instead of re-hashing at every
+    // emit.
+    let bin_digest = e9cache::tree::tree_digest(binary, 1);
     client.binary_with_digest(binary, &bin_digest)?;
     for i in disasm {
         client.instruction(i.addr, i.bytes())?;

@@ -279,12 +279,11 @@ fn patch_backend_tcp_matches_in_process() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// A cache filled by a `--jobs` run serves a later plain run: the key
-/// ignores `jobs`, so the hit must carry the bytes a cold sequential
-/// rewrite produces.
+/// A cache filled by one run serves a later run: the first misses, the
+/// second hits, and the hit carries the bytes a cold rewrite produces.
 #[test]
-fn cache_filled_with_jobs_serves_plain_run_identically() {
-    let dir = tmpdir("cache-jobs");
+fn cache_fill_serves_later_run_identically() {
+    let dir = tmpdir("cache-fill");
     let elf = dir.join("p.elf");
     let cache = dir.join("cache");
     assert!(e9tool()
@@ -309,15 +308,66 @@ fn cache_filled_with_jobs_serves_plain_run_identically() {
         String::from_utf8_lossy(&o.stdout).into_owned()
     };
     let cached = ["--cache-dir", cache.to_str().unwrap(), "--cache-bypass-bytes", "0"];
-    let fill = patch("fill.e9", &[&["--jobs", "2"][..], &cached].concat());
+    let fill = patch("fill.e9", &cached);
     assert!(fill.contains("cache: miss"), "fill run did not miss: {fill}");
     let hit = patch("hit.e9", &cached);
     assert!(hit.contains("cache: hit"), "plain run did not hit: {hit}");
     patch("cold.e9", &["--no-cache"]);
     let read = |f: &str| std::fs::read(dir.join(f)).unwrap();
     assert!(read("hit.e9") == read("cold.e9"), "cache hit diverged from a cold rewrite");
-    assert!(read("fill.e9") == read("cold.e9"), "--jobs 2 output diverged from sequential");
+    assert!(read("fill.e9") == read("cold.e9"), "cache fill diverged from a cold rewrite");
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Granularities the rewriter cannot run (no block, or a block larger
+/// than the usable address space) exit 1 with a message and no panic.
+#[test]
+fn unrunnable_granularity_exits_one_without_panic() {
+    let dir = tmpdir("granularity");
+    let elf = dir.join("g.elf");
+    assert!(e9tool()
+        .args(["gen", "--tiny", "g", "-o"])
+        .arg(&elf)
+        .status()
+        .unwrap()
+        .success());
+    for m in ["0", "34359738367", "4503599627370496"] {
+        for (sub, select) in [("patch", ["--app", "a1"]), ("hook", ["--func", "*"])] {
+            let o = e9tool()
+                .arg(sub)
+                .arg(&elf)
+                .arg("-o")
+                .arg(dir.join("g.out"))
+                .args(select)
+                .args(["--no-cache", "--granularity", m])
+                .output()
+                .unwrap();
+            let err = String::from_utf8_lossy(&o.stderr);
+            assert_eq!(o.status.code(), Some(1), "{sub} --granularity {m}: {err}");
+            assert!(err.contains(&format!("bad --granularity: granularity {m} out of range")), "{err}");
+            assert!(!err.contains("panicked"), "{err}");
+        }
+    }
+    assert!(!dir.join("g.out").exists());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `--jobs` is gone: `patch` and `hook` name it as an unknown flag, and
+/// `e9patchd` answers it with its usage.
+#[test]
+fn jobs_flag_is_rejected() {
+    for sub in ["patch", "hook"] {
+        let out = e9tool()
+            .args([sub, "in.elf", "-o", "out.e9", "--jobs", "2"])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(1));
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("unknown flag --jobs"), "{sub} stderr: {err}");
+    }
+    let out = e9patchd().args(["--jobs", "2"]).output().unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("USAGE"));
 }
 
 /// Spawn `e9patchd --socket SOCK` with `extra` flags, serving one

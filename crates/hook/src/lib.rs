@@ -193,8 +193,7 @@ fn diverts(kind: Kind) -> bool {
 /// Targets are deduplicated by entry address and planned in address
 /// order, so a given (binary, spec) pair always yields the identical
 /// batch — the property that makes hook jobs cache-keyable and
-/// byte-identical across every `--jobs` value and in-process/daemon
-/// backends.
+/// byte-identical across in-process and daemon backends.
 ///
 /// # Errors
 ///

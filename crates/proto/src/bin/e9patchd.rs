@@ -45,9 +45,6 @@
 //!   included (default 67108864 = 64 MiB), in every mode. Longer lines
 //!   are discarded and answered with a typed `LIMIT` error, even when
 //!   end of input cuts them off; the connection survives.
-//! * `--jobs N` — default number of threads that hash each session's
-//!   input into its cache key (output bytes never depend on it). A
-//!   client's explicit `option jobs` overrides it.
 //! * `--drain-ms N` — on shutdown, how long an in-flight connection may
 //!   sit inactive before being cut (default 5000).
 //! * `--max-clients N` (default 1024) and `--max-pending-bytes N`
@@ -86,7 +83,6 @@ OPTIONS:
   --drain-ms N          shutdown drain inactivity bound in ms (default 5000)
   --timeout-ms N        idle timeout in ms (default 30000, 0 = none)
   --max-line-bytes N    longest accepted request line (default 67108864)
-  --jobs N              threads that hash the input (default 1)
   --cache-dir PATH      enable the rewrite cache with an on-disk tier at PATH
   --cache-mem-bytes N   memory-tier budget in bytes (default 67108864;
                         without --cache-dir, enables memory-only caching)
@@ -156,7 +152,6 @@ fn main() -> ExitCode {
                 .map(|ms| knobs.idle_timeout = (ms > 0).then(|| Duration::from_millis(ms)))
                 .is_ok(),
             "--max-line-bytes" => positive(v).map(|n| knobs.max_line_bytes = n).is_some(),
-            "--jobs" => positive(v).map(|n| config.default_jobs = Some(n)).is_some(),
             "--cache-dir" => {
                 cache_config.dir = Some(std::path::PathBuf::from(v));
                 want_cache = true;

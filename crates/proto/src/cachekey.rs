@@ -2,10 +2,8 @@
 //!
 //! A rewrite's output is a pure function of `(input ELF bytes, the full
 //! command batch, the rewriter configuration)` — the pipeline is
-//! deterministic, and planning is always sequential, so `--jobs` (which
-//! only sizes the input-hashing thread pool) cannot change output bytes.
-//! That makes the output safely addressable by a digest of those inputs,
-//! which is what [`rewrite_key_from_digest`] computes.
+//! deterministic, so the output is safely addressable by a digest of
+//! those inputs, which is what [`rewrite_key_from_digest`] computes.
 //!
 //! The batch is absorbed through a compact tagged binary framing: each
 //! logical step (`instruction`, `reserve`, `patch`) contributes a type
@@ -22,13 +20,11 @@
 //! its raw bytes — that is what lets a client hash the input once, send
 //! the digest alongside the `binary` command, and have the server reuse
 //! the verified digest for every subsequent `emit` ([`rewrite_key_from_digest`]).
-//! Since the tree digest is jobs-invariant, the key is too.
 //!
 //! Deliberately **excluded** from the key:
 //!
-//! * `jobs` — it sizes the tree-digest thread pool and changes
-//!   wall-clock, not bytes; including it would split the cache per
-//!   thread count for identical outputs.
+//! * `RewriteConfig::jobs` — nothing reads it, so it cannot change
+//!   output bytes.
 //! * anything about the serving surface (socket vs stdio vs in-process),
 //!   session limits, or I/O paths.
 //!
@@ -58,9 +54,9 @@
 //! key material.
 
 use crate::json::Json;
-use crate::msg::{code, CacheDisposition, Command, EmitReply, RpcError, PROTOCOL_VERSION};
+use crate::msg::{alloc_name, code, CacheDisposition, Command, EmitReply, RpcError,
+                 PROTOCOL_VERSION};
 use e9cache::{Cache, Digest, Entry, Hit, Sha256};
-use e9patch::planner::AllocPolicy;
 use e9patch::{ExtraSegment, PatchRequest, RewriteConfig, Rewriter};
 use e9x86::insn::Insn;
 
@@ -76,8 +72,9 @@ fn part(h: &mut Sha256, bytes: &[u8]) {
 
 /// Canonical JSON encoding of the cache-relevant [`RewriteConfig`]
 /// fields (everything that can change output bytes; `jobs` cannot, and
-/// is therefore omitted).
-pub fn config_json(cfg: &RewriteConfig) -> Json {
+/// is therefore omitted). Its key order is part of every cache key, so it
+/// stays as it is even though it differs from the wire's option order.
+fn config_json(cfg: &RewriteConfig) -> Json {
     crate::json::obj(vec![
         ("t1", Json::Bool(cfg.tactics.t1)),
         ("t2", Json::Bool(cfg.tactics.t2)),
@@ -85,16 +82,7 @@ pub fn config_json(cfg: &RewriteConfig) -> Json {
         ("b0", Json::Bool(cfg.b0_fallback)),
         ("granularity", Json::Int(cfg.granularity as i128)),
         ("grouping", Json::Bool(cfg.grouping)),
-        (
-            "alloc",
-            Json::Str(
-                match cfg.alloc_policy {
-                    AllocPolicy::FirstFitLow => "low",
-                    AllocPolicy::FirstFitHigh => "high",
-                }
-                .into(),
-            ),
-        ),
+        ("alloc", Json::Str(alloc_name(cfg.alloc_policy).into())),
     ])
 }
 
@@ -228,11 +216,8 @@ pub fn cached_rewrite(
         let reply = cold().map_err(CachedRewriteError::Rewrite)?;
         return Ok(EmitReply { cache: CacheDisposition::Bypass, ..reply });
     }
-    // Digest-once: the tree digest is jobs-invariant, so hashing on
-    // `jobs` threads leaves the key unchanged.
-    let bin_digest = *binary_digest.get_or_insert_with(|| {
-        e9cache::tree::tree_digest(job.binary, job.config.jobs.unwrap_or(1))
-    });
+    let bin_digest =
+        *binary_digest.get_or_insert_with(|| e9cache::tree::tree_digest(job.binary, 1));
     let key =
         rewrite_key_from_digest(&bin_digest, job.disasm, job.extra, job.requests, &job.config);
     let digest = Some(e9cache::sha256::hex(&key));
@@ -336,9 +321,20 @@ mod tests {
     }
 
     #[test]
+    fn key_known_answer() {
+        // Entries in existing cache directories must keep hitting, so
+        // neither the key material nor its framing may move.
+        let (bin, insns, extra, patches) = job();
+        let key = rewrite_key(&bin, &insns, &extra, &patches, &RewriteConfig::default());
+        assert_eq!(
+            e9cache::sha256::hex(&key),
+            "ec9a6374272f531d5679681bc9735da98c8a507984cb5782585031619f79cbbc"
+        );
+    }
+
+    #[test]
     fn jobs_does_not_split_the_cache() {
-        // `jobs` only sizes the input-hashing thread pool; output bytes
-        // never depend on it, so the key must not either.
+        // Nothing reads `jobs`, so the key must not either.
         let (bin, insns, extra, patches) = job();
         let mut cfg = RewriteConfig::default();
         let base = rewrite_key(&bin, &insns, &extra, &patches, &cfg);
@@ -349,8 +345,7 @@ mod tests {
     #[test]
     fn digest_form_matches_raw_form_for_every_jobs() {
         // The digest-once path must land on the same key as the raw-bytes
-        // convenience, for any worker count used to hash the input —
-        // otherwise a client that pre-hashes with --jobs splits the cache.
+        // convenience, whatever second argument the digest was given.
         let (bin, insns, extra, patches) = job();
         let cfg = RewriteConfig::default();
         let base = rewrite_key(&bin, &insns, &extra, &patches, &cfg);

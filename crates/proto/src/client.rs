@@ -14,10 +14,10 @@
 //!   and benchmarks.
 
 use crate::json;
-use crate::msg::{CacheAction, CacheStatsReply, Command, EmitReply, HealthReply, HookReply,
-                 Request, Response, RpcError, PROTOCOL_VERSION};
+use crate::msg::{config_options, CacheAction, CacheStatsReply, Command, EmitReply, HealthReply,
+                 HookReply, Request, Response, RpcError, PROTOCOL_VERSION};
 use e9failpt::retry::{retry_interrupted, with_backoff, Backoff, EINTR_BUDGET};
-use e9patch::{ExtraSegment, Template};
+use e9patch::{ExtraSegment, RewriteConfig, Template};
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::path::PathBuf;
 
@@ -339,16 +339,19 @@ impl ProtoClient {
         Ok(())
     }
 
-    /// Set one rewriter option.
+    /// Send `cfg` as its `option` commands, one per pair of
+    /// [`config_options`].
     ///
     /// # Errors
     ///
     /// As [`ProtoClient::call`].
-    pub fn option(&mut self, name: &str, value: &str) -> Result<(), ClientError> {
-        self.call(Command::Option {
-            name: name.to_string(),
-            value: value.to_string(),
-        })?;
+    pub fn configure(&mut self, cfg: &RewriteConfig) -> Result<(), ClientError> {
+        for (name, value) in config_options(cfg) {
+            self.call(Command::Option {
+                name: name.to_string(),
+                value,
+            })?;
+        }
         Ok(())
     }
 

@@ -20,7 +20,8 @@
 //! `codec_props` suite checks for arbitrary messages.
 
 use crate::json::{obj, Json};
-use e9patch::{PatchStats, RewriteOutput, SiteReport, SizeStats, TacticKind, Template};
+use e9patch::{AllocPolicy, PatchStats, RewriteConfig, RewriteOutput, SiteReport, SizeStats,
+              TacticKind, Template};
 use std::fmt;
 
 /// The protocol version this crate speaks. Negotiated by the mandatory
@@ -114,8 +115,8 @@ pub enum Command {
         /// hashed exactly once end to end instead of once per request.
         digest: Option<e9cache::Digest>,
     },
-    /// Set one rewriter option (`t1`/`t2`/`t3`/`b0`/`grouping` =
-    /// `true|false`, `granularity` = integer ≥ 1, `alloc` = `low|high`).
+    /// Set one rewriter option. [`config_options`] spells the pairs a
+    /// frontend sends and [`apply_option`] is the one decoder.
     Option {
         /// Option name.
         name: String,
@@ -664,7 +665,9 @@ impl Response {
         };
         if let Some(e) = v.get("error") {
             let code = match e.get("code") {
-                Some(Json::Int(c)) => *c as i64,
+                Some(Json::Int(c)) => {
+                    i64::try_from(*c).map_err(|_| format!("error code {c} out of range"))?
+                }
                 _ => return Err("error without integer code".into()),
             };
             let message = e
@@ -683,6 +686,78 @@ impl Response {
             body: Ok(result.clone()),
         })
     }
+}
+
+// ---- rewriter options ---------------------------------------------------
+
+/// The wire name of a trampoline allocation policy (`low` or `high`), also
+/// used by the cache key's config encoding.
+pub fn alloc_name(policy: AllocPolicy) -> &'static str {
+    match policy {
+        AllocPolicy::FirstFitLow => "low",
+        AllocPolicy::FirstFitHigh => "high",
+    }
+}
+
+/// The `option` pairs that carry `cfg` to a backend, in the order a
+/// frontend sends them. [`apply_option`] is their inverse.
+/// [`RewriteConfig::jobs`] is not sent: nothing reads it.
+pub fn config_options(cfg: &RewriteConfig) -> [(&'static str, String); 7] {
+    [
+        ("t1", cfg.tactics.t1.to_string()),
+        ("t2", cfg.tactics.t2.to_string()),
+        ("t3", cfg.tactics.t3.to_string()),
+        ("b0", cfg.b0_fallback.to_string()),
+        ("grouping", cfg.grouping.to_string()),
+        ("granularity", cfg.granularity.to_string()),
+        ("alloc", alloc_name(cfg.alloc_policy).to_string()),
+    ]
+}
+
+/// Apply one `option` pair to `cfg`; a rejected pair leaves `cfg` as it
+/// was. `jobs` is accepted (an integer ≥ 1) and ignored, so older
+/// clients that send it keep working.
+///
+/// # Errors
+///
+/// [`code::INVALID_PARAMS`] for an unknown name, a malformed value, or a
+/// granularity that [`RewriteConfig::check`] rejects.
+pub fn apply_option(cfg: &mut RewriteConfig, name: &str, value: &str) -> Result<(), RpcError> {
+    let want = |what: &str| {
+        RpcError::invalid_params(format!("option {name}: want {what}, got {value:?}"))
+    };
+    let flag = || match value {
+        "true" => Ok(true),
+        "false" => Ok(false),
+        _ => Err(want("true|false")),
+    };
+    let count = || {
+        value.parse::<u64>().ok().filter(|&n| n >= 1).ok_or_else(|| want("an integer >= 1"))
+    };
+    match name {
+        "t1" => cfg.tactics.t1 = flag()?,
+        "t2" => cfg.tactics.t2 = flag()?,
+        "t3" => cfg.tactics.t3 = flag()?,
+        "b0" => cfg.b0_fallback = flag()?,
+        "grouping" => cfg.grouping = flag()?,
+        "granularity" => {
+            let next = RewriteConfig { granularity: count()?, ..*cfg };
+            next.check()
+                .map_err(|e| RpcError::invalid_params(format!("option granularity: {e}")))?;
+            *cfg = next;
+        }
+        "alloc" => {
+            cfg.alloc_policy = [AllocPolicy::FirstFitLow, AllocPolicy::FirstFitHigh]
+                .into_iter()
+                .find(|&p| alloc_name(p) == value)
+                .ok_or_else(|| want("low|high"))?;
+        }
+        "jobs" => {
+            count()?;
+        }
+        _ => return Err(RpcError::invalid_params(format!("unknown option {name:?}"))),
+    }
+    Ok(())
 }
 
 // ---- typed emit reply ---------------------------------------------------
@@ -778,6 +853,11 @@ fn tactic_from_name(s: &str) -> Option<TacticKind> {
         "T3" => TacticKind::T3,
         _ => return None,
     })
+}
+
+/// `v` as a narrower integer, or an error naming the out-of-range field.
+fn narrow<T: TryFrom<u64>>(v: u64, field: &str) -> Result<T, String> {
+    T::try_from(v).map_err(|_| format!("{field} {v} out of range"))
 }
 
 fn opt_u64(v: Option<u64>) -> Json {
@@ -922,7 +1002,7 @@ impl EmitReply {
             };
             reports.push(SiteReport {
                 addr: u(r, "addr")?,
-                insn_len: u(r, "insn_len")? as u8,
+                insn_len: narrow(u(r, "insn_len")?, "emit reply: insn_len")?,
                 tactic,
                 trampoline,
             });
@@ -1283,8 +1363,8 @@ impl HookReply {
             .ok_or("hook reply: missing hooks")?
         {
             hooks.push(e9hook::HookRecord {
-                id: u(h, "id")? as u32,
-                flags: u(h, "flags")? as u32,
+                id: narrow(u(h, "id")?, "hook reply: id")?,
+                flags: narrow(u(h, "flags")?, "hook reply: flags")?,
                 func_addr: u(h, "func_addr")?,
                 payload_addr: u(h, "payload_addr")?,
                 thunk_addr: u(h, "thunk_addr")?,
@@ -1691,6 +1771,122 @@ mod tests {
             HookReply::from_json(&parse(text.as_bytes()).unwrap()).unwrap(),
             none
         );
+    }
+
+    #[test]
+    fn reply_decoders_reject_out_of_range_integers() {
+        // Each field is set one past its type's range; a wrapping cast
+        // would decode 300 as insn_len 44.
+        let set = |v: &mut Json, path: &[&str], n: i128| {
+            let mut at = v;
+            for (i, key) in path.iter().enumerate() {
+                let next = match at {
+                    Json::Obj(members) => members.iter_mut().find(|(k, _)| k == key).map(|(_, v)| v),
+                    Json::Arr(items) => key.parse::<usize>().ok().and_then(|i| items.get_mut(i)),
+                    _ => None,
+                };
+                at = next.unwrap_or_else(|| panic!("no {:?}", &path[..=i]));
+            }
+            *at = Json::Int(n);
+        };
+        let reply = EmitReply {
+            binary: vec![1],
+            stats: PatchStats::default(),
+            size: SizeStats::default(),
+            loader_addr: 0,
+            trap_count: 0,
+            reports: vec![SiteReport {
+                addr: 0x401000,
+                insn_len: 3,
+                tactic: None,
+                trampoline: None,
+            }],
+            mappings: vec![],
+            cache: CacheDisposition::Off,
+            digest: None,
+        };
+        let mut v = reply.to_json();
+        set(&mut v, &["reports", "0", "insn_len"], 300);
+        let e = EmitReply::from_json(&v).unwrap_err();
+        assert_eq!(e, "emit reply: insn_len 300 out of range");
+
+        let hooks = HookReply {
+            hooks: vec![e9hook::HookRecord {
+                id: 0,
+                flags: 0,
+                func_addr: 0x401000,
+                payload_addr: 0x70000000,
+                thunk_addr: 0,
+                counter_addr: 0x70100000,
+                name: "f".into(),
+            }],
+            counters_addr: None,
+            manifest_addr: 0x70200000,
+        };
+        for (field, what) in [("id", "hook reply: id"), ("flags", "hook reply: flags")] {
+            let mut v = hooks.to_json();
+            set(&mut v, &["hooks", "0", field], 1 << 32);
+            let e = HookReply::from_json(&v).unwrap_err();
+            assert_eq!(e, format!("{what} 4294967296 out of range"));
+        }
+
+        let mut v = parse(Response::err(Some(1), RpcError::state("x")).encode().as_bytes()).unwrap();
+        for code in [i64::MAX as i128 + 1, i64::MIN as i128 - 1] {
+            set(&mut v, &["error", "code"], code);
+            let e = Response::decode(&v).unwrap_err();
+            assert_eq!(e, format!("error code {code} out of range"));
+        }
+    }
+
+    #[test]
+    fn default_config_options_are_the_seven_pairs_in_wire_order() {
+        // The frontend sends exactly these `option` lines, in this order;
+        // the traced benchmark checks its call counts against them.
+        let pairs = config_options(&RewriteConfig::default());
+        let text: Vec<(&str, &str)> = pairs.iter().map(|(n, v)| (*n, v.as_str())).collect();
+        assert_eq!(
+            text,
+            [
+                ("t1", "true"),
+                ("t2", "true"),
+                ("t3", "true"),
+                ("b0", "false"),
+                ("grouping", "true"),
+                ("granularity", "1"),
+                ("alloc", "low"),
+            ]
+        );
+    }
+
+    #[test]
+    fn apply_option_keeps_todays_errors_and_ignores_jobs() {
+        let mut cfg = RewriteConfig::default();
+        let before = cfg;
+        let err = |cfg: &mut RewriteConfig, name: &str, value: &str| {
+            let e = apply_option(cfg, name, value).unwrap_err();
+            assert_eq!(e.code, code::INVALID_PARAMS, "{name}={value}");
+            e.message
+        };
+        assert_eq!(err(&mut cfg, "t2", "yes"), "option t2: want true|false, got \"yes\"");
+        assert_eq!(
+            err(&mut cfg, "granularity", "0"),
+            "option granularity: want an integer >= 1, got \"0\""
+        );
+        assert_eq!(err(&mut cfg, "alloc", "mid"), "option alloc: want low|high, got \"mid\"");
+        assert_eq!(err(&mut cfg, "jobs", "0"), "option jobs: want an integer >= 1, got \"0\"");
+        assert_eq!(err(&mut cfg, "turbo", "on"), "unknown option \"turbo\"");
+        // Granularities the rewriter cannot run are refused up front.
+        for m in [(1u64 << 35) - 1, 1 << 52] {
+            let msg = err(&mut cfg, "granularity", &m.to_string());
+            assert!(msg.starts_with(&format!("option granularity: granularity {m} out of range")), "{msg}");
+        }
+        // `jobs` is accepted and changes nothing; so far nothing changed.
+        apply_option(&mut cfg, "jobs", "4").unwrap();
+        assert_eq!(cfg, before);
+        apply_option(&mut cfg, "alloc", "high").unwrap();
+        apply_option(&mut cfg, "granularity", "8").unwrap();
+        assert_eq!(cfg.alloc_policy, AllocPolicy::FirstFitHigh);
+        assert_eq!(cfg.granularity, 8);
     }
 
     #[test]

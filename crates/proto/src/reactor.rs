@@ -72,7 +72,7 @@ impl Service for SessionService {
 }
 
 /// Creates one [`SessionService`] per accepted connection, wired to the
-/// shared [`ServeConfig`] (quotas, cache, default jobs).
+/// shared [`ServeConfig`] (quotas, cache).
 pub struct SessionFactory {
     config: ServeConfig,
 }

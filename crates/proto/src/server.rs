@@ -55,10 +55,6 @@ pub struct ServeConfig {
     pub transport: e9loop::Config,
     /// Per-session resource quotas, enforced by [`Session`].
     pub limits: SessionLimits,
-    /// Default number of threads that hash each session's input into its
-    /// cache key (`e9patchd --jobs`). A client's explicit `option jobs`
-    /// overrides it; `None` means one. Output bytes never depend on it.
-    pub default_jobs: Option<usize>,
     /// Shared rewrite cache (`e9patchd --cache-dir` / `--cache-mem-bytes`).
     /// One [`Arc`](std::sync::Arc) handed to every connection's session,
     /// so all clients pool artifacts; `None` disables caching.
@@ -75,7 +71,6 @@ impl Default for ServeConfig {
         ServeConfig {
             transport: e9loop::Config::default(),
             limits: SessionLimits::default(),
-            default_jobs: None,
             cache: None,
             serving_mode: "in-process",
             shed: Arc::new(ShedCounters::default()),

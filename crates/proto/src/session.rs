@@ -24,12 +24,11 @@
 //! reused. Server loops build sessions with [`Session::from_config`].
 
 use crate::cachekey;
-use crate::msg::{code, CacheAction, CacheStatsReply, Command, HealthReply, HookReply, RpcError,
-                 PROTOCOL_VERSION};
+use crate::msg::{self, code, CacheAction, CacheStatsReply, Command, HealthReply, HookReply,
+                 RpcError, PROTOCOL_VERSION};
 use crate::json::{obj, Json};
 use crate::server::{ServeConfig, ShedCounters};
 use e9cache::Cache;
-use e9patch::planner::AllocPolicy;
 use e9patch::{ExtraSegment, PatchRequest, RewriteConfig};
 use e9x86::insn::Insn;
 use std::sync::Arc;
@@ -102,18 +101,14 @@ impl Session {
     }
 
     /// The session a server hands each connection: `config`'s quotas,
-    /// default `jobs` (a client's `option jobs` overrides it), shared
-    /// cache, and the serving-core identity and shed counters `health`
-    /// reports. Every server loop builds its sessions here.
+    /// shared cache, and the serving-core identity and shed counters
+    /// `health` reports. Every server loop builds its sessions here.
     pub fn from_config(config: &ServeConfig) -> Session {
         Session {
             version: None,
             binary: None,
             binary_digest: None,
-            config: RewriteConfig {
-                jobs: config.default_jobs,
-                ..RewriteConfig::default()
-            },
+            config: RewriteConfig::default(),
             insns: Vec::new(),
             extra: Vec::new(),
             extra_bytes: 0,
@@ -254,7 +249,7 @@ impl Session {
             // client poison another's cache keys. The recompute here is
             // the session's ONE hash of the input — every later emit
             // reuses it.
-            let actual = e9cache::tree::tree_digest(&bytes, self.config.jobs.unwrap_or(1));
+            let actual = e9cache::tree::tree_digest(&bytes, 1);
             if actual != claimed {
                 return Err(RpcError::invalid_params(format!(
                     "binary digest mismatch: claimed {} but input hashes to {}",
@@ -273,54 +268,7 @@ impl Session {
     }
 
     fn option_cmd(&mut self, name: &str, value: &str) -> Result<Json, RpcError> {
-        let parse_bool = || -> Result<bool, RpcError> {
-            match value {
-                "true" => Ok(true),
-                "false" => Ok(false),
-                _ => Err(RpcError::invalid_params(format!(
-                    "option {name}: want true|false, got {value:?}"
-                ))),
-            }
-        };
-        match name {
-            "t1" => self.config.tactics.t1 = parse_bool()?,
-            "t2" => self.config.tactics.t2 = parse_bool()?,
-            "t3" => self.config.tactics.t3 = parse_bool()?,
-            "b0" => self.config.b0_fallback = parse_bool()?,
-            "grouping" => self.config.grouping = parse_bool()?,
-            "granularity" => {
-                let m: u64 = value.parse().ok().filter(|&m| m >= 1).ok_or_else(|| {
-                    RpcError::invalid_params(format!(
-                        "option granularity: want an integer >= 1, got {value:?}"
-                    ))
-                })?;
-                self.config.granularity = m;
-            }
-            "alloc" => {
-                self.config.alloc_policy = match value {
-                    "low" => AllocPolicy::FirstFitLow,
-                    "high" => AllocPolicy::FirstFitHigh,
-                    _ => {
-                        return Err(RpcError::invalid_params(format!(
-                            "option alloc: want low|high, got {value:?}"
-                        )))
-                    }
-                };
-            }
-            "jobs" => {
-                let n: usize = value.parse().ok().filter(|&n| n >= 1).ok_or_else(|| {
-                    RpcError::invalid_params(format!(
-                        "option jobs: want an integer >= 1, got {value:?}"
-                    ))
-                })?;
-                self.config.jobs = Some(n);
-            }
-            _ => {
-                return Err(RpcError::invalid_params(format!(
-                    "unknown option {name:?}"
-                )))
-            }
-        }
+        msg::apply_option(&mut self.config, name, value)?;
         Ok(Json::Obj(Vec::new()))
     }
 
@@ -583,6 +531,7 @@ mod tests {
 
     #[test]
     fn jobs_option_parses_and_rejects_zero() {
+        // Accepted for old clients and ignored: the config is unchanged.
         let mut s = Session::new();
         s.handle(Command::Version { version: 1 }).unwrap();
         s.handle(Command::Option {
@@ -590,7 +539,7 @@ mod tests {
             value: "4".into(),
         })
         .unwrap();
-        assert_eq!(s.config.jobs, Some(4));
+        assert_eq!(s.config, RewriteConfig::default());
         for bad in ["0", "-1", "many"] {
             let e = s
                 .handle(Command::Option {
@@ -600,19 +549,25 @@ mod tests {
                 .unwrap_err();
             assert_eq!(e.code, code::INVALID_PARAMS, "value {bad:?}");
         }
-        // The daemon-level default is overridable by the client.
-        let mut d = Session::from_config(&ServeConfig {
-            default_jobs: Some(8),
-            ..ServeConfig::default()
-        });
-        d.handle(Command::Version { version: 1 }).unwrap();
-        assert_eq!(d.config.jobs, Some(8));
-        d.handle(Command::Option {
-            name: "jobs".into(),
-            value: "2".into(),
-        })
-        .unwrap();
-        assert_eq!(d.config.jobs, Some(2));
+    }
+
+    #[test]
+    fn unrunnable_granularity_is_refused_at_option_time() {
+        // The option is refused, and the session keeps its config and
+        // still emits.
+        let mut s = primed_session(None);
+        for m in [(1u64 << 35) - 1, 1 << 52] {
+            let e = s
+                .handle(Command::Option {
+                    name: "granularity".into(),
+                    value: m.to_string(),
+                })
+                .unwrap_err();
+            assert_eq!(e.code, code::INVALID_PARAMS);
+            assert!(e.message.contains(&format!("granularity {m} out of range")), "{}", e.message);
+        }
+        let reply = EmitReply::from_json(&s.handle(Command::Emit).unwrap()).unwrap();
+        assert_eq!(reply.size.granularity, 1);
     }
 
     #[test]
@@ -791,8 +746,8 @@ mod tests {
         assert_eq!(e.code, code::INVALID_PARAMS);
         assert!(e.message.contains("digest mismatch"), "{}", e.message);
         // The rejected intake left no binary behind; the correct digest
-        // (jobs-invariant, so any worker count works) is accepted.
-        let right = e9cache::tree::tree_digest(&bin, 4);
+        // is accepted.
+        let right = e9cache::tree::tree_digest(&bin, 1);
         s.handle(Command::Binary {
             bytes: bin,
             digest: Some(right),

@@ -4,8 +4,9 @@
 //! bombs, random bytes — must come back as typed errors, never panics.
 
 use e9proto::json::{self, Json};
-use e9proto::msg::{code, Command, Request, Response, RpcError};
-use e9patch::Template;
+use e9proto::msg::{apply_option, code, config_options, Command, Request, Response, RpcError};
+use e9patch::planner::MAX_GRANULARITY;
+use e9patch::{AllocPolicy, RewriteConfig, Tactics, Template};
 use e9qcheck::prelude::*;
 
 /// Build an arbitrary JSON tree from a drawn opcode stream. Floats are
@@ -101,7 +102,43 @@ fn build_command(sel: u8, addr: u64, bytes: Vec<u8>, name: String, flag: bool) -
     }
 }
 
+/// A rewriter configuration from drawn fields: the three tactics, B0,
+/// grouping and the high allocation policy as flag bits, and `M`.
+fn build_config(bits: u8, granularity: u64) -> RewriteConfig {
+    let bit = |i: u8| bits & (1 << i) != 0;
+    RewriteConfig {
+        tactics: Tactics {
+            t1: bit(0),
+            t2: bit(1),
+            t3: bit(2),
+        },
+        b0_fallback: bit(3),
+        grouping: bit(4),
+        granularity,
+        alloc_policy: if bit(5) { AllocPolicy::FirstFitHigh } else { AllocPolicy::FirstFitLow },
+        jobs: None,
+    }
+}
+
 props! {
+    #[test]
+    fn config_options_decode_to_the_same_config(
+        bits in any::<u8>(),
+        granularity in 1u64..=MAX_GRANULARITY,
+        start_bits in any::<u8>(),
+        start_granularity in 1u64..=MAX_GRANULARITY,
+    ) {
+        // The pairs set every field, so decoding them over any starting
+        // config yields the encoded one.
+        let cfg = build_config(bits, granularity);
+        let mut back = build_config(start_bits, start_granularity);
+        for (name, value) in config_options(&cfg) {
+            apply_option(&mut back, name, &value)
+                .map_err(|e| TestCaseError::fail(format!("own option {name}={value} rejected: {e}")))?;
+        }
+        prop_assert_eq!(back, cfg);
+    }
+
     #[test]
     fn json_serialize_parse_is_identity(ops in vec(any::<u8>(), 0..256)) {
         let v = build_json(&mut ops.into_iter(), 0);

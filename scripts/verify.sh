@@ -16,10 +16,10 @@
 #   5. fault-injection smoke: a seeded e9fault campaign (520 structured
 #      mutants across the ELF and wire surfaces) must complete with zero
 #      panics; failures print an E9FAULT_SEED replay line
-#   6. --jobs determinism: a run without --jobs and a --jobs 4 run must
-#      produce byte-identical patched binaries (--jobs only sizes the
-#      input-hashing thread pool), and a cache filled by a --jobs 2 run
-#      must serve a later plain run a hit byte-identical to a cold rewrite
+#   6. cross-path cache hit: a cache directory filled by an e9patchd
+#      session must serve a later in-process `e9tool patch --cache-dir`
+#      a hit, byte-identical to a --no-cache rewrite (and to the daemon's
+#      own reply)
 #   7. rewrite cache: patching twice with --cache-dir must report a miss
 #      then a hit with byte-identical output, a tiny input through a
 #      default-threshold cache must report a bypass, --no-cache must skip
@@ -45,9 +45,8 @@
 #  10. hook smoke: `e9tool hook --func 'f*' --call-original` must leave
 #      program stdout byte-identical under e9vm while every counter
 #      fires (the payload side effect), hook output must be
-#      byte-identical with and without --jobs and through a live
-#      daemon, and a run without --call-original must also preserve
-#      stdout
+#      byte-identical through a live daemon, and a run without
+#      --call-original must also preserve stdout
 #  11. flake gate: the suites that race on process-global state or live
 #      daemons (e9cache failpoints, e9proto reactor_daemon and
 #      cache_daemon) each rerun 5 times; any failure fails the gate
@@ -107,23 +106,25 @@ echo "backend output byte-identical to in-process: ok"
 echo "== fault-injection smoke (E9FAULT_SEED=${E9FAULT_SEED:-42}) =="
 target/release/e9fault --seed "${E9FAULT_SEED:-42}" --elf-cases 320 --wire-cases 200
 
-echo "== --jobs determinism (no --jobs vs --jobs 4, cross-jobs cache hit) =="
-"${e9tool[@]}" patch "$tmp/a.elf" -o "$tmp/a.j4.e9" --app a1 --verify --jobs 4
-cmp "$tmp/a.e9" "$tmp/a.j4.e9"
+echo "== cross-path cache hit (daemon fills, in-process hits) =="
 "${e9tool[@]}" gen --profile perlbench --scale 200 -o "$tmp/p.elf"
-"${e9tool[@]}" patch "$tmp/p.elf" -o "$tmp/p.seq.e9" --app a1 --no-cache
-"${e9tool[@]}" patch "$tmp/p.elf" -o "$tmp/p.j4.e9" --app a1 --no-cache --jobs 4
-cmp "$tmp/p.seq.e9" "$tmp/p.j4.e9"
-# The cache key ignores --jobs, so a cache filled by a --jobs run must
-# hand a later plain run the bytes a cold sequential rewrite produces.
-"${e9tool[@]}" patch "$tmp/p.elf" -o "$tmp/p.fill.e9" --app a1 --jobs 2 \
-  --cache-dir "$tmp/cache-jobs" --cache-bypass-bytes 0 | tee "$tmp/j1.log"
-grep -q "cache: miss" "$tmp/j1.log" || { echo "--jobs 2 fill run did not miss" >&2; exit 1; }
+"${e9tool[@]}" patch "$tmp/p.elf" -o "$tmp/p.cold.e9" --app a1 --no-cache
+xsock="$tmp/e9.cross.sock"
+target/release/e9patchd --socket "$xsock" --max-conns 1 \
+  --cache-dir "$tmp/cache-cross" --cache-bypass-bytes 0 &
+xpid=$!
+wait_for_socket "$xsock" "cache-filling daemon"
+"${e9tool[@]}" patch "$tmp/p.elf" -o "$tmp/p.fill.e9" --app a1 --backend "$xsock" \
+  | tee "$tmp/x1.log"
+wait "$xpid"
+grep -q "cache: miss" "$tmp/x1.log" || { echo "daemon fill run did not miss" >&2; exit 1; }
 "${e9tool[@]}" patch "$tmp/p.elf" -o "$tmp/p.hit.e9" --app a1 \
-  --cache-dir "$tmp/cache-jobs" --cache-bypass-bytes 0 | tee "$tmp/j2.log"
-grep -q "cache: hit" "$tmp/j2.log" || { echo "plain run did not hit the --jobs cache" >&2; exit 1; }
-cmp "$tmp/p.seq.e9" "$tmp/p.hit.e9"
-echo "output and cache hits byte-identical across --jobs: ok"
+  --cache-dir "$tmp/cache-cross" --cache-bypass-bytes 0 | tee "$tmp/x2.log"
+grep -q "cache: hit" "$tmp/x2.log" \
+  || { echo "in-process run did not hit the daemon-filled cache" >&2; exit 1; }
+cmp "$tmp/p.cold.e9" "$tmp/p.hit.e9"
+cmp "$tmp/p.cold.e9" "$tmp/p.fill.e9"
+echo "daemon-filled cache serves in-process hits byte-identically: ok"
 
 echo "== rewrite cache (cold store, warm hit, byte-identical) =="
 cdir="$tmp/cache"
@@ -271,12 +272,8 @@ grep -E "^hook +[0-9]+ .* calls [1-9]" "$tmp/h.co.counters" >/dev/null \
 "${e9tool[@]}" hook "$tmp/h.elf" -o "$tmp/h.plain.hk" --func 'f*'
 "${e9tool[@]}" run "$tmp/h.plain.hk" >"$tmp/h.plain.out" 2>/dev/null
 cmp "$tmp/h.orig.out" "$tmp/h.plain.out"
-# Hook output does not depend on --jobs (like stage 6)…
-"${e9tool[@]}" hook "$tmp/h.elf" -o "$tmp/h.j1.hk" --func 'f*' --call-original --jobs 1
-"${e9tool[@]}" hook "$tmp/h.elf" -o "$tmp/h.j4.hk" --func 'f*' --call-original --jobs 4
-cmp "$tmp/h.co.hk" "$tmp/h.j1.hk"
-cmp "$tmp/h.co.hk" "$tmp/h.j4.hk"
-# …and through a live daemon serving the hook wire command.
+# Hook output is byte-identical through a live daemon serving the hook
+# wire command.
 hsock="$tmp/e9.hook.sock"
 target/release/e9patchd --socket "$hsock" --max-conns 1 &
 hpid=$!
@@ -285,7 +282,7 @@ wait_for_socket "$hsock" "hook daemon"
   --backend "$hsock"
 wait "$hpid"
 cmp "$tmp/h.co.hk" "$tmp/h.wire.hk"
-echo "hooked stdout identical, counters fired, jobs/daemon byte-identical: ok"
+echo "hooked stdout identical, counters fired, daemon byte-identical: ok"
 
 echo "== flake gate: failpoint and daemon suites, 5 reruns each =="
 for suite in "e9cache failpoints" "e9proto reactor_daemon" "e9proto cache_daemon"; do
