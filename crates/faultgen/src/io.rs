@@ -33,6 +33,7 @@
 
 use crate::Outcome;
 use e9cache::{Cache, CacheConfig};
+use e9proto::cachekey::Job;
 use e9proto::reactor::{serve_reactor, Listener};
 use e9proto::server::ServeConfig;
 use e9proto::{ClientError, ProtoClient};
@@ -56,25 +57,38 @@ fn variant_binary(i: u8) -> (Vec<u8>, Vec<u8>) {
     (b.build(), code)
 }
 
-/// Drive one full rewrite job (version → binary → instructions → patch
-/// → emit) over `client`, returning the emitted binary.
+/// Drive one full rewrite job (version → options → binary →
+/// instructions → patch → emit) over `client`, returning the emitted
+/// binary. Everything before `emit` goes through the client's in-flight
+/// window in one [`ProtoClient::stream`], as e9front streams a job, so
+/// client-side faults fire mid-window.
 fn drive_job(client: &mut ProtoClient, bin: &[u8], code: &[u8]) -> Result<Vec<u8>, ClientError> {
-    client.negotiate()?;
-    client.binary(bin)?;
-    for insn in &e9x86::decode::linear_sweep(code, 0x401000) {
-        client.instruction(insn.addr, insn.bytes())?;
-    }
-    client.patch(0x401000, e9patch::Template::Empty)?;
+    let job = Job {
+        binary: bin,
+        disasm: &e9x86::decode::linear_sweep(code, 0x401000),
+        requests: &[e9patch::PatchRequest {
+            addr: 0x401000,
+            template: e9patch::Template::Empty,
+        }],
+        extra: &[],
+        config: e9patch::RewriteConfig::default(),
+    };
+    client.stream(job.commands())?;
     Ok(client.emit()?.binary)
 }
 
 /// The fault-free expected output for variant `i`, computed through an
 /// in-process loopback (no cache attached, so `cache.disk.*` failpoint
-/// specs cannot touch it even while active).
+/// specs cannot touch it even while active). The session ends with
+/// `shutdown`, whose reply is the server thread's last act: a thread
+/// still looping after the client's drop could otherwise take a
+/// `proto.server.*` fault armed right after this returns.
 fn expected_output(i: u8) -> Option<Vec<u8>> {
     let (bin, code) = variant_binary(i);
     let mut client = ProtoClient::in_process().ok()?;
-    drive_job(&mut client, &bin, &code).ok()
+    let out = drive_job(&mut client, &bin, &code).ok()?;
+    client.shutdown().ok()?;
+    Some(out)
 }
 
 /// Scenario A: a reactor daemon with a disk-backed cache whose CAS
@@ -182,24 +196,6 @@ fn disk_cache_case(rng: &mut StdRng, root: &Path) -> Option<Outcome> {
     Some(judge(ok, injected))
 }
 
-/// Retry `f` once if (and only if) it failed with a transport-level
-/// I/O error, counting the error. Sound only for faults injected
-/// *before* the request is written: nothing was sent, so a clean resend
-/// cannot desync request/reply ids.
-fn once_retried<F>(client: &mut ProtoClient, io_errors: &mut u32, mut f: F) -> bool
-where
-    F: FnMut(&mut ProtoClient) -> Result<(), ClientError>,
-{
-    match f(client) {
-        Ok(()) => true,
-        Err(ClientError::Io(_)) => {
-            *io_errors += 1;
-            f(client).is_ok()
-        }
-        Err(_) => false,
-    }
-}
-
 /// Scenario B: protocol-client transport faults over an in-process
 /// loopback. EINTR storms are absorbed inside the client; hard EIO is a
 /// typed error after which the *same* client still completes the job.
@@ -219,45 +215,23 @@ fn client_transport_case(rng: &mut StdRng) -> Option<Outcome> {
             let mut client = ProtoClient::in_process().ok()?;
             matches!(drive_job(&mut client, &bin, &code), Ok(got) if got == expected)
         }
-        // One hard EIO on the write side: exactly one operation fails
-        // with a typed error; resending that request completes the job
-        // byte-identically. (Write-side only: the fault fires before any
-        // bytes move, so the resend cannot desync ids. A failed *read*
-        // strands the reply in the stream — reconnecting, not resending,
-        // is the recovery there, which mode 2 covers as a typed error.)
+        // One hard EIO on the write side: the job's first window fails
+        // with a typed error, and resending the job on the same client
+        // completes it byte-identically. (Write-side only: the fault
+        // fires before any bytes move, and the tiny job's inputs fit one
+        // window, so nothing reached the server and the resend cannot
+        // desync ids. A failed *read* strands the reply in the stream —
+        // reconnecting, not resending, is the recovery there, which mode
+        // 2 covers as a typed error.)
         1 => {
             let spec = "proto.client.write=eio@once".to_string();
             let _guard = e9failpt::activate_scoped(&spec, rng.next_u64()).ok()?;
             let mut client = ProtoClient::in_process().ok()?;
-            let mut io_errors = 0u32;
-            let mut ok = once_retried(&mut client, &mut io_errors, |c| c.negotiate())
-                && once_retried(&mut client, &mut io_errors, |c| c.binary(&bin));
-            if ok {
-                for insn in &e9x86::decode::linear_sweep(&code, 0x401000) {
-                    ok &= once_retried(&mut client, &mut io_errors, |c| {
-                        c.instruction(insn.addr, insn.bytes())
-                    });
-                    if !ok {
-                        break;
-                    }
-                }
-            }
-            ok = ok
-                && once_retried(&mut client, &mut io_errors, |c| {
-                    c.patch(0x401000, e9patch::Template::Empty)
-                });
-            if ok {
-                let got = match client.emit() {
-                    Ok(r) => Some(r.binary),
-                    Err(ClientError::Io(_)) => {
-                        io_errors += 1;
-                        client.emit().ok().map(|r| r.binary)
-                    }
-                    Err(_) => None,
-                };
-                ok = got.as_deref() == Some(&expected[..]);
-            }
-            ok && io_errors <= 1
+            let got = match drive_job(&mut client, &bin, &code) {
+                Err(ClientError::Io(_)) => drive_job(&mut client, &bin, &code),
+                first => first,
+            };
+            matches!(got, Ok(got) if got == expected)
         }
         // An interrupt storm past the retry budget: the client gives up
         // with a *typed* Interrupted error, not a hang and not a panic.

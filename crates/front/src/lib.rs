@@ -352,13 +352,7 @@ pub fn execute(
         Exec::Local => None,
         Exec::Cached(cache) => Some(cache),
         Exec::Backend(client) => {
-            send_job_inputs(client, job.binary, job.disasm, &job.config)?;
-            for seg in job.extra {
-                client.reserve(seg)?;
-            }
-            for r in job.requests {
-                client.patch(r.addr, r.template.clone())?;
-            }
+            client.stream(job.commands())?;
             return Ok(finish(client.emit()?));
         }
     };
@@ -459,30 +453,6 @@ pub fn instrument_via_backend(
 /// Rewriting failures.
 pub fn run_job(job: &Job) -> Result<RewriteOutput, FrontError> {
     execute(job, Exec::Local).map(|(out, _)| out)
-}
-
-/// Stream a job's shared inputs — protocol handshake, rewriter options,
-/// binary (with its pre-computed tree digest) and disassembly info — to a
-/// backend. Patch-batch delivery is the caller's: explicit
-/// `reserve`/`patch` streaming ([`execute`]) or server-side planning
-/// (the `hook` command, [`hook_on`]).
-fn send_job_inputs(
-    client: &mut e9proto::ProtoClient,
-    binary: &[u8],
-    disasm: &[Insn],
-    cfg: &RewriteConfig,
-) -> Result<(), FrontError> {
-    client.negotiate()?;
-    client.configure(cfg)?;
-    // Digest-once: hash the input here, send it alongside the bytes, and
-    // the server verifies it at intake instead of re-hashing at every
-    // emit.
-    let bin_digest = e9cache::tree::tree_digest(binary, 1);
-    client.binary_with_digest(binary, &bin_digest)?;
-    for i in disasm {
-        client.instruction(i.addr, i.bytes())?;
-    }
-    Ok(())
 }
 
 /// Select sites and build the payload runtime for `binary`, without
@@ -660,7 +630,15 @@ pub fn hook_on(
     exec: Exec,
 ) -> Result<Hooked, FrontError> {
     if let Exec::Backend(client) = exec {
-        send_job_inputs(client, binary, disasm, &config)?;
+        // The job's inputs without a batch: the server plans that.
+        let inputs = Job {
+            binary,
+            disasm,
+            requests: &[],
+            extra: &[],
+            config,
+        };
+        client.stream(inputs.commands())?;
         let planned = client.hook(spec)?;
         let (rewrite, cache) = finish(client.emit()?);
         return Ok(Hooked {

@@ -54,8 +54,8 @@
 //! key material.
 
 use crate::json::Json;
-use crate::msg::{alloc_name, code, CacheDisposition, Command, EmitReply, RpcError,
-                 PROTOCOL_VERSION};
+use crate::msg::{alloc_name, code, config_options, CacheDisposition, Command, EmitReply,
+                 RpcError, PROTOCOL_VERSION};
 use e9cache::{Cache, Digest, Entry, Hit, Sha256};
 use e9patch::{ExtraSegment, PatchRequest, RewriteConfig, Rewriter};
 use e9x86::insn::Insn;
@@ -160,6 +160,49 @@ pub struct Job<'a> {
     pub extra: &'a [ExtraSegment],
     /// Rewriter configuration.
     pub config: RewriteConfig,
+}
+
+impl Job<'_> {
+    /// The requests that stream this job to a backend, in wire order:
+    /// `version`, the `option` pairs of [`config_options`], `binary` with
+    /// its tree digest (hashed here once, so the server verifies it at
+    /// intake instead of hashing at every `emit`), every `instruction`,
+    /// then the `reserve` and `patch` batch. `emit` is the caller's.
+    pub fn commands(&self) -> impl Iterator<Item = Command> + '_ {
+        let version = Command::Version {
+            version: PROTOCOL_VERSION,
+        };
+        let options = config_options(&self.config).into_iter().map(|(name, value)| {
+            Command::Option {
+                name: name.to_string(),
+                value,
+            }
+        });
+        let binary = Command::Binary {
+            bytes: self.binary.to_vec(),
+            digest: Some(e9cache::tree::tree_digest(self.binary, 1)),
+        };
+        let insns = self.disasm.iter().map(|i| Command::Instruction {
+            addr: i.addr,
+            bytes: i.bytes().to_vec(),
+        });
+        let reserves = self.extra.iter().map(|seg| Command::Reserve {
+            vaddr: seg.vaddr,
+            bytes: seg.bytes.clone(),
+            exec: seg.exec,
+            write: seg.write,
+        });
+        let patches = self.requests.iter().map(|r| Command::Patch {
+            addr: r.addr,
+            template: r.template.clone(),
+        });
+        std::iter::once(version)
+            .chain(options)
+            .chain([binary])
+            .chain(insns)
+            .chain(reserves)
+            .chain(patches)
+    }
 }
 
 /// Why [`cached_rewrite`] produced no output.

@@ -12,14 +12,29 @@
 //!   pair. Full wire fidelity (every byte crosses the serializer, parser
 //!   and session state machine) without process management; used by tests
 //!   and benchmarks.
+//!
+//! Every request goes through one send path, [`ProtoClient::stream`]:
+//! requests are batched into one write per window of at most
+//! [`WINDOW_BYTES`] in flight, and replies are read in FIFO order, each
+//! matched to its request id. A backend buffers patches until `emit`
+//! (paper §6), so when a request travels cannot change the output; the
+//! wire transcript is the same as one call at a time. [`ProtoClient::call`]
+//! is the one-request case.
 
 use crate::json;
-use crate::msg::{config_options, CacheAction, CacheStatsReply, Command, EmitReply, HealthReply,
-                 HookReply, Request, Response, RpcError, PROTOCOL_VERSION};
+use crate::msg::{CacheAction, CacheStatsReply, Command, EmitReply, HealthReply, HookReply,
+                 Request, Response, RpcError, PROTOCOL_VERSION};
 use e9failpt::retry::{retry_interrupted, with_backoff, Backoff, EINTR_BUDGET};
-use e9patch::{ExtraSegment, RewriteConfig, Template};
+use std::collections::VecDeque;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::path::PathBuf;
+
+/// Request bytes a [`ProtoClient`] keeps in flight: sent, reply not yet
+/// read. It stays below the 64 KiB capacity of a Linux pipe, so the
+/// requests a server has not read yet always fit in its input pipe: the
+/// client's write can never block against a server that is itself
+/// blocked writing replies, and the stdio transport cannot deadlock.
+pub const WINDOW_BYTES: usize = 32 * 1024;
 
 /// A client-side protocol failure.
 #[derive(Debug)]
@@ -115,7 +130,12 @@ impl ProtoClient {
     #[cfg(unix)]
     pub fn connect_unix(path: &std::path::Path) -> Result<ProtoClient, ClientError> {
         e9failpt::fail_io("proto.client.connect")?;
-        let stream = std::os::unix::net::UnixStream::connect(path)?;
+        ProtoClient::over(std::os::unix::net::UnixStream::connect(path)?)
+    }
+
+    /// A client over a connected Unix stream.
+    #[cfg(unix)]
+    fn over(stream: std::os::unix::net::UnixStream) -> Result<ProtoClient, ClientError> {
         let writer = stream.try_clone()?;
         Ok(ProtoClient {
             reader: BufReader::new(Box::new(stream)),
@@ -185,6 +205,13 @@ impl ProtoClient {
     /// Socket-pair creation failures.
     #[cfg(unix)]
     pub fn in_process() -> Result<ProtoClient, ClientError> {
+        ProtoClient::loopback(crate::server::ServeConfig::default())
+    }
+
+    /// [`ProtoClient::in_process`] with the server thread serving under
+    /// `config`.
+    #[cfg(unix)]
+    fn loopback(config: crate::server::ServeConfig) -> Result<ProtoClient, ClientError> {
         let (ours, theirs) = std::os::unix::net::UnixStream::pair()?;
         std::thread::spawn(move || {
             let mut writer = match theirs.try_clone() {
@@ -192,42 +219,133 @@ impl ProtoClient {
                 Err(_) => return,
             };
             let mut reader = BufReader::new(theirs);
-            let _ = crate::server::serve_connection(&mut reader, &mut writer);
+            let _ = crate::server::serve_connection_with(&mut reader, &mut writer, &config);
         });
-        let writer = ours.try_clone()?;
-        Ok(ProtoClient {
-            reader: BufReader::new(Box::new(ours)),
-            writer: Box::new(writer),
-            transport: Transport::Stream,
-            next_id: 0,
-        })
+        ProtoClient::over(ours)
     }
 
-    /// One request/response round trip.
+    /// One request/response round trip: [`ProtoClient::stream`] with one
+    /// command.
+    ///
+    /// # Errors
+    ///
+    /// As [`ProtoClient::stream`].
+    pub fn call(&mut self, cmd: Command) -> Result<json::Json, ClientError> {
+        self.stream([cmd])
+    }
+
+    /// Send `cmds` in order through the in-flight window and read every
+    /// reply; returns the last reply's result (`null` for no commands).
+    ///
+    /// Requests are batched and go out in one write when the next one
+    /// would push the request bytes in flight (sent, reply unread) past
+    /// [`WINDOW_BYTES`]. Replies are then read in FIFO order, each matched
+    /// to its request's id, until half the window is free again, or all
+    /// of it when the next request needs more: a request larger than the
+    /// window (a `binary` upload) goes out alone once the window has
+    /// drained.
+    ///
+    /// Errors are those of one call at a time: the first failing request
+    /// in request order is the one reported, nothing is sent after its
+    /// reply is read, and the replies still in flight behind it are
+    /// drained, so the connection stays usable after an in-band error.
+    /// Unlike one call at a time, the requests already in the window
+    /// behind the failing one may have reached the server, which may
+    /// have applied them.
     ///
     /// # Errors
     ///
     /// Transport failures, unparsable responses, id mismatches, or an
     /// in-band [`RpcError`] from the server.
-    pub fn call(&mut self, cmd: Command) -> Result<json::Json, ClientError> {
-        self.next_id += 1;
-        let req = Request {
-            id: self.next_id,
-            cmd,
-        };
-        let text = req.encode();
+    pub fn stream<I>(&mut self, cmds: I) -> Result<json::Json, ClientError>
+    where
+        I: IntoIterator<Item = Command>,
+    {
+        let mut batch = Vec::new();
+        // (id, line length) of every request sent or batched whose reply
+        // is unread, oldest first, and the sum of the lengths.
+        let mut in_flight = VecDeque::new();
+        let mut bytes = 0;
+        let mut last = json::Json::Null;
+        for cmd in cmds {
+            self.next_id += 1;
+            let mut line = Request {
+                id: self.next_id,
+                cmd,
+            }
+            .encode()
+            .into_bytes();
+            line.push(b'\n');
+            if bytes + line.len() > WINDOW_BYTES && !in_flight.is_empty() {
+                self.send(&mut batch, &in_flight)?;
+                let room = (WINDOW_BYTES / 2).min(WINDOW_BYTES.saturating_sub(line.len()));
+                while bytes > room {
+                    let (id, len) = in_flight.pop_front().expect("bytes in flight");
+                    last = self.reply_in_window(id, &mut in_flight)?;
+                    bytes -= len;
+                }
+            }
+            bytes += line.len();
+            in_flight.push_back((self.next_id, line.len()));
+            batch.extend_from_slice(&line);
+        }
+        self.send(&mut batch, &in_flight)?;
+        while let Some((id, _)) = in_flight.pop_front() {
+            last = self.reply_in_window(id, &mut in_flight)?;
+        }
+        Ok(last)
+    }
+
+    /// Write `batch` in one write and empty it. `in_flight` lists every
+    /// request sent or batched whose reply is unread; a failed write
+    /// looks through their replies (see
+    /// [`reply_for_failed_write`](Self::reply_for_failed_write)).
+    fn send(
+        &mut self,
+        batch: &mut Vec<u8>,
+        in_flight: &VecDeque<(u64, usize)>,
+    ) -> Result<(), ClientError> {
+        if batch.is_empty() {
+            return Ok(());
+        }
         // Injection points fire *before* any bytes move, so a retried
         // interrupt can never send half a request or splice two reads;
         // real mid-stream EINTR is already absorbed inside
         // `write_all`/`read_line`.
-        if let Err(err) = retry_interrupted(EINTR_BUDGET, || {
+        let sent = retry_interrupted(EINTR_BUDGET, || {
             e9failpt::fail_io("proto.client.write")?;
-            self.writer.write_all(text.as_bytes())?;
-            self.writer.write_all(b"\n")?;
+            self.writer.write_all(batch)?;
             self.writer.flush()
-        }) {
-            return Err(self.reply_for_failed_write(err));
+        });
+        batch.clear();
+        sent.map_err(|err| self.reply_for_failed_write(err, in_flight.iter().map(|&(id, _)| id)))
+    }
+
+    /// The reply to request `id`, the oldest in flight. After an in-band
+    /// error, first drain the replies to the requests `behind` it (all of
+    /// them sent), so the next request's reply is the next one read.
+    fn reply_in_window(
+        &mut self,
+        id: u64,
+        behind: &mut VecDeque<(u64, usize)>,
+    ) -> Result<json::Json, ClientError> {
+        let reply = self.read_reply(id);
+        if let Err(ClientError::Rpc(_)) = reply {
+            for (id, _) in behind.drain(..) {
+                if let Err(ClientError::Io(_) | ClientError::Protocol(_)) = self.read_reply(id) {
+                    break;
+                }
+            }
         }
+        reply
+    }
+
+    /// Read the next reply line and check it answers request `id`; every
+    /// reply passes here. End of stream is a [`ClientError::Protocol`].
+    /// A null-id error is a refusal made before any request was parsed
+    /// (an oversized line, BUSY shedding) and is the typed
+    /// [`ClientError::Rpc`]; any other id mismatch is `Protocol`.
+    fn read_reply(&mut self, id: u64) -> Result<json::Json, ClientError> {
         let mut line = String::new();
         let n = retry_interrupted(EINTR_BUDGET, || {
             e9failpt::fail_io("proto.client.read")?;
@@ -239,33 +357,34 @@ impl ProtoClient {
         let value = json::parse(line.trim().as_bytes())
             .map_err(|e| ClientError::Protocol(e.to_string()))?;
         let resp = Response::decode(&value).map_err(ClientError::Protocol)?;
-        if resp.id != Some(req.id) {
-            // Errors refused before parsing (oversized lines, BUSY load
-            // shedding) carry a null id; surface them as typed RPC
-            // errors, not a framing failure.
+        if resp.id != Some(id) {
             if resp.id.is_none() {
                 if let Err(e) = resp.body {
                     return Err(ClientError::Rpc(e));
                 }
             }
             return Err(ClientError::Protocol(format!(
-                "response id {:?} for request {}",
-                resp.id, req.id
+                "response id {:?} for request {id}",
+                resp.id
             )));
         }
         resp.body.map_err(ClientError::Rpc)
     }
 
-    /// A write that dies because the peer closed often races a typed
-    /// in-band refusal: the server answers (BUSY shedding, oversized
-    /// LIMIT) and closes the connection before our request lands, so the
-    /// send fails while the refusal sits unread in our receive buffer. A
-    /// closed peer can never block a read — buffered bytes drain, then
-    /// EOF (or the reset surfaces as an error) — so pull one line and
-    /// return the typed error instead of the raw transport failure.
-    /// Anything other than a null-id error reply keeps the original
-    /// error: only pre-parse refusals are ownerless by design.
-    fn reply_for_failed_write(&mut self, err: std::io::Error) -> ClientError {
+    /// A write that dies because the peer closed often races typed
+    /// in-band replies: the server answered (an error for a request in
+    /// flight, BUSY shedding, an oversized LIMIT) and closed before our
+    /// batch landed, so the send fails while those replies sit unread in
+    /// our receive buffer. A closed peer can never block a read —
+    /// buffered bytes drain, then EOF (or the reset surfaces as an
+    /// error) — so read the replies to `in_flight` in order and return
+    /// the first in-band error among them, the one a call at a time
+    /// would have met. If none turns up, the transport failure stands.
+    fn reply_for_failed_write(
+        &mut self,
+        err: io::Error,
+        in_flight: impl IntoIterator<Item = u64>,
+    ) -> ClientError {
         use std::io::ErrorKind;
         if !matches!(
             err.kind(),
@@ -273,24 +392,14 @@ impl ProtoClient {
         ) {
             return ClientError::Io(err);
         }
-        let mut line = String::new();
-        match self.reader.read_line(&mut line) {
-            Ok(n) if n > 0 => {}
-            _ => return ClientError::Io(err),
+        for id in in_flight {
+            match self.read_reply(id) {
+                Ok(_) => {}
+                Err(ClientError::Rpc(e)) => return ClientError::Rpc(e),
+                Err(_) => break,
+            }
         }
-        let Ok(value) = json::parse(line.trim().as_bytes()) else {
-            return ClientError::Io(err);
-        };
-        let Ok(resp) = Response::decode(&value) else {
-            return ClientError::Io(err);
-        };
-        match resp {
-            Response {
-                id: None,
-                body: Err(e),
-            } => ClientError::Rpc(e),
-            _ => ClientError::Io(err),
-        }
+        ClientError::Io(err)
     }
 
     /// Negotiate the protocol version (must be the first call).
@@ -302,94 +411,6 @@ impl ProtoClient {
         self.call(Command::Version {
             version: PROTOCOL_VERSION,
         })?;
-        Ok(())
-    }
-
-    /// Send the input binary.
-    ///
-    /// # Errors
-    ///
-    /// As [`ProtoClient::call`].
-    pub fn binary(&mut self, bytes: &[u8]) -> Result<(), ClientError> {
-        self.call(Command::Binary {
-            bytes: bytes.to_vec(),
-            digest: None,
-        })?;
-        Ok(())
-    }
-
-    /// Send the input binary together with its pre-computed tree digest.
-    /// The server verifies the digest once at intake and reuses it for
-    /// cache keying on every `emit`, so the input is hashed exactly once
-    /// end to end.
-    ///
-    /// # Errors
-    ///
-    /// As [`ProtoClient::call`] — a mismatched digest is rejected with
-    /// `INVALID_PARAMS`.
-    pub fn binary_with_digest(
-        &mut self,
-        bytes: &[u8],
-        digest: &e9cache::Digest,
-    ) -> Result<(), ClientError> {
-        self.call(Command::Binary {
-            bytes: bytes.to_vec(),
-            digest: Some(*digest),
-        })?;
-        Ok(())
-    }
-
-    /// Send `cfg` as its `option` commands, one per pair of
-    /// [`config_options`].
-    ///
-    /// # Errors
-    ///
-    /// As [`ProtoClient::call`].
-    pub fn configure(&mut self, cfg: &RewriteConfig) -> Result<(), ClientError> {
-        for (name, value) in config_options(cfg) {
-            self.call(Command::Option {
-                name: name.to_string(),
-                value,
-            })?;
-        }
-        Ok(())
-    }
-
-    /// Reserve an extra output segment.
-    ///
-    /// # Errors
-    ///
-    /// As [`ProtoClient::call`].
-    pub fn reserve(&mut self, seg: &ExtraSegment) -> Result<(), ClientError> {
-        self.call(Command::Reserve {
-            vaddr: seg.vaddr,
-            bytes: seg.bytes.clone(),
-            exec: seg.exec,
-            write: seg.write,
-        })?;
-        Ok(())
-    }
-
-    /// Declare one instruction of disassembly info.
-    ///
-    /// # Errors
-    ///
-    /// As [`ProtoClient::call`].
-    pub fn instruction(&mut self, addr: u64, bytes: &[u8]) -> Result<(), ClientError> {
-        self.call(Command::Instruction {
-            addr,
-            bytes: bytes.to_vec(),
-        })?;
-        Ok(())
-    }
-
-    /// Request a patch (buffered server-side until emit).
-    ///
-    /// # Errors
-    ///
-    /// As [`ProtoClient::call`].
-    pub fn patch(&mut self, addr: u64, template: Template) -> Result<(), ClientError> {
-        self.call(Command::Patch { addr, template })?;
         Ok(())
     }
 
@@ -502,13 +523,19 @@ pub fn default_daemon_path() -> PathBuf {
 #[cfg(all(test, unix))]
 mod tests {
     use super::*;
+    use e9patch::Template;
 
     #[test]
     fn in_process_loopback_negotiates_and_errors() {
         let mut c = ProtoClient::in_process().unwrap();
         c.negotiate().unwrap();
         // State violation travels back as a typed error.
-        let err = c.patch(0x401000, Template::Empty).unwrap_err();
+        let err = c
+            .call(Command::Patch {
+                addr: 0x401000,
+                template: Template::Empty,
+            })
+            .unwrap_err();
         match err {
             ClientError::Rpc(e) => assert_eq!(e.code, crate::msg::code::STATE),
             other => panic!("expected rpc error, got {other:?}"),
@@ -551,13 +578,7 @@ mod tests {
             w.write_all(&line).unwrap();
         }
         drop(theirs); // guarantee the client's write hits a closed peer
-        let writer = ours.try_clone().unwrap();
-        let mut c = ProtoClient {
-            reader: BufReader::new(Box::new(ours)),
-            writer: Box::new(writer),
-            transport: Transport::Stream,
-            next_id: 0,
-        };
+        let mut c = ProtoClient::over(ours).unwrap();
         match c.negotiate().unwrap_err() {
             ClientError::Rpc(e) => assert_eq!(e.code, crate::msg::code::BUSY),
             other => panic!("expected typed BUSY, got {other:?}"),
@@ -566,6 +587,194 @@ mod tests {
         match c.negotiate().unwrap_err() {
             ClientError::Io(e) => assert_eq!(e.kind(), std::io::ErrorKind::BrokenPipe),
             other => panic!("expected io error, got {other:?}"),
+        }
+    }
+
+    use crate::msg::code;
+    use std::os::unix::net::UnixStream;
+    use std::thread::JoinHandle;
+
+    /// `n` one-byte `instruction` requests: enough for several windows.
+    fn nops(n: u64) -> impl Iterator<Item = Command> {
+        (0..n).map(|i| Command::Instruction {
+            addr: 0x401000 + i,
+            bytes: vec![0x90],
+        })
+    }
+
+    /// A client whose peer is `script`, run on its own thread over the
+    /// other end of a socket pair.
+    fn scripted<T: Send + 'static>(
+        script: impl FnOnce(BufReader<UnixStream>, UnixStream) -> T + Send + 'static,
+    ) -> (ProtoClient, JoinHandle<T>) {
+        let (ours, theirs) = UnixStream::pair().unwrap();
+        let writer = theirs.try_clone().unwrap();
+        let peer = std::thread::spawn(move || script(BufReader::new(theirs), writer));
+        (ProtoClient::over(ours).unwrap(), peer)
+    }
+
+    /// The next request line from the client, `None` at end of stream.
+    fn next_request(r: &mut BufReader<UnixStream>) -> Option<(Request, usize)> {
+        let mut line = String::new();
+        match r.read_line(&mut line).unwrap() {
+            0 => None,
+            n => Some((Request::decode(&json::parse(line.trim().as_bytes()).unwrap()).unwrap(), n)),
+        }
+    }
+
+    fn answer(w: &mut UnixStream, resp: &Response) {
+        let mut line = resp.encode().into_bytes();
+        line.push(b'\n');
+        w.write_all(&line).unwrap();
+    }
+
+    fn busy() -> Response {
+        Response::err(None, RpcError::new(code::BUSY, "server over capacity"))
+    }
+
+    /// An in-band error on the k-th request of a window is reported for
+    /// that request, not for a later failing one; nothing is sent after
+    /// it, and the replies in flight are drained so the connection stays
+    /// in step.
+    #[test]
+    fn window_reports_the_first_error_and_sends_nothing_after_it() {
+        const K: u64 = 10;
+        let (mut c, peer) = scripted(|mut r, mut w| {
+            let mut ids = Vec::new();
+            while let Some((req, _)) = next_request(&mut r) {
+                ids.push(req.id);
+                let resp = match req.cmd {
+                    // Every instruction from the k-th on is refused.
+                    Command::Instruction { .. } if req.id >= K => Response::err(
+                        Some(req.id),
+                        RpcError::new(code::STATE, format!("refused request {}", req.id)),
+                    ),
+                    _ => Response::ok(req.id, json::Json::Null),
+                };
+                answer(&mut w, &resp);
+            }
+            ids
+        });
+        match c.stream(nops(2000)).unwrap_err() {
+            ClientError::Rpc(e) => assert_eq!(e.message, format!("refused request {K}")),
+            other => panic!("expected the k-th request's error, got {other:?}"),
+        }
+        // The replies in flight were drained: the next call's reply is
+        // its own.
+        c.call(Command::Health).unwrap();
+        let health_id = c.next_id;
+        drop(c);
+        let ids = peer.join().unwrap();
+        let (last, window) = ids.split_last().unwrap();
+        assert_eq!(*last, health_id);
+        // Only the first window went out, in order.
+        assert!(window.len() as u64 >= K && window.len() < 2000, "{} sent", window.len());
+        assert!(window.iter().copied().eq(1..=window.len() as u64));
+    }
+
+    /// The same rule against a real session: a quota refusal mid-window
+    /// is the typed LIMIT error, and the session answers the next call.
+    #[test]
+    fn quota_refusal_mid_window_is_typed_and_the_session_stays_usable() {
+        let config = crate::server::ServeConfig {
+            limits: crate::session::SessionLimits {
+                max_insns: 50,
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        let mut b = e9elf::build::ElfBuilder::exec(0x400000);
+        b.text(vec![0x90; 1000], 0x401000);
+        b.entry(0x401000);
+        let mut c = ProtoClient::loopback(config).unwrap();
+        let head = [
+            Command::Version {
+                version: PROTOCOL_VERSION,
+            },
+            Command::Binary {
+                bytes: b.build(),
+                digest: None,
+            },
+        ];
+        match c.stream(head.into_iter().chain(nops(1000))).unwrap_err() {
+            ClientError::Rpc(e) => assert_eq!(e.code, code::LIMIT, "{e}"),
+            other => panic!("expected LIMIT, got {other:?}"),
+        }
+        assert_eq!(c.health().unwrap().serving_mode, "in-process");
+    }
+
+    /// A null-id BUSY in the middle of a window is the typed refusal.
+    #[test]
+    fn null_id_busy_mid_window_is_typed() {
+        let (mut c, peer) = scripted(|mut r, mut w| {
+            while let Some((req, _)) = next_request(&mut r) {
+                let resp = if req.id == 7 { busy() } else { Response::ok(req.id, json::Json::Null) };
+                answer(&mut w, &resp);
+            }
+        });
+        match c.stream(nops(2000)).unwrap_err() {
+            ClientError::Rpc(e) => assert_eq!(e.code, code::BUSY),
+            other => panic!("expected typed BUSY, got {other:?}"),
+        }
+        c.call(Command::Health).unwrap();
+        drop(c);
+        peer.join().unwrap();
+    }
+
+    /// Replies are matched to ids in FIFO order; a reply out of order is
+    /// a protocol failure, not a silent mismatch.
+    #[test]
+    fn out_of_order_reply_is_a_protocol_error() {
+        let (mut c, peer) = scripted(|mut r, mut w| {
+            let (first, _) = next_request(&mut r).unwrap();
+            let (second, _) = next_request(&mut r).unwrap();
+            answer(&mut w, &Response::ok(second.id, json::Json::Null));
+            answer(&mut w, &Response::ok(first.id, json::Json::Null));
+        });
+        match c.stream(nops(2)).unwrap_err() {
+            ClientError::Protocol(m) => assert!(m.contains("for request 1"), "{m}"),
+            other => panic!("expected a protocol error, got {other:?}"),
+        }
+        peer.join().unwrap();
+    }
+
+    /// A peer that reads three quarters of the first window, stops
+    /// reading, answers what it read and closes. The client's next
+    /// window write fails, and the failure surfaces through
+    /// `reply_for_failed_write`: the refusal the peer left behind when it
+    /// leaves one, the transport error when it does not.
+    #[test]
+    fn peer_closing_mid_window_surfaces_through_the_failed_write() {
+        for refuse in [false, true] {
+            let (mut c, peer) = scripted(move |mut r, mut w| {
+                let mut ids = Vec::new();
+                let mut read = 0;
+                while read < WINDOW_BYTES * 3 / 4 {
+                    let (req, n) = next_request(&mut r).unwrap();
+                    ids.push(req.id);
+                    read += n;
+                }
+                // Every later client write now fails.
+                w.shutdown(std::net::Shutdown::Read).unwrap();
+                for id in ids {
+                    answer(&mut w, &Response::ok(id, json::Json::Null));
+                }
+                if refuse {
+                    answer(&mut w, &busy());
+                }
+            });
+            match (refuse, c.stream(nops(2000)).unwrap_err()) {
+                (true, ClientError::Rpc(e)) => assert_eq!(e.code, code::BUSY),
+                (false, ClientError::Io(e)) => assert!(
+                    matches!(
+                        e.kind(),
+                        io::ErrorKind::BrokenPipe | io::ErrorKind::ConnectionReset
+                    ),
+                    "{e}"
+                ),
+                (_, other) => panic!("refuse={refuse}: unexpected {other:?}"),
+            }
+            peer.join().unwrap();
         }
     }
 
@@ -582,12 +791,17 @@ mod tests {
         let disasm = e9x86::decode::linear_sweep(&code, 0x401000);
 
         let mut c = ProtoClient::in_process().unwrap();
-        c.negotiate().unwrap();
-        c.binary(&bin).unwrap();
-        for i in &disasm {
-            c.instruction(i.addr, i.bytes()).unwrap();
-        }
-        c.patch(0x401000, Template::Empty).unwrap();
+        let job = crate::cachekey::Job {
+            binary: &bin,
+            disasm: &disasm,
+            requests: &[e9patch::PatchRequest {
+                addr: 0x401000,
+                template: Template::Empty,
+            }],
+            extra: &[],
+            config: e9patch::RewriteConfig::default(),
+        };
+        c.stream(job.commands()).unwrap();
         let reply = c.emit().unwrap();
         assert_eq!(reply.stats.succeeded(), 1);
         c.shutdown().unwrap();

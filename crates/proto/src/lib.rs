@@ -25,7 +25,9 @@
 //!   admission control and graceful drain; it frames lines with the
 //!   same `e9loop::LineFramer` as stdio sessions, and its replies are
 //!   byte-identical to theirs;
-//! * [`client`] — the frontend side, used by `e9tool patch --backend`.
+//! * [`client`] — the frontend side, used by `e9tool patch --backend`;
+//!   it streams a job's requests through one bounded in-flight window
+//!   ([`client::WINDOW_BYTES`]) and matches replies to ids in order.
 //!
 //! The `e9patchd` binary wraps [`server`] and [`reactor`] as a standalone
 //! daemon.

@@ -65,11 +65,13 @@ pub mod code {
 
 /// Lowercase hex encoding for binary payloads.
 pub fn hex_encode(bytes: &[u8]) -> String {
-    let mut s = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        s.push_str(&format!("{b:02x}"));
+    const DIGITS: &[u8; 16] = b"0123456789abcdef";
+    let mut out = Vec::with_capacity(bytes.len() * 2);
+    for &b in bytes {
+        out.push(DIGITS[usize::from(b >> 4)]);
+        out.push(DIGITS[usize::from(b & 0xf)]);
     }
-    s
+    String::from_utf8(out).expect("hex digits are ASCII")
 }
 
 /// Inverse of [`hex_encode`]; accepts upper- and lowercase digits.
@@ -1629,6 +1631,16 @@ mod tests {
         assert_eq!(hex_decode("DEADbeef").unwrap(), vec![0xde, 0xad, 0xbe, 0xef]);
         assert!(hex_decode("abc").is_err());
         assert!(hex_decode("zz").is_err());
+    }
+
+    /// Wire bytes and cache-key material carry this encoding: every byte
+    /// value must encode exactly as the `format!("{b:02x}")` reference.
+    #[test]
+    fn hex_encode_matches_format_reference_for_every_byte() {
+        let all: Vec<u8> = (0..=255u8).collect();
+        let reference: String = all.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex_encode(&all), reference);
+        assert_eq!(hex_encode(&[]), "");
     }
 
     #[test]

@@ -5,8 +5,9 @@
 
 #![cfg(unix)]
 
-use e9patch::Template;
-use e9proto::{CacheDisposition, ProtoClient};
+use e9patch::{PatchRequest, RewriteConfig, Template};
+use e9proto::cachekey::Job;
+use e9proto::{CacheDisposition, Command, ProtoClient};
 
 fn daemon_path() -> &'static str {
     env!("CARGO_BIN_EXE_e9patchd")
@@ -30,17 +31,24 @@ fn drive(
     disasm: &[e9x86::insn::Insn],
     sites: &[u64],
 ) -> e9proto::EmitReply {
-    client.negotiate().unwrap();
-    // Exercise the digest-once wire path: pre-hash the input and let the
-    // server verify it at intake instead of re-hashing at emit.
-    let digest = e9cache::tree::tree_digest(bin, 1);
-    client.binary_with_digest(bin, &digest).unwrap();
-    for i in disasm {
-        client.instruction(i.addr, i.bytes()).unwrap();
-    }
-    for &addr in sites {
-        client.patch(addr, Template::Empty).unwrap();
-    }
+    let requests: Vec<PatchRequest> = sites
+        .iter()
+        .map(|&addr| PatchRequest {
+            addr,
+            template: Template::Empty,
+        })
+        .collect();
+    // `binary` carries the client's tree digest: the digest-once wire
+    // path, where the server verifies it at intake instead of re-hashing
+    // at emit.
+    let job = Job {
+        binary: bin,
+        disasm,
+        requests: &requests,
+        extra: &[],
+        config: RewriteConfig::default(),
+    };
+    client.stream(job.commands()).unwrap();
     let reply = client.emit().unwrap();
     assert_eq!(reply.stats.failed, 0, "{:?}", reply.stats);
     reply
@@ -54,8 +62,12 @@ fn wrong_digest_is_rejected_over_the_wire() {
     let (bin, _, _) = workload();
     let mut client = ProtoClient::in_process().unwrap();
     client.negotiate().unwrap();
-    let wrong = e9cache::digest(b"not the binary");
-    let err = client.binary_with_digest(&bin, &wrong).unwrap_err();
+    let err = client
+        .call(Command::Binary {
+            bytes: bin,
+            digest: Some(e9cache::digest(b"not the binary")),
+        })
+        .unwrap_err();
     assert!(err.to_string().contains("digest mismatch"), "{err}");
 }
 

@@ -4,7 +4,8 @@
 //! bombs, random bytes — must come back as typed errors, never panics.
 
 use e9proto::json::{self, Json};
-use e9proto::msg::{apply_option, code, config_options, Command, Request, Response, RpcError};
+use e9proto::msg::{apply_option, code, config_options, hex_decode, hex_encode, Command, Request,
+                   Response, RpcError};
 use e9patch::planner::MAX_GRANULARITY;
 use e9patch::{AllocPolicy, RewriteConfig, Tactics, Template};
 use e9qcheck::prelude::*;
@@ -137,6 +138,15 @@ props! {
                 .map_err(|e| TestCaseError::fail(format!("own option {name}={value} rejected: {e}")))?;
         }
         prop_assert_eq!(back, cfg);
+    }
+
+    #[test]
+    fn hex_decode_inverts_hex_encode(bytes in vec(any::<u8>(), 0..512)) {
+        let text = hex_encode(&bytes);
+        prop_assert_eq!(text.len(), 2 * bytes.len());
+        let back = hex_decode(&text)
+            .map_err(|e| TestCaseError::fail(format!("own hex rejected: {e}")))?;
+        prop_assert_eq!(back, bytes);
     }
 
     #[test]

@@ -3,6 +3,7 @@
 //! to the in-process `Rewriter` fed the same inputs.
 
 use e9patch::{PatchRequest, RewriteConfig, Rewriter, Template};
+use e9proto::cachekey::Job;
 use e9proto::ProtoClient;
 
 fn daemon_path() -> &'static str {
@@ -36,30 +37,33 @@ fn workload() -> (Vec<u8>, Vec<e9x86::insn::Insn>, Vec<u64>) {
     (sb.binary, sb.disasm, sites)
 }
 
+fn requests(sites: &[u64]) -> Vec<PatchRequest> {
+    sites
+        .iter()
+        .map(|&addr| PatchRequest {
+            addr,
+            template: Template::Empty,
+        })
+        .collect()
+}
+
 fn drive(client: &mut ProtoClient, bin: &[u8], disasm: &[e9x86::insn::Insn], sites: &[u64]) -> Vec<u8> {
-    client.negotiate().unwrap();
-    client.binary(bin).unwrap();
-    for i in disasm {
-        client.instruction(i.addr, i.bytes()).unwrap();
-    }
-    for &addr in sites {
-        client.patch(addr, Template::Empty).unwrap();
-    }
+    let job = Job {
+        binary: bin,
+        disasm,
+        requests: &requests(sites),
+        extra: &[],
+        config: RewriteConfig::default(),
+    };
+    client.stream(job.commands()).unwrap();
     let reply = client.emit().unwrap();
     assert_eq!(reply.stats.failed, 0, "{:?}", reply.stats);
     reply.binary
 }
 
 fn reference(bin: &[u8], disasm: &[e9x86::insn::Insn], sites: &[u64]) -> Vec<u8> {
-    let requests: Vec<PatchRequest> = sites
-        .iter()
-        .map(|&addr| PatchRequest {
-            addr,
-            template: Template::Empty,
-        })
-        .collect();
     Rewriter::new(RewriteConfig::default())
-        .rewrite(bin, disasm, &requests, &[])
+        .rewrite(bin, disasm, &requests(sites), &[])
         .unwrap()
         .binary
 }
@@ -149,12 +153,14 @@ fn client_killed_mid_batch_does_not_poison_the_daemon() {
     // session preamble plus half of a patch request, then vanish.
     {
         let mut raw = ProtoClient::connect_unix_retry(&sock, 8).unwrap();
-        raw.negotiate().unwrap();
-        raw.binary(&bin).unwrap();
-        for i in &disasm {
-            raw.instruction(i.addr, i.bytes()).unwrap();
-        }
-        raw.patch(sites[0], Template::Empty).unwrap();
+        let job = Job {
+            binary: &bin,
+            disasm: &disasm,
+            requests: &requests(&sites[..1]),
+            extra: &[],
+            config: RewriteConfig::default(),
+        };
+        raw.stream(job.commands()).unwrap();
     }
     {
         // And once more at the byte level: half a request line, no newline,

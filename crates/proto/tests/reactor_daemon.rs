@@ -7,6 +7,7 @@
 
 use e9patch::{PatchRequest, RewriteConfig, Rewriter, Template};
 use e9proto::msg::{code, Command, Request};
+use e9proto::cachekey::Job;
 use e9proto::ProtoClient;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::os::unix::net::UnixStream;
@@ -123,16 +124,19 @@ fn read_lines<R: Read>(reader: &mut BufReader<R>, n: usize) -> Vec<String> {
     out
 }
 
-fn reference(bin: &[u8], disasm: &[e9x86::insn::Insn], sites: &[u64]) -> Vec<u8> {
-    let requests: Vec<PatchRequest> = sites
+fn requests(sites: &[u64]) -> Vec<PatchRequest> {
+    sites
         .iter()
         .map(|&addr| PatchRequest {
             addr,
             template: Template::Empty,
         })
-        .collect();
+        .collect()
+}
+
+fn reference(bin: &[u8], disasm: &[e9x86::insn::Insn], sites: &[u64]) -> Vec<u8> {
     Rewriter::new(RewriteConfig::default())
-        .rewrite(bin, disasm, &requests, &[])
+        .rewrite(bin, disasm, &requests(sites), &[])
         .unwrap()
         .binary
 }
@@ -295,14 +299,14 @@ fn tcp_transport_serves_a_full_job() {
 
     let (bin, disasm, sites) = workload();
     let mut client = ProtoClient::connect_tcp_retry(&addr, 8).unwrap();
-    client.negotiate().unwrap();
-    client.binary(&bin).unwrap();
-    for i in &disasm {
-        client.instruction(i.addr, i.bytes()).unwrap();
-    }
-    for &addr in &sites {
-        client.patch(addr, Template::Empty).unwrap();
-    }
+    let job = Job {
+        binary: &bin,
+        disasm: &disasm,
+        requests: &requests(&sites),
+        extra: &[],
+        config: RewriteConfig::default(),
+    };
+    client.stream(job.commands()).unwrap();
     let reply = client.emit().unwrap();
     assert_eq!(reply.binary, reference(&bin, &disasm, &sites));
     client.shutdown().unwrap();
@@ -332,14 +336,14 @@ fn drain_finishes_in_flight_emit_and_refuses_late_connections() {
     // Session A: everything but the emit.
     let (bin, disasm, sites) = workload();
     let mut a = ProtoClient::connect_unix_retry(&sock, 8).unwrap();
-    a.negotiate().unwrap();
-    a.binary(&bin).unwrap();
-    for i in &disasm {
-        a.instruction(i.addr, i.bytes()).unwrap();
-    }
-    for &addr in &sites {
-        a.patch(addr, Template::Empty).unwrap();
-    }
+    let job = Job {
+        binary: &bin,
+        disasm: &disasm,
+        requests: &requests(&sites),
+        extra: &[],
+        config: RewriteConfig::default(),
+    };
+    a.stream(job.commands()).unwrap();
 
     // Session B requests shutdown; the reactor enters drain.
     let mut b = ProtoClient::connect_unix_retry(&sock, 8).unwrap();

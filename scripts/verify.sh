@@ -12,7 +12,12 @@
 #      must produce byte-identical artifacts
 #   4. e9patchd smoke: a daemon on a temp Unix socket patches the same
 #      binary through the wire protocol, byte-identical to step 3's
-#      in-process output, and shuts down cleanly
+#      in-process output, and shuts down cleanly; then a large input
+#      (gcc at scale 50, whose replies overflow a pipe buffer many times
+#      over) is patched through `--backend stdio` and through a socket
+#      daemon, each under `timeout 120` and each byte-identical to the
+#      in-process output, so a client window that deadlocks or reorders
+#      fails the gate
 #   5. fault-injection smoke: a seeded e9fault campaign (520 structured
 #      mutants across the ELF and wire surfaces) must complete with zero
 #      panics; failures print an E9FAULT_SEED replay line
@@ -102,6 +107,20 @@ wait_for_socket "$sock" "daemon"
 wait "$daemon_pid"
 cmp "$tmp/a.e9" "$tmp/a.wire.e9"
 echo "backend output byte-identical to in-process: ok"
+"${e9tool[@]}" gen --profile gcc --scale 50 -o "$tmp/g.elf"
+"${e9tool[@]}" patch "$tmp/g.elf" -o "$tmp/g.e9" --app a1
+timeout 120 target/release/e9tool patch "$tmp/g.elf" -o "$tmp/g.stdio.e9" --app a1 \
+  --backend stdio
+gsock="$tmp/e9.large.sock"
+target/release/e9patchd --socket "$gsock" --max-conns 1 &
+gpid=$!
+wait_for_socket "$gsock" "large-input daemon"
+timeout 120 target/release/e9tool patch "$tmp/g.elf" -o "$tmp/g.wire.e9" --app a1 \
+  --backend "$gsock" || { kill "$gpid"; exit 1; }
+wait "$gpid"
+cmp "$tmp/g.e9" "$tmp/g.stdio.e9"
+cmp "$tmp/g.e9" "$tmp/g.wire.e9"
+echo "large input through stdio and socket backends byte-identical to in-process: ok"
 
 echo "== fault-injection smoke (E9FAULT_SEED=${E9FAULT_SEED:-42}) =="
 target/release/e9fault --seed "${E9FAULT_SEED:-42}" --elf-cases 320 --wire-cases 200
