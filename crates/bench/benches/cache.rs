@@ -73,8 +73,8 @@ fn main() {
     // threshold is derived from these numbers) and a memory tier big
     // enough to admit the largest artifact.
     let engaged = CacheConfig {
-        mem_bytes: Some(512 * MIB),
-        bypass_bytes: Some(0),
+        mem_bytes: 512 * MIB,
+        bypass_bytes: 0,
         ..CacheConfig::default()
     };
 
@@ -127,7 +127,7 @@ fn main() {
         let _ = std::fs::remove_dir_all(&dir);
         let disk_config = CacheConfig {
             dir: Some(dir.clone()),
-            bypass_bytes: Some(0),
+            bypass_bytes: 0,
             ..CacheConfig::default()
         };
         let primer = Cache::open(&disk_config).unwrap();

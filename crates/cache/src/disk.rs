@@ -4,7 +4,6 @@
 //! <root>/objects/ab/cdef….   one entry per rewrite key (fan-out on the
 //!                            first digest byte, git-object style)
 //! <root>/corrupt/<digest>    quarantined entries that failed verification
-//! <root>/index               append-only access journal (an LRU hint)
 //! <root>/lock                advisory lock for eviction/clear
 //! ```
 //!
@@ -23,16 +22,23 @@
 //! `corrupt/` (keeping the evidence) and the caller falls back to a cold
 //! rewrite.
 //!
-//! **Eviction.** `evict_to_budget` is crash-tolerant by construction: the
-//! ground truth is a directory scan (sizes + mtimes), and the `index`
-//! journal only *refines* the victim order to true access recency. A
-//! missing, truncated or garbage index degrades to mtime order; a crash
-//! mid-eviction leaves a store that the next scan handles fine.
+//! **Recency.** An object's mtime is its one recency signal. A put sets
+//! it explicitly on the staged file before the publish rename, and a disk
+//! hit bumps it, both from the same clock (`SystemTime::now`), so the
+//! order never depends on the filesystem's own timestamp granularity.
+//! Nothing else is written per access: a store without a byte budget
+//! holds `objects/` and nothing more. (An `index` file left by an older
+//! build is ignored.)
+//!
+//! **Eviction.** `evict_to_budget` is crash-tolerant by construction: it
+//! scans the directory (sizes + mtimes) and removes the oldest entries,
+//! ties broken by digest. A crash mid-eviction leaves a store that the
+//! next scan handles fine.
 
 use crate::sha256::{self, Digest};
 use crate::{Blob, CacheError};
 use std::fs;
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, SystemTime};
 
@@ -48,14 +54,15 @@ const HEADER_LEN: usize = 8 + 32;
 /// the cap the oldest evidence is dropped first.
 pub const QUARANTINE_CAP: usize = 32;
 
+/// Age past which the advisory lock counts as abandoned and is stolen.
+const LOCK_TTL: Duration = Duration::from_secs(30);
+
 /// The on-disk content-addressed store.
 #[derive(Debug)]
 pub struct DiskStore {
     root: PathBuf,
     /// Total object bytes allowed (`None` = unbounded).
     budget: Option<u64>,
-    /// Stale-lock steal threshold for the advisory lock.
-    lock_ttl: Duration,
 }
 
 /// One scanned object (eviction candidate).
@@ -77,7 +84,6 @@ impl DiskStore {
         let store = DiskStore {
             root: root.to_path_buf(),
             budget,
-            lock_ttl: Duration::from_secs(30),
         };
         fs::create_dir_all(store.objects_dir())
             .map_err(|e| CacheError::io("create objects dir", e))?;
@@ -92,10 +98,6 @@ impl DiskStore {
         self.root.join("corrupt")
     }
 
-    fn index_path(&self) -> PathBuf {
-        self.root.join("index")
-    }
-
     fn lock_path(&self) -> PathBuf {
         self.root.join("lock")
     }
@@ -108,8 +110,7 @@ impl DiskStore {
 
     /// Fetch the payload stored for `key`.
     ///
-    /// On a hit the access is journaled (index append + mtime bump) so
-    /// eviction sees true recency.
+    /// A hit bumps the entry's mtime, so eviction sees true recency.
     ///
     /// # Errors
     ///
@@ -126,8 +127,7 @@ impl DiskStore {
         };
         match decode_entry(&raw) {
             Ok(()) => {
-                self.touch(&path);
-                self.journal_access(key);
+                touch(&path);
                 // The verified payload is served as a view into the read
                 // buffer itself — sliced past the header, never copied.
                 Ok(Some(Blob::from_vec(raw).tail(HEADER_LEN)))
@@ -143,9 +143,10 @@ impl DiskStore {
         }
     }
 
-    /// Publish `payload` under `key` (atomic rename), then journal the
-    /// access and evict down to the byte budget if one is set. Returns
-    /// the number of entries evicted by the post-put pass.
+    /// Publish `payload` under `key` (atomic rename; the staged file's
+    /// mtime is set first, so the entry is born most recent), then evict
+    /// down to the byte budget if one is set. Returns the number of
+    /// entries evicted by the post-put pass.
     ///
     /// # Errors
     ///
@@ -167,6 +168,7 @@ impl DiskStore {
             f.write_all(MAGIC)?;
             f.write_all(&sha256::digest(payload))?;
             f.write_all(payload)?;
+            f.set_modified(SystemTime::now())?;
             f.sync_all()
         })();
         if let Err(e) = staged {
@@ -178,7 +180,6 @@ impl DiskStore {
             let _ = fs::remove_file(&tmp);
             return Err(CacheError::io("publish cache entry", e));
         }
-        self.journal_access(key);
         let evicted = if self.budget.is_some() {
             self.evict_to_budget().unwrap_or(0)
         } else {
@@ -234,47 +235,6 @@ impl DiskStore {
         }
     }
 
-    /// Best-effort mtime bump so scan-only eviction (no index) still
-    /// approximates LRU.
-    fn touch(&self, path: &Path) {
-        if let Ok(f) = fs::File::options().write(true).open(path) {
-            let _ = f.set_modified(SystemTime::now());
-        }
-    }
-
-    /// Append one access record to the index journal (best-effort — the
-    /// index is a hint, the directory scan is the ground truth).
-    fn journal_access(&self, key: &Digest) {
-        if let Ok(mut f) = fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(self.index_path())
-        {
-            let _ = writeln!(f, "{}", sha256::hex(key));
-        }
-    }
-
-    /// Read the access journal into a recency rank per digest (higher =
-    /// more recent). Garbage lines — truncated appends, corruption — are
-    /// skipped, never fatal.
-    fn read_index(&self) -> std::collections::HashMap<String, u64> {
-        let mut ranks = std::collections::HashMap::new();
-        let Ok(mut f) = fs::File::open(self.index_path()) else {
-            return ranks;
-        };
-        let mut text = String::new();
-        if f.read_to_string(&mut text).is_err() {
-            return ranks;
-        }
-        for (pos, line) in text.lines().enumerate() {
-            let line = line.trim();
-            if sha256::from_hex(line).is_some() {
-                ranks.insert(line.to_string(), pos as u64);
-            }
-        }
-        ranks
-    }
-
     /// Scan `objects/` for entries (path, digest, size, mtime). I/O
     /// errors on individual entries are skipped — a half-removed file
     /// must not wedge eviction.
@@ -325,8 +285,7 @@ impl DiskStore {
     /// Evict least-recently-used entries until total object bytes fit the
     /// budget. Returns the number of entries removed.
     ///
-    /// Victim order: entries absent from the index journal first (oldest
-    /// mtime first), then journaled entries by access rank. Holds the
+    /// Victim order: oldest mtime first, ties broken by digest. Holds the
     /// advisory directory lock; if another process holds it, the pass is
     /// skipped (that process is already evicting).
     ///
@@ -338,7 +297,7 @@ impl DiskStore {
             return Ok(0);
         };
         e9failpt::fail_io("cache.disk.evict").map_err(|e| CacheError::io("evict pass", e))?;
-        let Some(_lock) = DirLock::try_acquire(&self.lock_path(), self.lock_ttl) else {
+        let Some(_lock) = DirLock::try_acquire(&self.lock_path()) else {
             return Ok(0);
         };
         let mut entries = self.scan()?;
@@ -346,15 +305,10 @@ impl DiskStore {
         if total <= budget {
             return Ok(0);
         }
-        let ranks = self.read_index();
-        // Oldest victims first: unranked by mtime, then ranked by recency.
-        entries.sort_by_key(|e| (ranks.get(&e.digest_hex).copied(), e.mtime));
+        entries.sort_by(|a, b| (a.mtime, &a.digest_hex).cmp(&(b.mtime, &b.digest_hex)));
         let mut removed = 0u64;
-        let mut survivors = Vec::new();
-        let mut victims = entries.into_iter();
-        for entry in victims.by_ref() {
+        for entry in entries {
             if total <= budget {
-                survivors.push(entry);
                 break;
             }
             if fs::remove_file(&entry.path).is_ok() {
@@ -362,51 +316,31 @@ impl DiskStore {
                 removed += 1;
             }
         }
-        survivors.extend(victims);
-        if removed > 0 {
-            self.rewrite_index(&survivors, &ranks);
-        }
         Ok(removed)
     }
 
-    /// Compact the index journal to the surviving entries, in recency
-    /// order (atomic temp + rename; best-effort).
-    fn rewrite_index(&self, survivors: &[ScanEntry], ranks: &std::collections::HashMap<String, u64>) {
-        let mut ordered: Vec<&ScanEntry> = survivors.iter().collect();
-        ordered.sort_by_key(|e| (ranks.get(&e.digest_hex).copied(), e.mtime));
-        let mut text = String::new();
-        for e in ordered {
-            text.push_str(&e.digest_hex);
-            text.push('\n');
-        }
-        let tmp = self.root.join(format!(".index.{}.tmp", std::process::id()));
-        let staged: io::Result<()> = (|| {
-            let mut f = fs::File::create(&tmp)?;
-            f.write_all(text.as_bytes())?;
-            f.sync_all()
-        })();
-        if staged.is_ok() {
-            let _ = fs::rename(&tmp, self.index_path());
-        } else {
-            let _ = fs::remove_file(&tmp);
-        }
-    }
-
-    /// Remove every stored object and the index. Returns entries removed.
+    /// Remove every stored object. Returns entries removed.
     ///
     /// # Errors
     ///
     /// Scan failures; individual removals are best-effort.
     pub fn clear(&self) -> Result<u64, CacheError> {
-        let _lock = DirLock::try_acquire(&self.lock_path(), self.lock_ttl);
+        let _lock = DirLock::try_acquire(&self.lock_path());
         let mut removed = 0u64;
         for entry in self.scan()? {
             if fs::remove_file(&entry.path).is_ok() {
                 removed += 1;
             }
         }
-        let _ = fs::remove_file(self.index_path());
         Ok(removed)
+    }
+}
+
+/// Best-effort mtime bump on a disk hit, from the clock a put stamps
+/// with.
+fn touch(path: &Path) {
+    if let Ok(f) = fs::File::options().write(true).open(path) {
+        let _ = f.set_modified(SystemTime::now());
     }
 }
 
@@ -437,7 +371,7 @@ fn decode_entry(raw: &[u8]) -> Result<(), String> {
 }
 
 /// A best-effort advisory directory lock: an `O_EXCL`-created lock file,
-/// stolen when older than the TTL (a crashed holder must not wedge
+/// stolen when older than [`LOCK_TTL`] (a crashed holder must not wedge
 /// eviction forever). Held for the duration of an eviction/clear pass.
 #[derive(Debug)]
 struct DirLock {
@@ -445,7 +379,7 @@ struct DirLock {
 }
 
 impl DirLock {
-    fn try_acquire(path: &Path, ttl: Duration) -> Option<DirLock> {
+    fn try_acquire(path: &Path) -> Option<DirLock> {
         for _ in 0..2 {
             match fs::OpenOptions::new().write(true).create_new(true).open(path) {
                 Ok(mut f) => {
@@ -459,7 +393,7 @@ impl DirLock {
                         .and_then(|m| m.modified())
                         .ok()
                         .and_then(|m| SystemTime::now().duration_since(m).ok())
-                        .is_some_and(|age| age > ttl);
+                        .is_some_and(|age| age > LOCK_TTL);
                     if stale {
                         let _ = fs::remove_file(path);
                         continue; // retry the create_new
@@ -572,18 +506,76 @@ mod tests {
         fs::remove_dir_all(&root).ok();
     }
 
+    /// Date the object for `key` to `secs` after the epoch.
+    fn set_mtime(store: &DiskStore, key: &Digest, secs: u64) {
+        fs::File::options()
+            .write(true)
+            .open(store.object_path(key))
+            .unwrap()
+            .set_modified(SystemTime::UNIX_EPOCH + Duration::from_secs(secs))
+            .unwrap();
+    }
+
     #[test]
-    fn garbage_index_degrades_to_mtime_order() {
-        let root = tmproot("badindex");
-        let store = DiskStore::open(&root, Some(150)).unwrap();
-        let (k1, k2) = (digest(b"a"), digest(b"b"));
+    fn unbudgeted_store_writes_nothing_per_access() {
+        let root = tmproot("noindex");
+        let store = DiskStore::open(&root, None).unwrap();
+        for i in 0..16u64 {
+            let key = digest(&i.to_le_bytes());
+            store.put(&key, &[i as u8; 64]).unwrap();
+            for _ in 0..4 {
+                assert!(store.get(&key).unwrap().is_some());
+            }
+        }
+        let names: Vec<_> = fs::read_dir(&root)
+            .unwrap()
+            .flatten()
+            .map(|e| e.file_name())
+            .collect();
+        assert_eq!(names, ["objects"], "per-access state under the cache root");
+        fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn equal_mtimes_evict_in_digest_order() {
+        let root = tmproot("ties");
+        let store = DiskStore::open(&root, None).unwrap();
+        let mut keys: Vec<Digest> = (0..4u64).map(|i| digest(&i.to_le_bytes())).collect();
+        for key in &keys {
+            store.put(key, &[0u8; 100]).unwrap();
+            set_mtime(&store, key, 1_000_000);
+        }
+        // Room for two of the four 140-byte entries.
+        let budgeted = DiskStore::open(&root, Some(300)).unwrap();
+        assert_eq!(budgeted.evict_to_budget().unwrap(), 2);
+        keys.sort();
+        for (i, key) in keys.iter().enumerate() {
+            assert_eq!(budgeted.get(key).unwrap().is_some(), i >= 2, "key {i} in digest order");
+        }
+        fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn leftover_index_file_is_ignored() {
+        // An older build kept an `index` access journal. One holding
+        // garbage, and a line naming the older entry as the most recent
+        // access, must neither break the store nor override mtime.
+        let root = tmproot("oldindex");
+        let store = DiskStore::open(&root, Some(300)).unwrap();
+        let (k1, k2, k3) = (digest(b"a"), digest(b"b"), digest(b"c"));
+        let journal = format!("not hex at all\n\x00\x01garbage\n{}\n", sha256::hex(&k2));
+        fs::write(root.join("index"), journal).unwrap();
         store.put(&k1, &[1u8; 100]).unwrap();
-        fs::write(root.join("index"), b"not hex at all\n\x00\x01garbage\n").unwrap();
         store.put(&k2, &[2u8; 100]).unwrap();
-        // Over budget → one of them was evicted, no panic, store works.
+        set_mtime(&store, &k1, 2_000_000);
+        set_mtime(&store, &k2, 1_000_000);
+        store.put(&k3, &[3u8; 100]).unwrap();
         let (entries, bytes) = store.usage().unwrap();
-        assert_eq!(entries, 1);
-        assert!(bytes <= 150);
+        assert_eq!(entries, 2);
+        assert!(bytes <= 300);
+        assert!(store.get(&k2).unwrap().is_none(), "older entry survived");
+        assert!(store.get(&k1).unwrap().is_some());
+        assert!(store.get(&k3).unwrap().is_some());
         fs::remove_dir_all(&root).ok();
     }
 

@@ -39,13 +39,11 @@
 //! keying it (hash + lookup + decode), so [`Cache::should_bypass`]
 //! implements a size threshold below which callers skip the cache
 //! entirely — no key is derived, nothing is stored, not even negative
-//! entries. The base threshold defaults to [`DEFAULT_BYPASS_BYTES`]
-//! (measured break-even on the bench ladder, see
-//! `results/bench_cache.json`) and adapts to the observed hit rate: a
-//! cache that is mostly missing pushes the threshold up (stay out of the
-//! way), one that is mostly hitting pulls it down (engage smaller
-//! inputs). Decisions are counted in [`CacheStats::bypasses`] and the
-//! effective threshold is reported as [`CacheStats::bypass_threshold`].
+//! entries. The threshold is [`CacheConfig::bypass_bytes`] (default
+//! [`DEFAULT_BYPASS_BYTES`], the measured break-even on the bench ladder,
+//! see `results/bench_cache.json`) and stays fixed for the cache's
+//! lifetime. Decisions are counted in [`CacheStats::bypasses`] and the
+//! threshold is reported as [`CacheStats::bypass_threshold`].
 
 pub mod breaker;
 pub mod disk;
@@ -71,18 +69,11 @@ use std::sync::{Arc, Mutex, MutexGuard};
 /// part from canonical JSON to the same binary framing.
 pub const FORMAT_VERSION: u64 = 2;
 
-/// Default in-memory tier budget (64 MiB).
-pub const DEFAULT_MEM_BYTES: usize = 64 << 20;
-
 /// Default bypass threshold: inputs smaller than this skip the cache.
 /// Derived from the measured break-even on the bench size ladder (a warm
 /// hit pays ~1 GiB/s hashing plus a lookup; a tiny rewrite recomputes in
 /// tens of microseconds, which at 128 KiB is the cheaper side).
 pub const DEFAULT_BYPASS_BYTES: u64 = 128 << 10;
-
-/// Decided lookups (hits + misses) required before the adaptive rule
-/// trusts the observed hit rate enough to move the threshold.
-const BYPASS_ADAPT_MIN_DECIDED: u64 = 32;
 
 /// A typed cache failure. The cache is an accelerator, so callers treat
 /// every variant as "fall back to a cold rewrite" — but the variants are
@@ -300,25 +291,38 @@ impl Hit {
     }
 }
 
-/// How to build a [`Cache`].
-#[derive(Debug, Clone, Default)]
+/// How to build a [`Cache`]. [`CacheConfig::default`] holds the one
+/// default of every knob.
+#[derive(Debug, Clone)]
 pub struct CacheConfig {
     /// Root of the on-disk tier; `None` = memory-only.
     pub dir: Option<PathBuf>,
-    /// Memory-tier byte budget; `None` = [`DEFAULT_MEM_BYTES`].
-    pub mem_bytes: Option<usize>,
+    /// Memory-tier byte budget (default 64 MiB).
+    pub mem_bytes: usize,
     /// Disk-tier byte budget; `None` = unbounded.
     pub disk_bytes: Option<u64>,
-    /// Base bypass threshold in input bytes; `None` =
-    /// [`DEFAULT_BYPASS_BYTES`], `Some(0)` disables bypassing (every
-    /// input engages the cache — tests and benchmarks of the engaged
-    /// path use this).
-    pub bypass_bytes: Option<u64>,
+    /// Bypass threshold in input bytes (default
+    /// [`DEFAULT_BYPASS_BYTES`]); 0 disables bypassing (every input
+    /// engages the cache — tests and benchmarks of the engaged path use
+    /// this).
+    pub bypass_bytes: u64,
+}
+
+impl Default for CacheConfig {
+    fn default() -> CacheConfig {
+        CacheConfig {
+            dir: None,
+            mem_bytes: 64 << 20,
+            disk_bytes: None,
+            bypass_bytes: DEFAULT_BYPASS_BYTES,
+        }
+    }
 }
 
 /// A point-in-time snapshot of the cache counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
+    /// `mem_hits + disk_hits`.
     pub hits: u64,
     pub mem_hits: u64,
     pub disk_hits: u64,
@@ -336,8 +340,8 @@ pub struct CacheStats {
     /// Requests that skipped the cache because the input was below the
     /// bypass threshold.
     pub bypasses: u64,
-    /// The effective (hit-rate-adapted) bypass threshold at snapshot
-    /// time, in input bytes; 0 means bypassing is disabled.
+    /// The configured bypass threshold, in input bytes; 0 means
+    /// bypassing is disabled.
     pub bypass_threshold: u64,
     /// True while the disk tier's circuit breaker is open (the tier is
     /// being skipped and the cache is effectively memory-only).
@@ -381,7 +385,6 @@ impl CacheStats {
 
 #[derive(Debug, Default)]
 struct Counters {
-    hits: AtomicU64,
     mem_hits: AtomicU64,
     disk_hits: AtomicU64,
     negative_hits: AtomicU64,
@@ -404,8 +407,8 @@ pub struct Cache {
     mem: Mutex<mem::MemLru>,
     disk: Option<disk::DiskStore>,
     counters: Counters,
-    /// Base bypass threshold (0 = bypassing disabled).
-    bypass_base: u64,
+    /// Bypass threshold (0 = bypassing disabled).
+    bypass_bytes: u64,
     /// Disk-tier circuit breaker (only consulted when `disk` exists).
     breaker: breaker::Breaker,
 }
@@ -422,12 +425,10 @@ impl Cache {
             None => None,
         };
         Ok(Cache {
-            mem: Mutex::new(mem::MemLru::new(
-                config.mem_bytes.unwrap_or(DEFAULT_MEM_BYTES),
-            )),
+            mem: Mutex::new(mem::MemLru::new(config.mem_bytes)),
             disk,
             counters: Counters::default(),
-            bypass_base: config.bypass_bytes.unwrap_or(DEFAULT_BYPASS_BYTES),
+            bypass_bytes: config.bypass_bytes,
             breaker: breaker::Breaker::new(),
         })
     }
@@ -442,7 +443,7 @@ impl Cache {
     /// that drive tiny synthetic inputs through the engaged path.
     pub fn in_memory_no_bypass() -> Cache {
         Cache::open(&CacheConfig {
-            bypass_bytes: Some(0),
+            bypass_bytes: 0,
             ..CacheConfig::default()
         })
         .expect("memory-only cache cannot fail")
@@ -457,40 +458,20 @@ impl Cache {
 
     /// Should a request over `input_len` bytes skip the cache entirely?
     ///
-    /// Below the effective threshold recomputing is cheaper than keying,
-    /// so the caller runs cold without deriving a key or storing anything
+    /// Below the threshold recomputing is cheaper than keying, so the
+    /// caller runs cold without deriving a key or storing anything
     /// (including negative entries). A `true` answer is counted.
     pub fn should_bypass(&self, input_len: u64) -> bool {
-        let bypass = input_len < self.bypass_threshold();
+        let bypass = input_len < self.bypass_bytes;
         if bypass {
             tick(&self.counters.bypasses);
         }
         bypass
     }
 
-    /// The effective bypass threshold: the configured base, scaled by the
-    /// observed hit rate once enough lookups have been decided. A cache
-    /// that is mostly hitting halves the threshold (engaging smaller
-    /// inputs pays); one that is mostly missing quadruples it (keying is
-    /// a pure tax). 0 when bypassing is disabled.
+    /// The configured bypass threshold; 0 when bypassing is disabled.
     pub fn bypass_threshold(&self) -> u64 {
-        let base = self.bypass_base;
-        if base == 0 {
-            return 0;
-        }
-        let hits = self.counters.hits.load(Ordering::Relaxed);
-        let misses = self.counters.misses.load(Ordering::Relaxed);
-        let decided = hits + misses;
-        if decided < BYPASS_ADAPT_MIN_DECIDED {
-            return base;
-        }
-        if hits * 2 >= decided {
-            base / 2 // ≥ 50% hit rate
-        } else if hits * 8 < decided {
-            base * 4 // < 12.5% hit rate
-        } else {
-            base
-        }
+        self.bypass_bytes
     }
 
     /// Look up `key`, promoting disk hits into the memory tier.
@@ -555,7 +536,6 @@ impl Cache {
     fn decoded_hit(&self, key: &Digest, payload: &Blob, from_mem: bool) -> Option<Hit> {
         match Hit::decode(payload) {
             Some(hit) => {
-                tick(&self.counters.hits);
                 if from_mem {
                     tick(&self.counters.mem_hits);
                 } else {
@@ -634,10 +614,14 @@ impl Cache {
             (mem.len() as u64, mem.bytes() as u64, mem.evictions())
         };
         let breaker = self.breaker.stats();
+        let (mem_hits, disk_hits) = (
+            c.mem_hits.load(Ordering::Relaxed),
+            c.disk_hits.load(Ordering::Relaxed),
+        );
         CacheStats {
-            hits: c.hits.load(Ordering::Relaxed),
-            mem_hits: c.mem_hits.load(Ordering::Relaxed),
-            disk_hits: c.disk_hits.load(Ordering::Relaxed),
+            hits: mem_hits + disk_hits,
+            mem_hits,
+            disk_hits,
             negative_hits: c.negative_hits.load(Ordering::Relaxed),
             misses: c.misses.load(Ordering::Relaxed),
             stores: c.stores.load(Ordering::Relaxed),
@@ -648,7 +632,7 @@ impl Cache {
             mem_entries,
             mem_bytes,
             bypasses: c.bypasses.load(Ordering::Relaxed),
-            bypass_threshold: self.bypass_threshold(),
+            bypass_threshold: self.bypass_bytes,
             disk_breaker_open: breaker.open,
             disk_breaker_trips: breaker.trips,
             disk_breaker_fast_fails: breaker.fast_fails,
@@ -803,38 +787,23 @@ mod tests {
         assert!(cache.should_bypass(DEFAULT_BYPASS_BYTES - 1));
         assert!(!cache.should_bypass(DEFAULT_BYPASS_BYTES));
         assert_eq!(cache.stats().bypasses, 1);
+        // Traffic never moves the threshold: all misses, then all hits.
+        for i in 0..64u64 {
+            assert!(cache.lookup(&digest(&i.to_le_bytes())).is_none());
+        }
+        assert_eq!(cache.bypass_threshold(), DEFAULT_BYPASS_BYTES);
+        let key = digest(b"hot");
+        cache.put(&key, &Entry::Ok(vec![1]));
+        for _ in 0..256 {
+            assert!(cache.lookup(&key).is_some());
+        }
+        assert_eq!(cache.stats().bypass_threshold, DEFAULT_BYPASS_BYTES);
 
         let off = Cache::in_memory_no_bypass();
         assert_eq!(off.bypass_threshold(), 0);
         assert!(!off.should_bypass(0));
         assert!(!off.should_bypass(1));
         assert_eq!(off.stats().bypasses, 0);
-    }
-
-    #[test]
-    fn bypass_threshold_adapts_to_hit_rate() {
-        // Mostly hitting: threshold halves once enough lookups decided.
-        let hot = Cache::in_memory();
-        let key = digest(b"hot");
-        hot.put(&key, &Entry::Ok(vec![1]));
-        for _ in 0..BYPASS_ADAPT_MIN_DECIDED {
-            assert!(hot.lookup(&key).is_some());
-        }
-        assert_eq!(hot.bypass_threshold(), DEFAULT_BYPASS_BYTES / 2);
-
-        // Mostly missing: threshold quadruples.
-        let cold = Cache::in_memory();
-        for i in 0..BYPASS_ADAPT_MIN_DECIDED {
-            assert!(cold.lookup(&digest(&i.to_le_bytes())).is_none());
-        }
-        assert_eq!(cold.bypass_threshold(), DEFAULT_BYPASS_BYTES * 4);
-
-        // Disabled stays disabled regardless of traffic.
-        let off = Cache::in_memory_no_bypass();
-        for i in 0..BYPASS_ADAPT_MIN_DECIDED {
-            assert!(off.lookup(&digest(&i.to_le_bytes())).is_none());
-        }
-        assert_eq!(off.bypass_threshold(), 0);
     }
 
     #[test]

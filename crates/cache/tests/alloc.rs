@@ -56,8 +56,8 @@ fn allocated_during<R>(f: impl FnOnce() -> R) -> (u64, R) {
 #[test]
 fn lookup_does_not_allocate_beyond_the_artifact() {
     const PAYLOAD: usize = 1 << 20; // 1 MiB artifact
-    // Generous fixed overhead for journaling (index append buffers,
-    // PathBuf construction, the hex string, HashMap growth): an order of
+    // Generous fixed overhead for the lookup's bookkeeping (PathBuf
+    // construction, the hex object name, LRU map growth): an order of
     // magnitude below the payload, so a single extra payload copy —
     // 1 MiB — cannot hide under it.
     const SLACK: u64 = 128 << 10;
@@ -66,7 +66,7 @@ fn lookup_does_not_allocate_beyond_the_artifact() {
     let _ = std::fs::remove_dir_all(&dir);
     let cache = Cache::open(&CacheConfig {
         dir: Some(dir.clone()),
-        bypass_bytes: Some(0),
+        bypass_bytes: 0,
         ..CacheConfig::default()
     })
     .unwrap();
@@ -91,7 +91,7 @@ fn lookup_does_not_allocate_beyond_the_artifact() {
     // promotion into the memory tier must share that buffer, not copy.
     let fresh = Cache::open(&CacheConfig {
         dir: Some(dir.clone()),
-        bypass_bytes: Some(0),
+        bypass_bytes: 0,
         ..CacheConfig::default()
     })
     .unwrap();

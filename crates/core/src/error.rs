@@ -31,6 +31,10 @@ pub enum Error {
     /// No free address range was left for the loader, which needs this
     /// many bytes.
     NoLoaderSpace(u64),
+    /// A load segment or reserved range starting at this address ends
+    /// past the usable address space
+    /// ([`MAX_ADDR`](crate::layout::MAX_ADDR)).
+    BeyondAddressSpace(u64),
 }
 
 impl fmt::Display for Error {
@@ -57,6 +61,11 @@ impl fmt::Display for Error {
             Error::NoLoaderSpace(n) => {
                 write!(f, "address space exhausted placing the {n}-byte loader")
             }
+            Error::BeyondAddressSpace(a) => write!(
+                f,
+                "the range starting at {a:#x} ends past the usable address space ({:#x})",
+                crate::layout::MAX_ADDR
+            ),
         }
     }
 }

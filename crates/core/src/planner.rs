@@ -171,37 +171,57 @@ impl<'a> Planner<'a> {
     ///
     /// `reserved` lists extra `[start, end)` virtual ranges trampolines must
     /// avoid (instrumentation runtime segments, etc.).
-    fn initial_space(elf: &Elf, cfg: &RewriteConfig, reserved: &[(u64, u64)]) -> AddressSpace {
+    ///
+    /// # Errors
+    ///
+    /// [`Error::BeyondAddressSpace`] for a load segment or reserved range
+    /// that ends past [`MAX_ADDR`], which hostile images use to wrap the
+    /// rounding below.
+    fn initial_space(
+        elf: &Elf,
+        cfg: &RewriteConfig,
+        reserved: &[(u64, u64)],
+    ) -> crate::error::Result<AddressSpace> {
         // Reservations are rounded out to *block* granularity (M pages):
         // the loader later maps whole blocks with MAP_FIXED, so no block
         // containing a trampoline may overlap existing segments.
         let bs = cfg.granularity.max(1) * PAGE_SIZE;
         let block_floor = |v: u64| v / bs * bs;
         let block_ceil = |v: u64| v.div_ceil(bs) * bs;
+        let checked_end = |start: u64, end: Option<u64>| match end {
+            Some(end) if end <= MAX_ADDR => Ok(end),
+            _ => Err(Error::BeyondAddressSpace(start)),
+        };
         let mut space = AddressSpace::new();
         for p in elf.load_segments() {
+            let end = checked_end(p.p_vaddr, p.p_vaddr.checked_add(p.p_memsz))?;
             let start = block_floor(e9elf::page_floor(p.p_vaddr).saturating_sub(PAGE_SIZE));
-            let end = block_ceil(e9elf::page_ceil(p.p_vaddr + p.p_memsz) + PAGE_SIZE);
-            space.reserve(start, end);
+            space.reserve(start, block_ceil(e9elf::page_ceil(end) + PAGE_SIZE));
         }
         for &(s, e) in reserved {
+            let e = checked_end(s, Some(e))?;
             space.reserve(block_floor(s), block_ceil(e));
         }
-        space
+        Ok(space)
     }
 
     /// Create a planner over a parsed binary.
     ///
     /// `reserved` lists extra `[start, end)` virtual ranges trampolines must
     /// avoid (instrumentation runtime segments, etc.).
+    ///
+    /// # Errors
+    ///
+    /// [`Error::BeyondAddressSpace`] when a load segment or reserved
+    /// range ends past the usable address space.
     pub fn new(
         elf: Elf,
         insns: &'a BTreeMap<u64, Insn>,
         cfg: RewriteConfig,
         reserved: &[(u64, u64)],
-    ) -> Planner<'a> {
-        let space = Self::initial_space(&elf, &cfg, reserved);
-        Planner {
+    ) -> crate::error::Result<Planner<'a>> {
+        let space = Self::initial_space(&elf, &cfg, reserved)?;
+        Ok(Planner {
             elf,
             insns,
             locks: LockMap::new(),
@@ -211,7 +231,7 @@ impl<'a> Planner<'a> {
             traps: Vec::new(),
             reports: Vec::new(),
             cfg,
-        }
+        })
     }
 
     /// Read up to `n` file-backed bytes starting at `addr` (shorter at a

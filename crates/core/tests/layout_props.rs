@@ -133,7 +133,7 @@ fn unreachable_targets_is_a_typed_error() {
     for i in linear_sweep(&[0x48, 0x89, 0x03], weird) {
         insns.insert(i.addr, i);
     }
-    let mut planner = Planner::new(elf, &insns, RewriteConfig::default(), &[]);
+    let mut planner = Planner::new(elf, &insns, RewriteConfig::default(), &[]).unwrap();
     let err = planner.patch_site(weird, &Template::Empty).unwrap_err();
     assert_eq!(err, Error::UnreachableTargets(weird));
 }
@@ -145,7 +145,7 @@ fn empty_target_set_does_not_panic() {
     // yield the unconstrained window and patch normally.
     let (input, insns) = tiny(&[0xC3, 0x90, 0x90, 0x90, 0x90]); // ret; nops
     let elf = e9elf::Elf::parse(&input).expect("parse");
-    let mut planner = Planner::new(elf, &insns, RewriteConfig::default(), &[]);
+    let mut planner = Planner::new(elf, &insns, RewriteConfig::default(), &[]).unwrap();
     // Outcome (patched or not) is irrelevant; reaching it without a panic
     // or error is the contract.
     planner

@@ -27,8 +27,8 @@ USAGE:
                                                    replay one case
   e9fault --write-corpus DIR                       regenerate hostile ELFs
 
-The cache surface damages on-disk rewrite-cache entries and the index
-journal, asserting typed errors, quarantine and cold-path recovery.
+The cache surface damages on-disk rewrite-cache entries, asserting
+typed errors, quarantine and cold-path recovery.
 The loop surface runs hostile client behaviors (slow-loris, partial
 lines, mid-poll disconnects, never-reading queue-fillers) against a real
 reactor, asserting it never panics and healthy connections stay served.

@@ -7,18 +7,11 @@
 //! this generator — so the corpus cannot silently rot as the builder
 //! evolves. Regenerate with `e9fault --write-corpus <dir>`.
 
-use crate::elf::baseline_elf;
+use crate::elf::{
+    baseline_elf, phdr_at, put16, put32, put64, read16, read64, EH_PHNUM, EH_SHNUM,
+    EH_SHSTRNDX, PH_FILESZ, PH_MEMSZ, PH_OFFSET, PH_TYPE, PH_VADDR,
+};
 use e9elf::types::{EHDR_SIZE, PHDR_SIZE, PT_NOTE};
-
-const EH_PHOFF: usize = 32;
-const EH_PHNUM: usize = 56;
-const EH_SHNUM: usize = 60;
-const EH_SHSTRNDX: usize = 62;
-const PH_TYPE: usize = 0;
-const PH_OFFSET: usize = 8;
-const PH_VADDR: usize = 16;
-const PH_FILESZ: usize = 32;
-const PH_MEMSZ: usize = 40;
 
 /// Names of every corpus entry, in generation order.
 pub const NAMES: [&str; 10] = [
@@ -34,28 +27,9 @@ pub const NAMES: [&str; 10] = [
     "note-wrap",
 ];
 
-fn put16(bytes: &mut [u8], off: usize, v: u16) {
-    bytes[off..off + 2].copy_from_slice(&v.to_le_bytes());
-}
-
-fn put32(bytes: &mut [u8], off: usize, v: u32) {
-    bytes[off..off + 4].copy_from_slice(&v.to_le_bytes());
-}
-
-fn put64(bytes: &mut [u8], off: usize, v: u64) {
-    bytes[off..off + 8].copy_from_slice(&v.to_le_bytes());
-}
-
-fn read64(bytes: &[u8], off: usize) -> u64 {
-    u64::from_le_bytes(bytes[off..off + 8].try_into().unwrap())
-}
-
-fn read16(bytes: &[u8], off: usize) -> u16 {
-    u16::from_le_bytes(bytes[off..off + 2].try_into().unwrap())
-}
-
+/// Offset of program header `i` of the (well-formed) baseline.
 fn phdr(bytes: &[u8], i: u16) -> usize {
-    read64(bytes, EH_PHOFF) as usize + usize::from(i) * PHDR_SIZE
+    phdr_at(bytes, i).expect("baseline program header")
 }
 
 /// Generate the corpus entry `name`, or `None` for an unknown name.

@@ -12,20 +12,20 @@ use e9elf::symbols::{Symbol, SYM_SIZE};
 use e9elf::types::{EHDR_SIZE, PHDR_SIZE};
 use e9rng::StdRng;
 
-// ELF64 file-header field offsets (bytes).
+// ELF64 file-header field offsets (bytes); also used by `corpus`.
 const EH_ENTRY: usize = 24;
 const EH_PHOFF: usize = 32;
 const EH_SHOFF: usize = 40;
-const EH_PHNUM: usize = 56;
-const EH_SHNUM: usize = 60;
-const EH_SHSTRNDX: usize = 62;
+pub(crate) const EH_PHNUM: usize = 56;
+pub(crate) const EH_SHNUM: usize = 60;
+pub(crate) const EH_SHSTRNDX: usize = 62;
 
 // Program-header field offsets relative to the header's start.
-const PH_TYPE: usize = 0;
-const PH_OFFSET: usize = 8;
-const PH_VADDR: usize = 16;
-const PH_FILESZ: usize = 32;
-const PH_MEMSZ: usize = 40;
+pub(crate) const PH_TYPE: usize = 0;
+pub(crate) const PH_OFFSET: usize = 8;
+pub(crate) const PH_VADDR: usize = 16;
+pub(crate) const PH_FILESZ: usize = 32;
+pub(crate) const PH_MEMSZ: usize = 40;
 
 /// Values chosen to sit on overflow/limit boundaries. Deliberately avoids
 /// sizes in the "accepted but huge" range (just under the loader's 1 GiB
@@ -86,25 +86,29 @@ pub fn baseline_elf_with_symbols() -> Vec<u8> {
     b.build()
 }
 
-fn put16(bytes: &mut [u8], off: usize, v: u16) {
+// Little-endian field access. Writes past the end of a (truncated)
+// image are dropped and reads there give 0, so a move applied after an
+// earlier truncation degrades to a no-op instead of panicking.
+
+pub(crate) fn put16(bytes: &mut [u8], off: usize, v: u16) {
     if let Some(dst) = bytes.get_mut(off..off + 2) {
         dst.copy_from_slice(&v.to_le_bytes());
     }
 }
 
-fn put32(bytes: &mut [u8], off: usize, v: u32) {
+pub(crate) fn put32(bytes: &mut [u8], off: usize, v: u32) {
     if let Some(dst) = bytes.get_mut(off..off + 4) {
         dst.copy_from_slice(&v.to_le_bytes());
     }
 }
 
-fn put64(bytes: &mut [u8], off: usize, v: u64) {
+pub(crate) fn put64(bytes: &mut [u8], off: usize, v: u64) {
     if let Some(dst) = bytes.get_mut(off..off + 8) {
         dst.copy_from_slice(&v.to_le_bytes());
     }
 }
 
-fn read64(bytes: &[u8], off: usize) -> u64 {
+pub(crate) fn read64(bytes: &[u8], off: usize) -> u64 {
     bytes
         .get(off..off + 8)
         .and_then(|b| b.try_into().ok())
@@ -112,7 +116,7 @@ fn read64(bytes: &[u8], off: usize) -> u64 {
         .unwrap_or(0)
 }
 
-fn read16(bytes: &[u8], off: usize) -> u16 {
+pub(crate) fn read16(bytes: &[u8], off: usize) -> u16 {
     bytes
         .get(off..off + 2)
         .and_then(|b| b.try_into().ok())
@@ -121,7 +125,7 @@ fn read16(bytes: &[u8], off: usize) -> u16 {
 }
 
 /// Byte offset of program header `i`, if fully inside the image.
-fn phdr_at(bytes: &[u8], i: u16) -> Option<usize> {
+pub(crate) fn phdr_at(bytes: &[u8], i: u16) -> Option<usize> {
     let phoff = usize::try_from(read64(bytes, EH_PHOFF)).ok()?;
     let off = phoff.checked_add(usize::from(i).checked_mul(PHDR_SIZE)?)?;
     (off.checked_add(PHDR_SIZE)? <= bytes.len()).then_some(off)

@@ -101,9 +101,8 @@ fn disk_cache_case(rng: &mut StdRng, root: &Path) -> Option<Outcome> {
     let cache = Arc::new(
         Cache::open(&CacheConfig {
             dir: Some(cas),
-            mem_bytes: None,
-            disk_bytes: None,
-            bypass_bytes: Some(0), // tiny inputs must engage the cache
+            bypass_bytes: 0, // tiny inputs must engage the cache
+            ..CacheConfig::default()
         })
         .ok()?,
     );

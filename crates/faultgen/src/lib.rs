@@ -58,7 +58,7 @@ pub enum Surface {
     Elf,
     /// Wire-protocol byte streams into `dispatch_line`.
     Wire,
-    /// On-disk rewrite-cache entries and index into `e9cache`.
+    /// On-disk rewrite-cache entries into `e9cache`.
     Cache,
     /// Hostile client behaviors (timing + socket discipline) against the
     /// reactor serving loop.
@@ -190,8 +190,9 @@ where
 
 /// Run `cases` seeded mutants against the ELF surface: each case mutates
 /// the symbol-bearing baseline image and feeds it to `Elf::parse`, then
-/// (if it still parses) through the hook-planning path and the VM loader.
-/// Any unwind is recorded as a panic.
+/// (if it still parses) through the hook-planning path, the
+/// instrumentation rewrite and the VM loader. Any unwind is recorded as
+/// a panic.
 pub fn run_elf_campaign(seed: u64, cases: u32) -> CampaignReport {
     let base = elf::baseline_elf_with_symbols();
     run_campaign(Surface::Elf, seed, cases, |rng| {
@@ -201,13 +202,16 @@ pub fn run_elf_campaign(seed: u64, cases: u32) -> CampaignReport {
 }
 
 /// Execute one ELF case (also used by corpus replay): parse, probe the
-/// hook planner, and load into a fresh VM when parsing succeeds.
+/// hook planner and the instrumentation rewrite, and load into a fresh
+/// VM when parsing succeeds.
 pub fn elf_case(bytes: &[u8]) -> Outcome {
     let result = catch_unwind(AssertUnwindSafe(|| {
         match e9elf::image::Elf::parse(bytes) {
             Err(_) => Outcome::Rejected,
             Ok(elf) => {
-                hook_probe(bytes, &elf);
+                let disasm = bounded_sweep(&elf);
+                hook_probe(bytes, &elf, &disasm);
+                rewrite_probe(bytes, &disasm);
                 let mut vm = e9vm::Vm::new();
                 match e9vm::load_elf(&mut vm, bytes) {
                     Ok(()) => Outcome::Accepted,
@@ -219,36 +223,52 @@ pub fn elf_case(bytes: &[u8]) -> Outcome {
     result.unwrap_or(Outcome::Panicked)
 }
 
-/// Drive the hook-planning path over an untrusted image. The planner
-/// resolves names out of the (possibly damaged) symbol tables and the
-/// manifest scanner reads load segments from the same hostile bytes; both
-/// must fail with typed errors, never unwind. Results are discarded — the
-/// surrounding `catch_unwind` in [`elf_case`] is the assertion.
-fn hook_probe(bytes: &[u8], elf: &e9elf::image::Elf) {
-    // Bounded sweep: enough decoded instructions for the planner to
-    // inspect prologues without letting an inflated segment size turn one
-    // case into a multi-megabyte disassembly.
+/// Linear sweep of the first executable segment that slices cleanly,
+/// capped so an inflated segment size cannot turn one case into a
+/// multi-megabyte disassembly. Enough instructions for the probes to
+/// inspect prologues and pick patch sites.
+fn bounded_sweep(elf: &e9elf::image::Elf) -> Vec<e9x86::Insn> {
     const SWEEP_CAP: usize = 4096;
-    let mut disasm = Vec::new();
     for ph in elf.load_segments() {
         if ph.p_flags & e9elf::types::PF_X == 0 {
             continue;
         }
         let len = usize::try_from(ph.p_filesz).unwrap_or(usize::MAX).min(SWEEP_CAP);
         if let Ok(code) = elf.slice_at(ph.p_vaddr, len) {
-            disasm = e9x86::decode::linear_sweep(code, ph.p_vaddr);
-            break;
+            return e9x86::decode::linear_sweep(code, ph.p_vaddr);
         }
     }
+    Vec::new()
+}
+
+/// Drive the hook-planning path over an untrusted image. The planner
+/// resolves names out of the (possibly damaged) symbol tables and the
+/// manifest scanner reads load segments from the same hostile bytes; both
+/// must fail with typed errors, never unwind. Results are discarded — the
+/// surrounding `catch_unwind` in [`elf_case`] is the assertion.
+fn hook_probe(bytes: &[u8], elf: &e9elf::image::Elf, disasm: &[e9x86::Insn]) {
     // Plain and call-original plans: the latter additionally pulls entry
     // instructions through the relocation engine.
-    let _ = e9hook::plan_hooks(bytes, &disasm, &e9hook::HookSpec::counters(&["*"]));
+    let _ = e9hook::plan_hooks(bytes, disasm, &e9hook::HookSpec::counters(&["*"]));
     let co = e9hook::HookSpec {
         call_original: true,
         ..e9hook::HookSpec::counters(&["*"])
     };
-    let _ = e9hook::plan_hooks(bytes, &disasm, &co);
+    let _ = e9hook::plan_hooks(bytes, disasm, &co);
     let _ = e9hook::manifest::find_in_elf(elf);
+}
+
+/// Drive the instrumentation rewrite over an untrusted image: A1 sites
+/// with the counter payload, planned by `e9front::plan` and run through
+/// the `Rewriter`. Runtime placement, the planner's address space and
+/// emit all see the hostile load extents and must answer with typed
+/// errors. Results are discarded, as in [`hook_probe`].
+fn rewrite_probe(bytes: &[u8], disasm: &[e9x86::Insn]) {
+    let opts = e9front::Options::new(e9front::Application::A1Jumps, e9front::Payload::Counter);
+    if let Ok(plan) = e9front::plan(bytes, disasm, &opts) {
+        let rewriter = e9patch::Rewriter::new(opts.config);
+        let _ = rewriter.rewrite(bytes, disasm, &plan.requests, &plan.extra);
+    }
 }
 
 /// Run `cases` seeded mutants against the wire surface: each case mutates
@@ -265,10 +285,10 @@ pub fn run_wire_campaign(seed: u64, cases: u32) -> CampaignReport {
 }
 
 /// Run `cases` seeded mutants against the rewrite-cache surface: each
-/// case primes a fresh on-disk store, damages object files and/or the
-/// index journal, then asserts typed-error + quarantine on read-back and
-/// that the cold path re-populates every damaged key byte-identically
-/// (see [`cache::cache_case`]). Campaign scratch space lives under the
+/// case primes a fresh on-disk store, damages object files, then
+/// asserts typed-error + quarantine on read-back and that the cold path
+/// re-populates every damaged key byte-identically (see
+/// [`cache::cache_case`]). Campaign scratch space lives under the
 /// system temp dir and is removed per case.
 pub fn run_cache_campaign(seed: u64, cases: u32) -> CampaignReport {
     let base = std::env::temp_dir().join(format!(

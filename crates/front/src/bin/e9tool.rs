@@ -42,9 +42,9 @@ with --listen-tcp. Output is byte-identical to the in-process path.
 `patch --cache-dir DIR` reuses finished rewrites from a content-addressed
 cache at DIR ($E9CACHE_DIR provides a default; --no-cache disables both).
 A hit is byte-identical to a cold rewrite. Inputs below the bypass
-threshold (--cache-bypass-bytes N or $E9CACHE_BYPASS_BYTES, default
-131072; 0 caches every size) skip the cache entirely — for tiny binaries
-the rewrite is cheaper than keying it. The cache flags configure this
+threshold (--cache-bypass-bytes N, default 131072, fixed for the run; 0
+caches every size) skip the cache entirely — for tiny binaries the
+rewrite is cheaper than keying it. The cache flags configure this
 process's cache: with --backend, cache on the daemon instead
 (`e9patchd --cache-dir`, `--cache-bypass-bytes`). The in-process cache
 and a daemon's derive the same keys, so they can share one directory.
@@ -308,43 +308,23 @@ fn resolve_cache_dir_from(
     Ok(env_dir.map(std::path::PathBuf::from))
 }
 
-/// Resolve the cache bypass threshold: `--cache-bypass-bytes N` wins,
-/// else `$E9CACHE_BYPASS_BYTES`, else the library default (128 KiB).
-/// `0` disables the bypass (every size is cached). A modifier only — it
-/// never enables the cache by itself.
-fn resolve_bypass_bytes(args: &Args) -> Result<Option<u64>, String> {
-    if let Some(v) = args.value("cache-bypass-bytes") {
-        return v
-            .parse::<u64>()
-            .map(Some)
-            .map_err(|_| "bad --cache-bypass-bytes (want a byte count)".into());
-    }
-    match std::env::var("E9CACHE_BYPASS_BYTES") {
-        Ok(v) => v
-            .parse::<u64>()
-            .map(Some)
-            .map_err(|_| format!("bad E9CACHE_BYPASS_BYTES {v:?} (want a byte count)")),
-        Err(_) => Ok(None),
-    }
-}
-
 /// Where `patch` and `hook` run the rewrite.
 enum Route {
     /// In-process, uncached.
     Local,
-    /// In-process through the cache at DIR, with an optional bypass
-    /// threshold.
-    Cached(std::path::PathBuf, Option<u64>),
+    /// In-process through the cache configured here (its `dir` is set).
+    Cached(e9cache::CacheConfig),
     /// On the `--backend` daemon, which applies its own cache policy.
     Backend(String),
 }
 
-/// Resolve `--backend`, `--cache-dir`/`--no-cache` and
-/// `--cache-bypass-bytes` (and their environment defaults) into a
-/// [`Route`]. Nothing is opened yet, so flag errors come before any
-/// input is read. The cache flags describe this process's cache, so
-/// spelling one out next to `--backend` is an error; the ambient
-/// environment variables are ignored there.
+/// Resolve `--backend`, `--cache-dir`/`--no-cache` (and
+/// `$E9CACHE_DIR`) and `--cache-bypass-bytes` into a [`Route`]. Nothing
+/// is opened yet, so flag errors come before any input is read. The
+/// cache flags describe this process's cache, so spelling one out next
+/// to `--backend` is an error; an ambient `$E9CACHE_DIR` is ignored
+/// there. `--cache-bypass-bytes` is a modifier only: it never enables
+/// the cache by itself.
 fn resolve_route(args: &Args) -> Result<Route, String> {
     let cache_dir = resolve_cache_dir(args)?;
     if let Some(spec) = args.value("backend") {
@@ -355,9 +335,17 @@ fn resolve_route(args: &Args) -> Result<Route, String> {
         }
         return Ok(Route::Backend(spec.to_string()));
     }
-    let bypass_bytes = resolve_bypass_bytes(args)?;
-    Ok(match cache_dir {
-        Some(dir) => Route::Cached(dir, bypass_bytes),
+    let mut config = e9cache::CacheConfig {
+        dir: cache_dir,
+        ..e9cache::CacheConfig::default()
+    };
+    if let Some(v) = args.value("cache-bypass-bytes") {
+        config.bypass_bytes = v
+            .parse()
+            .map_err(|_| "bad --cache-bypass-bytes (want a byte count)")?;
+    }
+    Ok(match config.dir {
+        Some(_) => Route::Cached(config),
         None => Route::Local,
     })
 }
@@ -372,13 +360,11 @@ fn run_on<T>(
 ) -> Result<T, String> {
     let (res, summary) = match route {
         Route::Local => (run(e9front::Exec::Local), None),
-        Route::Cached(dir, bypass_bytes) => {
-            let cache = e9cache::Cache::open(&e9cache::CacheConfig {
-                dir: Some(dir.clone()),
-                bypass_bytes,
-                ..e9cache::CacheConfig::default()
-            })
-            .map_err(|e| format!("cannot open cache {}: {e}", dir.display()))?;
+        Route::Cached(config) => {
+            let cache = e9cache::Cache::open(&config).map_err(|e| {
+                let dir = config.dir.clone().unwrap_or_default();
+                format!("cannot open cache {}: {e}", dir.display())
+            })?;
             let res = run(e9front::Exec::Cached(&cache));
             (res, Some(cache.stats().summary()))
         }

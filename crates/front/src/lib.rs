@@ -270,13 +270,16 @@ pub fn select_sites(disasm: &[Insn], app: Application) -> Vec<u64> {
         .collect()
 }
 
-/// Pick load addresses for the instrumentation runtime, clear of the
-/// binary's own image.
-fn runtime_vaddrs(elf: &Elf) -> (u64, u64) {
-    let (_, hi) = elf.vaddr_extent();
-    let code = e9elf::page_ceil(hi) + 0x100_0000;
-    let data = code + 0x10_0000;
-    (code, data)
+/// Pick `(code, data)` load addresses for the instrumentation runtime,
+/// clear of the binary's own image: the hook layer's checked placement
+/// rule ([`e9hook::layout`]), so an image that reaches the top of the
+/// address space is a typed [`FrontError::Input`].
+fn runtime_vaddrs(elf: &Elf) -> Result<(u64, u64), FrontError> {
+    match e9hook::layout(elf) {
+        Ok(l) => Ok((l.code, l.counters)),
+        Err(e9hook::HookError::Input(m)) => Err(FrontError::Input(m)),
+        Err(e) => Err(e.into()),
+    }
 }
 
 /// Instrument `binary` according to `opts`: disassemble, select sites,
@@ -460,7 +463,8 @@ pub fn run_job(job: &Job) -> Result<RewriteOutput, FrontError> {
 ///
 /// # Errors
 ///
-/// Fails on unparseable ELF input.
+/// Fails on unparseable ELF input, and on an image with no room above
+/// it for the payload runtime.
 pub fn plan(binary: &[u8], disasm: &[Insn], opts: &Options) -> Result<Plan, FrontError> {
     let elf = Elf::parse(binary).map_err(|e| FrontError::Input(e.to_string()))?;
     let sites = select_sites(disasm, opts.app);
@@ -473,7 +477,7 @@ pub fn plan(binary: &[u8], disasm: &[Insn], opts: &Options) -> Result<Plan, Fron
     let template = match opts.payload {
         Payload::Empty => Template::Empty,
         Payload::Counter => {
-            let (_, data_vaddr) = runtime_vaddrs(&elf);
+            let (_, data_vaddr) = runtime_vaddrs(&elf)?;
             extra.push(ExtraSegment {
                 vaddr: data_vaddr,
                 bytes: vec![0u8; 4096],
@@ -486,7 +490,7 @@ pub fn plan(binary: &[u8], disasm: &[Insn], opts: &Options) -> Result<Plan, Fron
             }
         }
         Payload::LowFat => {
-            let (code_vaddr, data_vaddr) = runtime_vaddrs(&elf);
+            let (code_vaddr, data_vaddr) = runtime_vaddrs(&elf)?;
             let rt = e9lowfat::runtime::build(code_vaddr, data_vaddr);
             violations_addr = Some(rt.violations_addr);
             extra.push(ExtraSegment {
@@ -508,7 +512,7 @@ pub fn plan(binary: &[u8], disasm: &[Insn], opts: &Options) -> Result<Plan, Fron
         Payload::CounterPerSite => {
             // One 64-bit counter per site, in site order — readable back
             // through `counter_addr + 8*site_index`.
-            let (_, data_vaddr) = runtime_vaddrs(&elf);
+            let (_, data_vaddr) = runtime_vaddrs(&elf)?;
             let table_bytes = (sites.len().max(1) * 8).next_multiple_of(4096);
             extra.push(ExtraSegment {
                 vaddr: data_vaddr,
@@ -527,7 +531,7 @@ pub fn plan(binary: &[u8], disasm: &[Insn], opts: &Options) -> Result<Plan, Fron
             Template::Empty // unused; per_site takes precedence
         }
         Payload::Trace => {
-            let (code_vaddr, data_vaddr) = runtime_vaddrs(&elf);
+            let (code_vaddr, data_vaddr) = runtime_vaddrs(&elf)?;
             let rt = trace::build(code_vaddr, data_vaddr, 4096);
             trace_addr = Some(rt.data_addr);
             extra.push(ExtraSegment {

@@ -416,9 +416,6 @@ fn local_cache_fill_is_a_daemon_hit() {
             .args(["--app", "a1", "--payload", "counter"])
             .args(extra)
             .env_remove("E9CACHE_DIR")
-            // Unparseable on purpose: the flag overrides it locally, and
-            // behind --backend the ambient value is ignored.
-            .env("E9CACHE_BYPASS_BYTES", "not-a-number")
             .output()
             .unwrap();
         assert!(o.status.success(), "patch {extra:?} failed: {o:?}");

@@ -128,7 +128,8 @@ impl From<SymbolError> for HookError {
 }
 
 /// Runtime addresses the hook layer injects at, clear of the binary's own
-/// image (the same placement rule the instrumentation frontend uses).
+/// image. The instrumentation frontend places its payload runtime by the
+/// same rule, at `code` and `counters`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Layout {
     /// Executable segment holding payloads and thunks.
@@ -159,7 +160,7 @@ pub fn layout(elf: &Elf) -> Result<Layout, HookError> {
             manifest,
         }),
         _ => Err(HookError::Input(
-            "image extends beyond the hookable address space".into(),
+            "image leaves no address space above it for the runtime segments".into(),
         )),
     }
 }

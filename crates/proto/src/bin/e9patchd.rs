@@ -55,7 +55,9 @@
 //! content-addressed cache (memory LRU in front of an on-disk CAS at
 //! `PATH`), shared by every connection. `--cache-mem-bytes N` bounds (or,
 //! alone, enables memory-only caching); `--cache-disk-bytes N` adds
-//! size-budgeted LRU eviction of the disk tier. Clients observe hits via
+//! size-budgeted LRU eviction of the disk tier (recency is each object's
+//! mtime); `--cache-bypass-bytes N` sets the fixed size below which
+//! inputs skip the cache. Clients observe hits via
 //! the `cache`/`digest` fields of the `emit` reply and the `cache`
 //! command (stats / clear).
 
@@ -86,10 +88,13 @@ OPTIONS:
   --cache-dir PATH      enable the rewrite cache with an on-disk tier at PATH
   --cache-mem-bytes N   memory-tier budget in bytes (default 67108864;
                         without --cache-dir, enables memory-only caching)
-  --cache-disk-bytes N  disk-tier budget in bytes (default: unbounded)
+  --cache-disk-bytes N  disk-tier budget in bytes (default: unbounded);
+                        past it the least recently used entries (oldest
+                        mtime) are evicted
   --cache-bypass-bytes N  inputs below N bytes skip the cache entirely
-                        (default 131072; 0 caches every size; modifier
-                        only — does not enable the cache by itself)",
+                        (default 131072, fixed for the daemon's life; 0
+                        caches every size; modifier only — does not
+                        enable the cache by itself)",
         e9proto::PROTOCOL_VERSION
     );
     ExitCode::from(2)
@@ -159,12 +164,10 @@ fn main() -> ExitCode {
             }
             "--cache-mem-bytes" => {
                 want_cache = true;
-                v.parse().map(|n| cache_config.mem_bytes = Some(n)).is_ok()
+                v.parse().map(|n| cache_config.mem_bytes = n).is_ok()
             }
             "--cache-disk-bytes" => v.parse().map(|n| cache_config.disk_bytes = Some(n)).is_ok(),
-            "--cache-bypass-bytes" => {
-                v.parse().map(|n| cache_config.bypass_bytes = Some(n)).is_ok()
-            }
+            "--cache-bypass-bytes" => v.parse().map(|n| cache_config.bypass_bytes = n).is_ok(),
             _ => false,
         };
         if !ok {

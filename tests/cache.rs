@@ -33,7 +33,7 @@ fn cold_run_stores_warm_run_hits_byte_identically() {
     // these tests exercise the cache mechanics, so disable the bypass.
     let config = CacheConfig {
         dir: Some(dir.clone()),
-        bypass_bytes: Some(0),
+        bypass_bytes: 0,
         ..CacheConfig::default()
     };
     let (bin, disasm, opts) = workload();
@@ -103,7 +103,7 @@ fn corrupt_disk_entry_degrades_to_recomputed_identical_output() {
     let dir = tmpdir("corrupt");
     let config = CacheConfig {
         dir: Some(dir.clone()),
-        bypass_bytes: Some(0),
+        bypass_bytes: 0,
         ..CacheConfig::default()
     };
     let (bin, disasm, opts) = workload();
