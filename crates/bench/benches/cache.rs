@@ -10,7 +10,9 @@
 //! a default cache never keys it at all. `patch_cold` and
 //! `patch_warm_disk` stay on the small rung where their per-iteration
 //! store/open cost is tolerable. The digest benches bound the fixed
-//! keying cost every engaged patch pays.
+//! keying cost every engaged patch pays, and `rewrite_key` times key
+//! derivation alone on the job `e9tool patch --app a1` plans for the
+//! gcc profile at scale 2 (every cache request pays it, hits included).
 //!
 //! The JSON gains a `notes` object with `break_even_bytes`: the smallest
 //! measured rung where the warm memory hit beats the uncached rewrite —
@@ -159,6 +161,30 @@ fn main() {
     h.bench(&format!("tree_digest/{}MiB", buf_len / MIB), || {
         e9cache::tree::tree_digest(black_box(&buf), 1)
     });
+
+    // Key derivation alone, on a realistic planned job: hundreds of
+    // thousands of instructions and tens of thousands of patches.
+    {
+        let profile = e9synth::spec_profiles(2)
+            .into_iter()
+            .find(|p| p.name == "gcc")
+            .expect("gcc profile");
+        let bin = e9synth::generate(&profile).binary;
+        let disasm = e9front::disassemble_text(&bin).unwrap();
+        let plan = e9front::plan(&bin, &disasm, &opts).unwrap();
+        let digest = e9cache::tree::tree_digest(&bin, 1);
+        let cfg = e9patch::RewriteConfig::default();
+        h.throughput(Throughput::Elements(disasm.len() as u64));
+        h.bench("rewrite_key/gcc_scale2", || {
+            e9proto::cachekey::rewrite_key_from_digest(
+                black_box(&digest),
+                &disasm,
+                &plan.extra,
+                &plan.requests,
+                &cfg,
+            )
+        });
+    }
 
     // Derived: the smallest rung where the warm memory hit beats the
     // uncached rewrite. Everything below is bypass territory.

@@ -67,7 +67,12 @@ use std::sync::{Arc, Mutex, MutexGuard};
 /// v2: positive payloads switched from canonical-JSON emit replies to the
 /// compact binary codec (`EmitReply::encode_bin`), and the key's batch
 /// part from canonical JSON to the same binary framing.
-pub const FORMAT_VERSION: u64 = 2;
+///
+/// v3: the key material is one compact binary framing throughout:
+/// instruction addresses are elided where contiguous, and templates and
+/// the rewriter config are tagged fixed-width bytes instead of canonical
+/// JSON. Payloads are unchanged.
+pub const FORMAT_VERSION: u64 = 3;
 
 /// Default bypass threshold: inputs smaller than this skip the cache.
 /// Derived from the measured break-even on the bench size ladder (a warm

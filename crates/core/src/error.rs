@@ -35,6 +35,9 @@ pub enum Error {
     /// past the usable address space
     /// ([`MAX_ADDR`](crate::layout::MAX_ADDR)).
     BeyondAddressSpace(u64),
+    /// The file range of the load segment at this virtual address ends
+    /// past the end of the input, so no loader can map the segment.
+    SegmentBeyondFile(u64),
 }
 
 impl fmt::Display for Error {
@@ -65,6 +68,10 @@ impl fmt::Display for Error {
                 f,
                 "the range starting at {a:#x} ends past the usable address space ({:#x})",
                 crate::layout::MAX_ADDR
+            ),
+            Error::SegmentBeyondFile(a) => write!(
+                f,
+                "the load segment at {a:#x} has file bytes past the end of the input"
             ),
         }
     }

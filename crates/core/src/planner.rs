@@ -176,7 +176,9 @@ impl<'a> Planner<'a> {
     ///
     /// [`Error::BeyondAddressSpace`] for a load segment or reserved range
     /// that ends past [`MAX_ADDR`], which hostile images use to wrap the
-    /// rounding below.
+    /// rounding below. [`Error::SegmentBeyondFile`] for a load segment
+    /// whose file range ends past the input: the loader refuses such an
+    /// image, so a rewrite of it could never run.
     fn initial_space(
         elf: &Elf,
         cfg: &RewriteConfig,
@@ -194,6 +196,10 @@ impl<'a> Planner<'a> {
         };
         let mut space = AddressSpace::new();
         for p in elf.load_segments() {
+            match p.p_offset.checked_add(p.p_filesz) {
+                Some(file_end) if file_end <= elf.file_size() as u64 => {}
+                _ => return Err(Error::SegmentBeyondFile(p.p_vaddr)),
+            }
             let end = checked_end(p.p_vaddr, p.p_vaddr.checked_add(p.p_memsz))?;
             let start = block_floor(e9elf::page_floor(p.p_vaddr).saturating_sub(PAGE_SIZE));
             space.reserve(start, block_ceil(e9elf::page_ceil(end) + PAGE_SIZE));
@@ -213,7 +219,9 @@ impl<'a> Planner<'a> {
     /// # Errors
     ///
     /// [`Error::BeyondAddressSpace`] when a load segment or reserved
-    /// range ends past the usable address space.
+    /// range ends past the usable address space;
+    /// [`Error::SegmentBeyondFile`] when a load segment's file range ends
+    /// past the input.
     pub fn new(
         elf: Elf,
         insns: &'a BTreeMap<u64, Insn>,

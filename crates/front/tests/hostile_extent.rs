@@ -1,20 +1,23 @@
-//! Load extents that reach the top of the address space. A segment
-//! placed there (`vaddr-wrap.bin` from the hostile-ELF corpus) or a last
-//! `PT_LOAD` whose memsz is stretched to `u64::MAX` used to wrap the
-//! runtime placement and the planner's address-space rounding: a debug
-//! build panicked and a release build wrote an output. Every driver must
-//! refuse both with a typed error, in-process and over a loopback daemon
-//! session.
+//! Load extents that reach the top of the address space or past the end
+//! of the file. A segment placed at the top (`vaddr-wrap.bin` from the
+//! hostile-ELF corpus) or a last `PT_LOAD` whose memsz is stretched to
+//! `u64::MAX` used to wrap the runtime placement and the planner's
+//! address-space rounding: a debug build panicked and a release build
+//! wrote an output. A `PT_LOAD` whose file range lies past EOF
+//! (`offset-oob.bin`) was rewritten into an output no loader accepts.
+//! Every driver must refuse all of them with a typed error, in-process
+//! and over a loopback daemon session.
 
 use e9elf::types::{PHDR_SIZE, PT_LOAD};
 use e9front::{Application, Exec, FrontError, Options, Payload};
 use e9hook::{HookError, HookSpec};
 use e9patch::RewriteConfig;
 
-/// The checked-in corpus entry with a `PT_LOAD` at `u64::MAX - 0xFFF`.
-fn vaddr_wrap() -> Vec<u8> {
+/// A checked-in hostile-ELF corpus entry.
+fn corpus(name: &str) -> Vec<u8> {
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../faultgen/tests/corpus/vaddr-wrap.bin");
+        .join("../faultgen/tests/corpus")
+        .join(name);
     std::fs::read(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
 }
 
@@ -40,7 +43,7 @@ fn stretched_memsz() -> Vec<u8> {
 }
 
 fn inputs() -> [(&'static str, Vec<u8>); 2] {
-    [("vaddr-wrap", vaddr_wrap()), ("stretched-memsz", stretched_memsz())]
+    [("vaddr-wrap", corpus("vaddr-wrap.bin")), ("stretched-memsz", stretched_memsz())]
 }
 
 fn instrument(bin: &[u8], payload: Payload, exec: Exec) -> Result<(), FrontError> {
@@ -97,5 +100,40 @@ fn daemon_sessions_refuse_with_typed_errors() {
             Err(FrontError::Backend(m)) => assert!(m.contains("address space"), "{name}: {m}"),
             other => panic!("{name} hook: {other:?}"),
         }
+    }
+}
+
+// `offset-oob.bin` has a `PT_LOAD` whose file range lies past EOF. It
+// parses, and its runtime segments fit, so the planner is what must
+// refuse it.
+
+#[test]
+fn segment_past_eof_is_a_typed_error_in_process() {
+    let bin = corpus("offset-oob.bin");
+    for payload in [Payload::Counter, Payload::Empty] {
+        match instrument(&bin, payload, Exec::Local) {
+            Err(FrontError::Rewrite(e9patch::Error::SegmentBeyondFile(_))) => {}
+            other => panic!("{payload:?}: {other:?}"),
+        }
+    }
+    match hook(&bin, Exec::Local) {
+        Err(FrontError::Rewrite(e9patch::Error::SegmentBeyondFile(_))) => {}
+        other => panic!("hook: {other:?}"),
+    }
+}
+
+#[test]
+fn segment_past_eof_is_a_typed_error_over_a_daemon_session() {
+    let session = || e9proto::ProtoClient::in_process().expect("loopback daemon");
+    let bin = corpus("offset-oob.bin");
+    for payload in [Payload::Counter, Payload::Empty] {
+        match instrument(&bin, payload, Exec::Backend(&mut session())) {
+            Err(FrontError::Backend(m)) => assert!(m.contains("past the end of the input"), "{m}"),
+            other => panic!("{payload:?}: {other:?}"),
+        }
+    }
+    match hook(&bin, Exec::Backend(&mut session())) {
+        Err(FrontError::Backend(m)) => assert!(m.contains("past the end of the input"), "{m}"),
+        other => panic!("hook: {other:?}"),
     }
 }

@@ -5,16 +5,30 @@
 //! deterministic, so the output is safely addressable by a digest of
 //! those inputs, which is what [`rewrite_key_from_digest`] computes.
 //!
-//! The batch is absorbed through a compact tagged binary framing: each
-//! logical step (`instruction`, `reserve`, `patch`) contributes a type
-//! tag, its fixed fields as little-endian words, and its byte payloads
-//! length-prefixed (templates, which are small structured values, go
-//! through the canonical JSON codec). Hashing raw bytes instead of a
-//! hex-doubled JSON batch keeps keying linear in the input with a small
-//! constant — the batch can carry megabytes of instruction and segment
-//! bytes. `e9tool patch --cache-dir` (in-process) and an `e9patchd`
-//! session (wire) still derive byte-identical keys for the same logical
-//! job, so they share cache entries.
+//! The key material is one compact binary framing, written by one small
+//! writer that stages it in a 64 KiB buffer and hands each fill to
+//! [`Sha256::update`] at once:
+//!
+//! * a prefix: a domain tag, [`e9cache::FORMAT_VERSION`],
+//!   [`PROTOCOL_VERSION`] and the length-prefixed binary digest;
+//! * the instructions, count-prefixed. Each is one header byte holding
+//!   its length (1..=15), then its bytes. The header's high bit says an
+//!   explicit 8-byte address precedes the bytes; it is set on the first
+//!   instruction and on any that does not start where the previous one
+//!   ended, so a linear sweep keys about one address per section;
+//! * the reserved segments, count-prefixed: address, one flag byte and
+//!   the length-prefixed bytes;
+//! * the patches, count-prefixed: address, one tag byte per `Template`
+//!   variant and its fixed fields (`Replace`: length-prefixed `code`,
+//!   then a tagged `resume`);
+//! * the seven keyed [`RewriteConfig`] fields as fixed-width bytes.
+//!
+//! Multi-byte integers are little-endian. Hashing raw bytes keeps keying
+//! linear in the input with a small constant — the batch can carry
+//! megabytes of instruction and segment bytes. `e9tool patch
+//! --cache-dir` (in-process) and an `e9patchd` session (wire) derive
+//! byte-identical keys for the same logical job, so they share cache
+//! entries.
 //!
 //! The binary itself enters the key as its [`e9cache::tree`] digest, not
 //! its raw bytes — that is what lets a client hash the input once, send
@@ -46,81 +60,190 @@
 //!    `Negative{REWRITE, message}` entry on a rewrite error;
 //! 6. **stamp** — the reply's `cache` disposition and hex `digest`.
 //!
-//! Versioning: the key material starts with a domain tag plus
-//! [`e9cache::FORMAT_VERSION`] and [`PROTOCOL_VERSION`], so any change to
-//! the entry encoding or the wire grammar re-keys the world instead of
-//! misreading old entries. All multi-byte parts are length-prefixed —
-//! the encoding is injective, two different jobs cannot produce the same
-//! key material.
+//! Versioning: the version prefix means any change to the entry encoding,
+//! the key framing or the wire grammar re-keys the world instead of
+//! misreading old entries. The framing is injective — two different jobs
+//! cannot produce the same key material. A test-only decoder
+//! (`cachekey/frame.rs`) parses key material back into its job, and
+//! property tests check that it returns exactly the job that was keyed.
 
-use crate::json::Json;
-use crate::msg::{alloc_name, code, config_options, CacheDisposition, Command, EmitReply,
-                 RpcError, PROTOCOL_VERSION};
+use crate::msg::{code, config_options, CacheDisposition, Command, EmitReply, RpcError,
+                 PROTOCOL_VERSION};
 use e9cache::{Cache, Digest, Entry, Hit, Sha256};
-use e9patch::{ExtraSegment, PatchRequest, RewriteConfig, Rewriter};
+use e9patch::{AllocPolicy, ExtraSegment, PatchRequest, RewriteConfig, Rewriter, Tactics,
+              Template};
 use e9x86::insn::Insn;
+use e9x86::MAX_INSN_LEN;
 
-/// Domain-separation tag (NUL-terminated so no other use of the hash can
-/// collide with key material by accident).
-const DOMAIN: &[u8] = b"e9cache/rewrite-key\0";
+mod frame;
+use frame::*;
 
-/// Absorb one length-prefixed part.
-fn part(h: &mut Sha256, bytes: &[u8]) {
-    h.update(&(bytes.len() as u64).to_le_bytes());
-    h.update(bytes);
+/// Bytes of key material staged between two [`Sha256::update`] calls.
+const STAGE_BYTES: usize = 64 << 10;
+
+/// The one writer of key material: small fields are staged and reach the
+/// sink (the hasher, or a byte vector for [`key_material`]) once per
+/// [`STAGE_BYTES`]; a payload larger than the stage goes straight
+/// through.
+struct KeyWriter<S> {
+    sink: S,
+    stage: Box<[u8]>,
+    /// Bytes staged so far.
+    len: usize,
 }
 
-/// Canonical JSON encoding of the cache-relevant [`RewriteConfig`]
-/// fields (everything that can change output bytes; `jobs` cannot, and
-/// is therefore omitted). Its key order is part of every cache key, so it
-/// stays as it is even though it differs from the wire's option order.
-fn config_json(cfg: &RewriteConfig) -> Json {
-    crate::json::obj(vec![
-        ("t1", Json::Bool(cfg.tactics.t1)),
-        ("t2", Json::Bool(cfg.tactics.t2)),
-        ("t3", Json::Bool(cfg.tactics.t3)),
-        ("b0", Json::Bool(cfg.b0_fallback)),
-        ("granularity", Json::Int(cfg.granularity as i128)),
-        ("grouping", Json::Bool(cfg.grouping)),
-        ("alloc", Json::Str(alloc_name(cfg.alloc_policy).into())),
-    ])
-}
+impl<S: FnMut(&[u8])> KeyWriter<S> {
+    fn new(sink: S) -> KeyWriter<S> {
+        KeyWriter {
+            sink,
+            stage: vec![0; STAGE_BYTES].into_boxed_slice(),
+            len: 0,
+        }
+    }
 
-/// Absorb the batch in session order (instructions, then reserved
-/// segments, then patches — the order the planner consumes them). Each
-/// section is count-prefixed and each step carries a type tag, so the
-/// framing is injective without any intermediate serialization of the
-/// bulk bytes.
-fn absorb_batch(h: &mut Sha256, insns: &[Insn], extra: &[ExtraSegment], patches: &[PatchRequest]) {
-    h.update(&(insns.len() as u64).to_le_bytes());
-    for i in insns {
-        h.update(b"I");
-        h.update(&i.addr.to_le_bytes());
-        part(h, i.bytes());
+    fn flush(&mut self) {
+        (self.sink)(&self.stage[..self.len]);
+        self.len = 0;
     }
-    h.update(&(extra.len() as u64).to_le_bytes());
-    for e in extra {
-        h.update(b"R");
-        h.update(&e.vaddr.to_le_bytes());
-        h.update(&[u8::from(e.exec), u8::from(e.write)]);
-        part(h, &e.bytes);
+
+    /// Stage one record of at most `max` bytes: `fill` writes it at the
+    /// start of the slice it is given and returns its length.
+    fn record(&mut self, max: usize, fill: impl FnOnce(&mut [u8]) -> usize) {
+        if self.len + max > STAGE_BYTES {
+            self.flush();
+        }
+        self.len += fill(&mut self.stage[self.len..self.len + max]);
     }
-    h.update(&(patches.len() as u64).to_le_bytes());
-    for p in patches {
-        h.update(b"P");
-        h.update(&p.addr.to_le_bytes());
-        // Templates are small structured values; the canonical JSON
-        // codec is their one canonical encoding.
-        part(
-            h,
-            Command::Patch {
-                addr: p.addr,
-                template: p.template.clone(),
+
+    fn bytes(&mut self, bytes: &[u8]) {
+        if bytes.len() > STAGE_BYTES {
+            self.flush();
+            (self.sink)(bytes);
+        } else {
+            self.record(bytes.len(), |out| {
+                out.copy_from_slice(bytes);
+                bytes.len()
+            });
+        }
+    }
+
+    fn u8(&mut self, v: u8) {
+        self.bytes(&[v]);
+    }
+
+    fn u64(&mut self, v: u64) {
+        self.bytes(&v.to_le_bytes());
+    }
+
+    /// A length-prefixed byte string.
+    fn part(&mut self, bytes: &[u8]) {
+        self.u64(bytes.len() as u64);
+        self.bytes(bytes);
+    }
+
+    /// A tag byte and the fixed fields that follow it.
+    fn tagged(&mut self, tag: u8, fields: &[u64]) {
+        self.u8(tag);
+        for &f in fields {
+            self.u64(f);
+        }
+    }
+
+    fn template(&mut self, t: &Template) {
+        // No `_` arm: a new variant must be given a tag before it builds.
+        match t {
+            Template::Empty => self.tagged(TEMPLATE_EMPTY, &[]),
+            Template::Counter { counter_addr } => self.tagged(TEMPLATE_COUNTER, &[*counter_addr]),
+            Template::CheckCall { func_addr } => self.tagged(TEMPLATE_CHECK_CALL, &[*func_addr]),
+            Template::HookCall { func_addr } => self.tagged(TEMPLATE_HOOK_CALL, &[*func_addr]),
+            Template::HookSave { func_addr } => self.tagged(TEMPLATE_HOOK_SAVE, &[*func_addr]),
+            Template::HookOriginal {
+                func_addr,
+                thunk_addr,
+            } => self.tagged(TEMPLATE_HOOK_ORIGINAL, &[*func_addr, *thunk_addr]),
+            Template::Replace { code, resume } => {
+                self.u8(TEMPLATE_REPLACE);
+                self.part(code);
+                match resume {
+                    None => self.tagged(RESUME_NONE, &[]),
+                    Some(addr) => self.tagged(RESUME_AT, &[*addr]),
+                }
             }
-            .to_json()
-            .serialize()
-            .as_bytes(),
-        );
+        }
+    }
+
+    fn config(&mut self, cfg: &RewriteConfig) {
+        // Destructured so that a new field must be keyed (or, like
+        // `jobs`, deliberately skipped) before it builds.
+        let RewriteConfig {
+            tactics: Tactics { t1, t2, t3 },
+            b0_fallback,
+            granularity,
+            grouping,
+            alloc_policy,
+            jobs: _,
+        } = *cfg;
+        let alloc = match alloc_policy {
+            AllocPolicy::FirstFitLow => ALLOC_LOW,
+            AllocPolicy::FirstFitHigh => ALLOC_HIGH,
+        };
+        self.bytes(&[u8::from(t1), u8::from(t2), u8::from(t3), u8::from(b0_fallback)]);
+        self.u64(granularity);
+        self.bytes(&[u8::from(grouping), alloc]);
+    }
+
+    /// Write the whole key material (the module docs give its layout).
+    fn job(
+        mut self,
+        binary_digest: &Digest,
+        insns: &[Insn],
+        extra: &[ExtraSegment],
+        patches: &[PatchRequest],
+        cfg: &RewriteConfig,
+    ) {
+        self.bytes(DOMAIN);
+        self.u64(e9cache::FORMAT_VERSION);
+        self.u64(PROTOCOL_VERSION);
+        self.part(binary_digest);
+
+        self.u64(insns.len() as u64);
+        let mut next = None;
+        for i in insns {
+            let bytes = i.bytes();
+            let len = bytes.len();
+            debug_assert!(len != 0 && len <= usize::from(INSN_LEN_MASK));
+            let explicit = next != Some(i.addr);
+            self.record(1 + 8 + MAX_INSN_LEN, |out| {
+                out[0] = len as u8;
+                let mut at = 1;
+                if explicit {
+                    out[0] |= INSN_ADDR;
+                    out[1..9].copy_from_slice(&i.addr.to_le_bytes());
+                    at = 9;
+                }
+                out[at..at + len].copy_from_slice(bytes);
+                at + len
+            });
+            next = Some(i.addr.wrapping_add(len as u64));
+        }
+
+        self.u64(extra.len() as u64);
+        for e in extra {
+            self.u64(e.vaddr);
+            let exec = if e.exec { SEG_EXEC } else { 0 };
+            let write = if e.write { SEG_WRITE } else { 0 };
+            self.u8(exec | write);
+            self.part(&e.bytes);
+        }
+
+        self.u64(patches.len() as u64);
+        for p in patches {
+            self.u64(p.addr);
+            self.template(&p.template);
+        }
+
+        self.config(cfg);
+        self.flush();
     }
 }
 
@@ -136,13 +259,24 @@ pub fn rewrite_key_from_digest(
     cfg: &RewriteConfig,
 ) -> Digest {
     let mut h = Sha256::new();
-    h.update(DOMAIN);
-    h.update(&e9cache::FORMAT_VERSION.to_le_bytes());
-    h.update(&PROTOCOL_VERSION.to_le_bytes());
-    part(&mut h, binary_digest);
-    absorb_batch(&mut h, insns, extra, patches);
-    part(&mut h, config_json(cfg).serialize().as_bytes());
+    KeyWriter::new(|bytes: &[u8]| h.update(bytes)).job(binary_digest, insns, extra, patches, cfg);
     h.finish()
+}
+
+/// The key material [`rewrite_key_from_digest`] hashes, as one byte
+/// vector, for inspecting and testing the framing. Keying itself never
+/// holds it whole.
+pub fn key_material(
+    binary_digest: &Digest,
+    insns: &[Insn],
+    extra: &[ExtraSegment],
+    patches: &[PatchRequest],
+    cfg: &RewriteConfig,
+) -> Vec<u8> {
+    let mut material = Vec::new();
+    KeyWriter::new(|bytes: &[u8]| material.extend_from_slice(bytes))
+        .job(binary_digest, insns, extra, patches, cfg);
+    material
 }
 
 /// One fully planned rewrite job: the batch every execution path
@@ -298,7 +432,6 @@ pub fn cached_rewrite(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use e9patch::Template;
 
     /// The key of a job given the raw input bytes.
     fn rewrite_key(
@@ -355,6 +488,22 @@ mod tests {
         assert_ne!(rewrite_key(&bin, &insns, &[], &patches, &cfg), base);
         assert_ne!(rewrite_key(&bin, &insns, &extra, &[], &cfg), base);
 
+        // A one-byte gap between two instructions: the second one's
+        // address is no longer elided.
+        let gap = [insns[0], insn(insns[0].end() + 1, &[0x90])];
+        assert_ne!(rewrite_key(&bin, &gap, &extra, &patches, &cfg), base);
+
+        // An empty replacement that resumes after the instruction is a
+        // different template from `Empty`.
+        let replace = [PatchRequest {
+            addr: 0x401000,
+            template: Template::Replace {
+                code: vec![],
+                resume: None,
+            },
+        }];
+        assert_ne!(rewrite_key(&bin, &insns, &extra, &replace, &cfg), base);
+
         let mut cfg2 = cfg;
         cfg2.granularity += 1;
         assert_ne!(rewrite_key(&bin, &insns, &extra, &patches, &cfg2), base);
@@ -363,16 +512,131 @@ mod tests {
         assert_ne!(rewrite_key(&bin, &insns, &extra, &patches, &cfg3), base);
     }
 
+    /// A job with a non-contiguous instruction and one patch of each
+    /// `Template` variant.
+    fn every_template_job() -> (Vec<Insn>, Vec<PatchRequest>) {
+        let insns = vec![
+            insn(0x401000, &[0x48, 0x89, 0x03]),
+            insn(0x401003, &[0x90]),
+            insn(0x401010, &[0xC3]),
+        ];
+        let templates = [
+            Template::Empty,
+            Template::Counter { counter_addr: 0x3000_0000 },
+            Template::CheckCall { func_addr: 0x3000_1000 },
+            Template::HookCall { func_addr: 0x3000_2000 },
+            Template::HookSave { func_addr: 0x3000_3000 },
+            Template::HookOriginal {
+                func_addr: 0x3000_4000,
+                thunk_addr: 0x3000_5000,
+            },
+            Template::Replace {
+                code: vec![0x90, 0x90],
+                resume: Some(0x401010),
+            },
+        ];
+        let patches = templates
+            .into_iter()
+            .enumerate()
+            .map(|(k, template)| PatchRequest {
+                addr: 0x401000 + k as u64,
+                template,
+            })
+            .collect();
+        (insns, patches)
+    }
+
     #[test]
     fn key_known_answer() {
-        // Entries in existing cache directories must keep hitting, so
-        // neither the key material nor its framing may move.
+        // Entries in existing cache directories must keep hitting, so the
+        // key may move only with a `FORMAT_VERSION` bump, which re-keys
+        // every entry on purpose.
         let (bin, insns, extra, patches) = job();
         let key = rewrite_key(&bin, &insns, &extra, &patches, &RewriteConfig::default());
         assert_eq!(
             e9cache::sha256::hex(&key),
-            "ec9a6374272f531d5679681bc9735da98c8a507984cb5782585031619f79cbbc"
+            "e1b52b78515652642d9a3ba51a6fce198365b27c8c8f185e7a4f09cbe9b676ba"
         );
+    }
+
+    #[test]
+    fn every_template_key_known_answer() {
+        // As `key_known_answer`, over an elided and an explicit
+        // instruction address and every template's tag and fields.
+        let (bin, _, extra, _) = job();
+        let (insns, patches) = every_template_job();
+        let key = rewrite_key(&bin, &insns, &extra, &patches, &RewriteConfig::default());
+        assert_eq!(
+            e9cache::sha256::hex(&key),
+            "3794fb354fba8a74937198064f4250f80ecbe300c82d80280647fe4c1f7f2779"
+        );
+    }
+
+    #[test]
+    fn key_material_decodes_to_its_job_and_hashes_to_its_key() {
+        let (bin, _, extra, _) = job();
+        let (insns, patches) = every_template_job();
+        let cfg = RewriteConfig {
+            alloc_policy: AllocPolicy::FirstFitHigh,
+            granularity: 16,
+            ..RewriteConfig::default()
+        };
+        let digest = e9cache::tree::tree_digest(&bin, 1);
+        let material = key_material(&digest, &insns, &extra, &patches, &cfg);
+        assert_eq!(
+            e9cache::digest(&material),
+            rewrite_key_from_digest(&digest, &insns, &extra, &patches, &cfg)
+        );
+        let back = frame::decode(&material).expect("own key material decodes");
+        assert_eq!(back.format_version, e9cache::FORMAT_VERSION);
+        assert_eq!(back.protocol_version, PROTOCOL_VERSION);
+        assert_eq!(back.binary_digest, digest);
+        let pairs: Vec<(u64, Vec<u8>)> =
+            insns.iter().map(|i| (i.addr, i.bytes().to_vec())).collect();
+        assert_eq!(back.insns, pairs);
+        assert_eq!(back.reserves, extra);
+        assert_eq!(back.patches, patches);
+        assert_eq!(back.config, cfg);
+        // Headers: the first address is explicit, the contiguous second
+        // one elided, the third (after a gap) explicit.
+        let insns_at = DOMAIN.len() + 8 + 8 + (8 + 32) + 8;
+        let headers: Vec<u8> = [0, 1 + 8 + 3, 1 + 8 + 3 + 1 + 1]
+            .iter()
+            .map(|&off| material[insns_at + off])
+            .collect();
+        assert_eq!(headers, [INSN_ADDR | 3, 1, INSN_ADDR | 1]);
+        // Every strict prefix is malformed, and so is a trailing byte.
+        for cut in 0..material.len() {
+            assert!(frame::decode(&material[..cut]).is_none(), "prefix of {cut} bytes");
+        }
+        let mut long = material.clone();
+        long.push(0);
+        assert!(frame::decode(&long).is_none());
+    }
+
+    #[test]
+    fn payloads_larger_than_the_stage_key_as_if_staged() {
+        // A segment bigger than the stage bypasses it; the hashed bytes
+        // must be the key material all the same.
+        let (bin, insns, _, patches) = job();
+        let cfg = RewriteConfig::default();
+        let digest = e9cache::tree::tree_digest(&bin, 1);
+        for len in [STAGE_BYTES - 1, STAGE_BYTES, STAGE_BYTES + 1, 3 * STAGE_BYTES] {
+            let extra = [ExtraSegment {
+                vaddr: 0x3000_0000,
+                bytes: (0..len).map(|k| k as u8).collect(),
+                exec: true,
+                write: false,
+            }];
+            let material = key_material(&digest, &insns, &extra, &patches, &cfg);
+            assert_eq!(
+                e9cache::digest(&material),
+                rewrite_key_from_digest(&digest, &insns, &extra, &patches, &cfg),
+                "{len}-byte segment"
+            );
+            let back = frame::decode(&material).expect("own key material decodes");
+            assert_eq!(back.reserves, extra);
+        }
     }
 
     #[test]

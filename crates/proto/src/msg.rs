@@ -237,19 +237,6 @@ impl Command {
         }
     }
 
-    /// The full canonical-JSON form, `{"method":M,"params":{...}}`.
-    ///
-    /// This is what the cache key derivation (`crate::cachekey`) hashes:
-    /// reusing the wire codec means the in-process e9tool path and a
-    /// daemon session derive byte-identical key material from the same
-    /// logical batch.
-    pub fn to_json(&self) -> Json {
-        obj(vec![
-            ("method", Json::Str(self.method().into())),
-            ("params", self.params()),
-        ])
-    }
-
     fn params(&self) -> Json {
         match self {
             Command::Version { version } => obj(vec![("version", Json::Int(*version as i128))]),
@@ -692,8 +679,7 @@ impl Response {
 
 // ---- rewriter options ---------------------------------------------------
 
-/// The wire name of a trampoline allocation policy (`low` or `high`), also
-/// used by the cache key's config encoding.
+/// The wire name of a trampoline allocation policy (`low` or `high`).
 pub fn alloc_name(policy: AllocPolicy) -> &'static str {
     match policy {
         AllocPolicy::FirstFitLow => "low",
@@ -1633,7 +1619,7 @@ mod tests {
         assert!(hex_decode("zz").is_err());
     }
 
-    /// Wire bytes and cache-key material carry this encoding: every byte
+    /// Wire bytes carry this encoding: every byte
     /// value must encode exactly as the `format!("{b:02x}")` reference.
     #[test]
     fn hex_encode_matches_format_reference_for_every_byte() {

@@ -2,13 +2,21 @@
 //! `encode → parse → decode → encode` byte-identically (the serializer is
 //! canonical), and malformed input — truncations, bad escapes, depth
 //! bombs, random bytes — must come back as typed errors, never panics.
+//! The cache-key framing must be injective: decoding the key material of
+//! any job gives back exactly that job.
 
+use e9proto::cachekey::{key_material, rewrite_key_from_digest};
 use e9proto::json::{self, Json};
 use e9proto::msg::{apply_option, code, config_options, hex_decode, hex_encode, Command, Request,
-                   Response, RpcError};
+                   Response, RpcError, PROTOCOL_VERSION};
 use e9patch::planner::MAX_GRANULARITY;
-use e9patch::{AllocPolicy, RewriteConfig, Tactics, Template};
+use e9patch::{AllocPolicy, ExtraSegment, PatchRequest, RewriteConfig, Tactics, Template};
 use e9qcheck::prelude::*;
+use e9x86::insn::Insn;
+
+/// The key framing's tags and its decoder, shared with the library.
+#[path = "../src/cachekey/frame.rs"]
+mod frame;
 
 /// Build an arbitrary JSON tree from a drawn opcode stream. Floats are
 /// deliberately excluded: integer/float canonicalisation has its own unit
@@ -121,7 +129,110 @@ fn build_config(bits: u8, granularity: u64) -> RewriteConfig {
     }
 }
 
+/// Encodings of 1 to 15 bytes with no relative operand, so they decode
+/// at any address.
+const INSN_ENCODINGS: [&[u8]; 6] = [
+    &[0x90],
+    &[0xC3],
+    &[0x48, 0x89, 0x03],
+    &[0x0F, 0x1F, 0x44, 0x00, 0x00],
+    &[0x48, 0xB8, 1, 2, 3, 4, 5, 6, 7, 8],
+    &[0x66, 0x66, 0x66, 0x66, 0x66, 0x66, 0x2E, 0x0F, 0x1F, 0x84, 0x00, 0x00, 0x00, 0x00, 0x00],
+];
+
+/// Instructions from drawn `(encoding, placement, word)` triples. The
+/// placement puts each one right after its predecessor (address elided),
+/// one byte past it, or at the drawn word.
+fn build_insns(draws: &[(u8, u8, u64)]) -> Vec<Insn> {
+    let mut next = 0u64;
+    draws
+        .iter()
+        .map(|&(enc, place, word)| {
+            let addr = match place % 3 {
+                0 => next,
+                1 => next.wrapping_add(1),
+                _ => word,
+            };
+            let bytes = INSN_ENCODINGS[enc as usize % INSN_ENCODINGS.len()];
+            let insn = e9x86::decode::decode(bytes, addr).expect("pool encodings decode");
+            next = addr.wrapping_add(bytes.len() as u64);
+            insn
+        })
+        .collect()
+}
+
+/// A template of every variant from drawn fields (`Replace` with empty
+/// or non-empty `code`, `resume` absent or present).
+fn build_template(sel: u8, a: u64, b: u64, code: Vec<u8>) -> Template {
+    match sel % 8 {
+        0 => Template::Empty,
+        1 => Template::Counter { counter_addr: a },
+        2 => Template::CheckCall { func_addr: a },
+        3 => Template::HookCall { func_addr: a },
+        4 => Template::HookSave { func_addr: a },
+        5 => Template::HookOriginal {
+            func_addr: a,
+            thunk_addr: b,
+        },
+        6 => Template::Replace { code, resume: None },
+        _ => Template::Replace {
+            code,
+            resume: Some(b),
+        },
+    }
+}
+
 props! {
+    #[test]
+    fn key_material_decodes_to_the_keyed_job(
+        digest_seed in vec(any::<u8>(), 0..16),
+        insn_draws in vec((any::<u8>(), any::<u8>(), any::<u64>()), 0..40),
+        reserve_draws in vec((any::<u64>(), any::<u8>(), vec(any::<u8>(), 0..24)), 0..3),
+        patch_draws in vec((any::<u64>(), any::<u8>(), any::<u64>(), any::<u64>(),
+                            vec(any::<u8>(), 0..6)), 0..12),
+        bits in any::<u8>(),
+        granularity in any::<u64>(),
+    ) {
+        let digest = e9cache::digest(&digest_seed);
+        let insns = build_insns(&insn_draws);
+        let extra: Vec<ExtraSegment> = reserve_draws
+            .into_iter()
+            .map(|(vaddr, flags, bytes)| ExtraSegment {
+                vaddr,
+                bytes,
+                exec: flags & 1 != 0,
+                write: flags & 2 != 0,
+            })
+            .collect();
+        let patches: Vec<PatchRequest> = patch_draws
+            .into_iter()
+            .map(|(addr, sel, a, b, code)| PatchRequest {
+                addr,
+                template: build_template(sel, a, b, code),
+            })
+            .collect();
+        let cfg = build_config(bits, granularity);
+
+        let material = key_material(&digest, &insns, &extra, &patches, &cfg);
+        // The material is exactly what the key hashes...
+        prop_assert_eq!(
+            e9cache::digest(&material),
+            rewrite_key_from_digest(&digest, &insns, &extra, &patches, &cfg)
+        );
+        // ...and decodes back to the job, so two jobs never share it.
+        let back = frame::decode(&material)
+            .ok_or_else(|| TestCaseError::fail("own key material rejected"))?;
+        prop_assert_eq!(back.format_version, e9cache::FORMAT_VERSION);
+        prop_assert_eq!(back.protocol_version, PROTOCOL_VERSION);
+        prop_assert_eq!(&back.binary_digest[..], &digest[..]);
+        let pairs: Vec<(u64, Vec<u8>)> =
+            insns.iter().map(|i| (i.addr, i.bytes().to_vec())).collect();
+        prop_assert_eq!(back.insns, pairs);
+        prop_assert_eq!(back.reserves, extra);
+        prop_assert_eq!(back.patches, patches);
+        prop_assert_eq!(back.config, cfg);
+    }
+
     #[test]
     fn config_options_decode_to_the_same_config(
         bits in any::<u8>(),

@@ -22,8 +22,10 @@
 #      mutants across the ELF and wire surfaces; ELF mutants run through
 #      the instrumentation rewrite too) must complete with zero panics;
 #      failures print an E9FAULT_SEED replay line. Then the release
-#      `e9tool patch` of the corpus's vaddr-wrap.bin must exit 1 with a
-#      message and write no output
+#      `e9tool patch` of two corpus inputs no loader accepts must exit 1
+#      with a message and write no output: vaddr-wrap.bin (a load segment
+#      at the top of the address space) and offset-oob.bin (a load
+#      segment whose file range lies past EOF)
 #   6. cross-path cache hit: a cache directory filled by an e9patchd
 #      session must serve a later in-process `e9tool patch --cache-dir`
 #      a hit, byte-identical to a --no-cache rewrite (and to the daemon's
@@ -127,17 +129,22 @@ echo "large input through stdio and socket backends byte-identical to in-process
 
 echo "== fault-injection smoke (E9FAULT_SEED=${E9FAULT_SEED:-42}) =="
 target/release/e9fault --seed "${E9FAULT_SEED:-42}" --elf-cases 320 --wire-cases 200
-# A load segment at the top of the address space: the release rewrite
-# path must refuse it (exit 1, a message, no output), not wrap silently.
-wrap_in=crates/faultgen/tests/corpus/vaddr-wrap.bin
-wrap_rc=0
-target/release/e9tool patch "$wrap_in" -o "$tmp/wrap.e9" --payload counter \
-  2>"$tmp/wrap.log" || wrap_rc=$?
-[ "$wrap_rc" -eq 1 ] || { echo "patching $wrap_in exited $wrap_rc, want 1" >&2; exit 1; }
-grep -q "address space" "$tmp/wrap.log" \
-  || { echo "no diagnostic for $wrap_in:" >&2; cat "$tmp/wrap.log" >&2; exit 1; }
-[ ! -e "$tmp/wrap.e9" ] || { echo "refused $wrap_in still wrote an output" >&2; exit 1; }
-echo "top-of-address-space input refused with a typed error and no output: ok"
+# Inputs no loader accepts: the release rewrite path must refuse each
+# (exit 1, a message, no output), not write an output that cannot load.
+# Each name is paired with text its diagnostic must contain.
+for refused in "vaddr-wrap:address space" "offset-oob:past the end of the input"; do
+  name=${refused%%:*}
+  want=${refused#*:}
+  bad_in=crates/faultgen/tests/corpus/$name.bin
+  bad_rc=0
+  target/release/e9tool patch "$bad_in" -o "$tmp/$name.e9" --payload counter \
+    2>"$tmp/$name.log" || bad_rc=$?
+  [ "$bad_rc" -eq 1 ] || { echo "patching $bad_in exited $bad_rc, want 1" >&2; exit 1; }
+  grep -q "$want" "$tmp/$name.log" \
+    || { echo "no diagnostic for $bad_in:" >&2; cat "$tmp/$name.log" >&2; exit 1; }
+  [ ! -e "$tmp/$name.e9" ] || { echo "refused $bad_in still wrote an output" >&2; exit 1; }
+  echo "$name input refused with a typed error and no output: ok"
+done
 
 echo "== cross-path cache hit (daemon fills, in-process hits) =="
 "${e9tool[@]}" gen --profile perlbench --scale 200 -o "$tmp/p.elf"
