@@ -1,0 +1,202 @@
+//! Known-answer wire transcripts: SHA-256 over every request line and
+//! every reply line of fixed sessions, served by the stdio loop.
+//!
+//! Two jobs on an `e9synth` row (A1 selection with the empty payload,
+//! and a server-planned hook on every function), spelled by
+//! `Job::commands()` plus `hook`/`emit`, pin the encoder and every
+//! success reply. A third session pins the error replies: malformed
+//! JSON, unknown methods, bad hex, and the lines a decoder gets wrong
+//! when it assumes canonical form (duplicate and reordered keys,
+//! whitespace, escapes, number edge cases, a depth bomb).
+//!
+//! The wire transcript is part of the protocol: a codec change that
+//! moves one of these digests changes what a client sees.
+
+use e9patch::{PatchRequest, RewriteConfig, Template};
+use e9proto::cachekey::Job;
+use e9proto::msg::{Command, Request};
+use e9proto::server::serve_connection;
+
+/// The hex SHA-256 of `bytes`.
+fn sha(bytes: &[u8]) -> String {
+    e9cache::sha256::hex(&e9cache::digest(bytes))
+}
+
+/// One transcript: the request lines sent and the reply lines the stdio
+/// loop wrote back, each newline-terminated.
+struct Transcript {
+    requests: Vec<u8>,
+    replies: Vec<u8>,
+}
+
+impl Transcript {
+    fn serve(requests: Vec<u8>) -> Transcript {
+        let mut replies = Vec::new();
+        serve_connection(&mut std::io::Cursor::new(&requests), &mut replies).unwrap();
+        Transcript { requests, replies }
+    }
+
+    fn lines(bytes: &[u8]) -> usize {
+        bytes.iter().filter(|&&b| b == b'\n').count()
+    }
+
+    /// Check line counts and both digests.
+    fn check(&self, requests: (usize, &str), replies: (usize, &str)) {
+        let got = (
+            (Transcript::lines(&self.requests), sha(&self.requests)),
+            (Transcript::lines(&self.replies), sha(&self.replies)),
+        );
+        let want = (
+            (requests.0, requests.1.to_string()),
+            (replies.0, replies.1.to_string()),
+        );
+        assert_eq!(got, want, "(request lines, sha), (reply lines, sha)");
+    }
+}
+
+/// Encode `cmds` as request lines with ids from 1.
+fn lines(cmds: impl IntoIterator<Item = Command>) -> Vec<u8> {
+    let mut out = Vec::new();
+    for (i, cmd) in cmds.into_iter().enumerate() {
+        out.extend_from_slice(Request { id: i as u64 + 1, cmd }.encode().as_bytes());
+        out.push(b'\n');
+    }
+    out
+}
+
+/// The `gcc` row of Table 1 at 1/400 scale.
+fn row() -> e9synth::SynthBinary {
+    let profile = e9synth::spec_profiles(400)
+        .into_iter()
+        .find(|p| p.name == "gcc")
+        .expect("gcc row");
+    e9synth::generate(&profile)
+}
+
+#[test]
+fn a1_empty_job_transcript_is_pinned() {
+    let sb = row();
+    let requests: Vec<PatchRequest> = sb
+        .disasm
+        .iter()
+        .filter(|i| i.kind.is_jump())
+        .map(|i| PatchRequest {
+            addr: i.addr,
+            template: Template::Empty,
+        })
+        .collect();
+    let job = Job {
+        binary: &sb.binary,
+        disasm: &sb.disasm,
+        requests: &requests,
+        extra: &[],
+        config: RewriteConfig::default(),
+    };
+    let t = Transcript::serve(lines(job.commands().chain([Command::Emit])));
+    t.check(
+        (1930, "4866e724cfebaf56861dc1169f576c3a0f7fb3e3c34e586b79a3835a2e89e598"),
+        (1930, "a20aeb271630ac77cabd397813e27dbea99e955c80e0d40aaab2bf0e8effc787"),
+    );
+}
+
+#[test]
+fn hook_all_job_transcript_is_pinned() {
+    let sb = row();
+    let job = Job {
+        binary: &sb.binary,
+        disasm: &sb.disasm,
+        requests: &[],
+        extra: &[],
+        config: RewriteConfig::default(),
+    };
+    let spec = e9hook::HookSpec::counters(&["*"]);
+    let hook = Command::Hook {
+        funcs: spec.funcs,
+        addrs: spec.addrs,
+        call_original: spec.call_original,
+        payload: spec.payload,
+    };
+    let t = Transcript::serve(lines(job.commands().chain([hook, Command::Emit])));
+    t.check(
+        (1690, "7c02dd1452019520da4bd378dbef106b656c5fd5ceabb2e705f0ee6ef9b5a2a2"),
+        (1690, "2bdb40bab2eb33c705e51ce38275028e5a870ec3472d856e72051e7293739987"),
+    );
+}
+
+#[test]
+fn error_and_non_canonical_line_transcript_is_pinned() {
+    let mut b = e9elf::build::ElfBuilder::exec(0x400000);
+    b.text(vec![0x90; 64], 0x401000);
+    b.entry(0x401000);
+    let mut requests = lines([
+        Command::Version { version: 1 },
+        Command::Binary {
+            bytes: b.build(),
+            digest: None,
+        },
+    ]);
+    let bomb = format!("{}1{}", "[".repeat(100), "]".repeat(100));
+    let deep_ok = format!("{}1{}", "[".repeat(63), "]".repeat(63));
+    let raw: Vec<Vec<u8>> = vec![
+        // Malformed JSON: truncated, garbage, trailing garbage.
+        r#"{"jsonrpc":"2.0","id":3,"method":"instruction","params":{"addr":4198400,"bytes":"90"}"#.into(),
+        "}{not json".into(),
+        r#"{"jsonrpc":"2.0","id":5,"method":"emit","params":{}} x"#.into(),
+        // Unknown method, missing method, missing or mistyped id.
+        r#"{"jsonrpc":"2.0","id":6,"method":"frobnicate","params":{}}"#.into(),
+        r#"{"jsonrpc":"2.0","id":7,"params":{}}"#.into(),
+        r#"{"jsonrpc":"2.0","method":"emit","params":{}}"#.into(),
+        r#"{"jsonrpc":"2.0","id":true,"method":"emit","params":{}}"#.into(),
+        r#"{"jsonrpc":"2.0","id":"10","method":"emit","params":{}}"#.into(),
+        r#"{"jsonrpc":"2.0","id":1.0,"method":"emit","params":{}}"#.into(),
+        r#"{"jsonrpc":"2.0","id":-1,"method":"emit","params":{}}"#.into(),
+        r#"["not","an","object"]"#.into(),
+        // Bad and odd-length hex, a bad digest, missing params.
+        r#"{"jsonrpc":"2.0","id":13,"method":"instruction","params":{"addr":4198400,"bytes":"zz"}}"#.into(),
+        r#"{"jsonrpc":"2.0","id":14,"method":"instruction","params":{"addr":4198400,"bytes":"909"}}"#.into(),
+        r#"{"jsonrpc":"2.0","id":15,"method":"binary","params":{"bytes":"00","digest":"abc"}}"#.into(),
+        r#"{"jsonrpc":"2.0","id":16,"method":"instruction","params":{"bytes":"90"}}"#.into(),
+        r#"{"jsonrpc":"2.0","id":17,"method":"instruction"}"#.into(),
+        r#"{"jsonrpc":"2.0","id":18,"method":"patch","params":{"addr":4198400,"template":{"kind":"replace","code":"9","resume":null}}}"#.into(),
+        // Duplicate keys: the first occurrence wins.
+        r#"{"jsonrpc":"2.0","id":19,"id":20,"method":"instruction","params":{"addr":4198400,"bytes":"90"}}"#.into(),
+        r#"{"jsonrpc":"2.0","id":21,"method":"instruction","method":"emit","params":{"addr":4198401,"addr":9,"bytes":"90"},"params":{}}"#.into(),
+        // Reordered keys, extra whitespace, escapes.
+        r#"{"params":{"bytes":"90","addr":4198402},"method":"instruction","id":22,"jsonrpc":"2.0"}"#.into(),
+        " {\t\"jsonrpc\" : \"2.0\" ,\r\"id\" : 23 , \"method\" : \"instruction\" , \"params\" : { \"addr\" : 4198403 , \"bytes\" : \"90\" } } ".into(),
+        r#"{"jsonrpc":"2.0","id":24,"method":"instr\u0075ction","params":{"addr":4198404,"bytes":"9\u0030"}}"#.into(),
+        r#"{"jsonrpc":"2.0","id":25,"method":"option","params":{"name":"t1","value":"tr\"ue"}}"#.into(),
+        // Unknown members of every type are ignored.
+        format!(r#"{{"jsonrpc":"2.0","x":{{"a":[null,true,-1.5e3,"é"]}},"id":26,"method":"instruction","params":{{"y":{deep_ok},"addr":4198405,"bytes":"90"}}}}"#).into(),
+        // Number edge cases: a leading zero, 2^64 as id and as address,
+        // past i128, -0, an exponent.
+        r#"{"jsonrpc":"2.0","id":027,"method":"emit","params":{}}"#.into(),
+        r#"{"jsonrpc":"2.0","id":18446744073709551616,"method":"emit","params":{}}"#.into(),
+        r#"{"jsonrpc":"2.0","id":29,"method":"instruction","params":{"addr":18446744073709551616,"bytes":"90"}}"#.into(),
+        r#"{"jsonrpc":"2.0","id":340282366920938463463374607431768211456,"method":"emit","params":{}}"#.into(),
+        r#"{"jsonrpc":"2.0","id":-0,"method":"instruction","params":{"addr":4198406,"bytes":"90"}}"#.into(),
+        r#"{"jsonrpc":"2.0","id":32,"method":"instruction","params":{"addr":4198407e0,"bytes":"90"}}"#.into(),
+        // Params of another type: fine for a method without params.
+        r#"{"jsonrpc":"2.0","id":33,"method":"health","params":5}"#.into(),
+        r#"{"jsonrpc":"2.0","id":34,"method":"instruction","params":null}"#.into(),
+        // Depth bombs: at the top level and inside an ignored member.
+        bomb.clone().into(),
+        format!(r#"{{"jsonrpc":"2.0","id":36,"method":"emit","params":{{"z":{bomb}}}}}"#).into(),
+        // Invalid UTF-8 inside a string.
+        b"{\"id\":37,\"method\":\"\xff\"}".to_vec(),
+        // A state error and a decode error for a well-formed request.
+        r#"{"jsonrpc":"2.0","id":38,"method":"version","params":{"version":1}}"#.into(),
+        r#"{"jsonrpc":"2.0","id":39,"method":"instruction","params":{"addr":4198408,"bytes":"4889"}}"#.into(),
+        r#"{"jsonrpc":"2.0","id":40,"method":"emit","params":{}}"#.into(),
+        r#"{"jsonrpc":"2.0","id":41,"method":"shutdown","params":{}}"#.into(),
+    ];
+    for line in &raw {
+        requests.extend_from_slice(line);
+        requests.push(b'\n');
+    }
+    let t = Transcript::serve(requests);
+    t.check(
+        (41, "d58c576cf20e06e4b588e81af2ce784e81f157dcdba9c537b693d22efa664b5b"),
+        (41, "5040f78c79bcb5f8a50da742640642bc17c4649ac2c60ae2857c3beaf49ea275"),
+    );
+}
