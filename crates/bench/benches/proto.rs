@@ -1,16 +1,22 @@
-//! Protocol overhead: raw message throughput through the server loop, and
-//! end-to-end patch throughput over the wire versus the in-process path.
+//! Protocol overhead: raw message throughput through the server loop, the
+//! wire codec's cost per `instruction` line, and end-to-end patch
+//! throughput over the wire versus the in-process path.
 //!
-//! The paper's frontend/backend split costs one JSON round trip per
-//! command; these benches bound that overhead so the `--backend` path can
-//! be judged against calling the `Rewriter` directly.
+//! The paper's frontend/backend split sends one JSON request line per
+//! command. The client streams a job's lines through a bounded in-flight
+//! window (`e9proto::client::WINDOW_BYTES`), one write per window, so
+//! what each command still costs is the codec: encode the request,
+//! decode it, encode the reply, read the reply. `instruction_stream`
+//! times that layer alone, with no socket, over the most frequent line;
+//! the other rows bound the whole `--backend` path against calling the
+//! `Rewriter` directly.
 
 use e9bench::harness::{Harness, Throughput};
 use e9front::{instrument_via_backend, instrument_with_disasm, Application, Options, Payload};
-use e9proto::msg::{Command, Request};
-use e9proto::server::serve_connection;
-use e9proto::ProtoClient;
-use e9synth::{generate, Profile};
+use e9proto::msg::{Command, Request, Response};
+use e9proto::server::{dispatch_line, serve_connection};
+use e9proto::{ProtoClient, Session};
+use e9synth::{generate, spec_profiles, Profile};
 use std::hint::black_box;
 use std::io::Cursor;
 
@@ -45,7 +51,49 @@ fn main() {
         out
     });
 
-    // 2. End-to-end instrumentation of the same workload, in-process vs
+    // 2. The codec per `instruction` line, as a backend session sees a
+    // job's disassembly: encode each request, decode and execute it
+    // (`dispatch_line`), encode the reply and read it back. No socket.
+    let gcc = spec_profiles(50)
+        .into_iter()
+        .find(|p| p.name == "gcc")
+        .map(|p| generate(&p))
+        .expect("gcc row");
+    let head = [
+        Command::Version { version: 1 },
+        Command::Binary {
+            bytes: gcc.binary.clone(),
+            digest: None,
+        },
+    ]
+    .map(|cmd| Request { id: 0, cmd }.encode());
+    let insns = gcc.disasm.len() as u64;
+    h.throughput(Throughput::Elements(insns));
+    h.bench(&format!("instruction_stream/{insns}"), || {
+        let mut session = Session::new();
+        for line in &head {
+            dispatch_line(&mut session, line.as_bytes());
+        }
+        let (mut request, mut reply) = (Vec::new(), Vec::new());
+        for (id, i) in gcc.disasm.iter().enumerate() {
+            request.clear();
+            Request {
+                id: id as u64,
+                cmd: Command::Instruction {
+                    addr: i.addr,
+                    bytes: i.bytes().to_vec(),
+                },
+            }
+            .encode_into(&mut request);
+            reply.clear();
+            dispatch_line(&mut session, &request).encode_into(&mut reply);
+            let read = Response::decode_line(&reply).expect("a reply line");
+            assert!(read.body.is_ok(), "{read:?}");
+        }
+        session
+    });
+
+    // 3. End-to-end instrumentation of the same workload, in-process vs
     // through the full wire protocol (loopback socket pair: every byte
     // crosses the serializer, parser and session state machine).
     let prog = generate(&Profile::tiny("bench-proto", false));

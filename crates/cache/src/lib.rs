@@ -35,14 +35,13 @@
 //!
 //! # Bypass: tiny rewrites skip the cache
 //!
-//! For small inputs recomputing the rewrite is provably cheaper than
-//! keying it (hash + lookup + decode), so [`Cache::should_bypass`]
-//! implements a size threshold below which callers skip the cache
-//! entirely — no key is derived, nothing is stored, not even negative
-//! entries. The threshold is [`CacheConfig::bypass_bytes`] (default
-//! [`DEFAULT_BYPASS_BYTES`], the measured break-even on the bench ladder,
-//! see `results/bench_cache.json`) and stays fixed for the cache's
-//! lifetime. Decisions are counted in [`CacheStats::bypasses`] and the
+//! [`Cache::should_bypass`] implements a size threshold below which
+//! callers skip the cache entirely — no key is derived, nothing is
+//! stored, not even negative entries. The threshold is
+//! [`CacheConfig::bypass_bytes`] (default [`DEFAULT_BYPASS_BYTES`],
+//! 64 KiB: the smallest measured input where a warm hit beats the
+//! uncached rewrite, see `results/bench_cache.json`) and stays fixed for
+//! the cache's lifetime. Decisions are counted in [`CacheStats::bypasses`] and the
 //! threshold is reported as [`CacheStats::bypass_threshold`].
 
 pub mod breaker;
@@ -75,10 +74,12 @@ use std::sync::{Arc, Mutex, MutexGuard};
 pub const FORMAT_VERSION: u64 = 3;
 
 /// Default bypass threshold: inputs smaller than this skip the cache.
-/// Derived from the measured break-even on the bench size ladder (a warm
-/// hit pays ~1 GiB/s hashing plus a lookup; a tiny rewrite recomputes in
-/// tens of microseconds, which at 128 KiB is the cheaper side).
-pub const DEFAULT_BYPASS_BYTES: u64 = 128 << 10;
+/// The smallest rung of the bench size ladder where a warm memory hit
+/// beats the uncached rewrite (`break_even_bytes` in
+/// `results/bench_cache.json`): at 64 KiB the hit, which pays ~1 GiB/s
+/// hashing plus a lookup, already takes well under half the rewrite's
+/// time. No smaller input is measured, so below it the cache stays out.
+pub const DEFAULT_BYPASS_BYTES: u64 = 64 << 10;
 
 /// A typed cache failure. The cache is an accelerator, so callers treat
 /// every variant as "fall back to a cold rewrite" — but the variants are

@@ -7,8 +7,9 @@
 //!    (`e9vm::load::load_elf`), reached from `e9tool` file arguments and
 //!    from the wire protocol's `binary` command;
 //! 2. **wire-protocol streams** — request lines entering
-//!    `e9proto::server::dispatch_line` (JSON parse → envelope decode →
-//!    session state machine).
+//!    `e9proto::server::dispatch_line` (single-pass request decode →
+//!    session state machine), checked against the reference path
+//!    `e9proto::server::reference_reply` on a twin session.
 //!
 //! This crate throws seeded, structured garbage at both and asserts the
 //! contract the rest of the workspace relies on: *typed errors, never
@@ -273,9 +274,11 @@ fn rewrite_probe(bytes: &[u8], disasm: &[e9x86::Insn]) {
 
 /// Run `cases` seeded mutants against the wire surface: each case mutates
 /// a valid session transcript, feeds every line through a fresh session's
-/// `dispatch_line`, then probes that the session still answers a
-/// well-formed request. Any unwind — and any post-mutation
-/// unserviceability — is recorded as a panic-class failure.
+/// `dispatch_line` and a twin session's `reference_reply`, then probes
+/// that the session still answers a well-formed request. Any unwind, any
+/// reply that differs from the reference's, and any post-mutation
+/// unserviceability is recorded as a panic-class failure (see
+/// [`wire::wire_case`]).
 pub fn run_wire_campaign(seed: u64, cases: u32) -> CampaignReport {
     let script = wire::baseline_script();
     run_campaign(Surface::Wire, seed, cases, |rng| {

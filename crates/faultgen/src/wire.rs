@@ -6,12 +6,14 @@
 //! (a client dying mid-batch), byte flips, numeric inflation, line
 //! reordering / duplication / deletion (state-machine abuse) and injected
 //! garbage lines. The contract under test: every line gets a response or a clean
-//! cut — never a panic — and the session still answers a well-formed
+//! cut — never a panic — the same response, byte for byte, as the
+//! reference path (tree parse, tree decode, tree-serialized reply) gives
+//! on a twin session, and the session still answers a well-formed
 //! request afterwards.
 
 use crate::Outcome;
 use e9proto::msg::{Command, Request};
-use e9proto::server::dispatch_line;
+use e9proto::server::{dispatch_line, reference_reply};
 use e9proto::Session;
 use e9rng::StdRng;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -212,18 +214,37 @@ fn splice_line(rng: &mut StdRng, bytes: &mut Vec<u8>) {
     }
 }
 
-/// Execute one wire case: feed every line of `stream` through a fresh
-/// session's `dispatch_line`, then probe serviceability with a valid
-/// request. Unwinds and a dead session both count as failures.
+/// Execute one wire case: feed every line of `stream` to twin sessions,
+/// one through the serving path's `dispatch_line` and the other through
+/// the reference path (`reference_reply`: JSON tree parse, tree decode,
+/// tree-serialized reply). Both must decode each line to the same request
+/// or error reply and answer it with the same bytes. Then probe
+/// serviceability with a valid request. Unwinds, a difference between
+/// the twins and a dead session all count as failures.
 pub fn wire_case(stream: &[u8]) -> Outcome {
     let result = catch_unwind(AssertUnwindSafe(|| {
         let mut session = Session::new();
+        let mut twin = Session::new();
         let mut any_error = false;
         for line in stream.split(|&b| b == b'\n') {
             if line.iter().all(|b| b.is_ascii_whitespace()) {
                 continue;
             }
+            let trimmed = line.trim_ascii();
+            assert_eq!(
+                Request::decode_line(trimmed),
+                Request::decode_line_via_tree(trimmed),
+                "single-pass and tree decoders differ on {:?}",
+                String::from_utf8_lossy(line)
+            );
             let resp = dispatch_line(&mut session, line);
+            let reference = reference_reply(&mut twin, line);
+            assert_eq!(
+                Some(resp.encode()),
+                reference,
+                "serving and reference replies differ on {:?}",
+                String::from_utf8_lossy(line)
+            );
             if resp.body.is_err() {
                 any_error = true;
             }

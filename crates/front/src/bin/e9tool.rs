@@ -42,7 +42,7 @@ with --listen-tcp. Output is byte-identical to the in-process path.
 `patch --cache-dir DIR` reuses finished rewrites from a content-addressed
 cache at DIR ($E9CACHE_DIR provides a default; --no-cache disables both).
 A hit is byte-identical to a cold rewrite. Inputs below the bypass
-threshold (--cache-bypass-bytes N, default 131072, fixed for the run; 0
+threshold (--cache-bypass-bytes N, default 65536, fixed for the run; 0
 caches every size) skip the cache entirely — for tiny binaries the
 rewrite is cheaper than keying it. The cache flags configure this
 process's cache: with --backend, cache on the daemon instead

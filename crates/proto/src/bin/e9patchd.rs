@@ -92,7 +92,7 @@ OPTIONS:
                         past it the least recently used entries (oldest
                         mtime) are evicted
   --cache-bypass-bytes N  inputs below N bytes skip the cache entirely
-                        (default 131072, fixed for the daemon's life; 0
+                        (default 65536, fixed for the daemon's life; 0
                         caches every size; modifier only — does not
                         enable the cache by itself)",
         e9proto::PROTOCOL_VERSION

@@ -1,7 +1,7 @@
 //! Frontend-side protocol client.
 //!
 //! A [`ProtoClient`] owns one request/response byte stream to a patch
-//! backend and exposes the command set as typed calls. Three transports:
+//! backend and exposes the command set as typed calls. Four transports:
 //!
 //! * [`ProtoClient::spawn`] — launch an `e9patchd` child and talk over its
 //!   stdio (the `e9tool patch --backend stdio` path);
@@ -20,6 +20,11 @@
 //! (paper §6), so when a request travels cannot change the output; the
 //! wire transcript is the same as one call at a time. [`ProtoClient::call`]
 //! is the one-request case.
+//!
+//! Request lines are written straight into the window's batch
+//! ([`Request::encode_into`]) and replies are read with the single-pass
+//! decoder ([`Response::decode_line`]), so no JSON tree is built for a
+//! request, nor for an empty `{}` result.
 
 use crate::json;
 use crate::msg::{CacheAction, CacheStatsReply, Command, EmitReply, HealthReply, HookReply,
@@ -85,6 +90,8 @@ pub struct ProtoClient {
     writer: Box<dyn Write + Send>,
     transport: Transport,
     next_id: u64,
+    /// The reply line being read, reused from reply to reply.
+    line: String,
 }
 
 impl ProtoClient {
@@ -109,6 +116,7 @@ impl ProtoClient {
             writer: Box::new(stdin),
             transport: Transport::Child(child),
             next_id: 0,
+            line: String::new(),
         })
     }
 
@@ -142,6 +150,7 @@ impl ProtoClient {
             writer: Box::new(writer),
             transport: Transport::Stream,
             next_id: 0,
+            line: String::new(),
         })
     }
 
@@ -181,6 +190,7 @@ impl ProtoClient {
             writer: Box::new(writer),
             transport: Transport::Stream,
             next_id: 0,
+            line: String::new(),
         })
     }
 
@@ -269,42 +279,42 @@ impl ProtoClient {
         let mut last = json::Json::Null;
         for cmd in cmds {
             self.next_id += 1;
-            let mut line = Request {
+            // The line goes straight into the batch; if it does not fit
+            // the window, the requests before it go out first.
+            let start = batch.len();
+            Request {
                 id: self.next_id,
                 cmd,
             }
-            .encode()
-            .into_bytes();
-            line.push(b'\n');
-            if bytes + line.len() > WINDOW_BYTES && !in_flight.is_empty() {
-                self.send(&mut batch, &in_flight)?;
-                let room = (WINDOW_BYTES / 2).min(WINDOW_BYTES.saturating_sub(line.len()));
+            .encode_into(&mut batch);
+            batch.push(b'\n');
+            let len = batch.len() - start;
+            if bytes + len > WINDOW_BYTES && !in_flight.is_empty() {
+                let sent = self.send(&batch[..start], &in_flight);
+                batch.drain(..start);
+                sent?;
+                let room = (WINDOW_BYTES / 2).min(WINDOW_BYTES.saturating_sub(len));
                 while bytes > room {
                     let (id, len) = in_flight.pop_front().expect("bytes in flight");
                     last = self.reply_in_window(id, &mut in_flight)?;
                     bytes -= len;
                 }
             }
-            bytes += line.len();
-            in_flight.push_back((self.next_id, line.len()));
-            batch.extend_from_slice(&line);
+            bytes += len;
+            in_flight.push_back((self.next_id, len));
         }
-        self.send(&mut batch, &in_flight)?;
+        self.send(&batch, &in_flight)?;
         while let Some((id, _)) = in_flight.pop_front() {
             last = self.reply_in_window(id, &mut in_flight)?;
         }
         Ok(last)
     }
 
-    /// Write `batch` in one write and empty it. `in_flight` lists every
-    /// request sent or batched whose reply is unread; a failed write
-    /// looks through their replies (see
+    /// Write `batch` in one write. `in_flight` lists every request sent
+    /// or in `batch` whose reply is unread; a failed write looks through
+    /// their replies (see
     /// [`reply_for_failed_write`](Self::reply_for_failed_write)).
-    fn send(
-        &mut self,
-        batch: &mut Vec<u8>,
-        in_flight: &VecDeque<(u64, usize)>,
-    ) -> Result<(), ClientError> {
+    fn send(&mut self, batch: &[u8], in_flight: &VecDeque<(u64, usize)>) -> Result<(), ClientError> {
         if batch.is_empty() {
             return Ok(());
         }
@@ -312,13 +322,12 @@ impl ProtoClient {
         // interrupt can never send half a request or splice two reads;
         // real mid-stream EINTR is already absorbed inside
         // `write_all`/`read_line`.
-        let sent = retry_interrupted(EINTR_BUDGET, || {
+        retry_interrupted(EINTR_BUDGET, || {
             e9failpt::fail_io("proto.client.write")?;
             self.writer.write_all(batch)?;
             self.writer.flush()
-        });
-        batch.clear();
-        sent.map_err(|err| self.reply_for_failed_write(err, in_flight.iter().map(|&(id, _)| id)))
+        })
+        .map_err(|err| self.reply_for_failed_write(err, in_flight.iter().map(|&(id, _)| id)))
     }
 
     /// The reply to request `id`, the oldest in flight. After an in-band
@@ -346,17 +355,15 @@ impl ProtoClient {
     /// (an oversized line, BUSY shedding) and is the typed
     /// [`ClientError::Rpc`]; any other id mismatch is `Protocol`.
     fn read_reply(&mut self, id: u64) -> Result<json::Json, ClientError> {
-        let mut line = String::new();
+        self.line.clear();
         let n = retry_interrupted(EINTR_BUDGET, || {
             e9failpt::fail_io("proto.client.read")?;
-            self.reader.read_line(&mut line)
+            self.reader.read_line(&mut self.line)
         })?;
         if n == 0 {
             return Err(ClientError::Protocol("backend closed the connection".into()));
         }
-        let value = json::parse(line.trim().as_bytes())
-            .map_err(|e| ClientError::Protocol(e.to_string()))?;
-        let resp = Response::decode(&value).map_err(ClientError::Protocol)?;
+        let resp = Response::decode_line(self.line.trim().as_bytes()).map_err(ClientError::Protocol)?;
         if resp.id != Some(id) {
             if resp.id.is_none() {
                 if let Err(e) = resp.body {

@@ -13,7 +13,8 @@
 //!   serializer (u64-exact integers, depth-bounded, panic-free);
 //! * [`msg`] — the typed command set (`version`, `binary`, `option`,
 //!   `reserve`, `instruction`, `patch`, `emit`, `shutdown`), request and
-//!   response envelopes, and error codes;
+//!   response envelopes, and error codes; lines are written directly
+//!   and decoded in one pass, with no JSON tree;
 //! * [`session`] — the per-connection state machine that buffers commands
 //!   and feeds the in-process [`e9patch::Rewriter`] on `emit`, preserving
 //!   the paper's S1 reverse-order batch semantics;

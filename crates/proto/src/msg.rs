@@ -18,8 +18,17 @@
 //! Every message type round-trips `encode → parse → decode` losslessly and
 //! — because the serializer is canonical — byte-identically, which the
 //! `codec_props` suite checks for arbitrary messages.
+//!
+//! The serving path builds no JSON tree for a protocol line: requests and
+//! replies are written directly in canonical form
+//! ([`Request::encode_into`], [`Response::encode_into`]) and read in one
+//! pass ([`Request::decode_line`], [`Response::decode_line`]). The tree
+//! forms ([`Request::decode`], [`Response::decode`],
+//! [`Response::to_json`]) are the reference those are tested against,
+//! and they word the error for a line the single pass refuses.
 
-use crate::json::{obj, Json};
+use crate::json::{self, obj, Json, JsonError, Scanner};
+use std::borrow::Cow;
 use e9patch::{AllocPolicy, PatchStats, RewriteConfig, RewriteOutput, SiteReport, SizeStats,
               TacticKind, Template};
 use std::fmt;
@@ -65,36 +74,67 @@ pub mod code {
 
 /// Lowercase hex encoding for binary payloads.
 pub fn hex_encode(bytes: &[u8]) -> String {
-    const DIGITS: &[u8; 16] = b"0123456789abcdef";
     let mut out = Vec::with_capacity(bytes.len() * 2);
-    for &b in bytes {
-        out.push(DIGITS[usize::from(b >> 4)]);
-        out.push(DIGITS[usize::from(b & 0xf)]);
-    }
+    hex_encode_into(&mut out, bytes);
     String::from_utf8(out).expect("hex digits are ASCII")
+}
+
+/// Append the lowercase hex of `bytes` to `out`, two digits per byte from
+/// a table.
+fn hex_encode_into(out: &mut Vec<u8>, bytes: &[u8]) {
+    const PAIRS: [[u8; 2]; 256] = {
+        const DIGITS: &[u8; 16] = b"0123456789abcdef";
+        let mut pairs = [[0u8; 2]; 256];
+        let mut b = 0;
+        while b < 256 {
+            pairs[b] = [DIGITS[b >> 4], DIGITS[b & 0xf]];
+            b += 1;
+        }
+        pairs
+    };
+    let start = out.len();
+    out.resize(start + 2 * bytes.len(), 0);
+    for (pair, &b) in out[start..].chunks_exact_mut(2).zip(bytes) {
+        pair.copy_from_slice(&PAIRS[usize::from(b)]);
+    }
 }
 
 /// Inverse of [`hex_encode`]; accepts upper- and lowercase digits.
 ///
 /// # Errors
 ///
-/// Odd length or non-hex characters.
+/// Odd length or non-hex characters (the first one is named).
 pub fn hex_decode(s: &str) -> Result<Vec<u8>, String> {
+    /// Each byte's digit value, or `BAD`.
+    const BAD: u8 = 0xff;
+    const NIBBLES: [u8; 256] = {
+        let mut t = [BAD; 256];
+        let mut d = 0;
+        while d < 10 {
+            t[b'0' as usize + d] = d as u8;
+            d += 1;
+        }
+        let mut d = 0;
+        while d < 6 {
+            t[b'a' as usize + d] = 10 + d as u8;
+            t[b'A' as usize + d] = 10 + d as u8;
+            d += 1;
+        }
+        t
+    };
     if s.len() % 2 != 0 {
         return Err(format!("odd hex length {}", s.len()));
     }
-    let bytes = s.as_bytes();
-    let nib = |b: u8| -> Result<u8, String> {
-        match b {
-            b'0'..=b'9' => Ok(b - b'0'),
-            b'a'..=b'f' => Ok(b - b'a' + 10),
-            b'A'..=b'F' => Ok(b - b'A' + 10),
-            _ => Err(format!("bad hex byte {b:#04x}")),
+    let mut out = Vec::with_capacity(s.len() / 2);
+    for pair in s.as_bytes().chunks_exact(2) {
+        let (hi, lo) = (NIBBLES[usize::from(pair[0])], NIBBLES[usize::from(pair[1])]);
+        if hi == BAD || lo == BAD {
+            let bad = if hi == BAD { pair[0] } else { pair[1] };
+            return Err(format!("bad hex byte {bad:#04x}"));
         }
-    };
-    (0..s.len() / 2)
-        .map(|i| Ok((nib(bytes[2 * i])? << 4) | nib(bytes[2 * i + 1])?))
-        .collect()
+        out.push((hi << 4) | lo);
+    }
+    Ok(out)
 }
 
 /// One patch-protocol command (the `method` + `params` of a request).
@@ -237,72 +277,129 @@ impl Command {
         }
     }
 
-    fn params(&self) -> Json {
+    /// Append the canonical `params` object to `out`.
+    fn write_params(&self, out: &mut Vec<u8>) {
+        let o = ObjWriter::new(out);
         match self {
-            Command::Version { version } => obj(vec![("version", Json::Int(*version as i128))]),
+            Command::Version { version } => o.u64("version", *version),
             Command::Binary { bytes, digest } => {
-                let mut fields = vec![("bytes", Json::Str(hex_encode(bytes)))];
-                if let Some(d) = digest {
-                    fields.push(("digest", Json::Str(e9cache::sha256::hex(d))));
+                let o = o.hex("bytes", bytes);
+                match digest {
+                    Some(d) => o.hex("digest", d),
+                    None => o,
                 }
-                obj(fields)
             }
-            Command::Option { name, value } => obj(vec![
-                ("name", Json::Str(name.clone())),
-                ("value", Json::Str(value.clone())),
-            ]),
+            Command::Option { name, value } => o.str("name", name).str("value", value),
             Command::Reserve {
                 vaddr,
                 bytes,
                 exec,
                 write,
-            } => obj(vec![
-                ("vaddr", Json::Int(*vaddr as i128)),
-                ("bytes", Json::Str(hex_encode(bytes))),
-                ("exec", Json::Bool(*exec)),
-                ("write", Json::Bool(*write)),
-            ]),
-            Command::Instruction { addr, bytes } => obj(vec![
-                ("addr", Json::Int(*addr as i128)),
-                ("bytes", Json::Str(hex_encode(bytes))),
-            ]),
-            Command::Patch { addr, template } => obj(vec![
-                ("addr", Json::Int(*addr as i128)),
-                ("template", template_to_json(template)),
-            ]),
+            } => o
+                .u64("vaddr", *vaddr)
+                .hex("bytes", bytes)
+                .bool("exec", *exec)
+                .bool("write", *write),
+            Command::Instruction { addr, bytes } => o.u64("addr", *addr).hex("bytes", bytes),
+            Command::Patch { addr, template } => o
+                .u64("addr", *addr)
+                .with("template", |out| write_template(out, template)),
             Command::Hook {
                 funcs,
                 addrs,
                 call_original,
                 payload,
-            } => obj(vec![
-                (
-                    "funcs",
-                    Json::Arr(funcs.iter().map(|f| Json::Str(f.clone())).collect()),
-                ),
-                (
-                    "addrs",
-                    Json::Arr(addrs.iter().map(|&a| Json::Int(a as i128)).collect()),
-                ),
-                ("call_original", Json::Bool(*call_original)),
-                ("payload", payload_to_json(payload)),
-            ]),
-            Command::Cache { action } => obj(vec![("action", Json::Str(action.name().into()))]),
-            Command::Emit | Command::Health | Command::Shutdown => Json::Obj(Vec::new()),
+            } => o
+                .with("funcs", |out| write_array(out, funcs, |out, f| json::write_str(out, f)))
+                .with("addrs", |out| write_array(out, addrs, |out, &a| json::write_u64(out, a)))
+                .bool("call_original", *call_original)
+                .with("payload", |out| write_payload(out, payload)),
+            Command::Cache { action } => o.str("action", action.name()),
+            Command::Emit | Command::Health | Command::Shutdown => o,
         }
+        .end();
     }
 }
 
-/// Hook payloads on the wire: `{"kind":K, ...}`.
-fn payload_to_json(p: &e9hook::PayloadKind) -> Json {
-    match p {
-        e9hook::PayloadKind::Counter => obj(vec![("kind", Json::Str("counter".into()))]),
-        e9hook::PayloadKind::Nop => obj(vec![("kind", Json::Str("nop".into()))]),
-        e9hook::PayloadKind::Raw(code) => obj(vec![
-            ("kind", Json::Str("raw".into())),
-            ("code", Json::Str(hex_encode(code))),
-        ]),
+/// Writes one canonical JSON object straight into a line buffer, member
+/// by member. Keys are plain ASCII and written as they are.
+struct ObjWriter<'o> {
+    out: &'o mut Vec<u8>,
+    first: bool,
+}
+
+impl<'o> ObjWriter<'o> {
+    fn new(out: &'o mut Vec<u8>) -> ObjWriter<'o> {
+        out.push(b'{');
+        ObjWriter { out, first: true }
     }
+
+    /// Member `key`, its value written by `value`.
+    fn with(mut self, key: &str, value: impl FnOnce(&mut Vec<u8>)) -> Self {
+        if !self.first {
+            self.out.push(b',');
+        }
+        self.first = false;
+        self.out.push(b'"');
+        self.out.extend_from_slice(key.as_bytes());
+        self.out.extend_from_slice(b"\":");
+        value(self.out);
+        self
+    }
+
+    fn u64(self, key: &str, v: u64) -> Self {
+        self.with(key, |out| json::write_u64(out, v))
+    }
+
+    fn opt_u64(self, key: &str, v: Option<u64>) -> Self {
+        self.with(key, |out| match v {
+            Some(n) => json::write_u64(out, n),
+            None => out.extend_from_slice(b"null"),
+        })
+    }
+
+    fn str(self, key: &str, v: &str) -> Self {
+        self.with(key, |out| json::write_str(out, v))
+    }
+
+    fn hex(self, key: &str, bytes: &[u8]) -> Self {
+        self.with(key, |out| {
+            out.push(b'"');
+            hex_encode_into(out, bytes);
+            out.push(b'"');
+        })
+    }
+
+    fn bool(self, key: &str, v: bool) -> Self {
+        self.with(key, |out| out.extend_from_slice(if v { b"true" } else { b"false" }))
+    }
+
+    fn end(self) {
+        self.out.push(b'}');
+    }
+}
+
+/// Append `items` as a JSON array, each written by `item`.
+fn write_array<T>(out: &mut Vec<u8>, items: &[T], item: impl Fn(&mut Vec<u8>, &T)) {
+    out.push(b'[');
+    for (i, v) in items.iter().enumerate() {
+        if i > 0 {
+            out.push(b',');
+        }
+        item(out, v);
+    }
+    out.push(b']');
+}
+
+/// Hook payloads on the wire: `{"kind":K, ...}`.
+fn write_payload(out: &mut Vec<u8>, p: &e9hook::PayloadKind) {
+    let o = ObjWriter::new(out);
+    match p {
+        e9hook::PayloadKind::Counter => o.str("kind", "counter"),
+        e9hook::PayloadKind::Nop => o.str("kind", "nop"),
+        e9hook::PayloadKind::Raw(code) => o.str("kind", "raw").hex("code", code),
+    }
+    .end();
 }
 
 fn payload_from_json(v: &Json) -> Result<e9hook::PayloadKind, RpcError> {
@@ -322,45 +419,26 @@ fn payload_from_json(v: &Json) -> Result<e9hook::PayloadKind, RpcError> {
 }
 
 /// Trampoline templates on the wire: `{"kind":K, ...}`.
-fn template_to_json(t: &Template) -> Json {
+fn write_template(out: &mut Vec<u8>, t: &Template) {
+    let o = ObjWriter::new(out);
     match t {
-        Template::Empty => obj(vec![("kind", Json::Str("empty".into()))]),
-        Template::Counter { counter_addr } => obj(vec![
-            ("kind", Json::Str("counter".into())),
-            ("counter_addr", Json::Int(*counter_addr as i128)),
-        ]),
-        Template::CheckCall { func_addr } => obj(vec![
-            ("kind", Json::Str("checkcall".into())),
-            ("func_addr", Json::Int(*func_addr as i128)),
-        ]),
-        Template::HookCall { func_addr } => obj(vec![
-            ("kind", Json::Str("hookcall".into())),
-            ("func_addr", Json::Int(*func_addr as i128)),
-        ]),
-        Template::HookSave { func_addr } => obj(vec![
-            ("kind", Json::Str("hooksave".into())),
-            ("func_addr", Json::Int(*func_addr as i128)),
-        ]),
+        Template::Empty => o.str("kind", "empty"),
+        Template::Counter { counter_addr } => o.str("kind", "counter").u64("counter_addr", *counter_addr),
+        Template::CheckCall { func_addr } => o.str("kind", "checkcall").u64("func_addr", *func_addr),
+        Template::HookCall { func_addr } => o.str("kind", "hookcall").u64("func_addr", *func_addr),
+        Template::HookSave { func_addr } => o.str("kind", "hooksave").u64("func_addr", *func_addr),
         Template::HookOriginal {
             func_addr,
             thunk_addr,
-        } => obj(vec![
-            ("kind", Json::Str("hookoriginal".into())),
-            ("func_addr", Json::Int(*func_addr as i128)),
-            ("thunk_addr", Json::Int(*thunk_addr as i128)),
-        ]),
-        Template::Replace { code, resume } => obj(vec![
-            ("kind", Json::Str("replace".into())),
-            ("code", Json::Str(hex_encode(code))),
-            (
-                "resume",
-                match resume {
-                    Some(a) => Json::Int(*a as i128),
-                    None => Json::Null,
-                },
-            ),
-        ]),
+        } => o
+            .str("kind", "hookoriginal")
+            .u64("func_addr", *func_addr)
+            .u64("thunk_addr", *thunk_addr),
+        Template::Replace { code, resume } => {
+            o.str("kind", "replace").hex("code", code).opt_u64("resume", *resume)
+        }
     }
+    .end();
 }
 
 fn template_from_json(v: &Json) -> Result<Template, RpcError> {
@@ -420,16 +498,61 @@ pub struct Request {
 impl Request {
     /// Serialize to one canonical JSON line (no trailing newline).
     pub fn encode(&self) -> String {
-        obj(vec![
-            ("jsonrpc", Json::Str("2.0".into())),
-            ("id", Json::Int(self.id as i128)),
-            ("method", Json::Str(self.cmd.method().into())),
-            ("params", self.cmd.params()),
-        ])
-        .serialize()
+        let mut out = Vec::new();
+        self.encode_into(&mut out);
+        String::from_utf8(out).expect("request lines are UTF-8")
     }
 
-    /// Decode a parsed JSON value into a typed request.
+    /// Append the canonical line (no trailing newline) to `out`, written
+    /// directly, with no [`Json`] tree.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(b"{\"jsonrpc\":\"2.0\",\"id\":");
+        json::write_u64(out, self.id);
+        out.extend_from_slice(b",\"method\":\"");
+        out.extend_from_slice(self.cmd.method().as_bytes());
+        out.extend_from_slice(b"\",\"params\":");
+        self.cmd.write_params(out);
+        out.push(b'}');
+    }
+
+    /// Decode one request line in a single pass, with no [`Json`] tree:
+    /// any member order, whitespace and escapes, the first occurrence of
+    /// a repeated key, unknown members ignored.
+    ///
+    /// The result is always [`Request::decode_line_via_tree`]'s. A line
+    /// the single pass does not accept (every malformed line, and a few
+    /// well-formed but unusual spellings, such as a wrongly typed member
+    /// the method ignores) is decoded through the tree instead, which
+    /// words its error reply.
+    ///
+    /// # Errors
+    ///
+    /// The error reply, as [`Request::decode_line_via_tree`] gives it.
+    pub fn decode_line(line: &[u8]) -> Result<Request, Response> {
+        scan_request(line).or_else(|Refused| Request::decode_line_via_tree(line))
+    }
+
+    /// The reference line decoder: [`json::parse`], then
+    /// [`Request::decode`]. [`Request::decode_line`] must agree with it on
+    /// every line; tests and the `e9fault` wire campaign compare the two.
+    ///
+    /// # Errors
+    ///
+    /// The error reply: [`code::PARSE`] with a `null` id for a line that
+    /// is not JSON; otherwise [`Request::decode`]'s error, with the id
+    /// kept when the envelope carried a valid one.
+    pub fn decode_line_via_tree(line: &[u8]) -> Result<Request, Response> {
+        let value = json::parse(line)
+            .map_err(|e| Response::err(None, RpcError::new(code::PARSE, e.to_string())))?;
+        Request::decode(&value)
+            .map_err(|e| Response::err(value.get("id").and_then(Json::as_u64), e))
+    }
+
+    /// Decode a parsed JSON value into a typed request: the reference
+    /// decoder, which defines the accepted requests and every error
+    /// reply. The serving path reads well-formed lines without a tree
+    /// ([`Request::decode_line`]) and comes here only for lines it
+    /// refuses.
     ///
     /// # Errors
     ///
@@ -624,6 +747,40 @@ impl Response {
 
     /// Serialize to one canonical JSON line (no trailing newline).
     pub fn encode(&self) -> String {
+        let mut out = Vec::new();
+        self.encode_into(&mut out);
+        String::from_utf8(out).expect("reply lines are UTF-8")
+    }
+
+    /// Append the canonical line (no trailing newline) to `out`: the
+    /// envelope is written directly and the `result` by reference, with
+    /// no tree built around it. The bytes are those of
+    /// [`to_json`](Response::to_json)`().serialize()`.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(b"{\"jsonrpc\":\"2.0\",\"id\":");
+        match self.id {
+            Some(n) => json::write_u64(out, n),
+            None => out.extend_from_slice(b"null"),
+        }
+        match &self.body {
+            Ok(result) => {
+                out.extend_from_slice(b",\"result\":");
+                result.write_to(out);
+            }
+            Err(e) => {
+                out.extend_from_slice(b",\"error\":{\"code\":");
+                json::write_int(out, i128::from(e.code));
+                out.extend_from_slice(b",\"message\":");
+                json::write_str(out, &e.message);
+                out.push(b'}');
+            }
+        }
+        out.push(b'}');
+    }
+
+    /// The response as a tree: the reference form whose serialization
+    /// [`encode`](Response::encode) must match byte for byte.
+    pub fn to_json(&self) -> Json {
         let id = match self.id {
             Some(n) => Json::Int(n as i128),
             None => Json::Null,
@@ -639,10 +796,27 @@ impl Response {
                 ]),
             )),
         }
-        obj(members).serialize()
+        obj(members)
     }
 
-    /// Decode a parsed JSON value into a typed response.
+    /// Decode one reply line in a single pass: the envelope is read with
+    /// the request decoder's scanner, and `result` becomes a [`Json`]
+    /// value as it is read (an empty `{}` allocates nothing). The result
+    /// is always that of [`json::parse`] then [`Response::decode`], which
+    /// words the error for a line the single pass does not accept.
+    ///
+    /// # Errors
+    ///
+    /// As [`Response::decode`], or the parse error.
+    pub fn decode_line(line: &[u8]) -> Result<Response, String> {
+        scan_response(line).or_else(|Refused| {
+            let value = json::parse(line).map_err(|e| e.to_string())?;
+            Response::decode(&value)
+        })
+    }
+
+    /// Decode a parsed JSON value into a typed response: the reference
+    /// for [`Response::decode_line`].
     ///
     /// # Errors
     ///
@@ -675,6 +849,314 @@ impl Response {
             body: Ok(result.clone()),
         })
     }
+}
+
+// ---- single-pass line decoders ------------------------------------------
+
+/// A single-pass decoder stopped: the line is malformed, or spelled in a
+/// way the pass does not read. The caller decodes it through the tree.
+struct Refused;
+
+impl From<JsonError> for Refused {
+    fn from(_: JsonError) -> Refused {
+        Refused
+    }
+}
+
+/// Read a member into `slot` at its key's first occurrence, with `read`;
+/// step over a repeat (the tree decoder's `get` takes the first too).
+fn first<'a, T>(
+    slot: &mut Option<T>,
+    s: &mut Scanner<'a>,
+    depth: usize,
+    read: impl FnOnce(&mut Scanner<'a>) -> Result<T, Refused>,
+) -> Result<(), Refused> {
+    if slot.is_some() {
+        s.skip(depth)?;
+    } else {
+        *slot = Some(read(s)?);
+    }
+    Ok(())
+}
+
+fn need<T>(v: Option<T>) -> Result<T, Refused> {
+    v.ok_or(Refused)
+}
+
+fn scan_u64(s: &mut Scanner, depth: usize) -> Result<u64, Refused> {
+    match s.value(depth)? {
+        Json::Int(i) => u64::try_from(i).map_err(|_| Refused),
+        _ => Err(Refused),
+    }
+}
+
+/// `null` as `None`, else a `u64`.
+fn scan_opt_u64(s: &mut Scanner, depth: usize) -> Result<Option<u64>, Refused> {
+    match s.value(depth)? {
+        Json::Null => Ok(None),
+        Json::Int(i) => u64::try_from(i).map(Some).map_err(|_| Refused),
+        _ => Err(Refused),
+    }
+}
+
+fn scan_bool(s: &mut Scanner, depth: usize) -> Result<bool, Refused> {
+    match s.value(depth)? {
+        Json::Bool(b) => Ok(b),
+        _ => Err(Refused),
+    }
+}
+
+fn scan_hex(s: &mut Scanner) -> Result<Vec<u8>, Refused> {
+    hex_decode(&s.string()?).map_err(|_| Refused)
+}
+
+fn scan_string(s: &mut Scanner) -> Result<String, Refused> {
+    Ok(s.string()?.into_owned())
+}
+
+/// The `params` members some method reads, each at its first occurrence.
+/// A member of the wrong type refuses the line, even when the method
+/// ignores it.
+#[derive(Default)]
+struct Params {
+    version: Option<u64>,
+    bytes: Option<Vec<u8>>,
+    digest: Option<Option<e9cache::Digest>>,
+    name: Option<String>,
+    value: Option<String>,
+    vaddr: Option<u64>,
+    exec: Option<bool>,
+    write: Option<bool>,
+    addr: Option<u64>,
+    template: Option<Template>,
+    funcs: Option<Vec<String>>,
+    addrs: Option<Vec<u64>>,
+    call_original: Option<bool>,
+    payload: Option<e9hook::PayloadKind>,
+    action: Option<CacheAction>,
+}
+
+impl Params {
+    /// Read the `params` object at `depth`.
+    fn scan(s: &mut Scanner, depth: usize) -> Result<Params, Refused> {
+        let mut p = Params::default();
+        let d = depth + 1;
+        s.object(|s, key| match &*key {
+            "version" => first(&mut p.version, s, d, |s| scan_u64(s, d)),
+            "bytes" => first(&mut p.bytes, s, d, scan_hex),
+            "digest" => first(&mut p.digest, s, d, |s| {
+                if s.peek() == Some(b'"') {
+                    e9cache::sha256::from_hex(&s.string()?).map(Some).ok_or(Refused)
+                } else {
+                    match s.value(d)? {
+                        Json::Null => Ok(None),
+                        _ => Err(Refused),
+                    }
+                }
+            }),
+            "name" => first(&mut p.name, s, d, scan_string),
+            "value" => first(&mut p.value, s, d, scan_string),
+            "vaddr" => first(&mut p.vaddr, s, d, |s| scan_u64(s, d)),
+            "exec" => first(&mut p.exec, s, d, |s| scan_bool(s, d)),
+            "write" => first(&mut p.write, s, d, |s| scan_bool(s, d)),
+            "addr" => first(&mut p.addr, s, d, |s| scan_u64(s, d)),
+            "template" => first(&mut p.template, s, d, |s| scan_template(s, d)),
+            "funcs" => first(&mut p.funcs, s, d, |s| {
+                let mut funcs = Vec::new();
+                s.array(|s| {
+                    funcs.push(scan_string(s)?);
+                    Ok::<_, Refused>(())
+                })?;
+                Ok(funcs)
+            }),
+            "addrs" => first(&mut p.addrs, s, d, |s| {
+                let mut addrs = Vec::new();
+                s.array(|s| {
+                    addrs.push(scan_u64(s, d + 1)?);
+                    Ok::<_, Refused>(())
+                })?;
+                Ok(addrs)
+            }),
+            "call_original" => first(&mut p.call_original, s, d, |s| scan_bool(s, d)),
+            "payload" => first(&mut p.payload, s, d, |s| scan_payload(s, d)),
+            "action" => first(&mut p.action, s, d, |s| {
+                CacheAction::from_name(&s.string()?).ok_or(Refused)
+            }),
+            _ => Ok(s.skip(d)?),
+        })?;
+        Ok(p)
+    }
+}
+
+/// Read the template object at `depth`; as [`template_from_json`].
+fn scan_template(s: &mut Scanner, depth: usize) -> Result<Template, Refused> {
+    let d = depth + 1;
+    let mut kind: Option<Cow<str>> = None;
+    let (mut counter_addr, mut func_addr, mut thunk_addr, mut code, mut resume) =
+        (None, None, None, None, None);
+    s.object(|s, key| match &*key {
+        "kind" => first(&mut kind, s, d, |s| Ok(s.string()?)),
+        "counter_addr" => first(&mut counter_addr, s, d, |s| scan_u64(s, d)),
+        "func_addr" => first(&mut func_addr, s, d, |s| scan_u64(s, d)),
+        "thunk_addr" => first(&mut thunk_addr, s, d, |s| scan_u64(s, d)),
+        "code" => first(&mut code, s, d, scan_hex),
+        "resume" => first(&mut resume, s, d, |s| scan_opt_u64(s, d)),
+        _ => Ok(s.skip(d)?),
+    })?;
+    Ok(match need(kind)?.as_ref() {
+        "empty" => Template::Empty,
+        "counter" => Template::Counter {
+            counter_addr: need(counter_addr)?,
+        },
+        "checkcall" => Template::CheckCall {
+            func_addr: need(func_addr)?,
+        },
+        "hookcall" => Template::HookCall {
+            func_addr: need(func_addr)?,
+        },
+        "hooksave" => Template::HookSave {
+            func_addr: need(func_addr)?,
+        },
+        "hookoriginal" => Template::HookOriginal {
+            func_addr: need(func_addr)?,
+            thunk_addr: need(thunk_addr)?,
+        },
+        "replace" => Template::Replace {
+            code: need(code)?,
+            resume: resume.flatten(),
+        },
+        _ => return Err(Refused),
+    })
+}
+
+/// Read the hook payload object at `depth`; as [`payload_from_json`].
+fn scan_payload(s: &mut Scanner, depth: usize) -> Result<e9hook::PayloadKind, Refused> {
+    let d = depth + 1;
+    let mut kind: Option<Cow<str>> = None;
+    let mut code = None;
+    s.object(|s, key| match &*key {
+        "kind" => first(&mut kind, s, d, |s| Ok(s.string()?)),
+        "code" => first(&mut code, s, d, scan_hex),
+        _ => Ok(s.skip(d)?),
+    })?;
+    Ok(match need(kind)?.as_ref() {
+        "counter" => e9hook::PayloadKind::Counter,
+        "nop" => e9hook::PayloadKind::Nop,
+        "raw" => e9hook::PayloadKind::Raw(need(code)?),
+        _ => return Err(Refused),
+    })
+}
+
+/// Decode a request line in one pass; as [`Request::decode_line_via_tree`]
+/// wherever it does not refuse.
+fn scan_request(line: &[u8]) -> Result<Request, Refused> {
+    let mut s = Scanner::new(line);
+    let (mut id, mut method, mut params) = (None, None, None);
+    s.object(|s, key| match &*key {
+        "id" => first(&mut id, s, 1, |s| scan_u64(s, 1)),
+        "method" => first(&mut method, s, 1, |s| Ok(s.string()?)),
+        // `params` of another type has no members: a method that needs
+        // one then refuses, and one that needs none decodes.
+        "params" => first(&mut params, s, 1, |s| {
+            if s.peek() == Some(b'{') {
+                Params::scan(s, 1)
+            } else {
+                s.skip(1)?;
+                Ok(Params::default())
+            }
+        }),
+        _ => Ok(s.skip(1)?),
+    })?;
+    s.end()?;
+    let id = need(id)?;
+    let p = params.unwrap_or_default();
+    let cmd = match need(method)?.as_ref() {
+        "version" => Command::Version {
+            version: need(p.version)?,
+        },
+        "binary" => Command::Binary {
+            bytes: need(p.bytes)?,
+            digest: p.digest.flatten(),
+        },
+        "option" => Command::Option {
+            name: need(p.name)?,
+            value: need(p.value)?,
+        },
+        "reserve" => Command::Reserve {
+            vaddr: need(p.vaddr)?,
+            bytes: need(p.bytes)?,
+            exec: need(p.exec)?,
+            write: need(p.write)?,
+        },
+        "instruction" => Command::Instruction {
+            addr: need(p.addr)?,
+            bytes: need(p.bytes)?,
+        },
+        "patch" => Command::Patch {
+            addr: need(p.addr)?,
+            template: need(p.template)?,
+        },
+        "hook" => Command::Hook {
+            funcs: need(p.funcs)?,
+            addrs: need(p.addrs)?,
+            call_original: need(p.call_original)?,
+            payload: need(p.payload)?,
+        },
+        "emit" => Command::Emit,
+        "cache" => Command::Cache {
+            action: need(p.action)?,
+        },
+        "health" => Command::Health,
+        "shutdown" => Command::Shutdown,
+        _ => return Err(Refused),
+    };
+    Ok(Request { id, cmd })
+}
+
+/// Decode a reply line in one pass; as [`Response::decode`] after
+/// [`json::parse`] wherever it does not refuse.
+fn scan_response(line: &[u8]) -> Result<Response, Refused> {
+    let mut s = Scanner::new(line);
+    let (mut id, mut result, mut error) = (None, None, None);
+    s.object(|s, key| match &*key {
+        "id" => first(&mut id, s, 1, |s| scan_opt_u64(s, 1)),
+        "result" => first(&mut result, s, 1, |s| Ok(s.value(1)?)),
+        "error" => first(&mut error, s, 1, |s| {
+            let (mut code, mut message) = (None, None);
+            s.object(|s, key| match &*key {
+                "code" => first(&mut code, s, 2, |s| match s.value(2)? {
+                    Json::Int(c) => i64::try_from(c).map_err(|_| Refused),
+                    _ => Err(Refused),
+                }),
+                // A message of another type reads as empty.
+                "message" => first(&mut message, s, 2, |s| {
+                    if s.peek() == Some(b'"') {
+                        scan_string(s)
+                    } else {
+                        s.skip(2)?;
+                        Ok(String::new())
+                    }
+                }),
+                _ => Ok(s.skip(2)?),
+            })?;
+            Ok(RpcError {
+                code: need(code)?,
+                message: message.unwrap_or_default(),
+            })
+        }),
+        _ => Ok(s.skip(1)?),
+    })?;
+    s.end()?;
+    // An error wins over a result, whatever their order.
+    let body = match (error, result) {
+        (Some(e), _) => Err(e),
+        (None, Some(r)) => Ok(r),
+        (None, None) => return Err(Refused),
+    };
+    Ok(Response {
+        id: id.flatten(),
+        body,
+    })
 }
 
 // ---- rewriter options ---------------------------------------------------
@@ -1678,6 +2160,113 @@ mod tests {
             assert_eq!(back, req);
             assert_eq!(back.encode(), line, "canonical encoding must be stable");
         }
+    }
+
+    /// The single pass reads canonical lines of every command, and the
+    /// usual non-canonical spellings, itself, with the tree's result; it
+    /// refuses malformed lines, whose error reply the tree words.
+    #[test]
+    fn single_pass_reads_well_formed_lines_itself() {
+        let cmds = [
+            Command::Version { version: 1 },
+            Command::Binary {
+                bytes: vec![0x7f, b'E'],
+                digest: Some(e9cache::digest(b"x")),
+            },
+            Command::Option {
+                name: "a\"b\\c\u{1}λ".into(),
+                value: "8".into(),
+            },
+            Command::Reserve {
+                vaddr: 1,
+                bytes: vec![0; 3],
+                exec: true,
+                write: false,
+            },
+            Command::Instruction {
+                addr: u64::MAX,
+                bytes: vec![0x90],
+            },
+            Command::Patch {
+                addr: 2,
+                template: Template::HookOriginal {
+                    func_addr: 3,
+                    thunk_addr: 4,
+                },
+            },
+            Command::Patch {
+                addr: 2,
+                template: Template::Replace {
+                    code: vec![0xc3],
+                    resume: None,
+                },
+            },
+            Command::Hook {
+                funcs: vec!["f*".into()],
+                addrs: vec![5],
+                call_original: true,
+                payload: e9hook::PayloadKind::Raw(vec![0x90]),
+            },
+            Command::Emit,
+            Command::Cache {
+                action: CacheAction::Clear,
+            },
+            Command::Health,
+            Command::Shutdown,
+        ];
+        let mut lines: Vec<String> = cmds
+            .into_iter()
+            .enumerate()
+            .map(|(i, cmd)| Request { id: i as u64, cmd }.encode())
+            .collect();
+        lines.extend(
+            [
+                r#"{"params":{"bytes":"90","addr":7},"method":"instruction","id":1}"#,
+                " {\t\"id\" : 1 ,\r\n\"method\":\"instr\\u0075ction\", \"params\":{\"addr\":7,\"bytes\":\"9\\u0030\"} } ",
+                r#"{"id":1,"id":"x","method":"emit","method":7,"params":{},"params":9}"#,
+                r#"{"id":1,"method":"patch","params":{"addr":7,"addr":[],"template":{"resume":null,"kind":"replace","code":"","kind":1}}}"#,
+                r#"{"id":-0,"method":"health","params":5,"x":[{"y":[1.5e3,null,"\ud83d\ude00"]}]}"#,
+            ]
+            .map(String::from),
+        );
+        for line in &lines {
+            let direct = scan_request(line.as_bytes()).unwrap_or_else(|Refused| panic!("refused {line}"));
+            assert_eq!(Ok(direct), Request::decode_line_via_tree(line.as_bytes()), "{line}");
+        }
+        let deep = format!(r#"{{"id":1,"method":"emit","params":{}1{}}}"#, "[".repeat(64), "]".repeat(64));
+        for bad in [
+            r#"{"id":1,"method":"emit","params":{}"#,
+            r#"{"id":1,"method":"emit"} x"#,
+            r#"{"id":01,"method":"emit"}"#,
+            r#"{"id":18446744073709551616,"method":"emit"}"#,
+            r#"{"id":1,"method":"nope"}"#,
+            r#"{"id":1,"method":"instruction","params":{"addr":7,"bytes":"9"}}"#,
+            &deep,
+        ] {
+            assert!(scan_request(bad.as_bytes()).is_err(), "{bad}");
+            let reply = Request::decode_line(bad.as_bytes()).unwrap_err();
+            assert_eq!(Err(reply), Request::decode_line_via_tree(bad.as_bytes()), "{bad}");
+        }
+    }
+
+    /// Reply lines: the single pass reads them itself, an empty result
+    /// included, with the tree decoder's result.
+    #[test]
+    fn single_pass_reads_reply_lines_itself() {
+        for resp in [
+            Response::ok(1, Json::Obj(Vec::new())),
+            Response::ok(2, obj(vec![("a", Json::Arr(vec![Json::Int(-1), Json::Str("\n".into())]))])),
+            Response::err(None, RpcError::new(code::PARSE, "bad \"json\"")),
+        ] {
+            let line = resp.encode();
+            assert_eq!(line, resp.to_json().serialize());
+            let direct = scan_response(line.as_bytes()).unwrap_or_else(|Refused| panic!("refused {line}"));
+            assert_eq!(direct, resp);
+        }
+        let reordered = r#"{"error":{"message":7,"code":-5},"result":{},"id":null}"#;
+        let direct = scan_response(reordered.as_bytes()).unwrap_or_else(|Refused| panic!("refused"));
+        assert_eq!(direct, Response::err(None, RpcError::new(code::LIMIT, "")));
+        assert_eq!(Ok(direct), Response::decode(&parse(reordered.as_bytes()).unwrap()));
     }
 
     #[test]

@@ -9,7 +9,6 @@
 //! Each connection gets its own [`Session`]; a `shutdown` command ends the
 //! connection.
 
-use crate::json;
 use crate::msg::{code, Request, Response, RpcError};
 use crate::session::{Session, SessionLimits};
 use e9loop::{Frame, LineFramer};
@@ -183,37 +182,51 @@ pub fn oversized_line(cap: usize) -> Vec<u8> {
     encode_line(&Response::err(None, RpcError::new(code::LIMIT, msg)))
 }
 
-/// A response as one wire line.
+/// A response as one wire line, written directly into the line buffer.
 pub(crate) fn encode_line(resp: &Response) -> Vec<u8> {
-    let mut out = resp.encode().into_bytes();
+    // Room for the common reply, `{}` with a large id, without regrowing.
+    let mut out = Vec::with_capacity(64);
+    resp.encode_into(&mut out);
     out.push(b'\n');
     out
 }
 
-/// Parse and execute one raw request line against `session`.
+/// Decode and execute one raw request line against `session`.
 ///
-/// This is the protocol's single choke point: malformed JSON becomes a
-/// [`code::PARSE`] error with a `null` id, a bad envelope or unknown
-/// method keeps its id when one is recoverable, and session errors are
-/// forwarded verbatim.
+/// This is the protocol's single choke point. A well-formed request is
+/// read once, with no JSON tree ([`Request::decode_line`]). Malformed
+/// JSON becomes a [`code::PARSE`] error with a `null` id, a bad envelope
+/// or unknown method keeps its id when one is recoverable, and session
+/// errors are forwarded verbatim.
 pub fn dispatch_line(session: &mut Session, line: &[u8]) -> Response {
-    let value = match json::parse(line.trim_ascii()) {
-        Ok(v) => v,
-        Err(e) => {
-            return Response::err(None, RpcError::new(code::PARSE, e.to_string()));
-        }
-    };
-    match Request::decode(&value) {
-        Ok(req) => {
-            let body = session.handle(req.cmd);
-            Response { id: Some(req.id), body }
-        }
-        Err(e) => {
-            // Salvage the id when the envelope carried one.
-            let id = value.get("id").and_then(json::Json::as_u64);
-            Response::err(id, e)
-        }
+    match Request::decode_line(line.trim_ascii()) {
+        Ok(req) => Response {
+            id: Some(req.id),
+            body: session.handle(req.cmd),
+        },
+        Err(refusal) => refusal,
     }
+}
+
+/// The reference serving path for one request line, the one the wire
+/// protocol is specified by: [`crate::json::parse`], the tree decoder
+/// [`Request::decode`], [`Session::handle`], and the reply serialized
+/// from its tree ([`Response::to_json`]); no newline. `None` for a blank
+/// line. On the same session state, [`dispatch_line`]'s response encodes
+/// to the same bytes; the `e9fault` wire campaign checks that on twin
+/// sessions.
+pub fn reference_reply(session: &mut Session, line: &[u8]) -> Option<String> {
+    if line.iter().all(u8::is_ascii_whitespace) {
+        return None;
+    }
+    let resp = match Request::decode_line_via_tree(line.trim_ascii()) {
+        Ok(req) => Response {
+            id: Some(req.id),
+            body: session.handle(req.cmd),
+        },
+        Err(refusal) => refusal,
+    };
+    Some(resp.to_json().serialize())
 }
 
 /// Serve one session over the process's stdin/stdout (the `e9patchd`
@@ -245,7 +258,7 @@ mod tests {
         String::from_utf8(out)
             .unwrap()
             .lines()
-            .map(|l| Response::decode(&json::parse(l.as_bytes()).unwrap()).unwrap())
+            .map(|l| Response::decode_line(l.as_bytes()).unwrap())
             .collect()
     }
 
@@ -292,7 +305,7 @@ mod tests {
         let responses: Vec<Response> = String::from_utf8(out)
             .unwrap()
             .lines()
-            .map(|l| Response::decode(&json::parse(l.as_bytes()).unwrap()).unwrap())
+            .map(|l| Response::decode_line(l.as_bytes()).unwrap())
             .collect();
         assert_eq!(responses.len(), 2);
         assert_eq!(responses[0].id, None);

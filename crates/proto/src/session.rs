@@ -693,7 +693,7 @@ mod tests {
     #[test]
     fn tiny_emits_bypass_the_cache_by_default() {
         use crate::msg::CacheDisposition;
-        // The default threshold (128 KiB) dwarfs the tiny workload, so a
+        // The default threshold (64 KiB) dwarfs the tiny workload, so a
         // session with an un-tuned cache must skip keying entirely.
         let cache = Arc::new(Cache::in_memory());
         let mut s = primed_session(Some(Arc::clone(&cache)));

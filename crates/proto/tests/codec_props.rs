@@ -2,13 +2,16 @@
 //! `encode → parse → decode → encode` byte-identically (the serializer is
 //! canonical), and malformed input — truncations, bad escapes, depth
 //! bombs, random bytes — must come back as typed errors, never panics.
+//! The direct encoder must write the tree serializer's bytes, and the
+//! single-pass line decoders must agree with the tree decoders on every
+//! line: non-canonical spellings of a request and damaged lines alike.
 //! The cache-key framing must be injective: decoding the key material of
 //! any job gives back exactly that job.
 
 use e9proto::cachekey::{key_material, rewrite_key_from_digest};
 use e9proto::json::{self, Json};
-use e9proto::msg::{apply_option, code, config_options, hex_decode, hex_encode, Command, Request,
-                   Response, RpcError, PROTOCOL_VERSION};
+use e9proto::msg::{apply_option, code, config_options, hex_decode, hex_encode, CacheAction, Command,
+                   Request, Response, RpcError, PROTOCOL_VERSION};
 use e9patch::planner::MAX_GRANULARITY;
 use e9patch::{AllocPolicy, ExtraSegment, PatchRequest, RewriteConfig, Tactics, Template};
 use e9qcheck::prelude::*;
@@ -68,9 +71,10 @@ fn build_json(ops: &mut std::vec::IntoIter<u8>, depth: usize) -> Json {
     }
 }
 
-/// Build an arbitrary command from drawn primitives.
+/// Build an arbitrary command from drawn primitives: every variant, every
+/// template and payload kind, and strings that need escaping.
 fn build_command(sel: u8, addr: u64, bytes: Vec<u8>, name: String, flag: bool) -> Command {
-    match sel % 10 {
+    match sel % 16 {
         0 => Command::Version { version: addr },
         1 => Command::Binary {
             digest: if flag {
@@ -107,8 +111,237 @@ fn build_command(sel: u8, addr: u64, bytes: Vec<u8>, name: String, flag: bool) -
             },
         },
         8 => Command::Emit,
-        _ => Command::Shutdown,
+        9 => Command::Shutdown,
+        10 => Command::Hook {
+            funcs: vec![name, "f*".into()],
+            addrs: vec![addr, addr ^ 1],
+            call_original: flag,
+            payload: match addr % 3 {
+                0 => e9hook::PayloadKind::Counter,
+                1 => e9hook::PayloadKind::Nop,
+                _ => e9hook::PayloadKind::Raw(bytes),
+            },
+        },
+        11 => Command::Cache {
+            action: if flag { CacheAction::Stats } else { CacheAction::Clear },
+        },
+        12 => Command::Health,
+        13 => Command::Patch {
+            addr,
+            template: build_template(2 + (addr % 3) as u8, addr ^ 0x70, 0, vec![]),
+        },
+        14 => Command::Patch {
+            addr,
+            template: Template::HookOriginal {
+                func_addr: addr ^ 0x70,
+                thunk_addr: addr ^ 0x80,
+            },
+        },
+        _ => Command::Option {
+            name: format!("{name}\"\\/\n\t\u{1}λ😀"),
+            value: String::from_utf8_lossy(&bytes).into_owned(),
+        },
     }
+}
+
+/// The request line built as a [`Json`] tree and serialized: a spelling
+/// of the wire grammar independent of the library's direct encoder.
+fn tree_line(req: &Request) -> String {
+    let hex = |b: &[u8]| Json::Str(hex_encode(b));
+    let int = |n: u64| Json::Int(n.into());
+    let kind = |k: &str| ("kind", Json::Str(k.into()));
+    let template = |t: &Template| match t {
+        Template::Empty => json::obj(vec![kind("empty")]),
+        Template::Counter { counter_addr } => {
+            json::obj(vec![kind("counter"), ("counter_addr", int(*counter_addr))])
+        }
+        Template::CheckCall { func_addr } => {
+            json::obj(vec![kind("checkcall"), ("func_addr", int(*func_addr))])
+        }
+        Template::HookCall { func_addr } => {
+            json::obj(vec![kind("hookcall"), ("func_addr", int(*func_addr))])
+        }
+        Template::HookSave { func_addr } => {
+            json::obj(vec![kind("hooksave"), ("func_addr", int(*func_addr))])
+        }
+        Template::HookOriginal {
+            func_addr,
+            thunk_addr,
+        } => json::obj(vec![
+            kind("hookoriginal"),
+            ("func_addr", int(*func_addr)),
+            ("thunk_addr", int(*thunk_addr)),
+        ]),
+        Template::Replace { code, resume } => json::obj(vec![
+            kind("replace"),
+            ("code", hex(code)),
+            ("resume", resume.map_or(Json::Null, int)),
+        ]),
+    };
+    let params = match &req.cmd {
+        Command::Version { version } => json::obj(vec![("version", int(*version))]),
+        Command::Binary { bytes, digest } => {
+            let mut members = vec![("bytes", hex(bytes))];
+            if let Some(d) = digest {
+                members.push(("digest", hex(d)));
+            }
+            json::obj(members)
+        }
+        Command::Option { name, value } => json::obj(vec![
+            ("name", Json::Str(name.clone())),
+            ("value", Json::Str(value.clone())),
+        ]),
+        Command::Reserve {
+            vaddr,
+            bytes,
+            exec,
+            write,
+        } => json::obj(vec![
+            ("vaddr", int(*vaddr)),
+            ("bytes", hex(bytes)),
+            ("exec", Json::Bool(*exec)),
+            ("write", Json::Bool(*write)),
+        ]),
+        Command::Instruction { addr, bytes } => {
+            json::obj(vec![("addr", int(*addr)), ("bytes", hex(bytes))])
+        }
+        Command::Patch { addr, template: t } => {
+            json::obj(vec![("addr", int(*addr)), ("template", template(t))])
+        }
+        Command::Hook {
+            funcs,
+            addrs,
+            call_original,
+            payload,
+        } => json::obj(vec![
+            ("funcs", Json::Arr(funcs.iter().map(|f| Json::Str(f.clone())).collect())),
+            ("addrs", Json::Arr(addrs.iter().map(|&a| int(a)).collect())),
+            ("call_original", Json::Bool(*call_original)),
+            (
+                "payload",
+                match payload {
+                    e9hook::PayloadKind::Counter => json::obj(vec![kind("counter")]),
+                    e9hook::PayloadKind::Nop => json::obj(vec![kind("nop")]),
+                    e9hook::PayloadKind::Raw(code) => json::obj(vec![kind("raw"), ("code", hex(code))]),
+                },
+            ),
+        ]),
+        Command::Cache { action } => json::obj(vec![("action", Json::Str(action.name().into()))]),
+        Command::Emit | Command::Health | Command::Shutdown => json::obj(vec![]),
+    };
+    json::obj(vec![
+        ("jsonrpc", Json::Str("2.0".into())),
+        ("id", int(req.id)),
+        ("method", Json::Str(req.cmd.method().into())),
+        ("params", params),
+    ])
+    .serialize()
+}
+
+/// `v` spelled loosely but equivalently, steered by `draw`: members in
+/// either order, whitespace around every token, some characters as
+/// `\u` escapes, an unknown member, and each object's first key repeated
+/// at its end with another value of the same type.
+fn loose(v: &Json, draw: &mut impl FnMut() -> u8, out: &mut String) {
+    let ws = |draw: &mut dyn FnMut() -> u8, out: &mut String| {
+        out.push_str(["", " ", "\t", "\r\n "][usize::from(draw() % 4)]);
+    };
+    let string = |s: &str, draw: &mut dyn FnMut() -> u8, out: &mut String| {
+        out.push('"');
+        for c in s.chars() {
+            match c {
+                '"' | '\\' => {
+                    out.push('\\');
+                    out.push(c);
+                }
+                c if (c as u32) < 0x20 || draw() % 4 == 0 => {
+                    for unit in c.encode_utf16(&mut [0; 2]) {
+                        out.push_str(&format!("\\u{unit:04X}"));
+                    }
+                }
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+    };
+    match v {
+        Json::Str(s) => string(s, draw, out),
+        Json::Arr(items) => {
+            out.push('[');
+            for (i, item) in items.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                ws(draw, out);
+                loose(item, draw, out);
+                ws(draw, out);
+            }
+            out.push(']');
+        }
+        Json::Obj(members) => {
+            let mut order: Vec<&(String, Json)> = members.iter().collect();
+            if draw() % 2 == 0 {
+                order.reverse();
+            }
+            out.push('{');
+            ws(draw, out);
+            let mut sep = "";
+            for (key, value) in &order {
+                out.push_str(sep);
+                ws(draw, out);
+                string(key, draw, out);
+                ws(draw, out);
+                out.push(':');
+                ws(draw, out);
+                loose(value, draw, out);
+                ws(draw, out);
+                sep = ",";
+            }
+            out.push_str(sep);
+            out.push_str(r#""zz":[1,{"a":null},-2.5e3,"\ud83d\ude00"]"#);
+            if let Some((key, value)) = order.first() {
+                out.push(',');
+                string(key, draw, out);
+                out.push(':');
+                out.push_str(&other_of_same_type(value).serialize());
+            }
+            out.push('}');
+        }
+        other => out.push_str(&other.serialize()),
+    }
+}
+
+/// A different value of `v`'s type, valid wherever `v` is: a repeated
+/// key that a decoder wrongly took would change the request.
+fn other_of_same_type(v: &Json) -> Json {
+    match v {
+        Json::Bool(b) => Json::Bool(!b),
+        Json::Int(n) => Json::Int(n ^ 1),
+        Json::Str(_) => Json::Str("00".into()),
+        Json::Arr(_) => Json::Arr(vec![]),
+        Json::Obj(_) => Json::Obj(vec![]),
+        other => other.clone(),
+    }
+}
+
+/// `line` with each drawn edit applied: overwrite, insert or delete a
+/// byte, or cut the line there. Half the bytes come from JSON's own
+/// alphabet, so edits often leave a well-formed line.
+fn damage(mut line: Vec<u8>, edits: &[(u16, u8, u8)]) -> Vec<u8> {
+    const ALPHABET: &[u8] = b"{}[]\":,0123456789-.eE \\unulltruefalse";
+    for &(at, op, b) in edits {
+        let at = usize::from(at) % (line.len() + 1);
+        let b = if op & 4 != 0 { ALPHABET[usize::from(b) % ALPHABET.len()] } else { b };
+        match op % 4 {
+            0 if at < line.len() => line[at] = b,
+            1 => line.insert(at, b),
+            2 if at < line.len() => {
+                line.remove(at);
+            }
+            _ => line.truncate(at),
+        }
+    }
+    line
 }
 
 /// A rewriter configuration from drawn fields: the three tactics, B0,
@@ -288,6 +521,7 @@ props! {
         let back = Request::decode(&json::parse(line.as_bytes()).unwrap())
             .map_err(|e| TestCaseError::fail(format!("own request rejected: {e}")))?;
         prop_assert_eq!(&back, &req);
+        prop_assert_eq!(Request::decode_line(line.as_bytes()), Ok(back.clone()));
         prop_assert_eq!(back.encode(), line);
     }
 
@@ -309,10 +543,84 @@ props! {
             },
         };
         let line = resp.encode();
+        prop_assert_eq!(&resp.to_json().serialize(), &line);
         let back = Response::decode(&json::parse(line.as_bytes()).unwrap())
             .map_err(TestCaseError::fail)?;
         prop_assert_eq!(&back, &resp);
+        prop_assert_eq!(Response::decode_line(line.as_bytes()), Ok(back.clone()));
         prop_assert_eq!(back.encode(), line);
+    }
+
+    #[test]
+    fn direct_encoder_writes_the_tree_serializers_line(
+        id in any::<u64>(),
+        sel in any::<u8>(),
+        addr in any::<u64>(),
+        bytes in vec(any::<u8>(), 0..64),
+        name in alpha(6),
+        flag in any::<bool>(),
+    ) {
+        let req = Request {
+            id,
+            cmd: build_command(sel, addr, bytes, name, flag),
+        };
+        prop_assert_eq!(req.encode(), tree_line(&req));
+    }
+
+    #[test]
+    fn non_canonical_spellings_decode_to_the_same_request(
+        id in any::<u64>(),
+        sel in any::<u8>(),
+        addr in any::<u64>(),
+        bytes in vec(any::<u8>(), 0..16),
+        name in alpha(6),
+        flag in any::<bool>(),
+        shape in vec(any::<u8>(), 1..64),
+    ) {
+        let req = Request {
+            id,
+            cmd: build_command(sel, addr, bytes, name, flag),
+        };
+        let tree = json::parse(req.encode().as_bytes()).unwrap();
+        let mut at = 0;
+        let mut draw = || {
+            at += 1;
+            shape[at % shape.len()]
+        };
+        let mut text = String::new();
+        loose(&tree, &mut draw, &mut text);
+        prop_assert_eq!(Request::decode_line(text.as_bytes()), Ok(req.clone()), "{}", text);
+        prop_assert_eq!(Request::decode_line_via_tree(text.as_bytes()), Ok(req), "{}", text);
+    }
+
+    #[test]
+    fn single_pass_decoders_agree_with_the_tree_on_damaged_lines(
+        id in any::<u64>(),
+        sel in any::<u8>(),
+        addr in any::<u64>(),
+        bytes in vec(any::<u8>(), 0..16),
+        name in alpha(6),
+        flag in any::<bool>(),
+        edits in vec((any::<u16>(), any::<u8>(), any::<u8>()), 0..4),
+        errcode in any::<i64>(),
+    ) {
+        let req = Request {
+            id,
+            cmd: build_command(sel, addr, bytes, name.clone(), flag),
+        };
+        let line = damage(req.encode().into_bytes(), &edits);
+        prop_assert_eq!(Request::decode_line(&line), Request::decode_line_via_tree(&line));
+
+        let resp = if flag {
+            Response::err(Some(id), RpcError::new(errcode, name))
+        } else {
+            Response::ok(id, json::parse(req.encode().as_bytes()).unwrap())
+        };
+        let line = damage(resp.encode().into_bytes(), &edits);
+        let via_tree = json::parse(&line)
+            .map_err(|e| e.to_string())
+            .and_then(|v| Response::decode(&v));
+        prop_assert_eq!(Response::decode_line(&line), via_tree);
     }
 
     #[test]
@@ -360,8 +668,11 @@ props! {
     fn depth_bombs_are_errors_not_overflows(depth in 65usize..4096) {
         // `[[[[…` past MAX_DEPTH must be a TooDeep error — a recursive
         // parser without the bound would blow the stack instead.
-        let mut bomb = Vec::with_capacity(depth * 2);
+        // A scalar innermost, so `depth` brackets put it one level past
+        // the bound even at 65 (an empty innermost array is at depth 64).
+        let mut bomb = Vec::with_capacity(depth * 2 + 1);
         bomb.resize(depth, b'[');
+        bomb.push(b'1');
         bomb.extend(std::iter::repeat(b']').take(depth));
         prop_assert!(json::parse(&bomb).is_err());
         let mut objs = Vec::with_capacity(depth * 8);
