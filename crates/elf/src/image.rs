@@ -219,46 +219,72 @@ impl Elf {
         Err(ElfError::Unmapped(vaddr))
     }
 
-    /// Borrow `len` bytes of file-backed data at virtual address `vaddr`.
+    /// The file range of `len > 0` bytes at `vaddr`, when translating
+    /// each byte on its own ([`Elf::vaddr_to_offset`]) gives consecutive
+    /// file offsets.
+    fn file_range(&self, vaddr: u64, len: usize) -> Result<std::ops::Range<usize>, ElfError> {
+        let last = vaddr
+            .checked_add(len as u64 - 1)
+            .ok_or(ElfError::Unmapped(vaddr))?;
+        let (idx, seg) = self
+            .load_segments()
+            .enumerate()
+            .find(|(_, p)| p.covers_file(vaddr))
+            .ok_or(ElfError::Unmapped(vaddr))?;
+        let start = seg
+            .p_offset
+            .checked_add(vaddr - seg.p_vaddr)
+            .ok_or(ElfError::Truncated("segment offset"))?;
+        let range = usize::try_from(start)
+            .ok()
+            .and_then(|s| Some(s..s.checked_add(len)?))
+            .filter(|r| r.end <= self.data.len())
+            .ok_or(ElfError::Truncated("segment data"))?;
+        // Every byte translates through `seg` when `seg` covers the whole
+        // range and no segment ahead of it in the table touches it (the
+        // overlap test may err towards "touches"; the byte walk is exact).
+        let one_segment = seg.covers_file(last)
+            && self.load_segments().take(idx).all(|p| {
+                p.p_filesz == 0 || p.p_vaddr > last || p.p_vaddr.saturating_add(p.p_filesz) < vaddr
+            });
+        if !one_segment {
+            for i in 1..len as u64 {
+                if self.vaddr_to_offset(vaddr + i)? != start + i {
+                    return Err(ElfError::Unmapped(vaddr + i));
+                }
+            }
+        }
+        Ok(range)
+    }
+
+    /// Borrow `len` bytes of file-backed data at virtual address `vaddr`:
+    /// the bytes a byte-by-byte read through [`Elf::vaddr_to_offset`]
+    /// would return.
     ///
     /// # Errors
     ///
-    /// Fails if the range is not fully file-backed within one segment.
+    /// Fails if some byte of the range is not file-backed, or if the
+    /// bytes' file offsets are not consecutive (a range that runs from
+    /// one segment into another mapped elsewhere in the file).
     pub fn slice_at(&self, vaddr: u64, len: usize) -> Result<&[u8], ElfError> {
         if len == 0 {
             return Ok(&[]);
         }
-        let off = usize::try_from(self.vaddr_to_offset(vaddr)?)
-            .map_err(|_| ElfError::Truncated("segment data"))?;
-        // The whole range must stay within the same segment's file image.
-        let last = vaddr
-            .checked_add(len as u64 - 1)
-            .ok_or(ElfError::Unmapped(vaddr))?;
-        self.vaddr_to_offset(last)?;
-        self.data
-            .get(off..off.checked_add(len).ok_or(ElfError::Truncated("segment data"))?)
-            .ok_or(ElfError::Truncated("segment data"))
+        let range = self.file_range(vaddr, len)?;
+        Ok(&self.data[range])
     }
 
     /// Overwrite file-backed bytes at `vaddr` in place.
     ///
     /// # Errors
     ///
-    /// Fails if the range is not fully file-backed.
+    /// Fails where [`Elf::slice_at`] of the same range would.
     pub fn write_at(&mut self, vaddr: u64, bytes: &[u8]) -> Result<(), ElfError> {
         if bytes.is_empty() {
             return Ok(());
         }
-        let off = usize::try_from(self.vaddr_to_offset(vaddr)?)
-            .map_err(|_| ElfError::Truncated("segment data"))?;
-        let last = vaddr
-            .checked_add(bytes.len() as u64 - 1)
-            .ok_or(ElfError::Unmapped(vaddr))?;
-        self.vaddr_to_offset(last)?;
-        self.data
-            .get_mut(off..off + bytes.len())
-            .ok_or(ElfError::Truncated("segment data"))?
-            .copy_from_slice(bytes);
+        let range = self.file_range(vaddr, bytes.len())?;
+        self.data[range].copy_from_slice(bytes);
         Ok(())
     }
 
@@ -368,5 +394,47 @@ mod tests {
         let (lo, hi) = elf.vaddr_extent();
         assert!(lo <= 0x400000);
         assert!(hi >= 0x404000 + 0x1000);
+    }
+
+    #[test]
+    fn ranges_across_segments_read_what_single_bytes_read() {
+        // The text segment is stretched to its page end, and the next
+        // segment (vaddr 0x402000) is pointed at file offset 0, so the
+        // range 0x401ffe..0x402002 is file-backed byte by byte but not
+        // contiguous in the file.
+        let mut b = ElfBuilder::exec(0x400000);
+        b.text(vec![0x90; 16], 0x401000);
+        b.rodata(vec![0xAA; 16], 0x402000);
+        b.entry(0x401000);
+        let mut bytes = b.build();
+        let elf = Elf::parse(&bytes).unwrap();
+        let phoff = elf.ehdr.e_phoff as usize;
+        for (i, p) in elf.phdrs.iter().enumerate() {
+            let mut p = *p;
+            if p.p_vaddr == 0x401000 {
+                p.p_filesz = 0x1000;
+            } else if p.p_vaddr == 0x402000 {
+                p.p_offset = 0;
+            } else {
+                continue;
+            }
+            bytes[phoff + i * PHDR_SIZE..][..PHDR_SIZE].copy_from_slice(&p.to_bytes());
+        }
+        let mut elf = Elf::parse(&bytes).unwrap();
+        let single: Vec<u8> = (0..4)
+            .map(|i| elf.slice_at(0x401ffe + i, 1).unwrap()[0])
+            .collect();
+        assert_eq!(single, [0, 0, 0x7F, b'E']);
+        assert_eq!(elf.slice_at(0x401ffe, 4), Err(ElfError::Unmapped(0x402000)));
+        assert_eq!(
+            elf.write_at(0x401ffe, &[1; 4]),
+            Err(ElfError::Unmapped(0x402000))
+        );
+        assert_eq!(elf.data(), &bytes[..], "a refused write changes nothing");
+        // Ranges inside one segment still read and write as one slice.
+        assert_eq!(elf.slice_at(0x401ffc, 2).unwrap(), &[0, 0]);
+        assert_eq!(elf.slice_at(0x402000, 2).unwrap(), &[0x7F, b'E']);
+        elf.write_at(0x401ffe, &[1, 2]).unwrap();
+        assert_eq!(elf.slice_at(0x401ffe, 2).unwrap(), &[1, 2]);
     }
 }
