@@ -20,7 +20,6 @@
 //! examined per block.
 
 use e9elf::PAGE_SIZE;
-use std::collections::BTreeMap;
 
 /// Cap on how many existing groups greedy placement examines per block.
 pub const MAX_GROUP_SCAN: usize = 8192;
@@ -62,17 +61,17 @@ impl Grouping {
 }
 
 #[derive(Debug)]
-struct BlockOcc {
+struct BlockOcc<'t> {
     base: u64,
     /// Sorted, disjoint (offset, bytes) extents within the block.
-    extents: Vec<(u64, Vec<u8>)>,
+    extents: Vec<(u64, &'t [u8])>,
     occupied: u64,
     /// 64-bucket coarse occupancy bitmap (bit i set ⇔ some byte in bucket
     /// i is used). Bucket-disjoint blocks are byte-disjoint.
     bits: u64,
 }
 
-fn occupancy_bits(extents: &[(u64, Vec<u8>)], block_size: u64) -> u64 {
+fn occupancy_bits(extents: &[(u64, &[u8])], block_size: u64) -> u64 {
     let bucket = (block_size / 64).max(1);
     let mut bits = 0u64;
     for (off, bytes) in extents {
@@ -101,8 +100,9 @@ fn occupancy_bits(extents: &[(u64, Vec<u8>)], block_size: u64) -> u64 {
 pub fn group(trampolines: &[(u64, Vec<u8>)], granularity: u64, enable: bool) -> Grouping {
     let bs = granularity.max(1) * PAGE_SIZE;
 
-    // Bucket (and split) extents by block base.
-    let mut blocks: BTreeMap<u64, Vec<(u64, Vec<u8>)>> = BTreeMap::new();
+    // Split extents at block boundaries into (block base, offset, bytes)
+    // pieces, sorted by block base then offset.
+    let mut pieces: Vec<(u64, u64, &[u8])> = Vec::with_capacity(trampolines.len());
     for (vaddr, bytes) in trampolines {
         let mut va = *vaddr;
         let mut rest: &[u8] = bytes;
@@ -110,19 +110,18 @@ pub fn group(trampolines: &[(u64, Vec<u8>)], granularity: u64, enable: bool) -> 
             let base = va / bs * bs;
             let off = va - base;
             let take = ((bs - off) as usize).min(rest.len());
-            blocks
-                .entry(base)
-                .or_default()
-                .push((off, rest[..take].to_vec()));
+            pieces.push((base, off, &rest[..take]));
             va += take as u64;
             rest = &rest[take..];
         }
     }
+    pieces.sort_by_key(|&(base, off, _)| (base, off));
 
-    let mut occs: Vec<BlockOcc> = blocks
-        .into_iter()
-        .map(|(base, mut extents)| {
-            extents.sort_by_key(|(o, _)| *o);
+    let mut occs: Vec<BlockOcc> = pieces
+        .chunk_by(|a, b| a.0 == b.0)
+        .map(|block| {
+            let base = block[0].0;
+            let extents: Vec<(u64, &[u8])> = block.iter().map(|&(_, o, b)| (o, b)).collect();
             for w in extents.windows(2) {
                 assert!(
                     w[0].0 + w[0].1.len() as u64 <= w[1].0,
@@ -142,7 +141,7 @@ pub fn group(trampolines: &[(u64, Vec<u8>)], granularity: u64, enable: bool) -> 
     let virtual_blocks = occs.len() as u64;
 
     // (coarse bitmap, merged extents, member block bases)
-    type Group = (u64, Vec<(u64, Vec<u8>)>, Vec<u64>);
+    type Group<'t> = (u64, Vec<(u64, &'t [u8])>, Vec<u64>);
     let mut groups: Vec<Group> = Vec::new();
     if enable {
         // First-fit decreasing by occupancy; mergability decided by the
@@ -153,7 +152,7 @@ pub fn group(trampolines: &[(u64, Vec<u8>)], granularity: u64, enable: bool) -> 
             for (bits, extents, members) in groups.iter_mut().take(MAX_GROUP_SCAN) {
                 if *bits & blk.bits == 0 {
                     *bits |= blk.bits;
-                    extents.extend(blk.extents.iter().cloned());
+                    extents.extend_from_slice(&blk.extents);
                     members.push(blk.base);
                     placed = true;
                     break;
@@ -175,7 +174,7 @@ pub fn group(trampolines: &[(u64, Vec<u8>)], granularity: u64, enable: bool) -> 
             members.sort_unstable();
             let mut bytes = vec![0u8; bs as usize];
             for (off, data) in extents {
-                bytes[off as usize..off as usize + data.len()].copy_from_slice(&data);
+                bytes[off as usize..off as usize + data.len()].copy_from_slice(data);
             }
             PhysBlock {
                 bytes,

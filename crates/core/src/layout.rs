@@ -19,6 +19,7 @@
 //!   the paper's limitation **L1**.
 
 use std::collections::BTreeMap;
+use std::ops::Bound::{Excluded, Unbounded};
 
 /// Lowest usable address (null-page guard).
 pub const MIN_ADDR: u64 = 0x10000;
@@ -82,11 +83,13 @@ impl Window {
 
 /// First-fit interval allocator over the userspace address range.
 ///
-/// Occupied intervals are kept coalesced in a `BTreeMap` keyed by start
-/// address. Free space is the complement.
+/// Occupied intervals are kept coalesced in a `BTreeMap` keyed by *end*
+/// address, so the first interval that can collide with a candidate
+/// start `x` is one lookup away: the first key above `x`. Free space is
+/// the complement.
 #[derive(Debug, Clone, Default)]
 pub struct AddressSpace {
-    /// start → end of occupied intervals (disjoint, non-adjacent).
+    /// end → start of occupied intervals (disjoint, non-adjacent).
     occupied: BTreeMap<u64, u64>,
 }
 
@@ -97,28 +100,47 @@ impl AddressSpace {
         AddressSpace::default()
     }
 
+    /// The first occupied interval `(start, end)` that ends after `addr`.
+    fn first_ending_after(&self, addr: u64) -> Option<(u64, u64)> {
+        self.occupied
+            .range((Excluded(addr), Unbounded))
+            .next()
+            .map(|(&e, &s)| (s, e))
+    }
+
+    /// The last occupied interval `(start, end)` that begins before `addr`.
+    fn last_starting_before(&self, addr: u64) -> Option<(u64, u64)> {
+        match self.occupied.range(addr..).next() {
+            // The interval that reaches `addr` is the last to begin before it.
+            Some((&e, &s)) if s < addr => Some((s, e)),
+            _ => self
+                .occupied
+                .range(..addr)
+                .next_back()
+                .map(|(&e, &s)| (s, e)),
+        }
+    }
+
     /// Mark `[start, end)` occupied (idempotent; merges with neighbours).
     pub fn reserve(&mut self, start: u64, end: u64) {
         if start >= end {
             return;
         }
-        let mut new_start = start;
-        let mut new_end = end;
-        // Absorb any overlapping or adjacent intervals.
-        let overlapping: Vec<u64> = self
-            .occupied
-            .range(..=end)
-            .rev()
-            .take_while(|(_, &e)| e >= new_start)
-            .filter(|(&s, &e)| e >= start && s <= end)
-            .map(|(&s, _)| s)
-            .collect();
-        for s in overlapping {
-            let e = self.occupied.remove(&s).unwrap();
+        let (mut new_start, mut new_end) = (start, end);
+        // Absorb every interval that overlaps or touches [start, end):
+        // those ending at or after `start` and starting at or before `end`.
+        while let Some((&e, &s)) = self.occupied.range(start..).next() {
+            if s > end {
+                break;
+            }
+            if s <= start && e >= end {
+                return; // already occupied
+            }
+            self.occupied.remove(&e);
             new_start = new_start.min(s);
             new_end = new_end.max(e);
         }
-        self.occupied.insert(new_start, new_end);
+        self.occupied.insert(new_end, new_start);
     }
 
     /// Release `[start, end)` (used to roll back tentative tactic steps).
@@ -126,21 +148,17 @@ impl AddressSpace {
         if start >= end {
             return;
         }
-        // Collect intervals intersecting [start, end).
-        let affected: Vec<(u64, u64)> = self
-            .occupied
-            .range(..end)
-            .rev()
-            .take_while(|(_, &e)| e > start)
-            .map(|(&s, &e)| (s, e))
-            .collect();
-        for (s, e) in affected {
-            self.occupied.remove(&s);
+        // Trim every interval intersecting [start, end), in address order.
+        while let Some((s, e)) = self.first_ending_after(start) {
+            if s >= end {
+                break;
+            }
+            self.occupied.remove(&e);
             if s < start {
-                self.occupied.insert(s, start);
+                self.occupied.insert(start, s);
             }
             if e > end {
-                self.occupied.insert(end, e);
+                self.occupied.insert(e, end);
             }
         }
     }
@@ -150,18 +168,20 @@ impl AddressSpace {
         if start >= end {
             return true;
         }
-        // Any interval beginning before `end` that extends past `start`
-        // overlaps.
-        self.occupied
-            .range(..end)
-            .next_back()
-            .is_none_or(|(_, &e)| e <= start)
+        // The first interval ending after `start` overlaps iff it begins
+        // before `end`.
+        self.first_ending_after(start).is_none_or(|(s, _)| s >= end)
     }
 
     /// Allocate `size` bytes with the given `align`, lowest-address-first,
     /// such that the allocation **starts** inside `window`. The body may
     /// extend past `window.hi` (the window constrains the jump target — the
     /// trampoline's first byte — not its extent).
+    ///
+    /// The result is the lowest aligned start in the window whose whole
+    /// extent is free and ends by [`MAX_ADDR`]. One tree descent finds the
+    /// first interval that can collide; the search then walks intervals
+    /// forward, skipping past each one that does.
     pub fn alloc_in(&mut self, window: Window, size: u64, align: u64) -> Option<u64> {
         if size == 0 {
             return None;
@@ -170,14 +190,20 @@ impl AddressSpace {
         // Checked rounding: a window or reservation hugging `u64::MAX`
         // must exhaust the search, not wrap (or panic the debug build).
         let mut cursor = window.lo.checked_next_multiple_of(align)?;
+        let mut ahead = self
+            .occupied
+            .range((Excluded(cursor), Unbounded))
+            .map(|(&e, &s)| (s, e))
+            .peekable();
         while cursor < window.hi {
             let end = cursor.checked_add(size)?;
             if end > MAX_ADDR {
                 return None;
             }
-            // Find the last occupied interval beginning before `end`.
-            match self.occupied.range(..end).next_back().map(|(&s, &e)| (s, e)) {
-                Some((_, e)) if e > cursor => {
+            // Intervals ending at or before the cursor cannot collide.
+            while ahead.next_if(|&(_, e)| e <= cursor).is_some() {}
+            match ahead.peek() {
+                Some(&(s, e)) if s < end => {
                     // Conflict: skip past it.
                     cursor = e.checked_next_multiple_of(align)?;
                 }
@@ -212,7 +238,7 @@ impl AddressSpace {
                 cursor = MAX_ADDR.checked_sub(size)? / align * align;
                 continue;
             }
-            match self.occupied.range(..end).next_back().map(|(&s, &e)| (s, e)) {
+            match self.last_starting_before(end) {
                 Some((s, e)) if e > cursor => {
                     // Conflict: jump below the conflicting interval.
                     let next = s.checked_sub(size)?;
@@ -247,7 +273,7 @@ impl AddressSpace {
 
     /// Total occupied bytes (diagnostics).
     pub fn occupied_bytes(&self) -> u64 {
-        self.occupied.iter().map(|(s, e)| e - s).sum()
+        self.occupied.iter().map(|(e, s)| e - s).sum()
     }
 
     /// Number of disjoint occupied intervals (diagnostics).

@@ -15,7 +15,7 @@ use crate::stats::{PatchStats, TacticKind};
 use crate::trampoline::{self, BuildError, Template};
 use e9elf::{Elf, PAGE_SIZE};
 use e9x86::insn::{Insn, Kind};
-use std::collections::BTreeMap;
+use std::borrow::Cow;
 
 /// A single patch request: divert the instruction at `addr` through a
 /// trampoline built from `template`.
@@ -148,7 +148,8 @@ pub struct SiteReport {
 #[derive(Debug)]
 pub struct Planner<'a> {
     elf: Elf,
-    insns: &'a BTreeMap<u64, Insn>,
+    /// The disassembly, sorted by address with one entry per address.
+    insns: Cow<'a, [Insn]>,
     /// Byte lock state (S1).
     pub locks: LockMap,
     /// Trampoline address-space allocator.
@@ -211,7 +212,11 @@ impl<'a> Planner<'a> {
         Ok(space)
     }
 
-    /// Create a planner over a parsed binary.
+    /// Create a planner over a parsed binary and its disassembly.
+    ///
+    /// `insns` is borrowed as is when it is sorted by address with one
+    /// entry per address. Otherwise the planner sorts a copy, and where
+    /// several entries share an address the last one wins.
     ///
     /// `reserved` lists extra `[start, end)` virtual ranges trampolines must
     /// avoid (instrumentation runtime segments, etc.).
@@ -224,15 +229,16 @@ impl<'a> Planner<'a> {
     /// past the input.
     pub fn new(
         elf: Elf,
-        insns: &'a BTreeMap<u64, Insn>,
+        insns: &'a [Insn],
         cfg: RewriteConfig,
         reserved: &[(u64, u64)],
     ) -> crate::error::Result<Planner<'a>> {
         let space = Self::initial_space(&elf, &cfg, reserved)?;
+        let (insns, locks) = index(insns);
         Ok(Planner {
             elf,
             insns,
-            locks: LockMap::new(),
+            locks,
             space,
             trampolines: Vec::new(),
             stats: PatchStats::default(),
@@ -242,9 +248,18 @@ impl<'a> Planner<'a> {
         })
     }
 
+    /// The instruction at `addr`, if the disassembly has one.
+    fn insn_at(&self, addr: u64) -> Option<Insn> {
+        let i = self.insns.partition_point(|x| x.addr < addr);
+        self.insns.get(i).filter(|x| x.addr == addr).copied()
+    }
+
     /// Read up to `n` file-backed bytes starting at `addr` (shorter at a
     /// segment boundary).
-    fn bytes_at(&self, addr: u64, n: usize) -> Vec<u8> {
+    fn bytes_at(&self, addr: u64, n: usize) -> Cow<'_, [u8]> {
+        if let Ok(b) = self.elf.slice_at(addr, n) {
+            return Cow::Borrowed(b);
+        }
         let mut v = Vec::with_capacity(n);
         for i in 0..n as u64 {
             match self.elf.slice_at(addr + i, 1) {
@@ -252,13 +267,21 @@ impl<'a> Planner<'a> {
                 Err(_) => break,
             }
         }
-        v
+        Cow::Owned(v)
     }
 
+    /// Overwrite bytes the planner read with [`Planner::bytes_at`], so
+    /// each one is file-backed (a write across a segment boundary goes
+    /// byte by byte, as the read did).
     fn write(&mut self, addr: u64, bytes: &[u8]) {
-        self.elf
-            .write_at(addr, bytes)
-            .expect("planner writes stay within file-backed segments");
+        if self.elf.write_at(addr, bytes).is_ok() {
+            return;
+        }
+        for (a, b) in (addr..).zip(bytes) {
+            self.elf
+                .write_at(a, std::slice::from_ref(b))
+                .expect("planner writes stay within file-backed segments");
+        }
     }
 
     /// Allocate trampoline space inside `window` per the configured
@@ -273,26 +296,24 @@ impl<'a> Planner<'a> {
     /// Window around every address the trampoline must reach with rel32
     /// displacements; `None` if the targets are mutually unreachable.
     fn reach_window(insn: &Insn) -> Option<Window> {
-        let mut targets: Vec<u64> = Vec::new();
-        if !matches!(insn.kind, Kind::Ret | Kind::JmpRel8 | Kind::JmpRel32 | Kind::JmpInd) {
-            targets.push(insn.end());
-        }
-        if let Some(t) = insn.branch_target() {
-            targets.push(t);
-        }
-        if let Some(m) = insn.modrm {
-            if let Some(mem) = m.mem {
-                if mem.rip_relative {
-                    targets.push(insn.end().wrapping_add(mem.disp as i64 as u64));
-                }
-            }
-        }
+        let fall_through = (!matches!(
+            insn.kind,
+            Kind::Ret | Kind::JmpRel8 | Kind::JmpRel32 | Kind::JmpInd
+        ))
+        .then(|| insn.end());
+        let rip_target = insn
+            .modrm
+            .and_then(|m| m.mem)
+            .filter(|mem| mem.rip_relative)
+            .map(|mem| insn.end().wrapping_add(mem.disp as i64 as u64));
+        let targets = [fall_through, insn.branch_target(), rip_target];
         // Structurally panic-free bounds fold: an empty target set means
         // the trampoline is unconstrained (e.g. `ret`), and a non-empty
         // one yields `[max - REACH, min + REACH)` without any `unwrap`.
         let bounds = targets
-            .iter()
-            .fold(None, |acc: Option<(u64, u64)>, &t| match acc {
+            .into_iter()
+            .flatten()
+            .fold(None, |acc: Option<(u64, u64)>, t| match acc {
                 None => Some((t, t)),
                 Some((min, max)) => Some((min.min(t), max.max(t))),
             });
@@ -354,17 +375,10 @@ impl<'a> Planner<'a> {
     ) -> Option<TacticKind> {
         let writable = insn.len() as u8;
         let max_pad = if self.cfg.tactics.t1 { writable } else { 1 };
-        let template = template.clone();
-        let insn_copy = *insn;
         for padding in 0..max_pad {
-            if let Some(pun) = self.place_pun(
-                insn.addr,
-                writable,
-                padding,
-                size_ub,
-                reach,
-                &|t| trampoline::build(&template, &insn_copy, t),
-            ) {
+            if let Some(pun) = self.place_pun(insn.addr, writable, padding, size_ub, reach, &|t| {
+                trampoline::build(template, insn, t)
+            }) {
                 return Some(if padding > 0 {
                     TacticKind::T1
                 } else if pun.free >= 4 {
@@ -386,7 +400,7 @@ impl<'a> Planner<'a> {
         reach: Window,
         size_ub: usize,
     ) -> Option<TacticKind> {
-        let succ = *self.insns.get(&insn.end())?;
+        let succ = self.insn_at(insn.end())?;
         let s_reach = Self::reach_window(&succ)?;
         let s_ub = trampoline::evictee_max_size(&succ);
         let succ_copy = succ;
@@ -441,12 +455,10 @@ impl<'a> Planner<'a> {
             let t = addr + 2 + rel as u64;
             (t, t, true)
         };
-        let victims: Vec<Insn> = self
-            .insns
-            .range(addr + len..=t_hi)
-            .map(|(_, v)| *v)
-            .collect();
-        for victim in victims {
+        let first = self.insns.partition_point(|x| x.addr < addr + len);
+        let last = self.insns.partition_point(|x| x.addr <= t_hi);
+        for k in first..last {
+            let victim = self.insns[k];
             let v_len = victim.len() as u64;
             for j in 1..v_len {
                 let t = victim.addr + j;
@@ -510,7 +522,7 @@ impl<'a> Planner<'a> {
         let jp_bytes = jp.encode(tramp).expect("target inside pun window");
 
         // Overlay J_patch to compute J_victim's pun window.
-        let mut img_v = self.bytes_at(v_addr, (j + 5) as usize);
+        let mut img_v = self.bytes_at(v_addr, (j + 5) as usize).into_owned();
         let roll_patch = |s: &mut Self| s.space.free(tramp, tramp + size_ub as u64);
         if img_v.len() < 5 {
             roll_patch(self);
@@ -618,9 +630,8 @@ impl<'a> Planner<'a> {
         addr: u64,
         template: &Template,
     ) -> crate::error::Result<Option<TacticKind>> {
-        let insn = *self
-            .insns
-            .get(&addr)
+        let insn = self
+            .insn_at(addr)
             .ok_or(crate::error::Error::NoSuchInstruction(addr))?;
         let Some(reach) = Self::reach_window(&insn) else {
             return Err(crate::error::Error::UnreachableTargets(addr));
@@ -702,6 +713,24 @@ impl<'a> Planner<'a> {
             reports: self.reports,
         }
     }
+}
+
+/// `insns` sorted by address with one entry per address, and a lock map
+/// over it: borrowed when `insns` already is, else a sorted copy in which
+/// the last entry for an address wins.
+fn index(insns: &[Insn]) -> (Cow<'_, [Insn]>, LockMap) {
+    if let Some(locks) = LockMap::over(insns) {
+        return (Cow::Borrowed(insns), locks);
+    }
+    let mut v = insns.to_vec();
+    // Stable, so the entries for one address keep their input order;
+    // reversed, deduplication keeps each address's last entry.
+    v.sort_by_key(|i| i.addr);
+    v.reverse();
+    v.dedup_by_key(|i| i.addr);
+    v.reverse();
+    let locks = LockMap::over(&v).expect("sorted and deduplicated");
+    (Cow::Owned(v), locks)
 }
 
 /// The planner's outputs (see [`Planner::into_parts`]).

@@ -10,7 +10,6 @@ use crate::stats::{PatchStats, SizeStats};
 use e9elf::types::{PF_R, PF_W, PF_X};
 use e9elf::{Elf, Patcher, PAGE_SIZE};
 use e9x86::insn::Insn;
-use std::collections::BTreeMap;
 
 /// Trap-table manifest embedded in the output binary for the B0 fallback.
 pub mod manifest {
@@ -152,13 +151,12 @@ impl Rewriter {
         let input_bytes = elf.file_size() as u64;
         let orig_entry = elf.entry();
 
-        let insns: BTreeMap<u64, Insn> = disasm.iter().map(|i| (i.addr, *i)).collect();
         let reserved: Vec<(u64, u64)> = extra
             .iter()
             .map(|s| (s.vaddr, s.vaddr.saturating_add(s.bytes.len() as u64)))
             .collect();
 
-        let mut planner = Planner::new(elf, &insns, self.cfg, &reserved)?;
+        let mut planner = Planner::new(elf, disasm, self.cfg, &reserved)?;
         planner.patch_all(requests)?;
         let parts = planner.into_parts();
 

@@ -8,17 +8,26 @@
 //! shapes fixed in this change: `alloc_at` end arithmetic, `alloc_in_high`
 //! under-the-ceiling stepping, and cursor rounding at `u64::MAX`).
 //!
+//! Two equivalence properties pin the planner's flat state to simple
+//! models: random operation sequences on [`AddressSpace`] must give the
+//! results of a probe-per-interval first fit ([`RefSpace`]), and random
+//! lock sequences on a dense [`LockMap`] must read like a `HashMap` of
+//! per-byte states, at addresses inside and outside its dense runs.
+//!
 //! The plain tests at the end pin the planner's side of the same
-//! arithmetic: degenerate reach windows are typed errors, never panics.
+//! arithmetic: degenerate reach windows are typed errors, never panics,
+//! and a disassembly with far-apart instructions costs memory by its
+//! bytes, not by the span between them.
 
 use e9patch::layout::{AddressSpace, Window, MAX_ADDR, MIN_ADDR};
+use e9patch::lock::{LockMap, LockState, RUN_TAIL};
 use e9patch::planner::{PatchRequest, Planner, RewriteConfig};
 use e9patch::trampoline::Template;
 use e9patch::{Error, Rewriter};
 use e9qcheck::prelude::*;
 use e9x86::decode::linear_sweep;
 use e9x86::insn::Insn;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// Mirror of the planner's rel32 reach margin (kept private there).
 const REACH: i128 = 0x7FFF_0000;
@@ -108,17 +117,283 @@ props! {
     }
 }
 
+/// The allocator before its intervals were keyed by end: a `BTreeMap`
+/// from start to end, and first fit by one probe per skipped interval.
+/// The equivalence property checks the product against it.
+#[derive(Debug, Clone, Default)]
+struct RefSpace {
+    occupied: BTreeMap<u64, u64>,
+}
+
+impl RefSpace {
+    fn reserve(&mut self, start: u64, end: u64) {
+        if start >= end {
+            return;
+        }
+        let (mut new_start, mut new_end) = (start, end);
+        let overlapping: Vec<u64> = self
+            .occupied
+            .range(..=end)
+            .rev()
+            .take_while(|(_, &e)| e >= new_start)
+            .filter(|(&s, &e)| e >= start && s <= end)
+            .map(|(&s, _)| s)
+            .collect();
+        for s in overlapping {
+            let e = self.occupied.remove(&s).unwrap();
+            new_start = new_start.min(s);
+            new_end = new_end.max(e);
+        }
+        self.occupied.insert(new_start, new_end);
+    }
+
+    fn free(&mut self, start: u64, end: u64) {
+        if start >= end {
+            return;
+        }
+        let affected: Vec<(u64, u64)> = self
+            .occupied
+            .range(..end)
+            .rev()
+            .take_while(|(_, &e)| e > start)
+            .map(|(&s, &e)| (s, e))
+            .collect();
+        for (s, e) in affected {
+            self.occupied.remove(&s);
+            if s < start {
+                self.occupied.insert(s, start);
+            }
+            if e > end {
+                self.occupied.insert(end, e);
+            }
+        }
+    }
+
+    fn is_free(&self, start: u64, end: u64) -> bool {
+        start >= end
+            || self
+                .occupied
+                .range(..end)
+                .next_back()
+                .is_none_or(|(_, &e)| e <= start)
+    }
+
+    fn alloc_in(&mut self, window: Window, size: u64, align: u64) -> Option<u64> {
+        if size == 0 {
+            return None;
+        }
+        let align = align.max(1);
+        let mut cursor = window.lo.checked_next_multiple_of(align)?;
+        while cursor < window.hi {
+            let end = cursor.checked_add(size)?;
+            if end > MAX_ADDR {
+                return None;
+            }
+            match self
+                .occupied
+                .range(..end)
+                .next_back()
+                .map(|(&s, &e)| (s, e))
+            {
+                Some((_, e)) if e > cursor => cursor = e.checked_next_multiple_of(align)?,
+                _ => {
+                    self.reserve(cursor, end);
+                    return Some(cursor);
+                }
+            }
+        }
+        None
+    }
+
+    fn alloc_in_high(&mut self, window: Window, size: u64, align: u64) -> Option<u64> {
+        if size == 0 || window.is_empty() {
+            return None;
+        }
+        let align = align.max(1);
+        let mut cursor = (window.hi - 1) / align * align;
+        loop {
+            if cursor < window.lo {
+                return None;
+            }
+            let end = cursor.checked_add(size)?;
+            if end > MAX_ADDR {
+                cursor = MAX_ADDR.checked_sub(size)? / align * align;
+                continue;
+            }
+            match self
+                .occupied
+                .range(..end)
+                .next_back()
+                .map(|(&s, &e)| (s, e))
+            {
+                Some((s, e)) if e > cursor => {
+                    let next = s.checked_sub(size)? / align * align;
+                    if next >= cursor {
+                        return None;
+                    }
+                    cursor = next;
+                }
+                _ => {
+                    self.reserve(cursor, end);
+                    return Some(cursor);
+                }
+            }
+        }
+    }
+
+    fn alloc_at(&mut self, addr: u64, size: u64) -> bool {
+        let Some(end) = addr.checked_add(size) else {
+            return false;
+        };
+        if addr < MIN_ADDR || end > MAX_ADDR || !self.is_free(addr, end) {
+            return false;
+        }
+        self.reserve(addr, end);
+        true
+    }
+
+    fn occupied_bytes(&self) -> u64 {
+        self.occupied.iter().map(|(s, e)| e - s).sum()
+    }
+}
+
+/// Nops of each length 1..=5, for disassemblies with a chosen layout.
+const NOPS: [&[u8]; 5] = [
+    &[0x90],
+    &[0x66, 0x90],
+    &[0x0F, 0x1F, 0x00],
+    &[0x0F, 0x1F, 0x40, 0x00],
+    &[0x0F, 0x1F, 0x44, 0x00, 0x00],
+];
+
+/// The instruction `NOPS[len - 1]` decoded at `addr`.
+fn nop(len: usize, addr: u64) -> Insn {
+    let i = e9x86::decode(NOPS[len - 1], addr).expect("nop");
+    assert_eq!(i.len(), len);
+    i
+}
+
+/// Where the degenerate instruction of the hostile cases sits: far above
+/// the 47-bit ceiling, near the top of the `u64` range.
+const WEIRD: u64 = 0xFFFF_FFFF_FFFF_0000;
+
+props! {
+    #[test]
+    fn address_space_matches_probe_per_interval_first_fit(
+        high in any::<bool>(),
+        ops in vec((0u8..9, 0u64..0x3000, 0u64..0x3000, 1u64..0x200, 0usize..4), 1..64),
+    ) {
+        // Operations land in one 12 KiB stretch, at the bottom of the
+        // usable space or straddling its ceiling, so they collide often.
+        let base = if high { MAX_ADDR - 0x2000 } else { MIN_ADDR };
+        let mut a = AddressSpace::new();
+        let mut r = RefSpace::default();
+        for (op, x, y, size, k) in ops {
+            let align = [1, 2, 16, e9elf::PAGE_SIZE][k];
+            let lo = base + x;
+            let len = y % 0x400;
+            let w = Window { lo, hi: lo + y };
+            let (got, want) = match op {
+                0 => {
+                    a.reserve(lo, lo + len);
+                    r.reserve(lo, lo + len);
+                    (None, None)
+                }
+                1 => {
+                    a.free(lo, lo + len);
+                    r.free(lo, lo + len);
+                    (None, None)
+                }
+                2 => (a.alloc_in(w, size, align), r.alloc_in(w, size, align)),
+                3 => (a.alloc_in_high(w, size, align), r.alloc_in_high(w, size, align)),
+                4 => (Some(a.alloc_at(lo, size) as u64), Some(r.alloc_at(lo, size) as u64)),
+                5 => (Some(a.is_free(lo, lo + len) as u64), Some(r.is_free(lo, lo + len) as u64)),
+                // The loader's placement: page-aligned, anywhere.
+                6 => (
+                    a.alloc_in(Window::all(), size * 16, e9elf::PAGE_SIZE),
+                    r.alloc_in(Window::all(), size * 16, e9elf::PAGE_SIZE),
+                ),
+                // A trampoline that may go anywhere (a B1 jump from low
+                // code), walking every interval from the bottom.
+                _ => {
+                    let size = size % 8 * 16 + 1;
+                    (a.alloc_in(Window::all(), size, 1), r.alloc_in(Window::all(), size, 1))
+                }
+            };
+            prop_assert_eq!(got, want, "op {} at {:#x}", op, lo);
+            prop_assert_eq!(a.occupied_bytes(), r.occupied_bytes());
+            prop_assert_eq!(a.fragment_count(), r.occupied.len());
+        }
+        for x in (base..base + 0x3400).step_by(0x40) {
+            prop_assert_eq!(a.is_free(x, x + 0x40), r.is_free(x, x + 0x40), "{:#x}", x);
+        }
+    }
+
+    #[test]
+    fn lock_map_matches_a_hashmap_model(
+        layout in vec((1usize..6, 0u64..40), 1..24),
+        far in any::<bool>(),
+        ops in vec((0u8..4, 0u64..0x400, 1u64..8), 1..64),
+    ) {
+        // Instructions with random gaps (some wider than RUN_TAIL, so
+        // there are several runs), and maybe the degenerate far one.
+        let mut insns = Vec::new();
+        let mut addr = 0x401000;
+        for &(len, gap) in &layout {
+            addr += gap;
+            insns.push(nop(len, addr));
+            addr += len as u64;
+        }
+        if far {
+            insns.push(nop(3, WEIRD));
+        }
+        let mut map = LockMap::over(&insns).expect("sorted");
+        let disasm_bytes: u64 = insns.iter().map(|i| i.len() as u64).sum();
+        prop_assert!(map.dense_bytes() as u64 <= disasm_bytes + RUN_TAIL * insns.len() as u64);
+        let mut model: HashMap<u64, LockState> = HashMap::new();
+        // Probes start below the first run and end past the last; every
+        // third one lands around the far instruction instead.
+        let at = |x: u64| {
+            if far && x.is_multiple_of(3) {
+                WEIRD - 0x20 + x % 0x60
+            } else {
+                0x401000 - 0x20 + x
+            }
+        };
+        for (op, x, len) in ops {
+            let a = at(x);
+            let free = (a..a + len).all(|b| !model.contains_key(&b));
+            prop_assert_eq!(map.can_write(a, len), free, "can_write({:#x}, {})", a, len);
+            match op {
+                // The planner's contract: Modified only on free bytes.
+                0 if free => {
+                    map.lock_modified(a, len);
+                    model.extend((a..a + len).map(|b| (b, LockState::Modified)));
+                }
+                1 => {
+                    map.lock_punned(a, len);
+                    for b in a..a + len {
+                        model.entry(b).or_insert(LockState::Punned);
+                    }
+                }
+                _ => prop_assert_eq!(map.state(a), model.get(&a).copied(), "state({:#x})", a),
+            }
+            prop_assert_eq!(map.len(), model.len());
+        }
+        for x in 0..0x460 {
+            let a = at(x);
+            prop_assert_eq!(map.state(a), model.get(&a).copied(), "state({:#x})", a);
+        }
+    }
+}
+
 /// A one-function non-PIE binary around `code` at `0x401000`, with its
-/// decoded instructions keyed by address.
-fn tiny(code: &[u8]) -> (Vec<u8>, BTreeMap<u64, Insn>) {
+/// decoded instructions.
+fn tiny(code: &[u8]) -> (Vec<u8>, Vec<Insn>) {
     let mut b = e9elf::build::ElfBuilder::exec(0x400000);
     b.text(code.to_vec(), 0x401000);
     b.entry(0x401000);
-    let insns = linear_sweep(code, 0x401000)
-        .into_iter()
-        .map(|i| (i.addr, i))
-        .collect();
-    (b.build(), insns)
+    (b.build(), linear_sweep(code, 0x401000))
 }
 
 #[test]
@@ -130,9 +405,7 @@ fn unreachable_targets_is_a_typed_error() {
     let (input, mut insns) = tiny(&[0x48, 0x89, 0x03, 0xC3]); // mov %rax,(%rbx); ret
     let elf = e9elf::Elf::parse(&input).expect("parse");
     let weird = 0xFFFF_FFFF_FFFF_0000u64;
-    for i in linear_sweep(&[0x48, 0x89, 0x03], weird) {
-        insns.insert(i.addr, i);
-    }
+    insns.extend(linear_sweep(&[0x48, 0x89, 0x03], weird));
     let mut planner = Planner::new(elf, &insns, RewriteConfig::default(), &[]).unwrap();
     let err = planner.patch_site(weird, &Template::Empty).unwrap_err();
     assert_eq!(err, Error::UnreachableTargets(weird));
@@ -158,8 +431,7 @@ fn first_error_is_the_highest_bad_address() {
     // S1 processes requests highest-address-first, so of two requests
     // naming unknown instructions the higher one is reported.
     let code = [0x48, 0x89, 0x03, 0xC3];
-    let (input, insns) = tiny(&code);
-    let disasm: Vec<Insn> = insns.into_values().collect();
+    let (input, disasm) = tiny(&code);
     let mut reqs = vec![PatchRequest {
         addr: 0x401000,
         template: Template::Empty,
@@ -174,4 +446,65 @@ fn first_error_is_the_highest_bad_address() {
         .rewrite(&input, &disasm, &reqs, &[])
         .unwrap_err();
     assert_eq!(err, Error::NoSuchInstruction(0x409000));
+}
+
+#[test]
+fn far_apart_instructions_cost_their_bytes_not_their_span() {
+    // A real function at 0x401000, one instruction just under the 47-bit
+    // ceiling and one at WEIRD: dense lock state spanning them would need
+    // 2^64 bytes. The rewrite runs (the far sites are not file-backed,
+    // so they fail) and the degenerate one is a typed error.
+    let code = [
+        0x48, 0x89, 0x03, 0x48, 0x83, 0xC0, 0x20, 0xC3, 0x90, 0x90, 0x90, 0x90, 0x90,
+    ];
+    let (input, mut disasm) = tiny(&code);
+    let near_top = MAX_ADDR - 0x10;
+    disasm.push(nop(5, near_top));
+    disasm.push(nop(3, WEIRD));
+    let dense_bound = disasm
+        .iter()
+        .map(|i| i.len() as u64 + RUN_TAIL)
+        .sum::<u64>();
+
+    let elf = e9elf::Elf::parse(&input).expect("parse");
+    let planner = Planner::new(elf, &disasm, RewriteConfig::default(), &[]).unwrap();
+    assert!(planner.locks.dense_bytes() as u64 <= dense_bound);
+
+    let req = |addr| PatchRequest {
+        addr,
+        template: Template::Empty,
+    };
+    let out = Rewriter::new(RewriteConfig::default())
+        .rewrite(
+            &input,
+            &disasm,
+            &[req(0x401000), req(0x401003), req(near_top)],
+            &[],
+        )
+        .expect("rewrite");
+    assert_eq!(out.stats.total(), 3);
+    assert!(out.stats.succeeded() >= 1, "{:?}", out.stats);
+    let top = out
+        .reports
+        .iter()
+        .find(|r| r.addr == near_top)
+        .expect("report");
+    assert_eq!(top.tactic, None);
+    // Shuffled, the same disassembly gives the same bytes.
+    let mut shuffled = disasm.clone();
+    shuffled.reverse();
+    let again = Rewriter::new(RewriteConfig::default())
+        .rewrite(
+            &input,
+            &shuffled,
+            &[req(0x401000), req(0x401003), req(near_top)],
+            &[],
+        )
+        .expect("rewrite");
+    assert_eq!(again.binary, out.binary);
+
+    let err = Rewriter::new(RewriteConfig::default())
+        .rewrite(&input, &disasm, &[req(0x401000), req(WEIRD)], &[])
+        .unwrap_err();
+    assert_eq!(err, Error::UnreachableTargets(WEIRD));
 }

@@ -7,7 +7,6 @@ use e9x86::asm::Asm;
 use e9x86::decode::linear_sweep;
 use e9x86::insn::Insn;
 use e9x86::reg::{Reg, Width};
-use std::collections::BTreeMap;
 
 /// Build a binary from raw code at the default non-PIE base.
 fn make_binary(code: Vec<u8>, data: Option<(u64, Vec<u8>)>) -> (Vec<u8>, Vec<Insn>) {
@@ -45,7 +44,6 @@ fn figure1_shape_requires_advanced_tactics() {
         0x0F, 0x1F, 0x44, 0x00, 0x00,
     ];
     let (bin, disasm) = make_binary(code, None);
-    let insns: BTreeMap<u64, Insn> = disasm.iter().map(|i| (i.addr, *i)).collect();
 
     // Base-only fails (both pun windows negative).
     let elf = e9elf::Elf::parse(&bin).unwrap();
@@ -53,7 +51,7 @@ fn figure1_shape_requires_advanced_tactics() {
         tactics: Tactics::base_only(),
         ..RewriteConfig::default()
     };
-    let mut planner = Planner::new(elf.clone(), &insns, cfg, &[]).unwrap();
+    let mut planner = Planner::new(elf.clone(), &disasm, cfg, &[]).unwrap();
     assert_eq!(planner.patch_site(0x401000, &Template::Empty).unwrap(), None);
 
     // With T2 enabled (no T1/T3), successor eviction unlocks the site.
@@ -65,7 +63,7 @@ fn figure1_shape_requires_advanced_tactics() {
         },
         ..RewriteConfig::default()
     };
-    let mut planner = Planner::new(elf.clone(), &insns, cfg, &[]).unwrap();
+    let mut planner = Planner::new(elf.clone(), &disasm, cfg, &[]).unwrap();
     let got = planner.patch_site(0x401000, &Template::Empty).unwrap();
     assert_eq!(got, Some(TacticKind::T2), "successor eviction expected");
 
@@ -78,7 +76,7 @@ fn figure1_shape_requires_advanced_tactics() {
         },
         ..RewriteConfig::default()
     };
-    let mut planner = Planner::new(elf, &insns, cfg, &[]).unwrap();
+    let mut planner = Planner::new(elf, &disasm, cfg, &[]).unwrap();
     let got = planner.patch_site(0x401000, &Template::Empty).unwrap();
     assert_eq!(got, Some(TacticKind::T3), "neighbour eviction expected");
 }
@@ -184,7 +182,6 @@ fn single_byte_sites_limited() {
     let push_addr = disasm[1].addr;
     assert_eq!(disasm[1].len(), 1);
 
-    let insns: BTreeMap<u64, Insn> = disasm.iter().map(|i| (i.addr, *i)).collect();
     let elf = e9elf::Elf::parse(&bin).unwrap();
 
     // B1/B2/T1 can never patch a 1-byte site at a low base: B2's single
@@ -193,7 +190,7 @@ fn single_byte_sites_limited() {
     // B1 is impossible by checking the outcome tactic.)
     let mut planner = Planner::new(
         elf,
-        &insns,
+        &disasm,
         RewriteConfig {
             b0_fallback: true,
             ..RewriteConfig::default()
@@ -235,7 +232,6 @@ fn single_byte_sites_limited() {
 #[test]
 fn reverse_order_beats_ascending() {
     let prog = e9synth::generate(&e9synth::Profile::tiny("s1test", false));
-    let insns: BTreeMap<u64, Insn> = prog.disasm.iter().map(|i| (i.addr, *i)).collect();
     let sites: Vec<u64> = prog
         .disasm
         .iter()
@@ -244,11 +240,11 @@ fn reverse_order_beats_ascending() {
         .collect();
     let elf = e9elf::Elf::parse(&prog.binary).unwrap();
 
-    let mut desc = Planner::new(elf.clone(), &insns, RewriteConfig::default(), &[]).unwrap();
+    let mut desc = Planner::new(elf.clone(), &prog.disasm, RewriteConfig::default(), &[]).unwrap();
     for &s in sites.iter().rev() {
         desc.patch_site(s, &Template::Empty).unwrap();
     }
-    let mut asc = Planner::new(elf, &insns, RewriteConfig::default(), &[]).unwrap();
+    let mut asc = Planner::new(elf, &prog.disasm, RewriteConfig::default(), &[]).unwrap();
     for &s in sites.iter() {
         asc.patch_site(s, &Template::Empty).unwrap();
     }
