@@ -1,31 +1,39 @@
 //! Rewriter throughput: sites patched per second — the paper's
 //! scalability argument is that patching is local and needs no global
 //! analysis, so cost is linear in the number of sites.
+//!
+//! Two small SPEC-int-like rows, and a browser-mix row at 1/40 of the
+//! paper's Chrome (over 100k sites), where a cost per site that climbs
+//! with the size of the binary shows.
 
 use e9bench::harness::{Harness, Throughput};
 use e9front::{instrument_with_disasm, Application, Options, Payload};
 use e9patch::RewriteConfig;
-use e9synth::{generate, Preset, Profile};
+use e9synth::{generate, PaperRow, Preset, Profile};
 use std::hint::black_box;
 
 fn main() {
     let mut h = Harness::from_args("rewrite");
-    for scale in [400u64, 100] {
-        let profile = Profile::scaled(
-            "bench-rw",
-            false,
-            Preset::Int,
-            e9synth::PaperRow {
-                size_mb: 1.0,
-                a1_loc: 36821,
-                a2_loc: 7522,
-                a1_succ: 100.0,
-                a2_succ: 100.0,
-            },
-            scale,
-            0,
-            2,
-        );
+    let int_row = PaperRow {
+        size_mb: 1.0,
+        a1_loc: 36821,
+        a2_loc: 7522,
+        a1_succ: 100.0,
+        a2_succ: 100.0,
+    };
+    let chrome_row = PaperRow {
+        size_mb: 152.0,
+        a1_loc: 3_800_565,
+        a2_loc: 2_624_800,
+        a1_succ: 100.0,
+        a2_succ: 100.0,
+    };
+    for (pie, preset, paper, scale, loop_iters) in [
+        (false, Preset::Int, int_row, 400u64, 2),
+        (false, Preset::Int, int_row, 100, 2),
+        (true, Preset::Browser, chrome_row, 40, 1),
+    ] {
+        let profile = Profile::scaled("bench-rw", pie, preset, paper, scale, 0, loop_iters);
         let prog = generate(&profile);
         let sites = prog.disasm.iter().filter(|i| i.kind.is_jump()).count();
         h.throughput(Throughput::Elements(sites as u64));
