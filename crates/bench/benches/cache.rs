@@ -204,7 +204,11 @@ fn main() {
             }
             println!(
                 "  break-even probe {label}: warm {warm:.0} ns vs uncached {cold:.0} ns → {}",
-                if warm < cold { "warm wins" } else { "uncached wins" }
+                if warm < cold {
+                    "warm wins"
+                } else {
+                    "uncached wins"
+                }
             );
         }
     }

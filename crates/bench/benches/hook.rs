@@ -31,7 +31,11 @@ fn main() {
 
     // 10k hooks means a multi-MiB synthetic binary; smoke runs stop at
     // 100 so the CI gate stays fast.
-    let rungs: &[usize] = if h.is_smoke() { &[1, 100] } else { &[1, 100, 10_000] };
+    let rungs: &[usize] = if h.is_smoke() {
+        &[1, 100]
+    } else {
+        &[1, 100, 10_000]
+    };
 
     for &n in rungs {
         let sb = sample(n);
@@ -64,7 +68,10 @@ fn main() {
             call_original: true,
             ..HookSpec::counters(&["f*", "main"])
         };
-        let hooks = plan_hooks(&sb.binary, &sb.disasm, &spec).unwrap().hooks.len() as u64;
+        let hooks = plan_hooks(&sb.binary, &sb.disasm, &spec)
+            .unwrap()
+            .hooks
+            .len() as u64;
         h.throughput(Throughput::Elements(hooks));
         h.bench("plan_call_original/100", || {
             plan_hooks(black_box(&sb.binary), &sb.disasm, &spec).unwrap()

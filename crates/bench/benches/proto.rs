@@ -27,7 +27,13 @@ fn main() {
     // version handshake plus a batch of cheap stateless-ish commands.
     const MSGS: u64 = 1000;
     let mut input = String::new();
-    input.push_str(&Request { id: 1, cmd: Command::Version { version: 1 } }.encode());
+    input.push_str(
+        &Request {
+            id: 1,
+            cmd: Command::Version { version: 1 },
+        }
+        .encode(),
+    );
     input.push('\n');
     for id in 2..=MSGS {
         input.push_str(

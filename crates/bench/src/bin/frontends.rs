@@ -16,7 +16,11 @@ fn main() {
         "{:<12} {:>10} {:>10} {:>12} {:>12} {:>10}",
         "binary", "lin insns", "rec insns", "lin sites", "rec sites", "rec/lin"
     );
-    for (name, switch_pct) in [("few-switch", 10u32), ("mid-switch", 40), ("all-switch", 100)] {
+    for (name, switch_pct) in [
+        ("few-switch", 10u32),
+        ("mid-switch", 40),
+        ("all-switch", 100),
+    ] {
         let mut p = Profile::tiny(name, false);
         p.funcs = 12;
         p.switch_pct = switch_pct;

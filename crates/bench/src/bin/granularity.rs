@@ -19,9 +19,7 @@ fn main() {
         .expect("chrome profile");
     let sb = generate(&profile);
     let a1 = sb.disasm.iter().filter(|i| i.kind.is_jump()).count();
-    println!(
-        "Granularity sweep on the Chrome-class binary ({a1} A1 sites, scale 1/{scale})\n"
-    );
+    println!("Granularity sweep on the Chrome-class binary ({a1} A1 sites, scale 1/{scale})\n");
     println!(
         "{:>4} {:>12} {:>12} {:>12} {:>12} {:>14}",
         "M", "mappings", "physblocks", "physMB", "Size%", "fits map_count"

@@ -28,12 +28,23 @@ fn main() {
         profiles.retain(|p| keep.contains(&p.name.as_str()));
     }
 
-    println!("Table 1 reproduction (scale 1/{scale}{})", if quick { ", --quick" } else { "" });
+    println!(
+        "Table 1 reproduction (scale 1/{scale}{})",
+        if quick { ", --quick" } else { "" }
+    );
     println!("PIE rows: inkscape, vim, evince, chrome, firefox\n");
 
     for (app, app_name, payload) in [
-        (Application::A1Jumps, "A1: jmp/jcc instructions", Payload::Empty),
-        (Application::A2HeapWrites, "A2: heap write instructions", Payload::Empty),
+        (
+            Application::A1Jumps,
+            "A1: jmp/jcc instructions",
+            Payload::Empty,
+        ),
+        (
+            Application::A2HeapWrites,
+            "A2: heap write instructions",
+            Payload::Empty,
+        ),
     ] {
         println!("{}", table1_header(app_name));
         let mut total_sites = 0usize;

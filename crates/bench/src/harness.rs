@@ -103,7 +103,10 @@ impl Harness {
 
     /// Median of an already-measured bench, for derived summary notes.
     pub fn median_ns(&self, name: &str) -> Option<f64> {
-        self.records.iter().find(|r| r.name == name).map(|r| r.median_ns)
+        self.records
+            .iter()
+            .find(|r| r.name == name)
+            .map(|r| r.median_ns)
     }
 
     /// Attach a derived key/value to the JSON output (`"notes"` object).
@@ -123,11 +126,7 @@ impl Harness {
     pub fn bench<T, F: FnMut() -> T>(&mut self, name: &str, mut f: F) {
         // Warmup: run until the budget elapses, learning the cost.
         let mut iters = 0u64;
-        let warmup = if self.smoke {
-            Duration::ZERO
-        } else {
-            WARMUP
-        };
+        let warmup = if self.smoke { Duration::ZERO } else { WARMUP };
         let start = Instant::now();
         loop {
             black_box(f());
@@ -165,7 +164,11 @@ impl Harness {
             iters_per_sample,
             throughput: self.throughput.take(),
         };
-        println!("{:>28}  {}", format!("{}/{}", self.group, rec.name), summary(&rec));
+        println!(
+            "{:>28}  {}",
+            format!("{}/{}", self.group, rec.name),
+            summary(&rec)
+        );
         self.records.push(rec);
     }
 
@@ -190,11 +193,7 @@ impl Harness {
         if !self.notes.is_empty() {
             out.push_str("  \"notes\": {");
             for (i, (k, v)) in self.notes.iter().enumerate() {
-                out.push_str(&format!(
-                    "{}{:?}: {v}",
-                    if i == 0 { "" } else { ", " },
-                    k
-                ));
+                out.push_str(&format!("{}{:?}: {v}", if i == 0 { "" } else { ", " }, k));
             }
             out.push_str("},\n");
         }

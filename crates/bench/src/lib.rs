@@ -103,8 +103,12 @@ pub fn measure(profile: &Profile, app: Application, payload: Payload, cfg: Rewri
     };
     let out = instrument_with_disasm(&sb.binary, &sb.disasm, &opts)
         .expect("instrumentation must not error");
-    let (patched, violations, loader_steps) =
-        run_guest(&out.rewrite.binary, lowfat, out.violations_addr, Some(sb.entry));
+    let (patched, violations, loader_steps) = run_guest(
+        &out.rewrite.binary,
+        lowfat,
+        out.violations_addr,
+        Some(sb.entry),
+    );
 
     assert_eq!(
         patched.output, orig.output,
@@ -161,8 +165,7 @@ pub fn scale_from_env() -> u64 {
 
 /// `--quick` flag or `E9_QUICK=1`: run a representative subset.
 pub fn quick_from_args() -> bool {
-    std::env::args().any(|a| a == "--quick")
-        || std::env::var("E9_QUICK").is_ok_and(|v| v == "1")
+    std::env::args().any(|a| a == "--quick") || std::env::var("E9_QUICK").is_ok_and(|v| v == "1")
 }
 
 /// Geometric mean helper (the paper reports geo-means for Figure 4).
@@ -181,7 +184,12 @@ mod tests {
     #[test]
     fn measure_tiny_a1() {
         let p = Profile::tiny("benchtest", false);
-        let row = measure(&p, Application::A1Jumps, Payload::Empty, RewriteConfig::default());
+        let row = measure(
+            &p,
+            Application::A1Jumps,
+            Payload::Empty,
+            RewriteConfig::default(),
+        );
         assert!(row.sites > 0);
         assert!(row.time_pct > 100.0, "instrumentation must cost something");
         assert_eq!(row.stats.total(), row.sites);

@@ -159,7 +159,9 @@ impl DiskStore {
         fs::create_dir_all(dir).map_err(|e| CacheError::io("create fan-out dir", e))?;
         let tmp = dir.join(format!(
             ".{}.{}.tmp",
-            path.file_name().expect("object file name").to_string_lossy(),
+            path.file_name()
+                .expect("object file name")
+                .to_string_lossy(),
             std::process::id()
         ));
         let staged: io::Result<()> = (|| {
@@ -175,7 +177,8 @@ impl DiskStore {
             let _ = fs::remove_file(&tmp);
             return Err(CacheError::io("stage cache entry", e));
         }
-        let published = e9failpt::fail_io("cache.disk.publish").and_then(|()| fs::rename(&tmp, &path));
+        let published =
+            e9failpt::fail_io("cache.disk.publish").and_then(|()| fs::rename(&tmp, &path));
         if let Err(e) = published {
             let _ = fs::remove_file(&tmp);
             return Err(CacheError::io("publish cache entry", e));
@@ -196,8 +199,8 @@ impl DiskStore {
         let _ = fs::create_dir_all(self.corrupt_dir());
         self.prune_quarantine();
         let dest = self.corrupt_dir().join(sha256::hex(key));
-        let moved = e9failpt::fail_io("cache.disk.quarantine")
-            .and_then(|()| fs::rename(path, &dest));
+        let moved =
+            e9failpt::fail_io("cache.disk.quarantine").and_then(|()| fs::rename(path, &dest));
         if moved.is_ok() {
             true
         } else {
@@ -217,12 +220,8 @@ impl DiskStore {
             .flatten()
             .filter_map(|e| {
                 let meta = e.metadata().ok()?;
-                meta.is_file().then(|| {
-                    (
-                        meta.modified().unwrap_or(SystemTime::UNIX_EPOCH),
-                        e.path(),
-                    )
-                })
+                meta.is_file()
+                    .then(|| (meta.modified().unwrap_or(SystemTime::UNIX_EPOCH), e.path()))
             })
             .collect();
         if files.len() < QUARANTINE_CAP {
@@ -381,7 +380,11 @@ struct DirLock {
 impl DirLock {
     fn try_acquire(path: &Path) -> Option<DirLock> {
         for _ in 0..2 {
-            match fs::OpenOptions::new().write(true).create_new(true).open(path) {
+            match fs::OpenOptions::new()
+                .write(true)
+                .create_new(true)
+                .open(path)
+            {
                 Ok(mut f) => {
                     let _ = write!(f, "{}", std::process::id());
                     return Some(DirLock {
@@ -434,7 +437,11 @@ mod tests {
         assert_eq!(store.get(&key).unwrap().unwrap()[..], b"payload bytes"[..]);
         // Fan-out layout: objects/ab/<62 hex>.
         let hex = sha256::hex(&key);
-        assert!(root.join("objects").join(&hex[..2]).join(&hex[2..]).exists());
+        assert!(root
+            .join("objects")
+            .join(&hex[..2])
+            .join(&hex[2..])
+            .exists());
         fs::remove_dir_all(&root).ok();
     }
 
@@ -478,10 +485,18 @@ mod tests {
         let key = digest(b"t");
         store.put(&key, b"0123456789").unwrap();
         let path = store.object_path(&key);
-        for bad in [Vec::new(), b"E9CACHE1".to_vec(), fs::read(&path).unwrap()[..41].to_vec()] {
+        for bad in [
+            Vec::new(),
+            b"E9CACHE1".to_vec(),
+            fs::read(&path).unwrap()[..41].to_vec(),
+        ] {
             store.put(&key, b"0123456789").unwrap();
             fs::write(&path, &bad).unwrap();
-            assert!(matches!(store.get(&key), Err(CacheError::Corrupt { .. })), "bad len {}", bad.len());
+            assert!(
+                matches!(store.get(&key), Err(CacheError::Corrupt { .. })),
+                "bad len {}",
+                bad.len()
+            );
         }
         fs::remove_dir_all(&root).ok();
     }
@@ -550,7 +565,11 @@ mod tests {
         assert_eq!(budgeted.evict_to_budget().unwrap(), 2);
         keys.sort();
         for (i, key) in keys.iter().enumerate() {
-            assert_eq!(budgeted.get(key).unwrap().is_some(), i >= 2, "key {i} in digest order");
+            assert_eq!(
+                budgeted.get(key).unwrap().is_some(),
+                i >= 2,
+                "key {i} in digest order"
+            );
         }
         fs::remove_dir_all(&root).ok();
     }
@@ -594,7 +613,10 @@ mod tests {
             fs::write(&path, &raw).unwrap();
             assert!(matches!(store.get(&key), Err(CacheError::Corrupt { .. })));
             let kept = fs::read_dir(store.corrupt_dir()).unwrap().flatten().count();
-            assert!(kept <= QUARANTINE_CAP, "quarantine grew past the cap: {kept}");
+            assert!(
+                kept <= QUARANTINE_CAP,
+                "quarantine grew past the cap: {kept}"
+            );
         }
         // Evidence is still being kept, just bounded.
         let kept = fs::read_dir(store.corrupt_dir()).unwrap().flatten().count();

@@ -459,7 +459,9 @@ impl Cache {
     /// panicked while holding the lock — entries are immutable once
     /// inserted, so the map is never observably half-written.
     fn mem(&self) -> MutexGuard<'_, mem::MemLru> {
-        self.mem.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+        self.mem
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 
     /// Should a request over `input_len` bytes skip the cache entirely?
@@ -714,9 +716,15 @@ mod tests {
         cache.put(&key, &Entry::Ok(b"artifact".to_vec()));
         cache.mem().clear();
         // Disk hit, promoted back into memory.
-        assert_eq!(cache.lookup_entry(&key), Some(Entry::Ok(b"artifact".to_vec())));
+        assert_eq!(
+            cache.lookup_entry(&key),
+            Some(Entry::Ok(b"artifact".to_vec()))
+        );
         assert_eq!(cache.stats().disk_hits, 1);
-        assert_eq!(cache.lookup_entry(&key), Some(Entry::Ok(b"artifact".to_vec())));
+        assert_eq!(
+            cache.lookup_entry(&key),
+            Some(Entry::Ok(b"artifact".to_vec()))
+        );
         assert_eq!(cache.stats().mem_hits, 1);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -745,7 +753,10 @@ mod tests {
         // Serviceable afterwards: re-put and hit.
         cache.put(&key, &Entry::Ok(b"artifact".to_vec()));
         cache.mem().clear();
-        assert_eq!(cache.lookup_entry(&key), Some(Entry::Ok(b"artifact".to_vec())));
+        assert_eq!(
+            cache.lookup_entry(&key),
+            Some(Entry::Ok(b"artifact".to_vec()))
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -821,7 +832,14 @@ mod tests {
             ..CacheStats::default()
         }
         .summary();
-        for needle in ["hits", "misses", "bypasses", "stores", "evictions", "verify failures"] {
+        for needle in [
+            "hits",
+            "misses",
+            "bypasses",
+            "stores",
+            "evictions",
+            "verify failures",
+        ] {
             assert!(s.contains(needle), "summary missing {needle}: {s}");
         }
     }

@@ -161,10 +161,7 @@ mod shani {
     #[inline(always)]
     unsafe fn schedule(m0: __m128i, m1: __m128i, m2: __m128i, m3: __m128i) -> __m128i {
         let carry = _mm_alignr_epi8(m3, m2, 4);
-        _mm_sha256msg2_epu32(
-            _mm_add_epi32(_mm_sha256msg1_epu32(m0, m1), carry),
-            m3,
-        )
+        _mm_sha256msg2_epu32(_mm_add_epi32(_mm_sha256msg1_epu32(m0, m1), carry), m3)
     }
 
     /// # Safety
@@ -422,7 +419,9 @@ mod tests {
         // Run the scalar compressor directly against the dispatching
         // front door on multi-block input; on SHA-NI hosts this pins the
         // two back ends to each other, elsewhere it is a self-check.
-        let data: Vec<u8> = (0..4096u32).map(|i| i.wrapping_mul(2654435761) as u8).collect();
+        let data: Vec<u8> = (0..4096u32)
+            .map(|i| i.wrapping_mul(2654435761) as u8)
+            .collect();
         let mut scalar_state = H0;
         for block in data.chunks_exact(64) {
             compress_scalar(&mut scalar_state, block.try_into().unwrap());

@@ -56,10 +56,10 @@ fn allocated_during<R>(f: impl FnOnce() -> R) -> (u64, R) {
 #[test]
 fn lookup_does_not_allocate_beyond_the_artifact() {
     const PAYLOAD: usize = 1 << 20; // 1 MiB artifact
-    // Generous fixed overhead for the lookup's bookkeeping (PathBuf
-    // construction, the hex object name, LRU map growth): an order of
-    // magnitude below the payload, so a single extra payload copy —
-    // 1 MiB — cannot hide under it.
+                                    // Generous fixed overhead for the lookup's bookkeeping (PathBuf
+                                    // construction, the hex object name, LRU map growth): an order of
+                                    // magnitude below the payload, so a single extra payload copy —
+                                    // 1 MiB — cannot hide under it.
     const SLACK: u64 = 128 << 10;
 
     let dir = std::env::temp_dir().join(format!("e9cache-alloc-{}", std::process::id()));

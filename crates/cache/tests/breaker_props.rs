@@ -23,7 +23,11 @@ struct Op {
 
 fn decode(raw: u8) -> Op {
     Op {
-        kind: if raw & 1 == 0 { OpKind::Read } else { OpKind::Write },
+        kind: if raw & 1 == 0 {
+            OpKind::Read
+        } else {
+            OpKind::Write
+        },
         // Bias toward failure so trips/probes/recoveries all happen
         // within short scripts.
         fails: raw & 0b110 != 0,

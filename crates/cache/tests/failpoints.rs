@@ -44,7 +44,10 @@ fn transient_disk_read_error_is_a_miss_not_a_negative_entry() {
     let stats = cache.stats();
     assert_eq!(stats.errors, 1);
     assert_eq!(stats.misses, 1);
-    assert!(!stats.disk_breaker_open, "one error must not trip the breaker");
+    assert!(
+        !stats.disk_breaker_open,
+        "one error must not trip the breaker"
+    );
 
     // Once the transient fault clears, the original positive entry is
     // served intact: the error was never cached, negatively or otherwise.
@@ -74,7 +77,10 @@ fn breaker_trips_to_memory_only_and_recovers() {
         let open = matches!(i, 2..=9);
         assert_eq!(cache.disk_breaker().is_open(), open, "after put {i}");
         // Memory-only mode still serves: everything put so far hits.
-        assert!(cache.lookup(&keys[i / 2]).is_some(), "mem tier lost entry during put {i}");
+        assert!(
+            cache.lookup(&keys[i / 2]).is_some(),
+            "mem tier lost entry during put {i}"
+        );
     }
 
     let stats = cache.stats();
@@ -99,7 +105,10 @@ fn breaker_trips_to_memory_only_and_recovers() {
     // Recovered for real: the post-recovery puts reached the disk and
     // survive this process's memory tier.
     let fresh = disk_cache(&dir);
-    assert!(fresh.lookup(&keys[10]).is_some(), "post-recovery put not on disk");
+    assert!(
+        fresh.lookup(&keys[10]).is_some(),
+        "post-recovery put not on disk"
+    );
     assert!(fresh.lookup(&keys[11]).is_some());
     // The disk-full-era puts never landed (dropped, not wedged).
     assert_eq!(fresh.lookup(&keys[0]), None);

@@ -16,9 +16,16 @@ use e9qcheck::prelude::*;
 enum Op {
     /// Insert payload of `len` bytes under key id `k` (small key space so
     /// update-in-place happens constantly).
-    Insert { k: u8, len: usize },
-    Get { k: u8 },
-    Remove { k: u8 },
+    Insert {
+        k: u8,
+        len: usize,
+    },
+    Get {
+        k: u8,
+    },
+    Remove {
+        k: u8,
+    },
     Clear,
 }
 

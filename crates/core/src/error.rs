@@ -48,12 +48,18 @@ impl fmt::Display for Error {
                 write!(f, "no instruction at {a:#x} in the disassembly info")
             }
             Error::Unrelocatable(a) => {
-                write!(f, "instruction at {a:#x} cannot be displaced to a trampoline")
+                write!(
+                    f,
+                    "instruction at {a:#x} cannot be displaced to a trampoline"
+                )
             }
             Error::Trampoline(msg) => write!(f, "trampoline emission failed: {msg}"),
             Error::DuplicatePatch(a) => write!(f, "duplicate patch request at {a:#x}"),
             Error::UnreachableTargets(a) => {
-                write!(f, "instruction at {a:#x} has mutually unreachable rel32 targets")
+                write!(
+                    f,
+                    "instruction at {a:#x} has mutually unreachable rel32 targets"
+                )
             }
             Error::Granularity(m) => write!(
                 f,

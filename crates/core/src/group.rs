@@ -203,11 +203,11 @@ mod tests {
         // Five trampolines over three pages with disjoint in-page offsets
         // merge into a single physical page (the paper's Figure 3).
         let ts = vec![
-            t(0x10000, 0x100, 1),        // page 1, offset 0x000
-            t(0x10400, 0x100, 2),        // page 1, offset 0x400
-            t(0x11800, 0x100, 3),        // page 2, offset 0x800
-            t(0x12200, 0x100, 4),        // page 3, offset 0x200
-            t(0x12C00, 0x100, 5),        // page 3, offset 0xC00
+            t(0x10000, 0x100, 1), // page 1, offset 0x000
+            t(0x10400, 0x100, 2), // page 1, offset 0x400
+            t(0x11800, 0x100, 3), // page 2, offset 0x800
+            t(0x12200, 0x100, 4), // page 3, offset 0x200
+            t(0x12C00, 0x100, 5), // page 3, offset 0xC00
         ];
         let g = group(&ts, 1, true);
         assert_eq!(g.virtual_blocks, 3);
@@ -224,7 +224,11 @@ mod tests {
 
     #[test]
     fn naive_mode_one_to_one() {
-        let ts = vec![t(0x10000, 0x10, 1), t(0x11000, 0x10, 2), t(0x12000, 0x10, 3)];
+        let ts = vec![
+            t(0x10000, 0x10, 1),
+            t(0x11000, 0x10, 2),
+            t(0x12000, 0x10, 3),
+        ];
         let g = group(&ts, 1, false);
         assert_eq!(g.groups.len(), 3);
         assert_eq!(g.mapping_count(), 3);

@@ -77,9 +77,18 @@ pub fn emit_loader(base: u64, orig_entry: u64, mappings: &[Mapping]) -> Vec<u8> 
     // consumed by `ret`, so even the jump register is clean.
     a.mov_ri64(Reg::Rax, orig_entry as i64);
     a.push_r(Reg::Rax);
-    for r in [Reg::Rax, Reg::Rdi, Reg::Rsi, Reg::Rdx, Reg::Rcx, Reg::R8, Reg::R9, Reg::R10,
-        Reg::R11, Reg::R14]
-    {
+    for r in [
+        Reg::Rax,
+        Reg::Rdi,
+        Reg::Rsi,
+        Reg::Rdx,
+        Reg::Rcx,
+        Reg::R8,
+        Reg::R9,
+        Reg::R10,
+        Reg::R11,
+        Reg::R14,
+    ] {
         a.xor_rr(Width::D, r, r);
     }
     // ... and scrub the flags the xors just set (push $2; popfq loads the
@@ -138,7 +147,10 @@ mod tests {
         // The code part (before the table) must decode as a linear stream.
         let insns = linear_sweep(&code[..LOADER_CODE_SIZE], 0x60000000);
         let decoded: usize = insns.iter().map(|i| i.len()).sum();
-        assert_eq!(decoded, LOADER_CODE_SIZE, "loader code has undecodable gaps");
+        assert_eq!(
+            decoded, LOADER_CODE_SIZE,
+            "loader code has undecodable gaps"
+        );
         // It must contain exactly one syscall.
         assert_eq!(
             insns
@@ -184,7 +196,11 @@ mod tests {
         let code = emit_loader(0x60000000, 0x401000, &maps);
         let table_off = (LOADER_CODE_SIZE + 7) & !7;
         let q = |i: usize| {
-            u64::from_le_bytes(code[table_off + i * 8..table_off + (i + 1) * 8].try_into().unwrap())
+            u64::from_le_bytes(
+                code[table_off + i * 8..table_off + (i + 1) * 8]
+                    .try_into()
+                    .unwrap(),
+            )
         };
         assert_eq!(q(0), 0xAAAA000);
         assert_eq!(q(1), 0x2000);

@@ -222,7 +222,7 @@ mod tests {
         assert!(!l.can_write(0x5000, 4));
         assert!(!l.can_write(0x4FFE, 3)); // straddles the punned start
         assert!(l.can_write(0x4FFC, 4)); // ends exactly at the pun
-        // Writes next to (not into) the punned range then coexist.
+                                         // Writes next to (not into) the punned range then coexist.
         l.lock_modified(0x4FFC, 4);
         assert_eq!(l.state(0x4FFF), Some(LockState::Modified));
         assert_eq!(l.state(0x5000), Some(LockState::Punned));
@@ -237,15 +237,19 @@ mod tests {
         l.lock_modified(0x8000, 2); // e.g. a J_short at a boundary site
         l.lock_punned(0x8002, 3);
         for (start, len, want) in [
-            (0x7FFE, 2, true),   // entirely below
-            (0x7FFF, 2, false),  // crosses into Modified
-            (0x8000, 5, false),  // exactly the locked run
-            (0x8001, 1, false),  // inside Modified
-            (0x8004, 1, false),  // last Punned byte
-            (0x8005, 4, true),   // entirely above
-            (0x7FFF, 7, false),  // superset
+            (0x7FFE, 2, true),  // entirely below
+            (0x7FFF, 2, false), // crosses into Modified
+            (0x8000, 5, false), // exactly the locked run
+            (0x8001, 1, false), // inside Modified
+            (0x8004, 1, false), // last Punned byte
+            (0x8005, 4, true),  // entirely above
+            (0x7FFF, 7, false), // superset
         ] {
-            assert_eq!(l.can_write(start, len), want, "can_write({start:#x}, {len})");
+            assert_eq!(
+                l.can_write(start, len),
+                want,
+                "can_write({start:#x}, {len})"
+            );
         }
     }
 

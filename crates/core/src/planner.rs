@@ -310,13 +310,14 @@ impl<'a> Planner<'a> {
         // Structurally panic-free bounds fold: an empty target set means
         // the trampoline is unconstrained (e.g. `ret`), and a non-empty
         // one yields `[max - REACH, min + REACH)` without any `unwrap`.
-        let bounds = targets
-            .into_iter()
-            .flatten()
-            .fold(None, |acc: Option<(u64, u64)>, t| match acc {
-                None => Some((t, t)),
-                Some((min, max)) => Some((min.min(t), max.max(t))),
-            });
+        let bounds =
+            targets
+                .into_iter()
+                .flatten()
+                .fold(None, |acc: Option<(u64, u64)>, t| match acc {
+                    None => Some((t, t)),
+                    Some((min, max)) => Some((min.min(t), max.max(t))),
+                });
         match bounds {
             None => Some(Window::all()),
             Some((min, max)) => Window::from_i128(max as i128 - REACH, min as i128 + REACH),
@@ -426,13 +427,7 @@ impl<'a> Planner<'a> {
 
     /// T3: neighbour eviction with a `J_short → J_patch → trampoline`
     /// double jump (and `J_victim` to an evictee trampoline).
-    fn try_t3(
-        &mut self,
-        insn: &Insn,
-        template: &Template,
-        reach: Window,
-        size_ub: usize,
-    ) -> bool {
+    fn try_t3(&mut self, insn: &Insn, template: &Template, reach: Window, size_ub: usize) -> bool {
         let addr = insn.addr;
         let len = insn.len() as u64;
         // Geometry of the short jump (S1 restricts rel8 to forward

@@ -415,9 +415,15 @@ mod tests {
                 ..RewriteConfig::default()
             };
             assert_eq!(cfg.check(), Err(Error::Granularity(m)));
-            let err = Rewriter::new(cfg).rewrite(&bin, &disasm, &req, &[]).unwrap_err();
+            let err = Rewriter::new(cfg)
+                .rewrite(&bin, &disasm, &req, &[])
+                .unwrap_err();
             assert_eq!(err, Error::Granularity(m));
-            assert!(err.to_string().contains(&format!("granularity {m} out of range")), "{err}");
+            assert!(
+                err.to_string()
+                    .contains(&format!("granularity {m} out of range")),
+                "{err}"
+            );
         }
         // The largest accepted values run to a result or a typed error.
         for m in [1 << 34, MAX_GRANULARITY] {

@@ -184,7 +184,10 @@ fn restore_all(a: &mut Asm) {
 /// Does the displaced instruction unconditionally leave the trampoline
 /// (making the resume jump dead)?
 fn diverts(kind: Kind) -> bool {
-    matches!(kind, Kind::Ret | Kind::JmpRel8 | Kind::JmpRel32 | Kind::JmpInd)
+    matches!(
+        kind,
+        Kind::Ret | Kind::JmpRel8 | Kind::JmpRel32 | Kind::JmpInd
+    )
 }
 
 /// Instantiate `template` for patched instruction `insn` at trampoline
@@ -383,7 +386,14 @@ mod tests {
     fn check_call_loads_effective_address() {
         // mov %rax,0x10(%rbx,%rcx,4) — the lea must reproduce the operand.
         let insn = decode(&[0x48, 0x89, 0x44, 0x8B, 0x10], 0x401000).unwrap();
-        let t = build(&Template::CheckCall { func_addr: 0x50000000 }, &insn, 0x70000000).unwrap();
+        let t = build(
+            &Template::CheckCall {
+                func_addr: 0x50000000,
+            },
+            &insn,
+            0x70000000,
+        )
+        .unwrap();
         assert!(t.len() <= max_size(&Template::CheckCall { func_addr: 0 }, &insn));
         // Somewhere inside: lea 0x10(%rbx,%rcx,4),%rdi = 48 8d 7c 8b 10.
         let needle = [0x48, 0x8D, 0x7C, 0x8B, 0x10];
@@ -410,7 +420,14 @@ mod tests {
     #[test]
     fn hook_call_passes_site_address() {
         let insn = mov_insn();
-        let t = build(&Template::HookCall { func_addr: 0x50000000 }, &insn, 0x70000000).unwrap();
+        let t = build(
+            &Template::HookCall {
+                func_addr: 0x50000000,
+            },
+            &insn,
+            0x70000000,
+        )
+        .unwrap();
         assert!(t.len() <= max_size(&Template::HookCall { func_addr: 0 }, &insn));
         // movabs $0x401000,%rdi = 48 bf 00 10 40 00 00 00 00 00.
         let needle = [0x48, 0xBF, 0x00, 0x10, 0x40, 0x00, 0x00, 0x00, 0x00, 0x00];
@@ -420,13 +437,27 @@ mod tests {
         );
         // Register-only patch sites are fine for hooks (unlike CheckCall).
         let reg_only = e9x86::decode(&[0x48, 0x01, 0xC3], 0x401000).unwrap();
-        assert!(build(&Template::HookCall { func_addr: 0x50000000 }, &reg_only, 0x70000000).is_ok());
+        assert!(build(
+            &Template::HookCall {
+                func_addr: 0x50000000
+            },
+            &reg_only,
+            0x70000000
+        )
+        .is_ok());
     }
 
     #[test]
     fn hook_save_spills_and_restores_every_gpr() {
         let insn = mov_insn();
-        let t = build(&Template::HookSave { func_addr: 0x46000000 }, &insn, 0x70000000).unwrap();
+        let t = build(
+            &Template::HookSave {
+                func_addr: 0x46000000,
+            },
+            &insn,
+            0x70000000,
+        )
+        .unwrap();
         assert!(t.len() <= max_size(&Template::HookSave { func_addr: 0 }, &insn));
         // 15 pushes then pushfq on the way in; popfq then 15 pops out.
         let pushes = t.iter().filter(|&&b| (0x50..0x58).contains(&b)).count();
@@ -448,7 +479,14 @@ mod tests {
     #[test]
     fn hook_save_restore_order_is_lifo() {
         let insn = mov_insn();
-        let t = build(&Template::HookSave { func_addr: 0x46000000 }, &insn, 0x70000000).unwrap();
+        let t = build(
+            &Template::HookSave {
+                func_addr: 0x46000000,
+            },
+            &insn,
+            0x70000000,
+        )
+        .unwrap();
         // First push is rax (0x50), last pop is rax (0x58): exact inverse.
         let first_push = t.iter().find(|&&b| (0x50..0x58).contains(&b)).unwrap();
         let last_pop = t.iter().rfind(|&&b| (0x58..0x60).contains(&b)).unwrap();
@@ -461,15 +499,24 @@ mod tests {
         let insn = mov_insn();
         let thunk = 0x7100_0000u64;
         let t = build(
-            &Template::HookOriginal { func_addr: 0x50000000, thunk_addr: thunk },
+            &Template::HookOriginal {
+                func_addr: 0x50000000,
+                thunk_addr: thunk,
+            },
             &insn,
             0x70000000,
         )
         .unwrap();
-        assert!(t.len() <= max_size(
-            &Template::HookOriginal { func_addr: 0, thunk_addr: 0 },
-            &insn
-        ));
+        assert!(
+            t.len()
+                <= max_size(
+                    &Template::HookOriginal {
+                        func_addr: 0,
+                        thunk_addr: 0
+                    },
+                    &insn
+                )
+        );
         // Thunk address in %rsi: movabs $thunk,%rsi.
         let mut needle = vec![0x48, 0xBE];
         needle.extend_from_slice(&thunk.to_le_bytes());
@@ -486,8 +533,13 @@ mod tests {
         // red-zone lea the payload sees rsp ≡ site rsp (mod 16).
         let insn = mov_insn();
         for tpl in [
-            Template::HookSave { func_addr: 0x46000000 },
-            Template::HookOriginal { func_addr: 0x46000000, thunk_addr: 0x71000000 },
+            Template::HookSave {
+                func_addr: 0x46000000,
+            },
+            Template::HookOriginal {
+                func_addr: 0x46000000,
+                thunk_addr: 0x71000000,
+            },
         ] {
             let t = build(&tpl, &insn, 0x70000000).unwrap();
             let pushes = t.iter().filter(|&&b| (0x50..0x58).contains(&b)).count();

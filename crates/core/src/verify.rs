@@ -96,11 +96,7 @@ pub fn verify(
     let mut violations = Vec::new();
     let mut report = VerifyReport::default();
 
-    let in_mappings = |a: u64| {
-        mappings
-            .iter()
-            .any(|m| a >= m.vaddr && a < m.vaddr + m.len)
-    };
+    let in_mappings = |a: u64| mappings.iter().any(|m| a >= m.vaddr && a < m.vaddr + m.len);
     let in_image = |a: u64| original.load_segments().any(|p| p.covers(a));
 
     // Pass 1: every disassembled instruction is preserved or diverted.
@@ -118,24 +114,22 @@ pub fn verify(
         }
         // Changed: must now start with a diversion. Decode with generous
         // lookahead (a punned jump may be longer than the original insn).
-        let window = patched.slice_at(insn.addr, len.max(15).min(
-            // stay within the segment
-            {
-                let mut n = len;
-                while n < 15 && patched.slice_at(insn.addr, n + 1).is_ok() {
-                    n += 1;
-                }
-                n
-            },
-        ));
+        let window = patched.slice_at(
+            insn.addr,
+            len.max(15).min(
+                // stay within the segment
+                {
+                    let mut n = len;
+                    while n < 15 && patched.slice_at(insn.addr, n + 1).is_ok() {
+                        n += 1;
+                    }
+                    n
+                },
+            ),
+        );
         let decoded = window.ok().and_then(|b| e9x86::decode(b, insn.addr).ok());
         match decoded {
-            Some(d)
-                if matches!(
-                    d.kind,
-                    Kind::JmpRel8 | Kind::JmpRel32 | Kind::Int3
-                ) =>
-            {
+            Some(d) if matches!(d.kind, Kind::JmpRel8 | Kind::JmpRel32 | Kind::Int3) => {
                 report.diverted += 1;
                 if let Some(target) = d.branch_target() {
                     if !in_mappings(target) && !in_image(target) {
@@ -231,8 +225,8 @@ mod tests {
 
     fn setup() -> (Vec<u8>, Vec<Insn>, Vec<PatchRequest>) {
         let code = vec![
-            0x48, 0x89, 0x03, 0x48, 0x83, 0xC0, 0x20, 0x48, 0x31, 0xC1, 0x83, 0x7B, 0xFC,
-            0x4D, 0xC3, 0x0F, 0x1F, 0x44, 0x00, 0x00, 0x0F, 0x1F, 0x44, 0x00, 0x00,
+            0x48, 0x89, 0x03, 0x48, 0x83, 0xC0, 0x20, 0x48, 0x31, 0xC1, 0x83, 0x7B, 0xFC, 0x4D,
+            0xC3, 0x0F, 0x1F, 0x44, 0x00, 0x00, 0x0F, 0x1F, 0x44, 0x00, 0x00,
         ];
         let disasm = linear_sweep(&code, 0x401000);
         let mut b = e9elf::build::ElfBuilder::exec(0x400000);
@@ -300,8 +294,7 @@ mod tests {
         let orig = Elf::parse(&bin).unwrap();
         // Verify with an empty mapping table: the (legitimate) trampoline
         // jump now points "nowhere".
-        let errs = verify(&orig, &Elf::parse(&out.binary).unwrap(), &disasm, &[], &[])
-            .unwrap_err();
+        let errs = verify(&orig, &Elf::parse(&out.binary).unwrap(), &disasm, &[], &[]).unwrap_err();
         assert!(errs.iter().any(|v| matches!(v, Violation::WildJump { .. })));
     }
 

@@ -21,8 +21,8 @@ struct PendingSection {
     vaddr: u64,
     bytes: Vec<u8>,
     memsz: u64,
-    flags: u32,     // PF_*
-    sh_flags: u64,  // SHF_*
+    flags: u32,    // PF_*
+    sh_flags: u64, // SHF_*
     nobits: bool,
 }
 
@@ -83,7 +83,14 @@ impl ElfBuilder {
 
     /// Add an executable `.text` section at `vaddr`.
     pub fn text(&mut self, code: Vec<u8>, vaddr: u64) -> &mut Self {
-        self.add(".text", code, vaddr, PF_R | PF_X, SHF_ALLOC | SHF_EXECINSTR, false)
+        self.add(
+            ".text",
+            code,
+            vaddr,
+            PF_R | PF_X,
+            SHF_ALLOC | SHF_EXECINSTR,
+            false,
+        )
     }
 
     /// Add a read-only `.rodata` section at `vaddr`.
@@ -93,7 +100,14 @@ impl ElfBuilder {
 
     /// Add a writable `.data` section at `vaddr`.
     pub fn data(&mut self, bytes: Vec<u8>, vaddr: u64) -> &mut Self {
-        self.add(".data", bytes, vaddr, PF_R | PF_W, SHF_ALLOC | SHF_WRITE, false)
+        self.add(
+            ".data",
+            bytes,
+            vaddr,
+            PF_R | PF_W,
+            SHF_ALLOC | SHF_WRITE,
+            false,
+        )
     }
 
     /// Add a zero-initialised `.bss` of `size` bytes at `vaddr` (occupies
@@ -229,12 +243,12 @@ impl ElfBuilder {
         let shnum = 2 + sections.len() + self.notes.len(); // null + sections + notes + shstrtab
 
         let push_shdr = |out: &mut Vec<u8>,
-                             name_off: u32,
-                             sh_type: u32,
-                             sh_flags: u64,
-                             addr: u64,
-                             offset: u64,
-                             size: u64| {
+                         name_off: u32,
+                         sh_type: u32,
+                         sh_flags: u64,
+                         addr: u64,
+                         offset: u64,
+                         size: u64| {
             let mut b = [0u8; SHDR_SIZE];
             b[0..4].copy_from_slice(&name_off.to_le_bytes());
             b[4..8].copy_from_slice(&sh_type.to_le_bytes());

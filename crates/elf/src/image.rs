@@ -344,7 +344,10 @@ mod tests {
     #[test]
     fn parse_rejects_garbage() {
         assert!(matches!(Elf::parse(&[0u8; 16]), Err(ElfError::BadMagic)));
-        assert!(matches!(Elf::parse(&[0x7F, b'E', b'L', b'F']), Err(ElfError::BadMagic)));
+        assert!(matches!(
+            Elf::parse(&[0x7F, b'E', b'L', b'F']),
+            Err(ElfError::BadMagic)
+        ));
     }
 
     #[test]
@@ -372,9 +375,15 @@ mod tests {
     fn unmapped_address_errors() {
         let bytes = sample();
         let elf = Elf::parse(&bytes).unwrap();
-        assert!(matches!(elf.slice_at(0x500000, 1), Err(ElfError::Unmapped(_))));
+        assert!(matches!(
+            elf.slice_at(0x500000, 1),
+            Err(ElfError::Unmapped(_))
+        ));
         // bss is memory-mapped but not file-backed.
-        assert!(matches!(elf.slice_at(0x404000, 1), Err(ElfError::Unmapped(_))));
+        assert!(matches!(
+            elf.slice_at(0x404000, 1),
+            Err(ElfError::Unmapped(_))
+        ));
     }
 
     #[test]

@@ -29,8 +29,8 @@
 
 pub mod build;
 pub mod image;
-pub mod symbols;
 pub mod rewrite;
+pub mod symbols;
 pub mod types;
 
 pub use image::{Elf, ElfError};

@@ -128,7 +128,10 @@ impl Patcher {
         // Pad original to the append base, then the appended region.
         out.resize(self.append_base as usize, 0);
         out.extend_from_slice(&self.appended);
-        debug_assert_eq!(out.len() as u64, self.append_base + self.appended.len() as u64);
+        debug_assert_eq!(
+            out.len() as u64,
+            self.append_base + self.appended.len() as u64
+        );
         let _ = orig_len;
 
         // Relocated program-header table at the file tail.
@@ -225,6 +228,9 @@ mod tests {
         p.add_note(off, 8);
         let out = p.finish();
         let elf = Elf::parse(&out).unwrap();
-        assert!(elf.phdrs.iter().any(|ph| ph.p_type == PT_NOTE && ph.p_offset == off));
+        assert!(elf
+            .phdrs
+            .iter()
+            .any(|ph| ph.p_type == PT_NOTE && ph.p_offset == off));
     }
 }

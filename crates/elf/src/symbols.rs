@@ -67,7 +67,10 @@ impl fmt::Display for SymbolError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SymbolError::Stripped => {
-                write!(f, "binary has no symbol table (stripped); use an explicit address")
+                write!(
+                    f,
+                    "binary has no symbol table (stripped); use an explicit address"
+                )
             }
             SymbolError::NotFound { name, nearest } => {
                 write!(f, "symbol {name:?} not found")?;
@@ -173,7 +176,11 @@ fn nearest_candidates(symbols: &[Symbol], name: &str) -> Vec<String> {
         .map(|s| (edit_distance(name, &s.name), s.name.as_str()))
         .collect();
     ranked.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(b.1)));
-    ranked.into_iter().take(3).map(|(_, n)| n.to_string()).collect()
+    ranked
+        .into_iter()
+        .take(3)
+        .map(|(_, n)| n.to_string())
+        .collect()
 }
 
 /// Resolve `pattern` (an exact name or a glob) against `symbols`,
@@ -189,7 +196,10 @@ pub fn resolve<'a>(symbols: &'a [Symbol], pattern: &str) -> Result<Vec<&'a Symbo
         return Err(SymbolError::Stripped);
     }
     let matches: Vec<&Symbol> = if is_glob(pattern) {
-        symbols.iter().filter(|s| glob_match(pattern, &s.name)).collect()
+        symbols
+            .iter()
+            .filter(|s| glob_match(pattern, &s.name))
+            .collect()
     } else {
         symbols.iter().filter(|s| s.name == pattern).collect()
     };
@@ -264,8 +274,16 @@ mod tests {
 
     #[test]
     fn symtab_preferred_over_dynsym() {
-        let stat = vec![Symbol { name: "s".into(), value: 0x401000, size: 0 }];
-        let dynv = vec![Symbol { name: "d".into(), value: 0x401000, size: 0 }];
+        let stat = vec![Symbol {
+            name: "s".into(),
+            value: 0x401000,
+            size: 0,
+        }];
+        let dynv = vec![Symbol {
+            name: "d".into(),
+            value: 0x401000,
+            size: 0,
+        }];
         let (st, ss) = encode(&stat);
         let (dt, ds) = encode(&dynv);
         let mut b = ElfBuilder::exec(0x400000);
@@ -298,9 +316,21 @@ mod tests {
     #[test]
     fn resolve_exact_glob_and_errors() {
         let syms = vec![
-            Symbol { name: "main".into(), value: 0x401000, size: 0 },
-            Symbol { name: "f0000".into(), value: 0x401100, size: 0 },
-            Symbol { name: "f0001".into(), value: 0x401200, size: 0 },
+            Symbol {
+                name: "main".into(),
+                value: 0x401000,
+                size: 0,
+            },
+            Symbol {
+                name: "f0000".into(),
+                value: 0x401100,
+                size: 0,
+            },
+            Symbol {
+                name: "f0001".into(),
+                value: 0x401200,
+                size: 0,
+            },
         ];
         assert_eq!(resolve(&syms, "main").unwrap()[0].value, 0x401000);
         let globbed = resolve(&syms, "f*").unwrap();
@@ -317,7 +347,10 @@ mod tests {
         }
         assert!(err.to_string().contains("nearest candidates: f0000"));
         // Glob with no match is NotFound too, not Stripped.
-        assert!(matches!(resolve(&syms, "g*"), Err(SymbolError::NotFound { .. })));
+        assert!(matches!(
+            resolve(&syms, "g*"),
+            Err(SymbolError::NotFound { .. })
+        ));
         // Empty table is the stripped case.
         assert_eq!(resolve(&[], "main"), Err(SymbolError::Stripped));
     }

@@ -97,13 +97,17 @@ impl Phdr {
     /// near `u64::MAX` cannot wrap.
     #[inline]
     pub fn covers(&self, vaddr: u64) -> bool {
-        vaddr.checked_sub(self.p_vaddr).is_some_and(|d| d < self.p_memsz)
+        vaddr
+            .checked_sub(self.p_vaddr)
+            .is_some_and(|d| d < self.p_memsz)
     }
 
     /// Does the *file-backed* part of this segment cover `vaddr`?
     #[inline]
     pub fn covers_file(&self, vaddr: u64) -> bool {
-        vaddr.checked_sub(self.p_vaddr).is_some_and(|d| d < self.p_filesz)
+        vaddr
+            .checked_sub(self.p_vaddr)
+            .is_some_and(|d| d < self.p_filesz)
     }
 
     /// Serialize to the 56-byte on-disk representation.

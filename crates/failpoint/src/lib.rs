@@ -216,7 +216,9 @@ fn parse_when(s: &str) -> Result<When, String> {
         }
         return Ok(When::OneIn(n));
     }
-    Err(format!("unknown schedule `{s}` (want always/once/first:N/after:N/1inN)"))
+    Err(format!(
+        "unknown schedule `{s}` (want always/once/first:N/after:N/1inN)"
+    ))
 }
 
 fn parse_spec(spec: &str, seed: u64) -> Result<Registry, String> {
@@ -559,7 +561,9 @@ mod tests {
     #[test]
     fn spec_errors_are_named() {
         assert!(activate_scoped("", 1).is_err());
-        assert!(activate_scoped("noequals", 1).unwrap_err().contains("noequals"));
+        assert!(activate_scoped("noequals", 1)
+            .unwrap_err()
+            .contains("noequals"));
         assert!(activate_scoped("p=unknownfault", 1)
             .unwrap_err()
             .contains("unknownfault"));

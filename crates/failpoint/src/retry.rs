@@ -107,10 +107,7 @@ pub const EINTR_BUDGET: usize = 16;
 /// # Errors
 ///
 /// The first non-EINTR error, or EINTR itself once the budget is spent.
-pub fn retry_interrupted<T>(
-    budget: usize,
-    mut op: impl FnMut() -> io::Result<T>,
-) -> io::Result<T> {
+pub fn retry_interrupted<T>(budget: usize, mut op: impl FnMut() -> io::Result<T>) -> io::Result<T> {
     let mut left = budget;
     loop {
         match op() {
@@ -200,9 +197,8 @@ mod tests {
 
     #[test]
     fn retry_interrupted_passes_other_errors_through() {
-        let r: io::Result<()> = retry_interrupted(8, || {
-            Err(io::Error::new(io::ErrorKind::Other, "real"))
-        });
+        let r: io::Result<()> =
+            retry_interrupted(8, || Err(io::Error::new(io::ErrorKind::Other, "real")));
         assert_eq!(r.unwrap_err().kind(), io::ErrorKind::Other);
     }
 }

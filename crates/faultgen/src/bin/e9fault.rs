@@ -46,7 +46,10 @@ fn replay(seed: u64, surface: Surface, case: u32) -> ExitCode {
     let outcome = match surface {
         Surface::Elf => {
             let mutant = elf::mutate(&mut rng, &elf::baseline_elf_with_symbols());
-            eprintln!("e9fault: replaying elf case {case} ({} bytes)", mutant.len());
+            eprintln!(
+                "e9fault: replaying elf case {case} ({} bytes)",
+                mutant.len()
+            );
             e9faultgen::elf_case(&mutant)
         }
         Surface::Wire => {
@@ -81,10 +84,8 @@ fn replay(seed: u64, surface: Surface, case: u32) -> ExitCode {
         }
         #[cfg(target_os = "linux")]
         Surface::Io => {
-            let root = std::env::temp_dir().join(format!(
-                "e9fault-io-replay-{}-{case}",
-                std::process::id()
-            ));
+            let root = std::env::temp_dir()
+                .join(format!("e9fault-io-replay-{}-{case}", std::process::id()));
             eprintln!("e9fault: replaying io case {case} in {}", root.display());
             e9faultgen::io::io_case(&mut rng, &root)
         }
@@ -94,7 +95,10 @@ fn replay(seed: u64, surface: Surface, case: u32) -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    println!("{ENV_SEED}={seed} surface={} case={case}: {outcome:?}", surface.name());
+    println!(
+        "{ENV_SEED}={seed} surface={} case={case}: {outcome:?}",
+        surface.name()
+    );
     if outcome == Outcome::Panicked {
         ExitCode::FAILURE
     } else {

@@ -75,7 +75,11 @@ fn mutate_file(rng: &mut StdRng, path: &Path) {
             // Truncation: a writer that died mid-entry (the atomic
             // publish protocol makes this unreachable in-process, but a
             // disk can still lose tail pages).
-            let cut = if bytes.is_empty() { 0 } else { rng.gen_range(0..bytes.len()) };
+            let cut = if bytes.is_empty() {
+                0
+            } else {
+                rng.gen_range(0..bytes.len())
+            };
             bytes.truncate(cut);
         }
         1 => {
@@ -99,8 +103,8 @@ fn mutate_file(rng: &mut StdRng, path: &Path) {
 /// serviceable after damage) is reported as [`Outcome::Panicked`].
 pub fn cache_case(rng: &mut StdRng, root: &Path) -> Outcome {
     let _ = std::fs::remove_dir_all(root);
-    let outcome = catch_unwind(AssertUnwindSafe(|| cache_case_inner(rng, root)))
-        .unwrap_or(Outcome::Panicked);
+    let outcome =
+        catch_unwind(AssertUnwindSafe(|| cache_case_inner(rng, root))).unwrap_or(Outcome::Panicked);
     let _ = std::fs::remove_dir_all(root);
     outcome
 }

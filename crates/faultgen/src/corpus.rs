@@ -8,8 +8,8 @@
 //! evolves. Regenerate with `e9fault --write-corpus <dir>`.
 
 use crate::elf::{
-    baseline_elf, phdr_at, put16, put32, put64, read16, read64, EH_PHNUM, EH_SHNUM,
-    EH_SHSTRNDX, PH_FILESZ, PH_MEMSZ, PH_OFFSET, PH_TYPE, PH_VADDR,
+    baseline_elf, phdr_at, put16, put32, put64, read16, read64, EH_PHNUM, EH_SHNUM, EH_SHSTRNDX,
+    PH_FILESZ, PH_MEMSZ, PH_OFFSET, PH_TYPE, PH_VADDR,
 };
 use e9elf::types::{EHDR_SIZE, PHDR_SIZE, PT_NOTE};
 

@@ -303,7 +303,11 @@ fn sym_value_bomb(rng: &mut StdRng, bytes: &mut [u8]) {
         return;
     }
     let i = rng.gen_range(0..n);
-    put64(bytes, off + i * SYM_SIZE + 8, *rng.choose(&BOMBS64).unwrap());
+    put64(
+        bytes,
+        off + i * SYM_SIZE + 8,
+        *rng.choose(&BOMBS64).unwrap(),
+    );
 }
 
 /// String-table damage: either cut the file mid-`.strtab` (names run off

@@ -48,8 +48,24 @@ use std::time::Duration;
 /// key) while staying a valid, rewritable program.
 fn variant_binary(i: u8) -> (Vec<u8>, Vec<u8>) {
     let code = vec![
-        0x48, 0x89, 0x03, 0x48, 0x83, 0xC0, 0x08 + i, 0xC3, //
-        0x0F, 0x1F, 0x44, 0x00, 0x00, 0x0F, 0x1F, 0x44, 0x00, 0x00,
+        0x48,
+        0x89,
+        0x03,
+        0x48,
+        0x83,
+        0xC0,
+        0x08 + i,
+        0xC3, //
+        0x0F,
+        0x1F,
+        0x44,
+        0x00,
+        0x00,
+        0x0F,
+        0x1F,
+        0x44,
+        0x00,
+        0x00,
     ];
     let mut b = e9elf::build::ElfBuilder::exec(0x400000);
     b.text(code.clone(), 0x401000);
@@ -125,7 +141,11 @@ fn disk_cache_case(rng: &mut StdRng, root: &Path) -> Option<Outcome> {
     // which closes the error streak).
     let write_side = rng.gen_bool(0.67);
     let point = if write_side {
-        if rng.gen_bool(0.5) { "cache.disk.stage" } else { "cache.disk.publish" }
+        if rng.gen_bool(0.5) {
+            "cache.disk.stage"
+        } else {
+            "cache.disk.publish"
+        }
     } else {
         "cache.disk.read"
     };
@@ -162,8 +182,8 @@ fn disk_cache_case(rng: &mut StdRng, root: &Path) -> Option<Outcome> {
     match health {
         Some(h) => {
             let s = &h.cache.stats;
-            ok &= s.disk_breaker_trips
-                == s.disk_breaker_recoveries + u64::from(s.disk_breaker_open);
+            ok &=
+                s.disk_breaker_trips == s.disk_breaker_recoveries + u64::from(s.disk_breaker_open);
             if write_side {
                 // first:N with N>=3 guarantees 3 consecutive put failures.
                 ok &= s.disk_breaker_trips >= 1;
@@ -207,7 +227,11 @@ fn client_transport_case(rng: &mut StdRng) -> Option<Outcome> {
     let ok = match mode {
         // A burst of interrupts below the retry budget: invisible.
         0 => {
-            let point = if rng.gen_bool(0.5) { "proto.client.write" } else { "proto.client.read" };
+            let point = if rng.gen_bool(0.5) {
+                "proto.client.write"
+            } else {
+                "proto.client.read"
+            };
             let k = rng.gen_range(1..=8u32);
             let spec = format!("{point}=eintr@first:{k}");
             let _guard = e9failpt::activate_scoped(&spec, rng.next_u64()).ok()?;
@@ -235,7 +259,11 @@ fn client_transport_case(rng: &mut StdRng) -> Option<Outcome> {
         // An interrupt storm past the retry budget: the client gives up
         // with a *typed* Interrupted error, not a hang and not a panic.
         _ => {
-            let point = if rng.gen_bool(0.5) { "proto.client.write" } else { "proto.client.read" };
+            let point = if rng.gen_bool(0.5) {
+                "proto.client.write"
+            } else {
+                "proto.client.read"
+            };
             let spec = format!("{point}=eintr@always");
             let _guard = e9failpt::activate_scoped(&spec, rng.next_u64()).ok()?;
             let mut client = ProtoClient::in_process().ok()?;
@@ -329,7 +357,11 @@ fn session_server_case(rng: &mut StdRng) -> Option<Outcome> {
     let spec = if hard {
         "proto.server.read=eio@once".to_string()
     } else {
-        let point = if rng.gen_bool(0.5) { "proto.server.read" } else { "proto.server.write" };
+        let point = if rng.gen_bool(0.5) {
+            "proto.server.read"
+        } else {
+            "proto.server.write"
+        };
         format!("{point}=eintr@first:{}", rng.gen_range(1..=8u32))
     };
     let before = e9failpt::injected_total();

@@ -73,11 +73,11 @@ pub enum Surface {
 impl Surface {
     fn tag(self) -> u64 {
         match self {
-            Surface::Elf => 0x454C_465F_5355_5246, // "ELF_SURF"
-            Surface::Wire => 0x5749_5245_5355_5246, // "WIRESURF"
+            Surface::Elf => 0x454C_465F_5355_5246,   // "ELF_SURF"
+            Surface::Wire => 0x5749_5245_5355_5246,  // "WIRESURF"
             Surface::Cache => 0x4341_4348_4553_5246, // "CACHESRF"
-            Surface::Loop => 0x4C4F_4F50_5355_5246, // "LOOPSURF"
-            Surface::Io => 0x0049_4F5F_5355_5246, // "IO_SURF"
+            Surface::Loop => 0x4C4F_4F50_5355_5246,  // "LOOPSURF"
+            Surface::Io => 0x0049_4F5F_5355_5246,    // "IO_SURF"
         }
     }
 
@@ -206,18 +206,16 @@ pub fn run_elf_campaign(seed: u64, cases: u32) -> CampaignReport {
 /// hook planner and the instrumentation rewrite, and load into a fresh
 /// VM when parsing succeeds.
 pub fn elf_case(bytes: &[u8]) -> Outcome {
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        match e9elf::image::Elf::parse(bytes) {
-            Err(_) => Outcome::Rejected,
-            Ok(elf) => {
-                let disasm = bounded_sweep(&elf);
-                hook_probe(bytes, &elf, &disasm);
-                rewrite_probe(bytes, &disasm);
-                let mut vm = e9vm::Vm::new();
-                match e9vm::load_elf(&mut vm, bytes) {
-                    Ok(()) => Outcome::Accepted,
-                    Err(_) => Outcome::Rejected,
-                }
+    let result = catch_unwind(AssertUnwindSafe(|| match e9elf::image::Elf::parse(bytes) {
+        Err(_) => Outcome::Rejected,
+        Ok(elf) => {
+            let disasm = bounded_sweep(&elf);
+            hook_probe(bytes, &elf, &disasm);
+            rewrite_probe(bytes, &disasm);
+            let mut vm = e9vm::Vm::new();
+            match e9vm::load_elf(&mut vm, bytes) {
+                Ok(()) => Outcome::Accepted,
+                Err(_) => Outcome::Rejected,
             }
         }
     }));
@@ -234,7 +232,9 @@ fn bounded_sweep(elf: &e9elf::image::Elf) -> Vec<e9x86::Insn> {
         if ph.p_flags & e9elf::types::PF_X == 0 {
             continue;
         }
-        let len = usize::try_from(ph.p_filesz).unwrap_or(usize::MAX).min(SWEEP_CAP);
+        let len = usize::try_from(ph.p_filesz)
+            .unwrap_or(usize::MAX)
+            .min(SWEEP_CAP);
         if let Ok(code) = elf.slice_at(ph.p_vaddr, len) {
             return e9x86::decode::linear_sweep(code, ph.p_vaddr);
         }
@@ -294,10 +294,7 @@ pub fn run_wire_campaign(seed: u64, cases: u32) -> CampaignReport {
 /// [`cache::cache_case`]). Campaign scratch space lives under the
 /// system temp dir and is removed per case.
 pub fn run_cache_campaign(seed: u64, cases: u32) -> CampaignReport {
-    let base = std::env::temp_dir().join(format!(
-        "e9fault-cache-{}-{seed:x}",
-        std::process::id()
-    ));
+    let base = std::env::temp_dir().join(format!("e9fault-cache-{}-{seed:x}", std::process::id()));
     let mut case_no = 0u32;
     let report = run_campaign(Surface::Cache, seed, cases, |rng| {
         let root = base.join(format!("case{case_no}"));
@@ -316,10 +313,7 @@ pub fn run_cache_campaign(seed: u64, cases: u32) -> CampaignReport {
 /// [`loopgen::loop_case`]).
 #[cfg(target_os = "linux")]
 pub fn run_loop_campaign(seed: u64, cases: u32) -> CampaignReport {
-    let base = std::env::temp_dir().join(format!(
-        "e9fault-loop-{}-{seed:x}",
-        std::process::id()
-    ));
+    let base = std::env::temp_dir().join(format!("e9fault-loop-{}-{seed:x}", std::process::id()));
     let _ = std::fs::create_dir_all(&base);
     let mut case_no = 0u32;
     let report = run_campaign(Surface::Loop, seed, cases, |rng| {
@@ -340,10 +334,7 @@ pub fn run_loop_campaign(seed: u64, cases: u32) -> CampaignReport {
 /// strictly one at a time behind the `e9failpt` scope gate.
 #[cfg(target_os = "linux")]
 pub fn run_io_campaign(seed: u64, cases: u32) -> CampaignReport {
-    let base = std::env::temp_dir().join(format!(
-        "e9fault-io-{}-{seed:x}",
-        std::process::id()
-    ));
+    let base = std::env::temp_dir().join(format!("e9fault-io-{}-{seed:x}", std::process::id()));
     let _ = std::fs::create_dir_all(&base);
     let mut case_no = 0u32;
     let report = run_campaign(Surface::Io, seed, cases, |rng| {

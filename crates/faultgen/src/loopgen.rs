@@ -198,8 +198,7 @@ fn oversized_line(rng: &mut StdRng, sock: &Path) -> Option<Hostility> {
     let _ = stream.write_all(&line);
     let mut reader = BufReader::new(stream);
     let mut reply = String::new();
-    let typed = matches!(reader.read_line(&mut reply), Ok(n) if n > 0)
-        && reply.contains("error");
+    let typed = matches!(reader.read_line(&mut reply), Ok(n) if n > 0) && reply.contains("error");
     Some(Hostility {
         saw_typed_error: typed,
         parked: Vec::new(),
@@ -228,8 +227,7 @@ fn garbage_flood(rng: &mut StdRng, sock: &Path) -> Option<Hostility> {
     }
     let mut reader = BufReader::new(stream);
     let mut reply = String::new();
-    let typed = matches!(reader.read_line(&mut reply), Ok(n) if n > 0)
-        && reply.contains("error");
+    let typed = matches!(reader.read_line(&mut reply), Ok(n) if n > 0) && reply.contains("error");
     Some(Hostility {
         saw_typed_error: typed,
         parked: Vec::new(),
@@ -330,8 +328,8 @@ pub fn loop_case(rng: &mut StdRng, sock: &Path) -> Outcome {
     let served = server.join();
     let _ = std::fs::remove_file(sock);
     match served {
-        Err(_) => Outcome::Panicked, // the loop itself unwound
-        Ok(Err(_)) => Outcome::Panicked, // fatal reactor error: same class
+        Err(_) => Outcome::Panicked,                // the loop itself unwound
+        Ok(Err(_)) => Outcome::Panicked,            // fatal reactor error: same class
         Ok(Ok(_)) if !healthy => Outcome::Panicked, // loop stalled a healthy client
         Ok(Ok(_)) if any_typed => Outcome::Rejected,
         Ok(Ok(_)) => Outcome::Accepted,

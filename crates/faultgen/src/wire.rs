@@ -44,7 +44,13 @@ pub fn baseline_script() -> Vec<u8> {
         },
         &mut out,
     );
-    push(Command::Binary { bytes: bin, digest: None }, &mut out);
+    push(
+        Command::Binary {
+            bytes: bin,
+            digest: None,
+        },
+        &mut out,
+    );
     for i in &disasm {
         push(
             Command::Instruction {
@@ -133,7 +139,11 @@ fn inflate_numbers(rng: &mut StdRng, bytes: &mut Vec<u8>) {
         }
         at += word.len() + 1;
     }
-    let pool = if !numbers.is_empty() && rng.gen_bool(0.5) { &numbers } else { &digits };
+    let pool = if !numbers.is_empty() && rng.gen_bool(0.5) {
+        &numbers
+    } else {
+        &digits
+    };
     let Some(&start) = rng.choose(pool) else {
         return;
     };

@@ -26,8 +26,7 @@ fn corpus_is_complete_and_current() {
             .unwrap_or_else(|e| panic!("missing corpus file {}: {e}", path.display()));
         let generated = corpus::generate(name).expect("known corpus name");
         assert_eq!(
-            on_disk,
-            generated,
+            on_disk, generated,
             "{name}.bin is stale; regenerate with e9fault --write-corpus"
         );
     }
@@ -38,7 +37,11 @@ fn corpus_never_panics_parser_or_loader() {
     for name in corpus::NAMES {
         let bytes = std::fs::read(corpus_dir().join(format!("{name}.bin"))).unwrap();
         let outcome = elf_case(&bytes);
-        assert_ne!(outcome, Outcome::Panicked, "{name} panicked the parser/loader");
+        assert_ne!(
+            outcome,
+            Outcome::Panicked,
+            "{name} panicked the parser/loader"
+        );
     }
 }
 

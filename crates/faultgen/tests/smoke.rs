@@ -21,7 +21,11 @@ fn elf_campaign_is_panic_free() {
         report.replay_lines()
     );
     // A campaign that rejects nothing is not exercising the error paths.
-    assert!(report.rejected > 0, "no mutant was rejected: {}", report.summary());
+    assert!(
+        report.rejected > 0,
+        "no mutant was rejected: {}",
+        report.summary()
+    );
 }
 
 #[test]
@@ -33,7 +37,11 @@ fn wire_campaign_is_panic_free() {
         "wire campaign panicked; replay with:\n{}",
         report.replay_lines()
     );
-    assert!(report.rejected > 0, "no mutant was rejected: {}", report.summary());
+    assert!(
+        report.rejected > 0,
+        "no mutant was rejected: {}",
+        report.summary()
+    );
 }
 
 #[test]
@@ -49,7 +57,11 @@ fn cache_campaign_is_panic_free() {
         "cache campaign panicked; replay with:\n{}",
         report.replay_lines()
     );
-    assert!(report.rejected > 0, "no mutant was rejected: {}", report.summary());
+    assert!(
+        report.rejected > 0,
+        "no mutant was rejected: {}",
+        report.summary()
+    );
 }
 
 #[cfg(target_os = "linux")]
@@ -136,10 +148,17 @@ fn inflated_granularity_is_rejected_not_panicked() {
     // rewriter at `emit` if the decoder let them through.
     let script = String::from_utf8(wire::baseline_script()).unwrap();
     let line = r#""params":{"name":"granularity","value":"1"}"#;
-    assert!(script.contains(line), "no option granularity line in:\n{script}");
+    assert!(
+        script.contains(line),
+        "no option granularity line in:\n{script}"
+    );
     for m in ["34359738367", "4503599627370496"] {
         let inflated = format!(r#""params":{{"name":"granularity","value":"{m}"}}"#);
         let mutant = script.replace(line, &inflated);
-        assert_eq!(wire::wire_case(mutant.as_bytes()), Outcome::Rejected, "granularity {m}");
+        assert_eq!(
+            wire::wire_case(mutant.as_bytes()),
+            Outcome::Rejected,
+            "granularity {m}"
+        );
     }
 }

@@ -81,9 +81,19 @@ impl Args {
             if let Some(name) = a.strip_prefix("--") {
                 let takes_value = matches!(
                     name,
-                    "tiny" | "profile" | "scale" | "app" | "payload" | "granularity"
-                        | "max-steps" | "limit" | "backend" | "cache-dir"
-                        | "cache-bypass-bytes" | "func" | "addr"
+                    "tiny"
+                        | "profile"
+                        | "scale"
+                        | "app"
+                        | "payload"
+                        | "granularity"
+                        | "max-steps"
+                        | "limit"
+                        | "backend"
+                        | "cache-dir"
+                        | "cache-bypass-bytes"
+                        | "func"
+                        | "addr"
                 );
                 if takes_value && i + 1 < argv.len() {
                     flags.insert(name.to_string(), argv[i + 1].clone());
@@ -139,8 +149,7 @@ impl Args {
 /// empty files and unreadable paths each get a specific message (and a
 /// nonzero exit) instead of a confusing downstream parse error.
 fn read_input(path: &str) -> Result<Vec<u8>, String> {
-    let meta =
-        std::fs::metadata(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    let meta = std::fs::metadata(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     if meta.is_dir() {
         return Err(format!("{path} is a directory, not an ELF binary"));
     }
@@ -205,7 +214,11 @@ fn cmd_info(args: &Args) -> Result<(), String> {
     println!("{path}: {} bytes", bytes.len());
     println!(
         "  type:  {}",
-        if elf.is_pie() { "ET_DYN (PIE/shared object)" } else { "ET_EXEC" }
+        if elf.is_pie() {
+            "ET_DYN (PIE/shared object)"
+        } else {
+            "ET_EXEC"
+        }
     );
     println!("  entry: {:#x}", elf.entry());
     println!("  segments:");
@@ -220,15 +233,30 @@ fn cmd_info(args: &Args) -> Result<(), String> {
             p.p_vaddr,
             p.p_filesz,
             p.p_memsz,
-            if p.p_flags & e9elf::types::PF_R != 0 { "r" } else { "-" },
-            if p.p_flags & e9elf::types::PF_W != 0 { "w" } else { "-" },
-            if p.p_flags & e9elf::types::PF_X != 0 { "x" } else { "-" },
+            if p.p_flags & e9elf::types::PF_R != 0 {
+                "r"
+            } else {
+                "-"
+            },
+            if p.p_flags & e9elf::types::PF_W != 0 {
+                "w"
+            } else {
+                "-"
+            },
+            if p.p_flags & e9elf::types::PF_X != 0 {
+                "x"
+            } else {
+                "-"
+            },
         );
     }
     if !elf.sections.is_empty() {
         println!("  sections:");
         for s in elf.sections.iter().filter(|s| !s.name.is_empty()) {
-            println!("    {:<16} addr {:#012x} size {:#x}", s.name, s.sh_addr, s.sh_size);
+            println!(
+                "    {:<16} addr {:#012x} size {:#x}",
+                s.name, s.sh_addr, s.sh_size
+            );
         }
     }
     Ok(())
@@ -279,9 +307,7 @@ fn resolve_cache_dir_from(
 ) -> Result<Option<std::path::PathBuf>, String> {
     let explicit = args.flag("cache-dir");
     if args.flag("no-cache") && explicit {
-        return Err(
-            "--no-cache contradicts --cache-dir: pick one (see `e9tool` for usage)".into(),
-        );
+        return Err("--no-cache contradicts --cache-dir: pick one (see `e9tool` for usage)".into());
     }
     if explicit && args.flag("backend") {
         return Err(
@@ -329,9 +355,11 @@ fn resolve_route(args: &Args) -> Result<Route, String> {
     let cache_dir = resolve_cache_dir(args)?;
     if let Some(spec) = args.value("backend") {
         if args.flag("cache-bypass-bytes") {
-            return Err("--cache-bypass-bytes applies to the in-process cache; set the \
+            return Err(
+                "--cache-bypass-bytes applies to the in-process cache; set the \
                         threshold behind --backend with `e9patchd --cache-bypass-bytes` instead"
-                .into());
+                    .into(),
+            );
         }
         return Ok(Route::Backend(spec.to_string()));
     }
@@ -368,7 +396,10 @@ fn run_on<T>(
             let res = run(e9front::Exec::Cached(&cache));
             (res, Some(cache.stats().summary()))
         }
-        Route::Backend(spec) => (run(e9front::Exec::Backend(&mut backend_client(&spec)?)), None),
+        Route::Backend(spec) => (
+            run(e9front::Exec::Backend(&mut backend_client(&spec)?)),
+            None,
+        ),
     };
     let res = res.map_err(|e| e.to_string())?;
     if let Some(c) = outcome(&res) {
@@ -430,8 +461,17 @@ fn backend_client(spec: &str) -> Result<e9proto::ProtoClient, String> {
 /// The flags `patch` and `hook` share: output, rewriter configuration
 /// ([`rewrite_config_from`]) and where the job runs ([`resolve_route`]).
 const REWRITE_FLAGS: &[&str] = &[
-    "out", "no-t1", "no-t2", "no-t3", "b0", "granularity", "no-grouping", "backend", "cache-dir",
-    "no-cache", "cache-bypass-bytes",
+    "out",
+    "no-t1",
+    "no-t2",
+    "no-t3",
+    "b0",
+    "granularity",
+    "no-grouping",
+    "backend",
+    "cache-dir",
+    "no-cache",
+    "cache-bypass-bytes",
 ];
 
 /// Build the rewriter configuration from the shared tactic/size flags
@@ -483,7 +523,11 @@ fn cmd_patch(args: &Args) -> Result<(), String> {
     };
     let config = rewrite_config_from(args)?;
 
-    let opts = Options { app, payload, config };
+    let opts = Options {
+        app,
+        payload,
+        config,
+    };
     let disasm = e9front::disassemble_text(&bytes).map_err(|e| e.to_string())?;
     let res = run_on(
         route,
@@ -519,7 +563,13 @@ fn cmd_patch(args: &Args) -> Result<(), String> {
         for r in &res.rewrite.reports {
             match (r.tactic, r.trampoline) {
                 (Some(t), Some(tr)) => {
-                    println!("  {:#012x} len {:>2} → {:<3} trampoline {:#x}", r.addr, r.insn_len, t.to_string(), tr)
+                    println!(
+                        "  {:#012x} len {:>2} → {:<3} trampoline {:#x}",
+                        r.addr,
+                        r.insn_len,
+                        t.to_string(),
+                        tr
+                    )
                 }
                 (Some(t), None) => {
                     println!("  {:#012x} len {:>2} → {}", r.addr, r.insn_len, t)
@@ -596,7 +646,11 @@ fn cmd_hook(args: &Args) -> Result<(), String> {
     let payload = match args.value("payload").unwrap_or("counter") {
         "counter" => e9hook::PayloadKind::Counter,
         "nop" => e9hook::PayloadKind::Nop,
-        other => return Err(format!("unknown --payload {other} (hook wants counter|nop)")),
+        other => {
+            return Err(format!(
+                "unknown --payload {other} (hook wants counter|nop)"
+            ))
+        }
     };
     let spec = e9hook::HookSpec {
         funcs,
@@ -822,7 +876,15 @@ mod tests {
 
     #[test]
     fn cache_dir_with_backend_is_rejected_with_guidance() {
-        let args = parse(&["x", "-o", "o", "--backend", "stdio", "--cache-dir", "/tmp/c"]);
+        let args = parse(&[
+            "x",
+            "-o",
+            "o",
+            "--backend",
+            "stdio",
+            "--cache-dir",
+            "/tmp/c",
+        ]);
         let err = resolve_cache_dir_from(&args, None).unwrap_err();
         assert!(err.contains("e9patchd --cache-dir"), "{err}");
     }
@@ -840,7 +902,10 @@ mod tests {
         let dir = resolve_cache_dir_from(&plain, Some("/env".into())).unwrap();
         assert_eq!(dir, Some(std::path::PathBuf::from("/env")));
         let off = parse(&["x", "-o", "o", "--no-cache"]);
-        assert_eq!(resolve_cache_dir_from(&off, Some("/env".into())).unwrap(), None);
+        assert_eq!(
+            resolve_cache_dir_from(&off, Some("/env".into())).unwrap(),
+            None
+        );
     }
 
     #[test]
@@ -848,7 +913,10 @@ mod tests {
         // env var + --backend silently caches nothing (the daemon owns its
         // cache); only the explicit flag spelling is a hard error.
         let args = parse(&["x", "-o", "o", "--backend", "stdio"]);
-        assert_eq!(resolve_cache_dir_from(&args, Some("/env".into())).unwrap(), None);
+        assert_eq!(
+            resolve_cache_dir_from(&args, Some("/env".into())).unwrap(),
+            None
+        );
     }
 
     #[test]

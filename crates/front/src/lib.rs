@@ -40,8 +40,8 @@ pub mod recursive;
 pub mod trace;
 
 use e9elf::Elf;
-use e9proto::cachekey::CachedRewriteError;
 use e9patch::{ExtraSegment, PatchRequest, RewriteConfig, RewriteOutput, Template};
+use e9proto::cachekey::CachedRewriteError;
 use e9x86::decode::linear_sweep;
 use e9x86::insn::Insn;
 
@@ -260,10 +260,7 @@ pub fn select_sites(disasm: &[Insn], app: Application) -> Vec<u64> {
         .filter(|i| match app {
             Application::A1Jumps => i.kind.is_jump(),
             Application::A2HeapWrites => i.is_heap_write(),
-            Application::A3Calls => matches!(
-                i.kind,
-                e9x86::Kind::CallRel32 | e9x86::Kind::CallInd
-            ),
+            Application::A3Calls => matches!(i.kind, e9x86::Kind::CallRel32 | e9x86::Kind::CallInd),
             Application::AllInstructions => true,
         })
         .map(|i| i.addr)
@@ -347,10 +344,7 @@ pub enum Exec<'a> {
 /// cache entry replays a known-failing job, and any transport or in-band
 /// backend failure. Per-site patch failures are *not* errors; see
 /// [`RewriteOutput::stats`].
-pub fn execute(
-    job: &Job,
-    exec: Exec,
-) -> Result<(RewriteOutput, Option<CacheOutcome>), FrontError> {
+pub fn execute(job: &Job, exec: Exec) -> Result<(RewriteOutput, Option<CacheOutcome>), FrontError> {
     let cache = match exec {
         Exec::Local => None,
         Exec::Cached(cache) => Some(cache),
@@ -359,7 +353,9 @@ pub fn execute(
             return Ok(finish(client.emit()?));
         }
     };
-    Ok(finish(e9proto::cachekey::cached_rewrite(cache, &mut None, job)?))
+    Ok(finish(e9proto::cachekey::cached_rewrite(
+        cache, &mut None, job,
+    )?))
 }
 
 /// Split a reply into the output and the cache outcome it reports.

@@ -41,7 +41,8 @@ pub fn recursive_sweep(elf: &Elf, roots: &[u64]) -> Vec<Insn> {
         // Walk a basic-block chain until an unconditional transfer or a
         // previously decoded address.
         while in_exec(addr) && seen.insert(addr) {
-            let Ok(bytes) = elf.slice_at(addr, 16.min((exec_end(&exec_ranges, addr) - addr) as usize))
+            let Ok(bytes) =
+                elf.slice_at(addr, 16.min((exec_end(&exec_ranges, addr) - addr) as usize))
             else {
                 break;
             };
@@ -133,7 +134,9 @@ mod tests {
         let addrs: Vec<u64> = insns.iter().map(|i| i.addr).collect();
         assert!(addrs.contains(&0x401000));
         // f's body reached through the call:
-        assert!(insns.iter().any(|i| i.addr > 0x401000 && i.kind == Kind::Ret));
+        assert!(insns
+            .iter()
+            .any(|i| i.addr > 0x401000 && i.kind == Kind::Ret));
         // g unreached:
         assert!(
             !addrs.contains(&(0x401000 + g_off as u64)),

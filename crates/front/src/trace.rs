@@ -47,7 +47,10 @@ impl TraceRuntime {
 ///
 /// Panics if `capacity` is not a power of two.
 pub fn build(code_vaddr: u64, data_vaddr: u64, capacity: u64) -> TraceRuntime {
-    assert!(capacity.is_power_of_two(), "capacity must be a power of two");
+    assert!(
+        capacity.is_power_of_two(),
+        "capacity must be a power of two"
+    );
     let cursor_addr = data_vaddr;
     let ring_addr = data_vaddr + 16;
 
@@ -60,7 +63,11 @@ pub fn build(code_vaddr: u64, data_vaddr: u64, capacity: u64) -> TraceRuntime {
     a.inc_m(Width::Q, Mem::base(Reg::Rax));
     a.and_ri(Width::Q, Reg::Rcx, (capacity - 1) as i32); // ring index
     a.mov_ri64(Reg::Rdx, ring_addr as i64);
-    a.mov_mr(Width::Q, Mem::base_index(Reg::Rdx, Reg::Rcx, 8, 0), Reg::Rdi);
+    a.mov_mr(
+        Width::Q,
+        Mem::base_index(Reg::Rdx, Reg::Rcx, 8, 0),
+        Reg::Rdi,
+    );
     a.pop_r(Reg::Rdx);
     a.pop_r(Reg::Rcx);
     a.ret();

@@ -32,9 +32,16 @@ fn bare_session(sb: &e9synth::SynthBinary, with_digest: bool) -> Session {
         cache: Some(Arc::clone(cache())),
         ..ServeConfig::default()
     });
-    s.handle(Command::Version { version: e9proto::PROTOCOL_VERSION }).unwrap();
+    s.handle(Command::Version {
+        version: e9proto::PROTOCOL_VERSION,
+    })
+    .unwrap();
     let digest = with_digest.then(|| e9cache::tree::tree_digest(&sb.binary, 1));
-    s.handle(Command::Binary { bytes: sb.binary.clone(), digest }).unwrap();
+    s.handle(Command::Binary {
+        bytes: sb.binary.clone(),
+        digest,
+    })
+    .unwrap();
     s
 }
 
@@ -42,7 +49,11 @@ fn bare_session(sb: &e9synth::SynthBinary, with_digest: bool) -> Session {
 fn session(sb: &e9synth::SynthBinary, with_digest: bool) -> Session {
     let mut s = bare_session(sb, with_digest);
     for i in &sb.disasm {
-        s.handle(Command::Instruction { addr: i.addr, bytes: i.bytes().to_vec() }).unwrap();
+        s.handle(Command::Instruction {
+            addr: i.addr,
+            bytes: i.bytes().to_vec(),
+        })
+        .unwrap();
     }
     s
 }
@@ -52,15 +63,26 @@ fn stream_plan(s: &mut Session, sb: &e9synth::SynthBinary, opts: &Options) {
     let plan = e9front::plan(&sb.binary, &sb.disasm, opts).unwrap();
     for seg in plan.extra {
         let (vaddr, exec, write) = (seg.vaddr, seg.exec, seg.write);
-        s.handle(Command::Reserve { vaddr, bytes: seg.bytes, exec, write }).unwrap();
+        s.handle(Command::Reserve {
+            vaddr,
+            bytes: seg.bytes,
+            exec,
+            write,
+        })
+        .unwrap();
     }
     for r in plan.requests {
-        s.handle(Command::Patch { addr: r.addr, template: r.template }).unwrap();
+        s.handle(Command::Patch {
+            addr: r.addr,
+            template: r.template,
+        })
+        .unwrap();
     }
 }
 
 fn emit(s: &mut Session) -> Result<EmitReply, RpcError> {
-    s.handle(Command::Emit).map(|v| EmitReply::from_json(&v).unwrap())
+    s.handle(Command::Emit)
+        .map(|v| EmitReply::from_json(&v).unwrap())
 }
 
 /// The output half of an e9front result and a session reply agree on
@@ -92,9 +114,14 @@ fn instrument_miss_is_a_session_hit() {
 fn hook_miss_is_a_session_hit() {
     let sb = sample();
     let spec = e9hook::HookSpec::counters(&["f*"]);
-    let cold =
-        e9front::hook_cached(&sb.binary, &sb.disasm, &spec, RewriteConfig::default(), cache())
-            .unwrap();
+    let cold = e9front::hook_cached(
+        &sb.binary,
+        &sb.disasm,
+        &spec,
+        RewriteConfig::default(),
+        cache(),
+    )
+    .unwrap();
     let outcome = cold.cache.expect("cache in play");
     assert_eq!(outcome.disposition, CacheDisposition::Miss);
 
@@ -134,7 +161,10 @@ fn session_miss_is_an_instrument_hit() {
 /// A patch at `addr` with no instruction declared fails the rewrite
 /// deterministically. Run it through e9front on the shared cache.
 fn failing_front_job(sb: &e9synth::SynthBinary, addr: u64) -> e9front::FrontError {
-    let requests = [PatchRequest { addr, template: Template::Empty }];
+    let requests = [PatchRequest {
+        addr,
+        template: Template::Empty,
+    }];
     let job = e9front::Job {
         binary: &sb.binary,
         disasm: &[],
@@ -148,7 +178,11 @@ fn failing_front_job(sb: &e9synth::SynthBinary, addr: u64) -> e9front::FrontErro
 /// The same failing job through a session on the shared cache.
 fn failing_session_job(sb: &e9synth::SynthBinary, addr: u64) -> RpcError {
     let mut s = bare_session(sb, false);
-    s.handle(Command::Patch { addr, template: Template::Empty }).unwrap();
+    s.handle(Command::Patch {
+        addr,
+        template: Template::Empty,
+    })
+    .unwrap();
     emit(&mut s).unwrap_err()
 }
 

@@ -138,7 +138,10 @@ fn usage_on_bad_invocations() {
     assert_eq!(out.status.code(), Some(2));
     let out = e9tool().args(["gen", "--tiny", "x"]).output().unwrap();
     assert_eq!(out.status.code(), Some(1)); // missing -o
-    let out = e9tool().args(["info", "/nonexistent/file"]).output().unwrap();
+    let out = e9tool()
+        .args(["info", "/nonexistent/file"])
+        .output()
+        .unwrap();
     assert_eq!(out.status.code(), Some(1));
 }
 
@@ -212,7 +215,10 @@ fn patch_backend_socket_matches_in_process() {
         .output()
         .unwrap();
     assert!(out.status.success(), "backend patch failed: {out:?}");
-    assert!(server.wait().unwrap().success(), "daemon did not exit cleanly");
+    assert!(
+        server.wait().unwrap().success(),
+        "daemon did not exit cleanly"
+    );
 
     // The protocol round trip changes nothing: byte-identical outputs.
     let a = std::fs::read(&direct).unwrap();
@@ -307,15 +313,29 @@ fn cache_fill_serves_later_run_identically() {
         assert!(o.status.success(), "patch {extra:?} failed: {o:?}");
         String::from_utf8_lossy(&o.stdout).into_owned()
     };
-    let cached = ["--cache-dir", cache.to_str().unwrap(), "--cache-bypass-bytes", "0"];
+    let cached = [
+        "--cache-dir",
+        cache.to_str().unwrap(),
+        "--cache-bypass-bytes",
+        "0",
+    ];
     let fill = patch("fill.e9", &cached);
-    assert!(fill.contains("cache: miss"), "fill run did not miss: {fill}");
+    assert!(
+        fill.contains("cache: miss"),
+        "fill run did not miss: {fill}"
+    );
     let hit = patch("hit.e9", &cached);
     assert!(hit.contains("cache: hit"), "plain run did not hit: {hit}");
     patch("cold.e9", &["--no-cache"]);
     let read = |f: &str| std::fs::read(dir.join(f)).unwrap();
-    assert!(read("hit.e9") == read("cold.e9"), "cache hit diverged from a cold rewrite");
-    assert!(read("fill.e9") == read("cold.e9"), "cache fill diverged from a cold rewrite");
+    assert!(
+        read("hit.e9") == read("cold.e9"),
+        "cache hit diverged from a cold rewrite"
+    );
+    assert!(
+        read("fill.e9") == read("cold.e9"),
+        "cache fill diverged from a cold rewrite"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -344,7 +364,10 @@ fn unrunnable_granularity_exits_one_without_panic() {
                 .unwrap();
             let err = String::from_utf8_lossy(&o.stderr);
             assert_eq!(o.status.code(), Some(1), "{sub} --granularity {m}: {err}");
-            assert!(err.contains(&format!("bad --granularity: granularity {m} out of range")), "{err}");
+            assert!(
+                err.contains(&format!("bad --granularity: granularity {m} out of range")),
+                "{err}"
+            );
             assert!(!err.contains("panicked"), "{err}");
         }
     }
@@ -423,7 +446,12 @@ fn local_cache_fill_is_a_daemon_hit() {
     };
     let fill = patch(
         "local.e9",
-        &["--cache-dir".as_ref(), cache.as_os_str(), "--cache-bypass-bytes".as_ref(), "0".as_ref()],
+        &[
+            "--cache-dir".as_ref(),
+            cache.as_os_str(),
+            "--cache-bypass-bytes".as_ref(),
+            "0".as_ref(),
+        ],
     );
     let digest = fill
         .lines()
@@ -434,13 +462,27 @@ fn local_cache_fill_is_a_daemon_hit() {
     // The tiny input is below the daemon's default bypass threshold too.
     let mut server = daemon_on(
         &sock,
-        &["--cache-dir".as_ref(), cache.as_os_str(), "--cache-bypass-bytes".as_ref(), "0".as_ref()],
+        &[
+            "--cache-dir".as_ref(),
+            cache.as_os_str(),
+            "--cache-bypass-bytes".as_ref(),
+            "0".as_ref(),
+        ],
     );
     let hit = patch("daemon.e9", &["--backend".as_ref(), sock.as_os_str()]);
-    assert!(server.wait().unwrap().success(), "daemon did not exit cleanly");
-    assert!(hit.contains(&format!("cache: hit {digest}")), "no hit on {digest}: {hit}");
+    assert!(
+        server.wait().unwrap().success(),
+        "daemon did not exit cleanly"
+    );
+    assert!(
+        hit.contains(&format!("cache: hit {digest}")),
+        "no hit on {digest}: {hit}"
+    );
     let read = |f: &str| std::fs::read(dir.join(f)).unwrap();
-    assert!(read("local.e9") == read("daemon.e9"), "daemon hit diverged from the local fill");
+    assert!(
+        read("local.e9") == read("daemon.e9"),
+        "daemon hit diverged from the local fill"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -469,7 +511,10 @@ fn cache_bypass_bytes_with_backend_is_rejected() {
             .unwrap();
         assert_eq!(out.status.code(), Some(1), "{cmd:?}: {out:?}");
         let err = String::from_utf8_lossy(&out.stderr);
-        assert!(err.contains("e9patchd --cache-bypass-bytes"), "{cmd:?} stderr: {err}");
+        assert!(
+            err.contains("e9patchd --cache-bypass-bytes"),
+            "{cmd:?} stderr: {err}"
+        );
         assert!(!dir.join("never.e9").exists());
     }
     std::fs::remove_dir_all(&dir).ok();

@@ -30,7 +30,10 @@ fn tiny() -> Vec<u8> {
 fn stretched_memsz() -> Vec<u8> {
     let mut b = tiny();
     let read = |b: &[u8], off: usize, n: usize| {
-        b[off..off + n].iter().rev().fold(0u64, |v, &x| v << 8 | u64::from(x))
+        b[off..off + n]
+            .iter()
+            .rev()
+            .fold(0u64, |v, &x| v << 8 | u64::from(x))
     };
     let phoff = read(&b, 32, 8) as usize;
     let phnum = read(&b, 56, 2) as usize;
@@ -43,7 +46,10 @@ fn stretched_memsz() -> Vec<u8> {
 }
 
 fn inputs() -> [(&'static str, Vec<u8>); 2] {
-    [("vaddr-wrap", corpus("vaddr-wrap.bin")), ("stretched-memsz", stretched_memsz())]
+    [
+        ("vaddr-wrap", corpus("vaddr-wrap.bin")),
+        ("stretched-memsz", stretched_memsz()),
+    ]
 }
 
 fn instrument(bin: &[u8], payload: Payload, exec: Exec) -> Result<(), FrontError> {

@@ -69,7 +69,10 @@ fn commit_rename_failure_keeps_destination_and_cleans_stage() {
     fs::write(&out, b"previous").unwrap();
     let _fp = e9failpt::activate_scoped("front.output.commit=rename@once", 7).unwrap();
     let err = write_atomic(&out, b"next").unwrap_err();
-    assert!(err.raw_os_error().is_some(), "expected an errno-backed error: {err}");
+    assert!(
+        err.raw_os_error().is_some(),
+        "expected an errno-backed error: {err}"
+    );
     assert_eq!(fs::read(&out).unwrap(), b"previous");
     assert!(droppings(&d, "a.bin").is_empty());
 }

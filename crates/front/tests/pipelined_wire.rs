@@ -70,5 +70,8 @@ fn large_job_over_stdio_and_loopback_matches_local_bytes() {
     let stdio = patched("stdio", Some(Box::new(move || ProtoClient::spawn(&daemon))));
     assert!(stdio == local, "stdio backend output differs from local");
     let loopback = patched("in-process", Some(Box::new(ProtoClient::in_process)));
-    assert!(loopback == local, "in-process backend output differs from local");
+    assert!(
+        loopback == local,
+        "in-process backend output differs from local"
+    );
 }

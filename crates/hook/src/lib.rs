@@ -113,7 +113,10 @@ impl fmt::Display for HookError {
                 write!(f, "no disassembled instruction at entry {a:#x}")
             }
             HookError::Unrelocatable { func_addr, detail } => {
-                write!(f, "prologue of {func_addr:#x} cannot be relocated: {detail}")
+                write!(
+                    f,
+                    "prologue of {func_addr:#x} cannot be relocated: {detail}"
+                )
             }
         }
     }
@@ -186,7 +189,10 @@ pub struct HookPlan {
 /// Does `kind` unconditionally leave the thunk (no fall-through jump
 /// needed after the relocated entry instruction)?
 fn diverts(kind: Kind) -> bool {
-    matches!(kind, Kind::Ret | Kind::JmpRel8 | Kind::JmpRel32 | Kind::JmpInd)
+    matches!(
+        kind,
+        Kind::Ret | Kind::JmpRel8 | Kind::JmpRel32 | Kind::JmpInd
+    )
 }
 
 /// Resolve `spec` against `binary` and lower it to a patch batch.
@@ -242,7 +248,11 @@ pub fn plan_hooks(binary: &[u8], disasm: &[Insn], spec: &HookSpec) -> Result<Hoo
             .get(&func_addr)
             .ok_or(HookError::NoInstructionAt(func_addr))?;
         let id = id as u32;
-        let counter_addr = if counters { lay.counters + 8 * id as u64 } else { 0 };
+        let counter_addr = if counters {
+            lay.counters + 8 * id as u64
+        } else {
+            0
+        };
 
         let payload_addr = a.here();
         match &spec.payload {
@@ -264,10 +274,11 @@ pub fn plan_hooks(binary: &[u8], disasm: &[Insn], spec: &HookSpec) -> Result<Hoo
                 })?;
             a.raw(&displaced);
             if !diverts(insn.kind) {
-                a.jmp_abs(insn.end()).map_err(|e| HookError::Unrelocatable {
-                    func_addr,
-                    detail: e.to_string(),
-                })?;
+                a.jmp_abs(insn.end())
+                    .map_err(|e| HookError::Unrelocatable {
+                        func_addr,
+                        detail: e.to_string(),
+                    })?;
             }
             (thunk_addr, FLAG_CALL_ORIGINAL)
         } else {
@@ -362,7 +373,10 @@ mod tests {
         for (k, h) in by_glob.hooks.iter().enumerate() {
             assert_eq!(h.id, k as u32);
         }
-        assert!(by_glob.hooks.windows(2).all(|w| w[0].func_addr < w[1].func_addr));
+        assert!(by_glob
+            .hooks
+            .windows(2)
+            .all(|w| w[0].func_addr < w[1].func_addr));
 
         let addr = by_name.hooks[0].func_addr;
         let by_addr = plan_hooks(
@@ -415,7 +429,10 @@ mod tests {
         assert!(h.is_call_original());
         assert!(h.thunk_addr > h.payload_addr);
         match &p.requests[0].template {
-            Template::HookOriginal { func_addr, thunk_addr } => {
+            Template::HookOriginal {
+                func_addr,
+                thunk_addr,
+            } => {
                 assert_eq!(*func_addr, h.payload_addr);
                 assert_eq!(*thunk_addr, h.thunk_addr);
             }
@@ -479,7 +496,11 @@ mod tests {
             HookError::NoInstructionAt(0xdead_0000)
         );
         assert!(matches!(
-            plan_hooks(&b"not an elf"[..].to_vec().as_slice(), &[], &HookSpec::counters(&["f"])),
+            plan_hooks(
+                &b"not an elf"[..].to_vec().as_slice(),
+                &[],
+                &HookSpec::counters(&["f"])
+            ),
             Err(HookError::Input(_))
         ));
     }

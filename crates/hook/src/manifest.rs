@@ -268,10 +268,7 @@ mod tests {
         let mut bytes = Vec::new();
         bytes.extend_from_slice(MAGIC);
         bytes.extend_from_slice(&u32::MAX.to_le_bytes());
-        assert_eq!(
-            decode(&bytes),
-            Err(ManifestError::TooManyRecords(u32::MAX))
-        );
+        assert_eq!(decode(&bytes), Err(ManifestError::TooManyRecords(u32::MAX)));
     }
 
     #[test]

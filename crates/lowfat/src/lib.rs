@@ -148,10 +148,7 @@ impl HeapAllocator for LowFatAllocator {
     }
 
     fn range(&self) -> (u64, u64) {
-        (
-            REGION_BASE,
-            REGION_BASE + NUM_CLASSES as u64 * REGION_SIZE,
-        )
+        (REGION_BASE, REGION_BASE + NUM_CLASSES as u64 * REGION_SIZE)
     }
 }
 
@@ -224,7 +221,9 @@ mod tests {
         assert!(!violates_redzone(0));
         assert!(!violates_redzone(0x400000));
         assert!(!violates_redzone(REGION_BASE - 1));
-        assert!(!violates_redzone(REGION_BASE + NUM_CLASSES as u64 * REGION_SIZE));
+        assert!(!violates_redzone(
+            REGION_BASE + NUM_CLASSES as u64 * REGION_SIZE
+        ));
     }
 
     #[test]

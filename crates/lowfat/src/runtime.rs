@@ -56,14 +56,18 @@ pub fn build(code_vaddr: u64, data_vaddr: u64) -> LowFatRuntime {
     a.shr_ri(Width::Q, Reg::Rcx, 32);
     a.cmp_ri(Width::Q, Reg::Rcx, NUM_CLASSES as i32);
     a.jcc(Cond::Ae, ok); // not a low-fat pointer
-    // rdx = masks[region]; rax = p & mask (offset within the slot).
+                         // rdx = masks[region]; rax = p & mask (offset within the slot).
     a.mov_ri64(Reg::Rdx, masks_addr as i64);
-    a.mov_rm(Width::Q, Reg::Rdx, Mem::base_index(Reg::Rdx, Reg::Rcx, 8, 0));
+    a.mov_rm(
+        Width::Q,
+        Reg::Rdx,
+        Mem::base_index(Reg::Rdx, Reg::Rcx, 8, 0),
+    );
     a.mov_rr(Width::Q, Reg::Rax, Reg::Rdi);
     a.and_rr(Width::Q, Reg::Rax, Reg::Rdx);
     a.cmp_ri(Width::Q, Reg::Rax, REDZONE as i32);
     a.jcc(Cond::Ae, ok); // p − base(p) ≥ 16: fine
-    // Violation: bump the counter.
+                         // Violation: bump the counter.
     a.mov_ri64(Reg::Rdx, violations_addr as i64);
     a.inc_m(Width::Q, Mem::base(Reg::Rdx));
     a.bind(ok);

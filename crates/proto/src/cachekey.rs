@@ -67,11 +67,13 @@
 //! (`cachekey/frame.rs`) parses key material back into its job, and
 //! property tests check that it returns exactly the job that was keyed.
 
-use crate::msg::{code, config_options, CacheDisposition, Command, EmitReply, RpcError,
-                 PROTOCOL_VERSION};
+use crate::msg::{
+    code, config_options, CacheDisposition, Command, EmitReply, RpcError, PROTOCOL_VERSION,
+};
 use e9cache::{Cache, Digest, Entry, Hit, Sha256};
-use e9patch::{AllocPolicy, ExtraSegment, PatchRequest, RewriteConfig, Rewriter, Tactics,
-              Template};
+use e9patch::{
+    AllocPolicy, ExtraSegment, PatchRequest, RewriteConfig, Rewriter, Tactics, Template,
+};
 use e9x86::insn::Insn;
 use e9x86::MAX_INSN_LEN;
 
@@ -187,7 +189,12 @@ impl<S: FnMut(&[u8])> KeyWriter<S> {
             AllocPolicy::FirstFitLow => ALLOC_LOW,
             AllocPolicy::FirstFitHigh => ALLOC_HIGH,
         };
-        self.bytes(&[u8::from(t1), u8::from(t2), u8::from(t3), u8::from(b0_fallback)]);
+        self.bytes(&[
+            u8::from(t1),
+            u8::from(t2),
+            u8::from(t3),
+            u8::from(b0_fallback),
+        ]);
         self.u64(granularity);
         self.bytes(&[u8::from(grouping), alloc]);
     }
@@ -274,8 +281,13 @@ pub fn key_material(
     cfg: &RewriteConfig,
 ) -> Vec<u8> {
     let mut material = Vec::new();
-    KeyWriter::new(|bytes: &[u8]| material.extend_from_slice(bytes))
-        .job(binary_digest, insns, extra, patches, cfg);
+    KeyWriter::new(|bytes: &[u8]| material.extend_from_slice(bytes)).job(
+        binary_digest,
+        insns,
+        extra,
+        patches,
+        cfg,
+    );
     material
 }
 
@@ -306,12 +318,12 @@ impl Job<'_> {
         let version = Command::Version {
             version: PROTOCOL_VERSION,
         };
-        let options = config_options(&self.config).into_iter().map(|(name, value)| {
-            Command::Option {
+        let options = config_options(&self.config)
+            .into_iter()
+            .map(|(name, value)| Command::Option {
                 name: name.to_string(),
                 value,
-            }
-        });
+            });
         let binary = Command::Binary {
             bytes: self.binary.to_vec(),
             digest: Some(e9cache::tree::tree_digest(self.binary, 1)),
@@ -391,12 +403,20 @@ pub fn cached_rewrite(
         // it. Failures propagate unstored: a negative entry would pay
         // the keying cost the bypass exists to avoid.
         let reply = cold().map_err(CachedRewriteError::Rewrite)?;
-        return Ok(EmitReply { cache: CacheDisposition::Bypass, ..reply });
+        return Ok(EmitReply {
+            cache: CacheDisposition::Bypass,
+            ..reply
+        });
     }
     let bin_digest =
         *binary_digest.get_or_insert_with(|| e9cache::tree::tree_digest(job.binary, 1));
-    let key =
-        rewrite_key_from_digest(&bin_digest, job.disasm, job.extra, job.requests, &job.config);
+    let key = rewrite_key_from_digest(
+        &bin_digest,
+        job.disasm,
+        job.extra,
+        job.requests,
+        &job.config,
+    );
     let digest = Some(e9cache::sha256::hex(&key));
     match cache.lookup(&key) {
         // The stored payload is the compact reply of the cold run,
@@ -404,7 +424,11 @@ pub fn cached_rewrite(
         // drift, which FORMAT_VERSION should preclude) falls through.
         Some(Hit::Payload(blob)) => {
             if let Ok(reply) = EmitReply::decode_bin(&blob) {
-                return Ok(EmitReply { cache: CacheDisposition::Hit, digest, ..reply });
+                return Ok(EmitReply {
+                    cache: CacheDisposition::Hit,
+                    digest,
+                    ..reply
+                });
             }
         }
         Some(Hit::Negative { code, message }) => {
@@ -417,13 +441,23 @@ pub fn cached_rewrite(
             // The compact encoding carries neither disposition nor
             // digest, so the stored artifact is stamp-independent.
             cache.put(&key, &Entry::Ok(reply.encode_bin()));
-            Ok(EmitReply { cache: CacheDisposition::Miss, digest, ..reply })
+            Ok(EmitReply {
+                cache: CacheDisposition::Miss,
+                digest,
+                ..reply
+            })
         }
         Err(e) => {
             // Rewrite failures are deterministic: cache them so the next
             // attempt replays the error without re-running the rewriter.
             let message = e.to_string();
-            cache.put(&key, &Entry::Negative { code: code::REWRITE, message });
+            cache.put(
+                &key,
+                &Entry::Negative {
+                    code: code::REWRITE,
+                    message,
+                },
+            );
             Err(CachedRewriteError::Rewrite(e))
         }
     }
@@ -441,7 +475,13 @@ mod tests {
         patches: &[PatchRequest],
         cfg: &RewriteConfig,
     ) -> Digest {
-        rewrite_key_from_digest(&e9cache::tree::tree_digest(binary, 1), insns, extra, patches, cfg)
+        rewrite_key_from_digest(
+            &e9cache::tree::tree_digest(binary, 1),
+            insns,
+            extra,
+            patches,
+            cfg,
+        )
     }
 
     fn insn(addr: u64, bytes: &[u8]) -> Insn {
@@ -522,10 +562,18 @@ mod tests {
         ];
         let templates = [
             Template::Empty,
-            Template::Counter { counter_addr: 0x3000_0000 },
-            Template::CheckCall { func_addr: 0x3000_1000 },
-            Template::HookCall { func_addr: 0x3000_2000 },
-            Template::HookSave { func_addr: 0x3000_3000 },
+            Template::Counter {
+                counter_addr: 0x3000_0000,
+            },
+            Template::CheckCall {
+                func_addr: 0x3000_1000,
+            },
+            Template::HookCall {
+                func_addr: 0x3000_2000,
+            },
+            Template::HookSave {
+                func_addr: 0x3000_3000,
+            },
             Template::HookOriginal {
                 func_addr: 0x3000_4000,
                 thunk_addr: 0x3000_5000,
@@ -607,7 +655,10 @@ mod tests {
         assert_eq!(headers, [INSN_ADDR | 3, 1, INSN_ADDR | 1]);
         // Every strict prefix is malformed, and so is a trailing byte.
         for cut in 0..material.len() {
-            assert!(frame::decode(&material[..cut]).is_none(), "prefix of {cut} bytes");
+            assert!(
+                frame::decode(&material[..cut]).is_none(),
+                "prefix of {cut} bytes"
+            );
         }
         let mut long = material.clone();
         long.push(0);
@@ -621,7 +672,12 @@ mod tests {
         let (bin, insns, _, patches) = job();
         let cfg = RewriteConfig::default();
         let digest = e9cache::tree::tree_digest(&bin, 1);
-        for len in [STAGE_BYTES - 1, STAGE_BYTES, STAGE_BYTES + 1, 3 * STAGE_BYTES] {
+        for len in [
+            STAGE_BYTES - 1,
+            STAGE_BYTES,
+            STAGE_BYTES + 1,
+            3 * STAGE_BYTES,
+        ] {
             let extra = [ExtraSegment {
                 vaddr: 0x3000_0000,
                 bytes: (0..len).map(|k| k as u8).collect(),

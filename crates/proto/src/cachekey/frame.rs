@@ -92,17 +92,27 @@ mod decode {
         /// A count prefix, bounded by the bytes left so a corrupt count
         /// cannot ask for a huge allocation.
         fn count(&mut self) -> Option<usize> {
-            usize::try_from(self.u64()?).ok().filter(|&n| n <= self.0.len())
+            usize::try_from(self.u64()?)
+                .ok()
+                .filter(|&n| n <= self.0.len())
         }
     }
 
     fn template(r: &mut Reader) -> Option<Template> {
         Some(match r.u8()? {
             TEMPLATE_EMPTY => Template::Empty,
-            TEMPLATE_COUNTER => Template::Counter { counter_addr: r.u64()? },
-            TEMPLATE_CHECK_CALL => Template::CheckCall { func_addr: r.u64()? },
-            TEMPLATE_HOOK_CALL => Template::HookCall { func_addr: r.u64()? },
-            TEMPLATE_HOOK_SAVE => Template::HookSave { func_addr: r.u64()? },
+            TEMPLATE_COUNTER => Template::Counter {
+                counter_addr: r.u64()?,
+            },
+            TEMPLATE_CHECK_CALL => Template::CheckCall {
+                func_addr: r.u64()?,
+            },
+            TEMPLATE_HOOK_CALL => Template::HookCall {
+                func_addr: r.u64()?,
+            },
+            TEMPLATE_HOOK_SAVE => Template::HookSave {
+                func_addr: r.u64()?,
+            },
             TEMPLATE_HOOK_ORIGINAL => Template::HookOriginal {
                 func_addr: r.u64()?,
                 thunk_addr: r.u64()?,
@@ -139,7 +149,11 @@ mod decode {
             if header & !(INSN_LEN_MASK | INSN_ADDR) != 0 || len == 0 {
                 return None;
             }
-            let addr = if header & INSN_ADDR != 0 { r.u64()? } else { next? };
+            let addr = if header & INSN_ADDR != 0 {
+                r.u64()?
+            } else {
+                next?
+            };
             insns.push((addr, r.take(usize::from(len))?.to_vec()));
             next = Some(addr.wrapping_add(u64::from(len)));
         }

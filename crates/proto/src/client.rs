@@ -27,8 +27,10 @@
 //! request, nor for an empty `{}` result.
 
 use crate::json;
-use crate::msg::{CacheAction, CacheStatsReply, Command, EmitReply, HealthReply, HookReply,
-                 Request, Response, RpcError, PROTOCOL_VERSION};
+use crate::msg::{
+    CacheAction, CacheStatsReply, Command, EmitReply, HealthReply, HookReply, Request, Response,
+    RpcError, PROTOCOL_VERSION,
+};
 use e9failpt::retry::{retry_interrupted, with_backoff, Backoff, EINTR_BUDGET};
 use std::collections::VecDeque;
 use std::io::{self, BufRead, BufReader, Read, Write};
@@ -314,7 +316,11 @@ impl ProtoClient {
     /// or in `batch` whose reply is unread; a failed write looks through
     /// their replies (see
     /// [`reply_for_failed_write`](Self::reply_for_failed_write)).
-    fn send(&mut self, batch: &[u8], in_flight: &VecDeque<(u64, usize)>) -> Result<(), ClientError> {
+    fn send(
+        &mut self,
+        batch: &[u8],
+        in_flight: &VecDeque<(u64, usize)>,
+    ) -> Result<(), ClientError> {
         if batch.is_empty() {
             return Ok(());
         }
@@ -361,9 +367,12 @@ impl ProtoClient {
             self.reader.read_line(&mut self.line)
         })?;
         if n == 0 {
-            return Err(ClientError::Protocol("backend closed the connection".into()));
+            return Err(ClientError::Protocol(
+                "backend closed the connection".into(),
+            ));
         }
-        let resp = Response::decode_line(self.line.trim().as_bytes()).map_err(ClientError::Protocol)?;
+        let resp =
+            Response::decode_line(self.line.trim().as_bytes()).map_err(ClientError::Protocol)?;
         if resp.id != Some(id) {
             if resp.id.is_none() {
                 if let Err(e) = resp.body {
@@ -471,7 +480,9 @@ impl ProtoClient {
         let v = self.call(Command::Cache {
             action: CacheAction::Clear,
         })?;
-        Ok(v.get("cleared").and_then(json::Json::as_bool).unwrap_or(false))
+        Ok(v.get("cleared")
+            .and_then(json::Json::as_bool)
+            .unwrap_or(false))
     }
 
     /// Fetch the server's per-subsystem health snapshot (serving mode,
@@ -625,7 +636,10 @@ mod tests {
         let mut line = String::new();
         match r.read_line(&mut line).unwrap() {
             0 => None,
-            n => Some((Request::decode(&json::parse(line.trim().as_bytes()).unwrap()).unwrap(), n)),
+            n => Some((
+                Request::decode(&json::parse(line.trim().as_bytes()).unwrap()).unwrap(),
+                n,
+            )),
         }
     }
 
@@ -675,7 +689,11 @@ mod tests {
         let (last, window) = ids.split_last().unwrap();
         assert_eq!(*last, health_id);
         // Only the first window went out, in order.
-        assert!(window.len() as u64 >= K && window.len() < 2000, "{} sent", window.len());
+        assert!(
+            window.len() as u64 >= K && window.len() < 2000,
+            "{} sent",
+            window.len()
+        );
         assert!(window.iter().copied().eq(1..=window.len() as u64));
     }
 
@@ -715,7 +733,11 @@ mod tests {
     fn null_id_busy_mid_window_is_typed() {
         let (mut c, peer) = scripted(|mut r, mut w| {
             while let Some((req, _)) = next_request(&mut r) {
-                let resp = if req.id == 7 { busy() } else { Response::ok(req.id, json::Json::Null) };
+                let resp = if req.id == 7 {
+                    busy()
+                } else {
+                    Response::ok(req.id, json::Json::Null)
+                };
                 answer(&mut w, &resp);
             }
         });

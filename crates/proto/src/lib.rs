@@ -54,6 +54,8 @@ pub mod session;
 
 pub use client::{ClientError, ProtoClient};
 pub use json::{Json, JsonError};
-pub use msg::{hex_decode, hex_encode, CacheAction, CacheDisposition, CacheStatsReply, Command,
-              EmitReply, HookReply, Request, Response, RpcError, PROTOCOL_VERSION};
+pub use msg::{
+    hex_decode, hex_encode, CacheAction, CacheDisposition, CacheStatsReply, Command, EmitReply,
+    HookReply, Request, Response, RpcError, PROTOCOL_VERSION,
+};
 pub use session::Session;

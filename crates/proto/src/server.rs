@@ -169,9 +169,13 @@ pub fn reply_line(session: &mut Session, line: &[u8]) -> Option<Vec<u8>> {
     if line.iter().all(u8::is_ascii_whitespace) {
         return None;
     }
-    let resp = catch_unwind(AssertUnwindSafe(|| dispatch_line(session, line))).unwrap_or_else(|_| {
-        Response::err(None, RpcError::new(code::INTERNAL, "internal error while handling request"))
-    });
+    let resp =
+        catch_unwind(AssertUnwindSafe(|| dispatch_line(session, line))).unwrap_or_else(|_| {
+            Response::err(
+                None,
+                RpcError::new(code::INTERNAL, "internal error while handling request"),
+            )
+        });
     Some(encode_line(&resp))
 }
 
@@ -359,7 +363,13 @@ mod tests {
             input.push('\n');
         };
         push(Command::Version { version: 1 }, &mut input);
-        push(Command::Binary { bytes: bin, digest: None }, &mut input);
+        push(
+            Command::Binary {
+                bytes: bin,
+                digest: None,
+            },
+            &mut input,
+        );
         for i in &disasm {
             push(
                 Command::Instruction {

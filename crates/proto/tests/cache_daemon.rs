@@ -109,10 +109,17 @@ fn two_connections_share_the_cache_and_hit_byte_identically() {
     let first = {
         let mut client = ProtoClient::connect_unix_retry(&sock, 8).unwrap();
         let reply = drive(&mut client, &bin, &disasm, &sites);
-        assert_eq!(reply.cache, CacheDisposition::Miss, "first run must be cold");
+        assert_eq!(
+            reply.cache,
+            CacheDisposition::Miss,
+            "first run must be cold"
+        );
         reply
     };
-    let digest = first.digest.clone().expect("cold reply must carry the digest");
+    let digest = first
+        .digest
+        .clone()
+        .expect("cold reply must carry the digest");
     assert_eq!(digest.len(), 64, "{digest}");
 
     // Connection 2: same job, fresh session — served from the shared

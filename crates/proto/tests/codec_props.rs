@@ -8,12 +8,14 @@
 //! The cache-key framing must be injective: decoding the key material of
 //! any job gives back exactly that job.
 
-use e9proto::cachekey::{key_material, rewrite_key_from_digest};
-use e9proto::json::{self, Json};
-use e9proto::msg::{apply_option, code, config_options, hex_decode, hex_encode, CacheAction, Command,
-                   Request, Response, RpcError, PROTOCOL_VERSION};
 use e9patch::planner::MAX_GRANULARITY;
 use e9patch::{AllocPolicy, ExtraSegment, PatchRequest, RewriteConfig, Tactics, Template};
+use e9proto::cachekey::{key_material, rewrite_key_from_digest};
+use e9proto::json::{self, Json};
+use e9proto::msg::{
+    apply_option, code, config_options, hex_decode, hex_encode, CacheAction, Command, Request,
+    Response, RpcError, PROTOCOL_VERSION,
+};
 use e9qcheck::prelude::*;
 use e9x86::insn::Insn;
 
@@ -101,13 +103,19 @@ fn build_command(sel: u8, addr: u64, bytes: Vec<u8>, name: String, flag: bool) -
         },
         6 => Command::Patch {
             addr,
-            template: Template::Counter { counter_addr: addr ^ 0xfff },
+            template: Template::Counter {
+                counter_addr: addr ^ 0xfff,
+            },
         },
         7 => Command::Patch {
             addr,
             template: Template::Replace {
                 code: bytes,
-                resume: if flag { Some(addr.wrapping_add(4)) } else { None },
+                resume: if flag {
+                    Some(addr.wrapping_add(4))
+                } else {
+                    None
+                },
             },
         },
         8 => Command::Emit,
@@ -123,7 +131,11 @@ fn build_command(sel: u8, addr: u64, bytes: Vec<u8>, name: String, flag: bool) -
             },
         },
         11 => Command::Cache {
-            action: if flag { CacheAction::Stats } else { CacheAction::Clear },
+            action: if flag {
+                CacheAction::Stats
+            } else {
+                CacheAction::Clear
+            },
         },
         12 => Command::Health,
         13 => Command::Patch {
@@ -214,7 +226,10 @@ fn tree_line(req: &Request) -> String {
             call_original,
             payload,
         } => json::obj(vec![
-            ("funcs", Json::Arr(funcs.iter().map(|f| Json::Str(f.clone())).collect())),
+            (
+                "funcs",
+                Json::Arr(funcs.iter().map(|f| Json::Str(f.clone())).collect()),
+            ),
             ("addrs", Json::Arr(addrs.iter().map(|&a| int(a)).collect())),
             ("call_original", Json::Bool(*call_original)),
             (
@@ -222,7 +237,9 @@ fn tree_line(req: &Request) -> String {
                 match payload {
                     e9hook::PayloadKind::Counter => json::obj(vec![kind("counter")]),
                     e9hook::PayloadKind::Nop => json::obj(vec![kind("nop")]),
-                    e9hook::PayloadKind::Raw(code) => json::obj(vec![kind("raw"), ("code", hex(code))]),
+                    e9hook::PayloadKind::Raw(code) => {
+                        json::obj(vec![kind("raw"), ("code", hex(code))])
+                    }
                 },
             ),
         ]),
@@ -331,7 +348,11 @@ fn damage(mut line: Vec<u8>, edits: &[(u16, u8, u8)]) -> Vec<u8> {
     const ALPHABET: &[u8] = b"{}[]\":,0123456789-.eE \\unulltruefalse";
     for &(at, op, b) in edits {
         let at = usize::from(at) % (line.len() + 1);
-        let b = if op & 4 != 0 { ALPHABET[usize::from(b) % ALPHABET.len()] } else { b };
+        let b = if op & 4 != 0 {
+            ALPHABET[usize::from(b) % ALPHABET.len()]
+        } else {
+            b
+        };
         match op % 4 {
             0 if at < line.len() => line[at] = b,
             1 => line.insert(at, b),
@@ -357,7 +378,11 @@ fn build_config(bits: u8, granularity: u64) -> RewriteConfig {
         b0_fallback: bit(3),
         grouping: bit(4),
         granularity,
-        alloc_policy: if bit(5) { AllocPolicy::FirstFitHigh } else { AllocPolicy::FirstFitLow },
+        alloc_policy: if bit(5) {
+            AllocPolicy::FirstFitHigh
+        } else {
+            AllocPolicy::FirstFitLow
+        },
         jobs: None,
     }
 }
@@ -370,7 +395,9 @@ const INSN_ENCODINGS: [&[u8]; 6] = [
     &[0x48, 0x89, 0x03],
     &[0x0F, 0x1F, 0x44, 0x00, 0x00],
     &[0x48, 0xB8, 1, 2, 3, 4, 5, 6, 7, 8],
-    &[0x66, 0x66, 0x66, 0x66, 0x66, 0x66, 0x2E, 0x0F, 0x1F, 0x84, 0x00, 0x00, 0x00, 0x00, 0x00],
+    &[
+        0x66, 0x66, 0x66, 0x66, 0x66, 0x66, 0x2E, 0x0F, 0x1F, 0x84, 0x00, 0x00, 0x00, 0x00, 0x00,
+    ],
 ];
 
 /// Instructions from drawn `(encoding, placement, word)` triples. The

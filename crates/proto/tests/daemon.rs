@@ -47,7 +47,12 @@ fn requests(sites: &[u64]) -> Vec<PatchRequest> {
         .collect()
 }
 
-fn drive(client: &mut ProtoClient, bin: &[u8], disasm: &[e9x86::insn::Insn], sites: &[u64]) -> Vec<u8> {
+fn drive(
+    client: &mut ProtoClient,
+    bin: &[u8],
+    disasm: &[e9x86::insn::Insn],
+    sites: &[u64],
+) -> Vec<u8> {
     let job = Job {
         binary: bin,
         disasm,
@@ -235,7 +240,9 @@ fn daemon_rejects_oversized_lines_in_band() {
 
     // Same connection still serves well-formed requests.
     stream
-        .write_all(b"{\"jsonrpc\":\"2.0\",\"id\":2,\"method\":\"version\",\"params\":{\"version\":1}}\n")
+        .write_all(
+            b"{\"jsonrpc\":\"2.0\",\"id\":2,\"method\":\"version\",\"params\":{\"version\":1}}\n",
+        )
         .unwrap();
     line.clear();
     reader.read_line(&mut line).unwrap();

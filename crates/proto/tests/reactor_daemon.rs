@@ -6,8 +6,8 @@
 #![cfg(target_os = "linux")]
 
 use e9patch::{PatchRequest, RewriteConfig, Rewriter, Template};
-use e9proto::msg::{code, Command, Request};
 use e9proto::cachekey::Job;
+use e9proto::msg::{code, Command, Request};
 use e9proto::ProtoClient;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::os::unix::net::UnixStream;
@@ -258,7 +258,10 @@ fn framing_edges_reply_identically_in_both_modes() {
     stream.read_to_end(&mut reactor).unwrap();
     wait_for_exit(&mut daemon);
 
-    let (stdio, reactor) = (String::from_utf8(stdio).unwrap(), String::from_utf8(reactor).unwrap());
+    let (stdio, reactor) = (
+        String::from_utf8(stdio).unwrap(),
+        String::from_utf8(reactor).unwrap(),
+    );
     assert_eq!(stdio, reactor, "stdio and reactor framing diverge");
     // Version, at-cap stats, over-cap LIMIT, LIMIT, stats, tail LIMIT.
     let codes: Vec<Option<i64>> = stdio
@@ -407,7 +410,11 @@ fn admission_cap_sheds_with_typed_busy() {
     assert_eq!(resp.id, None);
     assert_eq!(resp.body.unwrap_err().code, code::BUSY);
     line.clear();
-    assert_eq!(reader.read_line(&mut line).unwrap(), 0, "must close after BUSY");
+    assert_eq!(
+        reader.read_line(&mut line).unwrap(),
+        0,
+        "must close after BUSY"
+    );
 
     // A ProtoClient sees the shed as a typed RPC error, not a protocol
     // failure.
@@ -518,7 +525,10 @@ fn pending_budget_answers_busy_in_band() {
             Err(e) => panic!("reply stream stalled: {e}"),
         }
     }
-    assert!(busy > 0, "no BUSY replies (ok={ok}, written_all={written_all})");
+    assert!(
+        busy > 0,
+        "no BUSY replies (ok={ok}, written_all={written_all})"
+    );
     assert!(ok > 0, "no successful replies at all");
 
     drop(reader);

@@ -58,7 +58,14 @@ impl Transcript {
 fn lines(cmds: impl IntoIterator<Item = Command>) -> Vec<u8> {
     let mut out = Vec::new();
     for (i, cmd) in cmds.into_iter().enumerate() {
-        out.extend_from_slice(Request { id: i as u64 + 1, cmd }.encode().as_bytes());
+        out.extend_from_slice(
+            Request {
+                id: i as u64 + 1,
+                cmd,
+            }
+            .encode()
+            .as_bytes(),
+        );
         out.push(b'\n');
     }
     out
@@ -94,8 +101,14 @@ fn a1_empty_job_transcript_is_pinned() {
     };
     let t = Transcript::serve(lines(job.commands().chain([Command::Emit])));
     t.check(
-        (1930, "4866e724cfebaf56861dc1169f576c3a0f7fb3e3c34e586b79a3835a2e89e598"),
-        (1930, "a20aeb271630ac77cabd397813e27dbea99e955c80e0d40aaab2bf0e8effc787"),
+        (
+            1930,
+            "4866e724cfebaf56861dc1169f576c3a0f7fb3e3c34e586b79a3835a2e89e598",
+        ),
+        (
+            1930,
+            "a20aeb271630ac77cabd397813e27dbea99e955c80e0d40aaab2bf0e8effc787",
+        ),
     );
 }
 
@@ -118,8 +131,14 @@ fn hook_all_job_transcript_is_pinned() {
     };
     let t = Transcript::serve(lines(job.commands().chain([hook, Command::Emit])));
     t.check(
-        (1690, "7c02dd1452019520da4bd378dbef106b656c5fd5ceabb2e705f0ee6ef9b5a2a2"),
-        (1690, "2bdb40bab2eb33c705e51ce38275028e5a870ec3472d856e72051e7293739987"),
+        (
+            1690,
+            "7c02dd1452019520da4bd378dbef106b656c5fd5ceabb2e705f0ee6ef9b5a2a2",
+        ),
+        (
+            1690,
+            "2bdb40bab2eb33c705e51ce38275028e5a870ec3472d856e72051e7293739987",
+        ),
     );
 }
 
@@ -196,7 +215,13 @@ fn error_and_non_canonical_line_transcript_is_pinned() {
     }
     let t = Transcript::serve(requests);
     t.check(
-        (41, "d58c576cf20e06e4b588e81af2ce784e81f157dcdba9c537b693d22efa664b5b"),
-        (41, "5040f78c79bcb5f8a50da742640642bc17c4649ac2c60ae2857c3beaf49ea275"),
+        (
+            41,
+            "d58c576cf20e06e4b588e81af2ce784e81f157dcdba9c537b693d22efa664b5b",
+        ),
+        (
+            41,
+            "5040f78c79bcb5f8a50da742640642bc17c4649ac2c60ae2857c3beaf49ea275",
+        ),
     );
 }

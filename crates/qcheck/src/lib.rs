@@ -220,7 +220,11 @@ impl Strategy for Any<bool> {
         g.rng.gen::<bool>()
     }
     fn shrink(&self, v: &bool) -> Vec<bool> {
-        if *v { vec![false] } else { Vec::new() }
+        if *v {
+            vec![false]
+        } else {
+            Vec::new()
+        }
     }
 }
 
@@ -230,7 +234,11 @@ impl Strategy for Any<f64> {
         g.rng.gen::<f64>()
     }
     fn shrink(&self, v: &f64) -> Vec<f64> {
-        if *v == 0.0 { Vec::new() } else { vec![0.0, *v / 2.0] }
+        if *v == 0.0 {
+            Vec::new()
+        } else {
+            vec![0.0, *v / 2.0]
+        }
     }
 }
 
@@ -332,7 +340,11 @@ impl Strategy for Alpha {
 
     fn shrink(&self, v: &String) -> Vec<String> {
         let floor: String = "a".repeat(self.len);
-        if *v == floor { Vec::new() } else { vec![floor] }
+        if *v == floor {
+            Vec::new()
+        } else {
+            vec![floor]
+        }
     }
 }
 

@@ -202,15 +202,18 @@ struct Reactor<F: ServiceFactory> {
     summary: Summary,
 }
 
-const CONN_INTEREST: u32 =
-    sys::EPOLLIN | sys::EPOLLOUT | sys::EPOLLRDHUP | sys::EPOLLET;
+const CONN_INTEREST: u32 = sys::EPOLLIN | sys::EPOLLOUT | sys::EPOLLRDHUP | sys::EPOLLET;
 
 impl<F: ServiceFactory> Reactor<F> {
     fn new(listeners: Vec<Listener>, factory: F, config: Config) -> io::Result<Reactor<F>> {
         let poller = sys::Poller::new()?;
         for (i, l) in listeners.iter().enumerate() {
             l.set_nonblocking()?;
-            poller.add(l.raw_fd(), LISTENER_FLAG | i as u64, sys::EPOLLIN | sys::EPOLLET)?;
+            poller.add(
+                l.raw_fd(),
+                LISTENER_FLAG | i as u64,
+                sys::EPOLLIN | sys::EPOLLET,
+            )?;
         }
         Ok(Reactor {
             poller,

@@ -234,7 +234,11 @@ mod tests {
     fn start(
         tag: &str,
         config: Config,
-    ) -> (PathBuf, Arc<AtomicU64>, std::thread::JoinHandle<io::Result<Summary>>) {
+    ) -> (
+        PathBuf,
+        Arc<AtomicU64>,
+        std::thread::JoinHandle<io::Result<Summary>>,
+    ) {
         let path = temp_sock(tag);
         let _ = std::fs::remove_file(&path);
         let listener = UnixListener::bind(&path).unwrap();
@@ -242,9 +246,8 @@ mod tests {
         let factory = UpperFactory {
             dispatched: Arc::clone(&dispatched),
         };
-        let handle = std::thread::spawn(move || {
-            serve(vec![Listener::Unix(listener)], factory, config)
-        });
+        let handle =
+            std::thread::spawn(move || serve(vec![Listener::Unix(listener)], factory, config));
         (path, dispatched, handle)
     }
 

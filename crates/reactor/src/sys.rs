@@ -132,7 +132,9 @@ impl Poller {
         let timeout_ms: c_int = match timeout {
             // Round up so a 100 µs deadline does not spin at timeout 0.
             Some(d) => {
-                let ms = d.as_millis().saturating_add(u128::from(d.subsec_nanos() % 1_000_000 != 0));
+                let ms = d
+                    .as_millis()
+                    .saturating_add(u128::from(d.subsec_nanos() % 1_000_000 != 0));
                 c_int::try_from(ms).unwrap_or(c_int::MAX)
             }
             None => -1,
@@ -207,7 +209,9 @@ mod tests {
             .unwrap();
         a.write_all(b"x").unwrap();
         let mut events = Vec::new();
-        poller.wait(&mut events, Some(Duration::from_secs(5))).unwrap();
+        poller
+            .wait(&mut events, Some(Duration::from_secs(5)))
+            .unwrap();
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].token, 0xDEAD_BEEF);
         assert!(events[0].readable);

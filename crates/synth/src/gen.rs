@@ -20,10 +20,10 @@
 
 use crate::profiles::Profile;
 use e9elf::build::ElfBuilder;
+use e9rng::StdRng;
 use e9x86::asm::{Asm, Label, Mem};
 use e9x86::insn::{Cond, Insn};
 use e9x86::reg::{Reg, Width};
-use e9rng::StdRng;
 
 /// A generated benchmark binary plus its disassembly information.
 #[derive(Debug, Clone)]
@@ -99,7 +99,11 @@ impl<'a> Gen<'a> {
         };
         if take(m.arith) {
             let dst = self.seeded_scratch();
-            let w = if self.rng.gen_bool(0.6) { Width::Q } else { Width::D };
+            let w = if self.rng.gen_bool(0.6) {
+                Width::Q
+            } else {
+                Width::D
+            };
             match self.rng.gen_range(0..6) {
                 0 => {
                     let src = self.seeded_scratch();
@@ -139,7 +143,9 @@ impl<'a> Gen<'a> {
                 0 => self.a.mov_mr(Width::Q, mem, src),
                 1 => self.a.mov_mr(Width::D, mem, src),
                 2 => self.a.add_mr(Width::Q, mem, src),
-                3 => self.a.mov_mi(Width::D, mem, self.rng.gen_range(0..1_000_000)),
+                3 => self
+                    .a
+                    .mov_mi(Width::D, mem, self.rng.gen_range(0..1_000_000)),
                 _ => self.a.inc_m(Width::Q, mem),
             }
         } else if take(m.heap_read) {
@@ -252,9 +258,7 @@ impl<'a> Gen<'a> {
                     // C++ virtual dispatch.
                     let k = (self.fn_labels.len() - (i + 1)).min(4);
                     let callees: Vec<Label> = (0..k)
-                        .map(|_| {
-                            self.fn_labels[self.rng.gen_range(i + 1..self.fn_labels.len())]
-                        })
+                        .map(|_| self.fn_labels[self.rng.gen_range(i + 1..self.fn_labels.len())])
                         .collect();
                     let tbl = self.a.fresh_label();
                     let idx = self.seeded_scratch();
@@ -308,7 +312,11 @@ impl<'a> Gen<'a> {
 /// tables; `.data` = fuel cell + call counter; optional `.bss` for the
 /// limitation-L1 profiles.
 pub fn generate(profile: &Profile) -> SynthBinary {
-    let base = if profile.pie { 0x5555_5555_4000 } else { 0x400000 };
+    let base = if profile.pie {
+        0x5555_5555_4000
+    } else {
+        0x400000
+    };
     let text_vaddr = base + 0x1000;
 
     // Rough text-size bound to place .data after it.
@@ -325,9 +333,7 @@ pub fn generate(profile: &Profile) -> SynthBinary {
 
     // We need the data address before emitting code; estimate the text
     // extent generously and verify after generation.
-    let est_stmts = profile.funcs
-        * profile.blocks_per_fn.1
-        * (profile.stmts_per_block.1 + 6);
+    let est_stmts = profile.funcs * profile.blocks_per_fn.1 * (profile.stmts_per_block.1 + 6);
     let est_text = (est_stmts * 40 + 4096) as u64;
     let data_vaddr = e9elf::page_ceil(text_vaddr + est_text) + e9elf::PAGE_SIZE;
     g.fuel_addr = data_vaddr;

@@ -20,8 +20,8 @@ pub mod profiles;
 
 pub use gen::{generate, SynthBinary};
 pub use profiles::{
-    all_profiles, browser_profiles, spec_profiles, system_profiles, Mix, PaperRow, Preset,
-    Profile, DEFAULT_SCALE, DROMAEO_KERNELS,
+    all_profiles, browser_profiles, spec_profiles, system_profiles, Mix, PaperRow, Preset, Profile,
+    DEFAULT_SCALE, DROMAEO_KERNELS,
 };
 
 /// Generate the Dromaeo-style DOM kernel for Figure 4: sub-benchmark

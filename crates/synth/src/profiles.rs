@@ -247,34 +247,150 @@ pub fn spec_profiles(scale: u64) -> Vec<Profile> {
     // Columns: size MB, A1 #Loc, A2 #Loc, A1 Succ%, A2 Succ%.
     // The gamess/zeusmp rows get a large .bss (limitation L1).
     vec![
-        row("perlbench", false, Int, 1.25, 36821, 7522, 100.0, 100.0, scale, 0, 6),
-        row("bzip2", false, Int, 0.07, 1484, 1044, 100.0, 100.0, scale, 0, 10),
-        row("gcc", false, Int, 3.77, 97901, 14328, 100.0, 100.0, scale, 0, 3),
-        row("bwaves", false, Float, 0.08, 314, 1168, 100.0, 100.0, scale, 0, 12),
-        row("gamess", false, Float, 12.22, 125620, 279592, 99.73, 99.94, scale, 0x5000_0000, 2),
-        row("mcf", false, Mem, 0.02, 295, 220, 100.0, 100.0, scale, 0, 12),
-        row("milc", false, Float, 0.14, 1940, 699, 100.0, 100.0, scale, 0, 10),
-        row("zeusmp", false, Float, 0.52, 3191, 6106, 98.68, 99.82, scale, 0x4000_0000, 6),
-        row("gromacs", false, Float, 1.20, 12058, 16940, 100.0, 100.0, scale, 0, 4),
-        row("cactusADM", false, Float, 0.91, 12847, 5420, 100.0, 100.0, scale, 0, 4),
-        row("leslie3d", false, Float, 0.18, 2584, 2761, 100.0, 100.0, scale, 0, 8),
-        row("namd", false, Float, 0.33, 4879, 2498, 100.0, 100.0, scale, 0, 6),
-        row("gobmk", false, Int, 4.03, 17912, 2777, 100.0, 100.0, scale, 0, 4),
-        row("dealII", false, Int, 4.20, 61317, 25590, 100.0, 99.99, scale, 0, 3),
-        row("soplex", false, Int, 0.49, 10125, 4188, 100.0, 100.0, scale, 0, 5),
-        row("povray", false, Int, 1.19, 20520, 9377, 100.0, 100.0, scale, 0, 4),
-        row("calculix", false, Float, 2.17, 30343, 32197, 100.0, 100.0, scale, 0, 3),
-        row("hmmer", false, Int, 0.33, 6748, 3061, 100.0, 100.0, scale, 0, 6),
-        row("sjeng", false, Int, 0.16, 3473, 683, 100.0, 100.0, scale, 0, 8),
-        row("GemsFDTD", false, Float, 0.58, 9120, 10345, 100.0, 100.0, scale, 0, 4),
-        row("libquantum", false, Int, 0.05, 732, 186, 100.0, 100.0, scale, 0, 12),
-        row("h264ref", false, Int, 0.58, 9920, 4981, 100.0, 100.0, scale, 0, 5),
-        row("tonto", false, Float, 6.21, 48247, 164788, 100.0, 100.0, scale, 0, 2),
-        row("lbm", false, Mem, 0.02, 106, 111, 100.0, 100.0, scale, 0, 14),
-        row("omnetpp", false, Mem, 0.79, 9568, 5020, 100.0, 100.0, scale, 0, 5),
-        row("astar", false, Mem, 0.05, 769, 491, 100.0, 100.0, scale, 0, 12),
-        row("sphinx3", false, Float, 0.21, 3500, 1159, 100.0, 100.0, scale, 0, 8),
-        row("xalancbmk", false, Int, 5.99, 81285, 32761, 100.0, 100.0, scale, 0, 3),
+        row(
+            "perlbench",
+            false,
+            Int,
+            1.25,
+            36821,
+            7522,
+            100.0,
+            100.0,
+            scale,
+            0,
+            6,
+        ),
+        row(
+            "bzip2", false, Int, 0.07, 1484, 1044, 100.0, 100.0, scale, 0, 10,
+        ),
+        row(
+            "gcc", false, Int, 3.77, 97901, 14328, 100.0, 100.0, scale, 0, 3,
+        ),
+        row(
+            "bwaves", false, Float, 0.08, 314, 1168, 100.0, 100.0, scale, 0, 12,
+        ),
+        row(
+            "gamess",
+            false,
+            Float,
+            12.22,
+            125620,
+            279592,
+            99.73,
+            99.94,
+            scale,
+            0x5000_0000,
+            2,
+        ),
+        row(
+            "mcf", false, Mem, 0.02, 295, 220, 100.0, 100.0, scale, 0, 12,
+        ),
+        row(
+            "milc", false, Float, 0.14, 1940, 699, 100.0, 100.0, scale, 0, 10,
+        ),
+        row(
+            "zeusmp",
+            false,
+            Float,
+            0.52,
+            3191,
+            6106,
+            98.68,
+            99.82,
+            scale,
+            0x4000_0000,
+            6,
+        ),
+        row(
+            "gromacs", false, Float, 1.20, 12058, 16940, 100.0, 100.0, scale, 0, 4,
+        ),
+        row(
+            "cactusADM",
+            false,
+            Float,
+            0.91,
+            12847,
+            5420,
+            100.0,
+            100.0,
+            scale,
+            0,
+            4,
+        ),
+        row(
+            "leslie3d", false, Float, 0.18, 2584, 2761, 100.0, 100.0, scale, 0, 8,
+        ),
+        row(
+            "namd", false, Float, 0.33, 4879, 2498, 100.0, 100.0, scale, 0, 6,
+        ),
+        row(
+            "gobmk", false, Int, 4.03, 17912, 2777, 100.0, 100.0, scale, 0, 4,
+        ),
+        row(
+            "dealII", false, Int, 4.20, 61317, 25590, 100.0, 99.99, scale, 0, 3,
+        ),
+        row(
+            "soplex", false, Int, 0.49, 10125, 4188, 100.0, 100.0, scale, 0, 5,
+        ),
+        row(
+            "povray", false, Int, 1.19, 20520, 9377, 100.0, 100.0, scale, 0, 4,
+        ),
+        row(
+            "calculix", false, Float, 2.17, 30343, 32197, 100.0, 100.0, scale, 0, 3,
+        ),
+        row(
+            "hmmer", false, Int, 0.33, 6748, 3061, 100.0, 100.0, scale, 0, 6,
+        ),
+        row(
+            "sjeng", false, Int, 0.16, 3473, 683, 100.0, 100.0, scale, 0, 8,
+        ),
+        row(
+            "GemsFDTD", false, Float, 0.58, 9120, 10345, 100.0, 100.0, scale, 0, 4,
+        ),
+        row(
+            "libquantum",
+            false,
+            Int,
+            0.05,
+            732,
+            186,
+            100.0,
+            100.0,
+            scale,
+            0,
+            12,
+        ),
+        row(
+            "h264ref", false, Int, 0.58, 9920, 4981, 100.0, 100.0, scale, 0, 5,
+        ),
+        row(
+            "tonto", false, Float, 6.21, 48247, 164788, 100.0, 100.0, scale, 0, 2,
+        ),
+        row(
+            "lbm", false, Mem, 0.02, 106, 111, 100.0, 100.0, scale, 0, 14,
+        ),
+        row(
+            "omnetpp", false, Mem, 0.79, 9568, 5020, 100.0, 100.0, scale, 0, 5,
+        ),
+        row(
+            "astar", false, Mem, 0.05, 769, 491, 100.0, 100.0, scale, 0, 12,
+        ),
+        row(
+            "sphinx3", false, Float, 0.21, 3500, 1159, 100.0, 100.0, scale, 0, 8,
+        ),
+        row(
+            "xalancbmk",
+            false,
+            Int,
+            5.99,
+            81285,
+            32761,
+            100.0,
+            100.0,
+            scale,
+            0,
+            3,
+        ),
     ]
 }
 
@@ -282,16 +398,46 @@ pub fn spec_profiles(scale: u64) -> Vec<Profile> {
 pub fn system_profiles(scale: u64) -> Vec<Profile> {
     use Preset::*;
     vec![
-        row("inkscape", true, Int, 15.44, 195731, 105431, 100.0, 100.0, scale, 0, 2),
-        row("gimp", false, Int, 5.75, 71321, 15730, 100.0, 100.0, scale, 0, 2),
-        row("vim", true, Int, 2.44, 72221, 13279, 100.0, 100.0, scale, 0, 2),
-        row("git", false, Int, 1.87, 44441, 9072, 100.0, 100.0, scale, 0, 3),
-        row("pdflatex", false, Int, 0.91, 22105, 6060, 100.0, 100.0, scale, 0, 3),
-        row("xterm", false, Int, 0.54, 11593, 2681, 100.0, 100.0, scale, 0, 4),
-        row("evince", true, Int, 0.42, 3636, 716, 100.0, 100.0, scale, 0, 6),
-        row("make", false, Int, 0.21, 4807, 1383, 100.0, 100.0, scale, 0, 6),
-        row("libc.so", false, Int, 1.87, 52393, 24686, 100.0, 100.0, scale, 0, 3),
-        row("libstdc++.so", false, Int, 1.57, 20593, 15442, 100.0, 100.0, scale, 0, 3),
+        row(
+            "inkscape", true, Int, 15.44, 195731, 105431, 100.0, 100.0, scale, 0, 2,
+        ),
+        row(
+            "gimp", false, Int, 5.75, 71321, 15730, 100.0, 100.0, scale, 0, 2,
+        ),
+        row(
+            "vim", true, Int, 2.44, 72221, 13279, 100.0, 100.0, scale, 0, 2,
+        ),
+        row(
+            "git", false, Int, 1.87, 44441, 9072, 100.0, 100.0, scale, 0, 3,
+        ),
+        row(
+            "pdflatex", false, Int, 0.91, 22105, 6060, 100.0, 100.0, scale, 0, 3,
+        ),
+        row(
+            "xterm", false, Int, 0.54, 11593, 2681, 100.0, 100.0, scale, 0, 4,
+        ),
+        row(
+            "evince", true, Int, 0.42, 3636, 716, 100.0, 100.0, scale, 0, 6,
+        ),
+        row(
+            "make", false, Int, 0.21, 4807, 1383, 100.0, 100.0, scale, 0, 6,
+        ),
+        row(
+            "libc.so", false, Int, 1.87, 52393, 24686, 100.0, 100.0, scale, 0, 3,
+        ),
+        row(
+            "libstdc++.so",
+            false,
+            Int,
+            1.57,
+            20593,
+            15442,
+            100.0,
+            100.0,
+            scale,
+            0,
+            3,
+        ),
     ]
 }
 
@@ -299,9 +445,25 @@ pub fn system_profiles(scale: u64) -> Vec<Profile> {
 pub fn browser_profiles(scale: u64) -> Vec<Profile> {
     use Preset::*;
     let mut v = vec![
-        row("chrome", true, Browser, 152.51, 3800565, 2624800, 100.0, 100.0, scale, 0, 1),
-        row("firefox", true, Browser, 0.52, 13971, 7355, 100.0, 100.0, scale, 0, 4),
-        row("libxul.so", false, Browser, 115.03, 1463369, 666109, 99.99, 100.0, scale, 0, 1),
+        row(
+            "chrome", true, Browser, 152.51, 3800565, 2624800, 100.0, 100.0, scale, 0, 1,
+        ),
+        row(
+            "firefox", true, Browser, 0.52, 13971, 7355, 100.0, 100.0, scale, 0, 4,
+        ),
+        row(
+            "libxul.so",
+            false,
+            Browser,
+            115.03,
+            1463369,
+            666109,
+            99.99,
+            100.0,
+            scale,
+            0,
+            1,
+        ),
     ];
     // The paper found Chrome's .text to be a mixture of data and code
     // (§6.2); reproduce that wrinkle on the chrome-class row.

@@ -621,7 +621,8 @@ impl Vm {
             // mov r, imm.
             Opcode::One(op @ 0xB0..=0xBF) => {
                 let r = Self::opcode_reg(&insn, op);
-                self.cpu.set_w(r, w, insn.prefixes.rex.is_some(), insn.imm as u64);
+                self.cpu
+                    .set_w(r, w, insn.prefixes.rex.is_some(), insn.imm as u64);
             }
             // shift group 2.
             Opcode::One(op @ (0xC0 | 0xC1 | 0xD0 | 0xD1 | 0xD2 | 0xD3)) => {
@@ -721,7 +722,8 @@ impl Vm {
                         let r = a * b;
                         self.cpu.set_w(0, w, true, r as u64 & w.mask());
                         if w != Width::B {
-                            self.cpu.set_w(2, w, true, (r >> w.bits()) as u64 & w.mask());
+                            self.cpu
+                                .set_w(2, w, true, (r >> w.bits()) as u64 & w.mask());
                         }
                         let hi = (r >> w.bits()) != 0;
                         self.cpu.flags.cf = hi;

@@ -73,13 +73,14 @@ impl From<ElfError> for LoadError {
 
 /// Validate one `PT_LOAD` header against the file image and the size caps
 /// before anything is mapped. Returns the page-rounded memory length.
-fn check_load_segment(ph: &e9elf::types::Phdr, file_len: usize, total: &mut u64) -> Result<u64, LoadError> {
+fn check_load_segment(
+    ph: &e9elf::types::Phdr,
+    file_len: usize,
+    total: &mut u64,
+) -> Result<u64, LoadError> {
     let bounds = LoadError::SegmentBounds { vaddr: ph.p_vaddr };
     // File range fully inside the image, and no more file than memory.
-    let file_end = ph
-        .p_offset
-        .checked_add(ph.p_filesz)
-        .ok_or(bounds.clone())?;
+    let file_end = ph.p_offset.checked_add(ph.p_filesz).ok_or(bounds.clone())?;
     if file_end > file_len as u64 || ph.p_filesz > ph.p_memsz {
         return Err(bounds.clone());
     }
@@ -157,8 +158,7 @@ pub fn load_elf(vm: &mut Vm, binary: &[u8]) -> Result<(), LoadError> {
                     // Zero tail beyond the file-backed pages (rare for R/X
                     // segments; map anon zero pages).
                     if mem_len > file_len {
-                        vm.mem
-                            .map_anon(vbase + file_len, mem_len - file_len, perms);
+                        vm.mem.map_anon(vbase + file_len, mem_len - file_len, perms);
                     }
                 }
             }
@@ -344,6 +344,9 @@ mod tests {
         b.entry(0x401000);
         let mut vm = Vm::new();
         load_elf(&mut vm, &b.build()).unwrap();
-        assert!(matches!(vm.run(100), Err(crate::exec::VmError::StepLimit(_))));
+        assert!(matches!(
+            vm.run(100),
+            Err(crate::exec::VmError::StepLimit(_))
+        ));
     }
 }

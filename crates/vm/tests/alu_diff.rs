@@ -3,10 +3,10 @@
 //! result and RFLAGS to memory, and the outcome is compared against a
 //! Rust-side model of the x86 semantics.
 
+use e9qcheck::prelude::*;
 use e9vm::{load_elf, Vm};
 use e9x86::asm::{Asm, Mem};
 use e9x86::reg::{Reg, Width};
-use e9qcheck::prelude::*;
 
 const RESULT_ADDR: u64 = 0x403000;
 
@@ -216,7 +216,7 @@ fn setcc_and_cmov_follow_flags() {
     a.mov_ri32(Reg::Rax, 3);
     a.mov_ri32(Reg::Rcx, 5);
     a.cmp_rr(Width::Q, Reg::Rax, Reg::Rcx); // 3 - 5 → L
-    // setl %dl: 0f 9c c2 (REX not needed for dl).
+                                            // setl %dl: 0f 9c c2 (REX not needed for dl).
     a.raw(&[0x0F, 0x9C, 0xC2]);
     // cmovl %rcx,%rbx: 48 0f 4c d9.
     a.mov_ri32(Reg::Rbx, 0);

@@ -38,7 +38,7 @@ fn mov_widths_zero_extend_and_merge() {
         a.mov_ri64(Reg::Rdi, -1);
         a.mov_ri32(Reg::Rdi, 0x55); // zero-extends the whole register
         a.raw(&[0x40, 0xB7, 0x02]); // mov $2,%dil (REX + B0+7)
-        // rdi = 0x02 → exit 2.
+                                    // rdi = 0x02 → exit 2.
     });
     assert_eq!(code, 2);
 }
@@ -72,7 +72,7 @@ fn movsxd_sign_extends() {
     let code = exit_code(|a| {
         a.mov_ri32(Reg::Rcx, 0xFFFF_FFFF); // ecx = -1 (as i32)
         a.raw(&[0x48, 0x63, 0xF9]); // movsxd %ecx,%rdi
-        // rdi = -1; exit takes low byte semantics: -1 & 0x7f.
+                                    // rdi = -1; exit takes low byte semantics: -1 & 0x7f.
         a.and_ri(Width::Q, Reg::Rdi, 0x7F);
     });
     assert_eq!(code, 0x7F);
@@ -124,7 +124,7 @@ fn leave_unwinds_frame() {
         a.raw(&[0xC9]); // leave
         a.mov_ri32(Reg::Rdi, 5);
         a.pop_r(Reg::Rbp); // undo our initial push... wait, leave popped it
-        // rsp is back; just exit.
+                           // rsp is back; just exit.
         a.mov_ri32(Reg::Rdi, 5);
     });
     assert_eq!(code, 5);
@@ -186,10 +186,10 @@ fn shifts_and_rotates() {
         a.mov_ri32(Reg::Rax, 1);
         a.shl_ri(Width::Q, Reg::Rax, 8); // 256
         a.shr_ri(Width::Q, Reg::Rax, 4); // 16
-        // sar on a negative value: mov -32, rcx; sar 2 → -8.
+                                         // sar on a negative value: mov -32, rcx; sar 2 → -8.
         a.mov_ri64(Reg::Rcx, -32);
         a.raw(&[0x48, 0xC1, 0xF9, 0x02]); // sar $2,%rcx
-        // rol 8-bit-ish on 64: rol $4, rdx of 0xF000..0001.
+                                          // rol 8-bit-ish on 64: rol $4, rdx of 0xF000..0001.
         a.mov_ri64(Reg::Rdx, 0xF000_0000_0000_0001u64 as i64);
         a.raw(&[0x48, 0xC1, 0xC2, 0x04]); // rol $4,%rdx → 0x...001F
         a.mov_ri64(Reg::Rbx, DATA as i64);

@@ -34,8 +34,7 @@ fn plain_hooks_preserve_behaviour_and_count_calls() {
     let sb = sample("hookdiff");
     let orig = run(&sb.binary);
     let spec = HookSpec::counters(&["f*"]);
-    let out =
-        hook_with_disasm(&sb.binary, &sb.disasm, &spec, RewriteConfig::default()).unwrap();
+    let out = hook_with_disasm(&sb.binary, &sb.disasm, &spec, RewriteConfig::default()).unwrap();
     assert_eq!(out.rewrite.stats.failed, 0, "a hook site failed to patch");
     let (hooked, counts) = run_with_counters(&out);
     assert_eq!(hooked.output, orig.output);
@@ -57,8 +56,7 @@ fn call_original_hooks_preserve_behaviour_and_count_calls() {
         call_original: true,
         ..HookSpec::counters(&["f*"])
     };
-    let out =
-        hook_with_disasm(&sb.binary, &sb.disasm, &spec, RewriteConfig::default()).unwrap();
+    let out = hook_with_disasm(&sb.binary, &sb.disasm, &spec, RewriteConfig::default()).unwrap();
     assert_eq!(out.rewrite.stats.failed, 0);
     let (hooked, counts) = run_with_counters(&out);
     // The call-original trampoline resumes *through* the relocated
@@ -81,10 +79,11 @@ fn hooked_binary_carries_a_decodable_manifest() {
         call_original: true,
         ..HookSpec::counters(&["f*", "main"])
     };
-    let out =
-        hook_with_disasm(&sb.binary, &sb.disasm, &spec, RewriteConfig::default()).unwrap();
+    let out = hook_with_disasm(&sb.binary, &sb.disasm, &spec, RewriteConfig::default()).unwrap();
     let elf = e9elf::Elf::parse(&out.rewrite.binary).unwrap();
-    let recs = e9hook::manifest::find_in_elf(&elf).unwrap().expect("manifest present");
+    let recs = e9hook::manifest::find_in_elf(&elf)
+        .unwrap()
+        .expect("manifest present");
     assert_eq!(recs, out.hooks);
     // Ids are dense in function-address order.
     for (k, r) in recs.iter().enumerate() {
@@ -104,8 +103,7 @@ fn nop_payload_is_pure_overhead() {
         payload: PayloadKind::Nop,
         ..HookSpec::counters(&["f*"])
     };
-    let out =
-        hook_with_disasm(&sb.binary, &sb.disasm, &spec, RewriteConfig::default()).unwrap();
+    let out = hook_with_disasm(&sb.binary, &sb.disasm, &spec, RewriteConfig::default()).unwrap();
     assert!(out.counters_addr.is_none());
     let hooked = run(&out.rewrite.binary);
     assert_eq!(hooked.output, orig.output);

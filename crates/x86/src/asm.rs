@@ -199,25 +199,24 @@ impl Asm {
     /// Fails if a referenced label is unbound or a displacement overflows.
     pub fn finish(mut self) -> Result<Vec<u8>, AsmError> {
         for f in std::mem::take(&mut self.fixups) {
-            let &target_off = self.labels.get(&f.label).ok_or(AsmError::UnboundLabel(f.label))?;
+            let &target_off = self
+                .labels
+                .get(&f.label)
+                .ok_or(AsmError::UnboundLabel(f.label))?;
             let target = self.base + target_off as u64;
             match f.kind {
                 FixKind::Rel8 => {
                     let from = self.base + f.at as u64 + 1;
                     let d = target.wrapping_sub(from) as i64;
-                    let d8 = i8::try_from(d).map_err(|_| AsmError::DispOutOfRange {
-                        from,
-                        to: target,
-                    })?;
+                    let d8 = i8::try_from(d)
+                        .map_err(|_| AsmError::DispOutOfRange { from, to: target })?;
                     self.code[f.at] = d8 as u8;
                 }
                 FixKind::Rel32 => {
                     let from = self.base + f.at as u64 + 4;
                     let d = target.wrapping_sub(from) as i64;
-                    let d32 = i32::try_from(d).map_err(|_| AsmError::DispOutOfRange {
-                        from,
-                        to: target,
-                    })?;
+                    let d32 = i32::try_from(d)
+                        .map_err(|_| AsmError::DispOutOfRange { from, to: target })?;
                     self.code[f.at..f.at + 4].copy_from_slice(&d32.to_le_bytes());
                 }
                 FixKind::Abs64 => {
@@ -245,11 +244,8 @@ impl Asm {
 
     /// Emit a REX prefix if any bit (or `force`, for 64-bit ops) requires it.
     fn rex(&mut self, w: bool, r: u8, x: u8, b: u8) {
-        let byte = 0x40
-            | (w as u8) << 3
-            | ((r >> 3) & 1) << 2
-            | ((x >> 3) & 1) << 1
-            | ((b >> 3) & 1);
+        let byte =
+            0x40 | (w as u8) << 3 | ((r >> 3) & 1) << 2 | ((x >> 3) & 1) << 1 | ((b >> 3) & 1);
         if byte != 0x40 {
             self.u8(byte);
         }
@@ -310,7 +306,10 @@ impl Asm {
                 }
             }
             (base, Some((index, scale))) => {
-                assert!(index.low3() != 4 || index.needs_rex(), "rsp cannot be an index");
+                assert!(
+                    index.low3() != 4 || index.needs_rex(),
+                    "rsp cannot be an index"
+                );
                 let ss: u8 = match scale {
                     1 => 0,
                     2 => 1,
@@ -793,7 +792,10 @@ mod tests {
         let mut addr = 0x1000u64;
         while off < bytes.len() {
             let i = decode(&bytes[off..], addr).unwrap_or_else(|e| {
-                panic!("decode failed at offset {off}: {e} (bytes {:02x?})", &bytes[off..])
+                panic!(
+                    "decode failed at offset {off}: {e} (bytes {:02x?})",
+                    &bytes[off..]
+                )
             });
             off += i.len();
             addr += i.len() as u64;
@@ -811,9 +813,7 @@ mod tests {
         let code = a.finish().unwrap();
         assert_eq!(
             code,
-            vec![
-                0x48, 0x89, 0xC3, 0x48, 0x89, 0x03, 0x48, 0x83, 0xC0, 0x20, 0x48, 0x31, 0xC1
-            ]
+            vec![0x48, 0x89, 0xC3, 0x48, 0x89, 0x03, 0x48, 0x83, 0xC0, 0x20, 0x48, 0x31, 0xC1]
         );
     }
 
@@ -850,10 +850,7 @@ mod tests {
         a.jmp_short(end);
         a.nops(300);
         a.bind(end);
-        assert!(matches!(
-            a.finish(),
-            Err(AsmError::DispOutOfRange { .. })
-        ));
+        assert!(matches!(a.finish(), Err(AsmError::DispOutOfRange { .. })));
     }
 
     #[test]
@@ -872,7 +869,11 @@ mod tests {
         a.mov_mr(Width::Q, Mem::base(Reg::R12), Reg::Rax);
         a.mov_mr(Width::Q, Mem::base(Reg::R13), Reg::Rax);
         a.mov_mr(Width::Q, Mem::base_disp(Reg::Rsp, 0x100), Reg::Rax);
-        a.mov_rm(Width::Q, Reg::Rdx, Mem::base_index(Reg::Rbp, Reg::Rcx, 4, 0));
+        a.mov_rm(
+            Width::Q,
+            Reg::Rdx,
+            Mem::base_index(Reg::Rbp, Reg::Rcx, 4, 0),
+        );
         a.mov_rm(Width::Q, Reg::Rdx, Mem::index_disp(Reg::Rcx, 8, 0x40));
         let code = a.finish().unwrap();
         roundtrip(&code);

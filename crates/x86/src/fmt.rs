@@ -58,7 +58,10 @@ fn fmt_mem(insn: &Insn, m: &MemOperand) -> String {
 }
 
 fn reg_name(insn: &Insn, num: u8, w: Width) -> String {
-    format!("%{}", Reg::from_num(num).name_w(w, insn.prefixes.rex.is_some()))
+    format!(
+        "%{}",
+        Reg::from_num(num).name_w(w, insn.prefixes.rex.is_some())
+    )
 }
 
 fn rm_str(insn: &Insn, m: &ModRm, w: Width) -> String {
@@ -320,7 +323,12 @@ pub fn format_insn(insn: &Insn) -> String {
 /// Render an objdump-style line: address, bytes, mnemonic.
 pub fn format_listing_line(insn: &Insn) -> String {
     let bytes: Vec<String> = insn.bytes().iter().map(|b| format!("{b:02x}")).collect();
-    format!("{:>12x}: {:<30} {}", insn.addr, bytes.join(" "), format_insn(insn))
+    format!(
+        "{:>12x}: {:<30} {}",
+        insn.addr,
+        bytes.join(" "),
+        format_insn(insn)
+    )
 }
 
 #[cfg(test)]
@@ -373,10 +381,7 @@ mod tests {
         assert_eq!(fmt(&[0x58]), "pop %rax");
         assert_eq!(fmt(&[0x6A, 0x2A]), "push $0x2a");
         assert_eq!(fmt(&[0xB8, 0x05, 0, 0, 0]), "mov $0x5,%eax");
-        assert_eq!(
-            fmt(&[0x48, 0xB8, 1, 0, 0, 0, 0, 0, 0, 0]),
-            "mov $0x1,%rax"
-        );
+        assert_eq!(fmt(&[0x48, 0xB8, 1, 0, 0, 0, 0, 0, 0, 0]), "mov $0x1,%rax");
         assert_eq!(fmt(&[0xB0, 0x07]), "mov $0x7,%al");
         assert_eq!(fmt(&[0x9C]), "pushfq");
         assert_eq!(fmt(&[0x9D]), "popfq");

@@ -283,8 +283,10 @@ impl Insn {
         match self.opcode {
             // add/or/adc/sbb/and/sub/xor with r/m destination (even opcodes
             // 00/01, 08/09, ...); 38/39 is cmp (no write).
-            Opcode::One(op @ (0x00 | 0x01 | 0x08 | 0x09 | 0x10 | 0x11 | 0x18 | 0x19 | 0x20
-            | 0x21 | 0x28 | 0x29 | 0x30 | 0x31)) => {
+            Opcode::One(
+                op @ (0x00 | 0x01 | 0x08 | 0x09 | 0x10 | 0x11 | 0x18 | 0x19 | 0x20 | 0x21 | 0x28
+                | 0x29 | 0x30 | 0x31),
+            ) => {
                 debug_assert!(op & 2 == 0);
                 true
             }

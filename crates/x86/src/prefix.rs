@@ -37,7 +37,15 @@ pub const ADDRSIZE: u8 = 0x67;
 pub fn is_legacy_prefix(b: u8) -> bool {
     matches!(
         b,
-        LOCK | REPNE | REP | SEG_ES | SEG_CS | SEG_SS | SEG_DS | SEG_FS | SEG_GS | OPSIZE
+        LOCK | REPNE
+            | REP
+            | SEG_ES
+            | SEG_CS
+            | SEG_SS
+            | SEG_DS
+            | SEG_FS
+            | SEG_GS
+            | OPSIZE
             | ADDRSIZE
     )
 }
@@ -124,7 +132,9 @@ mod tests {
 
     #[test]
     fn legacy_prefix_set() {
-        for b in [0xF0, 0xF2, 0xF3, 0x26, 0x2E, 0x36, 0x3E, 0x64, 0x65, 0x66, 0x67] {
+        for b in [
+            0xF0, 0xF2, 0xF3, 0x26, 0x2E, 0x36, 0x3E, 0x64, 0x65, 0x66, 0x67,
+        ] {
             assert!(is_legacy_prefix(b), "{b:#x} should be a legacy prefix");
         }
         assert!(!is_legacy_prefix(0x90));

@@ -92,12 +92,12 @@ impl Reg {
     /// encodings 4–7.
     pub fn name_w(self, w: Width, rex_present: bool) -> &'static str {
         const N32: [&str; 16] = [
-            "eax", "ecx", "edx", "ebx", "esp", "ebp", "esi", "edi", "r8d", "r9d", "r10d",
-            "r11d", "r12d", "r13d", "r14d", "r15d",
+            "eax", "ecx", "edx", "ebx", "esp", "ebp", "esi", "edi", "r8d", "r9d", "r10d", "r11d",
+            "r12d", "r13d", "r14d", "r15d",
         ];
         const N16: [&str; 16] = [
-            "ax", "cx", "dx", "bx", "sp", "bp", "si", "di", "r8w", "r9w", "r10w", "r11w",
-            "r12w", "r13w", "r14w", "r15w",
+            "ax", "cx", "dx", "bx", "sp", "bp", "si", "di", "r8w", "r9w", "r10w", "r11w", "r12w",
+            "r13w", "r14w", "r15w",
         ];
         const N8: [&str; 16] = [
             "al", "cl", "dl", "bl", "spl", "bpl", "sil", "dil", "r8b", "r9b", "r10b", "r11b",

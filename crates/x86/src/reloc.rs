@@ -92,10 +92,8 @@ pub fn relocate(insn: &Insn, new_addr: u64) -> Result<Vec<u8>, RelocError> {
                         let target = insn.end().wrapping_add(mem.disp as i64 as u64);
                         let new_end = new_addr + insn.len() as u64;
                         let nd = target.wrapping_sub(new_end) as i64;
-                        let nd32 = i32::try_from(nd).map_err(|_| RelocError::DispOutOfRange {
-                            new_addr,
-                            target,
-                        })?;
+                        let nd32 = i32::try_from(nd)
+                            .map_err(|_| RelocError::DispOutOfRange { new_addr, target })?;
                         let off = m.disp_offset as usize;
                         v[off..off + 4].copy_from_slice(&nd32.to_le_bytes());
                     }

@@ -131,8 +131,7 @@ fn max_length_instruction() {
     // 66 2e 3e 26 64 65 36 f0? lock+add... build: 4 seg prefixes + 66 +
     // REX + 81 /0 with SIB+disp32 + imm16 (66 makes Iz=2).
     let bytes = [
-        0x2E, 0x3E, 0x26, 0x64, 0x66, 0x48, 0x81, 0x84, 0x88, 0x11, 0x22, 0x33, 0x44, 0x55,
-        0x66,
+        0x2E, 0x3E, 0x26, 0x64, 0x66, 0x48, 0x81, 0x84, 0x88, 0x11, 0x22, 0x33, 0x44, 0x55, 0x66,
     ];
     let i = decode(&bytes, 0).unwrap();
     assert_eq!(i.len(), 15);
@@ -150,9 +149,11 @@ fn too_many_prefixes_rejected() {
 
 #[test]
 fn call_far_and_unused_opcodes_invalid() {
-    for b in [0x06u8, 0x07, 0x0E, 0x16, 0x17, 0x1E, 0x1F, 0x27, 0x2F, 0x37, 0x3F, 0x60, 0x61,
-        0x62, 0x82, 0x9A, 0xC4 /* as VEX it needs more bytes */, 0xD4, 0xD5, 0xD6, 0xEA, 0xCE]
-    {
+    for b in [
+        0x06u8, 0x07, 0x0E, 0x16, 0x17, 0x1E, 0x1F, 0x27, 0x2F, 0x37, 0x3F, 0x60, 0x61, 0x62, 0x82,
+        0x9A, 0xC4, /* as VEX it needs more bytes */
+        0xD4, 0xD5, 0xD6, 0xEA, 0xCE,
+    ] {
         let r = decode(&[b, 0, 0, 0, 0, 0, 0, 0], 0);
         if b == 0xC4 {
             // VEX: consumed as a prefix; may decode or fail, but not as les.

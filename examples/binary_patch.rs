@@ -30,8 +30,8 @@ fn buggy_program() -> (Vec<u8>, u64) {
     //     patches 0x422a61, the first instruction after `callq free`).
     let patch_site = a.here();
     a.mov_rr(Width::Q, Reg::Rbp, Reg::Rbx); // mov %rbx,%rbp (like Fig. 2's mov %ebx,%ebp)
-    // ... missing here: flag = 1 ...
-    // Epilogue: exit(flag).
+                                            // ... missing here: flag = 1 ...
+                                            // Epilogue: exit(flag).
     a.mov_ri64(Reg::Rax, FLAG_ADDR as i64);
     a.mov_rm(Width::Q, Reg::Rdi, Mem::base(Reg::Rax));
     a.mov_ri32(Reg::Rax, 60);
@@ -66,7 +66,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let (binary, patch_site) = buggy_program();
 
     let buggy = e9vm::run_binary(&binary, 100_000)?;
-    println!("buggy run:   exit {} (flag never set — the bug)", buggy.exit_code);
+    println!(
+        "buggy run:   exit {} (flag never set — the bug)",
+        buggy.exit_code
+    );
     assert_eq!(buggy.exit_code, 0);
 
     // Disassemble and patch the single site — only *partial* disassembly
@@ -94,7 +97,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     let fixed = e9vm::run_binary(&out.binary, 100_000)?;
-    println!("patched run: exit {} (flag set — bug fixed)", fixed.exit_code);
+    println!(
+        "patched run: exit {} (flag set — bug fixed)",
+        fixed.exit_code
+    );
     assert_eq!(fixed.exit_code, 1);
     println!("binary-level patch applied successfully ✓");
     Ok(())

@@ -13,7 +13,11 @@ fn report(name: &str, pie: bool) {
     let prog = generate(&Profile::tiny(name, pie));
     println!(
         "\n=== {name} ({}) — {} instructions ===",
-        if pie { "PIE, high base" } else { "non-PIE @0x400000" },
+        if pie {
+            "PIE, high base"
+        } else {
+            "non-PIE @0x400000"
+        },
         prog.disasm.len()
     );
     println!(

@@ -27,7 +27,11 @@ fn buggy_program() -> Vec<u8> {
     let top = a.fresh_label();
     a.mov_ri32(Reg::Rcx, 0);
     a.bind(top);
-    a.mov_mr(Width::B, Mem::base_index(Reg::Rbx, Reg::Rcx, 1, 0), Reg::Rcx);
+    a.mov_mr(
+        Width::B,
+        Mem::base_index(Reg::Rbx, Reg::Rcx, 1, 0),
+        Reg::Rcx,
+    );
     a.add_ri(Width::Q, Reg::Rcx, 1);
     a.cmp_ri(Width::Q, Reg::Rcx, 120);
     a.jcc(e9x86::Cond::Ne, top);
@@ -49,7 +53,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The overflow is invisible without instrumentation:
     let plain = e9vm::run_binary(&binary, 1_000_000)?;
-    println!("un-hardened run: exit {} — overflow goes unnoticed", plain.exit_code);
+    println!(
+        "un-hardened run: exit {} — overflow goes unnoticed",
+        plain.exit_code
+    );
 
     // Harden all heap writes with the low-fat redzone check.
     let out = instrument_with_disasm(
@@ -69,7 +76,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     e9vm::load_elf(&mut vm, &out.rewrite.binary)?;
     let r = vm.run(10_000_000)?;
     let violations = vm.mem.read_le(out.violations_addr.unwrap(), 8)?;
-    println!("hardened run: exit {}, redzone violations detected: {violations}", r.exit_code);
+    println!(
+        "hardened run: exit {}, redzone violations detected: {violations}",
+        r.exit_code
+    );
 
     // 100-byte object in a 128-byte slot: usable bytes = 112 (128 − 16
     // redzone); indices 112..120 fall into the next slot's redzone.

@@ -33,8 +33,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("trace recorded {events} control-flow events (ring capacity {cap})");
 
     // Histogram of the hottest sites, annotated with their disassembly.
-    let by_addr: HashMap<u64, &e9x86::Insn> =
-        prog.disasm.iter().map(|i| (i.addr, i)).collect();
+    let by_addr: HashMap<u64, &e9x86::Insn> = prog.disasm.iter().map(|i| (i.addr, i)).collect();
     let mut hist: HashMap<u64, u64> = HashMap::new();
     for i in 0..events.min(cap) {
         let site = vm.mem.read_le(hdr + 16 + i * 8, 8)?;

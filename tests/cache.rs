@@ -18,7 +18,11 @@ fn tmpdir(name: &str) -> std::path::PathBuf {
 fn workload() -> (Vec<u8>, Vec<e9x86::insn::Insn>, Options) {
     let sb = e9synth::generate(&e9synth::Profile::tiny("suite-cache", false));
     let disasm = disassemble_text(&sb.binary).unwrap();
-    (sb.binary, disasm, Options::new(Application::A1Jumps, Payload::Counter))
+    (
+        sb.binary,
+        disasm,
+        Options::new(Application::A1Jumps, Payload::Counter),
+    )
 }
 
 /// The on-disk object file for `hex` under `root` (CAS fan-out layout).
@@ -42,7 +46,10 @@ fn cold_run_stores_warm_run_hits_byte_identically() {
     // Cold: miss, stored, and exactly the uncached pipeline's bytes.
     let cache = Cache::open(&config).unwrap();
     let cold = instrument_cached(&bin, &disasm, &opts, &cache).unwrap();
-    let outcome = cold.cache.clone().expect("cached path must report an outcome");
+    let outcome = cold
+        .cache
+        .clone()
+        .expect("cached path must report an outcome");
     assert_eq!(outcome.disposition, CacheDisposition::Miss);
     assert_eq!(cold.rewrite.binary, baseline.rewrite.binary);
     assert_eq!(cache.stats().stores, 1);
@@ -62,7 +69,10 @@ fn cold_run_stores_warm_run_hits_byte_identically() {
     // process): disk-tier hit, still byte-identical.
     let fresh = Cache::open(&config).unwrap();
     let disk_warm = instrument_cached(&bin, &disasm, &opts, &fresh).unwrap();
-    assert_eq!(disk_warm.cache.clone().unwrap().disposition, CacheDisposition::Hit);
+    assert_eq!(
+        disk_warm.cache.clone().unwrap().disposition,
+        CacheDisposition::Hit
+    );
     assert_eq!(disk_warm.rewrite.binary, baseline.rewrite.binary);
     assert_eq!(fresh.stats().disk_hits, 1, "{:?}", fresh.stats());
 
@@ -84,7 +94,10 @@ fn tiny_input_bypasses_an_untuned_cache() {
 
     let cache = Cache::open(&config).unwrap();
     let res = instrument_cached(&bin, &disasm, &opts, &cache).unwrap();
-    let outcome = res.cache.clone().expect("cached path must report an outcome");
+    let outcome = res
+        .cache
+        .clone()
+        .expect("cached path must report an outcome");
     assert_eq!(outcome.disposition, CacheDisposition::Bypass);
     assert_eq!(outcome.digest, None, "bypassed runs are never keyed");
     assert_eq!(res.rewrite.binary, baseline.rewrite.binary);
@@ -126,7 +139,10 @@ fn corrupt_disk_entry_degrades_to_recomputed_identical_output() {
     let baseline = instrument_with_disasm(&bin, &disasm, &opts).unwrap();
     let cache = Cache::open(&config).unwrap();
     let res = instrument_cached(&bin, &disasm, &opts, &cache).unwrap();
-    assert_eq!(res.cache.clone().unwrap().disposition, CacheDisposition::Miss);
+    assert_eq!(
+        res.cache.clone().unwrap().disposition,
+        CacheDisposition::Miss
+    );
     assert_eq!(res.rewrite.binary, baseline.rewrite.binary);
     let stats = cache.stats();
     assert_eq!(stats.verify_failures, 1, "{stats:?}");
@@ -138,7 +154,10 @@ fn corrupt_disk_entry_degrades_to_recomputed_identical_output() {
 
     // And the re-stored entry hits again, identically.
     let again = instrument_cached(&bin, &disasm, &opts, &cache).unwrap();
-    assert_eq!(again.cache.clone().unwrap().disposition, CacheDisposition::Hit);
+    assert_eq!(
+        again.cache.clone().unwrap().disposition,
+        CacheDisposition::Hit
+    );
     assert_eq!(again.rewrite.binary, baseline.rewrite.binary);
 
     std::fs::remove_dir_all(&dir).ok();

@@ -18,7 +18,12 @@ fn seed_from_env() -> u64 {
 
 /// One full synth + rewrite run: returns (input ELF, patched ELF, stats
 /// summary line).
-fn full_run(seed: u64, pie: bool, app: Application, payload: Payload) -> (Vec<u8>, Vec<u8>, String) {
+fn full_run(
+    seed: u64,
+    pie: bool,
+    app: Application,
+    payload: Payload,
+) -> (Vec<u8>, Vec<u8>, String) {
     let mut p = Profile::tiny("determinism", pie);
     p.seed = seed;
     p.funcs = 6;
@@ -78,7 +83,12 @@ fn backend_matches_in_process() {
 fn different_seeds_different_bytes() {
     let seed = seed_from_env();
     let a = full_run(seed, false, Application::A1Jumps, Payload::Empty);
-    let b = full_run(seed ^ 0x5DEECE66D, false, Application::A1Jumps, Payload::Empty);
+    let b = full_run(
+        seed ^ 0x5DEECE66D,
+        false,
+        Application::A1Jumps,
+        Payload::Empty,
+    );
     assert_ne!(a.0, b.0, "seed does not steer the generator");
 }
 

@@ -46,9 +46,17 @@ fn busy_program(base: u64) -> (Vec<u8>, u64) {
     // Heap write: p[rcx % 32 * 8] = rcx (A2-style site).
     a.mov_rr(Width::Q, Reg::Rdx, Reg::Rcx);
     a.and_ri(Width::Q, Reg::Rdx, 31);
-    a.mov_mr(Width::Q, Mem::base_index(Reg::Rbx, Reg::Rdx, 8, 0), Reg::Rcx);
+    a.mov_mr(
+        Width::Q,
+        Mem::base_index(Reg::Rbx, Reg::Rdx, 8, 0),
+        Reg::Rcx,
+    );
     // checksum += p[...].
-    a.add_rm(Width::Q, Reg::R12, Mem::base_index(Reg::Rbx, Reg::Rdx, 8, 0));
+    a.add_rm(
+        Width::Q,
+        Reg::R12,
+        Mem::base_index(Reg::Rbx, Reg::Rdx, 8, 0),
+    );
 
     // switch (rcx % 3) via jump table.
     a.mov_rr(Width::Q, Reg::Rax, Reg::Rcx);
@@ -229,11 +237,7 @@ fn patch_every_instruction_with_b0_fallback() {
     let out = Rewriter::new(cfg)
         .rewrite(&bin, &disasm, &reqs, &[])
         .expect("rewrite");
-    assert_eq!(
-        out.stats.total(),
-        reqs.len(),
-        "all requests accounted for"
-    );
+    assert_eq!(out.stats.total(), reqs.len(), "all requests accounted for");
     assert_eq!(out.stats.failed, 0, "B0 fallback leaves no failures");
     let patched = run(&out.binary);
     assert_eq!(patched.exit_code, orig.exit_code);
@@ -394,9 +398,7 @@ fn run_from_site(binary: &[u8], site: u64, orig_entry: u64) -> SiteOutcome {
     for _ in 0..100_000 {
         match vm.step() {
             Ok(true) => {}
-            Ok(false) => {
-                return SiteOutcome::Exit(vm.exit_code().unwrap_or(0), vm.output.clone())
-            }
+            Ok(false) => return SiteOutcome::Exit(vm.exit_code().unwrap_or(0), vm.output.clone()),
             Err(e9vm::VmError::Fault { fault, .. }) => {
                 let addr = match fault {
                     e9vm::Fault::Unmapped(a) | e9vm::Fault::Protection(a) => a,
@@ -434,7 +436,6 @@ fn jump_targets_preserved_after_patching() {
         assert_eq!(got, want, "divergence entering at {site:#x}");
     }
 }
-
 
 #[test]
 fn zero_requests_still_produces_valid_binary() {

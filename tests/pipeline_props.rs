@@ -6,8 +6,8 @@
 
 use e9front::{instrument_with_disasm, Application, Options, Payload};
 use e9patch::{RewriteConfig, Tactics};
-use e9synth::{generate, Profile};
 use e9qcheck::prelude::*;
+use e9synth::{generate, Profile};
 
 fn random_profile(name: String, pie: bool, funcs: usize, switch_pct: u32, iters: u32) -> Profile {
     let mut p = Profile::tiny(&name, pie);

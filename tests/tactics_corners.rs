@@ -52,7 +52,10 @@ fn figure1_shape_requires_advanced_tactics() {
         ..RewriteConfig::default()
     };
     let mut planner = Planner::new(elf.clone(), &disasm, cfg, &[]).unwrap();
-    assert_eq!(planner.patch_site(0x401000, &Template::Empty).unwrap(), None);
+    assert_eq!(
+        planner.patch_site(0x401000, &Template::Empty).unwrap(),
+        None
+    );
 
     // With T2 enabled (no T1/T3), successor eviction unlocks the site.
     let cfg = RewriteConfig {
@@ -196,7 +199,8 @@ fn single_byte_sites_limited() {
             ..RewriteConfig::default()
         },
         &[],
-    ).unwrap();
+    )
+    .unwrap();
     let got = planner.patch_site(push_addr, &Template::Empty).unwrap();
     assert!(
         matches!(
