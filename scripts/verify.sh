@@ -4,9 +4,9 @@
 # Fully hermetic: no network, no registry access (all dependencies are
 # in-tree path crates; see "Hermetic build" in README.md). Runs:
 #
-#   1. tier-1: release build + full workspace test suite (the root
-#      manifest's default-members make plain `cargo test` cover every
-#      crate too)
+#   1. tier-1: rustfmt check (`cargo fmt --all -- --check`), release
+#      build + full workspace test suite (the root manifest's
+#      default-members make plain `cargo test` cover every crate too)
 #   2. bench smoke: every `cargo bench` target compiles and executes
 #   3. seed-pinned reproducibility: two E9_SEED=42 synth+rewrite runs
 #      must produce byte-identical artifacts
@@ -69,6 +69,9 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 export CARGO_NET_OFFLINE=true
+
+echo "== tier-1: cargo fmt --check =="
+cargo fmt --all -- --check
 
 echo "== tier-1: cargo build --release =="
 cargo build --release --offline --workspace
