@@ -302,7 +302,7 @@ impl<'a> Planner<'a> {
         ))
         .then(|| insn.end());
         let rip_target = insn
-            .modrm
+            .modrm()
             .and_then(|m| m.mem)
             .filter(|mem| mem.rip_relative)
             .map(|mem| insn.end().wrapping_add(mem.disp as i64 as u64));

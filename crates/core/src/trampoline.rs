@@ -216,7 +216,7 @@ pub fn build(template: &Template, insn: &Insn, tramp_addr: u64) -> Result<Vec<u8
         }
         Template::CheckCall { func_addr } => {
             let m = insn
-                .modrm
+                .modrm()
                 .and_then(|m| m.mem)
                 .ok_or(BuildError::NoMemOperand)?;
             if m.rip_relative || m.base == Some(Reg::Rsp) {

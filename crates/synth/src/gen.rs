@@ -425,11 +425,15 @@ pub fn generate(profile: &Profile) -> SynthBinary {
     let mut disasm = Vec::new();
     let mut code_bytes = 0usize;
     for &(off, len) in &ranges {
-        let part = e9x86::decode::linear_sweep(&code[off..off + len], text_vaddr + off as u64);
-        let decoded: usize = part.iter().map(|x| x.len()).sum();
+        let first = disasm.len();
+        e9x86::decode::linear_sweep_into(
+            &code[off..off + len],
+            text_vaddr + off as u64,
+            &mut disasm,
+        );
+        let decoded: usize = disasm[first..].iter().map(|x| x.len()).sum();
         assert_eq!(decoded, len, "generated code has undecodable gaps");
         code_bytes += len;
-        disasm.extend(part);
     }
     debug_assert!(code_bytes <= code_len);
 

@@ -4,6 +4,8 @@
 //! loader stub and instrumentation runtime are built from — decoded live by
 //! [`e9x86::decode()`] with a per-address instruction cache (invalidated on
 //! mapping changes, since the injected loader remaps pages while running).
+//! The cache holds each instruction with its operands read back from the
+//! compact [`Insn`] record once, so a loop does not re-read them.
 //!
 //! Performance accounting follows the reproduction's substitution of
 //! wall-clock by a **cost-weighted instruction count** (see DESIGN.md):
@@ -17,7 +19,8 @@
 use crate::cpu::{Cpu, Flags};
 use crate::heap::{BumpHeap, HeapAllocator};
 use crate::mem::{Fault, Memory, Perms, PhysId, PAGE_SIZE};
-use e9x86::insn::{Cond, Insn, Kind, MemOperand, Opcode};
+use e9x86::insn::{Cond, Insn, Kind, MemOperand, ModRm, Opcode};
+use e9x86::prefix::Prefixes;
 use e9x86::reg::{Reg, Width};
 use std::collections::HashMap;
 use std::fmt;
@@ -133,10 +136,45 @@ pub struct Vm {
     /// Cost of a far control-transfer instruction.
     pub far_branch_cost: u64,
     pub(crate) self_fd_phys: Option<PhysId>,
-    icache: HashMap<u64, Insn>,
+    icache: HashMap<u64, Op>,
     icache_epoch: u64,
     exited: Option<i32>,
     history: std::collections::VecDeque<u64>,
+}
+
+/// An instruction as the interpreter runs it: the decoded record with its
+/// operands read back once, when it enters the instruction cache.
+#[derive(Debug, Clone, Copy)]
+struct Op {
+    insn: Insn,
+    prefixes: Prefixes,
+    opcode: Opcode,
+    modrm: Option<ModRm>,
+    imm: i64,
+    kind: Kind,
+    width: Width,
+}
+
+impl Op {
+    fn new(insn: Insn) -> Op {
+        Op {
+            insn,
+            prefixes: insn.prefixes(),
+            opcode: insn.opcode(),
+            modrm: insn.modrm(),
+            imm: insn.imm(),
+            kind: insn.kind,
+            width: insn.width,
+        }
+    }
+
+    fn end(&self) -> u64 {
+        self.insn.end()
+    }
+
+    fn branch_target(&self) -> Option<u64> {
+        self.insn.branch_target()
+    }
 }
 
 /// Number of recent instruction pointers kept for diagnostics.
@@ -195,7 +233,7 @@ impl Vm {
 
     // ---- operand helpers ---------------------------------------------
 
-    fn effective_addr(&self, insn: &Insn, mem: &MemOperand) -> u64 {
+    fn effective_addr(&self, insn: &Op, mem: &MemOperand) -> u64 {
         let mut a = mem.disp as i64 as u64;
         if mem.rip_relative {
             a = a.wrapping_add(insn.end());
@@ -209,7 +247,7 @@ impl Vm {
         a
     }
 
-    fn read_rm(&self, insn: &Insn, w: Width) -> Result<u64, VmError> {
+    fn read_rm(&self, insn: &Op, w: Width) -> Result<u64, VmError> {
         let m = insn.modrm.expect("modrm operand");
         match m.mem {
             Some(mem) => {
@@ -220,7 +258,7 @@ impl Vm {
         }
     }
 
-    fn write_rm(&mut self, insn: &Insn, w: Width, v: u64) -> Result<(), VmError> {
+    fn write_rm(&mut self, insn: &Op, w: Width, v: u64) -> Result<(), VmError> {
         let m = insn.modrm.expect("modrm operand");
         match m.mem {
             Some(mem) => {
@@ -236,19 +274,19 @@ impl Vm {
         }
     }
 
-    fn reg_field(&self, insn: &Insn, w: Width) -> u64 {
+    fn reg_field(&self, insn: &Op, w: Width) -> u64 {
         let m = insn.modrm.expect("modrm operand");
         self.cpu.get_w(m.reg, w, insn.prefixes.rex.is_some())
     }
 
-    fn set_reg_field(&mut self, insn: &Insn, w: Width, v: u64) {
+    fn set_reg_field(&mut self, insn: &Op, w: Width, v: u64) {
         let m = insn.modrm.expect("modrm operand");
         self.cpu.set_w(m.reg, w, insn.prefixes.rex.is_some(), v);
     }
 
     /// Opcode-embedded register (push/pop/mov-imm): low 3 opcode bits plus
     /// REX.B.
-    fn opcode_reg(insn: &Insn, op: u8) -> u8 {
+    fn opcode_reg(insn: &Op, op: u8) -> u8 {
         (op & 7) | if insn.prefixes.rex_b() { 8 } else { 0 }
     }
 
@@ -439,7 +477,7 @@ impl Vm {
 
     // ---- main loop -------------------------------------------------------
 
-    fn decode_at(&mut self, rip: u64) -> Result<Insn, VmError> {
+    fn decode_at(&mut self, rip: u64) -> Result<Op, VmError> {
         if self.icache_epoch != self.mem.epoch {
             self.icache.clear();
             self.icache_epoch = self.mem.epoch;
@@ -452,8 +490,9 @@ impl Vm {
             rip,
             msg: format!("{e} (bytes {bytes:02x?})"),
         })?;
-        self.icache.insert(rip, insn);
-        Ok(insn)
+        let op = Op::new(insn);
+        self.icache.insert(rip, op);
+        Ok(op)
     }
 
     /// Execute one instruction. Returns `false` once the guest has exited.
@@ -863,7 +902,7 @@ impl Vm {
             _ => {
                 return Err(VmError::Unsupported {
                     rip,
-                    msg: format!("{insn}"),
+                    msg: format!("{}", insn.insn),
                 })
             }
         }

@@ -886,7 +886,7 @@ mod tests {
         let code = a.finish().unwrap();
         let i = decode(&code, 0x1000).unwrap();
         assert!(i.writes_memory());
-        let m = i.modrm.unwrap().mem.unwrap();
+        let m = i.modrm().unwrap().mem.unwrap();
         assert_eq!(m.base, Some(Reg::Rbx));
         assert_eq!(m.disp, -8);
     }
@@ -901,7 +901,7 @@ mod tests {
         a.dq(0xDEAD);
         let code = a.finish().unwrap();
         let i = decode(&code, 0x2000).unwrap();
-        let m = i.modrm.unwrap();
+        let m = i.modrm().unwrap();
         assert!(m.mem.unwrap().rip_relative);
         // lea is 7 bytes, ret 1 — data at 0x2008, disp = 0x2008 - 0x2007 = 1.
         assert_eq!(m.mem.unwrap().disp, 1);

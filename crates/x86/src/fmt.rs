@@ -60,7 +60,7 @@ fn fmt_mem(insn: &Insn, m: &MemOperand) -> String {
 fn reg_name(insn: &Insn, num: u8, w: Width) -> String {
     format!(
         "%{}",
-        Reg::from_num(num).name_w(w, insn.prefixes.rex.is_some())
+        Reg::from_num(num).name_w(w, insn.prefixes().rex.is_some())
     )
 }
 
@@ -76,10 +76,10 @@ fn reg_str(insn: &Insn, m: &ModRm, w: Width) -> String {
 }
 
 fn imm_str(insn: &Insn) -> String {
-    if insn.imm < 0 {
-        format!("$-{:#x}", -(insn.imm as i128))
+    if insn.imm() < 0 {
+        format!("$-{:#x}", -(insn.imm() as i128))
     } else {
-        format!("${:#x}", insn.imm)
+        format!("${:#x}", insn.imm())
     }
 }
 
@@ -116,15 +116,15 @@ pub fn format_insn(insn: &Insn) -> String {
             return format!("call {:#x}", insn.branch_target().unwrap());
         }
         Kind::JmpInd => {
-            let m = insn.modrm.unwrap();
+            let m = insn.modrm().unwrap();
             return format!("jmp *{}", rm_str(insn, &m, Width::Q));
         }
         Kind::CallInd => {
-            let m = insn.modrm.unwrap();
+            let m = insn.modrm().unwrap();
             return format!("call *{}", rm_str(insn, &m, Width::Q));
         }
         Kind::Ret => {
-            return if insn.imm != 0 {
+            return if insn.imm() != 0 {
                 format!("ret {}", imm_str(insn))
             } else {
                 "ret".to_string()
@@ -133,7 +133,7 @@ pub fn format_insn(insn: &Insn) -> String {
         Kind::Int3 => return "int3".to_string(),
         Kind::Syscall => return "syscall".to_string(),
         Kind::LoopRel8 => {
-            let name = match insn.opcode {
+            let name = match insn.opcode() {
                 Opcode::One(0xE0) => "loopne",
                 Opcode::One(0xE1) => "loope",
                 Opcode::One(0xE2) => "loop",
@@ -144,11 +144,11 @@ pub fn format_insn(insn: &Insn) -> String {
         Kind::Other => {}
     }
 
-    match insn.opcode {
+    match insn.opcode() {
         // ALU family.
         Opcode::One(op) if op < 0x40 && !matches!(op & 7, 6 | 7) => {
             let name = ALU_NAMES[(op >> 3) as usize];
-            let m = insn.modrm;
+            let m = insn.modrm();
             match op & 7 {
                 0 | 1 => {
                     let m = m.unwrap();
@@ -163,7 +163,7 @@ pub fn format_insn(insn: &Insn) -> String {
         }
         Opcode::One(op @ (0x80 | 0x81 | 0x83)) => {
             let _ = op;
-            let m = insn.modrm.unwrap();
+            let m = insn.modrm().unwrap();
             let name = ALU_NAMES[(m.reg & 7) as usize];
             format!(
                 "{name}{} {},{}",
@@ -173,31 +173,31 @@ pub fn format_insn(insn: &Insn) -> String {
             )
         }
         Opcode::One(0x84 | 0x85) => {
-            let m = insn.modrm.unwrap();
+            let m = insn.modrm().unwrap();
             format!("test {},{}", reg_str(insn, &m, w), rm_str(insn, &m, w))
         }
         Opcode::One(0x86 | 0x87) => {
-            let m = insn.modrm.unwrap();
+            let m = insn.modrm().unwrap();
             format!("xchg {},{}", reg_str(insn, &m, w), rm_str(insn, &m, w))
         }
         Opcode::One(0x88 | 0x89) => {
-            let m = insn.modrm.unwrap();
+            let m = insn.modrm().unwrap();
             format!("mov {},{}", reg_str(insn, &m, w), rm_str(insn, &m, w))
         }
         Opcode::One(0x8A | 0x8B) => {
-            let m = insn.modrm.unwrap();
+            let m = insn.modrm().unwrap();
             format!("mov {},{}", rm_str(insn, &m, w), reg_str(insn, &m, w))
         }
         Opcode::One(0x8D) => {
-            let m = insn.modrm.unwrap();
+            let m = insn.modrm().unwrap();
             format!("lea {},{}", rm_str(insn, &m, w), reg_str(insn, &m, w))
         }
         Opcode::One(0x8F) => {
-            let m = insn.modrm.unwrap();
+            let m = insn.modrm().unwrap();
             format!("pop {}", rm_str(insn, &m, Width::Q))
         }
         Opcode::One(0x63) => {
-            let m = insn.modrm.unwrap();
+            let m = insn.modrm().unwrap();
             format!(
                 "movsxd {},{}",
                 rm_str(insn, &m, Width::D),
@@ -205,16 +205,16 @@ pub fn format_insn(insn: &Insn) -> String {
             )
         }
         Opcode::One(op @ 0x50..=0x57) => {
-            let r = (op & 7) | if insn.prefixes.rex_b() { 8 } else { 0 };
+            let r = (op & 7) | if insn.prefixes().rex_b() { 8 } else { 0 };
             format!("push {}", reg_name(insn, r, Width::Q))
         }
         Opcode::One(op @ 0x58..=0x5F) => {
-            let r = (op & 7) | if insn.prefixes.rex_b() { 8 } else { 0 };
+            let r = (op & 7) | if insn.prefixes().rex_b() { 8 } else { 0 };
             format!("pop {}", reg_name(insn, r, Width::Q))
         }
         Opcode::One(0x68 | 0x6A) => format!("push {}", imm_str(insn)),
         Opcode::One(0x69 | 0x6B) => {
-            let m = insn.modrm.unwrap();
+            let m = insn.modrm().unwrap();
             format!(
                 "imul {},{},{}",
                 imm_str(insn),
@@ -222,9 +222,9 @@ pub fn format_insn(insn: &Insn) -> String {
                 reg_str(insn, &m, w)
             )
         }
-        Opcode::One(0x90) if !insn.prefixes.rex_b() => "nop".to_string(),
+        Opcode::One(0x90) if !insn.prefixes().rex_b() => "nop".to_string(),
         Opcode::One(op @ 0x90..=0x97) => {
-            let r = (op & 7) | if insn.prefixes.rex_b() { 8 } else { 0 };
+            let r = (op & 7) | if insn.prefixes().rex_b() { 8 } else { 0 };
             format!("xchg {},{}", reg_name(insn, 0, w), reg_name(insn, r, w))
         }
         Opcode::One(0x98) => if w == Width::Q { "cdqe" } else { "cwde" }.to_string(),
@@ -235,12 +235,12 @@ pub fn format_insn(insn: &Insn) -> String {
             format!("test {},{}", imm_str(insn), reg_name(insn, 0, w))
         }
         Opcode::One(op @ 0xB0..=0xBF) => {
-            let r = (op & 7) | if insn.prefixes.rex_b() { 8 } else { 0 };
+            let r = (op & 7) | if insn.prefixes().rex_b() { 8 } else { 0 };
             let aw = if op < 0xB8 { Width::B } else { w };
             format!("mov {},{}", imm_str(insn), reg_name(insn, r, aw))
         }
         Opcode::One(op @ (0xC0 | 0xC1 | 0xD0 | 0xD1 | 0xD2 | 0xD3)) => {
-            let m = insn.modrm.unwrap();
+            let m = insn.modrm().unwrap();
             let name = SHIFT_NAMES[(m.reg & 7) as usize];
             let count = match op {
                 0xC0 | 0xC1 => imm_str(insn),
@@ -250,7 +250,7 @@ pub fn format_insn(insn: &Insn) -> String {
             format!("{name} {count},{}", rm_str(insn, &m, w))
         }
         Opcode::One(0xC6 | 0xC7) => {
-            let m = insn.modrm.unwrap();
+            let m = insn.modrm().unwrap();
             format!(
                 "mov{} {},{}",
                 if m.mem.is_some() { width_suffix(w) } else { "" },
@@ -260,7 +260,7 @@ pub fn format_insn(insn: &Insn) -> String {
         }
         Opcode::One(0xC9) => "leave".to_string(),
         Opcode::One(0xF6 | 0xF7) => {
-            let m = insn.modrm.unwrap();
+            let m = insn.modrm().unwrap();
             let name = GRP3_NAMES[(m.reg & 7) as usize];
             if m.reg & 7 <= 1 {
                 format!("{name} {},{}", imm_str(insn), rm_str(insn, &m, w))
@@ -269,7 +269,7 @@ pub fn format_insn(insn: &Insn) -> String {
             }
         }
         Opcode::One(0xFE | 0xFF) => {
-            let m = insn.modrm.unwrap();
+            let m = insn.modrm().unwrap();
             match m.reg & 7 {
                 0 => format!("inc{} {}", width_suffix(w), rm_str(insn, &m, w)),
                 1 => format!("dec{} {}", width_suffix(w), rm_str(insn, &m, w)),
@@ -279,7 +279,7 @@ pub fn format_insn(insn: &Insn) -> String {
         }
         Opcode::TwoOf(0x1F) => "nop".to_string(),
         Opcode::TwoOf(op @ 0x40..=0x4F) => {
-            let m = insn.modrm.unwrap();
+            let m = insn.modrm().unwrap();
             format!(
                 "cmov{} {},{}",
                 cond_suffix(Cond::from_nibble(op & 0xF)),
@@ -288,7 +288,7 @@ pub fn format_insn(insn: &Insn) -> String {
             )
         }
         Opcode::TwoOf(op @ 0x90..=0x9F) => {
-            let m = insn.modrm.unwrap();
+            let m = insn.modrm().unwrap();
             format!(
                 "set{} {}",
                 cond_suffix(Cond::from_nibble(op & 0xF)),
@@ -296,11 +296,11 @@ pub fn format_insn(insn: &Insn) -> String {
             )
         }
         Opcode::TwoOf(0xAF) => {
-            let m = insn.modrm.unwrap();
+            let m = insn.modrm().unwrap();
             format!("imul {},{}", rm_str(insn, &m, w), reg_str(insn, &m, w))
         }
         Opcode::TwoOf(op @ (0xB6 | 0xB7 | 0xBE | 0xBF)) => {
-            let m = insn.modrm.unwrap();
+            let m = insn.modrm().unwrap();
             let name = if op < 0xBE { "movzx" } else { "movsx" };
             let src_w = if op & 1 == 0 { Width::B } else { Width::W };
             format!(
@@ -313,7 +313,7 @@ pub fn format_insn(insn: &Insn) -> String {
         Opcode::TwoOf(0xA2) => "cpuid".to_string(),
         Opcode::TwoOf(0x31) => "rdtsc".to_string(),
         Opcode::TwoOf(op @ 0xC8..=0xCF) => {
-            let r = (op & 7) | if insn.prefixes.rex_b() { 8 } else { 0 };
+            let r = (op & 7) | if insn.prefixes().rex_b() { 8 } else { 0 };
             format!("bswap {}", reg_name(insn, r, w))
         }
         _ => fallback(insn),

@@ -85,7 +85,7 @@ pub fn relocate(insn: &Insn, new_addr: u64) -> Result<Vec<u8>, RelocError> {
         Kind::LoopRel8 => Err(RelocError::UnsupportedLoop),
         _ => {
             let mut v = insn.bytes().to_vec();
-            if let Some(m) = insn.modrm {
+            if let Some(m) = insn.modrm() {
                 if let Some(mem) = m.mem {
                     if mem.rip_relative {
                         // target = old_end + disp; new_disp = target - new_end.
@@ -169,7 +169,7 @@ mod tests {
         let i = decode(&[0x48, 0x89, 0x05, 0x00, 0x20, 0x00, 0x00], 0x400000).unwrap();
         let v = relocate(&i, 0x400100).unwrap();
         let r = decode(&v, 0x400100).unwrap();
-        let m = r.modrm.unwrap().mem.unwrap();
+        let m = r.modrm().unwrap().mem.unwrap();
         let target = r.end().wrapping_add(m.disp as i64 as u64);
         assert_eq!(target, 0x400000 + 7 + 0x2000);
     }

@@ -22,7 +22,7 @@ fn three_byte_maps() {
         10
     );
     let i = decode(&[0x66, 0x0F, 0x38, 0x00, 0xC1], 0).unwrap();
-    assert!(matches!(i.opcode, Opcode::ThreeOf38(0x00)));
+    assert!(matches!(i.opcode(), Opcode::ThreeOf38(0x00)));
 }
 
 #[test]
@@ -62,7 +62,7 @@ fn lock_prefixed_rmw() {
     // lock add %rax,(%rbx): f0 48 01 03.
     let i = decode(&[0xF0, 0x48, 0x01, 0x03], 0).unwrap();
     assert_eq!(i.len(), 4);
-    assert!(i.prefixes.lock);
+    assert!(i.prefixes().lock);
     assert!(i.writes_memory());
     // lock cmpxchg %rcx,(%rdx): f0 48 0f b1 0a.
     let i = decode(&[0xF0, 0x48, 0x0F, 0xB1, 0x0A], 0).unwrap();
@@ -75,8 +75,8 @@ fn segment_prefixed_memory_access() {
     // mov %fs:0x28,%rax: 64 48 8b 04 25 28 00 00 00.
     let i = decode(&[0x64, 0x48, 0x8B, 0x04, 0x25, 0x28, 0, 0, 0], 0).unwrap();
     assert_eq!(i.len(), 9);
-    assert_eq!(i.prefixes.segment, Some(0x64));
-    let m = i.modrm.unwrap().mem.unwrap();
+    assert_eq!(i.prefixes().segment, Some(0x64));
+    let m = i.modrm().unwrap().mem.unwrap();
     assert_eq!(m.base, None);
     assert_eq!(m.disp, 0x28);
 }
@@ -90,7 +90,7 @@ fn sixteen_bit_operand_forms() {
     // add $0x1234,%ax: 66 05 34 12.
     let i = decode(&[0x66, 0x05, 0x34, 0x12], 0).unwrap();
     assert_eq!(i.len(), 4);
-    assert_eq!(i.imm, 0x1234);
+    assert_eq!(i.imm(), 0x1234);
     // imul $imm16: 66 69 c0 34 12.
     assert_eq!(len_of(&[0x66, 0x69, 0xC0, 0x34, 0x12]), 5);
 }

@@ -115,7 +115,7 @@ props! {
         let opc = (op & 0x3F) & !0x04; // keep to r/m forms
         let bytes = [0x48, opc, modbits, 0, 0, 0, 0, 0];
         if let Ok(insn) = decode(&bytes, 0x1000) {
-            if insn.modrm.is_some_and(|m| m.is_reg_direct()) {
+            if insn.modrm().is_some_and(|m| m.is_reg_direct()) {
                 prop_assert!(!insn.writes_memory());
                 prop_assert!(!insn.is_heap_write());
             }
