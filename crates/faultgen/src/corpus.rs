@@ -8,13 +8,13 @@
 //! evolves. Regenerate with `e9fault --write-corpus <dir>`.
 
 use crate::elf::{
-    baseline_elf, phdr_at, put16, put32, put64, read16, read64, EH_PHNUM, EH_SHNUM, EH_SHSTRNDX,
-    PH_FILESZ, PH_MEMSZ, PH_OFFSET, PH_TYPE, PH_VADDR,
+    baseline_elf, phdr_at, put16, put32, put64, read16, read64, EH_PHNUM, EH_SHNUM, EH_SHOFF,
+    EH_SHSTRNDX, PH_FILESZ, PH_MEMSZ, PH_OFFSET, PH_TYPE, PH_VADDR, SH_ADDR, SH_FLAGS,
 };
-use e9elf::types::{EHDR_SIZE, PHDR_SIZE, PT_NOTE};
+use e9elf::types::{EHDR_SIZE, PHDR_SIZE, PT_NOTE, SHDR_SIZE, SHF_EXECINSTR};
 
 /// Names of every corpus entry, in generation order.
-pub const NAMES: [&str; 10] = [
+pub const NAMES: [&str; 11] = [
     "trunc-ehdr",
     "trunc-phdrs",
     "phnum-bomb",
@@ -25,11 +25,22 @@ pub const NAMES: [&str; 10] = [
     "memsz-bomb",
     "shstrndx-oob",
     "note-wrap",
+    "text-wrap",
 ];
 
 /// Offset of program header `i` of the (well-formed) baseline.
 fn phdr(bytes: &[u8], i: u16) -> usize {
     phdr_at(bytes, i).expect("baseline program header")
+}
+
+/// Offset of the (well-formed) baseline's executable section header:
+/// its `.text`.
+fn text_shdr(bytes: &[u8]) -> usize {
+    let shoff = read64(bytes, EH_SHOFF) as usize;
+    (0..usize::from(read16(bytes, EH_SHNUM)))
+        .map(|i| shoff + i * SHDR_SIZE)
+        .find(|&off| read64(bytes, off + SH_FLAGS) & SHF_EXECINSTR != 0)
+        .expect("baseline .text section header")
 }
 
 /// Generate the corpus entry `name`, or `None` for an unknown name.
@@ -80,6 +91,12 @@ pub fn generate(name: &str) -> Option<Vec<u8>> {
             put32(&mut b, off + PH_TYPE, PT_NOTE);
             put64(&mut b, off + PH_OFFSET, u64::MAX - 4);
             put64(&mut b, off + PH_FILESZ, 64);
+        }
+        // `.text` placed 9 bytes below 2^64: its addresses wrap, while
+        // the load segments stay well-formed.
+        "text-wrap" => {
+            let off = text_shdr(&b);
+            put64(&mut b, off + SH_ADDR, u64::MAX - 8);
         }
         _ => return None,
     }

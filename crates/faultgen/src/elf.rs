@@ -15,10 +15,14 @@ use e9rng::StdRng;
 // ELF64 file-header field offsets (bytes); also used by `corpus`.
 const EH_ENTRY: usize = 24;
 const EH_PHOFF: usize = 32;
-const EH_SHOFF: usize = 40;
+pub(crate) const EH_SHOFF: usize = 40;
 pub(crate) const EH_PHNUM: usize = 56;
 pub(crate) const EH_SHNUM: usize = 60;
 pub(crate) const EH_SHSTRNDX: usize = 62;
+
+// Section-header field offsets relative to the header's start.
+pub(crate) const SH_FLAGS: usize = 8;
+pub(crate) const SH_ADDR: usize = 16;
 
 // Program-header field offsets relative to the header's start.
 pub(crate) const PH_TYPE: usize = 0;

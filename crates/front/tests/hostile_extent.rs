@@ -6,9 +6,12 @@
 //! wrote an output. A `PT_LOAD` whose file range lies past EOF
 //! (`offset-oob.bin`) was rewritten into an output no loader accepts.
 //! Every driver must refuse all of them with a typed error, in-process
-//! and over a loopback daemon session.
+//! and over a loopback daemon session. Code whose addresses wrap past
+//! 2^64 (`text-wrap.bin`, a `.text` placed 9 bytes below the top) used to
+//! panic a debug build's linear sweep; the frontends must refuse it
+//! before sweeping.
 
-use e9elf::types::{PHDR_SIZE, PT_LOAD};
+use e9elf::types::{PF_X, PHDR_SIZE, PT_LOAD, SHDR_SIZE, SHF_EXECINSTR};
 use e9front::{Application, Exec, FrontError, Options, Payload};
 use e9hook::{HookError, HookSpec};
 use e9patch::RewriteConfig;
@@ -25,16 +28,18 @@ fn tiny() -> Vec<u8> {
     e9synth::generate(&e9synth::Profile::tiny("hostile-extent", false)).binary
 }
 
+/// The `n`-byte little-endian field at `off`.
+fn read(b: &[u8], off: usize, n: usize) -> u64 {
+    b[off..off + n]
+        .iter()
+        .rev()
+        .fold(0u64, |v, &x| v << 8 | u64::from(x))
+}
+
 /// A well-formed synth binary whose last `PT_LOAD` claims `u64::MAX`
 /// bytes of memory.
 fn stretched_memsz() -> Vec<u8> {
     let mut b = tiny();
-    let read = |b: &[u8], off: usize, n: usize| {
-        b[off..off + n]
-            .iter()
-            .rev()
-            .fold(0u64, |v, &x| v << 8 | u64::from(x))
-    };
     let phoff = read(&b, 32, 8) as usize;
     let phnum = read(&b, 56, 2) as usize;
     let last = (0..phnum)
@@ -141,5 +146,75 @@ fn segment_past_eof_is_a_typed_error_over_a_daemon_session() {
     match hook(&bin, Exec::Backend(&mut session())) {
         Err(FrontError::Backend(m)) => assert!(m.contains("past the end of the input"), "{m}"),
         other => panic!("hook: {other:?}"),
+    }
+}
+
+// Code whose addresses wrap past 2^64: the frontends refuse it before
+// sweeping, so no address is ever computed past the top.
+
+/// `bin` with the section header of its `.text` moved to `vaddr`; the load
+/// segments are untouched.
+fn text_moved(mut b: Vec<u8>, vaddr: u64) -> Vec<u8> {
+    let addr = e9elf::Elf::parse(&b)
+        .unwrap()
+        .section(".text")
+        .unwrap()
+        .sh_addr;
+    let shoff = read(&b, 40, 8) as usize;
+    let hdr = (0..read(&b, 60, 2) as usize)
+        .map(|i| shoff + i * SHDR_SIZE)
+        .find(|&off| read(&b, off + 16, 8) == addr && read(&b, off + 8, 8) & SHF_EXECINSTR != 0)
+        .expect(".text section header");
+    b[hdr + 16..hdr + 24].copy_from_slice(&vaddr.to_le_bytes());
+    b
+}
+
+#[test]
+fn text_wrapping_past_the_address_space_is_refused() {
+    for (name, bin) in [
+        ("text-wrap", corpus("text-wrap.bin")),
+        ("tiny", text_moved(tiny(), u64::MAX - 8)),
+    ] {
+        match e9front::disassemble_text(&bin) {
+            Err(FrontError::Input(m)) => {
+                assert!(
+                    m.contains("past the end of the address space"),
+                    "{name}: {m}"
+                )
+            }
+            other => panic!("{name}: {other:?}"),
+        }
+    }
+    // A `.text` whose last byte sits at `u64::MAX` does not wrap: it
+    // sweeps, and no instruction ends past the top.
+    let bin = tiny();
+    let size = e9elf::Elf::parse(&bin)
+        .unwrap()
+        .section(".text")
+        .unwrap()
+        .sh_size;
+    let disasm = e9front::disassemble_text(&text_moved(bin, u64::MAX - (size - 1))).unwrap();
+    assert!(!disasm.is_empty());
+    assert!(disasm
+        .iter()
+        .all(|i| i.addr.checked_add(i.len() as u64).is_some()));
+}
+
+#[test]
+fn exec_segment_wrapping_past_the_address_space_is_refused() {
+    let mut b = tiny();
+    let phoff = read(&b, 32, 8) as usize;
+    let exec = (0..read(&b, 56, 2) as usize)
+        .map(|i| phoff + i * PHDR_SIZE)
+        .find(|&off| {
+            read(&b, off, 4) == u64::from(PT_LOAD) && read(&b, off + 4, 4) & u64::from(PF_X) != 0
+        })
+        .expect("an executable PT_LOAD");
+    b[exec + 16..exec + 24].copy_from_slice(&(u64::MAX - 8).to_le_bytes());
+    match e9front::disassemble_exec_segments(&b) {
+        Err(FrontError::Input(m)) => {
+            assert!(m.contains("past the end of the address space"), "{m}")
+        }
+        other => panic!("{other:?}"),
     }
 }
