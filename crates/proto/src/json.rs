@@ -265,6 +265,20 @@ pub fn parse(input: &[u8]) -> Result<Json, JsonError> {
     Ok(v)
 }
 
+/// Check that `input` is one complete JSON value, as [`parse`] does,
+/// without building it: a line that is not JSON is refused in memory
+/// proportional to its nesting, not its length.
+///
+/// # Errors
+///
+/// The [`JsonError`] that [`parse`] reports for `input`.
+pub fn check(input: &[u8]) -> Result<(), JsonError> {
+    std::str::from_utf8(input).map_err(|_| JsonError::BadUtf8)?;
+    let mut p = Scanner::new(input);
+    p.skip(0)?;
+    p.end()
+}
+
 /// A cursor over one JSON text: the parser behind [`parse`], and the
 /// single pass that decoders use to read a text without building a tree.
 ///
@@ -274,9 +288,9 @@ pub fn parse(input: &[u8]) -> Result<Json, JsonError> {
 /// of up front (outside strings a non-ASCII byte is a syntax error), so
 /// on a bad text its error may differ from [`parse`]'s. The line
 /// decoders in [`crate::msg`] therefore answer every line the scanner
-/// reads to its end themselves, errors included, and reparse with
-/// [`parse`] only a line the scanner stops on: one that is not JSON,
-/// whose error [`parse`] words.
+/// reads to its end themselves, errors included. A line the scanner stops
+/// on goes through [`check`], which words [`parse`]'s error without a
+/// tree; only a line that passes it is reparsed with [`parse`].
 pub(crate) struct Scanner<'a> {
     bytes: &'a [u8],
     pos: usize,
@@ -718,7 +732,20 @@ mod tests {
             b"\"raw\x01ctl\"", // raw control char in string
         ] {
             assert!(parse(bad).is_err(), "{bad:?} unexpectedly parsed");
+            assert_eq!(check(bad), parse(bad).map(drop), "{bad:?}");
         }
+    }
+
+    #[test]
+    fn check_agrees_with_parse() {
+        let full = r#"{"method":"patch","params":{"addr":4198400,"l":[1,"x",null]}}"#;
+        for cut in 0..=full.len() {
+            let b = &full.as_bytes()[..cut];
+            assert_eq!(check(b), parse(b).map(drop), "{cut}");
+        }
+        let bomb = "[".repeat(100_000);
+        assert_eq!(check(bomb.as_bytes()), Err(JsonError::TooDeep));
+        assert_eq!(check(b" [1, {\"a\": true}] "), Ok(()));
     }
 
     #[test]

@@ -477,14 +477,22 @@ impl Request {
     /// The result is always [`Request::decode_line_via_tree`]'s: the two
     /// readers fill the same table, and one assembly words the reply. A
     /// line the single pass reads to its end gets its reply, error or
-    /// not, from that assembly. Only a line that is not JSON reaches the
-    /// tree, because [`json::parse`] words the [`code::PARSE`] error.
+    /// not, from that assembly. A line the pass stops on is one that is
+    /// not JSON: [`json::check`] words its [`code::PARSE`] error as
+    /// [`json::parse`] would, without building a tree, and only a line
+    /// that passes the check goes on to the tree.
     ///
     /// # Errors
     ///
     /// The error reply, as [`Request::decode_line_via_tree`] gives it.
     pub fn decode_line(line: &[u8]) -> Result<Request, Response> {
-        scan_request(line).unwrap_or_else(|_| Request::decode_line_via_tree(line))
+        scan_request(line).unwrap_or_else(|_| match json::check(line) {
+            Err(e) => Err(Response::err(
+                None,
+                RpcError::new(code::PARSE, e.to_string()),
+            )),
+            Ok(()) => Request::decode_line_via_tree(line),
+        })
     }
 
     /// The reference line decoder: [`json::parse`], then the tree reader
@@ -642,14 +650,16 @@ impl Response {
     /// the request decoder's scanner, and `result` becomes a [`Json`]
     /// value as it is read (an empty `{}` allocates nothing). The result
     /// is always [`Response::decode`]'s after [`json::parse`]: both
-    /// readers feed one envelope rule. Only a line that is not JSON
-    /// reaches the tree, for the parse error.
+    /// readers feed one envelope rule. A line the pass stops on is not
+    /// JSON: [`json::check`] words the parse error without a tree, and
+    /// only a line that passes it is parsed.
     ///
     /// # Errors
     ///
     /// As [`Response::decode`], or the parse error.
     pub fn decode_line(line: &[u8]) -> Result<Response, String> {
         scan_response(line).unwrap_or_else(|_| {
+            json::check(line).map_err(|e| e.to_string())?;
             let value = json::parse(line).map_err(|e| e.to_string())?;
             Response::decode(&value)
         })
