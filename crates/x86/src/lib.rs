@@ -8,8 +8,11 @@
 //! The rewriter core (`e9patch`) only needs instruction *locations and
 //! sizes* plus a few byte-level facts (branch kinds, pun windows); the
 //! emulator (`e9vm`) additionally interprets the decoded operands. Both are
-//! served by [`decode::decode`], which produces an [`insn::Insn`] carrying
-//! prefixes, opcode, ModRM/SIB, displacement and immediate fields.
+//! served by [`decode::decode`], which produces a 32-byte [`insn::Insn`]:
+//! the address, the instruction bytes, kind, width, a few offsets and the
+//! bits of the store predicates. Prefixes, opcode, ModRM/SIB, displacement
+//! and immediate are accessors that read the stored bytes, so a linear
+//! sweep over a large binary writes little more than the bytes it decodes.
 //!
 //! ```
 //! use e9x86::decode::decode;
