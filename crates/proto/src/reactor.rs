@@ -32,7 +32,7 @@
 //!   delivered to it).
 
 use crate::msg::{code, Response, RpcError};
-use crate::server::{encode_line, oversized_line, reply_line, ServeConfig, ShedCounters};
+use crate::server::{oversized_line, reply_line, write_line, ServeConfig, ShedCounters};
 use crate::session::Session;
 pub use e9loop::{Listener, Service, ServiceFactory, Summary};
 use std::io;
@@ -42,7 +42,12 @@ use std::sync::Arc;
 /// The one BUSY line, shared by admission shed and budget shed.
 fn busy_line() -> Vec<u8> {
     let msg = "server over capacity; request shed, retry later";
-    encode_line(&Response::err(None, RpcError::new(code::BUSY, msg)))
+    let mut out = Vec::new();
+    write_line(
+        &Response::err(None, RpcError::new(code::BUSY, msg)),
+        &mut out,
+    );
+    out
 }
 
 /// One connection's service: a [`Session`] answered through the same
@@ -53,12 +58,14 @@ pub struct SessionService {
 }
 
 impl Service for SessionService {
-    fn on_line(&mut self, line: &[u8]) -> Option<Vec<u8>> {
-        reply_line(&mut self.session, line)
+    fn on_line(&mut self, line: &[u8], out: &mut Vec<u8>) {
+        reply_line(&mut self.session, line, out);
     }
 
     fn on_oversized(&mut self, cap: usize) -> Vec<u8> {
-        oversized_line(cap)
+        let mut out = Vec::new();
+        oversized_line(cap, &mut out);
+        out
     }
 
     fn on_busy(&mut self, _line: &[u8]) -> Vec<u8> {

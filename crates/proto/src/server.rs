@@ -8,6 +8,13 @@
 //!
 //! Each connection gets its own [`Session`]; a `shutdown` command ends the
 //! connection.
+//!
+//! Both loops batch replies per read: a reply is appended to the
+//! connection's pending output, and the output is written once the input
+//! that produced it has been used up. The stdio loop writes after each
+//! `fill_buf` chunk, the reactor after each socket read. Neither waits
+//! for input while it holds a reply, so a client that sends one request
+//! and waits for its answer is never stalled.
 
 use crate::msg::{code, Request, Response, RpcError};
 use crate::session::{Session, SessionLimits};
@@ -93,6 +100,12 @@ pub fn serve_connection<R: BufRead, W: Write>(reader: &mut R, writer: &mut W) ->
 
 /// [`serve_connection`] with explicit hardening knobs.
 ///
+/// Replies to the lines of one `fill_buf` chunk are written together, in
+/// one `write_all` + `flush` through the `proto.server.write` failpoint,
+/// once the chunk is used up: before the next read that can block, and
+/// before returning on `shutdown` or EOF. This loop serves `e9patchd
+/// --stdio`, `e9tool --backend stdio` and [`crate::ProtoClient::in_process`].
+///
 /// Three classes of bad input are survived in-band, keeping the
 /// connection (and the daemon) alive:
 ///
@@ -119,6 +132,11 @@ pub fn serve_connection_with<R: BufRead, W: Write>(
     let mut session = Session::from_config(config);
     let cap = config.transport.max_line_bytes;
     let mut framer = LineFramer::new(cap);
+    // Replies not yet written. They are written once the chunk that
+    // produced them is used up, before any read that can block, so the
+    // client never waits on a reply held back while the server waits on
+    // the client.
+    let mut replies = Vec::new();
     loop {
         // EINTR during a socket read is not end-of-session: `fill_buf`
         // propagates it raw (unlike `write_all`, which retries
@@ -135,25 +153,28 @@ pub fn serve_connection_with<R: BufRead, W: Write>(
         } else {
             framer.push(chunk)
         };
-        let reply = match frame {
-            None => None,
-            Some(Frame::Oversized) => Some(oversized_line(cap)),
-            Some(Frame::Line(line)) => reply_line(&mut session, line),
-        };
+        let drained = used == chunk.len();
+        match frame {
+            None => {}
+            Some(Frame::Oversized) => oversized_line(cap, &mut replies),
+            Some(Frame::Line(line)) => reply_line(&mut session, line, &mut replies),
+        }
         reader.consume(used);
-        if let Some(reply) = reply {
+        let shutdown = session.shutdown_requested();
+        if (drained || shutdown) && !replies.is_empty() {
             // The injection point sits *before* any bytes land, so a
             // retried interrupt can never duplicate a partial response.
             // (Real EINTR mid-write is already absorbed inside
             // `write_all`.)
             e9failpt::retry::retry_interrupted(e9failpt::retry::EINTR_BUDGET, || {
                 e9failpt::fail_io("proto.server.write")?;
-                writer.write_all(&reply)?;
+                writer.write_all(&replies)?;
                 writer.flush()
             })?;
-            if session.shutdown_requested() {
-                return Ok(true);
-            }
+            replies.clear();
+        }
+        if shutdown {
+            return Ok(true);
         }
         if eof {
             return Ok(false);
@@ -161,13 +182,13 @@ pub fn serve_connection_with<R: BufRead, W: Write>(
     }
 }
 
-/// The newline-terminated reply to one complete request line, shared by
-/// the stdio loop and the reactor: `None` for a blank line (skipped, no
-/// reply), otherwise [`dispatch_line`]'s response, or [`code::INTERNAL`]
-/// if handling panicked.
-pub fn reply_line(session: &mut Session, line: &[u8]) -> Option<Vec<u8>> {
+/// Append the newline-terminated reply to one complete request line to
+/// `out`, shared by the stdio loop and the reactor: nothing for a blank
+/// line (skipped, no reply), otherwise [`dispatch_line`]'s response, or
+/// [`code::INTERNAL`] if handling panicked.
+pub fn reply_line(session: &mut Session, line: &[u8], out: &mut Vec<u8>) {
     if line.iter().all(u8::is_ascii_whitespace) {
-        return None;
+        return;
     }
     let resp =
         catch_unwind(AssertUnwindSafe(|| dispatch_line(session, line))).unwrap_or_else(|_| {
@@ -176,23 +197,21 @@ pub fn reply_line(session: &mut Session, line: &[u8]) -> Option<Vec<u8>> {
                 RpcError::new(code::INTERNAL, "internal error while handling request"),
             )
         });
-    Some(encode_line(&resp))
+    write_line(&resp, out);
 }
 
-/// The newline-terminated [`code::LIMIT`] reply to a request line longer
-/// than `cap` bytes, shared by the stdio loop and the reactor.
-pub fn oversized_line(cap: usize) -> Vec<u8> {
+/// Append the newline-terminated [`code::LIMIT`] reply to a request line
+/// longer than `cap` bytes to `out`, shared by the stdio loop and the
+/// reactor.
+pub fn oversized_line(cap: usize, out: &mut Vec<u8>) {
     let msg = format!("request line exceeds {cap} bytes; see --max-line-bytes");
-    encode_line(&Response::err(None, RpcError::new(code::LIMIT, msg)))
+    write_line(&Response::err(None, RpcError::new(code::LIMIT, msg)), out);
 }
 
-/// A response as one wire line, written directly into the line buffer.
-pub(crate) fn encode_line(resp: &Response) -> Vec<u8> {
-    // Room for the common reply, `{}` with a large id, without regrowing.
-    let mut out = Vec::with_capacity(64);
-    resp.encode_into(&mut out);
+/// Append a response as one wire line to `out`, encoded in place.
+pub(crate) fn write_line(resp: &Response, out: &mut Vec<u8>) {
+    resp.encode_into(out);
     out.push(b'\n');
-    out
 }
 
 /// Decode and execute one raw request line against `session`.
@@ -393,5 +412,117 @@ mod tests {
         let reply = EmitReply::from_json(last.body.as_ref().unwrap()).unwrap();
         assert_eq!(reply.stats.succeeded(), 1);
         assert!(reply.binary.len() > 0x1000);
+    }
+
+    /// A write sink that counts `write` calls.
+    #[derive(Default)]
+    struct CountingWriter {
+        bytes: Vec<u8>,
+        writes: usize,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// 1,000 request lines: a version handshake, a binary, 994
+    /// instructions, two patches, one malformed line and an emit, with a
+    /// blank line among them.
+    fn thousand_line_session() -> Vec<u8> {
+        let mut code = Vec::new();
+        while code.len() < 994 * 7 / 2 {
+            code.extend_from_slice(&[0x48, 0x89, 0x03, 0x48, 0x83, 0xC0, 0x20]);
+        }
+        code.push(0xC3);
+        let mut b = e9elf::build::ElfBuilder::exec(0x400000);
+        b.text(code.clone(), 0x401000);
+        b.entry(0x401000);
+        let disasm = e9x86::decode::linear_sweep(&code, 0x401000);
+        let mut cmds = vec![
+            Command::Version { version: 1 },
+            Command::Binary {
+                bytes: b.build(),
+                digest: None,
+            },
+        ];
+        cmds.extend(disasm.iter().take(994).map(|i| Command::Instruction {
+            addr: i.addr,
+            bytes: i.bytes().to_vec(),
+        }));
+        for addr in [0x401000, 0x401007] {
+            cmds.push(Command::Patch {
+                addr,
+                template: e9patch::Template::Empty,
+            });
+        }
+        let mut input = Vec::new();
+        for (i, cmd) in cmds.into_iter().enumerate() {
+            input.extend_from_slice(
+                Request {
+                    id: i as u64 + 1,
+                    cmd,
+                }
+                .encode()
+                .as_bytes(),
+            );
+            input.push(b'\n');
+            if i == 500 {
+                input.extend_from_slice(b"{\"jsonrpc\":\"2.0\",\"id\":\n\n");
+            }
+        }
+        input.extend_from_slice(
+            Request {
+                id: 999,
+                cmd: Command::Emit,
+            }
+            .encode()
+            .as_bytes(),
+        );
+        input.push(b'\n');
+        assert_eq!(input.iter().filter(|&&b| b == b'\n').count(), 1001);
+        input
+    }
+
+    #[test]
+    fn replies_are_written_once_per_read_chunk() {
+        let input = thousand_line_session();
+        let mut reader = io::BufReader::with_capacity(256, io::Cursor::new(&input));
+        let mut out = CountingWriter::default();
+        serve_connection(&mut reader, &mut out).unwrap();
+        // Batching leaves the bytes alone: this known answer was captured
+        // from the loop that wrote each reply on its own.
+        assert_eq!(out.bytes.iter().filter(|&&b| b == b'\n').count(), 1000);
+        assert_eq!(
+            e9cache::sha256::hex(&e9cache::digest(&out.bytes)),
+            "b136807a60408c5e5b7b65dac7aa1fa80335719de4f78a9117513183894c203d"
+        );
+        let last = out.bytes[..out.bytes.len() - 1]
+            .rsplit(|&b| b == b'\n')
+            .next()
+            .unwrap();
+        let emit = Response::decode_line(last).unwrap();
+        assert_eq!(emit.id, Some(999));
+        assert_eq!(
+            EmitReply::from_json(emit.body.as_ref().unwrap())
+                .unwrap()
+                .stats
+                .succeeded(),
+            2
+        );
+        // At most one write per 256-byte read, plus the last read's.
+        assert!(
+            out.writes <= input.len() / 256 + 2,
+            "{} writes for {} input bytes",
+            out.writes,
+            input.len()
+        );
     }
 }

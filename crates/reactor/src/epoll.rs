@@ -163,31 +163,32 @@ pub fn serve<F: ServiceFactory>(
     Reactor::new(listeners, factory, config)?.run()
 }
 
-/// A service's answer to one frame: the reply to queue, if any, and
-/// whether the service asked for shutdown. Over the pending budget a
-/// complete line gets [`Service::on_busy`] instead of a dispatch; an
-/// oversized one is answered either way.
+/// A service's answer to one frame, appended to `out`; returns whether
+/// the service asked for shutdown. Over the pending budget a complete
+/// line gets [`Service::on_busy`] instead of a dispatch; an oversized one
+/// is answered either way.
 fn answer<S: Service>(
     svc: &mut S,
     frame: Frame<'_>,
     cap: usize,
     over_budget: bool,
     summary: &mut Summary,
-) -> (Option<Vec<u8>>, bool) {
-    let resp = match frame {
-        Frame::Oversized => Some(svc.on_oversized(cap)),
+    out: &mut Vec<u8>,
+) -> bool {
+    match frame {
+        Frame::Oversized => out.extend_from_slice(&svc.on_oversized(cap)),
         Frame::Line(line) if over_budget => {
             // Load shed: a typed error instead of a stall. The request
             // is consumed but never reaches the service.
             summary.busy_replies += 1;
-            Some(svc.on_busy(line))
+            out.extend_from_slice(&svc.on_busy(line));
         }
         Frame::Line(line) => {
             summary.dispatched += 1;
-            svc.on_line(line)
+            svc.on_line(line, out);
         }
-    };
-    (resp, svc.shutdown_requested())
+    }
+    svc.shutdown_requested()
 }
 
 struct Reactor<F: ServiceFactory> {
@@ -400,8 +401,9 @@ impl<F: ServiceFactory> Reactor<F> {
                 }
                 Ok(n) => {
                     conn.last_activity = Instant::now();
-                    if !self.ingest(token, Some(&tmp[..n])) {
-                        return; // connection was shed mid-ingest
+                    // One write for every reply this chunk produced.
+                    if !self.ingest(token, Some(&tmp[..n])) || !self.flush(token) {
+                        return; // connection was shed or closed
                     }
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
@@ -418,15 +420,16 @@ impl<F: ServiceFactory> Reactor<F> {
         self.handle_writable(token);
     }
 
-    /// Feed freshly read bytes through the connection's framer, answering
-    /// every frame they complete. `None` is end of stream: it answers an
+    /// Feed freshly read bytes through the connection's framer, appending
+    /// the answer to every frame they complete to the write queue; the
+    /// caller flushes it. `None` is end of stream: it answers an
     /// unterminated tail, if any, and starts flush-and-close. Returns
     /// `false` if the connection went away.
     fn ingest(&mut self, token: u64, input: Option<&[u8]>) -> bool {
         let mut rest = input.unwrap_or_default();
         loop {
             let cap = self.config.max_line_bytes;
-            let over_budget = self.total_pending > self.config.pending_budget_bytes;
+            let over_budget = self.over_pending_budget(token);
             let Some(conn) = self.slab.get_mut(token) else {
                 return false;
             };
@@ -445,94 +448,103 @@ impl<F: ServiceFactory> Reactor<F> {
                     conn.framer.finish()
                 }
             };
-            if let Some(frame) = frame {
-                let reply = answer(&mut conn.svc, frame, cap, over_budget, &mut self.summary);
-                if !self.deliver(token, reply) {
+            let Some(frame) = frame else {
+                continue;
+            };
+            let queued = conn.wbuf.len();
+            let shutdown = answer(
+                &mut conn.svc,
+                frame,
+                cap,
+                over_budget,
+                &mut self.summary,
+                &mut conn.wbuf,
+            );
+            self.total_pending += conn.wbuf.len() - queued;
+            let queue_cap = self.config.conn_queue_bytes;
+            if conn.pending() > queue_cap {
+                // Only bytes the kernel refuses count against the cap.
+                if !self.flush(token) {
+                    return false;
+                }
+                if self
+                    .slab
+                    .get_mut(token)
+                    .is_some_and(|c| c.pending() > queue_cap)
+                {
+                    // This client is not reading its replies; shedding it
+                    // is the only bounded option left.
+                    self.summary.shed_queue += 1;
+                    self.close(token);
+                    return false;
+                }
+            }
+            if shutdown {
+                if let Some(conn) = self.slab.get_mut(token) {
+                    conn.closing = true; // flush replies, then close
+                }
+                self.enter_drain();
+            }
+        }
+    }
+
+    /// Whether queued reply bytes exceed the loop-wide budget once this
+    /// connection's unflushed batch has been offered to the kernel: the
+    /// budget counts bytes the kernel refused, not replies not yet sent.
+    fn over_pending_budget(&mut self, token: u64) -> bool {
+        let budget = self.config.pending_budget_bytes;
+        if self.total_pending <= budget {
+            return false;
+        }
+        self.flush(token);
+        self.total_pending > budget
+    }
+
+    /// Write queued replies until the queue is empty or the kernel
+    /// refuses more. Returns `false` if the connection was closed on a
+    /// write error.
+    fn flush(&mut self, token: u64) -> bool {
+        loop {
+            let Some(conn) = self.slab.get_mut(token) else {
+                return false;
+            };
+            if conn.pending() == 0 {
+                conn.wbuf.clear();
+                conn.wpos = 0;
+                return true;
+            }
+            match conn.stream.write(&conn.wbuf[conn.wpos..]) {
+                Ok(0) => {
+                    self.close(token);
+                    return false;
+                }
+                Ok(n) => {
+                    conn.wpos += n;
+                    conn.last_activity = Instant::now();
+                    self.total_pending -= n;
+                    self.summary.writes += 1;
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return true,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(_) => {
+                    self.close(token);
                     return false;
                 }
             }
         }
     }
 
-    /// Queue one [`answer`] and act on its shutdown request. Returns
-    /// `false` if the connection was shed in the process.
-    fn deliver(&mut self, token: u64, (resp, shutdown): (Option<Vec<u8>>, bool)) -> bool {
-        if let Some(resp) = resp {
-            if !self.enqueue(token, resp) {
-                return false;
-            }
-        }
-        if shutdown {
-            if let Some(conn) = self.slab.get_mut(token) {
-                conn.closing = true; // flush replies, then close
-            }
-            self.enter_drain();
-        }
-        true
-    }
-
-    /// Queue response bytes and try to push them out. Returns `false` if
-    /// the connection was shed (queue over budget) or closed on error.
-    fn enqueue(&mut self, token: u64, resp: Vec<u8>) -> bool {
-        let Some(conn) = self.slab.get_mut(token) else {
-            return false;
-        };
-        if resp.is_empty() {
-            return true;
-        }
-        // Compact the already-written prefix before growing the queue.
-        if conn.wpos > 0 && conn.wpos == conn.wbuf.len() {
-            conn.wbuf.clear();
-            conn.wpos = 0;
-        }
-        conn.wbuf.extend_from_slice(&resp);
-        self.total_pending += resp.len();
-        if conn.pending() > self.config.conn_queue_bytes {
-            // This client is not reading its replies; shedding it is the
-            // only bounded option left.
-            self.summary.shed_queue += 1;
-            self.close(token);
-            return false;
-        }
-        self.handle_writable(token);
-        self.slab.get_mut(token).is_some()
-    }
-
+    /// Flush the queue; once it is empty, a closing connection closes.
     fn handle_writable(&mut self, token: u64) {
-        loop {
-            let Some(conn) = self.slab.get_mut(token) else {
-                return;
-            };
-            if conn.pending() == 0 {
-                break;
-            }
-            match conn.stream.write(&conn.wbuf[conn.wpos..]) {
-                Ok(0) => {
-                    self.close(token);
-                    return;
-                }
-                Ok(n) => {
-                    conn.wpos += n;
-                    conn.last_activity = Instant::now();
-                    self.total_pending -= n;
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    self.close(token);
-                    return;
-                }
-            }
-        }
-        let Some(conn) = self.slab.get_mut(token) else {
+        if !self.flush(token) {
             return;
-        };
-        if conn.pending() == 0 {
-            conn.wbuf.clear();
-            conn.wpos = 0;
-            if conn.closing {
-                self.close(token);
-            }
+        }
+        if self
+            .slab
+            .get_mut(token)
+            .is_some_and(|c| c.closing && c.pending() == 0)
+        {
+            self.close(token);
         }
     }
 
