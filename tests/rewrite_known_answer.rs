@@ -9,11 +9,19 @@
 //! give the sorted input's bytes, and when two entries share an address
 //! the last one wins.
 //!
+//! The configurations the benchmark never runs are pinned too: A1 on
+//! every row with top-down placement, with B1/B2 and the B0 trap
+//! fallback only, and with 16-page grouping. Two rows at 1/10 scale (gcc
+//! and inkscape, all three job kinds) pin the planner where placed
+//! trampolines fragment the address space most.
+//!
 //! The planner's data structures are free to change; its output is not.
 //! A change that moves one of these digests changes what users get.
 
 use e9front::{Application, Options, Payload};
-use e9patch::{PatchRequest, RewriteConfig, RewriteOutput, Rewriter, Template};
+use e9patch::{
+    AllocPolicy, PatchRequest, RewriteConfig, RewriteOutput, Rewriter, Tactics, Template,
+};
 use e9rng::SplitMix64;
 use e9x86::insn::Insn;
 
@@ -72,13 +80,21 @@ fn rows() -> Vec<(String, e9synth::SynthBinary)> {
 }
 
 fn instrument_rows(app: Application, payload: Payload) -> Vec<String> {
+    instrument_rows_with(app, payload, RewriteConfig::default())
+}
+
+fn instrument_rows_with(app: Application, payload: Payload, config: RewriteConfig) -> Vec<String> {
+    let opts = Options {
+        app,
+        payload,
+        config,
+    };
     rows()
         .iter()
         .map(|(name, sb)| {
             let disasm = e9front::disassemble_text(&sb.binary).expect("disassemble");
             let out =
-                e9front::instrument_with_disasm(&sb.binary, &disasm, &Options::new(app, payload))
-                    .expect("instrument");
+                e9front::instrument_with_disasm(&sb.binary, &disasm, &opts).expect("instrument");
             line(name, &out.rewrite)
         })
         .collect()
@@ -113,6 +129,69 @@ fn hook_all_outputs_are_pinned() {
         })
         .collect();
     check(&got, HOOK_ALL);
+}
+
+#[test]
+fn first_fit_high_outputs_are_pinned() {
+    let cfg = RewriteConfig {
+        alloc_policy: AllocPolicy::FirstFitHigh,
+        ..RewriteConfig::default()
+    };
+    check(
+        &instrument_rows_with(Application::A1Jumps, Payload::Empty, cfg),
+        A1_FIRST_FIT_HIGH,
+    );
+}
+
+#[test]
+fn b0_fallback_base_only_outputs_are_pinned() {
+    let cfg = RewriteConfig {
+        tactics: Tactics::base_only(),
+        b0_fallback: true,
+        ..RewriteConfig::default()
+    };
+    check(
+        &instrument_rows_with(Application::A1Jumps, Payload::Empty, cfg),
+        A1_B0_BASE_ONLY,
+    );
+}
+
+#[test]
+fn granularity_16_outputs_are_pinned() {
+    let cfg = RewriteConfig {
+        granularity: 16,
+        ..RewriteConfig::default()
+    };
+    check(
+        &instrument_rows_with(Application::A1Jumps, Payload::Empty, cfg),
+        A1_GRANULARITY_16,
+    );
+}
+
+#[test]
+fn scale_10_outputs_are_pinned() {
+    let mut profiles = e9synth::spec_profiles(10);
+    profiles.extend(e9synth::system_profiles(10));
+    let spec = e9hook::HookSpec::counters(&["*"]);
+    let mut got = Vec::new();
+    for name in ["gcc", "inkscape"] {
+        let profile = profiles.iter().find(|p| p.name == name).expect("row");
+        let sb = e9synth::generate(profile);
+        let disasm = e9front::disassemble_text(&sb.binary).expect("disassemble");
+        for (kind, app, payload) in [
+            ("a1", Application::A1Jumps, Payload::Empty),
+            ("a2", Application::A2HeapWrites, Payload::Counter),
+        ] {
+            let out =
+                e9front::instrument_with_disasm(&sb.binary, &disasm, &Options::new(app, payload))
+                    .expect("instrument");
+            got.push(line(&format!("{name}-{kind}"), &out.rewrite));
+        }
+        let out = e9front::hook_with_disasm(&sb.binary, &disasm, &spec, Default::default())
+            .expect("hook");
+        got.push(line(&format!("{name}-hook"), &out.rewrite));
+    }
+    check(&got, SCALE_10);
 }
 
 /// The `gcc` row and a request on every jmp/jcc of its disassembly.
@@ -309,4 +388,132 @@ const SHUFFLED: &[&str] = &[
 const DUPLICATES: &[&str] = &[
     "gcc 0397d451afe35f20c586fe2cda2d05c45e38900449bcaca0a4c8388337d396aa 1472 32 700 12 2 0 0 77616 204088 297 29 297 1",
     "gcc-decoys 3eedbbc5899c09a55d125047880585c6d05c7f01b7d03c29ae4dbd436be4e5e0 1472 32 700 11 3 0 0 77616 204112 298 29 298 1",
+];
+const A1_FIRST_FIT_HIGH: &[&str] = &[
+    "perlbench 972d423b0f74da3f2a66bc41119537fc8c2682815bcb17bfb39e72342b954aae 536 8 248 3 1 0 0 30488 101464 117 16 117 1",
+    "bzip2 e84d201eb0b3830261f85bdfa13ff7c5253002d15913b0cd9f56fe90f323f77d 17 1 9 0 0 0 0 8840 21096 11 2 11 1",
+    "gcc 6557a04bb888f9225a064db958b81ee27d6d65997eee8c8ba56dd2091ad23fbc 1472 32 700 9 5 0 0 77616 245384 311 39 311 1",
+    "bwaves cabf8c911f2c6710c8db6604d93dded8c5661468062304b094660cba810d745f 10 0 9 0 1 0 0 8840 21120 12 2 12 1",
+    "gamess a8a715fae83d057539f15960c7dece7eb9b1121de0843860e29a0090e300ecec 2177 11 25 172 861 0 26 185640 509928 750 74 750 1",
+    "mcf 537ed94883e7f9b68995ca4b25f25a705d4ef798edf1595b05a9adc1ddc50c5f 23 0 8 0 0 0 0 8840 25096 7 3 7 1",
+    "milc 8eb13e4df6bc8602230f706b1d6af1abdc503856767a9f7ea33d4b5ef8d6259c 30 2 6 0 0 0 0 8904 21000 7 2 7 1",
+    "zeusmp 60292252ef42849b18a5adbf85d8d4f0292b2a4e1da974381b0c40c2e798c3bd 46 1 16 1 6 0 0 13160 37896 26 5 26 1",
+    "gromacs be34c37820f4a789f70a7f1034c77a98e8a16a22c5dbe66968191b962b63bfe2 209 11 78 4 1 0 0 21912 59520 76 8 76 1",
+    "cactusADM a67c7a29157ab66977ed6c3b4b2ed25cf851bd6d261b0d4d931c55cfd519916a 224 12 93 5 1 0 0 26064 67880 83 9 83 1",
+    "leslie3d 3ef4660390c127f74e99b9a1e7215da18aa8396f25bb34a53b36f84c8b0742ee 48 4 14 2 0 0 0 8960 25312 16 3 16 1",
+    "namd ce88897d4f02cbb64f884a4086b075b1a46158ee11d62b33b2d3ee5144257658 73 5 38 2 1 0 0 13208 42248 39 6 39 1",
+    "gobmk fbc4c37f6f22b531a866ee97cc33253397573065211cec7103ae6a128c340f06 329 6 152 0 3 0 0 21672 67592 71 10 71 1",
+    "dealII d8f55fde67ff2bf4bbb3dec1ccb5de70b68735572ae1b4ea54c65ba2d1dd8cd7 932 14 433 6 3 0 0 51808 164992 204 26 204 1",
+    "soplex 0bfccb47b00e917692f6cedc4a6e488ab1c1e359d931460a7fdec280449e21db 151 2 82 1 0 0 0 13208 46344 39 7 39 1",
+    "povray 18945444cc3b24467dd751146921c49606839efbb788252287823bd8d8a68319 323 7 163 4 1 0 0 21760 67640 73 10 73 1",
+    "calculix ba73329e28a890c5a98cad208cddac0d8e0d56f8c242826a586cb014b7ccd149 479 30 206 11 3 0 0 47776 123672 189 17 189 1",
+    "hmmer eb22dd041f40549378e0eb7eac5362f48e075b6c4c42b96b3bfebb685f16abec 77 3 38 1 0 0 0 8992 29456 18 4 18 1",
+    "sjeng ef7ea798bdeb0e6784fe9619ad98ce9e99c5dda91a61bcecdcc6bf9b90dab45f 72 0 46 0 3 0 0 8904 29720 29 4 29 1",
+    "GemsFDTD b71a33fb143109524c9b46d134f4fb98f2036edc5f56b23e027e6ceab4f049f0 166 9 61 5 0 0 0 21696 51016 63 6 63 1",
+    "libquantum f10552cbf8401fb8fe71b9979bacbc2fc7f98c24655dddb6c23579b8f1c62248 25 1 17 0 0 0 0 8840 25240 13 3 13 1",
+    "h264ref 9df9248f939ffd36e9d62fb638ebd21444b0dd25418646d0a12d3e47ee930ed0 152 1 67 1 2 0 0 13208 42320 42 6 42 1",
+    "tonto f18468f67d45c410555edd063b3f7e94362a42873e935202ecd3af0dd997d9e7 836 48 374 13 6 0 0 77704 184448 332 24 332 1",
+    "lbm 7346045b34471a727c8dfd2665e59372055981fde2e69858cd93063c08ee0e3b 18 1 8 0 0 0 0 8840 21072 10 2 10 1",
+    "omnetpp e2c7e483ee1e7d9281412622fefc2e60710b51dfa3d51dbe2a2fe5b02859cfd4 145 3 71 0 0 0 0 17424 50584 45 7 45 1",
+    "astar e30b7dba7b225c1444b86d91f09c92be6799884d5c2f30a16f472f64a2ba5223 25 0 13 0 0 0 0 8840 25144 9 3 9 1",
+    "sphinx3 b790a93a96775e190845a8a16af4534d271766592421c18e23a6526c01261329 45 1 26 0 1 0 0 13120 29576 23 3 23 1",
+    "xalancbmk c363b40b0bd8a18f35e7df68099d2f5c2d82921b15b6c3f3371aacc43c4bf7c6 1113 22 610 2 7 0 0 64760 199152 262 31 262 1",
+    "inkscape fb67945ceeb71d215f4b537198eceb0af882813555defa5b967196b6f014bc9d 3017 1529 0 0 0 0 0 150552 460824 413 73 413 1",
+    "gimp 9fe1c08b02c1eb79942542ba925b3d39b35fcecd7f4cae80a4de1bf28226120c 1107 26 561 11 2 0 0 60336 186456 245 29 245 1",
+    "vim 25ba102a4679b1171f20fc74262bbf680572a71a81558baf3892b0b64c736995 1084 602 0 0 0 0 0 60360 200752 158 33 158 1",
+    "git b6813a1329ab6422c465910b937ad6702fcb97ac6871ea256f08a26eee501788 695 22 339 4 1 0 0 38952 126952 155 20 155 1",
+    "pdflatex 23b99fd8203b1b62c7c5e08884b5b1ef1ec04836fa9b77e13c5265dc9c495da2 318 11 200 2 1 0 0 21816 80048 78 13 78 1",
+    "xterm 7b618a0197d6d0eab3691ae9d15aa0403d1a4b8d8c034d16877bca353b401537 190 7 94 1 1 0 0 17360 46704 54 6 54 1",
+    "evince 38ef878a5a1eaa52dc5e3786ba9ac44b058292b6a533976b97652ecd1d6d3cc3 66 28 0 0 0 0 0 8904 25288 15 3 15 1",
+    "make 9eef77c2a0908796bdff313ce166fb6df657ac14a8dae9e30008840bcf296184 71 1 29 0 0 0 0 8928 29336 13 4 13 1",
+    "libc.so 40bcf850016be6fe0253b942a5772655650fc827037dd141806510d6fc2d6f54 778 19 334 1 4 0 0 43320 139240 155 22 155 1",
+    "libstdc++.so 5caa2101699644100dd93ed891683bd0ce316881af1c349d8e94c4892fe11757 375 5 181 1 1 0 0 25856 80168 83 12 83 1",
+];
+const A1_B0_BASE_ONLY: &[&str] = &[
+    "perlbench 36fe01122b5e1dc7e0862a7c671abfd8ec5a92242218976ad5859e182d476dc7 536 8 0 0 0 252 0 30488 53848 10 4 10 1",
+    "bzip2 d5b2f8c9873dea3b723c771bba161431861dc6c833a5e2a3261939ba2741c313 17 1 0 0 0 9 0 8840 17000 2 1 2 1",
+    "gcc 98830ef41cbf538f0cd307f9cfaafcc39152f8851c831e9fc992f9b2c8544a57 1472 32 0 0 0 714 0 77616 127184 27 9 27 1",
+    "bwaves 5fd405ab1d506d50725b249ffa01543ca8f3289f21836d75f5742458bde06808 10 0 0 0 0 10 0 8840 16992 1 1 1 1",
+    "gamess 12f197910f9af20ec0d33fdc0cb85e3f18a549a3670db708692c2622d1ab995b 2177 11 0 0 0 1084 0 185640 247680 20 10 20 1",
+    "mcf e383a9c81679db5b0b02b68704268c467c5882581eaeac143779485cd0d66540 23 0 0 0 0 8 0 8840 16960 1 1 1 1",
+    "milc 063fd5b40f3cfbb85053ae5304274dbcb5d18cf9dd44460677859cb6eeed48c7 30 2 0 0 0 6 0 8904 16952 2 1 2 1",
+    "zeusmp fc09c74e88003decddc601c2a6af62072af4255623f03948c25cab5b48c93e01 46 1 0 0 0 23 0 13160 21376 2 1 2 1",
+    "gromacs 65496c5100c30a56fbad52fff42e089304a505ec6f2571296ec376ba97ce3354 209 11 0 0 0 83 0 21912 34712 8 2 8 1",
+    "cactusADM 85de27a51f54eb41276f657fe0e6adf7c3d72a3ee9f596d555b96ad3b32b0659 224 12 0 0 0 99 0 26064 39112 10 2 10 1",
+    "leslie3d 99a2821b9c068ee9d684e8726632fbd7c446fed32d0ed6515c2af9e35610ba54 48 4 0 0 0 16 0 8960 21232 3 2 3 1",
+    "namd 2f6af3ce3d7b07cdffa61e142e9beef2f4203b5aea8b038d7ba038b69e995cb0 73 5 0 0 0 41 0 13208 25776 5 2 5 1",
+    "gobmk a8bf845d83bb4d5cb52fb9bb9e0923b95698778eb8d5a382d1b6036edcd46e1f 329 6 0 0 0 155 0 21672 39936 7 3 7 1",
+    "dealII 276660d489232ebbe3bde0f926eb609351d5d19f64a23da45a7d931ab1497de1 932 14 0 0 0 442 0 51808 81536 13 5 13 1",
+    "soplex 83cfb072c199e8fb0a8fa98bc68fdeb11b6bdad874a1c29bba5ac432d2a75b0e 151 2 0 0 0 83 0 13208 22304 3 1 3 1",
+    "povray 921c7bb6273cc6fd7e957713f9f7c52dead0677bbf9f5e6de840316b277456a8 323 7 0 0 0 168 0 21760 36024 6 2 6 1",
+    "calculix 1f8b6e84102b195ed128c7e5cfb7d20e0250424bc4691e8a03cd0742ef3da51a 479 30 0 0 0 220 0 47776 74200 26 5 26 1",
+    "hmmer 4d02f97ea22f28ac41dd59895ffe02a8502719a9ed63cd164b67adee65ceb0ef 77 3 0 0 0 39 0 8992 17480 2 1 2 1",
+    "sjeng 0bcbef9ba876b3908ae9d4516eaf174924dc21c781428af846510d3359c0686b 72 0 0 0 0 49 0 8904 17616 1 1 1 1",
+    "GemsFDTD 5a71b41d6910e421c0e7920caeed8a488197f8925589384869c89e023b9310a1 166 9 0 0 0 66 0 21696 38512 7 3 7 1",
+    "libquantum 6ec64c39f42abde0a46d1eb2c4933e0e947b70b82077720c7e8d610d68fcd155 25 1 0 0 0 17 0 8840 17128 2 1 2 1",
+    "h264ref bbed7eeb3bd2c1228552b66eb8b822b6e00cea60a8adfbce1a0a730c8615f00c 152 1 0 0 0 70 0 13208 22072 2 1 2 1",
+    "tonto 1bff3626189389d02292bf3ceeea3cfd10d5672f67af026b17e290b57fe9fb21 836 48 0 0 0 393 0 77704 114192 41 7 41 1",
+    "lbm c7fdaddc33122d5893aeb477ccb6d888164bd8b6892760ad6d6be4aa2f447ff2 18 1 0 0 0 8 0 8840 16984 2 1 2 1",
+    "omnetpp 7aa807af612a0603a81320c77d2c91cc68f2da39cb8b8363c714d15fd317872c 145 3 0 0 0 71 0 17424 30328 4 2 4 1",
+    "astar bfce112db05005cf57f208748f4e4c186918f18f641eca21322677d55dd38dc0 25 0 0 0 0 13 0 8840 17040 1 1 1 1",
+    "sphinx3 6cc7f7099c53e8578f75243a4a23e381669768a4823bb2aa275de330e0d0f443 45 1 0 0 0 27 0 13120 21384 2 1 2 1",
+    "xalancbmk d131a221ab14a495e73d62aaab57bdd833695e41c7f339d8be4509e1523bfefe 1113 22 0 0 0 619 0 64760 113208 20 9 20 1",
+    "inkscape 6656eab8621c1d6b373e11b56a75cddd72a062b4213a74e10ff9ec4f7960b58c 3017 1529 0 0 0 0 0 150552 456776 415 72 415 1",
+    "gimp 2d2cf62cacc1321c05941aba35f53b5bbd285394f3b6a90813dd58c6b75cd299 1107 26 0 0 0 574 0 60336 100200 20 7 20 1",
+    "vim 93d4c2468fc74f36591526f9276f1dd2cad90af418f45bed3d4b2b0a1873fe08 1084 602 0 0 0 0 0 60360 196728 161 32 161 1",
+    "git 72bbafe92a4d07aea7eff0ab72acae3709dbfcc1a27fb8e5a762ef69a95abd8b 695 22 0 0 0 344 0 38952 67800 18 5 18 1",
+    "pdflatex d795b8cbb24879f5e684c0c1816b131e0a3dc596bc74844d6388c2dc1599d56a 318 11 0 0 0 203 0 21816 40752 9 3 9 1",
+    "xterm 7102f74fc0a9bd8ae759fc8434166707505b2f3ae2b6d7fc56cc3e389a12d428 190 7 0 0 0 96 0 17360 30752 5 2 5 1",
+    "evince 95bf1608dd219dcc09fc2b87aae5b605f95ed08bc273cf01791d19e9ae59be16 66 28 0 0 0 0 0 8904 29384 15 4 15 1",
+    "make 4d4d6b18ab3b5bc278216d9493e132d96ad722eb791c33c8d202368492a4887d 71 1 0 0 0 29 0 8928 17320 2 1 2 1",
+    "libc.so 74af1e51dfef176694da1f3183bc4b1ebcf6a6fdb4d4647baed04c021cd78849 778 19 0 0 0 339 0 43320 71768 16 5 16 1",
+    "libstdc++.so 80ff14ed3b5c935c9ef8cd0c107dc3c9174e62afe3b47674172724912309ea7d 375 5 0 0 0 183 0 25856 44432 5 3 5 1",
+];
+const A1_GRANULARITY_16: &[&str] = &[
+    "perlbench 96c78d39886b6a49ce52c1d51b3d1ee6fb9a9de1022ca3733c8158ce153730a3 536 8 248 3 1 0 0 30488 820440 37 12 37 16",
+    "bzip2 41db6b5daf948495ce869f17511265bca5c0cf2a50b532f56063beeb91a1945a 17 1 9 0 0 0 0 8840 209512 11 3 11 16",
+    "gcc bd7e458d2fa31aa6a65b7eeec72ce76933c4f9039c6eda7a9feaf0cf0adcab74 1472 32 700 9 5 0 0 77616 1128504 73 16 73 16",
+    "bwaves bc6820e51d9ab5c3af93cb9bc238d153df6a9ab34898d555d69928b8e03ec144 10 0 9 0 1 0 0 8840 209536 12 3 12 16",
+    "gamess 37d5a3a5ddec5244217e35266c1a104053e4866a89dd43f27ef9e7119c06e02d 2177 11 25 18 913 0 128 185640 1576648 482 21 482 16",
+    "mcf 8ad19e64fdf869788b713f5fbcbf7ce74e35a3c0c70cf9e9a28fa0ba8b98a894 23 0 8 0 0 0 0 8840 143880 7 2 7 16",
+    "milc bb163e18ee42392597b16e1d967f2356215d3b6aeb78ce93bd5c797c4abbd58b 30 2 6 0 0 0 0 8904 209416 7 3 7 16",
+    "zeusmp f8b7c3010490d2b925146627c9e761da2c04fa46108095c5c2d39335ea2827af 46 1 16 1 6 0 0 13160 279416 20 4 20 16",
+    "gromacs 25765ffb262aceef19dd3e1b13718c850b490721aa3a11049ce1740b162546e7 209 11 78 4 1 0 0 21912 615664 38 9 38 16",
+    "cactusADM 5df9fd4517fb67d69de3aebb47f2ec85730da89a33c9b3e7d37838b048cb5d73 224 12 93 4 2 0 0 26064 619784 39 9 39 16",
+    "leslie3d 147efd3b395197cfde8547d468e410c2da10d443db42cc6cd25a1a10aef732e3 48 4 14 2 0 0 0 8960 340680 15 5 15 16",
+    "namd 1b58ff10cb099d937a4c684a817a36bebfb5ca85a2303dc83350826203c3c45f 73 5 38 2 1 0 0 13208 476208 30 7 30 16",
+    "gobmk 9d26be2de73ef66b2af8791d1c1f03a867d9ba5d74e0777a6e3fbfed7e4f5008 329 6 152 1 2 0 0 21672 681152 36 10 36 16",
+    "dealII 923b9ce11d4888a77c19f357b353793537a760a7856dba8d944a9acf2b153e65 932 14 433 6 3 0 0 51808 906984 59 13 59 16",
+    "soplex 93e134b013b2febcef3783c0d2c6c0ccb6f89da75b8a67932e21d04e34d2ee5d 151 2 82 1 0 0 0 13208 607184 26 9 26 16",
+    "povray 61db5eb9714fc65c12a0de4e1d7752087f83ce291e2d2820cde0ec51188a5799 323 7 163 1 4 0 0 21760 812224 36 12 36 16",
+    "calculix d66d9f9cf799b7356bccedbc37626a84f35cc8f16287360159f4435e783d3408 479 30 206 8 6 0 0 47776 772104 71 11 71 16",
+    "hmmer 60fb1a61ad1534f5fd1dfb28be57c126d69a608ed5a0c43de487d67e7bf4291a 77 3 38 0 1 0 0 8992 537312 16 8 16 16",
+    "sjeng 779d3b0d857d1f2dd3349c9b4e70e4bdcf04636ec24675889da9717abb9da93a 72 0 46 0 3 0 0 8904 537528 25 8 25 16",
+    "GemsFDTD 167176a6ac2856f2d62b991aa51c75a9e87d8d5506590e48b8478bc9ef58731f 166 9 61 2 3 0 0 21696 419032 37 6 37 16",
+    "libquantum 9c37c392a81519057495f5a7f2b1c25bb18997d5b3fde35e074eb776c80ff402 25 1 17 0 0 0 0 8840 340632 13 5 13 16",
+    "h264ref aeb4614e9c8ee81eb766592a0678555b40087f97dfa8c60b1feeed7704e81f89 152 1 67 0 3 0 0 13208 541744 30 8 30 16",
+    "tonto bd78e397bd3fa9d7fc3422b8dae1477ec2854ecd8f54356ed3dda43595630334 836 48 374 8 11 0 0 77704 1194808 105 17 105 16",
+    "lbm bef409b403dfe65bc272c0afaba88b578f76c743c009fc445b3966a0c728e22d 18 1 8 0 0 0 0 8840 209488 10 3 10 16",
+    "omnetpp 5a84fde16bd84a6aea5b19417a7a0fc6317038640af9c79d1f984bf9a7e10d90 145 3 71 0 0 0 0 17424 611232 24 9 24 16",
+    "astar 0278a96133ed473263d56e21804c8d5be1b4205a90b60c42d3841e05d622355b 25 0 13 0 0 0 0 8840 275000 9 4 9 16",
+    "sphinx3 6d4699682d4899b14f4ebbf20ed4db6920d3eec91d60c013b2c375fbe0b8af38 45 1 26 0 1 0 0 13120 410408 19 6 19 16",
+    "xalancbmk 922d38a76dfad900a09d05243fe861284980c126ce934d277cb5d4aa29e9fdb5 1113 22 610 5 4 0 0 64760 1115928 61 16 61 16",
+    "inkscape 917ca3fafbf6833f6b3aa3bc4d59449a66175fc77d6f2aa7874188e37237fc3e 3017 1529 0 0 0 0 0 150552 2185080 65 31 65 16",
+    "gimp 1331f5b770c00b0193486e89dac26eac1ba374534b157b57013f252764299bb0 1107 26 561 6 7 0 0 60336 981000 71 14 71 16",
+    "vim 69123a190dc11851bfe034d3f339c6c23e7beb0ace6f702c273fb7b525ef2ef0 1084 602 0 0 0 0 0 60360 849064 35 12 35 16",
+    "git bb51cd571aa3b423da646e858826e42351209996aa002c88fe5ea59ebd9995f4 695 22 339 3 2 0 0 38952 894552 53 13 53 16",
+    "pdflatex 0576ec2f288846436d9762c40f57f4b2cee97948a17af7a78945796e27845fcd 318 11 200 1 2 0 0 21816 681152 36 10 36 16",
+    "xterm a5447ff689786c5977bc64027fc08869152c3e667712312462a92c16fdd831ca 190 7 94 1 1 0 0 17360 676912 30 10 30 16",
+    "evince 7c1d31c5f7ef7fde428b3f643efeab4a60e1a888186fa220bbe5beb92e9d0338 66 28 0 0 0 0 0 8904 471656 11 7 11 16",
+    "make f705545ae3f6b215b27664bb6edd71a409194351efdccfbd2dcba78a322ab751 71 1 29 0 0 0 0 8928 406144 12 6 12 16",
+    "libc.so 82acee51ff41e8a1ed8ac170e425e87eea417c4306dab0b4078a132f33c198c5 778 19 334 2 3 0 0 43320 767600 54 11 54 16",
+    "libstdc++.so b225b09f99ae740bed26591f9169f71b7901db5100860c94e4227fc753920852 375 5 181 1 1 0 0 25856 685272 37 10 37 16",
+];
+const SCALE_10: &[&str] = &[
+    "gcc-a1 ad43cdbe3a3cb0f8a70a9ea8d13358f1def9920da56ba313cbd904d82a7b080c 7373 173 3540 44 88 0 0 365280 856424 1195 112 1195 1",
+    "gcc-a2 dd65703d5712689485834c698ff538fded36c0c778eea20f3f88ce4c6ca7e34f 1927 977 600 2 0 0 0 365280 711600 961 77 961 1",
+    "gcc-hook f05c64eb8a23c00ee0f2a8ea703bb140714230ba08cfc8c782dd6377a4c4d03c 552 0 0 0 0 0 0 365280 471896 14 14 14 1",
+    "inkscape-a1 7a9c19d414e4d2a13a923873f1bb7c07903aaad6dc32f598ee9c57e4371ae564 15167 7968 0 0 0 0 0 746352 2176432 2094 336 2094 1",
+    "inkscape-a2 7d260a01dabbd13d5a1dd6e4efa28fa753f5c49133f124a2323ed883360ba50e 4007 3117 0 0 0 0 0 746352 1874008 1096 267 1096 1",
+    "inkscape-hook c6c64549e42e455ce06ce387ca6049136a12e2bfad349ee9fb3e1c3bbea6eecb 1103 0 0 0 0 0 0 746352 1233352 168 96 168 1",
 ];
