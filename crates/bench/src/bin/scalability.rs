@@ -46,7 +46,6 @@ fn main() {
         assert!(out.status.success(), "row at scale {scale} failed");
         print!("{}", String::from_utf8_lossy(&out.stdout));
     }
-    println!("\nlinear-ish growth in rewrite(ms) with sites ⇒ no global-analysis blow-up");
 }
 
 /// Generate, decode and rewrite the browser-mix row at `scale` three

@@ -87,10 +87,22 @@ impl Window {
 /// address, so the first interval that can collide with a candidate
 /// start `x` is one lookup away: the first key above `x`. Free space is
 /// the complement.
+///
+/// Searching ([`AddressSpace::find_in`], [`AddressSpace::find_in_high`])
+/// reserves nothing, so a caller finds every address it needs, builds
+/// what goes there, and then [`reserves`](AddressSpace::reserve) exactly
+/// the bytes it built.
 #[derive(Debug, Clone, Default)]
 pub struct AddressSpace {
     /// end → start of occupied intervals (disjoint, non-adjacent).
     occupied: BTreeMap<u64, u64>,
+    /// `(size, align)` → floor: no aligned start below the floor (and at
+    /// or above [`MIN_ADDR`]) has `size` free bytes that end by
+    /// [`MAX_ADDR`]. A low search whose window starts at or below the
+    /// floor starts at the floor instead and raises it to its result.
+    /// [`AddressSpace::free`] lowers it; a reservation only takes space,
+    /// so it leaves every floor valid. An absent entry is [`MIN_ADDR`].
+    floors: BTreeMap<(u64, u64), u64>,
 }
 
 impl AddressSpace {
@@ -143,7 +155,7 @@ impl AddressSpace {
         self.occupied.insert(new_end, new_start);
     }
 
-    /// Release `[start, end)` (used to roll back tentative tactic steps).
+    /// Release `[start, end)`.
     pub fn free(&mut self, start: u64, end: u64) {
         if start >= end {
             return;
@@ -161,6 +173,10 @@ impl AddressSpace {
                 self.occupied.insert(e, end);
             }
         }
+        // A start whose `size` bytes reach into [start, end) may be free now.
+        for (&(size, _), floor) in &mut self.floors {
+            *floor = (*floor).min((start + 1).saturating_sub(size)).max(MIN_ADDR);
+        }
     }
 
     /// Is `[start, end)` entirely free?
@@ -173,62 +189,108 @@ impl AddressSpace {
         self.first_ending_after(start).is_none_or(|(s, _)| s >= end)
     }
 
-    /// Allocate `size` bytes with the given `align`, lowest-address-first,
-    /// such that the allocation **starts** inside `window`. The body may
-    /// extend past `window.hi` (the window constrains the jump target — the
-    /// trampoline's first byte — not its extent).
+    /// The lowest aligned start in `window`, at or above [`MIN_ADDR`],
+    /// whose `size` bytes are free, end by [`MAX_ADDR`] and miss the
+    /// `taken` range (a tentative placement that is not reserved yet).
+    /// The body may extend past `window.hi`: the window constrains the
+    /// jump target (the trampoline's first byte), not its extent.
     ///
-    /// The result is the lowest aligned start in the window whose whole
-    /// extent is free and ends by [`MAX_ADDR`]. One tree descent finds the
-    /// first interval that can collide; the search then walks intervals
-    /// forward, skipping past each one that does.
-    pub fn alloc_in(&mut self, window: Window, size: u64, align: u64) -> Option<u64> {
+    /// Nothing is reserved; only the search floor of `(size, align)` moves
+    /// (see [`AddressSpace`]). One tree descent finds the first interval
+    /// that can collide; the search then walks intervals forward,
+    /// skipping past each one that does.
+    pub fn find_in(
+        &mut self,
+        window: Window,
+        size: u64,
+        align: u64,
+        taken: Option<(u64, u64)>,
+    ) -> Option<u64> {
+        let x = self.first_fit(window, size, align)?;
+        match taken {
+            // Every start from `x` to the end of `taken` overlaps it too.
+            Some((s, e)) if s < e && x < e && s < x + size => {
+                self.first_fit(Window { lo: e, ..window }, size, align)
+            }
+            _ => Some(x),
+        }
+    }
+
+    /// [`AddressSpace::find_in`] without `taken`, through the floor of
+    /// `(size, align)`.
+    fn first_fit(&mut self, window: Window, size: u64, align: u64) -> Option<u64> {
         if size == 0 {
             return None;
         }
         let align = align.max(1);
-        // Checked rounding: a window or reservation hugging `u64::MAX`
-        // must exhaust the search, not wrap (or panic the debug build).
-        let mut cursor = window.lo.checked_next_multiple_of(align)?;
-        let mut ahead = self
-            .occupied
-            .range((Excluded(cursor), Unbounded))
-            .map(|(&e, &s)| (s, e))
-            .peekable();
-        while cursor < window.hi {
-            let end = cursor.checked_add(size)?;
-            if end > MAX_ADDR {
-                return None;
-            }
-            // Intervals ending at or before the cursor cannot collide.
-            while ahead.next_if(|&(_, e)| e <= cursor).is_some() {}
-            match ahead.peek() {
-                Some(&(s, e)) if s < end => {
+        let floor = self.floors.entry((size, align)).or_insert(MIN_ADDR);
+        let found = (|| {
+            // Checked rounding: a window or reservation hugging
+            // `u64::MAX` must exhaust the search, not wrap (or panic the
+            // debug build).
+            let mut cursor = window.lo.max(*floor).checked_next_multiple_of(align)?;
+            let mut ahead = self
+                .occupied
+                .range((Excluded(cursor), Unbounded))
+                .map(|(&e, &s)| (s, e))
+                .peekable();
+            while cursor < window.hi {
+                let end = cursor.checked_add(size)?;
+                if end > MAX_ADDR {
+                    return None;
+                }
+                // Intervals ending at or before the cursor cannot collide.
+                while ahead.next_if(|&(_, e)| e <= cursor).is_some() {}
+                match ahead.peek() {
                     // Conflict: skip past it.
-                    cursor = e.checked_next_multiple_of(align)?;
-                }
-                _ => {
-                    self.reserve(cursor, end);
-                    return Some(cursor);
+                    Some(&(s, e)) if s < end => cursor = e.checked_next_multiple_of(align)?,
+                    _ => return Some(cursor),
                 }
             }
+            None
+        })();
+        if window.lo <= *floor {
+            // The search began at the floor, and every aligned start from
+            // there to its result (or to the window's end) was taken.
+            *floor = found.unwrap_or(window.hi).max(*floor);
         }
-        None
+        found
     }
 
-    /// Like [`AddressSpace::alloc_in`], but highest-address-first —
+    /// Like [`AddressSpace::find_in`], but the highest aligned start —
     /// scatters trampolines toward window tops instead of packing them low
     /// (an ablation knob for the fragmentation experiments).
-    pub fn alloc_in_high(&mut self, window: Window, size: u64, align: u64) -> Option<u64> {
+    pub fn find_in_high(
+        &self,
+        window: Window,
+        size: u64,
+        align: u64,
+        taken: Option<(u64, u64)>,
+    ) -> Option<u64> {
+        let x = self.last_fit(window, size, align)?;
+        match taken {
+            // Every start from `x` down to `size` bytes below `taken`
+            // overlaps it too.
+            Some((s, e)) if s < e && x < e && s < x + size => {
+                let hi = (s + 1).checked_sub(size)?;
+                self.last_fit(Window { lo: window.lo, hi }, size, align)
+            }
+            _ => Some(x),
+        }
+    }
+
+    /// [`AddressSpace::find_in_high`] without `taken`.
+    fn last_fit(&self, window: Window, size: u64, align: u64) -> Option<u64> {
         if size == 0 || window.is_empty() {
             return None;
         }
         let align = align.max(1);
+        let lo = window.lo.max(MIN_ADDR);
         // Highest aligned start strictly inside the window (`hi >= 1`
         // because the window is non-empty).
         let mut cursor = (window.hi - 1) / align * align;
         loop {
-            if cursor < window.lo {
+            if cursor < lo {
                 return None;
             }
             let end = cursor.checked_add(size)?;
@@ -248,12 +310,23 @@ impl AddressSpace {
                     }
                     cursor = next;
                 }
-                _ => {
-                    self.reserve(cursor, end);
-                    return Some(cursor);
-                }
+                _ => return Some(cursor),
             }
         }
+    }
+
+    /// Find with [`AddressSpace::find_in`] and reserve what was found.
+    pub fn alloc_in(&mut self, window: Window, size: u64, align: u64) -> Option<u64> {
+        let x = self.find_in(window, size, align, None)?;
+        self.reserve(x, x + size);
+        Some(x)
+    }
+
+    /// Find with [`AddressSpace::find_in_high`] and reserve what was found.
+    pub fn alloc_in_high(&mut self, window: Window, size: u64, align: u64) -> Option<u64> {
+        let x = self.find_in_high(window, size, align, None)?;
+        self.reserve(x, x + size);
+        Some(x)
     }
 
     /// Allocate exactly at `addr` (the `f = 0` pun case: a single valid

@@ -4,8 +4,11 @@
 //!
 //! The planner owns the in-place-patched image and mutates three pieces of
 //! state as it commits tactics: the ELF byte image, the [`LockMap`], and
-//! the trampoline [`AddressSpace`]. Tentative multi-step tactics (T3) are
-//! computed against byte overlays and rolled back cleanly on failure.
+//! the trampoline [`AddressSpace`]. A tactic first finds every trampoline
+//! address it needs (T3 computes its second jump against a byte overlay),
+//! then builds the trampolines, and only then commits: a failed attempt
+//! leaves nothing to roll back, and each placed trampoline reserves
+//! exactly its built bytes.
 
 use crate::error::Error;
 use crate::layout::{AddressSpace, Window, MAX_ADDR, MIN_ADDR};
@@ -234,7 +237,8 @@ impl<'a> Planner<'a> {
         reserved: &[(u64, u64)],
     ) -> crate::error::Result<Planner<'a>> {
         let space = Self::initial_space(&elf, &cfg, reserved)?;
-        let (insns, locks) = index(insns);
+        let insns = e9x86::insn::by_address(insns);
+        let locks = LockMap::over(&insns).expect("sorted and deduplicated");
         Ok(Planner {
             elf,
             insns,
@@ -284,13 +288,21 @@ impl<'a> Planner<'a> {
         }
     }
 
-    /// Allocate trampoline space inside `window` per the configured
-    /// placement policy.
-    fn alloc(&mut self, window: Window, size: u64) -> Option<u64> {
+    /// Find room for a trampoline of up to `size` bytes inside `window`,
+    /// clear of `taken`, per the configured placement policy. Nothing is
+    /// reserved until [`Planner::place`].
+    fn find(&mut self, window: Window, size: usize, taken: Option<(u64, u64)>) -> Option<u64> {
+        let size = size as u64;
         match self.cfg.alloc_policy {
-            AllocPolicy::FirstFitLow => self.space.alloc_in(window, size, 1),
-            AllocPolicy::FirstFitHigh => self.space.alloc_in_high(window, size, 1),
+            AllocPolicy::FirstFitLow => self.space.find_in(window, size, 1, taken),
+            AllocPolicy::FirstFitHigh => self.space.find_in_high(window, size, 1, taken),
         }
+    }
+
+    /// Commit a built trampoline at `addr`, reserving exactly its bytes.
+    fn place(&mut self, addr: u64, bytes: Vec<u8>) {
+        self.space.reserve(addr, addr + bytes.len() as u64);
+        self.trampolines.push((addr, bytes));
     }
 
     /// Window around every address the trampoline must reach with rel32
@@ -325,9 +337,9 @@ impl<'a> Planner<'a> {
     }
 
     /// Try to place a punned jump at `jump_addr` (owning `writable` bytes,
-    /// with `padding` prefix bytes) to a freshly allocated trampoline built
-    /// by `build`. On success commits bytes + locks + the trampoline and
-    /// returns the pun used.
+    /// with `padding` prefix bytes) to a trampoline of up to `size_ub`
+    /// bytes built by `build`. On success commits bytes + locks + the
+    /// trampoline and returns the pun used.
     fn place_pun(
         &mut self,
         jump_addr: u64,
@@ -344,26 +356,16 @@ impl<'a> Planner<'a> {
             return None;
         }
         let window = pun.target_window()?.intersect(reach)?;
-        let tramp = self.alloc(window, size_ub as u64)?;
-        match build(tramp) {
-            Ok(bytes) => {
-                debug_assert!(bytes.len() <= size_ub);
-                // Return the reservation slack.
-                self.space
-                    .free(tramp + bytes.len() as u64, tramp + size_ub as u64);
-                let jmp = pun.encode(tramp).expect("target inside pun window");
-                self.write(jump_addr, &jmp);
-                self.locks.lock_modified(ws, we - ws);
-                let (ps, pe) = pun.punned_range();
-                self.locks.lock_punned(ps, pe - ps);
-                self.trampolines.push((tramp, bytes));
-                Some(pun)
-            }
-            Err(_) => {
-                self.space.free(tramp, tramp + size_ub as u64);
-                None
-            }
-        }
+        let tramp = self.find(window, size_ub, None)?;
+        let bytes = build(tramp).ok()?;
+        debug_assert!(bytes.len() <= size_ub);
+        let jmp = pun.encode(tramp).expect("target inside pun window");
+        self.write(jump_addr, &jmp);
+        self.locks.lock_modified(ws, we - ws);
+        let (ps, pe) = pun.punned_range();
+        self.locks.lock_punned(ps, pe - ps);
+        self.place(tramp, bytes);
+        Some(pun)
     }
 
     /// B1/B2/T1 attempts over all paddings.
@@ -505,22 +507,14 @@ impl<'a> Planner<'a> {
         let v_reach = Self::reach_window(victim)?;
         let v_ub = trampoline::evictee_max_size(victim);
 
-        // Allocate + build the patch trampoline.
-        let tramp = self.alloc(jp_window, size_ub as u64)?;
-        let tramp_bytes = match trampoline::build(template, insn, tramp) {
-            Ok(b) => b,
-            Err(_) => {
-                self.space.free(tramp, tramp + size_ub as u64);
-                return None;
-            }
-        };
+        // Find the patch trampoline's address, which fixes J_patch's bytes.
+        let tramp = self.find(jp_window, size_ub, None)?;
         let jp_bytes = jp.encode(tramp).expect("target inside pun window");
 
-        // Overlay J_patch to compute J_victim's pun window.
+        // Overlay J_patch to compute J_victim's pun window, then find the
+        // evictee trampoline's address clear of the patch trampoline's.
         let mut img_v = self.bytes_at(v_addr, (j + 5) as usize).into_owned();
-        let roll_patch = |s: &mut Self| s.space.free(tramp, tramp + size_ub as u64);
         if img_v.len() < 5 {
-            roll_patch(self);
             return None;
         }
         for (i, b) in jp_bytes.iter().enumerate() {
@@ -529,34 +523,16 @@ impl<'a> Planner<'a> {
                 img_v[off] = *b;
             }
         }
-        let Some(jv) = PunJump::new(&img_v, v_addr, j.min(255) as u8, 0) else {
-            roll_patch(self);
-            return None;
-        };
-        let Some(jv_window) = jv.target_window().and_then(|w| w.intersect(v_reach)) else {
-            roll_patch(self);
-            return None;
-        };
-        let Some(evictee) = self.alloc(jv_window, v_ub as u64) else {
-            roll_patch(self);
-            return None;
-        };
-        let ev_bytes = match trampoline::build_evictee(victim, evictee) {
-            Ok(b) => b,
-            Err(_) => {
-                self.space.free(evictee, evictee + v_ub as u64);
-                roll_patch(self);
-                return None;
-            }
-        };
+        let jv = PunJump::new(&img_v, v_addr, j.min(255) as u8, 0)?;
+        let jv_window = jv.target_window()?.intersect(v_reach)?;
+        let evictee = self.find(jv_window, v_ub, Some((tramp, tramp + size_ub as u64)))?;
+
+        // Build both trampolines once both addresses are found.
+        let tramp_bytes = trampoline::build(template, insn, tramp).ok()?;
+        let ev_bytes = trampoline::build_evictee(victim, evictee).ok()?;
         let jv_bytes = jv.encode(evictee).expect("target inside pun window");
 
         // --- Commit ---------------------------------------------------
-        self.space
-            .free(tramp + tramp_bytes.len() as u64, tramp + size_ub as u64);
-        self.space
-            .free(evictee + ev_bytes.len() as u64, evictee + v_ub as u64);
-
         self.write(t, &jp_bytes);
         let (jp_ws, jp_we) = jp.written_range();
         self.locks.lock_modified(jp_ws, jp_we - jp_ws);
@@ -579,8 +555,8 @@ impl<'a> Planner<'a> {
             self.locks.lock_modified(addr, 2);
         }
 
-        self.trampolines.push((tramp, tramp_bytes));
-        self.trampolines.push((evictee, ev_bytes));
+        self.place(tramp, tramp_bytes);
+        self.place(evictee, ev_bytes);
         Some(())
     }
 
@@ -590,22 +566,16 @@ impl<'a> Planner<'a> {
         if !self.locks.can_write(insn.addr, 1) {
             return false;
         }
-        let Some(tramp) = self.alloc(reach, size_ub as u64) else {
+        let Some(tramp) = self.find(reach, size_ub, None) else {
             return false;
         };
-        let bytes = match trampoline::build(template, insn, tramp) {
-            Ok(b) => b,
-            Err(_) => {
-                self.space.free(tramp, tramp + size_ub as u64);
-                return false;
-            }
+        let Ok(bytes) = trampoline::build(template, insn, tramp) else {
+            return false;
         };
-        self.space
-            .free(tramp + bytes.len() as u64, tramp + size_ub as u64);
         self.write(insn.addr, &[e9x86::INT3_OPCODE]);
         self.locks.lock_modified(insn.addr, 1);
         self.traps.push((insn.addr, tramp));
-        self.trampolines.push((tramp, bytes));
+        self.place(tramp, bytes);
         true
     }
 
@@ -708,24 +678,6 @@ impl<'a> Planner<'a> {
             reports: self.reports,
         }
     }
-}
-
-/// `insns` sorted by address with one entry per address, and a lock map
-/// over it: borrowed when `insns` already is, else a sorted copy in which
-/// the last entry for an address wins.
-fn index(insns: &[Insn]) -> (Cow<'_, [Insn]>, LockMap) {
-    if let Some(locks) = LockMap::over(insns) {
-        return (Cow::Borrowed(insns), locks);
-    }
-    let mut v = insns.to_vec();
-    // Stable, so the entries for one address keep their input order;
-    // reversed, deduplication keeps each address's last entry.
-    v.sort_by_key(|i| i.addr);
-    v.reverse();
-    v.dedup_by_key(|i| i.addr);
-    v.reverse();
-    let locks = LockMap::over(&v).expect("sorted and deduplicated");
-    (Cow::Owned(v), locks)
 }
 
 /// The planner's outputs (see [`Planner::into_parts`]).

@@ -8,11 +8,13 @@
 //! shapes fixed in this change: `alloc_at` end arithmetic, `alloc_in_high`
 //! under-the-ceiling stepping, and cursor rounding at `u64::MAX`).
 //!
-//! Two equivalence properties pin the planner's flat state to simple
-//! models: random operation sequences on [`AddressSpace`] must give the
-//! results of a probe-per-interval first fit ([`RefSpace`]), and random
-//! lock sequences on a dense [`LockMap`] must read like a `HashMap` of
-//! per-byte states, at addresses inside and outside its dense runs.
+//! Equivalence properties pin the planner's flat state to simple models.
+//! Random operation sequences on [`AddressSpace`] must give the results
+//! of a probe-per-interval first fit ([`RefSpace`]); so must the
+//! planner's search-then-commit placement, against reserving each size
+//! bound and freeing the slack. Random lock sequences on a dense
+//! [`LockMap`] must read like a `HashMap` of per-byte states, at
+//! addresses inside and outside its dense runs.
 //!
 //! The plain tests at the end pin the planner's side of the same
 //! arithmetic: degenerate reach windows are typed errors, never panics,
@@ -257,6 +259,10 @@ impl RefSpace {
     }
 }
 
+/// Trampoline size bounds for the search-then-commit property: a few,
+/// so that each one's search floor is reused.
+const SIZES: [u64; 4] = [8, 21, 40, 77];
+
 /// Nops of each length 1..=5, for disassemblies with a chosen layout.
 const NOPS: [&[u8]; 5] = [
     &[0x90],
@@ -326,6 +332,103 @@ props! {
         }
         for x in (base..base + 0x3400).step_by(0x40) {
             prop_assert_eq!(a.is_free(x, x + 0x40), r.is_free(x, x + 0x40), "{:#x}", x);
+        }
+    }
+
+    #[test]
+    fn search_then_commit_matches_reserve_then_roll_back(
+        high in any::<bool>(),
+        ops in vec((0u8..8, 0u64..0x3000, 0u64..0x3000, 0usize..4, 0usize..4, 0u64..0x100), 1..96),
+    ) {
+        // The planner finds every address a tactic needs, builds, and
+        // then reserves exactly the built bytes. The model is placement
+        // as it was before: reserve each size bound as it is found, free
+        // the slack after the build, or the whole bound when a later step
+        // fails. Placements search a 12 KiB stretch at the bottom of the
+        // usable space, and half of their windows begin at its bottom, so
+        // the search floor of each size is reused and moved by frees
+        // below, inside and above the latest placement.
+        let find = |a: &mut AddressSpace, w: Window, size: u64, taken: Option<(u64, u64)>| {
+            if high {
+                a.find_in_high(w, size, 1, taken)
+            } else {
+                a.find_in(w, size, 1, taken)
+            }
+        };
+        let alloc = |r: &mut RefSpace, w: Window, size: u64| {
+            if high {
+                r.alloc_in_high(w, size, 1)
+            } else {
+                r.alloc_in(w, size, 1)
+            }
+        };
+        let mut a = AddressSpace::new();
+        let mut r = RefSpace::default();
+        let mut last = MIN_ADDR;
+        for (op, x, y, k, k2, z) in ops {
+            let (size, size2) = (SIZES[k], SIZES[k2]);
+            // What the build used: 1 to `size` bytes.
+            let (built, built2) = (size - z % size, size2 - (z >> 2) % size2);
+            let lo = if x % 2 == 0 { MIN_ADDR } else { MIN_ADDR + x };
+            let w = Window { lo, hi: lo + y };
+            match op {
+                // One trampoline: B1/B2/T1, T2's evictee or B0.
+                0 | 1 => {
+                    let got = find(&mut a, w, size, None);
+                    prop_assert_eq!(got, alloc(&mut r, w, size), "place {} in {:x?}", size, w);
+                    if let Some(t) = got {
+                        a.reserve(t, t + built);
+                        r.free(t + built, t + size);
+                        last = t;
+                    }
+                }
+                // T3: a patch trampoline, then an evictee clear of the
+                // patch trampoline's whole bound, or a roll-back.
+                2 | 3 => {
+                    let Some(t) = find(&mut a, w, size, None) else {
+                        prop_assert_eq!(alloc(&mut r, w, size), None);
+                        continue;
+                    };
+                    prop_assert_eq!(alloc(&mut r, w, size), Some(t));
+                    let w2 = Window { lo: t.saturating_sub(z).max(MIN_ADDR), hi: t + y % 0x200 + 1 };
+                    let got = find(&mut a, w2, size2, Some((t, t + size)));
+                    prop_assert_eq!(got, alloc(&mut r, w2, size2), "evictee {} in {:x?}", size2, w2);
+                    match got {
+                        Some(e) => {
+                            a.reserve(t, t + built);
+                            a.reserve(e, e + built2);
+                            r.free(t + built, t + size);
+                            r.free(e + built2, e + size2);
+                            last = e;
+                        }
+                        None => r.free(t, t + size),
+                    }
+                }
+                // A search clear of an arbitrary taken range.
+                4 => {
+                    let taken = (MIN_ADDR + z * 16, MIN_ADDR + z * 16 + y % 0x100 + 1);
+                    let mut model = r.clone();
+                    model.reserve(taken.0, taken.1);
+                    prop_assert_eq!(find(&mut a, w, size, Some(taken)), alloc(&mut model, w, size));
+                }
+                // Frees below, inside and above the latest placement.
+                5 | 6 => {
+                    let at = (last + x % 0x200).saturating_sub(0x100).max(MIN_ADDR);
+                    let len = y % 0x100 + 1;
+                    a.free(at, at + len);
+                    r.free(at, at + len);
+                }
+                _ => {
+                    let len = y % 0x80;
+                    a.reserve(MIN_ADDR + x, MIN_ADDR + x + len);
+                    r.reserve(MIN_ADDR + x, MIN_ADDR + x + len);
+                }
+            }
+            prop_assert_eq!(a.occupied_bytes(), r.occupied_bytes());
+            prop_assert_eq!(a.fragment_count(), r.occupied.len());
+        }
+        for x in (MIN_ADDR..MIN_ADDR + 0x3400).step_by(0x10) {
+            prop_assert_eq!(a.is_free(x, x + 0x10), r.is_free(x, x + 0x10), "{:#x}", x);
         }
     }
 

@@ -3,6 +3,7 @@
 use crate::prefix::{self, Prefixes};
 use crate::reg::{Reg, Width};
 use crate::MAX_INSN_LEN;
+use std::borrow::Cow;
 use std::fmt;
 
 /// Condition codes for `jcc`, `setcc` and `cmovcc` (the low nibble of the
@@ -317,6 +318,15 @@ impl Insn {
         &self.code[..self.len()]
     }
 
+    /// The record the bytes are kept in: the instruction's bytes, zero
+    /// past its end, then its length in the last byte. A copy of the
+    /// whole record has a fixed size, so it needs no length-dependent
+    /// copy; the first [`Insn::len`] bytes are [`Insn::bytes`].
+    #[inline]
+    pub fn padded_bytes(&self) -> &[u8; MAX_INSN_LEN + 1] {
+        &self.code
+    }
+
     /// Address of the next instruction (`addr + len`).
     #[inline]
     pub fn end(&self) -> u64 {
@@ -525,6 +535,25 @@ impl fmt::Display for Insn {
         }
         write!(f, " ({:?})", self.kind)
     }
+}
+
+/// `insns` sorted by address with one entry per address: borrowed when
+/// it already is, else a sorted copy in which the last entry for an
+/// address wins, as collecting `(addr, insn)` pairs into a map would
+/// keep it. Every consumer that indexes a disassembly by address reads
+/// it through this one rule.
+pub fn by_address(insns: &[Insn]) -> Cow<'_, [Insn]> {
+    if insns.windows(2).all(|w| w[0].addr < w[1].addr) {
+        return Cow::Borrowed(insns);
+    }
+    let mut v = insns.to_vec();
+    // Stable, so the entries for one address keep their input order;
+    // reversed, deduplication keeps each address's last entry.
+    v.sort_by_key(|i| i.addr);
+    v.reverse();
+    v.dedup_by_key(|i| i.addr);
+    v.reverse();
+    Cow::Owned(v)
 }
 
 #[cfg(test)]
