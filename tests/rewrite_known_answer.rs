@@ -11,9 +11,12 @@
 //!
 //! The configurations the benchmark never runs are pinned too: A1 on
 //! every row with top-down placement, with B1/B2 and the B0 trap
-//! fallback only, and with 16-page grouping. Two rows at 1/10 scale (gcc
-//! and inkscape, all three job kinds) pin the planner where placed
-//! trampolines fragment the address space most.
+//! fallback only, with 16-page grouping, and with grouping off (the
+//! naïve one-to-one layout of ablation E4). A2 with the low-fat payload
+//! pins a rewrite with two extra segments, one executable and one
+//! writable. Two rows at 1/10 scale (gcc and inkscape, all three job
+//! kinds) pin the planner where placed trampolines fragment the address
+//! space most.
 //!
 //! The planner's data structures are free to change; its output is not.
 //! A change that moves one of these digests changes what users get.
@@ -165,6 +168,26 @@ fn granularity_16_outputs_are_pinned() {
     check(
         &instrument_rows_with(Application::A1Jumps, Payload::Empty, cfg),
         A1_GRANULARITY_16,
+    );
+}
+
+#[test]
+fn naive_grouping_outputs_are_pinned() {
+    let cfg = RewriteConfig {
+        grouping: false,
+        ..RewriteConfig::default()
+    };
+    check(
+        &instrument_rows_with(Application::A1Jumps, Payload::Empty, cfg),
+        A1_NAIVE_GROUPING,
+    );
+}
+
+#[test]
+fn a2_lowfat_outputs_are_pinned() {
+    check(
+        &instrument_rows(Application::A2HeapWrites, Payload::LowFat),
+        A2_LOWFAT,
     );
 }
 
@@ -509,6 +532,88 @@ const A1_GRANULARITY_16: &[&str] = &[
     "libc.so 82acee51ff41e8a1ed8ac170e425e87eea417c4306dab0b4078a132f33c198c5 778 19 334 2 3 0 0 43320 767600 54 11 54 16",
     "libstdc++.so b225b09f99ae740bed26591f9169f71b7901db5100860c94e4227fc753920852 375 5 181 1 1 0 0 25856 685272 37 10 37 16",
 ];
+const A1_NAIVE_GROUPING: &[&str] = &[
+    "perlbench 4bd51930acae39e586cf2b7d66a5a85f42c562d598b906945ff5cfb678a6af6f 536 8 248 3 1 0 0 30488 498680 113 113 113 1",
+    "bzip2 b20cc5614e7c6c27f9ea28deccbf31759ce3910da851b95743f07296c38cc4f9 17 1 9 0 0 0 0 8840 57960 11 11 11 1",
+    "gcc 397d4d6d54cc2a6dbe4a8a522edcb0c2dcc5657cd4b217619d6f86b92b878074 1472 32 700 12 2 0 0 77616 1301816 297 297 297 1",
+    "bwaves a5c7eed6d329db464e152ed21a649cb63ec854d7d86a9a0e2fb993cc088ff3dd 10 0 9 0 1 0 0 8840 62080 12 12 12 1",
+    "gamess d327a69079edc8e0889881ff7584529fb85665ffbcdd70102b7c38b6542b742c 2177 11 25 18 914 0 127 185640 3068704 699 699 699 1",
+    "mcf 81d3c21373c1084e335bec05a9a76b2c79a255b14b5d0a99927d18741871a50c 23 0 8 0 0 0 0 8840 41480 7 7 7 1",
+    "milc ca6e831bfd46fee8fea9d38eb5d668d91c7d9409be71c62f75f52b7702427cfb 30 2 6 0 0 0 0 8904 41480 7 7 7 1",
+    "zeusmp 0dd7638765c0c490ed44a1370ebeab8561d63d8d481d18a49a3afe5e4628adbc 46 1 16 1 6 0 0 13160 111552 23 23 23 1",
+    "gromacs b2cc39ea2db2ea2d3cb490bb9996a165250f28394af5c8615da32d79ede20f6f 209 11 78 4 1 0 0 21912 329808 74 74 74 1",
+    "cactusADM 13f91bd33da129ccffb2f33f7c71d8a31a8208ffd45c5abacb443509ec3769a9 224 12 93 4 2 0 0 26064 354504 79 79 79 1",
+    "leslie3d 3f57ca4c61579327e79850442dc2ef2bae71af74144a68051e6b210306b8b092 48 4 14 2 0 0 0 8960 82680 17 17 17 1",
+    "namd 05270a340881c4e7c0d322f80594c4d2fa449ab53f14c563f56fed7767ece1e2 73 5 38 2 1 0 0 13208 173296 38 38 38 1",
+    "gobmk d3df052904565c5359696982d7a784dd91725d3101f9e0a8f4da269dc4b0b95a 329 6 152 1 2 0 0 21672 309208 69 69 69 1",
+    "dealII 24551b385a4fad1f3b713e714c119428a603f368015e710e8e0a41d3ca166267 932 14 433 6 3 0 0 51808 873480 199 199 199 1",
+    "soplex 0099f6e96dc26d334a22abf5f108453a85e630472108bb5ec89d2a456db5d6a1 151 2 82 1 0 0 0 13208 173296 38 38 38 1",
+    "povray c451406f51cfd568456d50bf23ef224a050dc693a42ae8dc3456f6114b8374ee 323 7 163 1 4 0 0 21760 329808 74 74 74 1",
+    "calculix 77f32222fb9b12892420d191295e32edf322442c65785dd2912c4847d6edd3b3 479 30 206 8 6 0 0 47776 803464 183 183 183 1",
+    "hmmer 9f8c9da536d1fcca9291fd52ab71f0198e58cdd298e4157c29c16122fc3a1f63 77 3 38 0 1 0 0 8992 90920 19 19 19 1",
+    "sjeng 575ab76fd83b84e4f37d5f64438aec9af2cd0afdb91b0192d5abe1697d3102e9 72 0 46 1 2 0 0 8904 132120 29 29 29 1",
+    "GemsFDTD b9f7884d06d6f4ca41ad8b76f3447340d0165ff765e558fe8f6aed980e740bf9 166 9 61 2 3 0 0 21696 284488 63 63 63 1",
+    "libquantum ff2f7de9899d3293a35a5e09702574dc7a1b9ae3bc5e18601032b4b026d17a95 25 1 17 0 0 0 0 8840 66200 13 13 13 1",
+    "h264ref 662a99a5becbff999e24efc8f7ebccf1c9f6751982715590436226f4da87b485 152 1 67 1 2 0 0 13208 177416 39 39 39 1",
+    "tonto c0462634d8e5cee25db12680ace541120fe15accd2c0adcea849e12e50e18010 836 48 374 10 9 0 0 77704 1396576 320 320 320 1",
+    "lbm 4e49ab7862866945d88476c8c3290d7d4571444dbf13e296de6f23d4ccfd2cd9 18 1 8 0 0 0 0 8840 53840 10 10 10 1",
+    "omnetpp f90b1c10a1d4b90659b9d95a8e2ddab99f077c0bbfb892aa30c645baab1c0d68 145 3 71 0 0 0 0 17424 197992 43 43 43 1",
+    "astar 4351f6dd33257c23497333c0eb923435860e8d1521139af73da8dc462c49377e 25 0 13 0 0 0 0 8840 49720 9 9 9 1",
+    "sphinx3 59b212f1ad6c7da3d23d8fc985060533970f5f85d5e28a6da7517aef94d91303 45 1 26 0 1 0 0 13120 115616 24 24 24 1",
+    "xalancbmk 67e9503de916d7302302a0e43c704afbe270b4e6b71580bf36f11a14d4aceb0e 1113 22 610 5 4 0 0 64760 1091768 249 249 249 1",
+    "inkscape 78f93c980b1e5176e67be2eeba83aa0c4a7673f49c62197bc939777b8d839eeb 3017 1529 0 0 0 0 0 150552 1861704 415 415 415 1",
+    "gimp 71350933d9b4bda72138e8234c6f023ab1bd086406a7a0f26a37eab6f5a8145a 1107 26 561 6 7 0 0 60336 1046472 239 239 239 1",
+    "vim 5d8aa6192345c5452839ad0b412f4505adf9e0497ad35f13878d8bcdce73f150 1084 602 0 0 0 0 0 60360 725112 161 161 161 1",
+    "git 0a9864ee3be31402c2b8da638afa03c90bc4d5c1c8d62261e81495908c02cccb 695 22 339 3 2 0 0 38952 663432 151 151 151 1",
+    "pdflatex 4df0a93e74256ab30f518d21631c480603f36e507083732e5a2f3ae940de8045 318 11 200 1 2 0 0 21816 333928 75 75 75 1",
+    "xterm 02e21b5d33c9a04dda848f200969ce0d75bfbdd04360067977ef2063ee58bfa5 190 7 94 1 1 0 0 17360 239192 53 53 53 1",
+    "evince 3218b27726782a558411475d1da6985c3ed29ee70361dcbc30a2d9c89d22e182 66 28 0 0 0 0 0 8904 74440 15 15 15 1",
+    "make adde3937a7a9f00158e62caac5cd20c4f6c829297a8a0e3e3a4282bb7a5996f5 71 1 29 0 0 0 0 8928 66200 13 13 13 1",
+    "libc.so 3e06da3a09304d46f98e1b7610fb6ebc2105e2c66a8fb2c8d2151265a4e8d76a 778 19 334 2 3 0 0 43320 651048 147 147 147 1",
+    "libstdc++.so 275555ea5ca6b580395eb3d8173d3a36b77810533d34bfb4406fc747717cddea 375 5 181 1 1 0 0 25856 354504 79 79 79 1",
+];
+
+const A2_LOWFAT: &[&str] = &[
+    "perlbench aeb5aa03c748f062509488a111103a9936c035e09593ea1f96f386ebb340360c 146 65 43 0 0 0 0 30488 92208 68 12 68 1",
+    "bzip2 9208c9bb07e3ba639d8cf70d20e5788669266494cbe658c69c3a90ad7a157014 8 2 2 0 0 0 0 8840 29256 5 2 5 1",
+    "gcc 3f2c4f5d33ad429ec17b1961b4d612c49b96c2ffbd44dd039b047bb3c35b9288 379 191 116 0 0 0 0 77616 168816 188 19 188 1",
+    "bwaves 131207e91ec0fcec78b25925dc93a039eca769a927e2ffe8b8998c0a7157c513 4 3 3 0 0 0 0 8840 29280 6 2 6 1",
+    "gamess eb6d7ef948e0bdc2b5de6b793070edc143a79ea988578ae10f2c8362ee79e287 906 2 133 90 487 0 77 185640 356584 500 36 500 1",
+    "mcf 226e34272d8c5ce7a4fee9a9b93bbd5d5fd330e60401bc8b60fc10face16da31 22 4 2 0 0 0 0 8840 33376 6 3 6 1",
+    "milc 270123feeaf7b4b0cbdfec36272c32dbd04425cd59f1283dbb512ab3f5262ab9 8 8 4 0 0 0 0 8904 37520 8 4 8 1",
+    "zeusmp d61cfc81a606d9932dbf56940e2f88ab9d7fbf716f232723c42deea041f7a6b3 28 9 2 2 8 0 0 13160 41960 20 4 20 1",
+    "gromacs 923dc84994ae3d9430d59e5892a0fb0c31f6a224840d376af0c6b7ef9df25072 83 46 29 0 0 0 0 21912 63008 46 7 46 1",
+    "cactusADM 902879d399d1f7bf592f9e8bb806aeed072f3fcd2a142e9feae4a559d33f39d0 101 52 32 0 1 0 0 26064 67272 53 7 53 1",
+    "leslie3d a797262e497813adf2bed888273e706c87b6691e1206c7778f13a971b5116a7c 19 6 6 0 0 0 0 8960 33448 9 3 9 1",
+    "namd 80b702796ec2210d779af6f0f819b341425c24270ba7e869e52c5f46b8ef095b 41 14 13 0 0 0 0 13208 37832 21 3 21 1",
+    "gobmk cac9538639348b9e7a03ab579dc96e383b69d176b7f933835efe7b7464206816 89 32 22 0 0 0 0 21672 54600 37 5 37 1",
+    "dealII 4e8b41a217ab37a09c9143eccd61e6c54adaf0901c1010e74ccbc0f27121e91e 245 113 74 0 0 0 0 51808 121960 113 14 113 1",
+    "soplex 92e0d507c0dac543dfff283d10cc4e44f773d742e917e42d812a5a7d6dd45d33 44 19 12 0 0 0 0 13208 37808 20 3 20 1",
+    "povray 1f9a83e2ec5588cece10df614c0de2ad84e533ebc773b11e5fe85df18afe3272 86 43 26 0 0 0 0 21760 58744 39 6 39 1",
+    "calculix 3518b45f14ef09f089a7a395527753c3713cd745a58dd6daf312348c5c87d503 244 132 77 1 0 0 0 47776 122152 121 15 121 1",
+    "hmmer 6f5e45cb0f520d86ca85bb64e1d6ea111b5b082a2f0ebf21a8e204720bef9b42 27 10 7 0 0 0 0 8992 33520 12 3 12 1",
+    "sjeng b07f2d005a60e93bfc982a9b39dbbbd3dccee62df2809cf0e648b4fd1c58b45c 24 9 4 0 0 0 0 8904 33400 7 3 7 1",
+    "GemsFDTD 066df931d8fecded757ded2c3e89559de68f5160736fbbf32e55328e83f3d7f8 56 38 26 0 0 0 0 21696 58744 39 6 39 1",
+    "libquantum 0118542b6a84673f6e7d79121f02c1a9e948a1d29eee4dc508ef9d8a49eeb472 9 2 2 0 0 0 0 8840 29232 4 2 4 1",
+    "h264ref 09b35d4f5f0f5a9922f59898a913535bba4527b1fed3edb6e2211754107d35b7 56 18 12 0 0 0 0 13208 41928 21 4 21 1",
+    "tonto 2c687698e7f777ade806159fb4bdb6ec351e33a46ab21735babf2425af41907c 383 194 120 0 0 0 0 77704 172984 191 20 191 1",
+    "lbm b2547ad334ec4d228eac906b467c426aec52d4dc8241bb13c7834e2d7234af77 12 11 2 0 0 0 0 8840 33376 6 3 6 1",
+    "omnetpp 82921800af54432732735e2f0267bfb1c7690ea69b2c7f9ceb425ceec5be557d 123 31 15 0 0 0 0 17424 50336 30 5 30 1",
+    "astar 95545de57c9cfaf2e631ea22a36977634e46a13175d918d4fe4396424a5bcb62 20 4 3 0 0 0 0 8840 29280 6 2 6 1",
+    "sphinx3 383a6a218e8754e403ecfb6dac10464f886f4b1c0f5d4ef8d717ac56ca74f6c1 24 17 8 0 0 0 0 13120 37688 15 3 15 1",
+    "xalancbmk 7fcba021073be3e5f3054a8f12ae6088e84004d2a48885c552936d70db8257ce 341 174 97 1 0 0 0 64760 156024 167 19 167 1",
+    "inkscape 9eaa260280410e36e5652481872238c8c5b6c99fe5eb83a908d9f4a9958209a7 709 611 0 0 0 0 0 150552 427608 219 64 219 1",
+    "gimp 266db9a69ee82b2e1702f6347861157d40c6b8f45edb542e6c103ec8216a16bb 285 140 84 0 0 0 0 60336 134848 138 15 138 1",
+    "vim 4a70d109022f04a5f36eeeeedab69ddbecaef1a80818400a00d0718523f5f970 272 220 0 0 0 0 0 60360 186776 83 28 83 1",
+    "git 50adfc7b6411ad3ae70f6c9a23071abacf2c57a19a3e4ba67728758a346624ab 176 96 55 0 0 0 0 38952 96832 90 11 90 1",
+    "pdflatex 576acc706b17ab151d27e24926321e29b839cc512c6b994e965ad54814eee716 81 45 25 0 0 0 0 21816 62888 41 7 41 1",
+    "xterm 75d0867fe9e4b636b0e67666e29cc9943eba60e3625a5beb5d003b37363e6d8d 49 26 15 0 0 0 0 17360 50216 25 5 25 1",
+    "evince 1328cb6f6404c64a85b3be69a1bd63459d44b6f3b224c56dbaa5ccffea381ed5 19 12 0 0 0 0 0 8904 37472 6 4 6 1",
+    "make 4e6fd948cf2f8900de1485ad18edbdfa5418c519391a8e3130132c29cb6f142c 17 8 6 0 0 0 0 8928 29400 11 2 11 1",
+    "libc.so a7638cb5e7e8454f6a2717c4600bd345d120eccb5ebcf62b5dac630a3d3c1d52 200 105 62 0 0 0 0 43320 101168 100 11 100 1",
+    "libstdc++.so be1d7c330447243fe0622939f2f5beb6b5fb2525c68dba20cc541779af9801e8 109 46 24 0 0 0 0 25856 67008 42 7 42 1",
+];
+
 const SCALE_10: &[&str] = &[
     "gcc-a1 ad43cdbe3a3cb0f8a70a9ea8d13358f1def9920da56ba313cbd904d82a7b080c 7373 173 3540 44 88 0 0 365280 856424 1195 112 1195 1",
     "gcc-a2 dd65703d5712689485834c698ff538fded36c0c778eea20f3f88ce4c6ca7e34f 1927 977 600 2 0 0 0 365280 711600 961 77 961 1",
