@@ -1,5 +1,7 @@
 //! Physical page grouping micro-benchmark: the greedy partitioning pass
-//! over scattered trampolines (§4).
+//! over scattered trampolines (§4). It measures partitioning only: `group`
+//! lends each block's extents and writes no block bytes, which the
+//! rewriter's emit writes straight into the output file.
 
 use e9bench::harness::{Harness, Throughput};
 use e9rng::StdRng;

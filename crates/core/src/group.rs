@@ -11,6 +11,10 @@
 //! and mapped at every member block's virtual base (a one-to-many,
 //! file-backed mapping), as in the paper's Figure 3.
 //!
+//! Grouping only partitions: a [`PhysBlock`] lends the trampoline bytes
+//! as `(offset, &[u8])` extents, and the rewriter writes them straight
+//! into the output file.
+//!
 //! Partitioning is a combinatorial optimisation; like E9Patch we use a
 //! greedy algorithm (first-fit over groups, densest block first). To keep
 //! very large binaries near-linear, each block's occupancy is summarised
@@ -30,30 +34,26 @@ pub const DEFAULT_MAX_MAP_COUNT: u64 = 65536;
 
 /// One merged physical block and the virtual bases it is mapped at.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PhysBlock {
-    /// Block contents (`block_size` bytes; unused byte ranges are zero).
-    pub bytes: Vec<u8>,
+pub struct PhysBlock<'t> {
+    /// Disjoint `(offset, bytes)` extents within the block, borrowed from
+    /// the trampolines; every other byte of the block is zero.
+    pub extents: Vec<(u64, &'t [u8])>,
     /// Virtual base addresses this physical block must be mapped at.
     pub mapped_at: Vec<u64>,
 }
 
 /// Result of the grouping pass.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Grouping {
+pub struct Grouping<'t> {
     /// Block size in bytes (`M * PAGE_SIZE`).
     pub block_size: u64,
     /// Merged physical blocks.
-    pub groups: Vec<PhysBlock>,
+    pub groups: Vec<PhysBlock<'t>>,
     /// Number of virtual blocks that contained trampoline bytes.
     pub virtual_blocks: u64,
 }
 
-impl Grouping {
-    /// Total physical bytes emitted to the file.
-    pub fn physical_bytes(&self) -> u64 {
-        self.groups.len() as u64 * self.block_size
-    }
-
+impl Grouping<'_> {
     /// Total mappings the loader must create.
     pub fn mapping_count(&self) -> u64 {
         self.groups.iter().map(|g| g.mapped_at.len() as u64).sum()
@@ -97,7 +97,7 @@ fn occupancy_bits(extents: &[(u64, &[u8])], block_size: u64) -> u64 {
 ///
 /// Panics if two trampolines overlap in virtual memory (allocator
 /// invariant).
-pub fn group(trampolines: &[(u64, Vec<u8>)], granularity: u64, enable: bool) -> Grouping {
+pub fn group(trampolines: &[(u64, Vec<u8>)], granularity: u64, enable: bool) -> Grouping<'_> {
     let bs = granularity.max(1) * PAGE_SIZE;
 
     // Split extents at block boundaries into (block base, offset, bytes)
@@ -140,52 +140,45 @@ pub fn group(trampolines: &[(u64, Vec<u8>)], granularity: u64, enable: bool) -> 
         .collect();
     let virtual_blocks = occs.len() as u64;
 
-    // (coarse bitmap, merged extents, member block bases)
-    type Group<'t> = (u64, Vec<(u64, &'t [u8])>, Vec<u64>);
-    let mut groups: Vec<Group> = Vec::new();
+    // First-fit decreasing by occupancy; mergability decided by the
+    // coarse bitmaps (sufficient for byte-disjointness). The naïve layout
+    // scans no group, so every block starts its own.
+    let scan = if enable { MAX_GROUP_SCAN } else { 0 };
     if enable {
-        // First-fit decreasing by occupancy; mergability decided by the
-        // coarse bitmaps (sufficient for byte-disjointness).
         occs.sort_by(|a, b| b.occupied.cmp(&a.occupied).then(a.base.cmp(&b.base)));
-        for blk in occs {
-            let mut placed = false;
-            for (bits, extents, members) in groups.iter_mut().take(MAX_GROUP_SCAN) {
-                if *bits & blk.bits == 0 {
-                    *bits |= blk.bits;
-                    extents.extend_from_slice(&blk.extents);
-                    members.push(blk.base);
-                    placed = true;
-                    break;
-                }
+    }
+    // Each group keeps its coarse bitmap beside the block it grows.
+    let mut groups: Vec<(u64, PhysBlock)> = Vec::new();
+    for blk in occs {
+        let fit = groups
+            .iter_mut()
+            .take(scan)
+            .find(|(bits, _)| *bits & blk.bits == 0);
+        match fit {
+            Some((bits, g)) => {
+                *bits |= blk.bits;
+                g.extents.extend_from_slice(&blk.extents);
+                g.mapped_at.push(blk.base);
             }
-            if !placed {
-                groups.push((blk.bits, blk.extents, vec![blk.base]));
-            }
-        }
-    } else {
-        for blk in occs {
-            groups.push((blk.bits, blk.extents, vec![blk.base]));
+            None => groups.push((
+                blk.bits,
+                PhysBlock {
+                    extents: blk.extents,
+                    mapped_at: vec![blk.base],
+                },
+            )),
         }
     }
 
-    let phys = groups
-        .into_iter()
-        .map(|(_, extents, mut members)| {
-            members.sort_unstable();
-            let mut bytes = vec![0u8; bs as usize];
-            for (off, data) in extents {
-                bytes[off as usize..off as usize + data.len()].copy_from_slice(data);
-            }
-            PhysBlock {
-                bytes,
-                mapped_at: members,
-            }
-        })
-        .collect();
-
     Grouping {
         block_size: bs,
-        groups: phys,
+        groups: groups
+            .into_iter()
+            .map(|(_, mut g)| {
+                g.mapped_at.sort_unstable();
+                g
+            })
+            .collect(),
         virtual_blocks,
     }
 }
@@ -196,6 +189,15 @@ mod tests {
 
     fn t(vaddr: u64, len: usize, fill: u8) -> (u64, Vec<u8>) {
         (vaddr, vec![fill; len])
+    }
+
+    /// The byte at `off` in `blk`, read through its extents (`None` where
+    /// the block is zero).
+    fn byte_at(blk: &PhysBlock, off: u64) -> Option<u8> {
+        blk.extents
+            .iter()
+            .find(|(o, b)| (*o..*o + b.len() as u64).contains(&off))
+            .map(|(o, b)| b[(off - o) as usize])
     }
 
     #[test]
@@ -215,11 +217,11 @@ mod tests {
         assert_eq!(g.mapping_count(), 3);
         let blk = &g.groups[0];
         assert_eq!(blk.mapped_at, vec![0x10000, 0x11000, 0x12000]);
-        assert_eq!(blk.bytes[0x000], 1);
-        assert_eq!(blk.bytes[0x400], 2);
-        assert_eq!(blk.bytes[0x800], 3);
-        assert_eq!(blk.bytes[0x200], 4);
-        assert_eq!(blk.bytes[0xC00], 5);
+        assert_eq!(byte_at(blk, 0x000), Some(1));
+        assert_eq!(byte_at(blk, 0x400), Some(2));
+        assert_eq!(byte_at(blk, 0x800), Some(3));
+        assert_eq!(byte_at(blk, 0x200), Some(4));
+        assert_eq!(byte_at(blk, 0xC00), Some(5));
     }
 
     #[test]
@@ -232,7 +234,6 @@ mod tests {
         let g = group(&ts, 1, false);
         assert_eq!(g.groups.len(), 3);
         assert_eq!(g.mapping_count(), 3);
-        assert_eq!(g.physical_bytes(), 3 * PAGE_SIZE);
     }
 
     #[test]
@@ -256,8 +257,8 @@ mod tests {
         assert_eq!(g.groups.len(), 1);
         assert_eq!(g.mapping_count(), 2);
         let b = &g.groups[0];
-        assert_eq!(b.bytes[0xFF0], 7);
-        assert_eq!(b.bytes[0x00F], 7);
+        assert_eq!(byte_at(b, 0xFF0), Some(7));
+        assert_eq!(byte_at(b, 0x00F), Some(7));
     }
 
     #[test]
@@ -281,8 +282,8 @@ mod tests {
             .collect();
         let naive = group(&ts, 1, false);
         let grouped = group(&ts, 1, true);
-        assert_eq!(naive.physical_bytes(), 64 * PAGE_SIZE);
-        assert!(grouped.physical_bytes() <= 2 * PAGE_SIZE);
+        assert_eq!(naive.groups.len(), 64);
+        assert!(grouped.groups.len() <= 2);
         assert_eq!(grouped.mapping_count(), 64); // mappings unchanged
     }
 
@@ -307,8 +308,8 @@ mod tests {
             for &vbase in &blk.mapped_at {
                 for (va, bytes) in &ts {
                     if *va >= vbase && *va + bytes.len() as u64 <= vbase + g.block_size {
-                        let off = (*va - vbase) as usize;
-                        if blk.bytes[off..off + bytes.len()] == bytes[..] {
+                        let off = *va - vbase;
+                        if (off..).zip(bytes).all(|(o, &b)| byte_at(blk, o) == Some(b)) {
                             found += 1;
                         }
                     }
@@ -325,7 +326,7 @@ mod tests {
         let ts = vec![t(0x10000 + 4096 - 8, 8, 9)];
         let g = group(&ts, 1, true);
         assert_eq!(g.groups.len(), 1);
-        assert_eq!(g.groups[0].bytes[4088], 9);
+        assert_eq!(byte_at(&g.groups[0], 4088), Some(9));
     }
 
     #[test]

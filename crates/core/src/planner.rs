@@ -339,7 +339,7 @@ impl<'a> Planner<'a> {
     /// Try to place a punned jump at `jump_addr` (owning `writable` bytes,
     /// with `padding` prefix bytes) to a trampoline of up to `size_ub`
     /// bytes built by `build`. On success commits bytes + locks + the
-    /// trampoline and returns the pun used.
+    /// trampoline and returns the pun used and the trampoline's address.
     fn place_pun(
         &mut self,
         jump_addr: u64,
@@ -348,7 +348,7 @@ impl<'a> Planner<'a> {
         size_ub: usize,
         reach: Window,
         build: &dyn Fn(u64) -> Result<Vec<u8>, BuildError>,
-    ) -> Option<PunJump> {
+    ) -> Option<(PunJump, u64)> {
         let img = self.bytes_at(jump_addr, padding as usize + 5);
         let pun = PunJump::new(&img, jump_addr, writable, padding)?;
         let (ws, we) = pun.written_range();
@@ -365,30 +365,34 @@ impl<'a> Planner<'a> {
         let (ps, pe) = pun.punned_range();
         self.locks.lock_punned(ps, pe - ps);
         self.place(tramp, bytes);
-        Some(pun)
+        Some((pun, tramp))
     }
 
-    /// B1/B2/T1 attempts over all paddings.
+    /// B1/B2/T1 attempts over all paddings. Returns the tactic and the
+    /// patch trampoline's address.
     fn try_pun_tactics(
         &mut self,
         insn: &Insn,
         template: &Template,
         reach: Window,
         size_ub: usize,
-    ) -> Option<TacticKind> {
+    ) -> Option<(TacticKind, u64)> {
         let writable = insn.len() as u8;
         let max_pad = if self.cfg.tactics.t1 { writable } else { 1 };
         for padding in 0..max_pad {
-            if let Some(pun) = self.place_pun(insn.addr, writable, padding, size_ub, reach, &|t| {
-                trampoline::build(template, insn, t)
-            }) {
-                return Some(if padding > 0 {
+            if let Some((pun, tramp)) =
+                self.place_pun(insn.addr, writable, padding, size_ub, reach, &|t| {
+                    trampoline::build(template, insn, t)
+                })
+            {
+                let kind = if padding > 0 {
                     TacticKind::T1
                 } else if pun.free >= 4 {
                     TacticKind::B1
                 } else {
                     TacticKind::B2
-                });
+                };
+                return Some((kind, tramp));
             }
         }
         None
@@ -402,7 +406,7 @@ impl<'a> Planner<'a> {
         template: &Template,
         reach: Window,
         size_ub: usize,
-    ) -> Option<TacticKind> {
+    ) -> Option<(TacticKind, u64)> {
         let succ = self.insn_at(insn.end())?;
         let s_reach = Self::reach_window(&succ)?;
         let s_ub = trampoline::evictee_max_size(&succ);
@@ -424,12 +428,19 @@ impl<'a> Planner<'a> {
         }
         // The successor's bytes are now a jump; re-pun the patch site.
         self.try_pun_tactics(insn, template, reach, size_ub)
-            .map(|_| TacticKind::T2)
+            .map(|(_, tramp)| (TacticKind::T2, tramp))
     }
 
     /// T3: neighbour eviction with a `J_short → J_patch → trampoline`
-    /// double jump (and `J_victim` to an evictee trampoline).
-    fn try_t3(&mut self, insn: &Insn, template: &Template, reach: Window, size_ub: usize) -> bool {
+    /// double jump (and `J_victim` to an evictee trampoline). Returns the
+    /// patch trampoline's address.
+    fn try_t3(
+        &mut self,
+        insn: &Insn,
+        template: &Template,
+        reach: Window,
+        size_ub: usize,
+    ) -> Option<u64> {
         let addr = insn.addr;
         let len = insn.len() as u64;
         // Geometry of the short jump (S1 restricts rel8 to forward
@@ -437,17 +448,17 @@ impl<'a> Planner<'a> {
         // limitation L2).
         let (t_lo, t_hi, short_fixed) = if len >= 2 {
             if !self.locks.can_write(addr, 2) {
-                return false;
+                return None;
             }
             (addr + 2, addr + 2 + 127, false)
         } else {
             if !self.locks.can_write(addr, 1) {
-                return false;
+                return None;
             }
             let b = self.bytes_at(addr + 1, 1);
-            let Some(&rel) = b.first() else { return false };
+            let &rel = b.first()?;
             if rel >= 0x80 {
-                return false; // backward rel8 — disallowed by S1
+                return None; // backward rel8 — disallowed by S1
             }
             let t = addr + 2 + rel as u64;
             (t, t, true)
@@ -462,15 +473,14 @@ impl<'a> Planner<'a> {
                 if t < t_lo || t > t_hi {
                     continue;
                 }
-                if self
-                    .try_t3_with(insn, template, reach, size_ub, &victim, j, short_fixed)
-                    .is_some()
-                {
-                    return true;
+                let tramp =
+                    self.try_t3_with(insn, template, reach, size_ub, &victim, j, short_fixed);
+                if tramp.is_some() {
+                    return tramp;
                 }
             }
         }
-        false
+        None
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -483,7 +493,7 @@ impl<'a> Planner<'a> {
         victim: &Insn,
         j: u64,
         short_fixed: bool,
-    ) -> Option<()> {
+    ) -> Option<u64> {
         let addr = insn.addr;
         let v_addr = victim.addr;
         let v_len = victim.len() as u64;
@@ -557,26 +567,28 @@ impl<'a> Planner<'a> {
 
         self.place(tramp, tramp_bytes);
         self.place(evictee, ev_bytes);
-        Some(())
+        Some(tramp)
     }
 
     /// B0 fallback: `int3` at the site, dispatched by the runtime's trap
-    /// handler to the trampoline.
-    fn try_b0(&mut self, insn: &Insn, template: &Template, reach: Window, size_ub: usize) -> bool {
+    /// handler to the trampoline. Returns the trampoline's address.
+    fn try_b0(
+        &mut self,
+        insn: &Insn,
+        template: &Template,
+        reach: Window,
+        size_ub: usize,
+    ) -> Option<u64> {
         if !self.locks.can_write(insn.addr, 1) {
-            return false;
+            return None;
         }
-        let Some(tramp) = self.find(reach, size_ub, None) else {
-            return false;
-        };
-        let Ok(bytes) = trampoline::build(template, insn, tramp) else {
-            return false;
-        };
+        let tramp = self.find(reach, size_ub, None)?;
+        let bytes = trampoline::build(template, insn, tramp).ok()?;
         self.write(insn.addr, &[e9x86::INT3_OPCODE]);
         self.locks.lock_modified(insn.addr, 1);
         self.traps.push((insn.addr, tramp));
         self.place(tramp, bytes);
-        true
+        Some(tramp)
     }
 
     /// Patch one site, trying B1/B2 → T1 → T2 → T3 → (optional) B0 in
@@ -612,39 +624,30 @@ impl<'a> Planner<'a> {
                     return Some(k);
                 }
             }
-            if self.cfg.tactics.t3 && self.try_t3(&insn, template, reach, size_ub) {
-                return Some(TacticKind::T3);
+            if self.cfg.tactics.t3 {
+                if let Some(t) = self.try_t3(&insn, template, reach, size_ub) {
+                    return Some((TacticKind::T3, t));
+                }
             }
-            if self.cfg.b0_fallback && self.try_b0(&insn, template, reach, size_ub) {
-                return Some(TacticKind::B0);
+            if self.cfg.b0_fallback {
+                if let Some(t) = self.try_b0(&insn, template, reach, size_ub) {
+                    return Some((TacticKind::B0, t));
+                }
             }
             None
         })();
 
         match outcome {
-            Some(k) => self.stats.record(k),
+            Some((k, _)) => self.stats.record(k),
             None => self.stats.record_failure(),
         }
-        // The patch trampoline is the most recently placed one (T3 pushes
-        // patch then evictee; T2 pushes evictee(s) then patch — in both
-        // cases the relevant trampoline for the report is the one the site
-        // jumps to, which for T3 is second-to-last).
-        let trampoline = match outcome {
-            None => None,
-            Some(TacticKind::T3) => self
-                .trampolines
-                .len()
-                .checked_sub(2)
-                .map(|i| self.trampolines[i].0),
-            Some(_) => self.trampolines.last().map(|t| t.0),
-        };
         self.reports.push(SiteReport {
             addr,
             insn_len: insn.len() as u8,
-            tactic: outcome,
-            trampoline,
+            tactic: outcome.map(|(k, _)| k),
+            trampoline: outcome.map(|(_, t)| t),
         });
-        Ok(outcome)
+        Ok(outcome.map(|(k, _)| k))
     }
 
     /// Process a batch of requests in reverse address order (strategy S1).

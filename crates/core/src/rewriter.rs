@@ -2,12 +2,12 @@
 //! emit (in-place patches + appended blocks + loader).
 
 use crate::error::Error;
-use crate::group::{self, Grouping};
+use crate::group;
 use crate::layout::Window;
 use crate::loader::{self, Mapping};
 use crate::planner::{PatchRequest, Planner, RewriteConfig};
 use crate::stats::{PatchStats, SizeStats};
-use e9elf::types::{PF_R, PF_W, PF_X};
+use e9elf::types::{PF_R, PF_W, PF_X, PHDR_SIZE};
 use e9elf::{Elf, Patcher, PAGE_SIZE};
 use e9x86::insn::Insn;
 
@@ -161,22 +161,38 @@ impl Rewriter {
         let parts = planner.into_parts();
 
         // Physical page grouping over the placed trampolines.
-        let grouping: Grouping =
-            group::group(&parts.trampolines, self.cfg.granularity, self.cfg.grouping);
+        let grouping = group::group(&parts.trampolines, self.cfg.granularity, self.cfg.grouping);
+        let bs = grouping.block_size;
+        let loader_ub = loader::loader_size(grouping.mapping_count() as usize);
+        let trap_count = parts.traps.len();
+        let manifest = (trap_count > 0).then(|| manifest::encode(&parts.traps));
 
-        let mut patcher = Patcher::new(parts.elf);
+        // Bound everything appended past the image, so the output is
+        // allocated once: the blocks, each segment with up to two pages of
+        // alignment padding, the manifest, and the program-header table.
+        let segments = extra.iter().map(|s| s.bytes.len()).chain([loader_ub]);
+        let reserve = grouping.groups.len() * bs as usize
+            + segments.map(|n| n + 2 * PAGE_SIZE as usize).sum::<usize>()
+            + manifest.as_ref().map_or(0, |m| m.len() + 8)
+            + (parts.elf.phdrs.len() + extra.len() + 2) * PHDR_SIZE
+            + 8;
+        let mut patcher = Patcher::new(parts.elf, reserve);
 
-        // Emit merged physical blocks and build the loader mapping table.
-        let mut mappings = Vec::new();
-        for blk in &grouping.groups {
-            let off = patcher.append_blob(&blk.bytes, PAGE_SIZE);
-            for &vbase in &blk.mapped_at {
-                mappings.push(Mapping {
-                    vaddr: vbase,
-                    file_off: off,
-                    len: grouping.block_size,
-                });
+        // Write each merged physical block's extents at its file offset,
+        // and build the loader mapping table.
+        let (blocks_off, blocks) =
+            patcher.append_zeroed(grouping.groups.len() as u64 * bs, PAGE_SIZE);
+        let mut mappings = Vec::with_capacity(grouping.mapping_count() as usize);
+        for (i, blk) in grouping.groups.iter().enumerate() {
+            let at = i * bs as usize;
+            for &(off, data) in &blk.extents {
+                blocks[at + off as usize..][..data.len()].copy_from_slice(data);
             }
+            mappings.extend(blk.mapped_at.iter().map(|&vaddr| Mapping {
+                vaddr,
+                file_off: blocks_off + at as u64,
+                len: bs,
+            }));
         }
 
         // Extra segments (instrumentation runtime).
@@ -188,7 +204,6 @@ impl Rewriter {
         // loader must avoid every *block* range the mappings will
         // `MAP_FIXED` over (a block covers whole pages, beyond the byte
         // ranges the trampoline allocator reserved).
-        let loader_ub = loader::loader_size(mappings.len());
         let mut space = parts.space;
         for m in &mappings {
             space.reserve(m.vaddr, m.vaddr + m.len);
@@ -202,11 +217,8 @@ impl Rewriter {
         patcher.set_entry(loader_addr);
 
         // Trap manifest for the B0 fallback.
-        let trap_count = parts.traps.len();
-        if trap_count > 0 {
-            let blob = manifest::encode(&parts.traps);
-            let off = patcher.append_blob(&blob, 8);
-            patcher.add_note(off, blob.len() as u64);
+        if let Some(blob) = &manifest {
+            patcher.add_note(blob);
         }
 
         let binary = patcher.finish();

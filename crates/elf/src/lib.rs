@@ -11,10 +11,11 @@
 //! * [`build::ElfBuilder`] assembles synthetic executables (PIE and
 //!   non-PIE) from raw section bytes — the substitute for compiling
 //!   SPEC2006 with gcc.
-//! * [`rewrite::Patcher`] produces the patched output binary: original
-//!   bytes patched in place, trampoline blobs and loader segments appended
-//!   at the end of the file, and the program-header table relocated to the
-//!   file tail so new `PT_LOAD` entries can be added without moving data.
+//! * [`rewrite::Patcher`] produces the patched output binary in one
+//!   buffer: the in-place patched image, trampoline blocks and loader
+//!   segments appended at the end of the file, and the program-header
+//!   table relocated to the file tail so new `PT_LOAD` entries can be
+//!   added without moving data.
 //!
 //! ```
 //! use e9elf::build::ElfBuilder;

@@ -12,9 +12,11 @@
 #      must produce byte-identical artifacts
 #   4. e9patchd smoke: a daemon on a temp Unix socket patches the same
 #      binary through the wire protocol, byte-identical to step 3's
-#      in-process output, and shuts down cleanly; then a large input
-#      (gcc at scale 50, whose replies overflow a pipe buffer many times
-#      over) is patched through `--backend stdio` and through a socket
+#      in-process output, and shuts down cleanly; the same holds with
+#      --no-grouping (the naive one-to-one layout) and with
+#      --granularity 16, each of which must move the output; then a large
+#      input (gcc at scale 50, whose replies overflow a pipe buffer many
+#      times over) is patched through `--backend stdio` and through a socket
 #      daemon, each under `timeout 120` and each byte-identical to the
 #      in-process output, so a client window that deadlocks or reorders
 #      fails the gate
@@ -116,6 +118,28 @@ wait_for_socket "$sock" "daemon"
 wait "$daemon_pid"
 cmp "$tmp/a.e9" "$tmp/a.wire.e9"
 echo "backend output byte-identical to in-process: ok"
+# The emit options over the wire: each must reach the daemon (its output
+# differs from the default layout) and match the in-process rewrite.
+n=0
+for emit in --no-grouping "--granularity 16"; do
+  n=$((n + 1))
+  # shellcheck disable=SC2086 # "$emit" is a flag and its value
+  "${e9tool[@]}" patch "$tmp/a.elf" -o "$tmp/a.emit$n.e9" --app a1 $emit
+  esock="$tmp/e9.emit$n.sock"
+  target/release/e9patchd --socket "$esock" --max-conns 1 &
+  epid=$!
+  wait_for_socket "$esock" "daemon ($emit)"
+  # shellcheck disable=SC2086
+  "${e9tool[@]}" patch "$tmp/a.elf" -o "$tmp/a.emit$n.wire.e9" --app a1 $emit \
+    --backend "$esock" || { kill "$epid"; exit 1; }
+  wait "$epid"
+  cmp "$tmp/a.emit$n.e9" "$tmp/a.emit$n.wire.e9"
+  if cmp -s "$tmp/a.e9" "$tmp/a.emit$n.e9"; then
+    echo "$emit did not change the output" >&2
+    exit 1
+  fi
+done
+echo "--no-grouping and --granularity 16 through the daemon byte-identical: ok"
 "${e9tool[@]}" gen --profile gcc --scale 50 -o "$tmp/g.elf"
 "${e9tool[@]}" patch "$tmp/g.elf" -o "$tmp/g.e9" --app a1
 timeout 120 target/release/e9tool patch "$tmp/g.elf" -o "$tmp/g.stdio.e9" --app a1 \

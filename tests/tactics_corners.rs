@@ -1,7 +1,9 @@
 //! Corner-case tactic tests: forcing T3 (neighbour eviction), single-byte
 //! patch sites (limitation L2), and the S1 reverse-order advantage.
 
-use e9patch::{PatchRequest, Planner, RewriteConfig, Rewriter, TacticKind, Tactics, Template};
+use e9patch::{
+    PatchRequest, Planner, RewriteConfig, RewriteOutput, Rewriter, TacticKind, Tactics, Template,
+};
 use e9vm::{load_elf, Vm};
 use e9x86::asm::Asm;
 use e9x86::decode::linear_sweep;
@@ -343,4 +345,105 @@ fn site_reports_match_stats() {
             "trampoline {t:#x} inside the image"
         );
     }
+}
+
+/// Read `n` bytes of the patched program's memory at `vaddr`: through the
+/// loader's mapping table where a trampoline block is mapped, else from
+/// the image. `None` where neither holds the address.
+fn read_mapped(out: &RewriteOutput, elf: &e9elf::Elf, vaddr: u64, n: u64) -> Option<Vec<u8>> {
+    (vaddr..vaddr + n)
+        .map(|a| {
+            match out
+                .mappings
+                .iter()
+                .find(|m| (m.vaddr..m.vaddr + m.len).contains(&a))
+            {
+                Some(m) => out.binary.get((m.file_off + a - m.vaddr) as usize).copied(),
+                None => elf.slice_at(a, 1).ok().map(|b| b[0]),
+            }
+        })
+        .collect()
+}
+
+/// Decode the instruction the patched program holds at `vaddr`.
+fn decode_mapped(out: &RewriteOutput, elf: &e9elf::Elf, vaddr: u64) -> Insn {
+    let bytes = (1..=15)
+        .rev()
+        .find_map(|n| read_mapped(out, elf, vaddr, n))
+        .unwrap_or_else(|| panic!("nothing mapped at {vaddr:#x}"));
+    e9x86::decode(&bytes, vaddr).unwrap_or_else(|e| panic!("{vaddr:#x}: {e:?}"))
+}
+
+/// Every successful site's report names the trampoline the site reaches:
+/// the pun `jmp` for B1/B2/T1/T2, `J_short → J_patch` for T3, and the
+/// trap-manifest entry for B0. Read through the loader's mapping table,
+/// that trampoline starts with the displaced jump, same target.
+#[test]
+fn site_reports_name_the_trampoline_each_site_reaches() {
+    let with = |t1, t2, t3, b0_fallback| RewriteConfig {
+        tactics: Tactics { t1, t2, t3 },
+        b0_fallback,
+        ..RewriteConfig::default()
+    };
+    let mut seen = std::collections::BTreeSet::new();
+    for i in 0..8 {
+        let prog = e9synth::generate(&e9synth::Profile::tiny(&format!("reach-{i}"), i % 2 == 1));
+        let reqs: Vec<PatchRequest> = prog
+            .disasm
+            .iter()
+            .filter(|i| i.kind.is_jump())
+            .map(|i| PatchRequest {
+                addr: i.addr,
+                template: Template::Empty,
+            })
+            .collect();
+        // All tactics; T1 off, so T2 takes its sites; T3 alone; B0 alone.
+        for cfg in [
+            with(true, true, true, false),
+            with(false, true, true, false),
+            with(false, false, true, false),
+            with(false, false, false, true),
+        ] {
+            let out = Rewriter::new(cfg)
+                .rewrite(&prog.binary, &prog.disasm, &reqs, &[])
+                .unwrap();
+            let elf = e9elf::Elf::parse(&out.binary).unwrap();
+            let traps = elf
+                .phdrs
+                .iter()
+                .find(|p| p.p_type == e9elf::types::PT_NOTE)
+                .map(|p| &out.binary[p.p_offset as usize..(p.p_offset + p.p_filesz) as usize])
+                .map(|blob| e9patch::rewriter::manifest::decode(blob).expect("manifest"))
+                .unwrap_or_default();
+            for r in &out.reports {
+                let Some(tactic) = r.tactic else { continue };
+                seen.insert(format!("{tactic:?}"));
+                let reached = match tactic {
+                    TacticKind::B0 => traps
+                        .iter()
+                        .find(|&&(site, _)| site == r.addr)
+                        .map(|&(_, tramp)| tramp),
+                    TacticKind::T3 => {
+                        let short = decode_mapped(&out, &elf, r.addr);
+                        assert_eq!(short.kind, e9x86::Kind::JmpRel8, "{:#x}", r.addr);
+                        let patch = decode_mapped(&out, &elf, short.branch_target().unwrap());
+                        assert_eq!(patch.kind, e9x86::Kind::JmpRel32, "{:#x}", r.addr);
+                        patch.branch_target()
+                    }
+                    _ => {
+                        let pun = decode_mapped(&out, &elf, r.addr);
+                        assert_eq!(pun.kind, e9x86::Kind::JmpRel32, "{:#x}", r.addr);
+                        pun.branch_target()
+                    }
+                };
+                assert_eq!(reached, r.trampoline, "{tactic:?} site {:#x}", r.addr);
+                let orig = prog.disasm.iter().find(|i| i.addr == r.addr).unwrap();
+                let first = decode_mapped(&out, &elf, r.trampoline.unwrap());
+                assert!(first.kind.is_jump(), "{tactic:?} site {:#x}", r.addr);
+                assert_eq!(first.branch_target(), orig.branch_target());
+            }
+        }
+    }
+    let want = ["B0", "B1", "B2", "T1", "T2", "T3"];
+    assert_eq!(seen.into_iter().collect::<Vec<_>>(), want);
 }
