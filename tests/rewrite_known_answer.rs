@@ -9,7 +9,8 @@
 //! give the sorted input's bytes, and when two entries share an address
 //! the last one wins.
 //!
-//! The configurations the benchmark never runs are pinned too: A1 on
+//! The configurations the benchmark never runs are pinned too: the
+//! counter hook with call-original thunks on every row, A1 on
 //! every row with top-down placement, with B1/B2 and the B0 trap
 //! fallback only, with 16-page grouping, and with grouping off (the
 //! naïve one-to-one layout of ablation E4). A2 with the low-fat payload
@@ -119,19 +120,33 @@ fn a2_counter_outputs_are_pinned() {
     );
 }
 
-#[test]
-fn hook_all_outputs_are_pinned() {
-    let spec = e9hook::HookSpec::counters(&["*"]);
-    let got: Vec<String> = rows()
+/// One line per row for a hook job over every function.
+fn hook_rows(spec: &e9hook::HookSpec) -> Vec<String> {
+    rows()
         .iter()
         .map(|(name, sb)| {
             let disasm = e9front::disassemble_text(&sb.binary).expect("disassemble");
-            let out = e9front::hook_with_disasm(&sb.binary, &disasm, &spec, Default::default())
+            let out = e9front::hook_with_disasm(&sb.binary, &disasm, spec, Default::default())
                 .expect("hook");
             line(name, &out.rewrite)
         })
-        .collect();
-    check(&got, HOOK_ALL);
+        .collect()
+}
+
+#[test]
+fn hook_all_outputs_are_pinned() {
+    check(&hook_rows(&e9hook::HookSpec::counters(&["*"])), HOOK_ALL);
+}
+
+#[test]
+fn hook_all_call_original_outputs_are_pinned() {
+    // Each hook's thunk relocates the function's entry instruction and
+    // jumps back to the next one; every row's entries relocate.
+    let spec = e9hook::HookSpec {
+        call_original: true,
+        ..e9hook::HookSpec::counters(&["*"])
+    };
+    check(&hook_rows(&spec), HOOK_ALL_CALL_ORIGINAL);
 }
 
 #[test]
@@ -411,6 +426,46 @@ const SHUFFLED: &[&str] = &[
 const DUPLICATES: &[&str] = &[
     "gcc 0397d451afe35f20c586fe2cda2d05c45e38900449bcaca0a4c8388337d396aa 1472 32 700 12 2 0 0 77616 204088 297 29 297 1",
     "gcc-decoys 3eedbbc5899c09a55d125047880585c6d05c7f01b7d03c29ae4dbd436be4e5e0 1472 32 700 11 3 0 0 77616 204112 298 29 298 1",
+];
+const HOOK_ALL_CALL_ORIGINAL: &[&str] = &[
+    "perlbench 3be125a08e47cc2a4c86a1e2b29839969fb28e63fc92653b12ada5dec1e058f3 42 0 0 0 0 0 0 30488 53816 2 2 2 1",
+    "bzip2 3486245a4503d43b432be8a9f4a86a829559a6df7c199d2709c38e6d1e271772 3 0 0 0 0 0 0 8840 29216 1 1 1 1",
+    "gcc e1e8ec7b44e2eeb9c71a47a526888a8f7fdc1d829677010d4eecd2c2505645c9 111 0 0 0 0 0 0 77616 107088 3 3 3 1",
+    "bwaves bda249f7c2bc6dc8e896a6c7d24be3b121c37c23a8e2b2a4cdf4f6ee7df05f30 3 0 0 0 0 0 0 8840 29216 1 1 1 1",
+    "gamess 02f162eeae4a9c018430aa440eda14bba0c6e1abae830ed1efca22f06cf99aff 296 0 0 0 0 0 0 185640 254720 8 8 8 1",
+    "mcf c5b39856c30b8060f8360849687403fc9f0a9cede3691e54a0af401cfddf7b9b 3 0 0 0 0 0 0 8840 29216 1 1 1 1",
+    "milc 8d15a9f4f2cc2a5d441f392f512ef9c3428481fa9264284f7a861ad551dbe4d4 5 0 0 0 0 0 0 8904 29216 1 1 1 1",
+    "zeusmp b12bc679b95779a8f83092525f095ac003e0e8d75189a5f10c8cefff765a84b7 8 0 0 0 0 0 0 13160 33368 1 1 1 1",
+    "gromacs 814f70141d4f07605e13e2cbc67432349220880f07f3b3d5ef21c4e427b0841c 29 0 0 0 0 0 0 21912 41504 1 1 1 1",
+    "cactusADM c3c1e22f1f7b926d8681b27b9fb51fd35ffc1d20840d50ff8b60a2a8e2369b95 31 0 0 0 0 0 0 26064 45600 1 1 1 1",
+    "leslie3d fad09bd3242e15b8e09560880342edac5a6062d29da15765f49fda3240944f51 7 0 0 0 0 0 0 8960 29216 1 1 1 1",
+    "namd db4c0084f93ccc394b79a4236ec092a98bbc30cd1e80cb789b021b4ce4a1f30a 12 0 0 0 0 0 0 13208 33312 1 1 1 1",
+    "gobmk fefd7dde32460b773bee9860067589678847f32840fdc4118818b0c75815ed4c 21 0 0 0 0 0 0 21672 41504 1 1 1 1",
+    "dealII dea63e81ef63363658ff48057ece06a85824c5f3a71660fc588909daa915bd14 70 0 0 0 0 0 0 51808 74296 2 2 2 1",
+    "soplex c31ed1b8d457d8d736d5ebe660b4da95e46a24e46e81d4b65978c271fdf56253 12 0 0 0 0 0 0 13208 33312 1 1 1 1",
+    "povray 3741bc47f6e946dbf644b635209f2afc47da416110ee514680af3993944ad3af 24 0 0 0 0 0 0 21760 41504 1 1 1 1",
+    "calculix 9a766f7a9b9561310e0a9b349e879669eac04336cb89cf92e6e0adc71b9fee33 72 0 0 0 0 0 0 47776 70200 2 2 2 1",
+    "hmmer 60f5834af624f36b78e8031375b995a820f454e8e731392de4ee18709a74c305 8 0 0 0 0 0 0 8992 29216 1 1 1 1",
+    "sjeng 8f8bbd51482500417c57ac3a101b7bd67a88cfbe9d6e5e9af28274a8c3e0c1f2 5 0 0 0 0 0 0 8904 29216 1 1 1 1",
+    "GemsFDTD 5ef17410985d455a64061914ff5a0b98b293c8b25a653476867108e5fd9f858f 22 0 0 0 0 0 0 21696 41504 1 1 1 1",
+    "libquantum 836c0fdcd9d097bd89aa1dc42c177b3f72c566e93a070f4ea86c2270520c1da9 3 0 0 0 0 0 0 8840 29216 1 1 1 1",
+    "h264ref c5eb351fe2dd5a5bac7b399fc3a7cae934a672bf9237c897382174927d490d22 12 0 0 0 0 0 0 13208 33312 1 1 1 1",
+    "tonto 402dadb1b5167565aaef23f38593c52e69c2df336716ea430944707432fb44fd 114 0 0 0 0 0 0 77704 107088 3 3 3 1",
+    "lbm b308b6c0d1ffd338f9a0536dea2b2c4a6b5fc136caa10a2c3b2860dbf53f2f20 3 0 0 0 0 0 0 8840 29216 1 1 1 1",
+    "omnetpp 1d3d2f841bff53d486209ed40f6b5441bac2932f48786d2fee0fa181f0dca9e2 16 0 0 0 0 0 0 17424 37408 1 1 1 1",
+    "astar ab074418ab898bc812af0cdca75d2c12344c4dbb197bf334a5f35a6074e6c83d 3 0 0 0 0 0 0 8840 29216 1 1 1 1",
+    "sphinx3 27b7ac5be209b11b1f9d3d189f2adeb1145e0a21e71951f9e639fea736cd5b39 9 0 0 0 0 0 0 13120 33312 1 1 1 1",
+    "xalancbmk 2b3e748bd4f4d85ae60092fe4a194131705aa5258d66c8e8377bdcfdb8a329e1 92 0 0 0 0 0 0 64760 94800 3 3 3 1",
+    "inkscape e7b2ec5d8c5feb1e9ff30c5f8c4588cc513307a16f090c4710a2dca2df1d0109 0 0 221 0 0 0 0 150552 292128 33 28 33 1",
+    "gimp 88701e6c1feb39c093a1ef5871f6529999d26ff89f1aef21fa567d675221f308 81 0 0 0 0 0 0 60336 82488 2 2 2 1",
+    "vim b74b836d398a86d6fc8cd2c8dc013488c76ec18898b620b69ab673e6793bf118 0 0 82 0 0 0 0 60360 123712 13 12 13 1",
+    "git 211ac22849f8c5d7fb28b3f57b3a75017adcbb93abd18d298e7b5ed466aad31f 51 0 0 0 0 0 0 38952 62008 2 2 2 1",
+    "pdflatex a6d1f3198efc55dcc948960fe77ceb9a122ac1eb18453726cbfab27cf026adbd 26 0 0 0 0 0 0 21816 41504 1 1 1 1",
+    "xterm b2b5af5fad029e7ae0422fd240f2a0a705ff9996235bec441f7260b9bad419a7 14 0 0 0 0 0 0 17360 37408 1 1 1 1",
+    "evince 9fa576fd7536cc12b02b3b879a228d6cf02dded1d43b6c5cfb351448a297c6fe 0 0 5 0 0 0 0 8904 29216 1 1 1 1",
+    "make 2fc63fa3929cf5aa5b347a11cd06b26b98f49c5bfddfda06998c0714d38856e9 6 0 0 0 0 0 0 8928 29216 1 1 1 1",
+    "libc.so 63fff55131d4a9f71c453cd17d348cfafdd429b752d8044fcd739259f9b59d1e 60 0 0 0 0 0 0 43320 66104 2 2 2 1",
+    "libstdc++.so 6e14bbf0b8540454ddb803dd891b14c0119f36d42af96880600f8a91d37742ad 24 0 0 0 0 0 0 25856 45600 1 1 1 1",
 ];
 const A1_FIRST_FIT_HIGH: &[&str] = &[
     "perlbench 972d423b0f74da3f2a66bc41119537fc8c2682815bcb17bfb39e72342b954aae 536 8 248 3 1 0 0 30488 101464 117 16 117 1",
