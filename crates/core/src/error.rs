@@ -13,11 +13,6 @@ pub enum Error {
     Elf(e9elf::ElfError),
     /// A patch request names an address with no known instruction.
     NoSuchInstruction(u64),
-    /// A patch request targets an instruction that cannot be displaced into
-    /// a trampoline (`loop`/`jrcxz`).
-    Unrelocatable(u64),
-    /// Internal invariant violation while emitting a trampoline.
-    Trampoline(String),
     /// Duplicate patch request for the same address.
     DuplicatePatch(u64),
     /// A patch site's rel32 targets are mutually unreachable: no
@@ -38,6 +33,10 @@ pub enum Error {
     /// The file range of the load segment at this virtual address ends
     /// past the end of the input, so no loader can map the segment.
     SegmentBeyondFile(u64),
+    /// The output would need this many program headers: the input's, one
+    /// per extra segment, the loader's and the trap note's. `e_phnum`
+    /// holds at most `PN_XNUM - 1` (65,534).
+    TooManyProgramHeaders(usize),
 }
 
 impl fmt::Display for Error {
@@ -47,13 +46,6 @@ impl fmt::Display for Error {
             Error::NoSuchInstruction(a) => {
                 write!(f, "no instruction at {a:#x} in the disassembly info")
             }
-            Error::Unrelocatable(a) => {
-                write!(
-                    f,
-                    "instruction at {a:#x} cannot be displaced to a trampoline"
-                )
-            }
-            Error::Trampoline(msg) => write!(f, "trampoline emission failed: {msg}"),
             Error::DuplicatePatch(a) => write!(f, "duplicate patch request at {a:#x}"),
             Error::UnreachableTargets(a) => {
                 write!(
@@ -78,6 +70,10 @@ impl fmt::Display for Error {
             Error::SegmentBeyondFile(a) => write!(
                 f,
                 "the load segment at {a:#x} has file bytes past the end of the input"
+            ),
+            Error::TooManyProgramHeaders(n) => write!(
+                f,
+                "the output would need {n} program headers; e_phnum holds at most 65534"
             ),
         }
     }

@@ -2,9 +2,12 @@
 //!
 //! Instruction punning constrains where a trampoline may live: the punned
 //! `rel32`'s high bytes are fixed by successor-instruction bytes, leaving a
-//! window of `256^f` candidate addresses (§2.1.3). The allocator must find
+//! window of `256^f` candidate addresses (§2.1.3). The allocator finds
 //! free space *inside that window* amongst the binary's own segments, guard
-//! regions and previously placed trampolines.
+//! regions and previously placed trampolines, and reserves what the
+//! planner builds there. It does two things only, find and reserve:
+//! nothing is ever freed, because the planner commits a tactic only once
+//! every address it needs has been found.
 //!
 //! The model reserves:
 //!
@@ -100,8 +103,8 @@ pub struct AddressSpace {
     /// or above [`MIN_ADDR`]) has `size` free bytes that end by
     /// [`MAX_ADDR`]. A low search whose window starts at or below the
     /// floor starts at the floor instead and raises it to its result.
-    /// [`AddressSpace::free`] lowers it; a reservation only takes space,
-    /// so it leaves every floor valid. An absent entry is [`MIN_ADDR`].
+    /// Space is only ever taken, so a floor never has to fall. An absent
+    /// entry is [`MIN_ADDR`].
     floors: BTreeMap<(u64, u64), u64>,
 }
 
@@ -110,14 +113,6 @@ impl AddressSpace {
     /// [`Window`] clamping).
     pub fn new() -> AddressSpace {
         AddressSpace::default()
-    }
-
-    /// The first occupied interval `(start, end)` that ends after `addr`.
-    fn first_ending_after(&self, addr: u64) -> Option<(u64, u64)> {
-        self.occupied
-            .range((Excluded(addr), Unbounded))
-            .next()
-            .map(|(&e, &s)| (s, e))
     }
 
     /// The last occupied interval `(start, end)` that begins before `addr`.
@@ -153,40 +148,6 @@ impl AddressSpace {
             new_end = new_end.max(e);
         }
         self.occupied.insert(new_end, new_start);
-    }
-
-    /// Release `[start, end)`.
-    pub fn free(&mut self, start: u64, end: u64) {
-        if start >= end {
-            return;
-        }
-        // Trim every interval intersecting [start, end), in address order.
-        while let Some((s, e)) = self.first_ending_after(start) {
-            if s >= end {
-                break;
-            }
-            self.occupied.remove(&e);
-            if s < start {
-                self.occupied.insert(start, s);
-            }
-            if e > end {
-                self.occupied.insert(e, end);
-            }
-        }
-        // A start whose `size` bytes reach into [start, end) may be free now.
-        for (&(size, _), floor) in &mut self.floors {
-            *floor = (*floor).min((start + 1).saturating_sub(size)).max(MIN_ADDR);
-        }
-    }
-
-    /// Is `[start, end)` entirely free?
-    pub fn is_free(&self, start: u64, end: u64) -> bool {
-        if start >= end {
-            return true;
-        }
-        // The first interval ending after `start` overlaps iff it begins
-        // before `end`.
-        self.first_ending_after(start).is_none_or(|(s, _)| s >= end)
     }
 
     /// The lowest aligned start in `window`, at or above [`MIN_ADDR`],
@@ -314,50 +275,31 @@ impl AddressSpace {
             }
         }
     }
-
-    /// Find with [`AddressSpace::find_in`] and reserve what was found.
-    pub fn alloc_in(&mut self, window: Window, size: u64, align: u64) -> Option<u64> {
-        let x = self.find_in(window, size, align, None)?;
-        self.reserve(x, x + size);
-        Some(x)
-    }
-
-    /// Find with [`AddressSpace::find_in_high`] and reserve what was found.
-    pub fn alloc_in_high(&mut self, window: Window, size: u64, align: u64) -> Option<u64> {
-        let x = self.find_in_high(window, size, align, None)?;
-        self.reserve(x, x + size);
-        Some(x)
-    }
-
-    /// Allocate exactly at `addr` (the `f = 0` pun case: a single valid
-    /// trampoline location, as in the paper's Figure 1 T1(b)).
-    pub fn alloc_at(&mut self, addr: u64, size: u64) -> bool {
-        // Checked end arithmetic: `addr + size` near `u64::MAX` must
-        // report "does not fit", not wrap (or panic the debug build).
-        let Some(end) = addr.checked_add(size) else {
-            return false;
-        };
-        if addr < MIN_ADDR || end > MAX_ADDR || !self.is_free(addr, end) {
-            return false;
-        }
-        self.reserve(addr, end);
-        true
-    }
-
-    /// Total occupied bytes (diagnostics).
-    pub fn occupied_bytes(&self) -> u64 {
-        self.occupied.iter().map(|(e, s)| e - s).sum()
-    }
-
-    /// Number of disjoint occupied intervals (diagnostics).
-    pub fn fragment_count(&self) -> usize {
-        self.occupied.len()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Find a first fit and reserve it, as the planner places a trampoline.
+    fn alloc(a: &mut AddressSpace, w: Window, size: u64, align: u64) -> Option<u64> {
+        let x = a.find_in(w, size, align, None)?;
+        a.reserve(x, x + size);
+        Some(x)
+    }
+
+    /// [`alloc`] from the window's top.
+    fn alloc_high(a: &mut AddressSpace, w: Window, size: u64) -> Option<u64> {
+        let x = a.find_in_high(w, size, 1, None)?;
+        a.reserve(x, x + size);
+        Some(x)
+    }
+
+    /// Are the `size` bytes at `at` free? A search of the one-address
+    /// window at `at` answers.
+    fn fits(a: &mut AddressSpace, at: u64, size: u64) -> bool {
+        a.find_in(Window { lo: at, hi: at + 1 }, size, 1, None) == Some(at)
+    }
 
     #[test]
     fn window_clamps_negative() {
@@ -377,31 +319,23 @@ mod tests {
     #[test]
     fn reserve_and_query() {
         let mut a = AddressSpace::new();
-        a.reserve(0x1000, 0x2000);
-        assert!(!a.is_free(0x1800, 0x1900));
-        assert!(a.is_free(0x2000, 0x3000));
-        assert!(!a.is_free(0x0FFF, 0x1001));
+        a.reserve(0x11000, 0x12000);
+        assert!(!fits(&mut a, 0x11800, 0x100));
+        assert!(fits(&mut a, 0x12000, 0x1000));
+        assert!(!fits(&mut a, 0x10FFF, 2));
+        assert!(fits(&mut a, 0x10FFF, 1));
     }
 
     #[test]
     fn reserve_merges() {
         let mut a = AddressSpace::new();
-        a.reserve(0x1000, 0x2000);
-        a.reserve(0x2000, 0x3000);
-        a.reserve(0x1800, 0x2800);
-        assert_eq!(a.fragment_count(), 1);
-        assert_eq!(a.occupied_bytes(), 0x2000);
-    }
-
-    #[test]
-    fn free_splits() {
-        let mut a = AddressSpace::new();
-        a.reserve(0x1000, 0x4000);
-        a.free(0x2000, 0x3000);
-        assert!(a.is_free(0x2000, 0x3000));
-        assert!(!a.is_free(0x1FFF, 0x2000));
-        assert!(!a.is_free(0x3000, 0x3001));
-        assert_eq!(a.fragment_count(), 2);
+        a.reserve(0x11000, 0x12000);
+        a.reserve(0x12000, 0x13000);
+        a.reserve(0x11800, 0x12800);
+        assert_eq!(
+            a.occupied.iter().collect::<Vec<_>>(),
+            [(&0x13000, &0x11000)]
+        );
     }
 
     #[test]
@@ -411,9 +345,9 @@ mod tests {
             lo: 0x10000,
             hi: 0x20000,
         };
-        let x = a.alloc_in(w, 0x100, 1).unwrap();
+        let x = alloc(&mut a, w, 0x100, 1).unwrap();
         assert_eq!(x, 0x10000);
-        let y = a.alloc_in(w, 0x100, 1).unwrap();
+        let y = alloc(&mut a, w, 0x100, 1).unwrap();
         assert_eq!(y, 0x10100);
     }
 
@@ -425,7 +359,7 @@ mod tests {
             lo: 0x10000,
             hi: 0x20000,
         };
-        let x = a.alloc_in(w, 0x100, 1).unwrap();
+        let x = alloc(&mut a, w, 0x100, 1).unwrap();
         assert_eq!(x, 0x18000);
     }
 
@@ -437,7 +371,7 @@ mod tests {
             lo: 0x10000,
             hi: 0x20000,
         };
-        let x = a.alloc_in(w, 0x10, 0x1000).unwrap();
+        let x = alloc(&mut a, w, 0x10, 0x1000).unwrap();
         assert_eq!(x, 0x11000);
     }
 
@@ -449,25 +383,18 @@ mod tests {
             lo: 0x10000,
             hi: 0x20000,
         };
-        assert_eq!(a.alloc_in(w, 1, 1), None);
+        assert_eq!(alloc(&mut a, w, 1, 1), None);
     }
 
     #[test]
     fn alloc_exact_address() {
+        // The `f = 0` pun case: a one-address window, as in the paper's
+        // Figure 1 T1(b).
         let mut a = AddressSpace::new();
-        assert!(a.alloc_at(0x30000, 0x20));
-        assert!(!a.alloc_at(0x30010, 0x20)); // collides
-        assert!(!a.alloc_at(0x1000, 8)); // below guard
-    }
-
-    #[test]
-    fn rollback_via_free() {
-        let mut a = AddressSpace::new();
-        let w = Window::all();
-        let x = a.alloc_in(w, 64, 1).unwrap();
-        a.free(x, x + 64);
-        let y = a.alloc_in(w, 64, 1).unwrap();
-        assert_eq!(x, y);
+        let at = |lo| Window { lo, hi: lo + 1 };
+        assert_eq!(alloc(&mut a, at(0x30000), 0x20, 1), Some(0x30000));
+        assert_eq!(alloc(&mut a, at(0x30010), 0x20, 1), None); // collides
+        assert_eq!(alloc(&mut a, at(0x1000), 8, 1), None); // below guard
     }
 
     #[test]
@@ -477,11 +404,11 @@ mod tests {
             lo: 0x10000,
             hi: 0x20000,
         };
-        let x = a.alloc_in_high(w, 0x100, 1).unwrap();
+        let x = alloc_high(&mut a, w, 0x100).unwrap();
         assert_eq!(x, 0x1FFFF); // start inside the window, body beyond
-        let y = a.alloc_in_high(w, 0x100, 1).unwrap();
+        let y = alloc_high(&mut a, w, 0x100).unwrap();
         assert!(y < x);
-        assert!(a.is_free(0x10000, 0x1000)); // bottom untouched
+        assert!(fits(&mut a, 0x10000, 0x1000)); // bottom untouched
     }
 
     #[test]
@@ -492,7 +419,7 @@ mod tests {
             lo: 0x10000,
             hi: 0x20000,
         };
-        let x = a.alloc_in_high(w, 0x100, 1).unwrap();
+        let x = alloc_high(&mut a, w, 0x100).unwrap();
         assert_eq!(x, 0x18000 - 0x100);
     }
 
@@ -504,34 +431,38 @@ mod tests {
             lo: 0x10000,
             hi: 0x20000,
         };
-        assert_eq!(a.alloc_in_high(w, 0x100, 1), None);
+        assert_eq!(alloc_high(&mut a, w, 0x100), None);
     }
 
     #[test]
     fn alloc_at_near_u64_max_does_not_overflow() {
-        // Regression: `addr + size` used to wrap (panic in debug builds).
+        // Regression: an exact placement's `addr + size` used to wrap
+        // (panic in debug builds); searches near `u64::MAX` must not.
         let mut a = AddressSpace::new();
-        assert!(!a.alloc_at(u64::MAX - 4, 16));
-        assert!(!a.alloc_at(u64::MAX, 1));
+        for lo in [u64::MAX - 4, u64::MAX - 1] {
+            let w = Window { lo, hi: lo + 1 };
+            assert_eq!(a.find_in(w, 16, 1, None), None);
+            assert_eq!(a.find_in_high(w, 16, 1, None), None);
+        }
     }
 
     #[test]
     fn alloc_in_high_oversized_request_does_not_underflow() {
         // Regression: `MAX_ADDR - size` used to wrap when size exceeded
         // the whole usable space (panic in debug builds).
-        let mut a = AddressSpace::new();
+        let a = AddressSpace::new();
         let w = Window {
             lo: MIN_ADDR,
             hi: u64::MAX,
         };
-        assert_eq!(a.alloc_in_high(w, MAX_ADDR + 1, 1), None);
+        assert_eq!(a.find_in_high(w, MAX_ADDR + 1, 1, None), None);
     }
 
     #[test]
     fn alloc_in_high_empty_window() {
         // Regression: `window.hi - 1` used to underflow for `hi == 0`.
-        let mut a = AddressSpace::new();
-        assert_eq!(a.alloc_in_high(Window { lo: 0, hi: 0 }, 1, 1), None);
+        let a = AddressSpace::new();
+        assert_eq!(a.find_in_high(Window { lo: 0, hi: 0 }, 1, 1, None), None);
     }
 
     #[test]
@@ -542,9 +473,9 @@ mod tests {
             lo: 0x10000,
             hi: 0x20000,
         };
-        let x = a.alloc_in(w, 0x100, 1).unwrap();
+        let x = alloc(&mut a, w, 0x100, 1).unwrap();
         assert_eq!(x, 0x1FF00);
         // Window now exactly full.
-        assert_eq!(a.alloc_in(w, 1, 1), None);
+        assert_eq!(alloc(&mut a, w, 1, 1), None);
     }
 }

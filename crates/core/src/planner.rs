@@ -17,7 +17,7 @@ use crate::pun::PunJump;
 use crate::stats::{PatchStats, TacticKind};
 use crate::trampoline::{self, BuildError, Template};
 use e9elf::{Elf, PAGE_SIZE};
-use e9x86::insn::{Insn, Kind};
+use e9x86::insn::Insn;
 use std::borrow::Cow;
 
 /// A single patch request: divert the instruction at `addr` through a
@@ -150,21 +150,22 @@ pub struct SiteReport {
 /// The planner: processes patch requests highest-address-first.
 #[derive(Debug)]
 pub struct Planner<'a> {
-    elf: Elf,
+    /// The image, patched in place.
+    pub(crate) elf: Elf,
     /// The disassembly, sorted by address with one entry per address.
     insns: Cow<'a, [Insn]>,
     /// Byte lock state (S1).
     pub locks: LockMap,
     /// Trampoline address-space allocator.
-    pub space: AddressSpace,
+    pub(crate) space: AddressSpace,
     /// Placed trampolines: `(vaddr, bytes)`.
-    pub trampolines: Vec<(u64, Vec<u8>)>,
+    pub(crate) trampolines: Vec<(u64, Vec<u8>)>,
     /// Outcome counters.
     pub stats: PatchStats,
     /// B0 trap registrations: `(site, trampoline)`.
-    pub traps: Vec<(u64, u64)>,
+    pub(crate) traps: Vec<(u64, u64)>,
     /// Per-site outcomes, in processing order.
-    pub reports: Vec<SiteReport>,
+    pub(crate) reports: Vec<SiteReport>,
     cfg: RewriteConfig,
 }
 
@@ -238,7 +239,11 @@ impl<'a> Planner<'a> {
     ) -> crate::error::Result<Planner<'a>> {
         let space = Self::initial_space(&elf, &cfg, reserved)?;
         let insns = e9x86::insn::by_address(insns);
-        let locks = LockMap::over(&insns).expect("sorted and deduplicated");
+        let backed: Vec<(u64, u64)> = elf
+            .load_segments()
+            .map(|p| (p.p_vaddr, p.p_vaddr.saturating_add(p.p_filesz)))
+            .collect();
+        let locks = LockMap::over(&insns, &backed);
         Ok(Planner {
             elf,
             insns,
@@ -274,9 +279,9 @@ impl<'a> Planner<'a> {
         Cow::Owned(v)
     }
 
-    /// Overwrite bytes the planner read with [`Planner::bytes_at`], so
-    /// each one is file-backed (a write across a segment boundary goes
-    /// byte by byte, as the read did).
+    /// Overwrite bytes that [`LockMap::can_write`] allowed, so each one
+    /// is file-backed (a write across a segment boundary goes byte by
+    /// byte).
     fn write(&mut self, addr: u64, bytes: &[u8]) {
         if self.elf.write_at(addr, bytes).is_ok() {
             return;
@@ -284,7 +289,7 @@ impl<'a> Planner<'a> {
         for (a, b) in (addr..).zip(bytes) {
             self.elf
                 .write_at(a, std::slice::from_ref(b))
-                .expect("planner writes stay within file-backed segments");
+                .expect("lock runs cover only file-backed bytes");
         }
     }
 
@@ -308,11 +313,7 @@ impl<'a> Planner<'a> {
     /// Window around every address the trampoline must reach with rel32
     /// displacements; `None` if the targets are mutually unreachable.
     fn reach_window(insn: &Insn) -> Option<Window> {
-        let fall_through = (!matches!(
-            insn.kind,
-            Kind::Ret | Kind::JmpRel8 | Kind::JmpRel32 | Kind::JmpInd
-        ))
-        .then(|| insn.end());
+        let fall_through = (!insn.kind.diverts()).then(|| insn.end());
         let rip_target = insn
             .modrm()
             .and_then(|m| m.mem)
@@ -409,13 +410,12 @@ impl<'a> Planner<'a> {
     ) -> Option<(TacticKind, u64)> {
         let succ = self.insn_at(insn.end())?;
         let s_reach = Self::reach_window(&succ)?;
-        let s_ub = trampoline::evictee_max_size(&succ);
-        let succ_copy = succ;
+        let s_ub = trampoline::max_size(&Template::Empty, &succ);
         let mut evicted = false;
         for padding in 0..succ.len() as u8 {
             if self
                 .place_pun(succ.addr, succ.len() as u8, padding, s_ub, s_reach, &|t| {
-                    trampoline::build_evictee(&succ_copy, t)
+                    trampoline::build(&Template::Empty, &succ, t)
                 })
                 .is_some()
             {
@@ -515,7 +515,7 @@ impl<'a> Planner<'a> {
             return None;
         }
         let v_reach = Self::reach_window(victim)?;
-        let v_ub = trampoline::evictee_max_size(victim);
+        let v_ub = trampoline::max_size(&Template::Empty, victim);
 
         // Find the patch trampoline's address, which fixes J_patch's bytes.
         let tramp = self.find(jp_window, size_ub, None)?;
@@ -539,7 +539,7 @@ impl<'a> Planner<'a> {
 
         // Build both trampolines once both addresses are found.
         let tramp_bytes = trampoline::build(template, insn, tramp).ok()?;
-        let ev_bytes = trampoline::build_evictee(victim, evictee).ok()?;
+        let ev_bytes = trampoline::build(&Template::Empty, victim, evictee).ok()?;
         let jv_bytes = jv.encode(evictee).expect("target inside pun window");
 
         // --- Commit ---------------------------------------------------
@@ -669,33 +669,4 @@ impl<'a> Planner<'a> {
         }
         Ok(())
     }
-
-    /// Decompose into the patched image and accumulated outputs.
-    pub fn into_parts(self) -> PlannerParts {
-        PlannerParts {
-            elf: self.elf,
-            trampolines: self.trampolines,
-            stats: self.stats,
-            traps: self.traps,
-            space: self.space,
-            reports: self.reports,
-        }
-    }
-}
-
-/// The planner's outputs (see [`Planner::into_parts`]).
-#[derive(Debug)]
-pub struct PlannerParts {
-    /// In-place patched image.
-    pub elf: Elf,
-    /// Placed trampolines.
-    pub trampolines: Vec<(u64, Vec<u8>)>,
-    /// Outcome statistics.
-    pub stats: PatchStats,
-    /// B0 trap registrations.
-    pub traps: Vec<(u64, u64)>,
-    /// Remaining address-space state (for loader placement).
-    pub space: AddressSpace,
-    /// Per-site outcomes.
-    pub reports: Vec<SiteReport>,
 }

@@ -7,7 +7,7 @@ use crate::layout::Window;
 use crate::loader::{self, Mapping};
 use crate::planner::{PatchRequest, Planner, RewriteConfig};
 use crate::stats::{PatchStats, SizeStats};
-use e9elf::types::{PF_R, PF_W, PF_X, PHDR_SIZE};
+use e9elf::types::{PF_R, PF_W, PF_X, PHDR_SIZE, PN_XNUM};
 use e9elf::{Elf, Patcher, PAGE_SIZE};
 use e9x86::insn::Insn;
 
@@ -135,8 +135,9 @@ impl Rewriter {
     /// Fails on an out-of-range granularity ([`RewriteConfig::check`]),
     /// malformed ELF input, a load segment or extra segment that ends
     /// past the usable address space, duplicate requests, requests
-    /// naming unknown instructions, or no address space left for the
-    /// loader. Per-site patch *failures* are reported via
+    /// naming unknown instructions, an output with too many program
+    /// headers for `e_phnum`, or no address space left for the loader.
+    /// Per-site patch *failures* are reported via
     /// [`RewriteOutput::stats`], not as errors — mirroring the paper's
     /// Succ% methodology.
     pub fn rewrite(
@@ -158,14 +159,30 @@ impl Rewriter {
 
         let mut planner = Planner::new(elf, disasm, self.cfg, &reserved)?;
         planner.patch_all(requests)?;
-        let parts = planner.into_parts();
+        let Planner {
+            elf,
+            mut space,
+            trampolines,
+            stats,
+            traps,
+            reports,
+            ..
+        } = planner;
+
+        // The output keeps the image's headers and adds one per extra
+        // segment, the loader's and the trap note's; `PN_XNUM` and up do
+        // not fit `e_phnum`.
+        let trap_count = traps.len();
+        let phnum = elf.phdrs.len() + extra.len() + 1 + usize::from(trap_count > 0);
+        if phnum >= usize::from(PN_XNUM) {
+            return Err(Error::TooManyProgramHeaders(phnum));
+        }
 
         // Physical page grouping over the placed trampolines.
-        let grouping = group::group(&parts.trampolines, self.cfg.granularity, self.cfg.grouping);
+        let grouping = group::group(&trampolines, self.cfg.granularity, self.cfg.grouping);
         let bs = grouping.block_size;
         let loader_ub = loader::loader_size(grouping.mapping_count() as usize);
-        let trap_count = parts.traps.len();
-        let manifest = (trap_count > 0).then(|| manifest::encode(&parts.traps));
+        let manifest = (trap_count > 0).then(|| manifest::encode(&traps));
 
         // Bound everything appended past the image, so the output is
         // allocated once: the blocks, each segment with up to two pages of
@@ -174,9 +191,9 @@ impl Rewriter {
         let reserve = grouping.groups.len() * bs as usize
             + segments.map(|n| n + 2 * PAGE_SIZE as usize).sum::<usize>()
             + manifest.as_ref().map_or(0, |m| m.len() + 8)
-            + (parts.elf.phdrs.len() + extra.len() + 2) * PHDR_SIZE
+            + phnum * PHDR_SIZE
             + 8;
-        let mut patcher = Patcher::new(parts.elf, reserve);
+        let mut patcher = Patcher::new(elf, reserve);
 
         // Write each merged physical block's extents at its file offset,
         // and build the loader mapping table.
@@ -204,12 +221,11 @@ impl Rewriter {
         // loader must avoid every *block* range the mappings will
         // `MAP_FIXED` over (a block covers whole pages, beyond the byte
         // ranges the trampoline allocator reserved).
-        let mut space = parts.space;
         for m in &mappings {
             space.reserve(m.vaddr, m.vaddr + m.len);
         }
         let loader_addr = space
-            .alloc_in(Window::all(), loader_ub as u64, PAGE_SIZE)
+            .find_in(Window::all(), loader_ub as u64, PAGE_SIZE, None)
             .ok_or(Error::NoLoaderSpace(loader_ub as u64))?;
         let loader_code = loader::emit_loader(loader_addr, orig_entry, &mappings);
         debug_assert!(loader_code.len() <= loader_ub);
@@ -233,11 +249,11 @@ impl Rewriter {
 
         Ok(RewriteOutput {
             binary,
-            stats: parts.stats,
+            stats,
             size,
             loader_addr,
             trap_count,
-            reports: parts.reports,
+            reports,
             mappings,
         })
     }

@@ -56,7 +56,8 @@ props! {
         }
     }
 
-    /// Allocations never overlap and respect their windows.
+    /// Placements (a search, then a reservation of what it found) never
+    /// overlap and respect their windows.
     #[test]
     fn allocator_disjointness(
         reqs in vec((0u64..1u64 << 24, 1u64..512, 0u64..3), 1..60),
@@ -67,7 +68,8 @@ props! {
             let lo = MIN_ADDR + lo_off;
             let window = Window { lo, hi: lo + (1 << 20) };
             let align = 1u64 << (align_exp * 4);
-            if let Some(a) = space.alloc_in(window, size, align) {
+            if let Some(a) = space.find_in(window, size, align, None) {
+                space.reserve(a, a + size);
                 prop_assert!(a >= window.lo && a < window.hi, "start inside window");
                 prop_assert_eq!(a % align, 0);
                 prop_assert!(a + size <= MAX_ADDR);
@@ -79,28 +81,15 @@ props! {
         }
     }
 
-    /// Freeing always makes the exact range reusable.
-    #[test]
-    fn allocator_free_reuse(
-        size in 1u64..4096,
-        base_off in 0u64..1u64 << 20,
-    ) {
-        let mut space = AddressSpace::new();
-        let lo = MIN_ADDR + base_off;
-        let w = Window { lo, hi: lo + (1 << 16) };
-        let Some(a) = space.alloc_in(w, size, 1) else { return Ok(()) };
-        space.free(a, a + size);
-        prop_assert!(space.is_free(a, a + size));
-        prop_assert_eq!(space.alloc_in(Window { lo: a, hi: a + 1 }, size, 1), Some(a));
-    }
-
-    /// Lock-map writes are refused iff any byte is locked.
+    /// Lock-map writes over file-backed instruction bytes are refused iff
+    /// any byte is locked.
     #[test]
     fn lockmap_refuses_locked(
         locks in vec((0u64..256, 1u64..8, any::<bool>()), 0..32),
         probe in (0u64..256, 1u64..8),
     ) {
-        let mut map = LockMap::new();
+        let nops: Vec<_> = (0..264).step_by(16).map(|a| e9x86::decode(&[0x90], a).unwrap()).collect();
+        let mut map = LockMap::over(&nops, &[(0, 264)]);
         let mut locked = std::collections::HashSet::new();
         for (addr, len, modified) in locks {
             // Only lock-modify genuinely free ranges (the planner's

@@ -9,14 +9,14 @@
 //!
 //! Evicted instructions (tactics T2/T3) get an *evictee trampoline*, which
 //! is simply the [`Template::Empty`] form: displaced instruction + jump
-//! back.
+//! back. e9hook's call-original thunks are the same form.
 //!
 //! Payloads are transparent: caller-visible registers and RFLAGS are
 //! saved/restored, and the stack pointer is first dropped past the 128-byte
 //! System-V red zone so in-flight leaf-function data is not clobbered.
 
 use e9x86::asm::{Asm, Mem};
-use e9x86::insn::{Insn, Kind};
+use e9x86::insn::Insn;
 use e9x86::reg::Reg;
 use e9x86::reloc::{self, RelocError};
 use std::fmt;
@@ -181,15 +181,6 @@ fn restore_all(a: &mut Asm) {
     a.lea(Reg::Rsp, Mem::base_disp(Reg::Rsp, RED_ZONE));
 }
 
-/// Does the displaced instruction unconditionally leave the trampoline
-/// (making the resume jump dead)?
-fn diverts(kind: Kind) -> bool {
-    matches!(
-        kind,
-        Kind::Ret | Kind::JmpRel8 | Kind::JmpRel32 | Kind::JmpInd
-    )
-}
-
 /// Instantiate `template` for patched instruction `insn` at trampoline
 /// address `tramp_addr`.
 ///
@@ -294,21 +285,10 @@ pub fn build(template: &Template, insn: &Insn, tramp_addr: u64) -> Result<Vec<u8
     })?;
     a.raw(&displaced);
 
-    if !diverts(insn.kind) {
+    if !insn.kind.diverts() {
         a.jmp_abs(insn.end()).map_err(|_| BuildError::OutOfReach)?;
     }
     a.finish().map_err(|_| BuildError::OutOfReach)
-}
-
-/// Build an evictee trampoline for victim `insn` (T2/T3): execute the
-/// displaced victim, then jump back to the instruction after it.
-pub fn build_evictee(insn: &Insn, tramp_addr: u64) -> Result<Vec<u8>, BuildError> {
-    build(&Template::Empty, insn, tramp_addr)
-}
-
-/// Upper bound for an evictee trampoline.
-pub fn evictee_max_size(insn: &Insn) -> usize {
-    max_size(&Template::Empty, insn)
 }
 
 #[cfg(test)]
@@ -595,15 +575,6 @@ mod tests {
         assert_eq!(
             build(&Template::Empty, &insn, 0x70000000),
             Err(BuildError::Unrelocatable)
-        );
-    }
-
-    #[test]
-    fn evictee_equals_empty() {
-        let insn = mov_insn();
-        assert_eq!(
-            build_evictee(&insn, 0x70000000).unwrap(),
-            build(&Template::Empty, &insn, 0x70000000).unwrap()
         );
     }
 }

@@ -3,18 +3,19 @@
 //! The planner feeds the allocator windows computed from `lo/hi ± REACH`
 //! i128 math; near the guard pages, the 47-bit ceiling, and `u64::MAX`
 //! that arithmetic must clamp — never wrap, panic, or misclassify an
-//! empty window as usable. These properties drive the allocators with
-//! hostile windows, sizes and alignments (including the exact overflow
-//! shapes fixed in this change: `alloc_at` end arithmetic, `alloc_in_high`
-//! under-the-ceiling stepping, and cursor rounding at `u64::MAX`).
+//! empty window as usable. These properties drive the searches with
+//! hostile windows, sizes and alignments (including the overflow shapes
+//! fixed earlier: exact placement's end arithmetic, the top-down
+//! search's under-the-ceiling stepping, and cursor rounding at
+//! `u64::MAX`).
 //!
 //! Equivalence properties pin the planner's flat state to simple models.
-//! Random operation sequences on [`AddressSpace`] must give the results
-//! of a probe-per-interval first fit ([`RefSpace`]); so must the
+//! Random find-and-reserve sequences on [`AddressSpace`] must give the
+//! results of a probe-per-interval first fit ([`RefSpace`]); so must the
 //! planner's search-then-commit placement, against reserving each size
 //! bound and freeing the slack. Random lock sequences on a dense
-//! [`LockMap`] must read like a `HashMap` of per-byte states, at
-//! addresses inside and outside its dense runs.
+//! [`LockMap`] must read like a `HashMap` of per-byte states over the
+//! file-backed bytes of its runs, at addresses inside and outside them.
 //!
 //! The plain tests at the end pin the planner's side of the same
 //! arithmetic: degenerate reach windows are typed errors, never panics,
@@ -64,15 +65,19 @@ props! {
         size in any::<u64>(),
         resv in vec((any::<u64>(), any::<u64>()), 0..6),
     ) {
+        // An exact placement searches the one-address window at `addr`.
         let mut a = AddressSpace::new();
         for (s, e) in resv {
             a.reserve(s, e);
         }
-        if a.alloc_at(addr, size) {
-            let end = addr.checked_add(size);
+        let w = Window { lo: addr, hi: addr.saturating_add(1) };
+        for x in [a.find_in(w, size, 1, None), a.find_in_high(w, size, 1, None)]
+            .into_iter()
+            .flatten()
+        {
+            prop_assert_eq!(x, addr);
             prop_assert!(addr >= MIN_ADDR);
-            prop_assert_eq!(end.is_some(), true);
-            prop_assert!(end.unwrap_or(u64::MAX) <= MAX_ADDR);
+            prop_assert!(addr.checked_add(size).is_some_and(|e| e <= MAX_ADDR));
         }
     }
 
@@ -85,12 +90,11 @@ props! {
     ) {
         let w = Window { lo, hi: lo.saturating_add(len) };
         let mut a = AddressSpace::new();
-        if let Some(x) = a.alloc_in(w, size, align) {
+        if let Some(x) = a.find_in(w, size, align, None) {
             prop_assert!(x >= w.lo && x < w.hi);
             prop_assert!(x.checked_add(size).is_some_and(|e| e <= MAX_ADDR));
         }
-        let mut b = AddressSpace::new();
-        if let Some(x) = b.alloc_in_high(w, size, align) {
+        if let Some(x) = a.find_in_high(w, size, align, None) {
             prop_assert!(x >= w.lo && x < w.hi);
             prop_assert!(x.checked_add(size).is_some_and(|e| e <= MAX_ADDR));
         }
@@ -108,7 +112,7 @@ props! {
         let w = Window { lo: MAX_ADDR - back.min(MAX_ADDR - MIN_ADDR), hi: u64::MAX };
         let mut a = AddressSpace::new();
         a.reserve(MAX_ADDR - resv_back, MAX_ADDR - resv_back + resv_len);
-        for x in [a.alloc_in(w, size, align), a.clone().alloc_in_high(w, size, align)]
+        for x in [a.find_in(w, size, align, None), a.find_in_high(w, size, align, None)]
             .into_iter()
             .flatten()
         {
@@ -180,6 +184,15 @@ impl RefSpace {
                 .is_none_or(|(_, &e)| e <= start)
     }
 
+    /// Could `size` bytes be placed at `addr`?
+    fn fits(&self, addr: u64, size: u64) -> bool {
+        addr >= MIN_ADDR
+            && size > 0
+            && addr
+                .checked_add(size)
+                .is_some_and(|end| end <= MAX_ADDR && self.is_free(addr, end))
+    }
+
     fn alloc_in(&mut self, window: Window, size: u64, align: u64) -> Option<u64> {
         if size == 0 {
             return None;
@@ -243,20 +256,42 @@ impl RefSpace {
         }
     }
 
-    fn alloc_at(&mut self, addr: u64, size: u64) -> bool {
-        let Some(end) = addr.checked_add(size) else {
-            return false;
-        };
-        if addr < MIN_ADDR || end > MAX_ADDR || !self.is_free(addr, end) {
-            return false;
+    fn alloc_at(&mut self, addr: u64, size: u64) -> Option<u64> {
+        if !self.fits(addr, size) {
+            return None;
         }
-        self.reserve(addr, end);
-        true
+        self.reserve(addr, addr + size);
+        Some(addr)
     }
+}
 
-    fn occupied_bytes(&self) -> u64 {
-        self.occupied.iter().map(|(s, e)| e - s).sum()
-    }
+/// Place `size` bytes with a search, then reserve what it found: the
+/// planner's find-and-reserve.
+fn place(
+    a: &mut AddressSpace,
+    high: bool,
+    w: Window,
+    size: u64,
+    align: u64,
+    taken: Option<(u64, u64)>,
+) -> Option<u64> {
+    let x = if high {
+        a.find_in_high(w, size, align, taken)
+    } else {
+        a.find_in(w, size, align, taken)
+    }?;
+    a.reserve(x, x + size);
+    Some(x)
+}
+
+/// Are the `size` bytes at `addr` free? A search of the one-address
+/// window at `addr` answers.
+fn fits(a: &mut AddressSpace, addr: u64, size: u64) -> bool {
+    let w = Window {
+        lo: addr,
+        hi: addr + 1,
+    };
+    a.find_in(w, size, 1, None) == Some(addr)
 }
 
 /// Trampoline size bounds for the search-then-commit property: a few,
@@ -287,7 +322,7 @@ props! {
     #[test]
     fn address_space_matches_probe_per_interval_first_fit(
         high in any::<bool>(),
-        ops in vec((0u8..9, 0u64..0x3000, 0u64..0x3000, 1u64..0x200, 0usize..4), 1..64),
+        ops in vec((0u8..8, 0u64..0x3000, 0u64..0x3000, 1u64..0x200, 0usize..4), 1..64),
     ) {
         // Operations land in one 12 KiB stretch, at the bottom of the
         // usable space or straddling its ceiling, so they collide often.
@@ -299,46 +334,40 @@ props! {
             let lo = base + x;
             let len = y % 0x400;
             let w = Window { lo, hi: lo + y };
+            let exact = Window { lo, hi: lo + 1 };
             let (got, want) = match op {
                 0 => {
                     a.reserve(lo, lo + len);
                     r.reserve(lo, lo + len);
                     (None, None)
                 }
-                1 => {
-                    a.free(lo, lo + len);
-                    r.free(lo, lo + len);
-                    (None, None)
-                }
-                2 => (a.alloc_in(w, size, align), r.alloc_in(w, size, align)),
-                3 => (a.alloc_in_high(w, size, align), r.alloc_in_high(w, size, align)),
-                4 => (Some(a.alloc_at(lo, size) as u64), Some(r.alloc_at(lo, size) as u64)),
-                5 => (Some(a.is_free(lo, lo + len) as u64), Some(r.is_free(lo, lo + len) as u64)),
+                1 => (place(&mut a, false, w, size, align, None), r.alloc_in(w, size, align)),
+                2 => (place(&mut a, true, w, size, align, None), r.alloc_in_high(w, size, align)),
+                3 => (place(&mut a, false, exact, size, 1, None), r.alloc_at(lo, size)),
+                4 => (Some(fits(&mut a, lo, size) as u64), Some(r.fits(lo, size) as u64)),
                 // The loader's placement: page-aligned, anywhere.
-                6 => (
-                    a.alloc_in(Window::all(), size * 16, e9elf::PAGE_SIZE),
-                    r.alloc_in(Window::all(), size * 16, e9elf::PAGE_SIZE),
+                5 => (
+                    a.find_in(Window::all(), size * 16, e9elf::PAGE_SIZE, None),
+                    r.clone().alloc_in(Window::all(), size * 16, e9elf::PAGE_SIZE),
                 ),
                 // A trampoline that may go anywhere (a B1 jump from low
                 // code), walking every interval from the bottom.
                 _ => {
                     let size = size % 8 * 16 + 1;
-                    (a.alloc_in(Window::all(), size, 1), r.alloc_in(Window::all(), size, 1))
+                    (place(&mut a, false, Window::all(), size, 1, None), r.alloc_in(Window::all(), size, 1))
                 }
             };
             prop_assert_eq!(got, want, "op {} at {:#x}", op, lo);
-            prop_assert_eq!(a.occupied_bytes(), r.occupied_bytes());
-            prop_assert_eq!(a.fragment_count(), r.occupied.len());
         }
         for x in (base..base + 0x3400).step_by(0x40) {
-            prop_assert_eq!(a.is_free(x, x + 0x40), r.is_free(x, x + 0x40), "{:#x}", x);
+            prop_assert_eq!(fits(&mut a, x, 0x40), r.fits(x, 0x40), "{:#x}", x);
         }
     }
 
     #[test]
     fn search_then_commit_matches_reserve_then_roll_back(
         high in any::<bool>(),
-        ops in vec((0u8..8, 0u64..0x3000, 0u64..0x3000, 0usize..4, 0usize..4, 0u64..0x100), 1..96),
+        ops in vec((0u8..6, 0u64..0x3000, 0u64..0x3000, 0usize..4, 0usize..4, 0u64..0x100), 1..96),
     ) {
         // The planner finds every address a tactic needs, builds, and
         // then reserves exactly the built bytes. The model is placement
@@ -346,8 +375,7 @@ props! {
         // the slack after the build, or the whole bound when a later step
         // fails. Placements search a 12 KiB stretch at the bottom of the
         // usable space, and half of their windows begin at its bottom, so
-        // the search floor of each size is reused and moved by frees
-        // below, inside and above the latest placement.
+        // the search floor of each size is reused.
         let find = |a: &mut AddressSpace, w: Window, size: u64, taken: Option<(u64, u64)>| {
             if high {
                 a.find_in_high(w, size, 1, taken)
@@ -364,7 +392,6 @@ props! {
         };
         let mut a = AddressSpace::new();
         let mut r = RefSpace::default();
-        let mut last = MIN_ADDR;
         for (op, x, y, k, k2, z) in ops {
             let (size, size2) = (SIZES[k], SIZES[k2]);
             // What the build used: 1 to `size` bytes.
@@ -379,7 +406,6 @@ props! {
                     if let Some(t) = got {
                         a.reserve(t, t + built);
                         r.free(t + built, t + size);
-                        last = t;
                     }
                 }
                 // T3: a patch trampoline, then an evictee clear of the
@@ -399,7 +425,6 @@ props! {
                             a.reserve(e, e + built2);
                             r.free(t + built, t + size);
                             r.free(e + built2, e + size2);
-                            last = e;
                         }
                         None => r.free(t, t + size),
                     }
@@ -411,24 +436,15 @@ props! {
                     model.reserve(taken.0, taken.1);
                     prop_assert_eq!(find(&mut a, w, size, Some(taken)), alloc(&mut model, w, size));
                 }
-                // Frees below, inside and above the latest placement.
-                5 | 6 => {
-                    let at = (last + x % 0x200).saturating_sub(0x100).max(MIN_ADDR);
-                    let len = y % 0x100 + 1;
-                    a.free(at, at + len);
-                    r.free(at, at + len);
-                }
                 _ => {
                     let len = y % 0x80;
                     a.reserve(MIN_ADDR + x, MIN_ADDR + x + len);
                     r.reserve(MIN_ADDR + x, MIN_ADDR + x + len);
                 }
             }
-            prop_assert_eq!(a.occupied_bytes(), r.occupied_bytes());
-            prop_assert_eq!(a.fragment_count(), r.occupied.len());
         }
         for x in (MIN_ADDR..MIN_ADDR + 0x3400).step_by(0x10) {
-            prop_assert_eq!(a.is_free(x, x + 0x10), r.is_free(x, x + 0x10), "{:#x}", x);
+            prop_assert_eq!(fits(&mut a, x, 0x10), r.fits(x, 0x10), "{:#x}", x);
         }
     }
 
@@ -436,10 +452,13 @@ props! {
     fn lock_map_matches_a_hashmap_model(
         layout in vec((1usize..6, 0u64..40), 1..24),
         far in any::<bool>(),
+        cuts in (0u64..0x40, 0u64..0x40),
         ops in vec((0u8..4, 0u64..0x400, 1u64..8), 1..64),
     ) {
         // Instructions with random gaps (some wider than RUN_TAIL, so
-        // there are several runs), and maybe the degenerate far one.
+        // there are several runs), and maybe the degenerate far one. The
+        // image holds the bytes from `cuts.0` past the first instruction
+        // to `cuts.1` short of the last one's end, and around the far one.
         let mut insns = Vec::new();
         let mut addr = 0x401000;
         for &(len, gap) in &layout {
@@ -447,12 +466,20 @@ props! {
             insns.push(nop(len, addr));
             addr += len as u64;
         }
+        let mut backed = vec![(insns[0].addr + cuts.0, addr.saturating_sub(cuts.1))];
         if far {
             insns.push(nop(3, WEIRD));
+            backed.push((WEIRD - 0x10, WEIRD + 0x10));
         }
-        let mut map = LockMap::over(&insns).expect("sorted");
+        let mut map = LockMap::over(&insns, &backed);
         let disasm_bytes: u64 = insns.iter().map(|i| i.len() as u64).sum();
         prop_assert!(map.dense_bytes() as u64 <= disasm_bytes + RUN_TAIL * insns.len() as u64);
+        // The model: a byte is held when the image holds it and it lies
+        // within RUN_TAIL bytes past some instruction's end.
+        let held = |b: u64| {
+            backed.iter().any(|&(s, e)| s <= b && b < e)
+                && insns.iter().any(|i| i.addr <= b && b < i.end() + RUN_TAIL)
+        };
         let mut model: HashMap<u64, LockState> = HashMap::new();
         // Probes start below the first run and end past the last; every
         // third one lands around the far instruction instead.
@@ -465,7 +492,7 @@ props! {
         };
         for (op, x, len) in ops {
             let a = at(x);
-            let free = (a..a + len).all(|b| !model.contains_key(&b));
+            let free = (a..a + len).all(|b| held(b) && !model.contains_key(&b));
             prop_assert_eq!(map.can_write(a, len), free, "can_write({:#x}, {})", a, len);
             match op {
                 // The planner's contract: Modified only on free bytes.
@@ -475,7 +502,7 @@ props! {
                 }
                 1 => {
                     map.lock_punned(a, len);
-                    for b in a..a + len {
+                    for b in (a..a + len).filter(|&b| held(b)) {
                         model.entry(b).or_insert(LockState::Punned);
                     }
                 }
@@ -486,6 +513,7 @@ props! {
         for x in 0..0x460 {
             let a = at(x);
             prop_assert_eq!(map.state(a), model.get(&a).copied(), "state({:#x})", a);
+            prop_assert_eq!(map.can_write(a, 1), held(a) && !model.contains_key(&a), "{:#x}", a);
         }
     }
 }

@@ -35,6 +35,9 @@ pub const PF_R: u32 = 4;
 pub const EHDR_SIZE: usize = 64;
 /// Size of one ELF64 program header.
 pub const PHDR_SIZE: usize = 56;
+/// `e_phnum` value meaning "the count is elsewhere", so one past the
+/// largest count `e_phnum` can hold.
+pub const PN_XNUM: u16 = 0xffff;
 /// Size of one ELF64 section header.
 pub const SHDR_SIZE: usize = 64;
 

@@ -1,20 +1,21 @@
 //! A small, named corpus of malformed ELF images.
 //!
 //! Each entry is a deterministic transformation of the campaign baseline,
-//! one per historical parser-panic class. The files are checked in under
-//! `tests/corpus/` and the `hostile_elf` integration test both replays
-//! them against the parser/loader and asserts the checked-in bytes match
-//! this generator — so the corpus cannot silently rot as the builder
-//! evolves. Regenerate with `e9fault --write-corpus <dir>`.
+//! one per historical failure class: parser panics, and inputs the
+//! rewriter once turned into outputs that cannot load. The files are
+//! checked in under `tests/corpus/` and the `hostile_elf` integration
+//! test both replays them against the parser/loader and asserts the
+//! checked-in bytes match this generator — so the corpus cannot silently
+//! rot as the builder evolves. Regenerate with `e9fault --write-corpus <dir>`.
 
 use crate::elf::{
-    baseline_elf, phdr_at, put16, put32, put64, read16, read64, EH_PHNUM, EH_SHNUM, EH_SHOFF,
-    EH_SHSTRNDX, PH_FILESZ, PH_MEMSZ, PH_OFFSET, PH_TYPE, PH_VADDR, SH_ADDR, SH_FLAGS,
+    baseline_elf, phdr_at, put16, put32, put64, read16, read64, EH_PHNUM, EH_PHOFF, EH_SHNUM,
+    EH_SHOFF, EH_SHSTRNDX, PH_FILESZ, PH_MEMSZ, PH_OFFSET, PH_TYPE, PH_VADDR, SH_ADDR, SH_FLAGS,
 };
 use e9elf::types::{EHDR_SIZE, PHDR_SIZE, PT_NOTE, SHDR_SIZE, SHF_EXECINSTR};
 
 /// Names of every corpus entry, in generation order.
-pub const NAMES: [&str; 11] = [
+pub const NAMES: [&str; 12] = [
     "trunc-ehdr",
     "trunc-phdrs",
     "phnum-bomb",
@@ -26,6 +27,7 @@ pub const NAMES: [&str; 11] = [
     "shstrndx-oob",
     "note-wrap",
     "text-wrap",
+    "phnum-max",
 ];
 
 /// Offset of program header `i` of the (well-formed) baseline.
@@ -97,6 +99,19 @@ pub fn generate(name: &str) -> Option<Vec<u8>> {
         "text-wrap" => {
             let off = text_shdr(&b);
             put64(&mut b, off + SH_ADDR, u64::MAX - 8);
+        }
+        // The program-header table moved to the end of the file and padded
+        // with PT_NULL entries to 65,535, the most `e_phnum` can count: a
+        // well-formed image whose rewrite has no room for its own headers.
+        "phnum-max" => {
+            let phoff = read64(&b, EH_PHOFF) as usize;
+            let table = b[phoff..phoff + usize::from(phnum) * PHDR_SIZE].to_vec();
+            let at = b.len().next_multiple_of(8);
+            b.resize(at, 0);
+            b.extend_from_slice(&table);
+            b.resize(at + 0xFFFF * PHDR_SIZE, 0);
+            put64(&mut b, EH_PHOFF, at as u64);
+            put16(&mut b, EH_PHNUM, 0xFFFF);
         }
         _ => return None,
     }

@@ -14,7 +14,7 @@ use e9rng::StdRng;
 
 // ELF64 file-header field offsets (bytes); also used by `corpus`.
 const EH_ENTRY: usize = 24;
-const EH_PHOFF: usize = 32;
+pub(crate) const EH_PHOFF: usize = 32;
 pub(crate) const EH_SHOFF: usize = 40;
 pub(crate) const EH_PHNUM: usize = 56;
 pub(crate) const EH_SHNUM: usize = 60;

@@ -18,6 +18,9 @@ use e9proto::Session;
 use e9rng::StdRng;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
+/// An address in no segment of the baseline image.
+const UNBACKED: u64 = 0x9000_0000;
+
 /// A valid full-session transcript used as the mutation baseline.
 pub fn baseline_script() -> Vec<u8> {
     let bin = crate::elf::baseline_elf();
@@ -44,6 +47,15 @@ pub fn baseline_script() -> Vec<u8> {
         },
         &mut out,
     );
+    // The B0 trap fallback, so a site every other tactic fails reaches
+    // the planner's last write.
+    push(
+        Command::Option {
+            name: "b0".into(),
+            value: "true".into(),
+        },
+        &mut out,
+    );
     push(
         Command::Binary {
             bytes: bin,
@@ -51,7 +63,9 @@ pub fn baseline_script() -> Vec<u8> {
         },
         &mut out,
     );
-    for i in &disasm {
+    // The text's instructions, then one the image holds no bytes for.
+    let unbacked = e9x86::decode::linear_sweep(&code[..3], UNBACKED);
+    for i in disasm.iter().chain(&unbacked) {
         push(
             Command::Instruction {
                 addr: i.addr,
@@ -60,13 +74,15 @@ pub fn baseline_script() -> Vec<u8> {
             &mut out,
         );
     }
-    push(
-        Command::Patch {
-            addr: 0x401000,
-            template: e9patch::Template::Empty,
-        },
-        &mut out,
-    );
+    for addr in [0x401000, UNBACKED] {
+        push(
+            Command::Patch {
+                addr,
+                template: e9patch::Template::Empty,
+            },
+            &mut out,
+        );
+    }
     push(Command::Emit, &mut out);
     out.into_bytes()
 }

@@ -84,3 +84,31 @@ fn corpus_failures_are_typed_not_stringly() {
         );
     }
 }
+
+#[test]
+fn program_header_count_past_e_phnum_is_refused() {
+    // phnum-max.bin holds 65,535 program headers; `e_phnum` is lowered
+    // so that only the first `phnum` count. The output adds the loader's
+    // header and must stay below PN_XNUM (0xffff): 65,533 rewrite into an
+    // output with 65,534, while 65,534 and 65,535 are a typed error, not
+    // an output whose count wrapped.
+    let mut bytes = std::fs::read(corpus_dir().join("phnum-max.bin")).unwrap();
+    let disasm = e9front::disassemble_text(&bytes).expect("disassemble");
+    let req = [e9patch::PatchRequest {
+        addr: disasm[0].addr,
+        template: e9patch::Template::Empty,
+    }];
+    for phnum in [65_533u16, 65_534, 65_535] {
+        bytes[56..58].copy_from_slice(&phnum.to_le_bytes());
+        match e9patch::Rewriter::default().rewrite(&bytes, &disasm, &req, &[]) {
+            Ok(out) if phnum == 65_533 => {
+                assert_eq!(out.binary[56..58], 65_534u16.to_le_bytes());
+            }
+            Err(e) if phnum > 65_533 => assert_eq!(
+                e,
+                e9patch::Error::TooManyProgramHeaders(usize::from(phnum) + 1)
+            ),
+            other => panic!("{phnum} program headers: {:?}", other.map(|o| o.size)),
+        }
+    }
+}

@@ -23,17 +23,18 @@
 //!   payload receives `payload(site, thunk)` where `thunk` is an
 //!   executable relocation of the displaced entry instruction followed by
 //!   a jump to the second instruction — calling it re-enters the original
-//!   function. The trampoline itself also resumes through the thunk.
+//!   function. The trampoline itself also resumes through the thunk. The
+//!   thunk is e9patch's [`Template::Empty`] trampoline for the entry
+//!   instruction, built at its address in the payload segment.
 
 pub mod manifest;
 
 use e9elf::symbols::{self, SymbolError};
 use e9elf::Elf;
-use e9patch::{ExtraSegment, PatchRequest, Template};
+use e9patch::{trampoline, ExtraSegment, PatchRequest, Template};
 use e9x86::asm::{Asm, Mem};
-use e9x86::insn::{Insn, Kind};
+use e9x86::insn::Insn;
 use e9x86::reg::{Reg, Width};
-use e9x86::reloc;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -186,15 +187,6 @@ pub struct HookPlan {
     pub manifest_addr: u64,
 }
 
-/// Does `kind` unconditionally leave the thunk (no fall-through jump
-/// needed after the relocated entry instruction)?
-fn diverts(kind: Kind) -> bool {
-    matches!(
-        kind,
-        Kind::Ret | Kind::JmpRel8 | Kind::JmpRel32 | Kind::JmpInd
-    )
-}
-
 /// Resolve `spec` against `binary` and lower it to a patch batch.
 ///
 /// Targets are deduplicated by entry address and planned in address
@@ -267,35 +259,25 @@ pub fn plan_hooks(binary: &[u8], disasm: &[Insn], spec: &HookSpec) -> Result<Hoo
             PayloadKind::Raw(code) => a.raw(code),
         }
 
-        let (thunk_addr, flags) = if spec.call_original {
+        let (template, thunk_addr, flags) = if spec.call_original {
             let thunk_addr = a.here();
-            let displaced =
-                reloc::relocate(insn, thunk_addr).map_err(|e| HookError::Unrelocatable {
+            let thunk = trampoline::build(&Template::Empty, insn, thunk_addr).map_err(|e| {
+                HookError::Unrelocatable {
                     func_addr,
                     detail: e.to_string(),
-                })?;
-            a.raw(&displaced);
-            if !diverts(insn.kind) {
-                a.jmp_abs(insn.end())
-                    .map_err(|e| HookError::Unrelocatable {
-                        func_addr,
-                        detail: e.to_string(),
-                    })?;
-            }
-            (thunk_addr, FLAG_CALL_ORIGINAL)
-        } else {
-            (0, 0)
-        };
-
-        let template = if spec.call_original {
-            Template::HookOriginal {
+                }
+            })?;
+            a.raw(&thunk);
+            let template = Template::HookOriginal {
                 func_addr: payload_addr,
                 thunk_addr,
-            }
+            };
+            (template, thunk_addr, FLAG_CALL_ORIGINAL)
         } else {
-            Template::HookSave {
+            let template = Template::HookSave {
                 func_addr: payload_addr,
-            }
+            };
+            (template, 0, 0)
         };
         requests.push(PatchRequest {
             addr: func_addr,
@@ -533,6 +515,28 @@ mod tests {
         assert_eq!(p.hooks[0].name, "0x401000");
         assert!(p.counters_addr.is_none());
         assert_eq!(p.extra.len(), 2); // code + manifest, no counter table
+    }
+
+    #[test]
+    fn unrelocatable_entry_is_a_typed_error() {
+        // A call-original thunk cannot host a `loop` entry instruction.
+        let mut b = e9elf::build::ElfBuilder::exec(0x400000);
+        b.text(vec![0xE2, 0xFE, 0xC3], 0x401000);
+        b.entry(0x401000);
+        let disasm = e9x86::decode::linear_sweep(&[0xE2, 0xFE, 0xC3], 0x401000);
+        let spec = HookSpec {
+            funcs: vec![],
+            addrs: vec![0x401000],
+            call_original: true,
+            payload: PayloadKind::Nop,
+        };
+        match plan_hooks(&b.build(), &disasm, &spec) {
+            Err(HookError::Unrelocatable { func_addr, detail }) => {
+                assert_eq!(func_addr, 0x401000);
+                assert_eq!(detail, "displaced instruction cannot be relocated");
+            }
+            other => panic!("{other:?}"),
+        }
     }
 
     #[test]

@@ -730,3 +730,54 @@ fn hostile_request_lines_get_in_band_errors() {
     );
     assert!(r.body.is_ok());
 }
+
+#[test]
+fn patch_at_an_unbacked_address_gets_an_emit_reply() {
+    // A site the disassembly places in no segment, with the B0 trap
+    // fallback on: the rewrite reports the site failed, so `emit` gets a
+    // result, not an INTERNAL error from a panic in the planner.
+    use e9proto::server::reply_line;
+    use e9proto::Session;
+    let code = vec![0x48, 0x89, 0x03, 0xC3, 0x90, 0x90, 0x90, 0x90, 0x90];
+    let mut b = e9elf::build::ElfBuilder::exec(0x400000);
+    b.text(code.clone(), 0x401000);
+    b.entry(0x401000);
+    let mov = vec![0x48, 0x89, 0x03];
+    let cmds = [
+        Command::Version { version: 1 },
+        Command::Option {
+            name: "b0".into(),
+            value: "true".into(),
+        },
+        Command::Binary {
+            bytes: b.build(),
+            digest: None,
+        },
+        Command::Instruction {
+            addr: 0x401000,
+            bytes: mov.clone(),
+        },
+        Command::Instruction {
+            addr: 0x9000_0000,
+            bytes: mov,
+        },
+        Command::Patch {
+            addr: 0x9000_0000,
+            template: Template::Empty,
+        },
+        Command::Emit,
+    ];
+    let mut s = Session::new();
+    let mut replies = Vec::new();
+    for (id, cmd) in (1..).zip(cmds) {
+        replies.clear();
+        reply_line(
+            &mut s,
+            Request { id, cmd }.encode().as_bytes(),
+            &mut replies,
+        );
+        let r = Response::decode_line(replies.trim_ascii_end()).expect("reply");
+        assert_eq!(r.id, Some(id));
+        r.body.expect("ok reply");
+    }
+}

@@ -156,6 +156,17 @@ impl Kind {
             Kind::JmpRel8 | Kind::JmpRel32 | Kind::JccRel8(_) | Kind::JccRel32(_) | Kind::JmpInd
         )
     }
+
+    /// Does this instruction always leave for somewhere other than its
+    /// fall-through (`jmp` or `ret`)? A relocated copy of it needs no
+    /// jump back.
+    #[inline]
+    pub fn diverts(self) -> bool {
+        matches!(
+            self,
+            Kind::Ret | Kind::JmpRel8 | Kind::JmpRel32 | Kind::JmpInd
+        )
+    }
 }
 
 /// Flag bit of [`Insn`]: the ModRM operand is memory.

@@ -24,11 +24,12 @@
 #      mutants across the ELF and wire surfaces; ELF mutants run through
 #      the instrumentation rewrite too) must complete with zero panics;
 #      failures print an E9FAULT_SEED replay line. Then the release
-#      `e9tool patch` of three corpus inputs that cannot be rewritten
+#      `e9tool patch` of four corpus inputs that cannot be rewritten
 #      must exit 1 with a message and write no output: vaddr-wrap.bin (a
 #      load segment at the top of the address space), offset-oob.bin (a
-#      load segment whose file range lies past EOF) and text-wrap.bin (a
-#      `.text` whose addresses wrap past 2^64)
+#      load segment whose file range lies past EOF), text-wrap.bin (a
+#      `.text` whose addresses wrap past 2^64) and phnum-max.bin (65,535
+#      program headers, so the output's would not fit `e_phnum`)
 #   6. cross-path cache hit: a cache directory filled by an e9patchd
 #      session must serve a later in-process `e9tool patch --cache-dir`
 #      a hit, byte-identical to a --no-cache rewrite (and to the daemon's
@@ -161,7 +162,8 @@ target/release/e9fault --seed "${E9FAULT_SEED:-42}" --elf-cases 320 --wire-cases
 # each (exit 1, a message, no output), not write an output that cannot
 # load. Each name is paired with text its diagnostic must contain.
 for refused in "vaddr-wrap:address space" "offset-oob:past the end of the input" \
-  "text-wrap:runs past the end of the address space"; do
+  "text-wrap:runs past the end of the address space" \
+  "phnum-max:program headers"; do
   name=${refused%%:*}
   want=${refused#*:}
   bad_in=crates/faultgen/tests/corpus/$name.bin

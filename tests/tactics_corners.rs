@@ -306,6 +306,73 @@ fn loop_instruction_fails_gracefully() {
     assert_eq!(patched.exit_code, orig.exit_code);
 }
 
+/// The loaded base of the PIE image of the unbacked-site tests.
+const PIE_BASE: u64 = 0x5555_5555_4000;
+
+/// A PIE image with 13 bytes of text one page above its base, and an
+/// extra `mov %rax,(%rbx)` in its disassembly at `site`.
+fn pie_with_mov_at(site: u64) -> (Vec<u8>, Vec<Insn>) {
+    let code = vec![
+        0x48, 0x89, 0x03, 0x48, 0x83, 0xC0, 0x20, 0xC3, 0x90, 0x90, 0x90, 0x90, 0x90,
+    ];
+    let mut b = e9elf::build::ElfBuilder::pie(PIE_BASE);
+    b.text(code.clone(), PIE_BASE + 0x1000);
+    b.entry(PIE_BASE + 0x1000);
+    let mut disasm = linear_sweep(&code, PIE_BASE + 0x1000);
+    disasm.extend(linear_sweep(&[0x48, 0x89, 0x03], site));
+    (b.build(), disasm)
+}
+
+/// Rewrite `bin`, patching only `site`, and check that the site is
+/// reported failed and the text comes through unchanged.
+fn rewrite_fails_site(bin: &[u8], disasm: &[Insn], site: u64, cfg: RewriteConfig) {
+    let out = Rewriter::new(cfg)
+        .rewrite(
+            bin,
+            disasm,
+            &[PatchRequest {
+                addr: site,
+                template: Template::Empty,
+            }],
+            &[],
+        )
+        .expect("rewrite");
+    assert_eq!(out.stats.failed, 1, "{site:#x}: {:?}", out.stats);
+    assert_eq!(out.reports[0].tactic, None);
+    let text = |b| {
+        e9elf::Elf::parse(b)
+            .unwrap()
+            .slice_at(PIE_BASE + 0x1000, 13)
+            .unwrap()
+            .to_vec()
+    };
+    assert_eq!(text(&out.binary), text(bin));
+}
+
+/// An instruction the disassembly places just below the text segment,
+/// where the image holds no bytes, cannot be patched: no tactic may write
+/// there, T3's short jump included.
+#[test]
+fn site_below_the_file_backed_text_fails_without_writing() {
+    for below in [2, 5, 8] {
+        let site = PIE_BASE + 0x1000 - below;
+        let (bin, disasm) = pie_with_mov_at(site);
+        rewrite_fails_site(&bin, &disasm, site, RewriteConfig::default());
+    }
+}
+
+/// B0 writes one `int3`, which needs a file-backed byte too.
+#[test]
+fn b0_site_in_no_segment_fails_without_writing() {
+    let site = 0x9000_0000;
+    let (bin, disasm) = pie_with_mov_at(site);
+    let cfg = RewriteConfig {
+        b0_fallback: true,
+        ..RewriteConfig::default()
+    };
+    rewrite_fails_site(&bin, &disasm, site, cfg);
+}
+
 /// Site reports account for every request with consistent tactic counts.
 #[test]
 fn site_reports_match_stats() {
