@@ -1,10 +1,10 @@
 //! Known-answer wire transcripts: SHA-256 over every request line and
 //! every reply line of fixed sessions, served by the stdio loop.
 //!
-//! Two jobs on an `e9synth` row (A1 selection with the empty payload,
-//! and a server-planned hook on every function), spelled by
-//! `Job::commands()` plus `hook`/`emit`, pin the encoder and every
-//! success reply. A third session pins the error replies: malformed
+//! Three jobs on an `e9synth` row (A1 selection with the empty payload,
+//! A2 selection with a counter in a reserved segment, and a
+//! server-planned hook on every function), spelled by `Job::commands()`
+//! plus `hook`/`emit`, pin the encoder and every success reply. A third session pins the error replies: malformed
 //! JSON, unknown methods, bad hex, and the lines a decoder gets wrong
 //! when it assumes canonical form (duplicate and reordered keys,
 //! whitespace, escapes, number edge cases, a depth bomb).
@@ -12,7 +12,7 @@
 //! The wire transcript is part of the protocol: a codec change that
 //! moves one of these digests changes what a client sees.
 
-use e9patch::{PatchRequest, RewriteConfig, Template};
+use e9patch::{ExtraSegment, PatchRequest, RewriteConfig, Template};
 use e9proto::cachekey::Job;
 use e9proto::msg::{Command, Request};
 use e9proto::server::serve_connection;
@@ -108,6 +108,51 @@ fn a1_empty_job_transcript_is_pinned() {
         (
             1930,
             "a20aeb271630ac77cabd397813e27dbea99e955c80e0d40aaab2bf0e8effc787",
+        ),
+    );
+}
+
+#[test]
+fn a2_counter_job_transcript_is_pinned() {
+    let sb = row();
+    // As a frontend plans A2 with the counter payload: every heap write
+    // bumps one counter in a zeroed, writable page above the image.
+    let elf = e9elf::Elf::parse(&sb.binary).unwrap();
+    let counters = e9hook::layout(&elf).unwrap().counters;
+    let extra = [ExtraSegment {
+        vaddr: counters,
+        bytes: vec![0u8; 4096],
+        exec: false,
+        write: true,
+    }];
+    let requests: Vec<PatchRequest> = sb
+        .disasm
+        .iter()
+        .filter(|i| i.is_heap_write())
+        .map(|i| PatchRequest {
+            addr: i.addr,
+            template: Template::Counter {
+                counter_addr: counters,
+            },
+        })
+        .collect();
+    let job = Job {
+        binary: &sb.binary,
+        disasm: &sb.disasm,
+        requests: &requests,
+        extra: &extra,
+        config: RewriteConfig::default(),
+    };
+    assert!(!requests.is_empty());
+    let t = Transcript::serve(lines(job.commands().chain([Command::Emit])));
+    t.check(
+        (
+            1768,
+            "a0efad5c065db003babd40586514c9e54be22de0c9e182298159d3f1555bce01",
+        ),
+        (
+            1768,
+            "b7896b1ca2523c6c573837697c8c9cf7d41cb41be7e4515b472dc5e5063154ee",
         ),
     );
 }
