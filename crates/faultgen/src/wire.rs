@@ -9,11 +9,13 @@
 //! cut — never a panic — the same response, byte for byte, as the
 //! reference path (tree parse, tree decode, tree-serialized reply) gives
 //! on a twin session, and the session still answers a well-formed
-//! request afterwards.
+//! request afterwards. Every reply line is read back both ways too: the
+//! client's one-pass readers must agree with the tree readers.
 
 use crate::Outcome;
-use e9proto::msg::{Command, Request};
-use e9proto::server::{dispatch_line, reference_reply};
+use e9proto::json;
+use e9proto::msg::{Command, EmitReply, EmitResponse, Request, Response};
+use e9proto::server::{dispatch_line, reference_reply, reply_line};
 use e9proto::Session;
 use e9rng::StdRng;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -241,17 +243,22 @@ fn splice_line(rng: &mut StdRng, bytes: &mut Vec<u8>) {
 }
 
 /// Execute one wire case: feed every line of `stream` to twin sessions,
-/// one through the serving path's `dispatch_line` and the other through
+/// one through the serving path's `reply_line` and the other through
 /// the reference path (`reference_reply`: JSON tree parse, tree decode,
 /// tree-serialized reply). Both must decode each line to the same request
-/// or error reply and answer it with the same bytes. Then probe
-/// serviceability with a valid request. Unwinds, a difference between
-/// the twins and a dead session all count as failures.
+/// or error reply and answer it with the same bytes. Each reply line is
+/// then read as the client reads it (`Response::decode_line`, and
+/// `EmitResponse::decode_line` for an `emit` result) and as the tree
+/// readers do (`json::parse`, `Response::decode`, `EmitReply::from_json`),
+/// which must agree. Then probe serviceability with a valid request.
+/// Unwinds, a difference between the twins or between the readers, and a
+/// dead session all count as failures.
 pub fn wire_case(stream: &[u8]) -> Outcome {
     let result = catch_unwind(AssertUnwindSafe(|| {
         let mut session = Session::new();
         let mut twin = Session::new();
         let mut any_error = false;
+        let mut reply = Vec::new();
         for line in stream.split(|&b| b == b'\n') {
             if line.iter().all(|b| b.is_ascii_whitespace()) {
                 continue;
@@ -263,14 +270,17 @@ pub fn wire_case(stream: &[u8]) -> Outcome {
                 "single-pass and tree decoders differ on {:?}",
                 String::from_utf8_lossy(line)
             );
-            let resp = dispatch_line(&mut session, line);
+            reply.clear();
+            reply_line(&mut session, line, &mut reply);
             let reference = reference_reply(&mut twin, line);
+            let got = reply.trim_ascii_end();
             assert_eq!(
-                Some(resp.encode()),
-                reference,
+                Some(got),
+                reference.as_deref().map(str::as_bytes),
                 "serving and reference replies differ on {:?}",
                 String::from_utf8_lossy(line)
             );
+            let resp = read_reply(got);
             if resp.body.is_err() {
                 any_error = true;
             }
@@ -295,4 +305,31 @@ pub fn wire_case(stream: &[u8]) -> Outcome {
         Ok(true) => Outcome::Rejected,
         Ok(false) => Outcome::Accepted,
     }
+}
+
+/// Read one reply line as the client does and as the tree readers do;
+/// they must agree, on the envelope and, read as an `emit` result, on the
+/// result too.
+fn read_reply(line: &[u8]) -> Response {
+    let tree = json::parse(line)
+        .map_err(|e| e.to_string())
+        .and_then(|v| Response::decode(&v));
+    let resp = Response::decode_line(line);
+    assert_eq!(
+        resp,
+        tree,
+        "client and tree readers differ on {:?}",
+        String::from_utf8_lossy(line)
+    );
+    let emit_tree = tree.clone().map(|r| EmitResponse {
+        id: r.id,
+        body: r.body.map(|v| EmitReply::from_json(&v)),
+    });
+    assert_eq!(
+        EmitResponse::decode_line(line),
+        emit_tree,
+        "emit readers differ on {:?}",
+        String::from_utf8_lossy(line)
+    );
+    resp.expect("the server writes well-formed replies")
 }

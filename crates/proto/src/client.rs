@@ -13,23 +13,25 @@
 //!   and session state machine) without process management; used by tests
 //!   and benchmarks.
 //!
-//! Every request goes through one send path, [`ProtoClient::stream`]:
-//! requests are batched into one write per window of at most
-//! [`WINDOW_BYTES`] in flight, and replies are read in FIFO order, each
-//! matched to its request id. A backend buffers patches until `emit`
-//! (paper §6), so when a request travels cannot change the output; the
-//! wire transcript is the same as one call at a time. [`ProtoClient::call`]
-//! is the one-request case.
+//! Requests stream through [`ProtoClient::stream`]: they are batched into
+//! one write per window of at most [`WINDOW_BYTES`] in flight, and
+//! replies are read in FIFO order, each matched to its request id. A
+//! backend buffers patches until `emit` (paper §6), so when a request
+//! travels cannot change the output; the wire transcript is the same as
+//! one call at a time. [`ProtoClient::call`] sends one request and reads
+//! its reply through the same write and read.
 //!
 //! Request lines are written straight into the window's batch
-//! ([`Request::encode_into`]) and replies are read with the single-pass
-//! decoder ([`Response::decode_line`]), so no JSON tree is built for a
-//! request, nor for an empty `{}` result.
+//! ([`Request::encode_into`]). Replies are read as bytes, trimmed of
+//! ASCII whitespace as the server trims requests, and decoded in one pass
+//! ([`Response::decode_line`]), so no JSON tree is built for a request,
+//! nor for an empty `{}` result. [`ProtoClient::emit`] reads its result
+//! straight into an [`EmitReply`] ([`EmitResponse::decode_line`]).
 
 use crate::json;
 use crate::msg::{
-    CacheAction, CacheStatsReply, Command, EmitReply, HealthReply, HookReply, Request, Response,
-    RpcError, PROTOCOL_VERSION,
+    CacheAction, CacheStatsReply, Command, EmitReply, EmitResponse, HealthReply, HookReply,
+    Request, Response, RpcError, PROTOCOL_VERSION,
 };
 use e9failpt::retry::{retry_interrupted, with_backoff, Backoff, EINTR_BUDGET};
 use std::collections::VecDeque;
@@ -93,7 +95,7 @@ pub struct ProtoClient {
     transport: Transport,
     next_id: u64,
     /// The reply line being read, reused from reply to reply.
-    line: String,
+    line: Vec<u8>,
 }
 
 impl ProtoClient {
@@ -118,7 +120,7 @@ impl ProtoClient {
             writer: Box::new(stdin),
             transport: Transport::Child(child),
             next_id: 0,
-            line: String::new(),
+            line: Vec::new(),
         })
     }
 
@@ -152,7 +154,7 @@ impl ProtoClient {
             writer: Box::new(writer),
             transport: Transport::Stream,
             next_id: 0,
-            line: String::new(),
+            line: Vec::new(),
         })
     }
 
@@ -192,7 +194,7 @@ impl ProtoClient {
             writer: Box::new(writer),
             transport: Transport::Stream,
             next_id: 0,
-            line: String::new(),
+            line: Vec::new(),
         })
     }
 
@@ -236,14 +238,29 @@ impl ProtoClient {
         ProtoClient::over(ours)
     }
 
-    /// One request/response round trip: [`ProtoClient::stream`] with one
-    /// command.
+    /// One request/response round trip: as [`ProtoClient::stream`] with
+    /// one command.
     ///
     /// # Errors
     ///
     /// As [`ProtoClient::stream`].
     pub fn call(&mut self, cmd: Command) -> Result<json::Json, ClientError> {
-        self.stream([cmd])
+        self.call_with(cmd, decode_reply)
+    }
+
+    /// One round trip whose reply line is read by `decode`.
+    fn call_with<T>(
+        &mut self,
+        cmd: Command,
+        decode: impl FnOnce(&[u8]) -> Result<Reply<T>, String>,
+    ) -> Result<T, ClientError> {
+        self.next_id += 1;
+        let id = self.next_id;
+        let mut line = Vec::new();
+        Request { id, cmd }.encode_into(&mut line);
+        line.push(b'\n');
+        self.send(&line, [id])?;
+        self.read_reply_with(id, decode)
     }
 
     /// Send `cmds` in order through the in-flight window and read every
@@ -292,7 +309,7 @@ impl ProtoClient {
             batch.push(b'\n');
             let len = batch.len() - start;
             if bytes + len > WINDOW_BYTES && !in_flight.is_empty() {
-                let sent = self.send(&batch[..start], &in_flight);
+                let sent = self.send(&batch[..start], in_flight.iter().map(|&(id, _)| id));
                 batch.drain(..start);
                 sent?;
                 let room = (WINDOW_BYTES / 2).min(WINDOW_BYTES.saturating_sub(len));
@@ -305,21 +322,21 @@ impl ProtoClient {
             bytes += len;
             in_flight.push_back((self.next_id, len));
         }
-        self.send(&batch, &in_flight)?;
+        self.send(&batch, in_flight.iter().map(|&(id, _)| id))?;
         while let Some((id, _)) = in_flight.pop_front() {
             last = self.reply_in_window(id, &mut in_flight)?;
         }
         Ok(last)
     }
 
-    /// Write `batch` in one write. `in_flight` lists every request sent
-    /// or in `batch` whose reply is unread; a failed write looks through
-    /// their replies (see
+    /// Write `batch` in one write. `in_flight` lists the ids of every
+    /// request sent or in `batch` whose reply is unread; a failed write
+    /// looks through their replies (see
     /// [`reply_for_failed_write`](Self::reply_for_failed_write)).
     fn send(
         &mut self,
         batch: &[u8],
-        in_flight: &VecDeque<(u64, usize)>,
+        in_flight: impl IntoIterator<Item = u64>,
     ) -> Result<(), ClientError> {
         if batch.is_empty() {
             return Ok(());
@@ -333,7 +350,7 @@ impl ProtoClient {
             self.writer.write_all(batch)?;
             self.writer.flush()
         })
-        .map_err(|err| self.reply_for_failed_write(err, in_flight.iter().map(|&(id, _)| id)))
+        .map_err(|err| self.reply_for_failed_write(err, in_flight))
     }
 
     /// The reply to request `id`, the oldest in flight. After an in-band
@@ -361,30 +378,39 @@ impl ProtoClient {
     /// (an oversized line, BUSY shedding) and is the typed
     /// [`ClientError::Rpc`]; any other id mismatch is `Protocol`.
     fn read_reply(&mut self, id: u64) -> Result<json::Json, ClientError> {
+        self.read_reply_with(id, decode_reply)
+    }
+
+    /// [`read_reply`](Self::read_reply) with the line read by `decode`.
+    /// The line is read as bytes and trimmed of ASCII whitespace; the
+    /// decoder checks its UTF-8.
+    fn read_reply_with<T>(
+        &mut self,
+        id: u64,
+        decode: impl FnOnce(&[u8]) -> Result<Reply<T>, String>,
+    ) -> Result<T, ClientError> {
         self.line.clear();
         let n = retry_interrupted(EINTR_BUDGET, || {
             e9failpt::fail_io("proto.client.read")?;
-            self.reader.read_line(&mut self.line)
+            self.reader.read_until(b'\n', &mut self.line)
         })?;
         if n == 0 {
             return Err(ClientError::Protocol(
                 "backend closed the connection".into(),
             ));
         }
-        let resp =
-            Response::decode_line(self.line.trim().as_bytes()).map_err(ClientError::Protocol)?;
-        if resp.id != Some(id) {
-            if resp.id.is_none() {
-                if let Err(e) = resp.body {
+        let (reply_id, body) = decode(self.line.trim_ascii()).map_err(ClientError::Protocol)?;
+        if reply_id != Some(id) {
+            if reply_id.is_none() {
+                if let Err(e) = body {
                     return Err(ClientError::Rpc(e));
                 }
             }
             return Err(ClientError::Protocol(format!(
-                "response id {:?} for request {id}",
-                resp.id
+                "response id {reply_id:?} for request {id}"
             )));
         }
-        resp.body.map_err(ClientError::Rpc)
+        body.map_err(ClientError::Rpc)
     }
 
     /// A write that dies because the peer closed often races typed
@@ -454,8 +480,10 @@ impl ProtoClient {
     ///
     /// As [`ProtoClient::call`], plus reply-decoding failures.
     pub fn emit(&mut self) -> Result<EmitReply, ClientError> {
-        let v = self.call(Command::Emit)?;
-        EmitReply::from_json(&v).map_err(ClientError::Protocol)
+        self.call_with(Command::Emit, |line| {
+            EmitResponse::decode_line(line).map(|r| (r.id, r.body))
+        })?
+        .map_err(ClientError::Protocol)
     }
 
     /// Fetch the server's rewrite-cache counters.
@@ -519,6 +547,14 @@ impl Drop for ProtoClient {
             let _ = child.wait();
         }
     }
+}
+
+/// A reply line's id and body, as a reader decodes it.
+type Reply<T> = (Option<u64>, Result<T, RpcError>);
+
+/// A reply line with its `result` read as a [`json::Json`] value.
+fn decode_reply(line: &[u8]) -> Result<Reply<json::Json>, String> {
+    Response::decode_line(line).map(|r| (r.id, r.body))
 }
 
 /// Where `e9tool patch --backend stdio` finds the daemon: `$E9PATCHD`,

@@ -13,14 +13,18 @@
 //!   serializer (u64-exact integers, depth-bounded, panic-free);
 //! * [`msg`] — the typed command set (`version`, `binary`, `option`,
 //!   `reserve`, `instruction`, `patch`, `emit`, `shutdown`), request and
-//!   response envelopes, and error codes; lines are written directly
-//!   and decoded in one pass, with no JSON tree;
+//!   response envelopes, and error codes. Request lines, and `emit`
+//!   replies on both ends, are written directly and read in one pass,
+//!   with no JSON tree; the scanner's cost follows the bytes it reads
+//!   (strings eight bytes at a time, plain integers straight into a
+//!   `u64`). The other replies still carry their `result` as a tree;
 //! * [`session`] — the per-connection state machine that buffers commands
 //!   and feeds the in-process [`e9patch::Rewriter`] on `emit`, preserving
 //!   the paper's S1 reverse-order batch semantics;
 //! * [`server`] — the serve loop over one byte stream (stdio sessions),
 //!   [`server::ServeConfig`] (the one set of serving knobs, both modes)
-//!   and [`server::dispatch_line`], the one request choke point;
+//!   and [`server::reply_line`], the one request choke point
+//!   ([`server::dispatch_line`] gives its response as a tree);
 //! * [`reactor`] — the socket serving core (Linux): a single-threaded
 //!   epoll event loop (`e9loop`) multiplexing every connection, with
 //!   admission control and graceful drain; it frames lines with the
@@ -56,6 +60,6 @@ pub use client::{ClientError, ProtoClient};
 pub use json::{Json, JsonError};
 pub use msg::{
     hex_decode, hex_encode, CacheAction, CacheDisposition, CacheStatsReply, Command, EmitReply,
-    HookReply, Request, Response, RpcError, PROTOCOL_VERSION,
+    EmitResponse, HookReply, Request, Response, RpcError, PROTOCOL_VERSION,
 };
 pub use session::Session;

@@ -22,14 +22,17 @@
 //! The serving path builds no JSON tree for a protocol line: requests and
 //! replies are written directly in canonical form
 //! ([`Request::encode_into`], [`Response::encode_into`]) and read in one
-//! pass ([`Request::decode_line`], [`Response::decode_line`]). The tree
+//! pass ([`Request::decode_line`], [`Response::decode_line`]). An `emit`
+//! result is written from the typed reply ([`EmitReply::write_json`])
+//! and read back into one ([`EmitResponse::decode_line`]). The tree
 //! forms ([`Request::decode`], [`Response::decode`],
-//! [`Response::to_json`]) are the reference those are tested against.
+//! [`Response::to_json`], [`EmitReply::to_json`],
+//! [`EmitReply::from_json`]) are the reference those are tested against.
 //! Both readers fill one shape, and one assembly per wire value builds
 //! the message or words its error, so they differ only in how they read
 //! bytes. The tree still words the error for a line that is not JSON.
 
-use crate::json::{self, obj, Json, JsonError, Scanner};
+use crate::json::{self, obj, Json, JsonError, Number, Scanner, Text};
 use e9patch::{
     AllocPolicy, PatchStats, RewriteConfig, RewriteOutput, SiteReport, SizeStats, TacticKind,
     Template,
@@ -133,7 +136,8 @@ pub fn hex_decode(s: &str) -> Result<Vec<u8>, String> {
     let mut out = Vec::with_capacity(s.len() / 2);
     for pair in s.as_bytes().chunks_exact(2) {
         let (hi, lo) = (NIBBLES[usize::from(pair[0])], NIBBLES[usize::from(pair[1])]);
-        if hi == BAD || lo == BAD {
+        // A digit's value is below 16; `BAD` is not.
+        if (hi | lo) > 0xf {
             let bad = if hi == BAD { pair[0] } else { pair[1] };
             return Err(format!("bad hex byte {bad:#04x}"));
         }
@@ -658,11 +662,10 @@ impl Response {
     ///
     /// As [`Response::decode`], or the parse error.
     pub fn decode_line(line: &[u8]) -> Result<Response, String> {
-        scan_response(line).unwrap_or_else(|_| {
-            json::check(line).map_err(|e| e.to_string())?;
-            let value = json::parse(line).map_err(|e| e.to_string())?;
-            Response::decode(&value)
-        })
+        if let Some(id) = empty_result_id(line) {
+            return Ok(Response::ok(id, Json::Obj(Vec::new())));
+        }
+        scan_response(line).unwrap_or_else(|_| Response::decode(&parse_checked(line)?))
     }
 
     /// Decode a parsed JSON value into a typed response: the reference
@@ -672,24 +675,94 @@ impl Response {
     ///
     /// Returns a string description when the envelope is malformed.
     pub fn decode(v: &Json) -> Result<Response, String> {
-        let Ok(envelope) = ReplyEnvelope::read(&mut &*v);
-        envelope.response()
+        let Ok(envelope) = ReplyEnvelope::read(&mut &*v, |r| r.value(1));
+        let (id, body) = envelope.response()?;
+        Ok(Response { id, body })
+    }
+
+    /// Append the success reply to request `id` to `out`, its `result`
+    /// written by `result`: the bytes of [`Response::ok`]`(id,
+    /// ..)`[`.encode_into`](Response::encode_into) with no tree needed.
+    pub fn write_ok(out: &mut Vec<u8>, id: u64, result: impl FnOnce(&mut Vec<u8>)) {
+        out.extend_from_slice(b"{\"jsonrpc\":\"2.0\",\"id\":");
+        json::write_u64(out, id);
+        out.extend_from_slice(b",\"result\":");
+        result(out);
+        out.push(b'}');
+    }
+}
+
+/// The id of `line` if it is exactly the canonical `{}` success reply,
+/// `{"jsonrpc":"2.0","id":N,"result":{}}` with `N` of at most 19 digits
+/// and no leading zero: the reply to every `instruction`, `patch`,
+/// `reserve` and `option`, read by comparing bytes. Any other spelling
+/// is read by the single pass.
+fn empty_result_id(line: &[u8]) -> Option<u64> {
+    let digits = line
+        .strip_prefix(b"{\"jsonrpc\":\"2.0\",\"id\":")?
+        .strip_suffix(b",\"result\":{}}")?;
+    let canonical = matches!(digits, [b'0'] | [b'1'..=b'9', ..])
+        && digits.len() <= 19
+        && digits.iter().all(u8::is_ascii_digit);
+    canonical.then(|| digits.iter().fold(0, |n, &d| n * 10 + u64::from(d - b'0')))
+}
+
+/// A line that the single pass stopped on, parsed for its tree: the
+/// parse error is worded by [`json::check`] first, without a tree.
+fn parse_checked(line: &[u8]) -> Result<Json, String> {
+    json::check(line).map_err(|e| e.to_string())?;
+    json::parse(line).map_err(|e| e.to_string())
+}
+
+/// An `emit` reply line as [`ProtoClient::emit`](crate::ProtoClient::emit)
+/// reads it: the envelope as [`Response::decode_line`] reads it, and the
+/// `result` read in the same pass into an [`EmitReply`], with no tree.
+/// The `result`'s value, or its error, is the one that
+/// [`EmitReply::from_json`] gives for the `result` of
+/// [`Response::decode`]; a reply whose `error` wins has none.
+#[derive(Debug, Clone, PartialEq)]
+pub struct EmitResponse {
+    /// As [`Response::id`].
+    pub id: Option<u64>,
+    /// The in-band error, or the `result` decoded.
+    pub body: Result<Result<EmitReply, String>, RpcError>,
+}
+
+impl EmitResponse {
+    /// Decode one `emit` reply line in a single pass. A line the pass
+    /// stops on is not JSON: [`json::check`] words the parse error, and
+    /// only a line that passes it is parsed and read as a tree.
+    ///
+    /// # Errors
+    ///
+    /// As [`Response::decode_line`].
+    pub fn decode_line(line: &[u8]) -> Result<EmitResponse, String> {
+        let (id, body) = match scan(line, |s| ReplyEnvelope::read(s, |s| read_emit(s, 1))) {
+            Ok(envelope) => envelope.response()?,
+            Err(_) => {
+                let r = Response::decode(&parse_checked(line)?)?;
+                (r.id, r.body.map(|v| EmitReply::from_json(&v)))
+            }
+        };
+        Ok(EmitResponse { id, body })
     }
 }
 
 // ---- line decoding: two readers, one table ------------------------------
 
 /// A scalar member as it was spelled, before a type rule looks at it. An
-/// array or an object is `Other`.
+/// array or an object is `Other`. A string stays borrowed, its escapes
+/// undecoded until a rule reads it, so an atom owns nothing.
+#[derive(Clone, Copy)]
 enum Atom<'a> {
     Null,
     Bool(bool),
     Int(i128),
-    Str(Cow<'a, str>),
+    Str(Text<'a>),
     Other,
 }
 
-impl Atom<'_> {
+impl<'a> Atom<'a> {
     fn u64(&self) -> Option<u64> {
         match self {
             Atom::Int(i) => u64::try_from(*i).ok(),
@@ -704,9 +777,9 @@ impl Atom<'_> {
         }
     }
 
-    fn str(&self) -> Option<&str> {
+    fn str(&self) -> Option<Cow<'a, str>> {
         match self {
-            Atom::Str(s) => Some(s),
+            Atom::Str(s) => Some(s.get()),
             _ => None,
         }
     }
@@ -728,6 +801,9 @@ trait Reader<'a> {
     /// The value as a tree.
     fn value(&mut self, depth: usize) -> Result<Json, Self::Error>;
 
+    /// The value kept whole, for the assembly to read as a tree.
+    fn subtree(&mut self, depth: usize) -> Result<Subtree<'a>, Self::Error>;
+
     /// Step over the value.
     fn skip(&mut self, depth: usize) -> Result<(), Self::Error>;
 
@@ -745,7 +821,11 @@ impl<'a> Reader<'a> for Scanner<'a> {
 
     fn atom(&mut self, depth: usize) -> Result<Atom<'a>, JsonError> {
         Ok(match self.peek() {
-            Some(b'"') => Atom::Str(self.string()?),
+            Some(b'"') => Atom::Str(self.text()?),
+            Some(b'-' | b'0'..=b'9') => match self.number()? {
+                Number::Int(i) => Atom::Int(i),
+                Number::Float(_) => Atom::Other,
+            },
             Some(b'[' | b'{') => {
                 self.skip(depth)?;
                 Atom::Other
@@ -753,7 +833,6 @@ impl<'a> Reader<'a> for Scanner<'a> {
             _ => match self.value(depth)? {
                 Json::Null => Atom::Null,
                 Json::Bool(b) => Atom::Bool(b),
-                Json::Int(i) => Atom::Int(i),
                 _ => Atom::Other,
             },
         })
@@ -763,6 +842,10 @@ impl<'a> Reader<'a> for Scanner<'a> {
         Scanner::value(self, depth)
     }
 
+    fn subtree(&mut self, depth: usize) -> Result<Subtree<'a>, JsonError> {
+        self.skip_span(depth).map(Subtree::Text)
+    }
+
     fn skip(&mut self, depth: usize) -> Result<(), JsonError> {
         Scanner::skip(self, depth)
     }
@@ -770,10 +853,10 @@ impl<'a> Reader<'a> for Scanner<'a> {
     fn members(
         &mut self,
         depth: usize,
-        mut member: impl FnMut(&mut Self, &str) -> Result<(), JsonError>,
+        member: impl FnMut(&mut Self, &str) -> Result<(), JsonError>,
     ) -> Result<(), JsonError> {
         if self.peek() == Some(b'{') {
-            self.object(|s, key| member(s, &key))
+            self.object(member)
         } else {
             self.skip(depth)
         }
@@ -788,13 +871,17 @@ impl<'a> Reader<'a> for &'a Json {
             Json::Null => Atom::Null,
             Json::Bool(b) => Atom::Bool(*b),
             Json::Int(i) => Atom::Int(*i),
-            Json::Str(s) => Atom::Str(Cow::Borrowed(s)),
+            Json::Str(s) => Atom::Str(Text::plain(s)),
             _ => Atom::Other,
         })
     }
 
     fn value(&mut self, _: usize) -> Result<Json, Infallible> {
         Ok(Json::clone(self))
+    }
+
+    fn subtree(&mut self, _: usize) -> Result<Subtree<'a>, Infallible> {
+        Ok(Subtree::Tree(self))
     }
 
     fn skip(&mut self, _: usize) -> Result<(), Infallible> {
@@ -812,6 +899,25 @@ impl<'a> Reader<'a> for &'a Json {
             }
         }
         Ok(())
+    }
+}
+
+/// A member kept whole and read as a tree only by the assembly: the
+/// scanner's span of checked text, or the reference reader's subtree.
+#[derive(Clone, Copy)]
+enum Subtree<'a> {
+    Text(&'a [u8]),
+    Tree(&'a Json),
+}
+
+impl<'a> Subtree<'a> {
+    fn tree(self) -> Cow<'a, Json> {
+        match self {
+            Subtree::Text(text) => {
+                Cow::Owned(json::parse(text).expect("the scanner checked the span it skipped"))
+            }
+            Subtree::Tree(v) => Cow::Borrowed(v),
+        }
     }
 }
 
@@ -853,7 +959,8 @@ fn scan_request(line: &[u8]) -> Result<Result<Request, Response>, JsonError> {
 /// A reply line in one pass: its response or envelope error, or the
 /// syntax error that stopped the pass.
 fn scan_response(line: &[u8]) -> Result<Result<Response, String>, JsonError> {
-    scan(line, ReplyEnvelope::read).map(ReplyEnvelope::response)
+    let envelope = scan(line, |s| ReplyEnvelope::read(s, |s| s.value(1)))?;
+    Ok(envelope.response().map(|(id, body)| Response { id, body }))
 }
 
 /// A table slot and its wire name, which is the field's name.
@@ -889,9 +996,10 @@ struct Params<'a> {
     write: Option<Atom<'a>>,
     addr: Option<Atom<'a>>,
     template: Option<Kinded<'a>>,
-    /// Read as trees: only `hook` has arrays, once per job.
-    funcs: Option<Json>,
-    addrs: Option<Json>,
+    /// Read as trees by the assembly: only `hook` has arrays, once per
+    /// job.
+    funcs: Option<Subtree<'a>>,
+    addrs: Option<Subtree<'a>>,
     call_original: Option<Atom<'a>>,
     payload: Option<Kinded<'a>>,
     action: Option<Atom<'a>>,
@@ -947,7 +1055,7 @@ impl<'a> Envelope<'a> {
             .ok_or_else(|| invalid("missing method"))?;
         let p = &self.params;
         let at = Wording("");
-        let cmd = match method {
+        let cmd = match &*method {
             "version" => Command::Version {
                 version: at.get(slot!(p.version), Atom::u64)?,
             },
@@ -956,15 +1064,15 @@ impl<'a> Envelope<'a> {
                 digest: match &p.digest {
                     None | Some(Atom::Null) => None,
                     Some(Atom::Str(s)) => Some(
-                        e9cache::sha256::from_hex(s)
+                        e9cache::sha256::from_hex(&s.get())
                             .ok_or_else(|| at.error("digest: expected 64 hex chars"))?,
                     ),
                     Some(_) => return Err(at.error("digest: expected a string")),
                 },
             },
             "option" => Command::Option {
-                name: at.get(slot!(p.name), Atom::str)?.to_string(),
-                value: at.get(slot!(p.value), Atom::str)?.to_string(),
+                name: at.get(slot!(p.name), Atom::str)?.into_owned(),
+                value: at.get(slot!(p.value), Atom::str)?.into_owned(),
             },
             "reserve" => Command::Reserve {
                 vaddr: at.get(slot!(p.vaddr), Atom::u64)?,
@@ -994,7 +1102,7 @@ impl<'a> Envelope<'a> {
             "cache" => {
                 let action = at.get(slot!(p.action), Atom::str)?;
                 Command::Cache {
-                    action: CacheAction::from_name(action)
+                    action: CacheAction::from_name(&action)
                         .ok_or_else(|| at.error(format_args!("unknown cache action {action:?}")))?,
                 }
             }
@@ -1030,8 +1138,8 @@ impl<'a> Params<'a> {
                 "action" => &mut self.action,
                 "template" => return first(&mut self.template, r, d, |r| Kinded::read(r, d)),
                 "payload" => return first(&mut self.payload, r, d, |r| Kinded::read(r, d)),
-                "funcs" => return first(&mut self.funcs, r, d, |r| r.value(d)),
-                "addrs" => return first(&mut self.addrs, r, d, |r| r.value(d)),
+                "funcs" => return first(&mut self.funcs, r, d, |r| r.subtree(d)),
+                "addrs" => return first(&mut self.addrs, r, d, |r| r.subtree(d)),
                 _ => return r.skip(d),
             };
             first(slot, r, d, |r| r.atom(d))
@@ -1041,6 +1149,7 @@ impl<'a> Params<'a> {
 
 impl<'a> Kinded<'a> {
     /// Read a template or payload value at `depth`.
+    #[inline(never)]
     fn read<R: Reader<'a>>(r: &mut R, depth: usize) -> Result<Kinded<'a>, R::Error> {
         let mut k = Kinded::default();
         let d = depth + 1;
@@ -1062,7 +1171,7 @@ impl<'a> Kinded<'a> {
     /// The one assembly of a trampoline template.
     fn template(&self) -> Result<Template, RpcError> {
         let at = Wording("template: ");
-        Ok(match at.get(slot!(self.kind), Atom::str)? {
+        Ok(match &*at.get(slot!(self.kind), Atom::str)? {
             "empty" => Template::Empty,
             "counter" => Template::Counter {
                 counter_addr: at.get(slot!(self.counter_addr), Atom::u64)?,
@@ -1094,7 +1203,7 @@ impl<'a> Kinded<'a> {
     /// The one assembly of a hook payload.
     fn payload(&self) -> Result<e9hook::PayloadKind, RpcError> {
         let at = Wording("payload: ");
-        Ok(match at.get(slot!(self.kind), Atom::str)? {
+        Ok(match &*at.get(slot!(self.kind), Atom::str)? {
             "counter" => e9hook::PayloadKind::Counter,
             "nop" => e9hook::PayloadKind::Nop,
             "raw" => e9hook::PayloadKind::Raw(at.hex(slot!(self.code))?),
@@ -1128,40 +1237,49 @@ impl Wording {
 
     /// A hex string member, decoded.
     fn hex(self, (slot, name): (&Option<Atom>, &str)) -> Result<Vec<u8>, RpcError> {
-        hex_decode(self.get((slot, name), Atom::str)?).map_err(|e| self.error(e))
+        hex_decode(&self.get((slot, name), Atom::str)?).map_err(|e| self.error(e))
     }
 
     /// An array member, each element under `rule`; an element that
     /// `rule` refuses is `{name}: expected {kinds}`.
-    fn each<'s, T>(
+    fn each<T>(
         self,
-        (slot, name): (&'s Option<Json>, &str),
-        rule: impl Fn(&'s Json) -> Option<T>,
+        (slot, name): (&Option<Subtree>, &str),
+        rule: impl Fn(&Json) -> Option<T>,
         kinds: &str,
     ) -> Result<Vec<T>, RpcError> {
-        self.get((slot, name), Json::as_arr)?
+        let tree = slot.map(Subtree::tree);
+        self.get((&tree, name), |v| v.as_arr())?
             .iter()
             .map(|v| rule(v).ok_or_else(|| self.error(format_args!("{name}: expected {kinds}"))))
             .collect()
     }
 }
 
-/// A reply's envelope members, each at its first occurrence.
-#[derive(Default)]
-struct ReplyEnvelope<'a> {
+/// A reply's envelope members, each at its first occurrence; `T` is the
+/// `result` as its reader reads it.
+struct ReplyEnvelope<'a, T> {
     id: Option<Atom<'a>>,
-    result: Option<Json>,
+    result: Option<T>,
     /// The `error` object's `code` and `message`.
     error: Option<(Option<Atom<'a>>, Option<Atom<'a>>)>,
 }
 
-impl<'a> ReplyEnvelope<'a> {
-    /// Read the reply object (a value of another type has no members).
-    fn read<R: Reader<'a>>(r: &mut R) -> Result<ReplyEnvelope<'a>, R::Error> {
-        let mut e = ReplyEnvelope::default();
+impl<'a, T> ReplyEnvelope<'a, T> {
+    /// Read the reply object (a value of another type has no members),
+    /// its `result` with `result`.
+    fn read<R: Reader<'a>>(
+        r: &mut R,
+        mut result: impl FnMut(&mut R) -> Result<T, R::Error>,
+    ) -> Result<ReplyEnvelope<'a, T>, R::Error> {
+        let mut e = ReplyEnvelope {
+            id: None,
+            result: None,
+            error: None,
+        };
         r.members(0, |r, key| match key {
             "id" => first(&mut e.id, r, 1, |r| r.atom(1)),
-            "result" => first(&mut e.result, r, 1, |r| r.value(1)),
+            "result" => first(&mut e.result, r, 1, &mut result),
             "error" => first(&mut e.error, r, 1, |r| {
                 let (mut code, mut message) = (None, None);
                 r.members(1, |r, key| match key {
@@ -1178,8 +1296,8 @@ impl<'a> ReplyEnvelope<'a> {
 
     /// The one envelope rule: an error wins over a result, whatever their
     /// order; its code must fit an `i64`; a message that is not a string
-    /// reads as empty.
-    fn response(self) -> Result<Response, String> {
+    /// reads as empty. The id and the body.
+    fn response(self) -> Result<(Option<u64>, Result<T, RpcError>), String> {
         let id = match self.id {
             None | Some(Atom::Null) => None,
             Some(a) => Some(a.u64().ok_or("non-integer response id")?),
@@ -1193,14 +1311,14 @@ impl<'a> ReplyEnvelope<'a> {
                     _ => return Err("error without integer code".into()),
                 },
                 message: match message {
-                    Some(Atom::Str(s)) => s.into_owned(),
+                    Some(Atom::Str(s)) => s.get().into_owned(),
                     _ => String::new(),
                 },
             }),
             (None, Some(result)) => Ok(result),
             (None, None) => return Err("response with neither result nor error".into()),
         };
-        Ok(Response { id, body })
+        Ok((id, body))
     }
 }
 
@@ -1531,6 +1649,71 @@ impl EmitReply {
         ])
     }
 
+    /// Append the `result` object of an `emit` response to `out`, written
+    /// directly from the reply: the bytes of
+    /// [`to_json`](EmitReply::to_json)`().serialize()`, with the binary's
+    /// hex written from its bytes and no object built per report.
+    pub fn write_json(&self, out: &mut Vec<u8>) {
+        let s = &self.stats;
+        let z = &self.size;
+        out.reserve(
+            2 * self.binary.len() + 80 * self.reports.len() + 60 * self.mappings.len() + 512,
+        );
+        ObjWriter::new(out)
+            .hex("binary", &self.binary)
+            .with("stats", |out| {
+                ObjWriter::new(out)
+                    .u64("b1", s.b1 as u64)
+                    .u64("b2", s.b2 as u64)
+                    .u64("t1", s.t1 as u64)
+                    .u64("t2", s.t2 as u64)
+                    .u64("t3", s.t3 as u64)
+                    .u64("b0", s.b0 as u64)
+                    .u64("failed", s.failed as u64)
+                    .end()
+            })
+            .with("size", |out| {
+                ObjWriter::new(out)
+                    .u64("input_bytes", z.input_bytes)
+                    .u64("output_bytes", z.output_bytes)
+                    .u64("virtual_blocks", z.virtual_blocks)
+                    .u64("physical_blocks", z.physical_blocks)
+                    .u64("mappings", z.mappings)
+                    .u64("granularity", z.granularity)
+                    .end()
+            })
+            .u64("loader_addr", self.loader_addr)
+            .u64("trap_count", self.trap_count)
+            .with("reports", |out| {
+                write_array(out, &self.reports, |out, r| {
+                    ObjWriter::new(out)
+                        .u64("addr", r.addr)
+                        .u64("insn_len", u64::from(r.insn_len))
+                        .with("tactic", |out| match r.tactic {
+                            Some(t) => json::write_str(out, tactic_name(t)),
+                            None => out.extend_from_slice(b"null"),
+                        })
+                        .opt_u64("trampoline", r.trampoline)
+                        .end()
+                })
+            })
+            .with("mappings", |out| {
+                write_array(out, &self.mappings, |out, m| {
+                    ObjWriter::new(out)
+                        .u64("vaddr", m.vaddr)
+                        .u64("file_off", m.file_off)
+                        .u64("len", m.len)
+                        .end()
+                })
+            })
+            .str("cache", self.cache.name())
+            .with("digest", |out| match &self.digest {
+                Some(d) => json::write_str(out, d),
+                None => out.extend_from_slice(b"null"),
+            })
+            .end();
+    }
+
     /// Decode the `result` object of an `emit` response.
     ///
     /// # Errors
@@ -1598,6 +1781,63 @@ impl EmitReply {
             size,
             loader_addr: m.u64("loader_addr")?,
             trap_count: m.u64("trap_count")?,
+            reports,
+            mappings,
+            cache,
+            digest,
+        })
+    }
+
+    /// Assemble the reply from the members [`read_emit`] read, in
+    /// [`from_json`](EmitReply::from_json)'s order and with its wording.
+    fn assemble(m: EmitMembers<'_>) -> Result<EmitReply, String> {
+        let missing = |name: &str| format!("emit reply: missing {name}");
+        let binary = hex_decode(
+            &m.binary
+                .and_then(|a| a.str())
+                .ok_or_else(|| missing("binary"))?,
+        )?;
+        let s = m.stats.ok_or_else(|| missing("stats"))?;
+        let stats = PatchStats {
+            b1: s.u64("b1")? as usize,
+            b2: s.u64("b2")? as usize,
+            t1: s.u64("t1")? as usize,
+            t2: s.u64("t2")? as usize,
+            t3: s.u64("t3")? as usize,
+            b0: s.u64("b0")? as usize,
+            failed: s.u64("failed")? as usize,
+        };
+        let z = m.size.ok_or_else(|| missing("size"))?;
+        let size = SizeStats {
+            input_bytes: z.u64("input_bytes")?,
+            output_bytes: z.u64("output_bytes")?,
+            virtual_blocks: z.u64("virtual_blocks")?,
+            physical_blocks: z.u64("physical_blocks")?,
+            mappings: z.u64("mappings")?,
+            granularity: z.u64("granularity")?,
+        };
+        let reports = m.reports.unwrap_or_else(|| Err(missing("reports")))?;
+        let mappings = m.mappings.unwrap_or_else(|| Err(missing("mappings")))?;
+        let cache = match m.cache {
+            None | Some(Atom::Null) => CacheDisposition::Off,
+            Some(a) => {
+                let name = a.str().ok_or("bad cache field")?;
+                CacheDisposition::from_name(&name)
+                    .ok_or_else(|| format!("bad cache disposition {name:?}"))?
+            }
+        };
+        let digest = match m.digest {
+            None | Some(Atom::Null) => None,
+            Some(a) => Some(a.str().ok_or("bad digest field")?.into_owned()),
+        };
+        let top =
+            |a: Option<Atom>, name: &str| a.and_then(|a| a.u64()).ok_or_else(|| missing(name));
+        Ok(EmitReply {
+            binary,
+            stats,
+            size,
+            loader_addr: top(m.loader_addr, "loader_addr")?,
+            trap_count: top(m.trap_count, "trap_count")?,
             reports,
             mappings,
             cache,
@@ -1787,6 +2027,162 @@ impl From<EmitReply> for RewriteOutput {
             trap_count: reply.trap_count as usize,
             reports: reply.reports,
             mappings: reply.mappings,
+        }
+    }
+}
+
+/// The members of an `emit` result, each at its first occurrence, as
+/// [`read_emit`] reads them in one pass.
+#[derive(Default)]
+struct EmitMembers<'a> {
+    binary: Option<Atom<'a>>,
+    stats: Option<Fields<'a, 7>>,
+    size: Option<Fields<'a, 6>>,
+    loader_addr: Option<Atom<'a>>,
+    trap_count: Option<Atom<'a>>,
+    /// Each array's elements, built as they are read; the first element
+    /// that does not build is the error, as is a value that is not an
+    /// array.
+    reports: Option<Result<Vec<SiteReport>, String>>,
+    mappings: Option<Result<Vec<WireMapping>, String>>,
+    cache: Option<Atom<'a>>,
+    digest: Option<Atom<'a>>,
+}
+
+/// The result of an `emit` reply at `depth`, read in one pass with no
+/// tree: [`EmitReply::from_json`]'s value or error for the same text.
+fn read_emit<'a>(
+    s: &mut Scanner<'a>,
+    depth: usize,
+) -> Result<Result<EmitReply, String>, JsonError> {
+    let d = depth + 1;
+    let mut m = EmitMembers::default();
+    s.members(depth, |s, key| match key {
+        "binary" => first(&mut m.binary, s, d, |s| s.atom(d)),
+        "stats" => first(&mut m.stats, s, d, |s| Fields::read(s, d, STATS)),
+        "size" => first(&mut m.size, s, d, |s| Fields::read(s, d, SIZE)),
+        "loader_addr" => first(&mut m.loader_addr, s, d, |s| s.atom(d)),
+        "trap_count" => first(&mut m.trap_count, s, d, |s| s.atom(d)),
+        "reports" => first(&mut m.reports, s, d, |s| {
+            each(s, d, "reports", REPORT, |r| {
+                Ok(SiteReport {
+                    tactic: r
+                        .opt("tactic", Atom::str, "bad tactic field")?
+                        .map(|name| {
+                            tactic_from_name(&name).ok_or_else(|| format!("bad tactic {name:?}"))
+                        })
+                        .transpose()?,
+                    trampoline: r.opt("trampoline", Atom::u64, "bad trampoline field")?,
+                    addr: r.u64("addr")?,
+                    insn_len: r.narrow("insn_len")?,
+                })
+            })
+        }),
+        "mappings" => first(&mut m.mappings, s, d, |s| {
+            each(s, d, "mappings", MAPPING, |m| {
+                Ok(WireMapping {
+                    vaddr: m.u64("vaddr")?,
+                    file_off: m.u64("file_off")?,
+                    len: m.u64("len")?,
+                })
+            })
+        }),
+        "cache" => first(&mut m.cache, s, d, |s| s.atom(d)),
+        "digest" => first(&mut m.digest, s, d, |s| s.atom(d)),
+        _ => s.skip(d),
+    })?;
+    Ok(EmitReply::assemble(m))
+}
+
+const STATS: [&str; 7] = ["b1", "b2", "t1", "t2", "t3", "b0", "failed"];
+const SIZE: [&str; 6] = [
+    "input_bytes",
+    "output_bytes",
+    "virtual_blocks",
+    "physical_blocks",
+    "mappings",
+    "granularity",
+];
+const REPORT: [&str; 4] = ["tactic", "trampoline", "addr", "insn_len"];
+const MAPPING: [&str; 3] = ["vaddr", "file_off", "len"];
+
+/// The array at the cursor, each element read as an object with the
+/// members `names` and built by `build`. After the first element that
+/// does not build, the rest are only stepped over. A value that is not
+/// an array is `emit reply: missing {name}`.
+fn each<'a, T, const N: usize>(
+    s: &mut Scanner<'a>,
+    depth: usize,
+    name: &str,
+    names: [&'static str; N],
+    mut build: impl FnMut(Fields<'a, N>) -> Result<T, String>,
+) -> Result<Result<Vec<T>, String>, JsonError> {
+    if s.peek() != Some(b'[') {
+        s.skip(depth)?;
+        return Ok(Err(format!("emit reply: missing {name}")));
+    }
+    let mut items = Ok(Vec::new());
+    s.array(|s| match &mut items {
+        Ok(v) => {
+            match build(Fields::read(s, depth + 1, names)?) {
+                Ok(item) => v.push(item),
+                Err(e) => items = Err(e),
+            }
+            Ok(())
+        }
+        Err(_) => s.skip(depth + 1),
+    })?;
+    Ok(items)
+}
+
+/// The members `names` of one object in an `emit` result, each at its
+/// first occurrence, read with the typed rules and wording of the tree
+/// reader's `Members` (`emit reply: missing {name}`). A value that is
+/// not an object has none of them.
+struct Fields<'a, const N: usize> {
+    names: [&'static str; N],
+    atoms: [Option<Atom<'a>>; N],
+}
+
+impl<'a, const N: usize> Fields<'a, N> {
+    fn read(
+        s: &mut Scanner<'a>,
+        depth: usize,
+        names: [&'static str; N],
+    ) -> Result<Fields<'a, N>, JsonError> {
+        let mut atoms = [None; N];
+        s.members(depth, |s, key| match names.iter().position(|&n| n == key) {
+            Some(i) => first(&mut atoms[i], s, depth + 1, |s| s.atom(depth + 1)),
+            None => s.skip(depth + 1),
+        })?;
+        Ok(Fields { names, atoms })
+    }
+
+    fn get(&self, name: &str) -> Option<Atom<'a>> {
+        let i = self.names.iter().position(|&n| n == name)?;
+        self.atoms[i]
+    }
+
+    fn u64(&self, name: &str) -> Result<u64, String> {
+        self.get(name)
+            .and_then(|a| a.u64())
+            .ok_or_else(|| format!("emit reply: missing {name}"))
+    }
+
+    fn narrow<T: TryFrom<u64>>(&self, name: &str) -> Result<T, String> {
+        let v = self.u64(name)?;
+        T::try_from(v).map_err(|_| format!("emit reply: {name} {v} out of range"))
+    }
+
+    fn opt<T>(
+        &self,
+        name: &str,
+        rule: impl FnOnce(&Atom<'a>) -> Option<T>,
+        bad: &str,
+    ) -> Result<Option<T>, String> {
+        match self.get(name) {
+            None | Some(Atom::Null) => Ok(None),
+            Some(a) => rule(&a).map(Some).ok_or_else(|| bad.to_string()),
         }
     }
 }
@@ -2322,6 +2718,41 @@ mod tests {
 
     /// Reply lines: the single pass reads them itself, an empty result
     /// included, with the tree decoder's result.
+    #[test]
+    fn empty_result_replies_read_by_bytes_agree_with_the_tree() {
+        let ids = [
+            "0",
+            "7",
+            "01",
+            "-1",
+            "1.0",
+            "9999999999999999999",
+            "18446744073709551615",
+            "18446744073709551616",
+            "",
+        ];
+        for id in ids {
+            for line in [
+                format!(r#"{{"jsonrpc":"2.0","id":{id},"result":{{}}}}"#),
+                format!(r#"{{"jsonrpc":"2.0","id":{id},"result":{{ }}}}"#),
+                format!(r#"{{"jsonrpc":"2.0","id":{id},"result":{{}}}} "#),
+            ] {
+                let via_tree = parse(line.as_bytes())
+                    .map_err(|e| e.to_string())
+                    .and_then(|v| Response::decode(&v));
+                assert_eq!(Response::decode_line(line.as_bytes()), via_tree, "{line}");
+            }
+        }
+        assert_eq!(
+            empty_result_id(br#"{"jsonrpc":"2.0","id":9999999999999999999,"result":{}}"#),
+            Some(9_999_999_999_999_999_999)
+        );
+        assert_eq!(
+            empty_result_id(br#"{"jsonrpc":"2.0","id":01,"result":{}}"#),
+            None
+        );
+    }
+
     #[test]
     fn single_pass_reads_reply_lines_itself() {
         for resp in [

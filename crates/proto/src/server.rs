@@ -3,7 +3,8 @@
 //! ([`crate::reactor`]), which shares this module's glue: one
 //! [`ServeConfig`], request lines split by `e9loop`'s [`LineFramer`],
 //! sessions from [`Session::from_config`], complete lines answered by
-//! [`reply_line`] (through [`dispatch_line`]) and over-long ones by
+//! [`reply_line`] (the decode and session of [`dispatch_line`], with
+//! the result written straight into the reply) and over-long ones by
 //! [`oversized_line`].
 //!
 //! Each connection gets its own [`Session`]; a `shutdown` command ends the
@@ -17,7 +18,7 @@
 //! and waits for its answer is never stalled.
 
 use crate::msg::{code, Request, Response, RpcError};
-use crate::session::{Session, SessionLimits};
+use crate::session::{Answer, Session, SessionLimits};
 use e9loop::{Frame, LineFramer};
 use std::io::{self, BufRead, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -184,20 +185,27 @@ pub fn serve_connection_with<R: BufRead, W: Write>(
 
 /// Append the newline-terminated reply to one complete request line to
 /// `out`, shared by the stdio loop and the reactor: nothing for a blank
-/// line (skipped, no reply), otherwise [`dispatch_line`]'s response, or
-/// [`code::INTERNAL`] if handling panicked.
+/// line (skipped, no reply), otherwise the bytes of [`dispatch_line`]'s
+/// response, or [`code::INTERNAL`] if handling panicked. A result is
+/// written straight into `out`; an `emit` result builds no tree.
 pub fn reply_line(session: &mut Session, line: &[u8], out: &mut Vec<u8>) {
     if line.iter().all(u8::is_ascii_whitespace) {
         return;
     }
-    let resp =
-        catch_unwind(AssertUnwindSafe(|| dispatch_line(session, line))).unwrap_or_else(|_| {
-            Response::err(
-                None,
-                RpcError::new(code::INTERNAL, "internal error while handling request"),
-            )
-        });
-    write_line(&resp, out);
+    let start = out.len();
+    let answered = catch_unwind(AssertUnwindSafe(|| match dispatch(session, line) {
+        Ok((id, Ok(answer))) => {
+            Response::write_ok(out, id, |out| answer.write_to(out));
+            out.push(b'\n');
+        }
+        Ok((id, Err(e))) => write_line(&Response::err(Some(id), e), out),
+        Err(refusal) => write_line(&refusal, out),
+    }));
+    if answered.is_err() {
+        out.truncate(start);
+        let e = RpcError::new(code::INTERNAL, "internal error while handling request");
+        write_line(&Response::err(None, e), out);
+    }
 }
 
 /// Append the newline-terminated [`code::LIMIT`] reply to a request line
@@ -214,21 +222,33 @@ pub(crate) fn write_line(resp: &Response, out: &mut Vec<u8>) {
     out.push(b'\n');
 }
 
-/// Decode and execute one raw request line against `session`.
+/// Decode and execute one raw request line against `session`, with the
+/// `result` as a tree.
 ///
-/// This is the protocol's single choke point. A well-formed request is
-/// read once, with no JSON tree ([`Request::decode_line`]). Malformed
+/// It shares the protocol's single choke point with [`reply_line`]: a
+/// well-formed request is read once, with no JSON tree
+/// ([`Request::decode_line`]), and handled by [`Session`]. Malformed
 /// JSON becomes a [`code::PARSE`] error with a `null` id, a bad envelope
 /// or unknown method keeps its id when one is recoverable, and session
 /// errors are forwarded verbatim.
 pub fn dispatch_line(session: &mut Session, line: &[u8]) -> Response {
-    match Request::decode_line(line.trim_ascii()) {
-        Ok(req) => Response {
-            id: Some(req.id),
-            body: session.handle(req.cmd),
+    match dispatch(session, line) {
+        Ok((id, body)) => Response {
+            id: Some(id),
+            body: body.map(Answer::into_json),
         },
         Err(refusal) => refusal,
     }
+}
+
+/// The request on `line`, decoded and handled: its id and answer, or the
+/// reply refusing a line that is not a request.
+fn dispatch(
+    session: &mut Session,
+    line: &[u8],
+) -> Result<(u64, Result<Answer, RpcError>), Response> {
+    let req = Request::decode_line(line.trim_ascii())?;
+    Ok((req.id, session.answer(req.cmd)))
 }
 
 /// The reference serving path for one request line, the one the wire

@@ -26,7 +26,7 @@
 use crate::cachekey;
 use crate::json::{obj, Json};
 use crate::msg::{
-    self, code, CacheAction, CacheStatsReply, Command, HealthReply, HookReply, RpcError,
+    self, code, CacheAction, CacheStatsReply, Command, EmitReply, HealthReply, HookReply, RpcError,
     PROTOCOL_VERSION,
 };
 use crate::server::{ServeConfig, ShedCounters};
@@ -153,20 +153,27 @@ impl Session {
         self.shutdown
     }
 
-    /// Handle one command, returning the `result` payload.
+    /// Handle one command, returning the `result` payload as a tree.
     ///
     /// # Errors
     ///
     /// Protocol-state violations, invalid parameters and rewrite failures,
     /// each with its [`code`] constant.
     pub fn handle(&mut self, cmd: Command) -> Result<Json, RpcError> {
+        self.answer(cmd).map(Answer::into_json)
+    }
+
+    /// Handle one command, returning the `result` payload as the server
+    /// writes it: an `emit` reply stays typed, and is written into the
+    /// reply line with no tree.
+    pub(crate) fn answer(&mut self, cmd: Command) -> Result<Answer, RpcError> {
         // Everything except version negotiation requires it done first —
         // except `health`, which must work against a daemon an operator
         // cannot (or does not want to) handshake with.
         if self.version.is_none() && !matches!(cmd, Command::Version { .. } | Command::Health) {
             return Err(RpcError::state("version not negotiated"));
         }
-        match cmd {
+        let tree = match cmd {
             Command::Version { version } => self.version_cmd(version),
             Command::Binary { bytes, digest } => self.binary_cmd(bytes, digest),
             Command::Option { name, value } => self.option_cmd(&name, &value),
@@ -206,14 +213,15 @@ impl Session {
                 call_original,
                 payload,
             }),
-            Command::Emit => self.emit_cmd(),
+            Command::Emit => return self.emit_cmd().map(|r| Answer::Emit(Box::new(r))),
             Command::Cache { action } => self.cache_cmd(action),
             Command::Health => Ok(self.health_reply().to_json()),
             Command::Shutdown => {
                 self.shutdown = true;
                 Ok(Json::Obj(Vec::new()))
             }
-        }
+        };
+        tree.map(Answer::Tree)
     }
 
     fn version_cmd(&mut self, version: u64) -> Result<Json, RpcError> {
@@ -331,7 +339,7 @@ impl Session {
 
     /// Run the buffered batch through the one cache policy,
     /// [`cachekey::cached_rewrite`], reusing the session's digest memo.
-    fn emit_cmd(&mut self) -> Result<Json, RpcError> {
+    fn emit_cmd(&mut self) -> Result<EmitReply, RpcError> {
         let Some(binary) = self.binary.as_deref() else {
             return Err(RpcError::state("emit before binary"));
         };
@@ -342,8 +350,11 @@ impl Session {
             extra: &self.extra,
             config: self.config,
         };
-        let reply = cachekey::cached_rewrite(self.cache.as_deref(), &mut self.binary_digest, &job)?;
-        Ok(reply.to_json())
+        Ok(cachekey::cached_rewrite(
+            self.cache.as_deref(),
+            &mut self.binary_digest,
+            &job,
+        )?)
     }
 
     fn cache_cmd(&mut self, action: CacheAction) -> Result<Json, RpcError> {
@@ -386,6 +397,34 @@ impl Session {
                 stats: c.stats(),
             },
             None => CacheStatsReply::default(),
+        }
+    }
+}
+
+/// A command's `result` as the server writes it.
+pub(crate) enum Answer {
+    /// A tree, serialized canonically.
+    Tree(Json),
+    /// An `emit` reply, written directly ([`EmitReply::write_json`]);
+    /// boxed, so the answer to every other command stays small.
+    Emit(Box<EmitReply>),
+}
+
+impl Answer {
+    /// The result as a tree: the reference form whose serialization
+    /// [`write_to`](Answer::write_to) matches byte for byte.
+    pub(crate) fn into_json(self) -> Json {
+        match self {
+            Answer::Tree(v) => v,
+            Answer::Emit(reply) => reply.to_json(),
+        }
+    }
+
+    /// Append the result's canonical text to `out`.
+    pub(crate) fn write_to(&self, out: &mut Vec<u8>) {
+        match self {
+            Answer::Tree(v) => v.write_to(out),
+            Answer::Emit(reply) => reply.write_json(out),
         }
     }
 }

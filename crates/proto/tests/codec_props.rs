@@ -5,16 +5,21 @@
 //! The direct encoder must write the tree serializer's bytes, and the
 //! single-pass line decoders must agree with the tree decoders on every
 //! line: non-canonical spellings of a request and damaged lines alike.
+//! The `emit` result is written without a tree on the server and read
+//! without one on the client: the direct writer must write the tree
+//! serializer's bytes, and the one-pass reader must give what
+//! `EmitReply::from_json` gives, intact or damaged.
 //! The cache-key framing must be injective: decoding the key material of
 //! any job gives back exactly that job.
 
 use e9patch::planner::MAX_GRANULARITY;
 use e9patch::{AllocPolicy, ExtraSegment, PatchRequest, RewriteConfig, Tactics, Template};
+use e9patch::{PatchStats, SiteReport, SizeStats, TacticKind};
 use e9proto::cachekey::{key_material, rewrite_key_from_digest};
 use e9proto::json::{self, Json};
 use e9proto::msg::{
-    apply_option, code, config_options, hex_decode, hex_encode, CacheAction, Command, Request,
-    Response, RpcError, PROTOCOL_VERSION,
+    apply_option, code, config_options, hex_decode, hex_encode, CacheAction, CacheDisposition,
+    Command, EmitReply, EmitResponse, Request, Response, RpcError, WireMapping, PROTOCOL_VERSION,
 };
 use e9qcheck::prelude::*;
 use e9x86::insn::Insn;
@@ -365,6 +370,77 @@ fn damage(mut line: Vec<u8>, edits: &[(u16, u8, u8)]) -> Vec<u8> {
     line
 }
 
+/// An `emit` reply from drawn fields: 15 counters (stats, size, loader
+/// address, trap count), reports of `(addr, insn_len, flags,
+/// trampoline)` whose flags pick the tactic and whether a trampoline is
+/// named, mappings, and the cache fields (`sel` picks the disposition
+/// and whether a digest is sent).
+fn build_emit(
+    binary: Vec<u8>,
+    n: &[u64],
+    reports: &[(u64, u8, u8, u64)],
+    mappings: &[(u64, u64, u64)],
+    sel: u8,
+    digest: String,
+) -> EmitReply {
+    const TACTICS: [TacticKind; 6] = [
+        TacticKind::B0,
+        TacticKind::B1,
+        TacticKind::B2,
+        TacticKind::T1,
+        TacticKind::T2,
+        TacticKind::T3,
+    ];
+    const CACHE: [CacheDisposition; 4] = [
+        CacheDisposition::Off,
+        CacheDisposition::Hit,
+        CacheDisposition::Miss,
+        CacheDisposition::Bypass,
+    ];
+    let n = |i: usize| n.get(i).copied().unwrap_or(i as u64);
+    EmitReply {
+        binary,
+        stats: PatchStats {
+            b1: n(0) as usize,
+            b2: n(1) as usize,
+            t1: n(2) as usize,
+            t2: n(3) as usize,
+            t3: n(4) as usize,
+            b0: n(5) as usize,
+            failed: n(6) as usize,
+        },
+        size: SizeStats {
+            input_bytes: n(7),
+            output_bytes: n(8),
+            virtual_blocks: n(9),
+            physical_blocks: n(10),
+            mappings: n(11),
+            granularity: n(12),
+        },
+        loader_addr: n(13),
+        trap_count: n(14),
+        reports: reports
+            .iter()
+            .map(|&(addr, insn_len, flags, trampoline)| SiteReport {
+                addr,
+                insn_len,
+                tactic: TACTICS.get(usize::from(flags % 8)).copied(),
+                trampoline: (flags & 8 != 0).then_some(trampoline),
+            })
+            .collect(),
+        mappings: mappings
+            .iter()
+            .map(|&(vaddr, file_off, len)| WireMapping {
+                vaddr,
+                file_off,
+                len,
+            })
+            .collect(),
+        cache: CACHE[usize::from(sel % 4)],
+        digest: (sel & 4 != 0).then_some(digest),
+    }
+}
+
 /// A rewriter configuration from drawn fields: the three tactics, B0,
 /// grouping and the high allocation policy as flag bits, and `M`.
 fn build_config(bits: u8, granularity: u64) -> RewriteConfig {
@@ -648,6 +724,65 @@ props! {
             .map_err(|e| e.to_string())
             .and_then(|v| Response::decode(&v));
         prop_assert_eq!(Response::decode_line(&line), via_tree);
+    }
+
+    #[test]
+    fn emit_writer_writes_the_tree_serializers_bytes(
+        binary in vec(any::<u8>(), 0..64),
+        n in vec(any::<u64>(), 15..16),
+        reports in vec((any::<u64>(), any::<u8>(), any::<u8>(), any::<u64>()), 0..8),
+        mappings in vec((any::<u64>(), any::<u64>(), any::<u64>()), 0..4),
+        sel in any::<u8>(),
+        digest in alpha(8),
+    ) {
+        let reply = build_emit(binary, &n, &reports, &mappings, sel, digest);
+        let mut direct = Vec::new();
+        reply.write_json(&mut direct);
+        prop_assert_eq!(String::from_utf8(direct).unwrap(), reply.to_json().serialize());
+    }
+
+    #[test]
+    fn one_pass_emit_reader_agrees_with_from_json(
+        binary in vec(any::<u8>(), 0..32),
+        n in vec(any::<u64>(), 15..16),
+        reports in vec((any::<u64>(), any::<u8>(), any::<u8>(), any::<u64>()), 0..6),
+        mappings in vec((any::<u64>(), any::<u64>(), any::<u64>()), 0..3),
+        sel in any::<u8>(),
+        digest in alpha(8),
+        edits in vec((any::<u16>(), any::<u8>(), any::<u8>()), 0..4),
+        shape in vec(any::<u8>(), 1..64),
+    ) {
+        let reply = build_emit(binary, &n, &reports, &mappings, sel, digest);
+        let intact = Response::ok(7, reply.to_json()).encode().into_bytes();
+        prop_assert_eq!(
+            EmitResponse::decode_line(&intact),
+            Ok(EmitResponse { id: Some(7), body: Ok(Ok(reply.clone())) })
+        );
+        // Loose spellings (reordered members, whitespace, escapes, unknown
+        // and repeated keys) and damaged lines: the one-pass reader gives
+        // the tree reader's value or error string.
+        let mut at = 0;
+        let mut draw = || {
+            at += 1;
+            shape[at % shape.len()]
+        };
+        let mut loose_line = String::new();
+        loose(&json::parse(&intact).unwrap(), &mut draw, &mut loose_line);
+        for line in [loose_line.into_bytes(), damage(intact, &edits)] {
+            let via_tree = json::parse(&line)
+                .map_err(|e| e.to_string())
+                .and_then(|v| Response::decode(&v))
+                .map(|r| EmitResponse {
+                    id: r.id,
+                    body: r.body.map(|v| EmitReply::from_json(&v)),
+                });
+            prop_assert_eq!(
+                EmitResponse::decode_line(&line),
+                via_tree,
+                "{}",
+                String::from_utf8_lossy(&line)
+            );
+        }
     }
 
     #[test]

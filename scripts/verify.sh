@@ -22,7 +22,9 @@
 #      fails the gate
 #   5. fault-injection smoke: a seeded e9fault campaign (520 structured
 #      mutants across the ELF and wire surfaces; ELF mutants run through
-#      the instrumentation rewrite too) must complete with zero panics;
+#      the instrumentation rewrite too; every wire reply line is read back
+#      by the client's one-pass readers and by the tree readers, which
+#      must agree) must complete with zero panics;
 #      failures print an E9FAULT_SEED replay line. Then the release
 #      `e9tool patch` of four corpus inputs that cannot be rewritten
 #      must exit 1 with a message and write no output: vaddr-wrap.bin (a
