@@ -9,6 +9,8 @@
 //! without one on the client: the direct writer must write the tree
 //! serializer's bytes, and the one-pass reader must give what
 //! `EmitReply::from_json` gives, intact or damaged.
+//! The rewrite cache's compact `emit` payload must decode to the reply it
+//! was encoded from, less the per-response cache fields.
 //! The cache-key framing must be injective: decoding the key material of
 //! any job gives back exactly that job.
 
@@ -739,6 +741,20 @@ props! {
         let mut direct = Vec::new();
         reply.write_json(&mut direct);
         prop_assert_eq!(String::from_utf8(direct).unwrap(), reply.to_json().serialize());
+    }
+
+    #[test]
+    fn cache_payload_round_trips_without_the_cache_fields(
+        binary in vec(any::<u8>(), 0..64),
+        n in vec(any::<u64>(), 15..16),
+        reports in vec((any::<u64>(), any::<u8>(), any::<u8>(), any::<u64>()), 0..8),
+        mappings in vec((any::<u64>(), any::<u64>(), any::<u64>()), 0..4),
+        sel in any::<u8>(),
+        digest in alpha(8),
+    ) {
+        let reply = build_emit(binary, &n, &reports, &mappings, sel, digest);
+        let stored = EmitReply { cache: CacheDisposition::Off, digest: None, ..reply.clone() };
+        prop_assert_eq!(EmitReply::decode_bin(&reply.encode_bin()), Ok(stored));
     }
 
     #[test]

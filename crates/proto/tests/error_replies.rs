@@ -6,10 +6,13 @@
 //! method with each required member removed in turn, since the first
 //! missing member is the one named, and every template and payload kind.
 //! Each reply case pins the error string of `Response::decode_line` or of
-//! a typed `from_json` reader.
+//! a typed `from_json` reader; an `emit` case pins it for the one-pass
+//! `EmitResponse::decode_line` too.
 
 use e9proto::json::{parse, Json};
-use e9proto::msg::{CacheStatsReply, EmitReply, HealthReply, HookReply, Request, Response};
+use e9proto::msg::{
+    CacheStatsReply, EmitReply, EmitResponse, HealthReply, HookReply, Request, Response,
+};
 
 /// The reply a request line gets from both decoders: `ok` when it
 /// decodes, else the encoded error reply.
@@ -607,6 +610,17 @@ fn with(text: &str, path: &[&str], value: &str) -> Json {
     })
 }
 
+/// `text` parsed, with its top-level member `name` spelled twice: as
+/// `first`, then as `then`.
+fn repeated(text: &str, name: &str, first: &str, then: &str) -> Json {
+    let mut v = with(text, &[name], first);
+    let Json::Obj(members) = &mut v else {
+        unreachable!("with gives an object")
+    };
+    members.push((name.to_string(), parse(then.as_bytes()).unwrap()));
+    v
+}
+
 const EMIT: &str = concat!(
     r#"{"binary":"0102","stats":{"b1":1,"b2":0,"t1":0,"t2":0,"t3":0,"b0":0,"failed":0},"#,
     r#""size":{"input_bytes":1,"output_bytes":2,"virtual_blocks":1,"physical_blocks":1,"mappings":1,"granularity":1},"#,
@@ -618,6 +632,12 @@ const EMIT: &str = concat!(
 #[test]
 fn emit_reply_errors_are_worded() {
     assert!(EmitReply::from_json(&parse(EMIT.as_bytes()).unwrap()).is_ok());
+    // A repeated member is read at its first occurrence, by both readers.
+    let v = repeated(EMIT, "loader_addr", "4096", r#""x""#);
+    let line = Response::ok(7, v.clone()).encode();
+    let body = EmitResponse::decode_line(line.as_bytes()).unwrap().body;
+    assert_eq!(body.unwrap().unwrap().loader_addr, 4096);
+    assert_eq!(EmitReply::from_json(&v).unwrap().loader_addr, 4096);
     let mut cases: Vec<(Json, String)> = Vec::new();
     for (path, want) in [
         (&["binary"][..], "emit reply: missing binary"),
@@ -687,14 +707,37 @@ fn emit_reply_errors_are_worded() {
             r#"[{"trampoline":"x"}]"#,
             "bad trampoline field",
         ),
+        // An element that is not an object has no members; a value that
+        // is not an array has no elements.
+        (&["reports"], "[1]", "emit reply: missing addr"),
+        (&["mappings"], r#"["x"]"#, "emit reply: missing vaddr"),
+        (&["mappings"], "{}", "emit reply: missing mappings"),
     ] {
         cases.push((with(EMIT, path, value), want.to_string()));
     }
+    // A repeated member is read at its first occurrence.
+    cases.push((
+        repeated(EMIT, "loader_addr", r#""x""#, "4096"),
+        "emit reply: missing loader_addr".to_string(),
+    ));
     let wrong: Vec<String> = cases
         .iter()
         .filter_map(|(v, want)| {
             let got = EmitReply::from_json(v).unwrap_err();
-            (got != *want).then(|| format!("{}\n  want {want}\n   got {got}", v.serialize()))
+            let line = Response::ok(7, v.clone()).encode();
+            let got_line = match EmitResponse::decode_line(line.as_bytes()) {
+                Ok(EmitResponse {
+                    id: Some(7),
+                    body: Ok(Err(e)),
+                }) => e,
+                other => format!("{other:?}"),
+            };
+            (got != *want || got_line != *want).then(|| {
+                format!(
+                    "{}\n  want {want}\n   got {got}\n  line {got_line}",
+                    v.serialize()
+                )
+            })
         })
         .collect();
     assert!(
@@ -748,9 +791,14 @@ fn hook_reply_errors_are_worded() {
         (&["hooks", "0", "name"], "1", "hook reply: missing name"),
         (&["counters_addr"], "\"x\"", "hook reply: bad counters_addr"),
         (&["hooks"], "{}", "hook reply: missing hooks"),
+        (&["hooks"], "[null]", "hook reply: missing id"),
     ] {
         cases.push((with(HOOK, path, value), want.to_string()));
     }
+    cases.push((
+        repeated(HOOK, "manifest_addr", r#""x""#, "16384"),
+        "hook reply: missing manifest_addr".to_string(),
+    ));
     let wrong: Vec<String> = cases
         .iter()
         .filter_map(|(v, want)| {
@@ -764,6 +812,9 @@ fn hook_reply_errors_are_worded() {
         wrong.len(),
         wrong.join("\n")
     );
+    // A repeated member is read at its first occurrence.
+    let first = HookReply::from_json(&repeated(HOOK, "manifest_addr", "16384", r#""x""#));
+    assert_eq!(first.unwrap().manifest_addr, 16384);
     // An absent or null counters_addr reads as none.
     for v in [
         without(HOOK, &["counters_addr"]),
