@@ -249,8 +249,9 @@ fn splice_line(rng: &mut StdRng, bytes: &mut Vec<u8>) {
 /// or error reply and answer it with the same bytes. Each reply line is
 /// then read as the client reads it (`Response::decode_line`, and
 /// `EmitResponse::decode_line` for an `emit` result) and as the tree
-/// readers do (`json::parse`, `Response::decode`, `EmitReply::from_json`),
-/// which must agree. Then probe serviceability with a valid request.
+/// reader does (`json::parse`, `Response::decode`, `EmitReply::from_json`),
+/// which must agree: the same tables and assembly, the other reader.
+/// Then probe serviceability with a valid request.
 /// Unwinds, a difference between the twins or between the readers, and a
 /// dead session all count as failures.
 pub fn wire_case(stream: &[u8]) -> Outcome {

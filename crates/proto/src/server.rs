@@ -63,7 +63,7 @@ pub struct ServeConfig {
     /// Per-session resource quotas, enforced by [`Session`].
     pub limits: SessionLimits,
     /// Shared rewrite cache (`e9patchd --cache-dir` / `--cache-mem-bytes`).
-    /// One [`Arc`](std::sync::Arc) handed to every connection's session,
+    /// One [`Arc`] handed to every connection's session,
     /// so all clients pool artifacts; `None` disables caching.
     pub cache: Option<std::sync::Arc<e9cache::Cache>>,
     /// Which serving core this config drives, as reported by the `health`

@@ -6,7 +6,7 @@
 //! dependencies beyond the in-tree [`e9rng`]:
 //!
 //! * [`Strategy`] — a value generator with a *halving* shrinker. Integer
-//!   and float ranges, [`any`], [`vec`], [`alpha`] strings and tuples (up
+//!   and float ranges, [`any`], [`vec()`], [`alpha`] strings and tuples (up
 //!   to arity 12) are strategies out of the box.
 //! * [`props!`] — a `proptest!`-shaped macro: `#[test]` functions whose
 //!   arguments are drawn from strategies; bodies may use `?` and
@@ -245,7 +245,7 @@ impl Strategy for Any<f64> {
 // ---- collections -------------------------------------------------------
 
 /// Strategy for `Vec<S::Value>` with a length drawn from a range (see
-/// [`vec`]).
+/// [`vec()`]).
 pub struct VecStrategy<S> {
     elem: S,
     len: core::ops::Range<usize>,
@@ -260,7 +260,7 @@ pub fn vec<S: Strategy, L: IntoLenRange>(elem: S, len: L) -> VecStrategy<S> {
     VecStrategy { elem, len }
 }
 
-/// Length specifications [`vec`] accepts.
+/// Length specifications [`vec()`] accepts.
 pub trait IntoLenRange {
     fn into_len_range(self) -> core::ops::Range<usize>;
 }

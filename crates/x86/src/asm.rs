@@ -260,7 +260,7 @@ impl Asm {
 
     /// Emit ModRM (+SIB +disp) for register `reg_field` and memory operand
     /// `mem`. REX bits must already have been emitted by the caller (use
-    /// [`Self::mem_rex_xb`]).
+    /// [`Self::mem_xb`]).
     fn modrm_mem(&mut self, reg_field: u8, mem: Mem) {
         let reg3 = reg_field & 7;
         if let Some(lbl) = mem.rip_label {

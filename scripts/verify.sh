@@ -4,9 +4,11 @@
 # Fully hermetic: no network, no registry access (all dependencies are
 # in-tree path crates; see "Hermetic build" in README.md). Runs:
 #
-#   1. tier-1: rustfmt check (`cargo fmt --all -- --check`), release
-#      build + full workspace test suite (the root manifest's
-#      default-members make plain `cargo test` cover every crate too)
+#   1. tier-1: rustfmt check (`cargo fmt --all -- --check`), a rustdoc
+#      gate (every crate's docs, private items included, build with no
+#      warning, so a link to code that is gone fails), release build +
+#      full workspace test suite (the root manifest's default-members
+#      make plain `cargo test` cover every crate too)
 #   2. bench smoke: every `cargo bench` target compiles and executes
 #   3. seed-pinned reproducibility: two E9_SEED=42 synth+rewrite runs
 #      must produce byte-identical artifacts
@@ -78,6 +80,9 @@ export CARGO_NET_OFFLINE=true
 
 echo "== tier-1: cargo fmt --check =="
 cargo fmt --all -- --check
+
+echo "== tier-1: cargo doc (warnings are errors) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace --document-private-items
 
 echo "== tier-1: cargo build --release =="
 cargo build --release --offline --workspace
