@@ -17,7 +17,10 @@
 //! pins a rewrite with two extra segments, one executable and one
 //! writable. Two rows at 1/10 scale (gcc and inkscape, all three job
 //! kinds) pin the planner where placed trampolines fragment the address
-//! space most.
+//! space most. A1 with the trace payload pins every row's
+//! `Template::HookCall` trampolines, and a `Template::Replace` job on the
+//! gcc row pins both ways that template resumes. With the other cases,
+//! every template's trampoline builder has a known answer.
 //!
 //! The planner's data structures are free to change; its output is not.
 //! A change that moves one of these digests changes what users get.
@@ -207,6 +210,14 @@ fn a2_lowfat_outputs_are_pinned() {
 }
 
 #[test]
+fn trace_outputs_are_pinned() {
+    check(
+        &instrument_rows(Application::A1Jumps, Payload::Trace),
+        A1_TRACE,
+    );
+}
+
+#[test]
 fn scale_10_outputs_are_pinned() {
     let mut profiles = e9synth::spec_profiles(10);
     profiles.extend(e9synth::system_profiles(10));
@@ -298,6 +309,41 @@ fn duplicate_addresses_resolve_last_wins() {
     decoy_last.extend_from_slice(&decoys);
     let decoy_wins = line("gcc-decoys", &rewrite(&binary, &decoy_last, &requests));
     check(&[real_wins, decoy_wins], DUPLICATES);
+}
+
+/// The gcc job with every request's template replaced by
+/// `Template::Replace`: a one-byte `nop`, then a jump to `resume`.
+fn replace_job(resume: impl Fn(&Insn) -> Option<u64>) -> RewriteOutput {
+    let (binary, disasm, requests) = gcc_job();
+    let requests: Vec<PatchRequest> = requests
+        .into_iter()
+        .map(|r| {
+            let insn = disasm.iter().find(|i| i.addr == r.addr).expect("site");
+            PatchRequest {
+                template: Template::Replace {
+                    code: vec![0x90],
+                    resume: resume(insn),
+                },
+                ..r
+            }
+        })
+        .collect();
+    rewrite(&binary, &disasm, &requests)
+}
+
+#[test]
+fn replace_outputs_are_pinned() {
+    // `None` resumes after the replaced instruction; `Some` resumes at
+    // the jump's own target, or after a jump that has none.
+    let next = replace_job(|_| None);
+    let target = replace_job(|i| Some(i.branch_target().unwrap_or(i.end())));
+    check(
+        &[
+            line("gcc-replace-next", &next),
+            line("gcc-replace-target", &target),
+        ],
+        REPLACE,
+    );
 }
 
 const A1_EMPTY: &[&str] = &[
@@ -676,4 +722,50 @@ const SCALE_10: &[&str] = &[
     "inkscape-a1 7a9c19d414e4d2a13a923873f1bb7c07903aaad6dc32f598ee9c57e4371ae564 15167 7968 0 0 0 0 0 746352 2176432 2094 336 2094 1",
     "inkscape-a2 7d260a01dabbd13d5a1dd6e4efa28fa753f5c49133f124a2323ed883360ba50e 4007 3117 0 0 0 0 0 746352 1874008 1096 267 1096 1",
     "inkscape-hook c6c64549e42e455ce06ce387ca6049136a12e2bfad349ee9fb3e1c3bbea6eecb 1103 0 0 0 0 0 0 746352 1233352 168 96 168 1",
+];
+
+const A1_TRACE: &[&str] = &[
+    "perlbench 0c9b538d15615512818adc253ba6dc3b132749ad1b96d10319d8fbe68b92d4de 536 8 240 11 1 0 0 30488 163352 131 21 131 1",
+    "bzip2 204f10d35220be0abfadb687ed6d86a238c60d9c48d818c57d24cb32c941667b 17 1 9 0 0 0 0 8840 62168 11 2 11 1",
+    "gcc 0d64e503468d76f32608f3cb4ec7b4efeb376b7ebc8f4b5fc0f934af4432fe95 1472 32 669 35 10 0 0 77616 336640 354 51 354 1",
+    "bwaves 6ce4eb78817793e4271b1670f6bfd97cd83bf45be488f6eea7eac8258a2657e2 10 0 9 0 1 0 0 8840 62192 12 2 12 1",
+    "gamess 9670daae4000681404f63ee087c6e138d9baa93af7832892c9df8360f07b48ea 2177 11 25 11 915 0 133 185640 517272 710 66 710 1",
+    "mcf 36062e73da5ab246640d406a3e92ea2c6d608f5c56ce7294b1c728ef1f10484d 23 0 7 1 0 0 0 8840 66216 9 3 9 1",
+    "milc 4cf21d84a4b9bd0a76095008c7f5945a46c36db5300b9fc3fe82fd042c8af6d0 30 2 6 0 0 0 0 8904 62072 7 2 7 1",
+    "zeusmp 4ac1f2b8127ab215d14ad0325515e61bf603010e2e2f9bc36a128ec334f6bbbb 46 1 16 1 6 0 0 13160 74824 24 4 24 1",
+    "gromacs 5ce86197cb6d42034055c897b7f751a55be4c61b4d8ff84b29da3641af89f6eb 209 11 78 4 1 0 0 21912 108856 79 10 79 1",
+    "cactusADM 9e436cace65102875f907e6e856f74a59a316362f3c457e5ddccff96fb17ea61 224 12 92 6 1 0 0 26064 117144 83 11 83 1",
+    "leslie3d 655db48a74ad7c136bc0618e1f6e646de68f212b802081a943f80b2f192af422 48 4 13 3 0 0 0 8960 66432 18 3 18 1",
+    "namd 3353d8c72fc87d18fc33a29fca67a551c6602ce1b45d8537f856a68f517f82f4 73 5 36 4 1 0 0 13208 79272 41 5 41 1",
+    "gobmk a8f1e7419d853e09267da6e0bf4db976ef1d1f870fa5b0615e7ee030d92d86ab 329 6 145 8 2 0 0 21672 125216 78 14 78 1",
+    "dealII 920f479aaa15c262b9e4fb9beec63c655429a941901aac7694fc57791ea6f1d9 932 14 415 25 2 0 0 51808 243408 224 35 224 1",
+    "soplex 2b43ba0320c41bfb500dc59932891ad0d8a2b3c2fbbf6dac7d97416ffbb416a0 151 2 78 5 0 0 0 13208 95680 42 9 42 1",
+    "povray c2a13be294c2593a62365f87b4e502f0f9c9b5e5a01892cc95ab98db437a5c74 323 7 156 9 3 0 0 21760 125360 84 14 84 1",
+    "calculix 1e222e6e1607e941575a05178a5be4a56640167bec3e6d10330b65a47e964b3b 479 30 205 12 3 0 0 47776 181176 191 21 191 1",
+    "hmmer 7c794927f37eedb664f6a3f60d5ca48bf58e2e07b4a816ad1fac36b5731be171 77 3 36 0 3 0 0 8992 74792 25 5 25 1",
+    "sjeng 0311b2a06f0ea37074fa81b1939147638f41d21e2a022a08fc66e55f0a435716 72 0 43 4 2 0 0 8904 79056 32 6 32 1",
+    "GemsFDTD 7dd8c02ba06216b7f77e9b0ec5d958bcd43d122129051a0779b8579a155bf6b3 166 9 60 4 2 0 0 21696 100400 68 8 68 1",
+    "libquantum b938f2bd982a7208208c08df21139fd7ab934fed62028697123dae1f3d988f1e 25 1 17 0 0 0 0 8840 66312 13 3 13 1",
+    "h264ref 63271277f861a645de94f53d6be60f9d9580421803b63e0b284ce22b2c9432c8 152 1 64 3 3 0 0 13208 91632 44 8 44 1",
+    "tonto 65788d745ad2bcc3741602903e58fa515108bd78a9244fe19103d5d29fdff052 836 48 373 14 6 0 0 77704 245976 331 29 331 1",
+    "lbm 4768e71f745b64efd9d947afcaf58857fbeeacd165e39e0ff0a4ad560cda6be6 18 1 8 0 0 0 0 8840 62144 10 2 10 1",
+    "omnetpp 5b138442eeb3f1ed94828450934f6715d3b6d371a5d62def8065f9ab31c924b7 145 3 70 1 0 0 0 17424 91680 46 7 46 1",
+    "astar 12158457a4fb3ef391b7fb90cf55ce7518f6b1236c7524c3818a8c1b16329ec9 25 0 13 0 0 0 0 8840 66216 9 3 9 1",
+    "sphinx3 378f2de21e28b59fbeb501bc027e5b84fc0897f5192336b66d53e0db4f6b68c5 45 1 24 1 2 0 0 13120 78960 28 5 28 1",
+    "xalancbmk b9a5f0630ff6e42c341ebe4d57815904a129f405ca68d40f437fe580822d0e93 1113 22 582 33 4 0 0 64760 294072 287 44 287 1",
+    "inkscape 584d22a7f6ebb0e3d847d1a059e274b400624b6b8d0128ed87e1710c203f134f 3017 1528 1 0 0 0 0 150552 657952 430 111 430 1",
+    "gimp f655b89e3202f9f2f261cb04dd4a81cca1c635f321a7104a907a1e974f343223 1107 26 540 30 4 0 0 60336 281424 272 42 272 1",
+    "vim 6afc361dbdbb324e02db9208d34c085a563a62e55b62823ad2356e9bc9101acf 1084 602 0 0 0 0 0 60360 303432 165 48 165 1",
+    "git fd4394582c2f2bb00f049508b51353b4435e038fcf2e695a8970848c8aff200a 695 22 328 15 1 0 0 38952 201248 174 28 174 1",
+    "pdflatex 477210280d80f6acac2cfb4d58545d681c5c54849559fc83b28b4a0404ec4a87 318 11 192 10 1 0 0 21816 137840 92 17 92 1",
+    "xterm be1c25bd235e3f6d51ce03b8827a45fa57d7de93cb42539b2faa2970df57a54d 190 7 90 5 1 0 0 17360 100208 60 9 60 1",
+    "evince 080f8c83c06cdbd563efb5bb2acf3e006b7cad8d957dcecf1eed0d22eced75ac 66 28 0 0 0 0 0 8904 70480 16 4 16 1",
+    "make 7992b1b401bdad5d2febb95601b6bca0927d57bc8829cb48bf69578eff2c48b7 71 1 27 2 0 0 0 8928 78696 17 6 17 1",
+    "libc.so e11612e3d1557c951a822ea5589c4999fe75c3b9f1540b34d4e16a28fbe9231d 778 19 318 19 2 0 0 43320 217656 175 31 175 1",
+    "libstdc++.so f6fc794035b38d1e7575005135f638abec03a15469fa27d6c20431bd7ab6a2e7 375 5 172 10 1 0 0 25856 133744 92 15 92 1",
+];
+
+const REPLACE: &[&str] = &[
+    "gcc-replace-next c3013f78b509b4d03642a5e512d0276805bd7e4d6c272597b8ac190ae28c4a95 1472 32 704 8 2 0 0 77616 191584 288 26 288 1",
+    "gcc-replace-target cede1435766fe646cad7b5f1809f030f22062134173ed041fcd56134e80940f2 1472 32 704 8 2 0 0 77616 191584 288 26 288 1",
 ];
