@@ -11,9 +11,11 @@
 //! and mapped at every member block's virtual base (a one-to-many,
 //! file-backed mapping), as in the paper's Figure 3.
 //!
-//! Grouping only partitions: a [`PhysBlock`] lends the trampoline bytes
-//! as `(offset, &[u8])` extents, and the rewriter writes them straight
-//! into the output file.
+//! Grouping only partitions. It takes each trampoline as a
+//! `(vaddr, &[u8])` extent borrowed from the planner's trampoline arena,
+//! a [`PhysBlock`] lends those bytes on as `(offset, &[u8])` extents, and
+//! the rewriter writes them straight into the output file. No trampoline
+//! byte is copied before that write.
 //!
 //! Partitioning is a combinatorial optimisation; like E9Patch we use a
 //! greedy algorithm (first-fit over groups, densest block first). To keep
@@ -86,9 +88,9 @@ fn occupancy_bits(extents: &[(u64, &[u8])], block_size: u64) -> u64 {
 
 /// Group trampoline blobs into merged physical blocks.
 ///
-/// `trampolines` are `(vaddr, bytes)` pairs (arbitrary order, arbitrary
+/// `trampolines` are `(vaddr, bytes)` extents (arbitrary order, arbitrary
 /// sizes; extents spanning block boundaries are split into
-/// mini-trampolines, as in the paper). `granularity` is the paper's `M`
+/// mini-trampolines, as in the paper), whose bytes the result borrows. `granularity` is the paper's `M`
 /// (pages per block). With `enable == false` the naïve one-to-one mapping
 /// is produced (each virtual block backed by its own physical block) — the
 /// ablation baseline for experiment E4.
@@ -97,15 +99,20 @@ fn occupancy_bits(extents: &[(u64, &[u8])], block_size: u64) -> u64 {
 ///
 /// Panics if two trampolines overlap in virtual memory (allocator
 /// invariant).
-pub fn group(trampolines: &[(u64, Vec<u8>)], granularity: u64, enable: bool) -> Grouping<'_> {
+pub fn group<'t>(
+    trampolines: impl IntoIterator<Item = (u64, &'t [u8])>,
+    granularity: u64,
+    enable: bool,
+) -> Grouping<'t> {
     let bs = granularity.max(1) * PAGE_SIZE;
 
     // Split extents at block boundaries into (block base, offset, bytes)
     // pieces, sorted by block base then offset.
-    let mut pieces: Vec<(u64, u64, &[u8])> = Vec::with_capacity(trampolines.len());
+    let trampolines = trampolines.into_iter();
+    let mut pieces: Vec<(u64, u64, &[u8])> = Vec::with_capacity(trampolines.size_hint().0);
     for (vaddr, bytes) in trampolines {
-        let mut va = *vaddr;
-        let mut rest: &[u8] = bytes;
+        let mut va = vaddr;
+        let mut rest = bytes;
         while !rest.is_empty() {
             let base = va / bs * bs;
             let off = va - base;
@@ -191,6 +198,11 @@ mod tests {
         (vaddr, vec![fill; len])
     }
 
+    /// [`group`] over owned trampolines.
+    fn grouped(ts: &[(u64, Vec<u8>)], granularity: u64, enable: bool) -> Grouping<'_> {
+        group(ts.iter().map(|(v, b)| (*v, &b[..])), granularity, enable)
+    }
+
     /// The byte at `off` in `blk`, read through its extents (`None` where
     /// the block is zero).
     fn byte_at(blk: &PhysBlock, off: u64) -> Option<u8> {
@@ -211,7 +223,7 @@ mod tests {
             t(0x12200, 0x100, 4), // page 3, offset 0x200
             t(0x12C00, 0x100, 5), // page 3, offset 0xC00
         ];
-        let g = group(&ts, 1, true);
+        let g = grouped(&ts, 1, true);
         assert_eq!(g.virtual_blocks, 3);
         assert_eq!(g.groups.len(), 1);
         assert_eq!(g.mapping_count(), 3);
@@ -231,7 +243,7 @@ mod tests {
             t(0x11000, 0x10, 2),
             t(0x12000, 0x10, 3),
         ];
-        let g = group(&ts, 1, false);
+        let g = grouped(&ts, 1, false);
         assert_eq!(g.groups.len(), 3);
         assert_eq!(g.mapping_count(), 3);
     }
@@ -240,7 +252,7 @@ mod tests {
     fn conflicting_offsets_stay_separate() {
         // Same in-page offset → cannot merge.
         let ts = vec![t(0x10000, 0x10, 1), t(0x11000, 0x10, 2)];
-        let g = group(&ts, 1, true);
+        let g = grouped(&ts, 1, true);
         assert_eq!(g.groups.len(), 2);
     }
 
@@ -249,7 +261,7 @@ mod tests {
         // A trampoline crossing a page boundary becomes two
         // mini-trampolines in two blocks.
         let ts = vec![t(0x10FF0, 0x20, 7)];
-        let g = group(&ts, 1, true);
+        let g = grouped(&ts, 1, true);
         assert_eq!(g.virtual_blocks, 2);
         // Bytes land at offsets 0xFF0 (page 1) and 0x000 (page 2) — those
         // two blocks conflict-freely merge into one physical page? No:
@@ -267,8 +279,8 @@ mod tests {
         let ts: Vec<_> = (0..16)
             .map(|i| t(0x10000 + i * 0x1000 + (i % 4) * 0x400, 0x40, i as u8 + 1))
             .collect();
-        let g1 = group(&ts, 1, true);
-        let g4 = group(&ts, 4, true);
+        let g1 = grouped(&ts, 1, true);
+        let g4 = grouped(&ts, 4, true);
         assert!(g4.mapping_count() <= g1.mapping_count());
         assert_eq!(g4.block_size, 4 * PAGE_SIZE);
     }
@@ -280,8 +292,8 @@ mod tests {
         let ts: Vec<_> = (0..64)
             .map(|i| t(0x100000 + i * 0x1000 + i * 0x40, 0x40, (i % 250) as u8 + 1))
             .collect();
-        let naive = group(&ts, 1, false);
-        let grouped = group(&ts, 1, true);
+        let naive = grouped(&ts, 1, false);
+        let grouped = grouped(&ts, 1, true);
         assert_eq!(naive.groups.len(), 64);
         assert!(grouped.groups.len() <= 2);
         assert_eq!(grouped.mapping_count(), 64); // mappings unchanged
@@ -291,7 +303,7 @@ mod tests {
     #[should_panic(expected = "overlapping trampolines")]
     fn overlap_detected() {
         let ts = vec![t(0x10000, 0x20, 1), t(0x10010, 0x20, 2)];
-        group(&ts, 1, true);
+        grouped(&ts, 1, true);
     }
 
     #[test]
@@ -300,7 +312,7 @@ mod tests {
         // coarse bitmap may refuse to merge them (optimality loss), but
         // byte conservation must hold either way.
         let ts = vec![t(0x10000, 0x10, 1), t(0x11020, 0x10, 2)];
-        let g = group(&ts, 1, true);
+        let g = grouped(&ts, 1, true);
         // Offsets 0x000 and 0x020 are in the same bucket (bucket = 64 B).
         assert!(g.groups.len() <= 2);
         let mut found = 0;
@@ -324,14 +336,14 @@ mod tests {
         // An extent ending exactly at the block edge must not overflow the
         // 64-bit occupancy bitmap (bucket index 63).
         let ts = vec![t(0x10000 + 4096 - 8, 8, 9)];
-        let g = group(&ts, 1, true);
+        let g = grouped(&ts, 1, true);
         assert_eq!(g.groups.len(), 1);
         assert_eq!(byte_at(&g.groups[0], 4088), Some(9));
     }
 
     #[test]
     fn empty_input() {
-        let g = group(&[], 1, true);
+        let g = grouped(&[], 1, true);
         assert_eq!(g.groups.len(), 0);
         assert_eq!(g.mapping_count(), 0);
         assert_eq!(g.virtual_blocks, 0);

@@ -7,7 +7,10 @@
 //! regions and previously placed trampolines, and reserves what the
 //! planner builds there. It does two things only, find and reserve:
 //! nothing is ever freed, because the planner commits a tactic only once
-//! every address it needs has been found.
+//! every address it needs has been found. Because nothing is freed, a low
+//! search starts from a floor per `(size, align)` below which no such
+//! block fits; a rewrite asks for a few distinct sizes only, so the floors
+//! are a small flat table.
 //!
 //! The model reserves:
 //!
@@ -95,6 +98,11 @@ impl Window {
 /// reserves nothing, so a caller finds every address it needs, builds
 /// what goes there, and then [`reserves`](AddressSpace::reserve) exactly
 /// the bytes it built.
+///
+/// Low searches start from a per-`(size, align)` floor. A rewrite asks
+/// for only a few distinct sizes (one per template and displaced
+/// instruction length), so the floors are a small flat table scanned
+/// in order.
 #[derive(Debug, Clone, Default)]
 pub struct AddressSpace {
     /// end → start of occupied intervals (disjoint, non-adjacent).
@@ -105,7 +113,7 @@ pub struct AddressSpace {
     /// floor starts at the floor instead and raises it to its result.
     /// Space is only ever taken, so a floor never has to fall. An absent
     /// entry is [`MIN_ADDR`].
-    floors: BTreeMap<(u64, u64), u64>,
+    floors: Vec<((u64, u64), u64)>,
 }
 
 impl AddressSpace {
@@ -184,7 +192,15 @@ impl AddressSpace {
             return None;
         }
         let align = align.max(1);
-        let floor = self.floors.entry((size, align)).or_insert(MIN_ADDR);
+        let key = (size, align);
+        let at = match self.floors.iter().position(|&(k, _)| k == key) {
+            Some(at) => at,
+            None => {
+                self.floors.push((key, MIN_ADDR));
+                self.floors.len() - 1
+            }
+        };
+        let floor = &mut self.floors[at].1;
         let found = (|| {
             // Checked rounding: a window or reservation hugging
             // `u64::MAX` must exhaust the search, not wrap (or panic the

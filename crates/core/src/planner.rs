@@ -2,20 +2,26 @@
 //! neighbour eviction, with strategy S1 (reverse-order patching over a byte
 //! lock map).
 //!
-//! The planner owns the in-place-patched image and mutates three pieces of
-//! state as it commits tactics: the ELF byte image, the [`LockMap`], and
-//! the trampoline [`AddressSpace`]. A tactic first finds every trampoline
-//! address it needs (T3 computes its second jump against a byte overlay),
-//! then builds the trampolines, and only then commits: a failed attempt
-//! leaves nothing to roll back, and each placed trampoline reserves
+//! The planner owns the in-place-patched image and mutates four pieces of
+//! state as it commits tactics: the ELF byte image, the [`LockMap`], the
+//! trampoline [`AddressSpace`] and the trampoline arena. A tactic first
+//! finds every trampoline address it needs (T3 computes its second jump
+//! against a byte overlay on the stack), then builds the trampolines onto
+//! the end of the arena, and only then commits: a failed attempt truncates
+//! the arena back to where it began, and each placed trampoline reserves
 //! exactly its built bytes.
+//!
+//! Every trampoline of a rewrite lives in the one arena `Vec<u8>`; a
+//! placed trampoline is its `(vaddr, start, len)` there. With punned
+//! jumps encoded on the stack, the tactic loop allocates nothing per
+//! site.
 
 use crate::error::Error;
 use crate::layout::{AddressSpace, Window, MAX_ADDR, MIN_ADDR};
 use crate::lock::LockMap;
 use crate::pun::PunJump;
 use crate::stats::{PatchStats, TacticKind};
-use crate::trampoline::{self, BuildError, Template};
+use crate::trampoline::{self, Template};
 use e9elf::{Elf, PAGE_SIZE};
 use e9x86::insn::Insn;
 use std::borrow::Cow;
@@ -158,8 +164,11 @@ pub struct Planner<'a> {
     pub locks: LockMap,
     /// Trampoline address-space allocator.
     pub(crate) space: AddressSpace,
-    /// Placed trampolines: `(vaddr, bytes)`.
-    pub(crate) trampolines: Vec<(u64, Vec<u8>)>,
+    /// The bytes of every placed trampoline, back to back.
+    pub(crate) arena: Vec<u8>,
+    /// Placed trampolines: `(vaddr, start, len)`, their bytes being
+    /// `arena[start..start + len]`.
+    pub(crate) trampolines: Vec<(u64, usize, usize)>,
     /// Outcome counters.
     pub stats: PatchStats,
     /// B0 trap registrations: `(site, trampoline)`.
@@ -249,6 +258,7 @@ impl<'a> Planner<'a> {
             insns,
             locks,
             space,
+            arena: Vec::new(),
             trampolines: Vec::new(),
             stats: PatchStats::default(),
             traps: Vec::new(),
@@ -304,10 +314,21 @@ impl<'a> Planner<'a> {
         }
     }
 
-    /// Commit a built trampoline at `addr`, reserving exactly its bytes.
-    fn place(&mut self, addr: u64, bytes: Vec<u8>) {
-        self.space.reserve(addr, addr + bytes.len() as u64);
-        self.trampolines.push((addr, bytes));
+    /// Build `template` for `insn` at `addr` onto the end of the arena,
+    /// returning where it starts and its length. A failed build leaves
+    /// the arena as it was.
+    fn build(&mut self, template: &Template, insn: &Insn, addr: u64) -> Option<(usize, usize)> {
+        let start = self.arena.len();
+        let len = trampoline::build(template, insn, addr, &mut self.arena).ok()?;
+        debug_assert!(len <= trampoline::max_size(template, insn));
+        Some((start, len))
+    }
+
+    /// Commit the trampoline built at `arena[start..start + len]` for
+    /// `addr`, reserving exactly its bytes.
+    fn place(&mut self, addr: u64, (start, len): (usize, usize)) {
+        self.space.reserve(addr, addr + len as u64);
+        self.trampolines.push((addr, start, len));
     }
 
     /// Window around every address the trampoline must reach with rel32
@@ -337,35 +358,32 @@ impl<'a> Planner<'a> {
         }
     }
 
-    /// Try to place a punned jump at `jump_addr` (owning `writable` bytes,
-    /// with `padding` prefix bytes) to a trampoline of up to `size_ub`
-    /// bytes built by `build`. On success commits bytes + locks + the
-    /// trampoline and returns the pun used and the trampoline's address.
+    /// Try to divert `insn` with a punned jump padded by `padding` prefix
+    /// bytes, to a trampoline built from `template` within `reach`. On
+    /// success commits bytes + locks + the trampoline and returns the pun
+    /// used and the trampoline's address.
     fn place_pun(
         &mut self,
-        jump_addr: u64,
-        writable: u8,
+        insn: &Insn,
         padding: u8,
-        size_ub: usize,
         reach: Window,
-        build: &dyn Fn(u64) -> Result<Vec<u8>, BuildError>,
+        template: &Template,
     ) -> Option<(PunJump, u64)> {
-        let img = self.bytes_at(jump_addr, padding as usize + 5);
-        let pun = PunJump::new(&img, jump_addr, writable, padding)?;
+        let img = self.bytes_at(insn.addr, padding as usize + 5);
+        let pun = PunJump::new(&img, insn.addr, insn.len() as u8, padding)?;
         let (ws, we) = pun.written_range();
         if !self.locks.can_write(ws, we - ws) {
             return None;
         }
         let window = pun.target_window()?.intersect(reach)?;
-        let tramp = self.find(window, size_ub, None)?;
-        let bytes = build(tramp).ok()?;
-        debug_assert!(bytes.len() <= size_ub);
+        let tramp = self.find(window, trampoline::max_size(template, insn), None)?;
+        let built = self.build(template, insn, tramp)?;
         let jmp = pun.encode(tramp).expect("target inside pun window");
-        self.write(jump_addr, &jmp);
+        self.write(insn.addr, &jmp);
         self.locks.lock_modified(ws, we - ws);
         let (ps, pe) = pun.punned_range();
         self.locks.lock_punned(ps, pe - ps);
-        self.place(tramp, bytes);
+        self.place(tramp, built);
         Some((pun, tramp))
     }
 
@@ -376,16 +394,14 @@ impl<'a> Planner<'a> {
         insn: &Insn,
         template: &Template,
         reach: Window,
-        size_ub: usize,
     ) -> Option<(TacticKind, u64)> {
-        let writable = insn.len() as u8;
-        let max_pad = if self.cfg.tactics.t1 { writable } else { 1 };
+        let max_pad = if self.cfg.tactics.t1 {
+            insn.len() as u8
+        } else {
+            1
+        };
         for padding in 0..max_pad {
-            if let Some((pun, tramp)) =
-                self.place_pun(insn.addr, writable, padding, size_ub, reach, &|t| {
-                    trampoline::build(template, insn, t)
-                })
-            {
+            if let Some((pun, tramp)) = self.place_pun(insn, padding, reach, template) {
                 let kind = if padding > 0 {
                     TacticKind::T1
                 } else if pun.free >= 4 {
@@ -406,28 +422,18 @@ impl<'a> Planner<'a> {
         insn: &Insn,
         template: &Template,
         reach: Window,
-        size_ub: usize,
     ) -> Option<(TacticKind, u64)> {
         let succ = self.insn_at(insn.end())?;
         let s_reach = Self::reach_window(&succ)?;
-        let s_ub = trampoline::max_size(&Template::Empty, &succ);
-        let mut evicted = false;
-        for padding in 0..succ.len() as u8 {
-            if self
-                .place_pun(succ.addr, succ.len() as u8, padding, s_ub, s_reach, &|t| {
-                    trampoline::build(&Template::Empty, &succ, t)
-                })
+        let evicted = (0..succ.len() as u8).any(|padding| {
+            self.place_pun(&succ, padding, s_reach, &Template::Empty)
                 .is_some()
-            {
-                evicted = true;
-                break;
-            }
-        }
+        });
         if !evicted {
             return None;
         }
         // The successor's bytes are now a jump; re-pun the patch site.
-        self.try_pun_tactics(insn, template, reach, size_ub)
+        self.try_pun_tactics(insn, template, reach)
             .map(|(_, tramp)| (TacticKind::T2, tramp))
     }
 
@@ -523,23 +529,29 @@ impl<'a> Planner<'a> {
 
         // Overlay J_patch to compute J_victim's pun window, then find the
         // evictee trampoline's address clear of the patch trampoline's.
-        let mut img_v = self.bytes_at(v_addr, (j + 5) as usize).into_owned();
-        if img_v.len() < 5 {
+        // The overlay is at most `j + 5 <= 19` bytes (`j` lies inside an
+        // instruction), so it lives on the stack.
+        let mut overlay = [0u8; 19];
+        let img = self.bytes_at(v_addr, (j + 5) as usize);
+        let n = img.len();
+        overlay[..n].copy_from_slice(&img);
+        if n < 5 {
             return None;
         }
-        for (i, b) in jp_bytes.iter().enumerate() {
-            let off = j as usize + i;
-            if off < img_v.len() {
-                img_v[off] = *b;
-            }
-        }
-        let jv = PunJump::new(&img_v, v_addr, j.min(255) as u8, 0)?;
+        let img_v = &mut overlay[..n];
+        let at = (j as usize).min(n);
+        let k = jp_bytes.len().min(n - at);
+        img_v[at..at + k].copy_from_slice(&jp_bytes[..k]);
+        let jv = PunJump::new(img_v, v_addr, j.min(255) as u8, 0)?;
         let jv_window = jv.target_window()?.intersect(v_reach)?;
         let evictee = self.find(jv_window, v_ub, Some((tramp, tramp + size_ub as u64)))?;
 
         // Build both trampolines once both addresses are found.
-        let tramp_bytes = trampoline::build(template, insn, tramp).ok()?;
-        let ev_bytes = trampoline::build(&Template::Empty, victim, evictee).ok()?;
+        let tramp_built = self.build(template, insn, tramp)?;
+        let Some(ev_built) = self.build(&Template::Empty, victim, evictee) else {
+            self.arena.truncate(tramp_built.0);
+            return None;
+        };
         let jv_bytes = jv.encode(evictee).expect("target inside pun window");
 
         // --- Commit ---------------------------------------------------
@@ -565,8 +577,8 @@ impl<'a> Planner<'a> {
             self.locks.lock_modified(addr, 2);
         }
 
-        self.place(tramp, tramp_bytes);
-        self.place(evictee, ev_bytes);
+        self.place(tramp, tramp_built);
+        self.place(evictee, ev_built);
         Some(tramp)
     }
 
@@ -583,11 +595,11 @@ impl<'a> Planner<'a> {
             return None;
         }
         let tramp = self.find(reach, size_ub, None)?;
-        let bytes = trampoline::build(template, insn, tramp).ok()?;
+        let built = self.build(template, insn, tramp)?;
         self.write(insn.addr, &[e9x86::INT3_OPCODE]);
         self.locks.lock_modified(insn.addr, 1);
         self.traps.push((insn.addr, tramp));
-        self.place(tramp, bytes);
+        self.place(tramp, built);
         Some(tramp)
     }
 
@@ -615,15 +627,15 @@ impl<'a> Planner<'a> {
         };
 
         let outcome = (|| {
-            let size_ub = trampoline::max_size(template, &insn);
-            if let Some(k) = self.try_pun_tactics(&insn, template, reach, size_ub) {
+            if let Some(k) = self.try_pun_tactics(&insn, template, reach) {
                 return Some(k);
             }
             if self.cfg.tactics.t2 {
-                if let Some(k) = self.try_t2(&insn, template, reach, size_ub) {
+                if let Some(k) = self.try_t2(&insn, template, reach) {
                     return Some(k);
                 }
             }
+            let size_ub = trampoline::max_size(template, &insn);
             if self.cfg.tactics.t3 {
                 if let Some(t) = self.try_t3(&insn, template, reach, size_ub) {
                     return Some((TacticKind::T3, t));

@@ -17,10 +17,47 @@
 //! | B2     | 0       | 2    | `0x8348_0000 ..= 0x8348_FFFF` |
 //! | T1(a)  | 1       | 1    | `0xC083_4800 ..= 0xC083_48FF` |
 //! | T1(b)  | 2       | 0    | exactly `0x20C0_8348` |
+//!
+//! An x86 instruction is at most 15 bytes, so the rewriter owns at most
+//! 15 bytes at a site and pads with at most [`MAX_PADDING`] prefixes:
+//! [`PunJump::encode`] writes at most 19 bytes, and returns them on the
+//! stack as [`JumpBytes`].
 
 use crate::layout::Window;
 use e9x86::prefix::{REDUNDANT_JMP_PREFIXES, REX_W};
 use e9x86::JMP_REL32_OPCODE;
+use std::ops::Deref;
+
+/// The most prefix bytes a punned jump is padded with: one less than the
+/// 15 bytes of the longest instruction the rewriter can own.
+pub const MAX_PADDING: u8 = 14;
+
+/// Capacity of [`JumpBytes`]: the prefixes, the opcode and four `rel32`
+/// bytes.
+const MAX_WRITTEN: usize = MAX_PADDING as usize + 5;
+
+/// The bytes [`PunJump::encode`] writes, held on the stack; they read as
+/// a `&[u8]`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct JumpBytes {
+    bytes: [u8; MAX_WRITTEN],
+    len: u8,
+}
+
+impl JumpBytes {
+    fn push(&mut self, b: u8) {
+        self.bytes[self.len as usize] = b;
+        self.len += 1;
+    }
+}
+
+impl Deref for JumpBytes {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        &self.bytes[..self.len as usize]
+    }
+}
 
 /// A candidate punned jump: where it sits, how it is padded, and which
 /// `rel32` bytes are free versus fixed.
@@ -46,9 +83,9 @@ impl PunJump {
     /// the padded jump); otherwise the successor bytes needed for the pun do
     /// not exist (end of segment) and `None` is returned. `None` is also
     /// returned if `padding >= writable` (padding may never spill into bytes
-    /// the rewriter does not own).
+    /// the rewriter does not own) or `padding > MAX_PADDING`.
     pub fn new(image: &[u8], jump_addr: u64, writable: u8, padding: u8) -> Option<PunJump> {
-        if padding >= writable {
+        if padding >= writable || padding > MAX_PADDING {
             return None;
         }
         let total = padding as usize + 5;
@@ -109,13 +146,15 @@ impl PunJump {
 
     /// Encode the jump for a concrete `target`, returning the bytes that
     /// must be **written** at `jump_addr` (prefix padding, the `E9` opcode,
-    /// and the free `rel32` bytes). The remaining `4 - free` bytes of the
+    /// and the free `rel32` bytes). The padding is `REX.W` next to the
+    /// opcode (as in the paper's Figure 1 T1(a)), preceded by
+    /// segment-override prefixes. The remaining `4 - free` bytes of the
     /// `rel32` are the untouched successor bytes and are *not* returned —
     /// they must instead be locked as punned by the caller (see
     /// [`PunJump::punned_range`]).
     ///
     /// Returns `None` if `target` is not inside this pun's window.
-    pub fn encode(&self, target: u64) -> Option<Vec<u8>> {
+    pub fn encode(&self, target: u64) -> Option<JumpBytes> {
         let rel = (target as i128) - (self.site_end() as i128);
         let rel32 = i32::try_from(rel).ok()?;
         let bytes = rel32.to_le_bytes();
@@ -125,10 +164,20 @@ impl PunJump {
                 return None;
             }
         }
-        let mut out = Vec::with_capacity(self.padding as usize + 1 + self.free as usize);
-        out.extend_from_slice(&padding_bytes(self.padding));
+        let mut out = JumpBytes {
+            bytes: [0; MAX_WRITTEN],
+            len: 0,
+        };
+        for i in (1..self.padding).rev() {
+            out.push(REDUNDANT_JMP_PREFIXES[(i - 1) as usize % REDUNDANT_JMP_PREFIXES.len()]);
+        }
+        if self.padding >= 1 {
+            out.push(REX_W);
+        }
         out.push(JMP_REL32_OPCODE);
-        out.extend_from_slice(&bytes[..self.free as usize]);
+        for &b in &bytes[..self.free as usize] {
+            out.push(b);
+        }
         Some(out)
     }
 
@@ -149,20 +198,6 @@ impl PunJump {
             self.jump_addr + self.padding as u64 + 1 + self.free as u64,
         )
     }
-}
-
-/// The redundant prefix bytes used for `padding` bytes of T1 padding: the
-/// byte adjacent to the opcode is `REX.W` (as in the paper's Figure 1
-/// T1(a)), preceded by segment-override prefixes.
-pub fn padding_bytes(padding: u8) -> Vec<u8> {
-    let mut v = Vec::with_capacity(padding as usize);
-    for i in (1..padding).rev() {
-        v.push(REDUNDANT_JMP_PREFIXES[(i - 1) as usize % REDUNDANT_JMP_PREFIXES.len()]);
-    }
-    if padding >= 1 {
-        v.push(REX_W);
-    }
-    v
 }
 
 #[cfg(test)]
@@ -295,13 +330,23 @@ mod tests {
 
     #[test]
     fn padding_bytes_are_all_redundant() {
-        for n in 0..6u8 {
-            let v = padding_bytes(n);
-            assert_eq!(v.len(), n as usize);
-            for b in v {
+        // A 15-byte site takes every padding up to the maximum; the
+        // prefixes before the opcode are all redundant, REX.W last.
+        let image = [0x90; 20];
+        for n in 0..=MAX_PADDING {
+            let p = PunJump::new(&image, 0x5555_5555_4000, 15, n).unwrap();
+            let w = p.target_window().unwrap();
+            let v = p.encode(w.lo).unwrap();
+            assert_eq!(v.len(), n as usize + 1 + p.free as usize);
+            assert_eq!(v[n as usize], JMP_REL32_OPCODE);
+            for &b in &v[..n as usize] {
                 assert!(e9x86::prefix::is_redundant_jmp_prefix(b));
             }
+            if n > 0 {
+                assert_eq!(v[n as usize - 1], REX_W);
+            }
         }
+        assert!(PunJump::new(&image, 0x1000, 16, MAX_PADDING + 1).is_none());
     }
 
     #[test]

@@ -162,6 +162,7 @@ impl Rewriter {
         let Planner {
             elf,
             mut space,
+            arena,
             trampolines,
             stats,
             traps,
@@ -179,7 +180,10 @@ impl Rewriter {
         }
 
         // Physical page grouping over the placed trampolines.
-        let grouping = group::group(&trampolines, self.cfg.granularity, self.cfg.grouping);
+        let extents = trampolines
+            .iter()
+            .map(|&(vaddr, start, len)| (vaddr, &arena[start..start + len]));
+        let grouping = group::group(extents, self.cfg.granularity, self.cfg.grouping);
         let bs = grouping.block_size;
         let loader_ub = loader::loader_size(grouping.mapping_count() as usize);
         let manifest = (trap_count > 0).then(|| manifest::encode(&traps));
@@ -220,9 +224,13 @@ impl Rewriter {
         // Loader segment, placed wherever address space remains. The
         // loader must avoid every *block* range the mappings will
         // `MAP_FIXED` over (a block covers whole pages, beyond the byte
-        // ranges the trampoline allocator reserved).
-        for m in &mappings {
-            space.reserve(m.vaddr, m.vaddr + m.len);
+        // ranges the trampoline allocator reserved). Adjacent blocks are
+        // reserved as one run: the space ends up the same, in fewer
+        // reservations.
+        let mut bases: Vec<u64> = mappings.iter().map(|m| m.vaddr).collect();
+        bases.sort_unstable();
+        for run in bases.chunk_by(|a, b| a + bs == *b) {
+            space.reserve(run[0], run[run.len() - 1] + bs);
         }
         let loader_addr = space
             .find_in(Window::all(), loader_ub as u64, PAGE_SIZE, None)

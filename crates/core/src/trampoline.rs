@@ -14,6 +14,13 @@
 //! Payloads are transparent: caller-visible registers and RFLAGS are
 //! saved/restored, and the stack pointer is first dropped past the 128-byte
 //! System-V red zone so in-flight leaf-function data is not clobbered.
+//!
+//! [`build`] appends a trampoline to the caller's buffer: the payload, the
+//! relocated instruction ([`e9x86::reloc::relocate`]) and the jump back
+//! are all assembled in place there. The planner passes its one arena for
+//! every trampoline of a rewrite, and e9hook its code segment for every
+//! thunk. A failed build truncates the buffer back to where it began, so
+//! the caller has nothing to roll back.
 
 use e9x86::asm::{Asm, Mem};
 use e9x86::insn::Insn;
@@ -164,7 +171,7 @@ pub fn max_size(template: &Template, insn: &Insn) -> usize {
 }
 
 /// Full-state save: red-zone skip, every GPR but `%rsp`, RFLAGS.
-fn save_all(a: &mut Asm) {
+fn save_all(a: &mut Asm<&mut Vec<u8>>) {
     a.lea(Reg::Rsp, Mem::base_disp(Reg::Rsp, -RED_ZONE));
     for r in SAVED_REGS {
         a.push_r(r);
@@ -173,7 +180,7 @@ fn save_all(a: &mut Asm) {
 }
 
 /// Exact inverse of [`save_all`].
-fn restore_all(a: &mut Asm) {
+fn restore_all(a: &mut Asm<&mut Vec<u8>>) {
     a.popfq();
     for r in SAVED_REGS.iter().rev() {
         a.pop_r(*r);
@@ -182,17 +189,33 @@ fn restore_all(a: &mut Asm) {
 }
 
 /// Instantiate `template` for patched instruction `insn` at trampoline
-/// address `tramp_addr`.
+/// address `tramp_addr`, appending the trampoline to `out` and returning
+/// its length.
 ///
 /// # Errors
 ///
 /// [`BuildError::OutOfReach`] when the chosen address cannot reach the
 /// original code with rel32 displacements (the caller retries elsewhere);
 /// [`BuildError::Unrelocatable`] / [`BuildError::NoMemOperand`] when the
-/// patch site is fundamentally unsuited to the template.
-pub fn build(template: &Template, insn: &Insn, tramp_addr: u64) -> Result<Vec<u8>, BuildError> {
-    let mut a = Asm::new(tramp_addr);
+/// patch site is fundamentally unsuited to the template. A failed build
+/// leaves `out` exactly as it was.
+pub fn build(
+    template: &Template,
+    insn: &Insn,
+    tramp_addr: u64,
+    out: &mut Vec<u8>,
+) -> Result<usize, BuildError> {
+    let start = out.len();
+    let built = emit(template, insn, Asm::onto(out, tramp_addr));
+    if built.is_err() {
+        out.truncate(start);
+    }
+    built
+}
 
+/// The body of [`build`]: assemble through `a`, which may leave a partial
+/// trampoline behind on error.
+fn emit(template: &Template, insn: &Insn, mut a: Asm<&mut Vec<u8>>) -> Result<usize, BuildError> {
     match template {
         Template::Empty => {}
         Template::Counter { counter_addr } => {
@@ -279,11 +302,10 @@ pub fn build(template: &Template, insn: &Insn, tramp_addr: u64) -> Result<Vec<u8
     }
 
     // Displaced original instruction, relocated for its new home.
-    let displaced = reloc::relocate(insn, a.here()).map_err(|e| match e {
+    a.relocated(insn).map_err(|e| match e {
         RelocError::UnsupportedLoop => BuildError::Unrelocatable,
         RelocError::DispOutOfRange { .. } => BuildError::OutOfReach,
     })?;
-    a.raw(&displaced);
 
     if !insn.kind.diverts() {
         a.jmp_abs(insn.end()).map_err(|_| BuildError::OutOfReach)?;
@@ -296,6 +318,14 @@ mod tests {
     use super::*;
     use e9x86::decode::decode;
 
+    /// [`build`] into a fresh buffer.
+    fn built(template: &Template, insn: &Insn, at: u64) -> Result<Vec<u8>, BuildError> {
+        let mut v = Vec::new();
+        let n = build(template, insn, at, &mut v)?;
+        assert_eq!(n, v.len());
+        Ok(v)
+    }
+
     fn mov_insn() -> Insn {
         decode(&[0x48, 0x89, 0x03], 0x401000).unwrap() // mov %rax,(%rbx)
     }
@@ -303,7 +333,7 @@ mod tests {
     #[test]
     fn empty_template_shape() {
         let insn = mov_insn();
-        let t = build(&Template::Empty, &insn, 0x70000000).unwrap();
+        let t = built(&Template::Empty, &insn, 0x70000000).unwrap();
         // displaced mov (3 bytes) + jmp back (5 bytes).
         assert_eq!(t.len(), 8);
         assert_eq!(&t[..3], insn.bytes());
@@ -319,7 +349,7 @@ mod tests {
         // 0x422ad7.
         let insn = decode(&[0x74, 0x27], 0x422ad5).unwrap();
         let addr = 0x42f00000;
-        let t = build(&Template::Empty, &insn, addr).unwrap();
+        let t = built(&Template::Empty, &insn, addr).unwrap();
         let jcc = decode(&t, addr).unwrap();
         assert_eq!(jcc.branch_target(), Some(0x422afe));
         let resume = decode(&t[jcc.len()..], addr + jcc.len() as u64).unwrap();
@@ -329,7 +359,7 @@ mod tests {
     #[test]
     fn displaced_unconditional_jmp_has_no_resume() {
         let insn = decode(&[0xEB, 0x10], 0x401000).unwrap();
-        let t = build(&Template::Empty, &insn, 0x70000000).unwrap();
+        let t = built(&Template::Empty, &insn, 0x70000000).unwrap();
         assert_eq!(t.len(), 5); // just the widened jmp
         let j = decode(&t, 0x70000000).unwrap();
         assert_eq!(j.branch_target(), Some(0x401012));
@@ -338,14 +368,14 @@ mod tests {
     #[test]
     fn displaced_ret_has_no_resume() {
         let insn = decode(&[0xC3], 0x401000).unwrap();
-        let t = build(&Template::Empty, &insn, 0x70000000).unwrap();
+        let t = built(&Template::Empty, &insn, 0x70000000).unwrap();
         assert_eq!(t, vec![0xC3]);
     }
 
     #[test]
     fn counter_template_is_flag_transparent() {
         let insn = mov_insn();
-        let t = build(
+        let t = built(
             &Template::Counter {
                 counter_addr: 0x60000000,
             },
@@ -366,7 +396,7 @@ mod tests {
     fn check_call_loads_effective_address() {
         // mov %rax,0x10(%rbx,%rcx,4) — the lea must reproduce the operand.
         let insn = decode(&[0x48, 0x89, 0x44, 0x8B, 0x10], 0x401000).unwrap();
-        let t = build(
+        let t = built(
             &Template::CheckCall {
                 func_addr: 0x50000000,
             },
@@ -387,12 +417,12 @@ mod tests {
     fn check_call_rejects_register_and_rip_forms() {
         let reg_only = decode(&[0x48, 0x01, 0xC3], 0x401000).unwrap(); // add %rax,%rbx
         assert_eq!(
-            build(&Template::CheckCall { func_addr: 0 }, &reg_only, 0x70000000),
+            built(&Template::CheckCall { func_addr: 0 }, &reg_only, 0x70000000),
             Err(BuildError::NoMemOperand)
         );
         let ripw = decode(&[0x48, 0x89, 0x05, 0, 0, 0x20, 0], 0x401000).unwrap();
         assert_eq!(
-            build(&Template::CheckCall { func_addr: 0 }, &ripw, 0x70000000),
+            built(&Template::CheckCall { func_addr: 0 }, &ripw, 0x70000000),
             Err(BuildError::NoMemOperand)
         );
     }
@@ -400,7 +430,7 @@ mod tests {
     #[test]
     fn hook_call_passes_site_address() {
         let insn = mov_insn();
-        let t = build(
+        let t = built(
             &Template::HookCall {
                 func_addr: 0x50000000,
             },
@@ -417,7 +447,7 @@ mod tests {
         );
         // Register-only patch sites are fine for hooks (unlike CheckCall).
         let reg_only = e9x86::decode(&[0x48, 0x01, 0xC3], 0x401000).unwrap();
-        assert!(build(
+        assert!(built(
             &Template::HookCall {
                 func_addr: 0x50000000
             },
@@ -430,7 +460,7 @@ mod tests {
     #[test]
     fn hook_save_spills_and_restores_every_gpr() {
         let insn = mov_insn();
-        let t = build(
+        let t = built(
             &Template::HookSave {
                 func_addr: 0x46000000,
             },
@@ -459,7 +489,7 @@ mod tests {
     #[test]
     fn hook_save_restore_order_is_lifo() {
         let insn = mov_insn();
-        let t = build(
+        let t = built(
             &Template::HookSave {
                 func_addr: 0x46000000,
             },
@@ -478,7 +508,7 @@ mod tests {
     fn hook_original_diverts_to_thunk() {
         let insn = mov_insn();
         let thunk = 0x7100_0000u64;
-        let t = build(
+        let t = built(
             &Template::HookOriginal {
                 func_addr: 0x50000000,
                 thunk_addr: thunk,
@@ -521,7 +551,7 @@ mod tests {
                 thunk_addr: 0x71000000,
             },
         ] {
-            let t = build(&tpl, &insn, 0x70000000).unwrap();
+            let t = built(&tpl, &insn, 0x70000000).unwrap();
             let pushes = t.iter().filter(|&&b| (0x50..0x58).contains(&b)).count();
             assert_eq!((pushes + 1) * 8 % 16, 0);
         }
@@ -531,7 +561,7 @@ mod tests {
     fn hook_original_out_of_reach_thunk_rejected() {
         let insn = mov_insn();
         assert_eq!(
-            build(
+            built(
                 &Template::HookOriginal {
                     func_addr: 0x50000000,
                     thunk_addr: 0x7FFF_0000_0000,
@@ -546,7 +576,7 @@ mod tests {
     #[test]
     fn replace_template_resumes_elsewhere() {
         let insn = mov_insn();
-        let t = build(
+        let t = built(
             &Template::Replace {
                 code: vec![0x90, 0x90],
                 resume: Some(0x401100),
@@ -564,7 +594,7 @@ mod tests {
     fn out_of_reach_detected() {
         let insn = mov_insn();
         assert_eq!(
-            build(&Template::Empty, &insn, 0x7FFF_0000_0000),
+            built(&Template::Empty, &insn, 0x7FFF_0000_0000),
             Err(BuildError::OutOfReach)
         );
     }
@@ -573,8 +603,123 @@ mod tests {
     fn loop_unpatchable() {
         let insn = decode(&[0xE2, 0xFE], 0x401000).unwrap();
         assert_eq!(
-            build(&Template::Empty, &insn, 0x70000000),
+            built(&Template::Empty, &insn, 0x70000000),
             Err(BuildError::Unrelocatable)
         );
+    }
+
+    #[test]
+    fn failed_builds_leave_the_buffer_as_it_was() {
+        let far = 0x7FFF_0000_0000;
+        let ripw = decode(&[0x48, 0x89, 0x05, 0, 0, 0x20, 0], 0x401000).unwrap();
+        let cases = [
+            // The payload is assembled before `loop` fails to relocate.
+            (
+                Template::HookCall {
+                    func_addr: 0x50000000,
+                },
+                decode(&[0xE2, 0xFE], 0x401000).unwrap(),
+                0x70000000,
+                BuildError::Unrelocatable,
+            ),
+            // The counter bump is assembled before the RIP-relative
+            // operand turns out to be past rel32.
+            (
+                Template::Counter {
+                    counter_addr: 0x60000000,
+                },
+                ripw,
+                far,
+                BuildError::OutOfReach,
+            ),
+            (
+                Template::CheckCall { func_addr: 0 },
+                decode(&[0x48, 0x01, 0xC3], 0x401000).unwrap(),
+                0x70000000,
+                BuildError::NoMemOperand,
+            ),
+            // The replacement code is copied before the resume jump
+            // turns out to be out of reach.
+            (
+                Template::Replace {
+                    code: vec![0x90; 7],
+                    resume: Some(0x401100),
+                },
+                mov_insn(),
+                far,
+                BuildError::OutOfReach,
+            ),
+        ];
+        for (template, insn, at, want) in cases {
+            // A buffer that already holds a trampoline, with spare
+            // capacity the failed build may write into.
+            let mut buf = Vec::with_capacity(256);
+            build(&Template::Empty, &mov_insn(), 0x70000000, &mut buf).unwrap();
+            let before = buf.clone();
+            assert_eq!(build(&template, &insn, at, &mut buf), Err(want));
+            assert_eq!(buf, before, "{template:?}");
+        }
+    }
+
+    #[test]
+    fn back_to_back_builds_equal_lone_builds() {
+        let jcc = decode(&[0x74, 0x27], 0x422ad5).unwrap();
+        let ripw = decode(&[0x48, 0x89, 0x05, 0, 0, 0x20, 0], 0x401000).unwrap();
+        let jobs = [
+            (Template::Empty, jcc),
+            (
+                Template::Counter {
+                    counter_addr: 0x60000000,
+                },
+                ripw,
+            ),
+            (
+                Template::CheckCall {
+                    func_addr: 0x50000000,
+                },
+                decode(&[0x48, 0x89, 0x44, 0x8B, 0x10], 0x401000).unwrap(),
+            ),
+            (
+                Template::HookCall {
+                    func_addr: 0x50000000,
+                },
+                mov_insn(),
+            ),
+            (
+                Template::HookSave {
+                    func_addr: 0x46000000,
+                },
+                ripw,
+            ),
+            (
+                Template::HookOriginal {
+                    func_addr: 0x46000000,
+                    thunk_addr: 0x71000000,
+                },
+                mov_insn(),
+            ),
+            (
+                Template::Replace {
+                    code: vec![0x90, 0x90],
+                    resume: None,
+                },
+                jcc,
+            ),
+            (Template::Empty, decode(&[0xC3], 0x401000).unwrap()),
+        ];
+        let base = 0x70000000;
+        let mut arena = Vec::new();
+        let mut spans = Vec::new();
+        for (template, insn) in &jobs {
+            let at = base + arena.len() as u64;
+            let start = arena.len();
+            let len = build(template, insn, at, &mut arena).unwrap();
+            assert_eq!(start + len, arena.len());
+            spans.push((at, start, len));
+        }
+        for ((template, insn), (at, start, len)) in jobs.iter().zip(spans) {
+            let alone = built(template, insn, at).unwrap();
+            assert_eq!(&arena[start..start + len], &alone[..], "{template:?}");
+        }
     }
 }

@@ -230,7 +230,7 @@ pub fn plan_hooks(binary: &[u8], disasm: &[Insn], spec: &HookSpec) -> Result<Hoo
 
     // One pass emits every payload (and thunk) into a single executable
     // segment while the records and patch requests are built alongside.
-    let mut a = Asm::new(lay.code);
+    let mut code = Vec::new();
     let mut hooks: Vec<HookRecord> = Vec::with_capacity(targets.len());
     let mut requests: Vec<PatchRequest> = Vec::with_capacity(targets.len());
     let counters = matches!(spec.payload, PayloadKind::Counter);
@@ -248,7 +248,8 @@ pub fn plan_hooks(binary: &[u8], disasm: &[Insn], spec: &HookSpec) -> Result<Hoo
             0
         };
 
-        let payload_addr = a.here();
+        let payload_addr = lay.code + code.len() as u64;
+        let mut a = Asm::onto(&mut code, payload_addr);
         match &spec.payload {
             PayloadKind::Counter => {
                 a.mov_ri64(Reg::Rax, counter_addr as i64);
@@ -256,18 +257,22 @@ pub fn plan_hooks(binary: &[u8], disasm: &[Insn], spec: &HookSpec) -> Result<Hoo
                 a.ret();
             }
             PayloadKind::Nop => a.ret(),
-            PayloadKind::Raw(code) => a.raw(code),
+            PayloadKind::Raw(raw) => a.raw(raw),
         }
+        a.finish().map_err(|e| HookError::Unrelocatable {
+            func_addr,
+            detail: e.to_string(),
+        })?;
 
         let (template, thunk_addr, flags) = if spec.call_original {
-            let thunk_addr = a.here();
-            let thunk = trampoline::build(&Template::Empty, insn, thunk_addr).map_err(|e| {
+            // The thunk is built straight into the code segment.
+            let thunk_addr = lay.code + code.len() as u64;
+            trampoline::build(&Template::Empty, insn, thunk_addr, &mut code).map_err(|e| {
                 HookError::Unrelocatable {
                     func_addr,
                     detail: e.to_string(),
                 }
             })?;
-            a.raw(&thunk);
             let template = Template::HookOriginal {
                 func_addr: payload_addr,
                 thunk_addr,
@@ -294,14 +299,9 @@ pub fn plan_hooks(binary: &[u8], disasm: &[Insn], spec: &HookSpec) -> Result<Hoo
         });
     }
 
-    let code_bytes = a.finish().map_err(|e| HookError::Unrelocatable {
-        func_addr: 0,
-        detail: e.to_string(),
-    })?;
-
     let mut extra = vec![ExtraSegment {
         vaddr: lay.code,
-        bytes: code_bytes,
+        bytes: code,
         exec: true,
         write: false,
     }];

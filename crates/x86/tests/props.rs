@@ -90,7 +90,8 @@ props! {
         let insn = decode(&bytes, old_addr).unwrap();
         let target = insn.branch_target().unwrap();
         let new_addr = old_addr.wrapping_add(delta as u64);
-        let out = relocate(&insn, new_addr).unwrap();
+        let mut out = Vec::new();
+        relocate(&insn, new_addr, &mut out).unwrap();
         let moved = decode(&out, new_addr).unwrap();
         prop_assert_eq!(moved.branch_target(), Some(target));
     }
@@ -101,7 +102,8 @@ props! {
     fn jcc_widening_preserves_condition(cc in 0u8..16, disp in any::<i8>()) {
         let bytes = [0x70 + cc, disp as u8];
         let insn = decode(&bytes, 0x401000).unwrap();
-        let out = relocate(&insn, 0x40200000).unwrap();
+        let mut out = Vec::new();
+        relocate(&insn, 0x40200000, &mut out).unwrap();
         let moved = decode(&out, 0x40200000).unwrap();
         let c = Cond::from_nibble(cc);
         prop_assert_eq!(moved.kind, e9x86::Kind::JccRel32(c));
