@@ -11,6 +11,11 @@
 //! `EmitReply::from_json` gives, intact or damaged.
 //! The rewrite cache's compact `emit` payload must decode to the reply it
 //! was encoded from, less the per-response cache fields.
+//! Every typed reply (`emit`, `hook`, `cache stats`, `health`) must read
+//! back as exactly the value its writer was given, from the canonical
+//! line and from a loose spelling of it. This checks the readers against
+//! the writers' input, not against each other, so a fault in the code
+//! the readers share still shows.
 //! The cache-key framing must be injective: decoding the key material of
 //! any job gives back exactly that job.
 
@@ -21,7 +26,8 @@ use e9proto::cachekey::{key_material, rewrite_key_from_digest};
 use e9proto::json::{self, Json};
 use e9proto::msg::{
     apply_option, code, config_options, hex_decode, hex_encode, CacheAction, CacheDisposition,
-    Command, EmitReply, EmitResponse, Request, Response, RpcError, WireMapping, PROTOCOL_VERSION,
+    CacheStatsReply, Command, EmitReply, EmitResponse, HealthReply, HookReply, Request, Response,
+    RpcError, WireMapping, PROTOCOL_VERSION,
 };
 use e9qcheck::prelude::*;
 use e9x86::insn::Insn;
@@ -443,6 +449,106 @@ fn build_emit(
     }
 }
 
+/// A `hook` reply from drawn hook records (each named `name` plus its
+/// index) and runtime addresses; `counters` picks whether a counter
+/// table is named.
+fn build_hook(
+    hooks: &[(u32, u32, u64, u64, u64, u64)],
+    name: &str,
+    (counters_addr, manifest_addr, counters): (u64, u64, bool),
+) -> HookReply {
+    HookReply {
+        hooks: hooks
+            .iter()
+            .enumerate()
+            .map(
+                |(i, &(id, flags, func_addr, payload_addr, thunk_addr, counter_addr))| {
+                    e9hook::HookRecord {
+                        id,
+                        flags,
+                        func_addr,
+                        payload_addr,
+                        thunk_addr,
+                        counter_addr,
+                        name: format!("{name}{i}"),
+                    }
+                },
+            )
+            .collect(),
+        counters_addr: counters.then_some(counters_addr),
+        manifest_addr,
+    }
+}
+
+/// A `cache stats` reply from 19 drawn counters and three flag bits
+/// (enabled, disk, breaker open).
+fn build_cache_stats(n: &[u64], bits: u8) -> CacheStatsReply {
+    let n = |i: usize| n.get(i).copied().unwrap_or(i as u64);
+    let bit = |i: u8| bits & (1 << i) != 0;
+    CacheStatsReply {
+        enabled: bit(0),
+        disk: bit(1),
+        stats: e9cache::CacheStats {
+            hits: n(0),
+            mem_hits: n(1),
+            disk_hits: n(2),
+            negative_hits: n(3),
+            misses: n(4),
+            stores: n(5),
+            mem_evictions: n(6),
+            disk_evictions: n(7),
+            verify_failures: n(8),
+            errors: n(9),
+            mem_entries: n(10),
+            mem_bytes: n(11),
+            bypasses: n(12),
+            bypass_threshold: n(13),
+            disk_breaker_open: bit(2),
+            disk_breaker_trips: n(14),
+            disk_breaker_fast_fails: n(15),
+            disk_breaker_probes: n(16),
+            disk_breaker_recoveries: n(17),
+        },
+    }
+}
+
+/// A `health` reply around a drawn `cache` section: counters `n[19..22]`
+/// and flag bit 3 for the shed and fault fields.
+fn build_health(n: &[u64], bits: u8, mode: &str, spec: &str) -> HealthReply {
+    let at = |i: usize| n.get(i).copied().unwrap_or(i as u64);
+    HealthReply {
+        serving_mode: mode.into(),
+        shed_admission: at(19),
+        shed_busy: at(20),
+        faults_enabled: bits & 8 != 0,
+        fault_spec: spec.into(),
+        faults_injected: at(21),
+        cache: build_cache_stats(n, bits),
+    }
+}
+
+/// A reply's `result` on a canonical response line, and that line
+/// spelled loosely as [`loose`] spells it.
+fn reply_lines(result: Json, draw: &mut impl FnMut() -> u8) -> [Vec<u8>; 2] {
+    let canonical = Response::ok(7, result).encode();
+    let mut spelled = String::new();
+    loose(
+        &json::parse(canonical.as_bytes()).unwrap(),
+        draw,
+        &mut spelled,
+    );
+    [canonical.into_bytes(), spelled.into_bytes()]
+}
+
+/// The `result` a client reads off a reply line.
+fn read_result(line: &[u8]) -> Result<Json, String> {
+    let r = Response::decode_line(line)?;
+    if r.id != Some(7) {
+        return Err(format!("id {:?}", r.id));
+    }
+    r.body.map_err(|e| e.message)
+}
+
 /// A rewriter configuration from drawn fields: the three tactics, B0,
 /// grouping and the high allocation policy as flag bits, and `M`.
 fn build_config(bits: u8, granularity: u64) -> RewriteConfig {
@@ -798,6 +904,73 @@ props! {
                 "{}",
                 String::from_utf8_lossy(&line)
             );
+        }
+    }
+
+    #[test]
+    fn typed_replies_read_back_the_writers_input(
+        emit in (
+            vec(any::<u8>(), 0..32),
+            vec(any::<u64>(), 15..16),
+            vec((any::<u64>(), any::<u8>(), any::<u8>(), any::<u64>()), 0..6),
+            vec((any::<u64>(), any::<u64>(), any::<u64>()), 0..3),
+            any::<u8>(),
+            alpha(8),
+        ),
+        hooks in vec(
+            (any::<u32>(), any::<u32>(), any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
+            0..4,
+        ),
+        name in alpha(5),
+        addrs in (any::<u64>(), any::<u64>(), any::<bool>()),
+        counters in vec(any::<u64>(), 22..23),
+        bits in any::<u8>(),
+        mode in alpha(7),
+        spec in alpha(6),
+        shape in vec(any::<u8>(), 1..64),
+    ) {
+        // Loose spellings reorder members, insert an unknown one and
+        // repeat each object's first member at its end with another
+        // value: a reader that took the repeat would read a different
+        // value than was written.
+        let mut at = 0;
+        let mut draw = || {
+            at += 1;
+            shape[at % shape.len()]
+        };
+
+        let (binary, n, reports, mappings, sel, digest) = emit;
+        let emit = build_emit(binary, &n, &reports, &mappings, sel, digest);
+        let mut written = Vec::new();
+        emit.write_json(&mut written);
+        for line in reply_lines(json::parse(&written).unwrap(), &mut draw) {
+            let text = String::from_utf8_lossy(&line).into_owned();
+            prop_assert_eq!(
+                EmitResponse::decode_line(&line),
+                Ok(EmitResponse { id: Some(7), body: Ok(Ok(emit.clone())) }),
+                "{}",
+                text
+            );
+            let via_tree = read_result(&line).and_then(|v| EmitReply::from_json(&v));
+            prop_assert_eq!(via_tree, Ok(emit.clone()), "{}", text);
+        }
+
+        let hook = build_hook(&hooks, &name, addrs);
+        for line in reply_lines(hook.to_json(), &mut draw) {
+            let got = read_result(&line).and_then(|v| HookReply::from_json(&v));
+            prop_assert_eq!(got, Ok(hook.clone()), "{}", String::from_utf8_lossy(&line));
+        }
+
+        let stats = build_cache_stats(&counters, bits);
+        for line in reply_lines(stats.to_json(), &mut draw) {
+            let got = read_result(&line).and_then(|v| CacheStatsReply::from_json(&v));
+            prop_assert_eq!(got, Ok(stats), "{}", String::from_utf8_lossy(&line));
+        }
+
+        let health = build_health(&counters, bits, &mode, &spec);
+        for line in reply_lines(health.to_json(), &mut draw) {
+            let got = read_result(&line).and_then(|v| HealthReply::from_json(&v));
+            prop_assert_eq!(got, Ok(health.clone()), "{}", String::from_utf8_lossy(&line));
         }
     }
 
