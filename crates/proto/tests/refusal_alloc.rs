@@ -6,7 +6,9 @@
 //! `json::parse`, which builds the whole tree before it reaches the
 //! error: one long `params` object, one closing brace short, cost many
 //! times its own length. The error is now worded by `json::check`, which
-//! walks the line as the parser does and builds nothing.
+//! walks the line as the parser does and builds nothing. A `hook`
+//! request's `funcs` array is stepped over whole until the assembly reads
+//! it, so a long one cut short costs no more to refuse.
 //!
 //! A `#[global_allocator]` shim counts bytes requested while a tracking
 //! flag is set. Everything runs in ONE `#[test]` so no concurrent test
@@ -83,4 +85,22 @@ fn a_line_that_is_not_json_is_refused_without_a_tree() {
     let (bytes, got) = allocated_during(|| Response::decode_line(&line));
     assert!(bytes <= BUDGET, "reply refusal allocated {bytes} bytes");
     assert_eq!(got.unwrap_err(), want_response);
+
+    // A `hook` request whose `funcs` array of 200,000 one-character
+    // strings is one `]` short. The array is stepped over whole, not read
+    // element by element, so nothing is built before the syntax error.
+    let mut line = br#"{"jsonrpc":"2.0","id":2,"method":"hook","params":{"funcs":["#.to_vec();
+    for i in 0..200_000 {
+        if i > 0 {
+            line.push(b',');
+        }
+        line.extend_from_slice(br#""a""#);
+    }
+    line.extend_from_slice(br#","addrs":[],"call_original":false,"payload":{"kind":"nop"}}}"#);
+    let want_request = Request::decode_line_via_tree(&line).unwrap_err();
+    let (bytes, got) = allocated_during(|| Request::decode_line(&line));
+    let got = got.unwrap_err();
+    assert!(bytes <= BUDGET, "hook refusal allocated {bytes} bytes");
+    assert_eq!(got, want_request);
+    assert_eq!(got.body.map_err(|e| e.code), Err(code::PARSE));
 }

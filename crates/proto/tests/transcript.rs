@@ -7,7 +7,9 @@
 //! plus `hook`/`emit`, pin the encoder and every success reply. A third session pins the error replies: malformed
 //! JSON, unknown methods, bad hex, and the lines a decoder gets wrong
 //! when it assumes canonical form (duplicate and reordered keys,
-//! whitespace, escapes, number edge cases, a depth bomb).
+//! whitespace, escapes, number edge cases, a depth bomb). A fourth pins
+//! the `health`, `cache stats` and `cache clear` replies of a server with
+//! an in-memory cache, around an `emit` miss and hit, and of one without.
 //!
 //! The wire transcript is part of the protocol: a codec change that
 //! moves one of these digests changes what a client sees.
@@ -268,5 +270,145 @@ fn error_and_non_canonical_line_transcript_is_pinned() {
             41,
             "5040f78c79bcb5f8a50da742640642bc17c4649ac2c60ae2857c3beaf49ea275",
         ),
+    );
+}
+
+/// The hex SHA-256 of each newline-terminated line of `bytes`, newline
+/// excluded.
+fn line_digests(bytes: &[u8]) -> Vec<String> {
+    bytes
+        .split_inclusive(|&b| b == b'\n')
+        .map(|l| sha(l.strip_suffix(b"\n").expect("newline-terminated")))
+        .collect()
+}
+
+#[test]
+fn cache_and_health_reply_transcript_is_pinned() {
+    use e9proto::msg::CacheAction;
+    use e9proto::server::{serve_connection_with, ServeConfig};
+    use std::sync::Arc;
+
+    let code = vec![
+        0x48, 0x89, 0x03, // mov %rax,(%rbx)
+        0x48, 0x83, 0xC0, 0x20, // add $32,%rax
+        0xC3, // ret
+        0x0F, 0x1F, 0x44, 0x00, 0x00, // nop padding
+        0x0F, 0x1F, 0x44, 0x00, 0x00,
+    ];
+    let mut b = e9elf::build::ElfBuilder::exec(0x400000);
+    b.text(code.clone(), 0x401000);
+    b.entry(0x401000);
+    let binary = b.build();
+    let disasm = e9x86::decode::linear_sweep(&code, 0x401000);
+    let job = Job {
+        binary: &binary,
+        disasm: &disasm,
+        requests: &[PatchRequest {
+            addr: 0x401000,
+            template: Template::Empty,
+        }],
+        extra: &[],
+        config: RewriteConfig::default(),
+    };
+    let stats = || Command::Cache {
+        action: CacheAction::Stats,
+    };
+    let clear = || Command::Cache {
+        action: CacheAction::Clear,
+    };
+    // `health` before the handshake, `cache stats` right after it, then
+    // the job with a miss and a hit, and the counters after each.
+    let mut job_cmds = job.commands();
+    let version = job_cmds.next().expect("the job starts with version");
+    let cmds: Vec<Command> = [Command::Health, version, stats()]
+        .into_iter()
+        .chain(job_cmds)
+        .chain([
+            Command::Emit,
+            Command::Emit,
+            stats(),
+            Command::Health,
+            clear(),
+            stats(),
+        ])
+        .collect();
+    let serve = |requests: Vec<u8>, config: &ServeConfig| {
+        let mut replies = Vec::new();
+        serve_connection_with(&mut std::io::Cursor::new(&requests), &mut replies, config).unwrap();
+        replies
+    };
+    let cached = ServeConfig {
+        cache: Some(Arc::new(e9cache::Cache::in_memory_no_bypass())),
+        ..ServeConfig::default()
+    };
+    let replies = line_digests(&serve(lines(cmds), &cached));
+    assert_eq!(
+        replies,
+        [
+            // health
+            "fca6ad6bca9fd29165e48995d8a8d5a6fcf4fcf599bc2b16fbb38741211c0478",
+            // version
+            "c4654b3d28be7cb1486c9384283f1da527d8edf0c9a2fa7cc4c961906c869929",
+            // cache stats
+            "2b9e969c4dd0b709d6e0d73c0c945bfbbde3a7ca7d4f0184aca48eb8870f2fb9",
+            // option
+            "0672cee69de53900a7e3aa682e3c5d773a12129eb974bbd41b9e1ac9cf9ec86c",
+            // option
+            "d2e579dddf26ef8d040f2d04229a4ee960c35f64b782bd090356c0647f7350ab",
+            // option
+            "79ff8c0aef25ec8129cc9ac5c2d5d1bd4ba19215dda3805391e6041660c05301",
+            // option
+            "ea1f4ba35a6111036de6cde78bad1058c4f6a50770d61dcd11a1bc8ed8580d61",
+            // option
+            "d6f6cff90847e59e349fc3165c89f99c9449c5134a2201808a432c662f98d763",
+            // option
+            "3e8fc3a8503834830b1119c579133f2698dfd5fed355a372e36d7afb222567f3",
+            // option
+            "4d155e9a07f59be72a56c2316c0f1e03176612a41d6ec3d224556f460bccce53",
+            // binary
+            "bf1651216761de2a389dee8588c350e06a181f35908ee5ac1490f76cbaeed9ef",
+            // instruction
+            "96743ab921a6b6f9dffc2ebab40420645ca324c2f3d21e92f9fd12c31875aac6",
+            // instruction
+            "cfce67abb8320ac222d13f66f3498026fa08475bb011972349d32dd7fbdc6038",
+            // instruction
+            "3dda060af7fb2b166f81b0cb22fc821d692174124393deb50e4ec40ed01e1343",
+            // instruction
+            "d9a6323ce3a568992f8217f63dc95d154089cbb079aa26f540cafa62b413b29f",
+            // instruction
+            "82069bad989e9853f18ee5d2e2531df26bc9bcbc44f9e12a3dacae4c37b6bf13",
+            // patch
+            "b3834ba26563be94317054238857075d5910c4b9f770062a5e474a4113ccb51b",
+            // emit (miss)
+            "7a27b9ffc043efc16de06540c827c0df73307c8afe05e3ade01a2fa85ea76c8d",
+            // emit (hit)
+            "8ef646b6c318a9c34cfa1953fa08e1dc61d2f40b923f2c3a9d203c435c0227ac",
+            // cache stats
+            "b7eb7b6c61dbe858bb6844de594b729993d176ec489f101575050ff7b93da02e",
+            // health
+            "8e8aa67ec12f74aebf73997d04c5a065f921e3d3cf1ee7ebfde121d240a57bac",
+            // cache clear
+            "4278da14e85a2634cb5fd646c86a9c833f4479d2bee5e4643bfb98602d9510ed",
+            // cache stats
+            "f06a2f661fb6e3a67e68d6cdfae8937acdf6f16ea60bd8425274d722cd972cd6",
+        ]
+    );
+
+    // Without a cache, `cache stats` reports it disabled and `cache
+    // clear` clears nothing.
+    let bare = line_digests(&serve(
+        lines([Command::Version { version: 1 }, stats(), clear()]),
+        &ServeConfig::default(),
+    ));
+    assert_eq!(
+        bare,
+        [
+            // version
+            "e82eabe3add826e23ff26545ae61e2ebafa98a42c5ab46613a24c7e8c1e65dfc",
+            // cache stats
+            "ae6513837329c8fd1cdc2b5876df3103de2439d422d6edd3f134d5653eebe9f3",
+            // cache clear
+            "ddcb2b0067bbc2f45917be8c1a2de8100137a7b0245189142584845a136d5ce7",
+        ]
     );
 }
