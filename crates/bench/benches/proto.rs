@@ -14,8 +14,8 @@
 
 use e9bench::harness::{Harness, Throughput};
 use e9front::{instrument_via_backend, instrument_with_disasm, Application, Options, Payload};
-use e9proto::msg::{Command, EmitReply, EmitResponse, Request, Response};
-use e9proto::server::{dispatch_line, serve_connection};
+use e9proto::msg::{Command, EmitReply, Request, Response, TypedReply};
+use e9proto::server::{reply_line, serve_connection};
 use e9proto::{ProtoClient, Session};
 use e9synth::{generate, spec_profiles, Profile};
 use std::hint::black_box;
@@ -59,8 +59,8 @@ fn main() {
     });
 
     // 2. The codec per `instruction` line, as a backend session sees a
-    // job's disassembly: encode each request, decode and execute it
-    // (`dispatch_line`), encode the reply and read it back. No socket.
+    // job's disassembly: encode each request, decode and execute it and
+    // write its reply (`reply_line`), and read the reply back. No socket.
     let gcc = spec_profiles(50)
         .into_iter()
         .find(|p| p.name == "gcc")
@@ -78,10 +78,10 @@ fn main() {
     h.throughput(Throughput::Elements(insns));
     h.bench(&format!("instruction_stream/{insns}"), || {
         let mut session = Session::new();
-        for line in &head {
-            dispatch_line(&mut session, line.as_bytes());
-        }
         let (mut request, mut reply) = (Vec::new(), Vec::new());
+        for line in &head {
+            reply_line(&mut session, line.as_bytes(), &mut reply);
+        }
         for (id, i) in gcc.disasm.iter().enumerate() {
             request.clear();
             Request {
@@ -93,8 +93,8 @@ fn main() {
             }
             .encode_into(&mut request);
             reply.clear();
-            dispatch_line(&mut session, &request).encode_into(&mut reply);
-            let read = Response::decode_line(&reply).expect("a reply line");
+            reply_line(&mut session, &request, &mut reply);
+            let read = Response::decode_line(reply.trim_ascii_end()).expect("a reply line");
             assert!(read.body.is_ok(), "{read:?}");
         }
         session
@@ -115,7 +115,7 @@ fn main() {
     h.bench(&format!("emit_reply/{}", emit.reports.len()), || {
         line.clear();
         Response::write_ok(&mut line, 1, |out| emit.write_json(out));
-        let read = EmitResponse::decode_line(black_box(&line)).expect("a reply line");
+        let read = EmitReply::decode_line(black_box(&line)).expect("a reply line");
         read.body.expect("a result").expect("an emit result")
     });
 

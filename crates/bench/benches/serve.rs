@@ -73,7 +73,7 @@ mod linux {
     }
 
     /// The reply stream every session must produce, computed through the
-    /// same `dispatch_line` choke point the reactor funnels into.
+    /// same `reply_line` choke point the reactor funnels into.
     fn reference_replies(transcript: &[u8], config: &ServeConfig) -> Vec<u8> {
         let mut reader = Cursor::new(transcript.to_vec());
         let mut out: Vec<u8> = Vec::new();

@@ -7,7 +7,7 @@
 //!    (`e9vm::load::load_elf`), reached from `e9tool` file arguments and
 //!    from the wire protocol's `binary` command;
 //! 2. **wire-protocol streams** — request lines entering
-//!    `e9proto::server::dispatch_line` (single-pass request decode →
+//!    `e9proto::server::reply_line` (single-pass request decode →
 //!    session state machine), checked against the reference path
 //!    `e9proto::server::reference_reply` on a twin session.
 //!
@@ -57,7 +57,7 @@ pub fn seed_from_env() -> u64 {
 pub enum Surface {
     /// ELF images into `Elf::parse` + `load_elf`.
     Elf,
-    /// Wire-protocol byte streams into `dispatch_line`.
+    /// Wire-protocol byte streams into `reply_line`.
     Wire,
     /// On-disk rewrite-cache entries into `e9cache`.
     Cache,
@@ -277,7 +277,7 @@ fn rewrite_probe(bytes: &[u8], disasm: &[e9x86::Insn]) {
 
 /// Run `cases` seeded mutants against the wire surface: each case mutates
 /// a valid session transcript, feeds every line through a fresh session's
-/// `dispatch_line` and a twin session's `reference_reply`, then probes
+/// `reply_line` and a twin session's `reference_reply`, then probes
 /// that the session still answers a well-formed request. Any unwind, any
 /// reply that differs from the reference's, and any post-mutation
 /// unserviceability is recorded as a panic-class failure (see

@@ -10,12 +10,16 @@
 //! reference path (tree parse, tree decode, tree-serialized reply) gives
 //! on a twin session, and the session still answers a well-formed
 //! request afterwards. Every reply line is read back both ways too: the
-//! client's one-pass readers must agree with the tree readers.
+//! client's one-pass readers must agree with the tree readers, on the
+//! envelope and on the line read as each typed reply.
 
 use crate::Outcome;
-use e9proto::json;
-use e9proto::msg::{Command, EmitReply, EmitResponse, Request, Response};
-use e9proto::server::{dispatch_line, reference_reply, reply_line};
+use e9proto::json::{self, Json};
+use e9proto::msg::{
+    CacheStatsReply, Command, EmitReply, HealthReply, HookReply, Request, Response, TypedReply,
+    TypedResponse,
+};
+use e9proto::server::{reference_reply, reply_line};
 use e9proto::Session;
 use e9rng::StdRng;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -248,10 +252,11 @@ fn splice_line(rng: &mut StdRng, bytes: &mut Vec<u8>) {
 /// tree-serialized reply). Both must decode each line to the same request
 /// or error reply and answer it with the same bytes. Each reply line is
 /// then read as the client reads it (`Response::decode_line`, and
-/// `EmitResponse::decode_line` for an `emit` result) and as the tree
-/// reader does (`json::parse`, `Response::decode`, `EmitReply::from_json`),
+/// `TypedReply::decode_line` for each typed result) and as the tree
+/// reader does (`json::parse`, `Response::decode`, each `from_json`),
 /// which must agree: the same tables and assembly, the other reader.
-/// Then probe serviceability with a valid request.
+/// Then probe serviceability with a valid request on the reference path,
+/// which catches no panic.
 /// Unwinds, a difference between the twins or between the readers, and a
 /// dead session all count as failures.
 pub fn wire_case(stream: &[u8]) -> Outcome {
@@ -297,7 +302,7 @@ pub fn wire_case(stream: &[u8]) -> Outcome {
                 cmd: Command::Version { version: 1 },
             }
             .encode();
-            let _ = dispatch_line(&mut session, probe.as_bytes());
+            let _ = reference_reply(&mut session, probe.as_bytes());
         }
         any_error
     }));
@@ -309,8 +314,8 @@ pub fn wire_case(stream: &[u8]) -> Outcome {
 }
 
 /// Read one reply line as the client does and as the tree readers do;
-/// they must agree, on the envelope and, read as an `emit` result, on the
-/// result too.
+/// they must agree, on the envelope and, read as each typed result, on
+/// the result too.
 fn read_reply(line: &[u8]) -> Response {
     let tree = json::parse(line)
         .map_err(|e| e.to_string())
@@ -322,15 +327,29 @@ fn read_reply(line: &[u8]) -> Response {
         "client and tree readers differ on {:?}",
         String::from_utf8_lossy(line)
     );
-    let emit_tree = tree.clone().map(|r| EmitResponse {
+    typed_readers_agree(line, &tree, EmitReply::from_json);
+    typed_readers_agree(line, &tree, HookReply::from_json);
+    typed_readers_agree(line, &tree, CacheStatsReply::from_json);
+    typed_readers_agree(line, &tree, HealthReply::from_json);
+    resp.expect("the server writes well-formed replies")
+}
+
+/// The reply `line` read as a `T` in one pass must be what `from_json`
+/// reads from the tree reader's `result`, or its error.
+fn typed_readers_agree<T: TypedReply + PartialEq + std::fmt::Debug>(
+    line: &[u8],
+    tree: &Result<Response, String>,
+    from_json: fn(&Json) -> Result<T, String>,
+) {
+    let via_tree = tree.clone().map(|r| TypedResponse {
         id: r.id,
-        body: r.body.map(|v| EmitReply::from_json(&v)),
+        body: r.body.map(|v| from_json(&v)),
     });
     assert_eq!(
-        EmitResponse::decode_line(line),
-        emit_tree,
-        "emit readers differ on {:?}",
+        T::decode_line(line),
+        via_tree,
+        "{} readers differ on {:?}",
+        std::any::type_name::<T>(),
         String::from_utf8_lossy(line)
     );
-    resp.expect("the server writes well-formed replies")
 }

@@ -765,7 +765,9 @@ fn cmd_health(args: &Args) -> Result<(), String> {
     let mut client = backend_client(spec)?;
     let reply = client.health().map_err(|e| e.to_string())?;
     if args.flag("json") {
-        println!("{}", reply.to_json().serialize());
+        let mut line = Vec::new();
+        reply.write_json(&mut line);
+        println!("{}", String::from_utf8_lossy(&line));
         return Ok(());
     }
     println!("{}", reply.summary());

@@ -25,13 +25,14 @@
 //! ([`Request::encode_into`]). Replies are read as bytes, trimmed of
 //! ASCII whitespace as the server trims requests, and decoded in one pass
 //! ([`Response::decode_line`]), so no JSON tree is built for a request,
-//! nor for an empty `{}` result. [`ProtoClient::emit`] reads its result
-//! straight into an [`EmitReply`] ([`EmitResponse::decode_line`]).
+//! nor for an empty `{}` result. The typed calls (`emit`, `hook`,
+//! `cache_stats`, `health`) read their result straight into its reply
+//! type ([`TypedReply::decode_line`]), with no tree.
 
 use crate::json;
 use crate::msg::{
-    CacheAction, CacheStatsReply, Command, EmitReply, EmitResponse, HealthReply, HookReply,
-    Request, Response, RpcError, PROTOCOL_VERSION,
+    CacheAction, CacheStatsReply, Command, EmitReply, HealthReply, HookReply, Request, Response,
+    RpcError, TypedReply, TypedResponse, PROTOCOL_VERSION,
 };
 use e9failpt::retry::{retry_interrupted, with_backoff, Backoff, EINTR_BUDGET};
 use std::collections::VecDeque;
@@ -248,11 +249,12 @@ impl ProtoClient {
         self.call_with(cmd, decode_reply)
     }
 
-    /// One round trip whose reply line is read by `decode`.
+    /// One round trip whose reply line is read by `decode`: a typed
+    /// reply's [`TypedReply::decode_line`], or [`decode_reply`].
     fn call_with<T>(
         &mut self,
         cmd: Command,
-        decode: impl FnOnce(&[u8]) -> Result<Reply<T>, String>,
+        decode: impl FnOnce(&[u8]) -> Result<TypedResponse<T>, String>,
     ) -> Result<T, ClientError> {
         self.next_id += 1;
         let id = self.next_id;
@@ -260,7 +262,7 @@ impl ProtoClient {
         Request { id, cmd }.encode_into(&mut line);
         line.push(b'\n');
         self.send(&line, [id])?;
-        self.read_reply_with(id, decode)
+        self.read_reply(id, decode)
     }
 
     /// Send `cmds` in order through the in-flight window and read every
@@ -361,10 +363,12 @@ impl ProtoClient {
         id: u64,
         behind: &mut VecDeque<(u64, usize)>,
     ) -> Result<json::Json, ClientError> {
-        let reply = self.read_reply(id);
+        let reply = self.read_reply(id, decode_reply);
         if let Err(ClientError::Rpc(_)) = reply {
             for (id, _) in behind.drain(..) {
-                if let Err(ClientError::Io(_) | ClientError::Protocol(_)) = self.read_reply(id) {
+                if let Err(ClientError::Io(_) | ClientError::Protocol(_)) =
+                    self.read_reply(id, decode_reply)
+                {
                     break;
                 }
             }
@@ -372,22 +376,18 @@ impl ProtoClient {
         reply
     }
 
-    /// Read the next reply line and check it answers request `id`; every
-    /// reply passes here. End of stream is a [`ClientError::Protocol`].
-    /// A null-id error is a refusal made before any request was parsed
-    /// (an oversized line, BUSY shedding) and is the typed
-    /// [`ClientError::Rpc`]; any other id mismatch is `Protocol`.
-    fn read_reply(&mut self, id: u64) -> Result<json::Json, ClientError> {
-        self.read_reply_with(id, decode_reply)
-    }
-
-    /// [`read_reply`](Self::read_reply) with the line read by `decode`.
-    /// The line is read as bytes and trimmed of ASCII whitespace; the
-    /// decoder checks its UTF-8.
-    fn read_reply_with<T>(
+    /// Read the next reply line with `decode` and check it answers
+    /// request `id`; every reply passes here. The line is read as bytes
+    /// and trimmed of ASCII whitespace; the decoder checks its UTF-8. End
+    /// of stream, and a `result` that `decode` cannot read, are a
+    /// [`ClientError::Protocol`]. A null-id error is a refusal made
+    /// before any request was parsed (an oversized line, BUSY shedding)
+    /// and is the typed [`ClientError::Rpc`]; any other id mismatch is
+    /// `Protocol`.
+    fn read_reply<T>(
         &mut self,
         id: u64,
-        decode: impl FnOnce(&[u8]) -> Result<Reply<T>, String>,
+        decode: impl FnOnce(&[u8]) -> Result<TypedResponse<T>, String>,
     ) -> Result<T, ClientError> {
         self.line.clear();
         let n = retry_interrupted(EINTR_BUDGET, || {
@@ -399,7 +399,8 @@ impl ProtoClient {
                 "backend closed the connection".into(),
             ));
         }
-        let (reply_id, body) = decode(self.line.trim_ascii()).map_err(ClientError::Protocol)?;
+        let TypedResponse { id: reply_id, body } =
+            decode(self.line.trim_ascii()).map_err(ClientError::Protocol)?;
         if reply_id != Some(id) {
             if reply_id.is_none() {
                 if let Err(e) = body {
@@ -410,7 +411,8 @@ impl ProtoClient {
                 "response id {reply_id:?} for request {id}"
             )));
         }
-        body.map_err(ClientError::Rpc)
+        body.map_err(ClientError::Rpc)?
+            .map_err(ClientError::Protocol)
     }
 
     /// A write that dies because the peer closed often races typed
@@ -435,7 +437,7 @@ impl ProtoClient {
             return ClientError::Io(err);
         }
         for id in in_flight {
-            match self.read_reply(id) {
+            match self.read_reply(id, decode_reply) {
                 Ok(_) => {}
                 Err(ClientError::Rpc(e)) => return ClientError::Rpc(e),
                 Err(_) => break,
@@ -465,13 +467,13 @@ impl ProtoClient {
     ///
     /// As [`ProtoClient::call`], plus reply-decoding failures.
     pub fn hook(&mut self, spec: &e9hook::HookSpec) -> Result<HookReply, ClientError> {
-        let v = self.call(Command::Hook {
+        let cmd = Command::Hook {
             funcs: spec.funcs.clone(),
             addrs: spec.addrs.clone(),
             call_original: spec.call_original,
             payload: spec.payload.clone(),
-        })?;
-        HookReply::from_json(&v).map_err(ClientError::Protocol)
+        };
+        self.call_with(cmd, HookReply::decode_line)
     }
 
     /// Run the rewrite and fetch the patched binary + statistics.
@@ -480,10 +482,7 @@ impl ProtoClient {
     ///
     /// As [`ProtoClient::call`], plus reply-decoding failures.
     pub fn emit(&mut self) -> Result<EmitReply, ClientError> {
-        self.call_with(Command::Emit, |line| {
-            EmitResponse::decode_line(line).map(|r| (r.id, r.body))
-        })?
-        .map_err(ClientError::Protocol)
+        self.call_with(Command::Emit, EmitReply::decode_line)
     }
 
     /// Fetch the server's rewrite-cache counters.
@@ -492,10 +491,10 @@ impl ProtoClient {
     ///
     /// As [`ProtoClient::call`], plus reply-decoding failures.
     pub fn cache_stats(&mut self) -> Result<CacheStatsReply, ClientError> {
-        let v = self.call(Command::Cache {
+        let cmd = Command::Cache {
             action: CacheAction::Stats,
-        })?;
-        CacheStatsReply::from_json(&v).map_err(ClientError::Protocol)
+        };
+        self.call_with(cmd, CacheStatsReply::decode_line)
     }
 
     /// Drop every entry from the server's rewrite cache. Returns whether
@@ -521,8 +520,7 @@ impl ProtoClient {
     ///
     /// As [`ProtoClient::call`], plus reply-decoding failures.
     pub fn health(&mut self) -> Result<HealthReply, ClientError> {
-        let v = self.call(Command::Health)?;
-        HealthReply::from_json(&v).map_err(ClientError::Protocol)
+        self.call_with(Command::Health, HealthReply::decode_line)
     }
 
     /// Ask the backend to shut down.
@@ -549,12 +547,13 @@ impl Drop for ProtoClient {
     }
 }
 
-/// A reply line's id and body, as a reader decodes it.
-type Reply<T> = (Option<u64>, Result<T, RpcError>);
-
 /// A reply line with its `result` read as a [`json::Json`] value.
-fn decode_reply(line: &[u8]) -> Result<Reply<json::Json>, String> {
-    Response::decode_line(line).map(|r| (r.id, r.body))
+fn decode_reply(line: &[u8]) -> Result<TypedResponse<json::Json>, String> {
+    let r = Response::decode_line(line)?;
+    Ok(TypedResponse {
+        id: r.id,
+        body: r.body.map(Ok),
+    })
 }
 
 /// Where `e9tool patch --backend stdio` finds the daemon: `$E9PATCHD`,

@@ -12,19 +12,22 @@
 //! * [`json`] — a hand-rolled, hermetic JSON parser and canonical
 //!   serializer (u64-exact integers, depth-bounded, panic-free);
 //! * [`msg`] — the typed command set (`version`, `binary`, `option`,
-//!   `reserve`, `instruction`, `patch`, `emit`, `shutdown`), request and
-//!   response envelopes, and error codes. Request lines, and `emit`
-//!   replies on both ends, are written directly and read in one pass,
-//!   with no JSON tree; the scanner's cost follows the bytes it reads
+//!   `reserve`, `instruction`, `patch`, `hook`, `emit`, `cache`,
+//!   `health`, `shutdown`), request and response envelopes, and error
+//!   codes. Request lines and every reply are written directly and read
+//!   in one pass, with no JSON tree: each typed reply (`emit`, `hook`,
+//!   `cache stats`, `health`) has one writer and is read into its type
+//!   by one reader. The scanner's cost follows the bytes it reads
 //!   (strings eight bytes at a time, plain integers straight into a
-//!   `u64`). The other replies still carry their `result` as a tree;
+//!   `u64`);
 //! * [`session`] — the per-connection state machine that buffers commands
 //!   and feeds the in-process [`e9patch::Rewriter`] on `emit`, preserving
 //!   the paper's S1 reverse-order batch semantics;
 //! * [`server`] — the serve loop over one byte stream (stdio sessions),
 //!   [`server::ServeConfig`] (the one set of serving knobs, both modes)
 //!   and [`server::reply_line`], the one request choke point
-//!   ([`server::dispatch_line`] gives its response as a tree);
+//!   ([`server::reference_reply`] answers as the protocol is specified,
+//!   through JSON trees, with the same bytes);
 //! * [`reactor`] — the socket serving core (Linux): a single-threaded
 //!   epoll event loop (`e9loop`) multiplexing every connection, with
 //!   admission control and graceful drain; it frames lines with the
@@ -60,6 +63,6 @@ pub use client::{ClientError, ProtoClient};
 pub use json::{Json, JsonError};
 pub use msg::{
     hex_decode, hex_encode, CacheAction, CacheDisposition, CacheStatsReply, Command, EmitReply,
-    EmitResponse, HookReply, Request, Response, RpcError, PROTOCOL_VERSION,
+    HookReply, Request, Response, RpcError, TypedReply, TypedResponse, PROTOCOL_VERSION,
 };
 pub use session::Session;

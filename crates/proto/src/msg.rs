@@ -22,14 +22,15 @@
 //! The serving path builds no JSON tree for a protocol line: requests and
 //! replies are written directly in canonical form
 //! ([`Request::encode_into`], [`Response::encode_into`]) and read in one
-//! pass ([`Request::decode_line`], [`Response::decode_line`]). An `emit`
-//! result is written from the typed reply ([`EmitReply::write_json`])
-//! and read back into one ([`EmitResponse::decode_line`]). The tree
-//! forms are the reference those are tested against: the writers
-//! ([`Response::to_json`], [`EmitReply::to_json`]) build a tree, and the
-//! tree decoders ([`Request::decode`], [`Response::decode`] and every
-//! typed `from_json`, such as [`EmitReply::from_json`]) are the tree
-//! *reader* run through the single pass's tables, not a second assembly.
+//! pass ([`Request::decode_line`], [`Response::decode_line`]). Each typed
+//! result has one writer (such as [`EmitReply::write_json`]) and is read
+//! back into its type in the same pass ([`TypedReply::decode_line`]).
+//! The tree forms are the reference those are tested against: the tree
+//! writers ([`Response::to_json`], [`EmitReply::to_json`]) build a tree,
+//! and the tree decoders ([`Request::decode`], [`Response::decode`] and
+//! every typed `from_json`, such as [`EmitReply::from_json`]) are the
+//! tree *reader* run through the single pass's tables, not a second
+//! assembly.
 //! Both readers fill one table per wire value, and one assembly builds
 //! the message or words its error, so they differ only in how they read
 //! bytes. The tree still words the error for a line that is not JSON.
@@ -742,40 +743,56 @@ fn parse_checked(line: &[u8]) -> Result<Json, String> {
     json::parse(line).map_err(|e| e.to_string())
 }
 
-/// An `emit` reply line as [`ProtoClient::emit`](crate::ProtoClient::emit)
-/// reads it: the envelope as [`Response::decode_line`] reads it, and the
-/// `result` read in the same pass into an [`EmitReply`], with no tree.
-/// The `result`'s value, or its error, is the one that
-/// [`EmitReply::from_json`] gives for the `result` of
-/// [`Response::decode`]; a reply whose `error` wins has none.
+/// A reply line with its `result` read in the same pass as the envelope
+/// into a typed reply `T`, through its member table and with no tree:
+/// what [`TypedReply::decode_line`] gives. The value or error is the one
+/// `T::from_json` gives for the `result` of [`Response::decode`]. A reply
+/// whose `error` wins has none.
 #[derive(Debug, Clone, PartialEq)]
-pub struct EmitResponse {
+pub struct TypedResponse<T> {
     /// As [`Response::id`].
     pub id: Option<u64>,
     /// The in-band error, or the `result` decoded.
-    pub body: Result<Result<EmitReply, String>, RpcError>,
+    pub body: Result<Result<T, String>, RpcError>,
 }
 
-impl EmitResponse {
-    /// Decode one `emit` reply line in a single pass. A line the pass
-    /// stops on is not JSON: [`json::check`] words the parse error, and
-    /// only a line that passes it is parsed, its tree read through the
-    /// same table.
+/// A reply whose `result` has a type: [`EmitReply`], [`HookReply`],
+/// [`CacheStatsReply`] and [`HealthReply`].
+pub trait TypedReply: Sized {
+    /// Decode one reply line in a single pass, its `result` into `Self`.
+    /// Only a line the pass stops on is parsed, once [`json::check`]
+    /// finds it is JSON, and its tree read through the same table.
     ///
     /// # Errors
     ///
     /// As [`Response::decode_line`].
-    pub fn decode_line(line: &[u8]) -> Result<EmitResponse, String> {
-        let (id, body) = match scan(line, |s| ReplyEnvelope::read(s, |s| read_emit(s, 1))) {
+    fn decode_line(line: &[u8]) -> Result<TypedResponse<Self>, String>;
+}
+
+impl<T: ReadResult> TypedReply for T {
+    fn decode_line(line: &[u8]) -> Result<TypedResponse<T>, String> {
+        let (id, body) = match scan(line, |s| ReplyEnvelope::read(s, |s| T::read(s, 1))) {
             Ok(envelope) => envelope.response()?,
             Err(_) => {
                 let tree = parse_checked(line)?;
-                let Ok(envelope) = ReplyEnvelope::read(&mut &tree, |r| read_emit(r, 1));
+                let Ok(envelope) = ReplyEnvelope::read(&mut &tree, |r| T::read(r, 1));
                 envelope.response()?
             }
         };
-        Ok(EmitResponse { id, body })
+        Ok(TypedResponse { id, body })
     }
+}
+
+/// A typed reply's `result` at `depth`, read by either reader into its
+/// member table and built by its one assembly.
+trait ReadResult: Sized {
+    fn read<'a, R: Reader<'a>>(r: &mut R, depth: usize) -> Result<Result<Self, String>, R::Error>;
+}
+
+/// A typed reply's `result` read from its tree: `T`'s `from_json`.
+fn from_tree<T: ReadResult>(v: &Json) -> Result<T, String> {
+    let Ok(reply) = T::read(&mut &*v, 0);
+    reply
 }
 
 // ---- line decoding: two readers, one table ------------------------------
@@ -1542,90 +1559,67 @@ const TACTICS: Names<TacticKind> = Names(&[
     (TacticKind::T3, "T3"),
 ]);
 
-fn opt_u64(v: Option<u64>) -> Json {
-    match v {
-        Some(n) => Json::Int(n as i128),
-        None => Json::Null,
-    }
-}
-
 impl EmitReply {
     /// Serialize to the `result` object of an `emit` response.
     pub fn to_json(&self) -> Json {
-        let s = &self.stats;
-        let z = &self.size;
+        let int = |v: u64| Json::Int(v.into());
+        let or_null = |v: Option<Json>| v.unwrap_or(Json::Null);
+        let (s, z) = (&self.stats, &self.size);
+        let report = |r: &SiteReport| {
+            obj(vec![
+                ("addr", int(r.addr)),
+                ("insn_len", int(r.insn_len.into())),
+                (
+                    "tactic",
+                    or_null(r.tactic.map(|t| Json::Str(TACTICS.name(t).into()))),
+                ),
+                ("trampoline", or_null(r.trampoline.map(int))),
+            ])
+        };
+        let mapping = |m: &WireMapping| {
+            obj(vec![
+                ("vaddr", int(m.vaddr)),
+                ("file_off", int(m.file_off)),
+                ("len", int(m.len)),
+            ])
+        };
         obj(vec![
             ("binary", Json::Str(hex_encode(&self.binary))),
             (
                 "stats",
                 obj(vec![
-                    ("b1", Json::Int(s.b1 as i128)),
-                    ("b2", Json::Int(s.b2 as i128)),
-                    ("t1", Json::Int(s.t1 as i128)),
-                    ("t2", Json::Int(s.t2 as i128)),
-                    ("t3", Json::Int(s.t3 as i128)),
-                    ("b0", Json::Int(s.b0 as i128)),
-                    ("failed", Json::Int(s.failed as i128)),
+                    ("b1", int(s.b1 as u64)),
+                    ("b2", int(s.b2 as u64)),
+                    ("t1", int(s.t1 as u64)),
+                    ("t2", int(s.t2 as u64)),
+                    ("t3", int(s.t3 as u64)),
+                    ("b0", int(s.b0 as u64)),
+                    ("failed", int(s.failed as u64)),
                 ]),
             ),
             (
                 "size",
                 obj(vec![
-                    ("input_bytes", Json::Int(z.input_bytes as i128)),
-                    ("output_bytes", Json::Int(z.output_bytes as i128)),
-                    ("virtual_blocks", Json::Int(z.virtual_blocks as i128)),
-                    ("physical_blocks", Json::Int(z.physical_blocks as i128)),
-                    ("mappings", Json::Int(z.mappings as i128)),
-                    ("granularity", Json::Int(z.granularity as i128)),
+                    ("input_bytes", int(z.input_bytes)),
+                    ("output_bytes", int(z.output_bytes)),
+                    ("virtual_blocks", int(z.virtual_blocks)),
+                    ("physical_blocks", int(z.physical_blocks)),
+                    ("mappings", int(z.mappings)),
+                    ("granularity", int(z.granularity)),
                 ]),
             ),
-            ("loader_addr", Json::Int(self.loader_addr as i128)),
-            ("trap_count", Json::Int(self.trap_count as i128)),
+            ("loader_addr", int(self.loader_addr)),
+            ("trap_count", int(self.trap_count)),
             (
                 "reports",
-                Json::Arr(
-                    self.reports
-                        .iter()
-                        .map(|r| {
-                            obj(vec![
-                                ("addr", Json::Int(r.addr as i128)),
-                                ("insn_len", Json::Int(r.insn_len as i128)),
-                                (
-                                    "tactic",
-                                    match r.tactic {
-                                        Some(t) => Json::Str(TACTICS.name(t).into()),
-                                        None => Json::Null,
-                                    },
-                                ),
-                                ("trampoline", opt_u64(r.trampoline)),
-                            ])
-                        })
-                        .collect(),
-                ),
+                Json::Arr(self.reports.iter().map(report).collect()),
             ),
             (
                 "mappings",
-                Json::Arr(
-                    self.mappings
-                        .iter()
-                        .map(|m| {
-                            obj(vec![
-                                ("vaddr", Json::Int(m.vaddr as i128)),
-                                ("file_off", Json::Int(m.file_off as i128)),
-                                ("len", Json::Int(m.len as i128)),
-                            ])
-                        })
-                        .collect(),
-                ),
+                Json::Arr(self.mappings.iter().map(mapping).collect()),
             ),
             ("cache", Json::Str(self.cache.name().into())),
-            (
-                "digest",
-                match &self.digest {
-                    Some(d) => Json::Str(d.clone()),
-                    None => Json::Null,
-                },
-            ),
+            ("digest", or_null(self.digest.clone().map(Json::Str))),
         ])
     }
 
@@ -1701,12 +1695,11 @@ impl EmitReply {
     ///
     /// A string description of the first malformed field.
     pub fn from_json(v: &Json) -> Result<EmitReply, String> {
-        let Ok(reply) = read_emit(&mut &*v, 0);
-        reply
+        from_tree(v)
     }
 
     /// The one assembly of an `emit` result from the members that
-    /// [`read_emit`] read: each member in order, its type rule and the
+    /// [`EmitReply::read`] read: each member in order, its type rule and the
     /// wording of its error.
     fn assemble(m: EmitMembers<'_>) -> Result<EmitReply, String> {
         let top = &m.top;
@@ -1948,7 +1941,7 @@ impl From<EmitReply> for RewriteOutput {
 }
 
 /// The members of an `emit` result, each at its first occurrence, as
-/// [`read_emit`] reads them.
+/// [`EmitReply::read`] reads them.
 struct EmitMembers<'a> {
     /// `binary`, `loader_addr`, `trap_count`, `cache` and `digest`.
     top: Fields<'a, 5>,
@@ -1961,58 +1954,53 @@ struct EmitMembers<'a> {
     mappings: Option<Result<Vec<WireMapping>, String>>,
 }
 
-/// The result of an `emit` reply at `depth`, read by either reader into
-/// one table and built by the one assembly.
-fn read_emit<'a, R: Reader<'a>>(
-    r: &mut R,
-    depth: usize,
-) -> Result<Result<EmitReply, String>, R::Error> {
-    const WHAT: &str = "emit reply";
-    let d = depth + 1;
-    let mut m = EmitMembers {
-        top: Fields::new(
-            WHAT,
-            ["binary", "loader_addr", "trap_count", "cache", "digest"],
-        ),
-        stats: None,
-        size: None,
-        reports: None,
-        mappings: None,
-    };
-    r.members(depth, |r, key| match key {
-        "stats" => first(&mut m.stats, r, d, |r| Fields::new(WHAT, STATS).read(r, d)),
-        "size" => first(&mut m.size, r, d, |r| Fields::new(WHAT, SIZE).read(r, d)),
-        "reports" => first(&mut m.reports, r, d, |r| {
-            each(r, d, "reports", Fields::new(WHAT, REPORT), |r| {
-                Ok(SiteReport {
-                    tactic: r
-                        .opt("tactic", Atom::str, "bad tactic field")?
-                        .map(|name| {
-                            TACTICS
-                                .named(&name)
-                                .ok_or_else(|| format!("bad tactic {name:?}"))
-                        })
-                        .transpose()?,
-                    trampoline: r.opt("trampoline", Atom::u64, "bad trampoline field")?,
-                    addr: r.u64("addr")?,
-                    insn_len: r.narrow("insn_len")?,
+impl ReadResult for EmitReply {
+    fn read<'a, R: Reader<'a>>(r: &mut R, depth: usize) -> Result<Result<Self, String>, R::Error> {
+        const WHAT: &str = "emit reply";
+        let d = depth + 1;
+        let mut m = EmitMembers {
+            top: Fields::new(WHAT, EMIT),
+            stats: None,
+            size: None,
+            reports: None,
+            mappings: None,
+        };
+        r.members(depth, |r, key| match key {
+            "stats" => first(&mut m.stats, r, d, |r| Fields::new(WHAT, STATS).read(r, d)),
+            "size" => first(&mut m.size, r, d, |r| Fields::new(WHAT, SIZE).read(r, d)),
+            "reports" => first(&mut m.reports, r, d, |r| {
+                each(r, d, "reports", Fields::new(WHAT, REPORT), |r| {
+                    Ok(SiteReport {
+                        tactic: r
+                            .opt("tactic", Atom::str, "bad tactic field")?
+                            .map(|name| {
+                                TACTICS
+                                    .named(&name)
+                                    .ok_or_else(|| format!("bad tactic {name:?}"))
+                            })
+                            .transpose()?,
+                        trampoline: r.opt("trampoline", Atom::u64, "bad trampoline field")?,
+                        addr: r.u64("addr")?,
+                        insn_len: r.narrow("insn_len")?,
+                    })
                 })
-            })
-        }),
-        "mappings" => first(&mut m.mappings, r, d, |r| {
-            each(r, d, "mappings", Fields::new(WHAT, MAPPING), |m| {
-                Ok(WireMapping {
-                    vaddr: m.u64("vaddr")?,
-                    file_off: m.u64("file_off")?,
-                    len: m.u64("len")?,
+            }),
+            "mappings" => first(&mut m.mappings, r, d, |r| {
+                each(r, d, "mappings", Fields::new(WHAT, MAPPING), |m| {
+                    Ok(WireMapping {
+                        vaddr: m.u64("vaddr")?,
+                        file_off: m.u64("file_off")?,
+                        len: m.u64("len")?,
+                    })
                 })
-            })
-        }),
-        _ => m.top.member(r, d, key),
-    })?;
-    Ok(EmitReply::assemble(m))
+            }),
+            _ => m.top.member(r, d, key),
+        })?;
+        Ok(EmitReply::assemble(m))
+    }
 }
 
+const EMIT: [&str; 5] = ["binary", "loader_addr", "trap_count", "cache", "digest"];
 const STATS: [&str; 7] = ["b1", "b2", "t1", "t2", "t3", "b0", "failed"];
 const SIZE: [&str; 6] = [
     "input_bytes",
@@ -2211,31 +2199,25 @@ pub struct HookReply {
 }
 
 impl HookReply {
-    /// Serialize to the `result` object of a `hook` response.
-    pub fn to_json(&self) -> Json {
-        obj(vec![
-            (
-                "hooks",
-                Json::Arr(
-                    self.hooks
-                        .iter()
-                        .map(|h| {
-                            obj(vec![
-                                ("id", Json::Int(h.id as i128)),
-                                ("flags", Json::Int(h.flags as i128)),
-                                ("func_addr", Json::Int(h.func_addr as i128)),
-                                ("payload_addr", Json::Int(h.payload_addr as i128)),
-                                ("thunk_addr", Json::Int(h.thunk_addr as i128)),
-                                ("counter_addr", Json::Int(h.counter_addr as i128)),
-                                ("name", Json::Str(h.name.clone())),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            ("counters_addr", opt_u64(self.counters_addr)),
-            ("manifest_addr", Json::Int(self.manifest_addr as i128)),
-        ])
+    /// Append the `result` object of a `hook` response to `out`.
+    pub fn write_json(&self, out: &mut Vec<u8>) {
+        ObjWriter::new(out)
+            .with("hooks", |out| {
+                write_array(out, &self.hooks, |out, h| {
+                    ObjWriter::new(out)
+                        .u64("id", u64::from(h.id))
+                        .u64("flags", u64::from(h.flags))
+                        .u64("func_addr", h.func_addr)
+                        .u64("payload_addr", h.payload_addr)
+                        .u64("thunk_addr", h.thunk_addr)
+                        .u64("counter_addr", h.counter_addr)
+                        .str("name", &h.name)
+                        .end()
+                })
+            })
+            .opt_u64("counters_addr", self.counters_addr)
+            .u64("manifest_addr", self.manifest_addr)
+            .end();
     }
 
     /// Decode the `result` object of a `hook` response: the tree read
@@ -2245,12 +2227,19 @@ impl HookReply {
     ///
     /// A string description of the first malformed field.
     pub fn from_json(v: &Json) -> Result<HookReply, String> {
+        from_tree(v)
+    }
+}
+
+impl ReadResult for HookReply {
+    fn read<'a, R: Reader<'a>>(r: &mut R, depth: usize) -> Result<Result<Self, String>, R::Error> {
         const WHAT: &str = "hook reply";
+        let d = depth + 1;
         let mut top = Fields::new(WHAT, ["counters_addr", "manifest_addr"]);
         let mut hooks = None;
-        let Ok(()) = Reader::members(&mut &*v, 0, |r, key| match key {
-            "hooks" => first(&mut hooks, r, 1, |r| {
-                each(r, 1, "hooks", Fields::new(WHAT, HOOK), |h| {
+        r.members(depth, |r, key| match key {
+            "hooks" => first(&mut hooks, r, d, |r| {
+                each(r, d, "hooks", Fields::new(WHAT, HOOK), |h| {
                     Ok(e9hook::HookRecord {
                         id: h.narrow("id")?,
                         flags: h.narrow("flags")?,
@@ -2262,13 +2251,17 @@ impl HookReply {
                     })
                 })
             }),
-            _ => top.member(r, 1, key),
-        });
-        Ok(HookReply {
-            hooks: hooks.unwrap_or_else(|| Err(top.missing("hooks")))?,
-            counters_addr: top.opt("counters_addr", Atom::u64, "hook reply: bad counters_addr")?,
-            manifest_addr: top.u64("manifest_addr")?,
-        })
+            _ => top.member(r, d, key),
+        })?;
+        let hooks = hooks.unwrap_or_else(|| Err(top.missing("hooks")));
+        Ok(hooks.and_then(|hooks| {
+            let bad = "hook reply: bad counters_addr";
+            Ok(HookReply {
+                hooks,
+                counters_addr: top.opt("counters_addr", Atom::u64, bad)?,
+                manifest_addr: top.u64("manifest_addr")?,
+            })
+        }))
     }
 }
 
@@ -2298,44 +2291,32 @@ pub struct CacheStatsReply {
 }
 
 impl CacheStatsReply {
-    /// Serialize to the `result` object of a `cache stats` response.
-    pub fn to_json(&self) -> Json {
+    /// Append the `result` object of a `cache stats` response to `out`.
+    pub fn write_json(&self, out: &mut Vec<u8>) {
         let s = &self.stats;
-        obj(vec![
-            ("enabled", Json::Bool(self.enabled)),
-            ("disk", Json::Bool(self.disk)),
-            ("hits", Json::Int(s.hits as i128)),
-            ("mem_hits", Json::Int(s.mem_hits as i128)),
-            ("disk_hits", Json::Int(s.disk_hits as i128)),
-            ("negative_hits", Json::Int(s.negative_hits as i128)),
-            ("misses", Json::Int(s.misses as i128)),
-            ("stores", Json::Int(s.stores as i128)),
-            ("mem_evictions", Json::Int(s.mem_evictions as i128)),
-            ("disk_evictions", Json::Int(s.disk_evictions as i128)),
-            ("verify_failures", Json::Int(s.verify_failures as i128)),
-            ("errors", Json::Int(s.errors as i128)),
-            ("mem_entries", Json::Int(s.mem_entries as i128)),
-            ("mem_bytes", Json::Int(s.mem_bytes as i128)),
-            ("bypasses", Json::Int(s.bypasses as i128)),
-            ("bypass_threshold", Json::Int(s.bypass_threshold as i128)),
-            ("disk_breaker_open", Json::Bool(s.disk_breaker_open)),
-            (
-                "disk_breaker_trips",
-                Json::Int(s.disk_breaker_trips as i128),
-            ),
-            (
-                "disk_breaker_fast_fails",
-                Json::Int(s.disk_breaker_fast_fails as i128),
-            ),
-            (
-                "disk_breaker_probes",
-                Json::Int(s.disk_breaker_probes as i128),
-            ),
-            (
-                "disk_breaker_recoveries",
-                Json::Int(s.disk_breaker_recoveries as i128),
-            ),
-        ])
+        ObjWriter::new(out)
+            .bool("enabled", self.enabled)
+            .bool("disk", self.disk)
+            .u64("hits", s.hits)
+            .u64("mem_hits", s.mem_hits)
+            .u64("disk_hits", s.disk_hits)
+            .u64("negative_hits", s.negative_hits)
+            .u64("misses", s.misses)
+            .u64("stores", s.stores)
+            .u64("mem_evictions", s.mem_evictions)
+            .u64("disk_evictions", s.disk_evictions)
+            .u64("verify_failures", s.verify_failures)
+            .u64("errors", s.errors)
+            .u64("mem_entries", s.mem_entries)
+            .u64("mem_bytes", s.mem_bytes)
+            .u64("bypasses", s.bypasses)
+            .u64("bypass_threshold", s.bypass_threshold)
+            .bool("disk_breaker_open", s.disk_breaker_open)
+            .u64("disk_breaker_trips", s.disk_breaker_trips)
+            .u64("disk_breaker_fast_fails", s.disk_breaker_fast_fails)
+            .u64("disk_breaker_probes", s.disk_breaker_probes)
+            .u64("disk_breaker_recoveries", s.disk_breaker_recoveries)
+            .end();
     }
 
     /// Decode the `result` object of a `cache stats` response: the tree
@@ -2345,8 +2326,7 @@ impl CacheStatsReply {
     ///
     /// A string description of the first malformed field.
     pub fn from_json(v: &Json) -> Result<CacheStatsReply, String> {
-        let Ok(m) = Fields::new("cache stats", CACHE_STATS).read(&mut &*v, 0);
-        CacheStatsReply::assemble(&m)
+        from_tree(v)
     }
 
     /// The one assembly of a `cache stats` result.
@@ -2378,6 +2358,13 @@ impl CacheStatsReply {
                 disk_breaker_recoveries: m.or("disk_breaker_recoveries", Atom::u64, 0),
             },
         })
+    }
+}
+
+impl ReadResult for CacheStatsReply {
+    fn read<'a, R: Reader<'a>>(r: &mut R, depth: usize) -> Result<Result<Self, String>, R::Error> {
+        let m = Fields::new("cache stats", CACHE_STATS).read(r, depth)?;
+        Ok(CacheStatsReply::assemble(&m))
     }
 }
 
@@ -2431,27 +2418,25 @@ pub struct HealthReply {
 }
 
 impl HealthReply {
-    /// Serialize to the `result` object of a `health` response.
-    pub fn to_json(&self) -> Json {
-        obj(vec![
-            ("cache", self.cache.to_json()),
-            (
-                "faults",
-                obj(vec![
-                    ("enabled", Json::Bool(self.faults_enabled)),
-                    ("injected", Json::Int(self.faults_injected as i128)),
-                    ("spec", Json::Str(self.fault_spec.clone())),
-                ]),
-            ),
-            ("serving_mode", Json::Str(self.serving_mode.clone())),
-            (
-                "shed",
-                obj(vec![
-                    ("admission", Json::Int(self.shed_admission as i128)),
-                    ("busy", Json::Int(self.shed_busy as i128)),
-                ]),
-            ),
-        ])
+    /// Append the `result` object of a `health` response to `out`.
+    pub fn write_json(&self, out: &mut Vec<u8>) {
+        ObjWriter::new(out)
+            .with("cache", |out| self.cache.write_json(out))
+            .with("faults", |out| {
+                ObjWriter::new(out)
+                    .bool("enabled", self.faults_enabled)
+                    .u64("injected", self.faults_injected)
+                    .str("spec", &self.fault_spec)
+                    .end()
+            })
+            .str("serving_mode", &self.serving_mode)
+            .with("shed", |out| {
+                ObjWriter::new(out)
+                    .u64("admission", self.shed_admission)
+                    .u64("busy", self.shed_busy)
+                    .end()
+            })
+            .end();
     }
 
     /// Decode the `result` object of a `health` response. Tolerant in
@@ -2463,34 +2448,7 @@ impl HealthReply {
     ///
     /// A string description of the first malformed field.
     pub fn from_json(v: &Json) -> Result<HealthReply, String> {
-        let mut top = Fields::new("health", ["serving_mode"]);
-        // A section that is absent has none of its members.
-        let no_shed = Fields::new("health", ["admission", "busy"]);
-        let no_faults = Fields::new("health", ["enabled", "spec", "injected"]);
-        let (mut cache, mut shed, mut faults) = (None, None, None);
-        let Ok(()) = Reader::members(&mut &*v, 0, |r, key| match key {
-            "cache" => first(&mut cache, r, 1, |r| {
-                Fields::new("cache stats", CACHE_STATS).read(r, 1)
-            }),
-            "shed" => first(&mut shed, r, 1, |r| no_shed.read(r, 1)),
-            "faults" => first(&mut faults, r, 1, |r| no_faults.read(r, 1)),
-            _ => top.member(r, 1, key),
-        });
-        let (shed, faults) = (shed.unwrap_or(no_shed), faults.unwrap_or(no_faults));
-        Ok(HealthReply {
-            serving_mode: top
-                .or("serving_mode", Atom::str, "unknown".into())
-                .into_owned(),
-            shed_admission: shed.or("admission", Atom::u64, 0),
-            shed_busy: shed.or("busy", Atom::u64, 0),
-            faults_enabled: faults.or("enabled", Atom::bool, false),
-            fault_spec: faults.or("spec", Atom::str, "".into()).into_owned(),
-            faults_injected: faults.or("injected", Atom::u64, 0),
-            cache: match cache {
-                Some(c) => CacheStatsReply::assemble(&c)?,
-                None => CacheStatsReply::default(),
-            },
-        })
+        from_tree(v)
     }
 
     /// One-line human summary, in the `CacheStats::summary` style.
@@ -2519,10 +2477,47 @@ impl HealthReply {
     }
 }
 
+impl ReadResult for HealthReply {
+    fn read<'a, R: Reader<'a>>(r: &mut R, depth: usize) -> Result<Result<Self, String>, R::Error> {
+        let d = depth + 1;
+        let mut top = Fields::new("health", ["serving_mode"]);
+        // A section that is absent has none of its members.
+        let no_shed = Fields::new("health", ["admission", "busy"]);
+        let no_faults = Fields::new("health", ["enabled", "spec", "injected"]);
+        let (mut cache, mut shed, mut faults) = (None, None, None);
+        r.members(depth, |r, key| match key {
+            "cache" => first(&mut cache, r, d, |r| CacheStatsReply::read(r, d)),
+            "shed" => first(&mut shed, r, d, |r| no_shed.read(r, d)),
+            "faults" => first(&mut faults, r, d, |r| no_faults.read(r, d)),
+            _ => top.member(r, d, key),
+        })?;
+        let (shed, faults) = (shed.unwrap_or(no_shed), faults.unwrap_or(no_faults));
+        let cache = cache.unwrap_or(Ok(CacheStatsReply::default()));
+        Ok(cache.map(|cache| HealthReply {
+            serving_mode: top
+                .or("serving_mode", Atom::str, "unknown".into())
+                .into_owned(),
+            shed_admission: shed.or("admission", Atom::u64, 0),
+            shed_busy: shed.or("busy", Atom::u64, 0),
+            faults_enabled: faults.or("enabled", Atom::bool, false),
+            fault_spec: faults.or("spec", Atom::str, "".into()).into_owned(),
+            faults_injected: faults.or("injected", Atom::u64, 0),
+            cache,
+        }))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::json::parse;
+
+    /// The text a writer appends.
+    fn written(write: impl FnOnce(&mut Vec<u8>)) -> String {
+        let mut out = Vec::new();
+        write(&mut out);
+        String::from_utf8(out).unwrap()
+    }
 
     #[test]
     fn hex_roundtrip() {
@@ -2848,7 +2843,7 @@ mod tests {
             counters_addr: Some(0x70100000),
             manifest_addr: 0x70200000,
         };
-        let text = reply.to_json().serialize();
+        let text = written(|out| reply.write_json(out));
         let back = HookReply::from_json(&parse(text.as_bytes()).unwrap()).unwrap();
         assert_eq!(back, reply);
         // No counters: null round-trips to None.
@@ -2856,7 +2851,7 @@ mod tests {
             counters_addr: None,
             ..reply
         };
-        let text = none.to_json().serialize();
+        let text = written(|out| none.write_json(out));
         assert_eq!(
             HookReply::from_json(&parse(text.as_bytes()).unwrap()).unwrap(),
             none
@@ -2916,7 +2911,7 @@ mod tests {
             manifest_addr: 0x70200000,
         };
         for (field, what) in [("id", "hook reply: id"), ("flags", "hook reply: flags")] {
-            let mut v = hooks.to_json();
+            let mut v = parse(written(|out| hooks.write_json(out)).as_bytes()).unwrap();
             set(&mut v, &["hooks", "0", field], 1 << 32);
             let e = HookReply::from_json(&v).unwrap_err();
             assert_eq!(e, format!("{what} 4294967296 out of range"));
@@ -3151,20 +3146,19 @@ mod tests {
                 disk_breaker_recoveries: 1,
             },
         };
-        let text = reply.to_json().serialize();
+        let text = written(|out| reply.write_json(out));
         let back = CacheStatsReply::from_json(&parse(text.as_bytes()).unwrap()).unwrap();
         assert_eq!(back, reply);
     }
 
     #[test]
     fn cache_stats_reply_tolerates_pre_breaker_servers() {
-        let text = CacheStatsReply {
+        let reply = CacheStatsReply {
             enabled: true,
             disk: true,
             ..CacheStatsReply::default()
-        }
-        .to_json()
-        .serialize();
+        };
+        let text = written(|out| reply.write_json(out));
         // Strip the breaker fields as an old server would omit them.
         let v = parse(text.as_bytes()).unwrap();
         let Json::Obj(fields) = v else { panic!() };
@@ -3199,7 +3193,7 @@ mod tests {
                 },
             },
         };
-        let text = reply.to_json().serialize();
+        let text = written(|out| reply.write_json(out));
         let back = HealthReply::from_json(&parse(text.as_bytes()).unwrap()).unwrap();
         assert_eq!(back, reply);
         let line = reply.summary();

@@ -12,9 +12,8 @@
 //! * one framer, `e9loop::LineFramer`, per connection in both modes;
 //! * sessions from [`Session::from_config`];
 //! * every complete request line answered by [`reply_line`] (blank-line
-//!   skip, panic isolation,
-//!   [`dispatch_line`](crate::server::dispatch_line)) and every over-long
-//!   one by [`oversized_line`].
+//!   skip, panic isolation, one-pass request decode, the result written
+//!   with no tree) and every over-long one by [`oversized_line`].
 //!
 //! ## The BUSY contract
 //!

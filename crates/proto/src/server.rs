@@ -3,9 +3,10 @@
 //! ([`crate::reactor`]), which shares this module's glue: one
 //! [`ServeConfig`], request lines split by `e9loop`'s [`LineFramer`],
 //! sessions from [`Session::from_config`], complete lines answered by
-//! [`reply_line`] (the decode and session of [`dispatch_line`], with
-//! the result written straight into the reply) and over-long ones by
-//! [`oversized_line`].
+//! [`reply_line`] (the request read in one pass, and its result written
+//! straight into the reply) and over-long ones by [`oversized_line`].
+//! [`reference_reply`] answers a line the way the protocol is specified,
+//! through JSON trees, and gives the same bytes.
 //!
 //! Each connection gets its own [`Session`]; a `shutdown` command ends the
 //! connection.
@@ -18,7 +19,7 @@
 //! and waits for its answer is never stalled.
 
 use crate::msg::{code, Request, Response, RpcError};
-use crate::session::{Answer, Session, SessionLimits};
+use crate::session::{Session, SessionLimits};
 use e9loop::{Frame, LineFramer};
 use std::io::{self, BufRead, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -114,12 +115,13 @@ pub fn serve_connection<R: BufRead, W: Write>(reader: &mut R, writer: &mut W) ->
 ///   discarded by the shared [`LineFramer`], answered with
 ///   [`code::LIMIT`];
 /// * malformed or over-quota requests → typed errors from
-///   [`dispatch_line`] / [`Session`];
+///   [`Request::decode_line`] / [`Session`];
 /// * a panic inside request handling → caught by [`reply_line`],
-///   answered with [`code::INTERNAL`]. [`dispatch_line`] itself stays
-///   panic-free by construction (the fault-injection campaign drives it
-///   directly and treats any unwind as a bug); this catch is defence in
-///   depth so one connection's bug can never take the daemon down.
+///   answered with [`code::INTERNAL`]. Decoding and handling stay
+///   panic-free by construction (the fault-injection campaign runs them
+///   without a catch through [`reference_reply`] on a twin session and
+///   treats any unwind as a bug); this catch is defence in depth so one
+///   connection's bug can never take the daemon down.
 ///
 /// # Errors
 ///
@@ -185,21 +187,26 @@ pub fn serve_connection_with<R: BufRead, W: Write>(
 
 /// Append the newline-terminated reply to one complete request line to
 /// `out`, shared by the stdio loop and the reactor: nothing for a blank
-/// line (skipped, no reply), otherwise the bytes of [`dispatch_line`]'s
-/// response, or [`code::INTERNAL`] if handling panicked. A result is
-/// written straight into `out`; an `emit` result builds no tree.
+/// line (skipped, no reply), otherwise the reply to the request read in
+/// one pass ([`Request::decode_line`]) and handled by [`Session`], its
+/// result written straight into `out` with no tree, or
+/// [`code::INTERNAL`] if handling panicked.
 pub fn reply_line(session: &mut Session, line: &[u8], out: &mut Vec<u8>) {
     if line.iter().all(u8::is_ascii_whitespace) {
         return;
     }
     let start = out.len();
-    let answered = catch_unwind(AssertUnwindSafe(|| match dispatch(session, line) {
-        Ok((id, Ok(answer))) => {
-            Response::write_ok(out, id, |out| answer.write_to(out));
-            out.push(b'\n');
+    let answered = catch_unwind(AssertUnwindSafe(|| {
+        match Request::decode_line(line.trim_ascii()) {
+            Ok(req) => match session.answer(req.cmd) {
+                Ok(answer) => {
+                    Response::write_ok(out, req.id, |out| answer.write_to(out));
+                    out.push(b'\n');
+                }
+                Err(e) => write_line(&Response::err(Some(req.id), e), out),
+            },
+            Err(refusal) => write_line(&refusal, out),
         }
-        Ok((id, Err(e))) => write_line(&Response::err(Some(id), e), out),
-        Err(refusal) => write_line(&refusal, out),
     }));
     if answered.is_err() {
         out.truncate(start);
@@ -222,41 +229,12 @@ pub(crate) fn write_line(resp: &Response, out: &mut Vec<u8>) {
     out.push(b'\n');
 }
 
-/// Decode and execute one raw request line against `session`, with the
-/// `result` as a tree.
-///
-/// It shares the protocol's single choke point with [`reply_line`]: a
-/// well-formed request is read once, with no JSON tree
-/// ([`Request::decode_line`]), and handled by [`Session`]. Malformed
-/// JSON becomes a [`code::PARSE`] error with a `null` id, a bad envelope
-/// or unknown method keeps its id when one is recoverable, and session
-/// errors are forwarded verbatim.
-pub fn dispatch_line(session: &mut Session, line: &[u8]) -> Response {
-    match dispatch(session, line) {
-        Ok((id, body)) => Response {
-            id: Some(id),
-            body: body.map(Answer::into_json),
-        },
-        Err(refusal) => refusal,
-    }
-}
-
-/// The request on `line`, decoded and handled: its id and answer, or the
-/// reply refusing a line that is not a request.
-fn dispatch(
-    session: &mut Session,
-    line: &[u8],
-) -> Result<(u64, Result<Answer, RpcError>), Response> {
-    let req = Request::decode_line(line.trim_ascii())?;
-    Ok((req.id, session.answer(req.cmd)))
-}
-
 /// The reference serving path for one request line, the one the wire
 /// protocol is specified by: [`crate::json::parse`], the tree decoder
 /// [`Request::decode`], [`Session::handle`], and the reply serialized
 /// from its tree ([`Response::to_json`]); no newline. `None` for a blank
-/// line. On the same session state, [`dispatch_line`]'s response encodes
-/// to the same bytes; the `e9fault` wire campaign checks that on twin
+/// line. On the same session state, [`reply_line`] writes the same bytes
+/// (and a newline); the `e9fault` wire campaign checks that on twin
 /// sessions.
 pub fn reference_reply(session: &mut Session, line: &[u8]) -> Option<String> {
     if line.iter().all(u8::is_ascii_whitespace) {

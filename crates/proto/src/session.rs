@@ -24,7 +24,7 @@
 //! reused. Server loops build sessions with [`Session::from_config`].
 
 use crate::cachekey;
-use crate::json::{obj, Json};
+use crate::json::{self, Json};
 use crate::msg::{
     self, code, CacheAction, CacheStatsReply, Command, EmitReply, HealthReply, HookReply, RpcError,
     PROTOCOL_VERSION,
@@ -164,8 +164,8 @@ impl Session {
     }
 
     /// Handle one command, returning the `result` payload as the server
-    /// writes it: an `emit` reply stays typed, and is written into the
-    /// reply line with no tree.
+    /// writes it, with no tree: `{}`, a small result written where it is
+    /// made, or an `emit` reply written straight into the reply line.
     pub(crate) fn answer(&mut self, cmd: Command) -> Result<Answer, RpcError> {
         // Everything except version negotiation requires it done first —
         // except `health`, which must work against a daemon an operator
@@ -173,7 +173,7 @@ impl Session {
         if self.version.is_none() && !matches!(cmd, Command::Version { .. } | Command::Health) {
             return Err(RpcError::state("version not negotiated"));
         }
-        let tree = match cmd {
+        match cmd {
             Command::Version { version } => self.version_cmd(version),
             Command::Binary { bytes, digest } => self.binary_cmd(bytes, digest),
             Command::Option { name, value } => self.option_cmd(&name, &value),
@@ -191,7 +191,7 @@ impl Session {
                     exec,
                     write,
                 });
-                Ok(Json::Obj(Vec::new()))
+                Ok(Answer::Empty)
             }
             Command::Instruction { addr, bytes } => self.instruction_cmd(addr, &bytes),
             Command::Patch { addr, template } => {
@@ -200,7 +200,7 @@ impl Session {
                 }
                 self.admit(0, 0, 1)?;
                 self.patches.push(PatchRequest { addr, template });
-                Ok(Json::Obj(Vec::new()))
+                Ok(Answer::Empty)
             }
             Command::Hook {
                 funcs,
@@ -213,18 +213,17 @@ impl Session {
                 call_original,
                 payload,
             }),
-            Command::Emit => return self.emit_cmd().map(|r| Answer::Emit(Box::new(r))),
-            Command::Cache { action } => self.cache_cmd(action),
-            Command::Health => Ok(self.health_reply().to_json()),
+            Command::Emit => self.emit_cmd().map(|r| Answer::Emit(Box::new(r))),
+            Command::Cache { action } => Ok(self.cache_cmd(action)),
+            Command::Health => Ok(Answer::written(|out| self.health_reply().write_json(out))),
             Command::Shutdown => {
                 self.shutdown = true;
-                Ok(Json::Obj(Vec::new()))
+                Ok(Answer::Empty)
             }
-        };
-        tree.map(Answer::Tree)
+        }
     }
 
-    fn version_cmd(&mut self, version: u64) -> Result<Json, RpcError> {
+    fn version_cmd(&mut self, version: u64) -> Result<Answer, RpcError> {
         if self.version.is_some() {
             return Err(RpcError::state("version already negotiated"));
         }
@@ -237,17 +236,15 @@ impl Session {
             ));
         }
         self.version = Some(version);
-        Ok(obj(vec![
-            ("version", Json::Int(PROTOCOL_VERSION as i128)),
-            ("server", Json::Str("e9patchd".into())),
-        ]))
+        let reply = format!(r#"{{"version":{PROTOCOL_VERSION},"server":"e9patchd"}}"#);
+        Ok(Answer::Written(reply.into_bytes()))
     }
 
     fn binary_cmd(
         &mut self,
         bytes: Vec<u8>,
         digest: Option<e9cache::Digest>,
-    ) -> Result<Json, RpcError> {
+    ) -> Result<Answer, RpcError> {
         if self.binary.is_some() {
             return Err(RpcError::state("binary already loaded"));
         }
@@ -277,20 +274,17 @@ impl Session {
             }
             self.binary_digest = Some(actual);
         }
-        let reply = obj(vec![
-            ("size", Json::Int(bytes.len() as i128)),
-            ("entry", Json::Int(elf.entry() as i128)),
-        ]);
+        let reply = format!(r#"{{"size":{},"entry":{}}}"#, bytes.len(), elf.entry());
         self.binary = Some(bytes);
-        Ok(reply)
+        Ok(Answer::Written(reply.into_bytes()))
     }
 
-    fn option_cmd(&mut self, name: &str, value: &str) -> Result<Json, RpcError> {
+    fn option_cmd(&mut self, name: &str, value: &str) -> Result<Answer, RpcError> {
         msg::apply_option(&mut self.config, name, value)?;
-        Ok(Json::Obj(Vec::new()))
+        Ok(Answer::Empty)
     }
 
-    fn instruction_cmd(&mut self, addr: u64, bytes: &[u8]) -> Result<Json, RpcError> {
+    fn instruction_cmd(&mut self, addr: u64, bytes: &[u8]) -> Result<Answer, RpcError> {
         if self.binary.is_none() {
             return Err(RpcError::state("instruction before binary"));
         }
@@ -310,14 +304,14 @@ impl Session {
             ));
         }
         self.insns.push(insn);
-        Ok(Json::Obj(Vec::new()))
+        Ok(Answer::Empty)
     }
 
     /// Plan a hook batch server-side and buffer its segments and patches
     /// exactly as if the client had streamed them: a following `emit`
     /// sees the identical batch (and derives the identical cache key) a
     /// locally-planning client would have produced.
-    fn hook_cmd(&mut self, spec: e9hook::HookSpec) -> Result<Json, RpcError> {
+    fn hook_cmd(&mut self, spec: e9hook::HookSpec) -> Result<Answer, RpcError> {
         let Some(binary) = self.binary.as_deref() else {
             return Err(RpcError::state("hook before binary"));
         };
@@ -329,12 +323,12 @@ impl Session {
         self.extra_bytes += plan_bytes;
         self.extra.extend(plan.extra);
         self.patches.extend(plan.requests);
-        Ok(HookReply {
+        let reply = HookReply {
             hooks: plan.hooks,
             counters_addr: plan.counters_addr,
             manifest_addr: plan.manifest_addr,
-        }
-        .to_json())
+        };
+        Ok(Answer::written(|out| reply.write_json(out)))
     }
 
     /// Run the buffered batch through the one cache policy,
@@ -357,18 +351,16 @@ impl Session {
         )?)
     }
 
-    fn cache_cmd(&mut self, action: CacheAction) -> Result<Json, RpcError> {
+    fn cache_cmd(&mut self, action: CacheAction) -> Answer {
         match action {
-            CacheAction::Stats => Ok(self.cache_stats().to_json()),
+            CacheAction::Stats => Answer::written(|out| self.cache_stats().write_json(out)),
             CacheAction::Clear => {
                 let (cleared, disk_removed) = match &self.cache {
                     Some(c) => (true, c.clear()),
                     None => (false, 0),
                 };
-                Ok(obj(vec![
-                    ("cleared", Json::Bool(cleared)),
-                    ("disk_removed", Json::Int(disk_removed as i128)),
-                ]))
+                let reply = format!(r#"{{"cleared":{cleared},"disk_removed":{disk_removed}}}"#);
+                Answer::Written(reply.into_bytes())
             }
         }
     }
@@ -403,19 +395,31 @@ impl Session {
 
 /// A command's `result` as the server writes it.
 pub(crate) enum Answer {
-    /// A tree, serialized canonically.
-    Tree(Json),
+    /// The empty `{}` result of every intake command.
+    Empty,
+    /// A small result, written once where it is made: the replies to
+    /// `version`, `binary`, `hook`, `cache` and `health`.
+    Written(Vec<u8>),
     /// An `emit` reply, written directly ([`EmitReply::write_json`]);
     /// boxed, so the answer to every other command stays small.
     Emit(Box<EmitReply>),
 }
 
 impl Answer {
-    /// The result as a tree: the reference form whose serialization
-    /// [`write_to`](Answer::write_to) matches byte for byte.
+    /// The result its writer `write` appends.
+    fn written(write: impl FnOnce(&mut Vec<u8>)) -> Answer {
+        let mut out = Vec::new();
+        write(&mut out);
+        Answer::Written(out)
+    }
+
+    /// The result as a tree, whose serialization is the bytes of
+    /// [`write_to`](Answer::write_to): a written result parsed back, or
+    /// the `emit` reply's own tree writer, [`EmitReply::to_json`].
     pub(crate) fn into_json(self) -> Json {
         match self {
-            Answer::Tree(v) => v,
+            Answer::Empty => Json::Obj(Vec::new()),
+            Answer::Written(text) => json::parse(&text).expect("a written result is JSON"),
             Answer::Emit(reply) => reply.to_json(),
         }
     }
@@ -423,7 +427,8 @@ impl Answer {
     /// Append the result's canonical text to `out`.
     pub(crate) fn write_to(&self, out: &mut Vec<u8>) {
         match self {
-            Answer::Tree(v) => v.write_to(out),
+            Answer::Empty => out.extend_from_slice(b"{}"),
+            Answer::Written(text) => out.extend_from_slice(text),
             Answer::Emit(reply) => reply.write_json(out),
         }
     }

@@ -12,10 +12,12 @@
 //! The rewrite cache's compact `emit` payload must decode to the reply it
 //! was encoded from, less the per-response cache fields.
 //! Every typed reply (`emit`, `hook`, `cache stats`, `health`) must read
-//! back as exactly the value its writer was given, from the canonical
-//! line and from a loose spelling of it. This checks the readers against
-//! the writers' input, not against each other, so a fault in the code
-//! the readers share still shows.
+//! back as exactly the value its writer was given, through the one-pass
+//! reader and through `from_json`, from the canonical line and from a
+//! loose spelling of it. This checks the readers against the writers'
+//! input, not against each other, so a fault in the code the readers
+//! share still shows. Each writer's text must be canonical: parsed and
+//! serialized again, it is the same bytes.
 //! The cache-key framing must be injective: decoding the key material of
 //! any job gives back exactly that job.
 
@@ -26,8 +28,8 @@ use e9proto::cachekey::{key_material, rewrite_key_from_digest};
 use e9proto::json::{self, Json};
 use e9proto::msg::{
     apply_option, code, config_options, hex_decode, hex_encode, CacheAction, CacheDisposition,
-    CacheStatsReply, Command, EmitReply, EmitResponse, HealthReply, HookReply, Request, Response,
-    RpcError, WireMapping, PROTOCOL_VERSION,
+    CacheStatsReply, Command, EmitReply, HealthReply, HookReply, Request, Response, RpcError,
+    TypedReply, TypedResponse, WireMapping, PROTOCOL_VERSION,
 };
 use e9qcheck::prelude::*;
 use e9x86::insn::Insn;
@@ -540,6 +542,40 @@ fn reply_lines(result: Json, draw: &mut impl FnMut() -> u8) -> [Vec<u8>; 2] {
     [canonical.into_bytes(), spelled.into_bytes()]
 }
 
+/// The text of a typed reply, as its writer `write` writes it.
+fn written<T>(reply: &T, write: fn(&T, &mut Vec<u8>)) -> Vec<u8> {
+    let mut out = Vec::new();
+    write(reply, &mut out);
+    out
+}
+
+/// `reply`'s written `result`, on a canonical reply line and spelled
+/// loosely, must read back as `reply` through the one-pass reader and
+/// through `from_json`.
+fn reads_back<T: TypedReply + Clone + PartialEq + std::fmt::Debug>(
+    reply: &T,
+    write: fn(&T, &mut Vec<u8>),
+    from_json: fn(&Json) -> Result<T, String>,
+    draw: &mut impl FnMut() -> u8,
+) -> TestCaseResult {
+    let result = json::parse(&written(reply, write)).unwrap();
+    for line in reply_lines(result, draw) {
+        let text = String::from_utf8_lossy(&line).into_owned();
+        prop_assert_eq!(
+            T::decode_line(&line),
+            Ok(TypedResponse {
+                id: Some(7),
+                body: Ok(Ok(reply.clone()))
+            }),
+            "{}",
+            text
+        );
+        let via_tree = read_result(&line).and_then(|v| from_json(&v));
+        prop_assert_eq!(via_tree, Ok(reply.clone()), "{}", text);
+    }
+    Ok(())
+}
+
 /// The `result` a client reads off a reply line.
 fn read_result(line: &[u8]) -> Result<Json, String> {
     let r = Response::decode_line(line)?;
@@ -877,8 +913,8 @@ props! {
         let reply = build_emit(binary, &n, &reports, &mappings, sel, digest);
         let intact = Response::ok(7, reply.to_json()).encode().into_bytes();
         prop_assert_eq!(
-            EmitResponse::decode_line(&intact),
-            Ok(EmitResponse { id: Some(7), body: Ok(Ok(reply.clone())) })
+            EmitReply::decode_line(&intact),
+            Ok(TypedResponse { id: Some(7), body: Ok(Ok(reply.clone())) })
         );
         // Loose spellings (reordered members, whitespace, escapes, unknown
         // and repeated keys) and damaged lines: the one-pass reader gives
@@ -894,12 +930,12 @@ props! {
             let via_tree = json::parse(&line)
                 .map_err(|e| e.to_string())
                 .and_then(|v| Response::decode(&v))
-                .map(|r| EmitResponse {
+                .map(|r| TypedResponse {
                     id: r.id,
                     body: r.body.map(|v| EmitReply::from_json(&v)),
                 });
             prop_assert_eq!(
-                EmitResponse::decode_line(&line),
+                EmitReply::decode_line(&line),
                 via_tree,
                 "{}",
                 String::from_utf8_lossy(&line)
@@ -940,37 +976,68 @@ props! {
         };
 
         let (binary, n, reports, mappings, sel, digest) = emit;
-        let emit = build_emit(binary, &n, &reports, &mappings, sel, digest);
-        let mut written = Vec::new();
-        emit.write_json(&mut written);
-        for line in reply_lines(json::parse(&written).unwrap(), &mut draw) {
-            let text = String::from_utf8_lossy(&line).into_owned();
-            prop_assert_eq!(
-                EmitResponse::decode_line(&line),
-                Ok(EmitResponse { id: Some(7), body: Ok(Ok(emit.clone())) }),
-                "{}",
-                text
-            );
-            let via_tree = read_result(&line).and_then(|v| EmitReply::from_json(&v));
-            prop_assert_eq!(via_tree, Ok(emit.clone()), "{}", text);
-        }
+        reads_back(
+            &build_emit(binary, &n, &reports, &mappings, sel, digest),
+            EmitReply::write_json,
+            EmitReply::from_json,
+            &mut draw,
+        )?;
+        reads_back(
+            &build_hook(&hooks, &name, addrs),
+            HookReply::write_json,
+            HookReply::from_json,
+            &mut draw,
+        )?;
+        reads_back(
+            &build_cache_stats(&counters, bits),
+            CacheStatsReply::write_json,
+            CacheStatsReply::from_json,
+            &mut draw,
+        )?;
+        reads_back(
+            &build_health(&counters, bits, &mode, &spec),
+            HealthReply::write_json,
+            HealthReply::from_json,
+            &mut draw,
+        )?;
+    }
 
-        let hook = build_hook(&hooks, &name, addrs);
-        for line in reply_lines(hook.to_json(), &mut draw) {
-            let got = read_result(&line).and_then(|v| HookReply::from_json(&v));
-            prop_assert_eq!(got, Ok(hook.clone()), "{}", String::from_utf8_lossy(&line));
-        }
-
-        let stats = build_cache_stats(&counters, bits);
-        for line in reply_lines(stats.to_json(), &mut draw) {
-            let got = read_result(&line).and_then(|v| CacheStatsReply::from_json(&v));
-            prop_assert_eq!(got, Ok(stats), "{}", String::from_utf8_lossy(&line));
-        }
-
-        let health = build_health(&counters, bits, &mode, &spec);
-        for line in reply_lines(health.to_json(), &mut draw) {
-            let got = read_result(&line).and_then(|v| HealthReply::from_json(&v));
-            prop_assert_eq!(got, Ok(health.clone()), "{}", String::from_utf8_lossy(&line));
+    #[test]
+    fn typed_reply_writers_write_canonical_json(
+        emit in (
+            vec(any::<u8>(), 0..32),
+            vec(any::<u64>(), 15..16),
+            vec((any::<u64>(), any::<u8>(), any::<u8>(), any::<u64>()), 0..6),
+            vec((any::<u64>(), any::<u64>(), any::<u64>()), 0..3),
+            any::<u8>(),
+            alpha(8),
+        ),
+        hooks in vec(
+            (any::<u32>(), any::<u32>(), any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
+            0..4,
+        ),
+        name in alpha(5),
+        addrs in (any::<u64>(), any::<u64>(), any::<bool>()),
+        counters in vec(any::<u64>(), 22..23),
+        bits in any::<u8>(),
+        mode in alpha(7),
+        spec in alpha(6),
+    ) {
+        // A tree writer serialized canonically by construction; each
+        // writer must write text that `serialize` gives back unchanged.
+        let (binary, n, reports, mappings, sel, digest) = emit;
+        let texts = [
+            written(
+                &build_emit(binary, &n, &reports, &mappings, sel, digest),
+                EmitReply::write_json,
+            ),
+            written(&build_hook(&hooks, &name, addrs), HookReply::write_json),
+            written(&build_cache_stats(&counters, bits), CacheStatsReply::write_json),
+            written(&build_health(&counters, bits, &mode, &spec), HealthReply::write_json),
+        ];
+        for text in texts {
+            let text = String::from_utf8(text).unwrap();
+            prop_assert_eq!(json::parse(text.as_bytes()).map(|v| v.serialize()), Ok(text.clone()));
         }
     }
 
@@ -1038,20 +1105,22 @@ props! {
 
 #[test]
 fn hostile_request_lines_get_in_band_errors() {
-    // The server's dispatch layer must answer garbage with typed errors
-    // and keep the session alive.
-    use e9proto::server::dispatch_line;
+    // The server's one request choke point must answer garbage with
+    // typed errors and keep the session alive.
+    use e9proto::server::reply_line;
     use e9proto::Session;
     let mut s = Session::new();
-    let r = dispatch_line(&mut s, b"}{not json");
+    let mut reply = |line: &[u8]| {
+        let mut out = Vec::new();
+        reply_line(&mut s, line, &mut out);
+        Response::decode_line(out.trim_ascii_end()).unwrap()
+    };
+    let r = reply(b"}{not json");
     assert_eq!(r.body.unwrap_err().code, code::PARSE);
-    let r = dispatch_line(&mut s, br#"{"id":true,"method":"emit"}"#);
+    let r = reply(br#"{"id":true,"method":"emit"}"#);
     assert_eq!(r.body.unwrap_err().code, code::INVALID_REQUEST);
     // The session still works afterwards.
-    let r = dispatch_line(
-        &mut s,
-        br#"{"jsonrpc":"2.0","id":1,"method":"version","params":{"version":1}}"#,
-    );
+    let r = reply(br#"{"jsonrpc":"2.0","id":1,"method":"version","params":{"version":1}}"#);
     assert!(r.body.is_ok());
 }
 

@@ -6,12 +6,13 @@
 //! method with each required member removed in turn, since the first
 //! missing member is the one named, and every template and payload kind.
 //! Each reply case pins the error string of `Response::decode_line` or of
-//! a typed `from_json` reader; an `emit` case pins it for the one-pass
-//! `EmitResponse::decode_line` too.
+//! a typed `from_json` reader, and of the one-pass
+//! `TypedReply::decode_line` for that reply too.
 
 use e9proto::json::{parse, Json};
 use e9proto::msg::{
-    CacheStatsReply, EmitReply, EmitResponse, HealthReply, HookReply, Request, Response,
+    CacheStatsReply, EmitReply, HealthReply, HookReply, Request, Response, TypedReply,
+    TypedResponse,
 };
 
 /// The reply a request line gets from both decoders: `ok` when it
@@ -635,7 +636,7 @@ fn emit_reply_errors_are_worded() {
     // A repeated member is read at its first occurrence, by both readers.
     let v = repeated(EMIT, "loader_addr", "4096", r#""x""#);
     let line = Response::ok(7, v.clone()).encode();
-    let body = EmitResponse::decode_line(line.as_bytes()).unwrap().body;
+    let body = EmitReply::decode_line(line.as_bytes()).unwrap().body;
     assert_eq!(body.unwrap().unwrap().loader_addr, 4096);
     assert_eq!(EmitReply::from_json(&v).unwrap().loader_addr, 4096);
     let mut cases: Vec<(Json, String)> = Vec::new();
@@ -725,8 +726,8 @@ fn emit_reply_errors_are_worded() {
         .filter_map(|(v, want)| {
             let got = EmitReply::from_json(v).unwrap_err();
             let line = Response::ok(7, v.clone()).encode();
-            let got_line = match EmitResponse::decode_line(line.as_bytes()) {
-                Ok(EmitResponse {
+            let got_line = match EmitReply::decode_line(line.as_bytes()) {
+                Ok(TypedResponse {
                     id: Some(7),
                     body: Ok(Err(e)),
                 }) => e,
@@ -748,6 +749,43 @@ fn emit_reply_errors_are_worded() {
     );
 }
 
+/// The typed reply in the `result` `v`, as `from_json` reads it from the
+/// tree; the one-pass reader must read the same from the reply line.
+fn read_both<T: TypedReply + PartialEq + std::fmt::Debug>(
+    v: &Json,
+    from_json: fn(&Json) -> Result<T, String>,
+) -> Result<T, String> {
+    let via_tree = from_json(v);
+    let line = Response::ok(7, v.clone()).encode();
+    match T::decode_line(line.as_bytes()) {
+        Ok(TypedResponse {
+            id: Some(7),
+            body: Ok(one_pass),
+        }) => assert_eq!(one_pass, via_tree, "the readers disagree on {line}"),
+        other => panic!("{line}: {other:?}"),
+    }
+    via_tree
+}
+
+fn hook_reply(v: &Json) -> Result<HookReply, String> {
+    read_both(v, HookReply::from_json)
+}
+
+fn cache_stats_reply(v: &Json) -> Result<CacheStatsReply, String> {
+    read_both(v, CacheStatsReply::from_json)
+}
+
+fn health_reply(v: &Json) -> Result<HealthReply, String> {
+    read_both(v, HealthReply::from_json)
+}
+
+/// The text a typed reply's writer writes.
+fn written(write: impl FnOnce(&mut Vec<u8>)) -> String {
+    let mut out = Vec::new();
+    write(&mut out);
+    String::from_utf8(out).unwrap()
+}
+
 const HOOK: &str = concat!(
     r#"{"hooks":[{"id":0,"flags":1,"func_addr":4198400,"payload_addr":8192,"thunk_addr":8256,"#,
     r#""counter_addr":12288,"name":"f"}],"counters_addr":12288,"manifest_addr":16384}"#
@@ -755,7 +793,7 @@ const HOOK: &str = concat!(
 
 #[test]
 fn hook_reply_errors_are_worded() {
-    assert!(HookReply::from_json(&parse(HOOK.as_bytes()).unwrap()).is_ok());
+    assert!(hook_reply(&parse(HOOK.as_bytes()).unwrap()).is_ok());
     let mut cases: Vec<(Json, String)> = Vec::new();
     for field in ["hooks", "manifest_addr"] {
         cases.push((
@@ -802,7 +840,7 @@ fn hook_reply_errors_are_worded() {
     let wrong: Vec<String> = cases
         .iter()
         .filter_map(|(v, want)| {
-            let got = HookReply::from_json(v).unwrap_err();
+            let got = hook_reply(v).unwrap_err();
             (got != *want).then(|| format!("{}\n  want {want}\n   got {got}", v.serialize()))
         })
         .collect();
@@ -813,20 +851,20 @@ fn hook_reply_errors_are_worded() {
         wrong.join("\n")
     );
     // A repeated member is read at its first occurrence.
-    let first = HookReply::from_json(&repeated(HOOK, "manifest_addr", "16384", r#""x""#));
+    let first = hook_reply(&repeated(HOOK, "manifest_addr", "16384", r#""x""#));
     assert_eq!(first.unwrap().manifest_addr, 16384);
     // An absent or null counters_addr reads as none.
     for v in [
         without(HOOK, &["counters_addr"]),
         with(HOOK, &["counters_addr"], "null"),
     ] {
-        assert_eq!(HookReply::from_json(&v).unwrap().counters_addr, None);
+        assert_eq!(hook_reply(&v).unwrap().counters_addr, None);
     }
 }
 
 #[test]
 fn cache_stats_and_health_reply_errors_are_worded() {
-    let stats = CacheStatsReply::default().to_json().serialize();
+    let stats = written(|out| CacheStatsReply::default().write_json(out));
     let required = [
         "enabled",
         "disk",
@@ -844,11 +882,11 @@ fn cache_stats_and_health_reply_errors_are_worded() {
         "mem_bytes",
     ];
     for field in required {
-        let got = CacheStatsReply::from_json(&without(&stats, &[field])).unwrap_err();
+        let got = cache_stats_reply(&without(&stats, &[field])).unwrap_err();
         assert_eq!(got, format!("cache stats: missing {field}"));
     }
     assert_eq!(
-        CacheStatsReply::from_json(&with(&stats, &["disk"], "0")).unwrap_err(),
+        cache_stats_reply(&with(&stats, &["disk"], "0")).unwrap_err(),
         "cache stats: missing disk"
     );
     // The later fields are optional: absent or mistyped reads as zero.
@@ -862,26 +900,26 @@ fn cache_stats_and_health_reply_errors_are_worded() {
         "disk_breaker_recoveries",
     ] {
         assert_eq!(
-            CacheStatsReply::from_json(&without(&stats, &[field])),
+            cache_stats_reply(&without(&stats, &[field])),
             Ok(CacheStatsReply::default())
         );
         assert_eq!(
-            CacheStatsReply::from_json(&with(&stats, &[field], "\"x\"")),
+            cache_stats_reply(&with(&stats, &[field], "\"x\"")),
             Ok(CacheStatsReply::default())
         );
     }
 
-    let health = HealthReply::default().to_json().serialize();
+    let health = written(|out| HealthReply::default().write_json(out));
     assert_eq!(
-        HealthReply::from_json(&without(&health, &["cache", "hits"])).unwrap_err(),
+        health_reply(&without(&health, &["cache", "hits"])).unwrap_err(),
         "cache stats: missing hits"
     );
     assert_eq!(
-        HealthReply::from_json(&with(&health, &["cache"], "1")).unwrap_err(),
+        health_reply(&with(&health, &["cache"], "1")).unwrap_err(),
         "cache stats: missing enabled"
     );
     // Every other section is optional.
-    let bare = HealthReply::from_json(&parse(b"{}").unwrap()).unwrap();
+    let bare = health_reply(&parse(b"{}").unwrap()).unwrap();
     assert_eq!(
         bare,
         HealthReply {
@@ -894,7 +932,7 @@ fn cache_stats_and_health_reply_errors_are_worded() {
         &["serving_mode"],
         "5",
     );
-    let mistyped = HealthReply::from_json(&mistyped).unwrap();
+    let mistyped = health_reply(&mistyped).unwrap();
     assert_eq!(
         (mistyped.serving_mode.as_str(), mistyped.shed_busy),
         ("unknown", 0)

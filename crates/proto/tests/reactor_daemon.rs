@@ -143,7 +143,7 @@ fn reference(bin: &[u8], disasm: &[e9x86::insn::Insn], sites: &[u64]) -> Vec<u8>
 
 /// The whole response transcript — every reply line for a pipelined full
 /// patch job, emit included — must be byte-identical between the reactor
-/// and a stdio session, which runs the same `dispatch_line` through
+/// and a stdio session, which runs the same `reply_line` through
 /// `serve_connection_with`.
 #[test]
 fn reactor_replies_are_byte_identical_to_stdio() {
