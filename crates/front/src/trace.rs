@@ -33,13 +33,6 @@ pub struct TraceRuntime {
     pub data_vaddr: u64,
 }
 
-impl TraceRuntime {
-    /// Total number of recorded events from a memory dump of the header.
-    pub fn event_count(header_cursor: u64) -> u64 {
-        header_cursor
-    }
-}
-
 /// Assemble the trace runtime. `capacity` must be a power of two (the
 /// ring index is computed with a mask).
 ///

@@ -101,11 +101,6 @@ impl Memory {
         PhysId(self.bufs.len() - 1)
     }
 
-    /// Size of a physical buffer.
-    pub fn phys_len(&self, id: PhysId) -> u64 {
-        self.bufs[id.0].len() as u64
-    }
-
     /// Map `len` bytes of physical buffer `phys` starting at `offset` to
     /// virtual address `vaddr`. All three values are rounded outward to
     /// page granularity. Existing mappings are replaced (MAP_FIXED
@@ -211,11 +206,6 @@ impl Memory {
             }
         }
         Ok(out)
-    }
-
-    /// Number of mapped pages (diagnostics).
-    pub fn mapped_pages(&self) -> usize {
-        self.pages.len()
     }
 
     /// Resident physical memory: total bytes of *distinct* physical pages

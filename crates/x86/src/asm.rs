@@ -751,17 +751,6 @@ impl<B: BorrowMut<Vec<u8>>> Asm<B> {
         });
     }
 
-    /// `call` to an absolute address (must be within rel32 range of the call
-    /// site).
-    pub fn call_abs(&mut self, target: u64) -> Result<(), AsmError> {
-        let from = self.here() + 5;
-        let d = target.wrapping_sub(from) as i64;
-        let d32 = i32::try_from(d).map_err(|_| AsmError::DispOutOfRange { from, to: target })?;
-        self.u8(0xE8);
-        self.i32le(d32);
-        Ok(())
-    }
-
     /// `jmp` to an absolute address (rel32 form).
     pub fn jmp_abs(&mut self, target: u64) -> Result<(), AsmError> {
         let from = self.here() + 5;
@@ -834,17 +823,6 @@ impl<B: BorrowMut<Vec<u8>>> Asm<B> {
         ];
         self.raw(BY_LEN[n]);
     }
-}
-
-/// Encode a bare `jmpq rel32` (the paper's fundamental `E9` instruction).
-pub fn encode_jmp_rel32(rel: i32) -> [u8; 5] {
-    let d = rel.to_le_bytes();
-    [0xE9, d[0], d[1], d[2], d[3]]
-}
-
-/// Encode a bare `jmp rel8`.
-pub fn encode_jmp_rel8(rel: i8) -> [u8; 2] {
-    [0xEB, rel as u8]
 }
 
 #[cfg(test)]

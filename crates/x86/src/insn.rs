@@ -508,17 +508,6 @@ impl Insn {
     pub fn is_heap_write(&self) -> bool {
         self.flags & HEAP != 0
     }
-
-    /// Byte offset of the relative-branch displacement field within the
-    /// instruction, if this is a relative branch.
-    #[inline]
-    pub fn branch_disp_offset(&self) -> Option<(u8, u8)> {
-        if self.kind.is_relative_branch() {
-            Some((self.imm_offset(), self.imm_len))
-        } else {
-            None
-        }
-    }
 }
 
 impl fmt::Debug for Insn {
