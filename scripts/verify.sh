@@ -59,7 +59,8 @@
 #      disk-full smoke boots a daemon whose cache CAS fails under an
 #      E9FAILPOINTS ENOSPC schedule: rewrites stay byte-identical while
 #      the disk circuit breaker trips to memory-only mode, probes, and
-#      recovers — the whole walk observed through `e9tool health`
+#      recovers — the whole walk observed through `e9tool health`, its
+#      summary and its raw `--json` reply
 #  10. hook smoke: `e9tool hook --func 'f*' --call-original` must leave
 #      program stdout byte-identical under e9vm while every counter
 #      fires (the payload side effect), hook output must be
@@ -332,6 +333,13 @@ grep -q "cache breaker: closed (1 trips, 1 recoveries, 14 fast-fails, 2 probes)"
   || { echo "breaker walk did not end in recovery with the pinned counters" >&2; exit 1; }
 grep -q "faults:        enabled, 4 injected" "$tmp/health.end.log" \
   || { echo "health did not report the injected-fault count" >&2; exit 1; }
+# The raw reply (`health --json`) carries the same pinned counters.
+"${e9tool[@]}" health --backend "$fsock" --json | tee "$tmp/health.end.json"
+for pin in '"disk_breaker_trips":1' '"disk_breaker_recoveries":1' \
+  '"disk_breaker_fast_fails":14' '"disk_breaker_probes":2' '"injected":4'; do
+  grep -qF "$pin" "$tmp/health.end.json" \
+    || { echo "health --json lacks $pin" >&2; exit 1; }
+done
 kill "$fpid" 2>/dev/null || true
 wait "$fpid" 2>/dev/null || true
 echo "disk-full walk: trip, probe, recovery, byte-identical throughout: ok"
