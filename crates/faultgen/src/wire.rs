@@ -4,8 +4,10 @@
 //! A "case" is a full client transcript (version → option → binary →
 //! instructions → patch → emit) with damage applied: truncation mid-line
 //! (a client dying mid-batch), byte flips, numeric inflation, line
-//! reordering / duplication / deletion (state-machine abuse) and injected
-//! garbage lines. The contract under test: every line gets a response or a clean
+//! reordering / duplication / deletion (state-machine abuse), injected
+//! garbage lines, and well-formed lines respelled so that the server's
+//! byte comparison for the canonical `instruction` line must refuse
+//! them. The contract under test: every line gets a response or a clean
 //! cut — never a panic — the same response, byte for byte, as the
 //! reference path (tree parse, tree decode, tree-serialized reply) gives
 //! on a twin session, and the session still answers a well-formed
@@ -99,12 +101,13 @@ pub fn mutate(rng: &mut StdRng, base: &[u8]) -> Vec<u8> {
     let mut bytes = base.to_vec();
     let moves = rng.gen_range(1..=3u32);
     for _ in 0..moves {
-        match rng.gen_range(0..6u32) {
+        match rng.gen_range(0..7u32) {
             0 => cut_stream(rng, &mut bytes),
             1 => flip_bytes(rng, &mut bytes),
             2 => inflate_numbers(rng, &mut bytes),
             3 => shuffle_lines(rng, &mut bytes),
             4 => inject_garbage_line(rng, &mut bytes),
+            5 => respell(rng, &mut bytes),
             _ => splice_line(rng, &mut bytes),
         }
     }
@@ -230,6 +233,79 @@ fn inject_garbage_line(rng: &mut StdRng, bytes: &mut Vec<u8>) {
         .collect();
     let at = *rng.choose(&lines).unwrap_or(&0);
     bytes.splice(at..at, garbage);
+}
+
+/// Rewrite the values of one request line, an `instruction` line when
+/// there is one, in a spelling only the single pass may read: its hex in
+/// uppercase, its id or address with a leading zero, a space after one
+/// colon, or its first `params` member moved after the others. The
+/// serving twin must then answer what the reference twin answers,
+/// though the line is one edit from the canonical line the server reads
+/// by comparing bytes.
+fn respell(rng: &mut StdRng, bytes: &mut Vec<u8>) {
+    let mut lines: Vec<Vec<u8>> = bytes
+        .split_inclusive(|&b| b == b'\n')
+        .map(<[u8]>::to_vec)
+        .collect();
+    let insns: Vec<usize> = (0..lines.len())
+        .filter(|&i| find(&lines[i], b"\"method\":\"instruction\"").is_some())
+        .collect();
+    let i = match rng.choose(&insns) {
+        Some(&i) => i,
+        None if !lines.is_empty() => rng.gen_range(0..lines.len()),
+        None => return,
+    };
+    let line = &mut lines[i];
+    match rng.gen_range(0..4u32) {
+        0 => {
+            if let Some(at) = find(line, b"\"bytes\":\"") {
+                let start = at + b"\"bytes\":\"".len();
+                let len = line[start..].iter().take_while(|&&b| b != b'"').count();
+                line[start..start + len].make_ascii_uppercase();
+            }
+        }
+        1 => {
+            let key: &[u8] = if rng.gen_bool(0.5) {
+                b"\"id\":"
+            } else {
+                b"\"addr\":"
+            };
+            if let Some(at) = find(line, key) {
+                line.insert(at + key.len(), b'0');
+            }
+        }
+        2 => {
+            let colons: Vec<usize> = (0..line.len()).filter(|&j| line[j] == b':').collect();
+            if let Some(&at) = rng.choose(&colons) {
+                line.insert(at + 1, b' ');
+            }
+        }
+        _ => {
+            // The first member of `params` moved after the rest:
+            // `{"a":1,"b":2}}` becomes `{"b":2,"a":1}}`.
+            let Some(at) = find(line, b"\"params\":{") else {
+                return;
+            };
+            let open = at + b"\"params\":{".len();
+            // `params` closes at the last `}` but one.
+            let ends: Vec<usize> = (0..line.len()).filter(|&j| line[j] == b'}').collect();
+            let close = ends.len().checked_sub(2).map_or(0, |k| ends[k]);
+            if let Some(comma) = line
+                .get(open..close)
+                .and_then(|p| p.iter().position(|&b| b == b','))
+            {
+                let (first, rest) = line[open..close].split_at(comma);
+                let swapped = [&rest[1..], b",", first].concat();
+                line.splice(open..close, swapped);
+            }
+        }
+    }
+    *bytes = lines.concat();
+}
+
+/// The offset of the first `needle` in `hay`.
+fn find(hay: &[u8], needle: &[u8]) -> Option<usize> {
+    hay.windows(needle.len()).position(|w| w == needle)
 }
 
 /// Glue two adjacent lines together (drop one newline): two JSON objects

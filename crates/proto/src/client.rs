@@ -26,13 +26,13 @@
 //! ASCII whitespace as the server trims requests, and decoded in one pass
 //! ([`Response::decode_line`]), so no JSON tree is built for a request,
 //! nor for an empty `{}` result. The typed calls (`emit`, `hook`,
-//! `cache_stats`, `health`) read their result straight into its reply
-//! type ([`TypedReply::decode_line`]), with no tree.
+//! `cache_stats`, `cache_clear`, `health`) read their result straight
+//! into its reply type ([`TypedReply::decode_line`]), with no tree.
 
 use crate::json;
 use crate::msg::{
-    CacheAction, CacheStatsReply, Command, EmitReply, HealthReply, HookReply, Request, Response,
-    RpcError, TypedReply, TypedResponse, PROTOCOL_VERSION,
+    CacheAction, CacheClearReply, CacheStatsReply, Command, EmitReply, HealthReply, HookReply,
+    Request, Response, RpcError, TypedReply, TypedResponse, PROTOCOL_VERSION,
 };
 use e9failpt::retry::{retry_interrupted, with_backoff, Backoff, EINTR_BUDGET};
 use std::collections::VecDeque;
@@ -502,14 +502,13 @@ impl ProtoClient {
     ///
     /// # Errors
     ///
-    /// As [`ProtoClient::call`].
+    /// As [`ProtoClient::call`], plus a reply without a boolean
+    /// `cleared`.
     pub fn cache_clear(&mut self) -> Result<bool, ClientError> {
-        let v = self.call(Command::Cache {
+        let cmd = Command::Cache {
             action: CacheAction::Clear,
-        })?;
-        Ok(v.get("cleared")
-            .and_then(json::Json::as_bool)
-            .unwrap_or(false))
+        };
+        Ok(self.call_with(cmd, CacheClearReply::decode_line)?.0)
     }
 
     /// Fetch the server's per-subsystem health snapshot (serving mode,
@@ -837,6 +836,30 @@ mod tests {
                     "{e}"
                 ),
                 (_, other) => panic!("refuse={refuse}: unexpected {other:?}"),
+            }
+            peer.join().unwrap();
+        }
+    }
+
+    /// A `cache clear` reply whose `cleared` is missing or not a boolean
+    /// is a protocol error, not the `false` of a server with no cache.
+    #[test]
+    fn cache_clear_without_a_boolean_cleared_is_a_protocol_error() {
+        for (result, want) in [
+            ("{}", None),
+            (r#"{"cleared":1}"#, None),
+            (r#"{"cleared":false,"disk_removed":0}"#, Some(false)),
+            (r#"{"cleared":true,"disk_removed":3}"#, Some(true)),
+        ] {
+            let (mut c, peer) = scripted(move |mut r, mut w| {
+                let (req, _) = next_request(&mut r).unwrap();
+                let result = json::parse(result.as_bytes()).unwrap();
+                answer(&mut w, &Response::ok(req.id, result));
+            });
+            match (c.cache_clear(), want) {
+                (Ok(cleared), Some(want)) => assert_eq!(cleared, want, "{result}"),
+                (Err(ClientError::Protocol(m)), None) => assert!(m.contains("cleared"), "{m}"),
+                (got, _) => panic!("{result}: unexpected {got:?}"),
             }
             peer.join().unwrap();
         }

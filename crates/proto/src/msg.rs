@@ -34,6 +34,9 @@
 //! Both readers fill one table per wire value, and one assembly builds
 //! the message or words its error, so they differ only in how they read
 //! bytes. The tree still words the error for a line that is not JSON.
+//! Two canonical lines skip even the single pass and are read by
+//! comparing bytes: an `instruction` request exactly as
+//! [`Request::encode_into`] writes it, and the empty `{}` success reply.
 
 use crate::json::{self, obj, Json, JsonError, Number, Scanner, Text};
 use e9patch::{
@@ -116,6 +119,11 @@ fn hex_encode_into(out: &mut Vec<u8>, bytes: &[u8]) {
 ///
 /// Odd length or non-hex characters (the first one is named).
 pub fn hex_decode(s: &str) -> Result<Vec<u8>, String> {
+    hex_decode_bytes(s.as_bytes())
+}
+
+/// [`hex_decode`] over the bytes of the text.
+fn hex_decode_bytes(s: &[u8]) -> Result<Vec<u8>, String> {
     /// Each byte's digit value, or `BAD`.
     const BAD: u8 = 0xff;
     const NIBBLES: [u8; 256] = {
@@ -137,7 +145,7 @@ pub fn hex_decode(s: &str) -> Result<Vec<u8>, String> {
         return Err(format!("odd hex length {}", s.len()));
     }
     let mut out = Vec::with_capacity(s.len() / 2);
-    for pair in s.as_bytes().chunks_exact(2) {
+    for pair in s.chunks_exact(2) {
         let (hi, lo) = (NIBBLES[usize::from(pair[0])], NIBBLES[usize::from(pair[1])]);
         // A digit's value is below 16; `BAD` is not.
         if (hi | lo) > 0xf {
@@ -515,10 +523,17 @@ impl Request {
     /// [`json::parse`] would, without building a tree, and only a line
     /// that passes the check goes on to the tree.
     ///
+    /// Before the pass, the exact line [`Request::encode_into`] writes for
+    /// an `instruction`, the bulk of every job, is read by comparing bytes
+    /// into the same request. Any other spelling of it goes to the pass.
+    ///
     /// # Errors
     ///
     /// The error reply, as [`Request::decode_line_via_tree`] gives it.
     pub fn decode_line(line: &[u8]) -> Result<Request, Response> {
+        if let Some(req) = instruction_line(line) {
+            return Ok(req);
+        }
         scan_request(line).unwrap_or_else(|_| match json::check(line) {
             Err(e) => Err(Response::err(
                 None,
@@ -727,13 +742,50 @@ impl Response {
 /// `reserve` and `option`, read by comparing bytes. Any other spelling
 /// is read by the single pass.
 fn empty_result_id(line: &[u8]) -> Option<u64> {
-    let digits = line
-        .strip_prefix(b"{\"jsonrpc\":\"2.0\",\"id\":")?
-        .strip_suffix(b",\"result\":{}}")?;
-    let canonical = matches!(digits, [b'0'] | [b'1'..=b'9', ..])
-        && digits.len() <= 19
-        && digits.iter().all(u8::is_ascii_digit);
-    canonical.then(|| digits.iter().fold(0, |n, &d| n * 10 + u64::from(d - b'0')))
+    let (id, rest) = plain_u64(line.strip_prefix(b"{\"jsonrpc\":\"2.0\",\"id\":")?)?;
+    (rest == b",\"result\":{}}").then_some(id)
+}
+
+/// The request of `line` if it is exactly the line [`Request::encode_into`]
+/// writes for [`Command::Instruction`]:
+/// `{"jsonrpc":"2.0","id":N,"method":"instruction","params":{"addr":A,"bytes":"H"}}`
+/// with `N` and `A` as [`plain_u64`] reads them and `H` one to fifteen
+/// bytes in lowercase hex. It is read by comparing bytes, and gives the
+/// request the single pass would; any other spelling is left to the
+/// single pass.
+fn instruction_line(line: &[u8]) -> Option<Request> {
+    let (id, rest) = plain_u64(line.strip_prefix(b"{\"jsonrpc\":\"2.0\",\"id\":")?)?;
+    let rest = rest.strip_prefix(b",\"method\":\"instruction\",\"params\":{\"addr\":")?;
+    let (addr, rest) = plain_u64(rest)?;
+    let hex = rest.strip_prefix(b",\"bytes\":\"")?.strip_suffix(b"\"}}")?;
+    if !matches!(hex.len(), 2..=30) || hex.iter().any(u8::is_ascii_uppercase) {
+        return None;
+    }
+    let bytes = hex_decode_bytes(hex).ok()?;
+    Some(Request {
+        id,
+        cmd: Command::Instruction { addr, bytes },
+    })
+}
+
+/// The integer at the start of `text` and the bytes after it, if it is
+/// written as [`json::Scanner`]'s fast rule reads one: `0`, or one to
+/// nineteen digits without a leading zero, followed by no further digit.
+/// Nineteen digits always fit a `u64`.
+fn plain_u64(text: &[u8]) -> Option<(u64, &[u8])> {
+    let len = text
+        .iter()
+        .take(20)
+        .take_while(|b| b.is_ascii_digit())
+        .count();
+    let (digits, rest) = text.split_at(len);
+    if len > 19 || !matches!(digits, [b'0'] | [b'1'..=b'9', ..]) {
+        return None;
+    }
+    Some((
+        digits.iter().fold(0, |n, &d| n * 10 + u64::from(d - b'0')),
+        rest,
+    ))
 }
 
 /// A line that the single pass stopped on, parsed for its tree: the
@@ -757,7 +809,8 @@ pub struct TypedResponse<T> {
 }
 
 /// A reply whose `result` has a type: [`EmitReply`], [`HookReply`],
-/// [`CacheStatsReply`] and [`HealthReply`].
+/// [`CacheStatsReply`], [`HealthReply`] and the `cache clear` reply's
+/// `cleared`.
 pub trait TypedReply: Sized {
     /// Decode one reply line in a single pass, its `result` into `Self`.
     /// Only a line the pass stops on is parsed, once [`json::check`]
@@ -2368,6 +2421,18 @@ impl ReadResult for CacheStatsReply {
     }
 }
 
+/// The `cleared` member of a successful `cache clear` response: whether
+/// the server has a cache at all. A reply without a boolean `cleared` is
+/// an error, never the `false` of a server with no cache.
+pub(crate) struct CacheClearReply(pub(crate) bool);
+
+impl ReadResult for CacheClearReply {
+    fn read<'a, R: Reader<'a>>(r: &mut R, depth: usize) -> Result<Result<Self, String>, R::Error> {
+        let m = Fields::new("cache clear", ["cleared"]).read(r, depth)?;
+        Ok(m.need("cleared", Atom::bool).map(CacheClearReply))
+    }
+}
+
 const CACHE_STATS: [&str; 21] = [
     "enabled",
     "disk",
@@ -2511,6 +2576,7 @@ impl ReadResult for HealthReply {
 mod tests {
     use super::*;
     use crate::json::parse;
+    use e9qcheck::prelude::*;
 
     /// The text a writer appends.
     fn written(write: impl FnOnce(&mut Vec<u8>)) -> String {
@@ -2734,6 +2800,31 @@ mod tests {
             empty_result_id(br#"{"jsonrpc":"2.0","id":01,"result":{}}"#),
             None
         );
+    }
+
+    props! {
+        /// Every line `encode_into` writes for an instruction of 1 to 15
+        /// bytes, with an id and an address below 10^19, is read by
+        /// comparing bytes: a byte path that never fired would pass the
+        /// equivalence property in `codec_props` all the same.
+        #[test]
+        fn encoded_instruction_lines_take_the_byte_path(
+            id in (1u32..=19, any::<u64>()),
+            addr in (1u32..=19, any::<u64>()),
+            bytes in vec(any::<u8>(), 1..16),
+        ) {
+            let below = |(digits, raw): (u32, u64)| raw % 10u64.pow(digits);
+            let req = Request {
+                id: below(id),
+                cmd: Command::Instruction {
+                    addr: below(addr),
+                    bytes,
+                },
+            };
+            let mut line = Vec::new();
+            req.encode_into(&mut line);
+            prop_assert_eq!(instruction_line(&line), Some(req));
+        }
     }
 
     #[test]

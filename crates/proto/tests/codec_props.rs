@@ -18,6 +18,9 @@
 //! input, not against each other, so a fault in the code the readers
 //! share still shows. Each writer's text must be canonical: parsed and
 //! serialized again, it is the same bytes.
+//! The `instruction` line read by comparing bytes must give the request
+//! the single pass gives, and every near miss of its spelling must get
+//! the tree decoder's answer.
 //! The cache-key framing must be injective: decoding the key material of
 //! any job gives back exactly that job.
 
@@ -576,6 +579,59 @@ fn reads_back<T: TypedReply + Clone + PartialEq + std::fmt::Debug>(
     Ok(())
 }
 
+/// A value with the digit count `sel` picks, from `raw`: 0, or a number
+/// of exactly 9, 10 or 19 digits.
+fn digits_of(sel: u8, raw: u64) -> u64 {
+    match sel % 4 {
+        0 => 0,
+        1 => 100_000_000 + raw % 900_000_000,
+        2 => 1_000_000_000 + raw % 9_000_000_000,
+        _ => 1_000_000_000_000_000_000 + raw % 9_000_000_000_000_000_000,
+    }
+}
+
+/// An `instruction` line spelled as `Request::encode_into` spells it,
+/// from the text of its three values.
+fn instruction_text(id: &str, addr: &str, hex: &str) -> String {
+    format!(
+        r#"{{"jsonrpc":"2.0","id":{id},"method":"instruction","params":{{"addr":{addr},"bytes":"{hex}"}}}}"#
+    )
+}
+
+/// The canonical line of `(id, addr, hex)` with one change `kind` picks,
+/// each a spelling or value the byte comparison must not take: uppercase
+/// hex, a leading zero, a 20-digit or overflowing number, odd-length or
+/// 32-digit hex, whitespace after a `:`, `bytes` before `addr`, an extra
+/// member, an escaped key, a repeated `addr`, another method, or a byte
+/// after the final `}`.
+fn near_miss(kind: u8, id: u64, addr: u64, hex: &str, extra: u8) -> String {
+    let (i, a) = (id.to_string(), addr.to_string());
+    let big = [
+        "18446744073709551615",
+        "10000000000000000000",
+        "18446744073709551616",
+    ][usize::from(extra % 3)];
+    match kind % 15 {
+        0 => instruction_text(&i, &a, &hex.to_uppercase()),
+        1 => instruction_text(&format!("0{i}"), &a, hex),
+        2 => instruction_text(&i, &format!("0{a}"), hex),
+        3 => instruction_text(big, &a, hex),
+        4 => instruction_text(&i, big, hex),
+        5 => instruction_text(&i, &a, &hex[..hex.len().saturating_sub(1)]),
+        6 => instruction_text(&i, &a, &"ab".repeat(16)),
+        7 => instruction_text(&i, &a, hex).replacen(":", ": ", 1 + usize::from(extra % 6)),
+        8 => format!(
+            r#"{{"jsonrpc":"2.0","id":{i},"method":"instruction","params":{{"bytes":"{hex}","addr":{a}}}}}"#
+        ),
+        9 => instruction_text(&i, &a, hex).replace(r#""method""#, r#""x":1,"method""#),
+        10 => instruction_text(&i, &a, hex).replace(r#""addr""#, r#""\u0061ddr""#),
+        11 => instruction_text(&i, &a, hex).replace(r#"{"addr""#, r#"{"addr":7,"addr""#),
+        12 => instruction_text(&i, &a, hex).replace(r#""instruction""#, r#""instructions""#),
+        13 => instruction_text(&i, &a, hex) + [" ", "}", "x", "\n"][usize::from(extra % 4)],
+        _ => instruction_text(&i, &a, hex).replace(r#",{"#, r#",{"x":[1],"#),
+    }
+}
+
 /// The `result` a client reads off a reply line.
 fn read_result(line: &[u8]) -> Result<Json, String> {
     let r = Response::decode_line(line)?;
@@ -868,6 +924,35 @@ props! {
             .map_err(|e| e.to_string())
             .and_then(|v| Response::decode(&v));
         prop_assert_eq!(Response::decode_line(&line), via_tree);
+    }
+
+    #[test]
+    fn instruction_byte_path_agrees_with_the_tree(
+        id_sel in any::<u8>(),
+        id_raw in any::<u64>(),
+        addr_sel in any::<u8>(),
+        addr_raw in any::<u64>(),
+        bytes in vec(any::<u8>(), 0..17),
+        kind in any::<u8>(),
+        extra in any::<u8>(),
+    ) {
+        let (id, addr) = (digits_of(id_sel, id_raw), digits_of(addr_sel, addr_raw));
+        let hex = hex_encode(&bytes);
+        let canonical = instruction_text(&id.to_string(), &addr.to_string(), &hex);
+        let req = Request {
+            id,
+            cmd: Command::Instruction { addr, bytes },
+        };
+        prop_assert_eq!(&req.encode(), &canonical);
+        prop_assert_eq!(Request::decode_line(canonical.as_bytes()), Ok(req));
+        for line in [canonical, near_miss(kind, id, addr, &hex, extra)] {
+            prop_assert_eq!(
+                Request::decode_line(line.as_bytes()),
+                Request::decode_line_via_tree(line.as_bytes()),
+                "{}",
+                line
+            );
+        }
     }
 
     #[test]

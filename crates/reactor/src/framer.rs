@@ -15,6 +15,10 @@
 //! A line that arrives whole inside one chunk is handed out as a slice
 //! of that chunk, so framing copies only lines that straddle reads, into
 //! one buffer reused for the life of the connection.
+//!
+//! The newline is found eight bytes at a time: each `u64` word of input
+//! is tested for a `\n` byte at once, and only the last few bytes of a
+//! chunk are looked at one by one.
 
 /// One framed request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,7 +68,7 @@ impl LineFramer {
             self.buf.clear();
             self.state = State::Filling;
         }
-        let Some(pos) = input.iter().position(|&b| b == b'\n') else {
+        let Some(pos) = find_newline(input) else {
             if self.state == State::Filling {
                 if self.buf.len().saturating_add(input.len()) > self.cap {
                     self.buf.clear();
@@ -100,6 +104,25 @@ impl LineFramer {
             _ => None,
         }
     }
+}
+
+/// The index of the first `\n` in `input`, eight bytes at a time.
+fn find_newline(input: &[u8]) -> Option<usize> {
+    const ONES: u64 = 0x0101_0101_0101_0101;
+    let mut words = input.chunks_exact(8);
+    for (i, word) in (&mut words).enumerate() {
+        // A `\n` byte is zero after the xor, so its subtraction borrows
+        // and sets its high bit. Borrows only mark bytes above the first
+        // zero byte, so the lowest mark is exact.
+        let x = u64::from_le_bytes(word.try_into().expect("eight bytes")) ^ (ONES * 0x0a);
+        let hit = x.wrapping_sub(ONES) & !x & (ONES * 0x80);
+        if hit != 0 {
+            return Some(8 * i + (hit.trailing_zeros() / 8) as usize);
+        }
+    }
+    let tail = words.remainder();
+    let at = input.len() - tail.len();
+    tail.iter().position(|&b| b == b'\n').map(|p| at + p)
 }
 
 #[cfg(test)]
@@ -177,5 +200,82 @@ mod tests {
         assert_eq!(frames(CAP, &[b"123456789"]), vec![None]);
         assert_eq!(frames(CAP, &[b"ok\n"]), vec![Some(b"ok".to_vec())]);
         assert_eq!(frames(CAP, &[]), Vec::<Owned>::new());
+    }
+
+    /// A small xorshift generator: the framer's tests take no dependency.
+    fn next(state: &mut u64) -> u64 {
+        *state ^= *state << 13;
+        *state ^= *state >> 7;
+        *state ^= *state << 17;
+        *state
+    }
+
+    /// Frames found with the plain byte-by-byte search, the reference for
+    /// the word scan, fed the same chunks.
+    fn frames_by_bytes(cap: usize, chunks: &[&[u8]]) -> Vec<Owned> {
+        let mut out = Vec::new();
+        let mut line = Vec::new();
+        let mut over = false;
+        for &b in chunks.concat().iter() {
+            if b == b'\n' {
+                out.push((!over && line.len() < cap).then(|| line.clone()));
+                line.clear();
+                over = false;
+            } else if !over && line.len() < cap {
+                line.push(b);
+            } else {
+                over = true;
+            }
+        }
+        if over || !line.is_empty() {
+            out.push((!over && line.len() <= cap).then_some(line));
+        }
+        out
+    }
+
+    #[test]
+    fn word_scan_finds_every_newline_the_byte_scan_finds() {
+        // Bytes that differ from `\n` in one bit, or share its low bits,
+        // beside it: a word test that borrowed wrongly would stop there.
+        const NEAR: [u8; 8] = [0x09, 0x0b, 0x8a, 0x80, 0xff, 0x0a ^ 0x20, 0x00, b'x'];
+        let mut state = 0x9e37_79b9_7f4a_7c15;
+        for case in 0..2000 {
+            let len = (next(&mut state) % 40) as usize;
+            let mut input: Vec<u8> = (0..len)
+                .map(|_| match next(&mut state) % 4 {
+                    0 => NEAR[(next(&mut state) % 8) as usize],
+                    1 => 0x80 | next(&mut state) as u8,
+                    _ => b'a' + (next(&mut state) % 26) as u8,
+                })
+                .map(|b| if b == b'\n' { b'y' } else { b })
+                .collect();
+            // A newline at every offset 0-17 in turn, sometimes a second.
+            let at = case % 18;
+            if at < input.len() {
+                input[at] = b'\n';
+            }
+            if next(&mut state) % 2 == 0 && !input.is_empty() {
+                let i = (next(&mut state) as usize) % input.len();
+                input[i] = b'\n';
+            }
+            let want = input.iter().position(|&b| b == b'\n');
+            assert_eq!(find_newline(&input), want, "{input:02x?}");
+
+            // Framing through random chunk splits matches the byte scan.
+            let cap = 1 + (next(&mut state) % 20) as usize;
+            let mut chunks = Vec::new();
+            let mut rest = &input[..];
+            while !rest.is_empty() {
+                let n = 1 + (next(&mut state) as usize) % rest.len();
+                let (chunk, tail) = rest.split_at(n);
+                chunks.push(chunk);
+                rest = tail;
+            }
+            assert_eq!(
+                frames(cap, &chunks),
+                frames_by_bytes(cap, &chunks),
+                "cap {cap}, {input:02x?}"
+            );
+        }
     }
 }

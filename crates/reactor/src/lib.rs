@@ -18,7 +18,8 @@
 //! campaign all drive it through `e9proto::reactor` with real sessions.
 //!
 //! Framing is the portable [`LineFramer`], which the stdio serving loop
-//! uses too, and [`Config`] is the one set of serving knobs. Only the
+//! uses too. It finds each newline a `u64` word (eight bytes) at a time,
+//! in std alone. [`Config`] is the one set of serving knobs. Only the
 //! event loop itself ([`serve`], [`Listener`] and the raw epoll bindings
 //! in `sys`) is Linux-only.
 //!

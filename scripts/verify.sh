@@ -26,7 +26,12 @@
 #      mutants across the ELF and wire surfaces; ELF mutants run through
 #      the instrumentation rewrite too; every wire reply line is read back
 #      by the client's one-pass readers and by the tree readers, which
-#      must agree) must complete with zero panics;
+#      must agree; the wire mutations include `respell`, which rewrites
+#      one request line, an `instruction` line when there is one, in a
+#      spelling the server's byte comparison must refuse: uppercase hex,
+#      a leading zero, a space after a colon, or members swapped; so
+#      every run compares near-canonical instruction lines against
+#      `reference_reply`) must complete with zero panics;
 #      failures print an E9FAULT_SEED replay line. Then the release
 #      `e9tool patch` of four corpus inputs that cannot be rewritten
 #      must exit 1 with a message and write no output: vaddr-wrap.bin (a
