@@ -30,9 +30,6 @@ pub enum Error {
     /// past the usable address space
     /// ([`MAX_ADDR`](crate::layout::MAX_ADDR)).
     BeyondAddressSpace(u64),
-    /// The file range of the load segment at this virtual address ends
-    /// past the end of the input, so no loader can map the segment.
-    SegmentBeyondFile(u64),
     /// The output would need this many program headers: the input's, one
     /// per extra segment, the loader's and the trap note's. `e_phnum`
     /// holds at most `PN_XNUM - 1` (65,534).
@@ -66,10 +63,6 @@ impl fmt::Display for Error {
                 f,
                 "the range starting at {a:#x} ends past the usable address space ({:#x})",
                 crate::layout::MAX_ADDR
-            ),
-            Error::SegmentBeyondFile(a) => write!(
-                f,
-                "the load segment at {a:#x} has file bytes past the end of the input"
             ),
             Error::TooManyProgramHeaders(n) => write!(
                 f,

@@ -190,9 +190,8 @@ impl<'a> Planner<'a> {
     ///
     /// [`Error::BeyondAddressSpace`] for a load segment or reserved range
     /// that ends past [`MAX_ADDR`], which hostile images use to wrap the
-    /// rounding below. [`Error::SegmentBeyondFile`] for a load segment
-    /// whose file range ends past the input: the loader refuses such an
-    /// image, so a rewrite of it could never run.
+    /// rounding below. Everything else about the segments was checked by
+    /// [`Elf::parse`].
     fn initial_space(
         elf: &Elf,
         cfg: &RewriteConfig,
@@ -204,22 +203,18 @@ impl<'a> Planner<'a> {
         let bs = cfg.granularity.max(1) * PAGE_SIZE;
         let block_floor = |v: u64| v / bs * bs;
         let block_ceil = |v: u64| v.div_ceil(bs) * bs;
-        let checked_end = |start: u64, end: Option<u64>| match end {
-            Some(end) if end <= MAX_ADDR => Ok(end),
+        let checked_end = |start: u64, end: u64| match end {
+            ..=MAX_ADDR => Ok(end),
             _ => Err(Error::BeyondAddressSpace(start)),
         };
         let mut space = AddressSpace::new();
         for p in elf.load_segments() {
-            match p.p_offset.checked_add(p.p_filesz) {
-                Some(file_end) if file_end <= elf.file_size() as u64 => {}
-                _ => return Err(Error::SegmentBeyondFile(p.p_vaddr)),
-            }
-            let end = checked_end(p.p_vaddr, p.p_vaddr.checked_add(p.p_memsz))?;
+            let end = checked_end(p.p_vaddr, p.p_vaddr + p.p_memsz)?;
             let start = block_floor(e9elf::page_floor(p.p_vaddr).saturating_sub(PAGE_SIZE));
             space.reserve(start, block_ceil(e9elf::page_ceil(end) + PAGE_SIZE));
         }
         for &(s, e) in reserved {
-            let e = checked_end(s, Some(e))?;
+            let e = checked_end(s, e)?;
             space.reserve(block_floor(s), block_ceil(e));
         }
         Ok(space)
@@ -237,9 +232,7 @@ impl<'a> Planner<'a> {
     /// # Errors
     ///
     /// [`Error::BeyondAddressSpace`] when a load segment or reserved
-    /// range ends past the usable address space;
-    /// [`Error::SegmentBeyondFile`] when a load segment's file range ends
-    /// past the input.
+    /// range ends past the usable address space.
     pub fn new(
         elf: Elf,
         insns: &'a [Insn],
@@ -250,7 +243,7 @@ impl<'a> Planner<'a> {
         let insns = e9x86::insn::by_address(insns);
         let backed: Vec<(u64, u64)> = elf
             .load_segments()
-            .map(|p| (p.p_vaddr, p.p_vaddr.saturating_add(p.p_filesz)))
+            .map(|p| (p.p_vaddr, p.p_vaddr + p.p_filesz))
             .collect();
         let locks = LockMap::over(&insns, &backed);
         Ok(Planner {

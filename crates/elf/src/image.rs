@@ -1,7 +1,18 @@
 //! Parsed ELF image with virtual-address ⇄ file-offset translation and
 //! in-place byte patching.
+//!
+//! [`Elf::parse`] is the one place that decides whether a `PT_LOAD`
+//! table is loadable. It refuses a `PT_LOAD` whose file range runs past
+//! the input, whose `p_filesz` exceeds `p_memsz`, whose page-rounded
+//! memory range wraps past 2^64, or whose `p_vaddr ≢ p_offset` modulo
+//! [`PAGE_SIZE`]; and two that share a page, unless both map it with the
+//! same `p_vaddr − p_offset`, neither is writable, and neither zero-fills
+//! part of a shared page. So a loader that maps in table order (the
+//! kernel's, e9vm's) shows at each file-backed address the byte
+//! [`Elf::slice_at`] reads there; e9vm and the planner keep no copy.
 
 use crate::types::*;
+use crate::{page_ceil, page_floor, PAGE_SIZE};
 use std::fmt;
 
 /// Errors from [`Elf::parse`] and image accessors.
@@ -15,6 +26,13 @@ pub enum ElfError {
     Unmapped(u64),
     /// Unsupported object type (only `ET_EXEC`/`ET_DYN` are handled).
     BadType(u16),
+    /// A `PT_LOAD` breaks a rule of the [module doc](self).
+    BadSegment {
+        /// The segment's `p_vaddr`.
+        vaddr: u64,
+        /// Which rule it breaks.
+        reason: &'static str,
+    },
 }
 
 impl fmt::Display for ElfError {
@@ -24,6 +42,7 @@ impl fmt::Display for ElfError {
             ElfError::Truncated(what) => write!(f, "truncated ELF: {what} out of bounds"),
             ElfError::Unmapped(a) => write!(f, "virtual address {a:#x} is not file-backed"),
             ElfError::BadType(t) => write!(f, "unsupported ELF type {t}"),
+            ElfError::BadSegment { vaddr, reason } => write!(f, "PT_LOAD at {vaddr:#x}: {reason}"),
         }
     }
 }
@@ -51,10 +70,12 @@ impl Elf {
     ///
     /// # Errors
     ///
-    /// Fails on bad magic/class/machine or truncated header tables. Section
-    /// headers are optional (stripped binaries parse fine). Every read is
-    /// bounds-checked: arbitrary input yields a typed [`ElfError`], never a
-    /// panic (the hostile-input corpus and `e9faultgen` enforce this).
+    /// Fails on bad magic/class/machine, truncated header tables, or a
+    /// `PT_LOAD` table a loader would not map as [`Elf::slice_at`] reads
+    /// it ([`ElfError::BadSegment`]). Section headers are optional and
+    /// unchecked. Every read is bounds-checked: arbitrary input yields a
+    /// typed [`ElfError`], never a panic (the hostile-input corpus and
+    /// `e9faultgen` enforce this).
     pub fn parse(bytes: &[u8]) -> Result<Elf, ElfError> {
         if bytes.len() < 6
             || bytes[0..4] != ELF_MAGIC
@@ -116,6 +137,7 @@ impl Elf {
                     .ok_or(ElfError::Truncated("program header"))
             })
             .collect::<Result<_, _>>()?;
+        check_load_segments(&phdrs, bytes.len() as u64)?;
         // Section headers (optional).
         let mut sections = Vec::new();
         if ehdr.e_shnum > 0 && ehdr.e_shoff != 0 {
@@ -206,60 +228,38 @@ impl Elf {
     /// [`ElfError::Unmapped`] if no segment's file-backed range covers
     /// `vaddr`.
     pub fn vaddr_to_offset(&self, vaddr: u64) -> Result<u64, ElfError> {
-        for p in self.load_segments() {
-            if p.covers_file(vaddr) {
-                // A hostile p_offset can sit near u64::MAX; the sum must
-                // not wrap into a plausible-looking low offset.
-                return p
-                    .p_offset
-                    .checked_add(vaddr - p.p_vaddr)
-                    .ok_or(ElfError::Truncated("segment offset"));
-            }
-        }
-        Err(ElfError::Unmapped(vaddr))
+        self.file_range(vaddr, 1).map(|r| r.start as u64)
     }
 
-    /// The file range of `len > 0` bytes at `vaddr`, when translating
-    /// each byte on its own ([`Elf::vaddr_to_offset`]) gives consecutive
-    /// file offsets.
+    /// The file range of `len > 0` bytes at `vaddr`: from the first
+    /// segment covering `vaddr`, walk on while the next covering segment
+    /// has the same `p_vaddr − p_offset` (parse made any covering one do).
     fn file_range(&self, vaddr: u64, len: usize) -> Result<std::ops::Range<usize>, ElfError> {
-        let last = vaddr
-            .checked_add(len as u64 - 1)
+        let covering = |v: u64| {
+            self.load_segments()
+                .find(|p| p.covers_file(v))
+                .ok_or(ElfError::Unmapped(v))
+        };
+        let end = vaddr
+            .checked_add(len as u64)
             .ok_or(ElfError::Unmapped(vaddr))?;
-        let (idx, seg) = self
-            .load_segments()
-            .enumerate()
-            .find(|(_, p)| p.covers_file(vaddr))
-            .ok_or(ElfError::Unmapped(vaddr))?;
-        let start = seg
-            .p_offset
-            .checked_add(vaddr - seg.p_vaddr)
-            .ok_or(ElfError::Truncated("segment offset"))?;
-        let range = usize::try_from(start)
-            .ok()
-            .and_then(|s| Some(s..s.checked_add(len)?))
-            .filter(|r| r.end <= self.data.len())
-            .ok_or(ElfError::Truncated("segment data"))?;
-        // Every byte translates through `seg` when `seg` covers the whole
-        // range and no segment ahead of it in the table touches it (the
-        // overlap test may err towards "touches"; the byte walk is exact).
-        let one_segment = seg.covers_file(last)
-            && self.load_segments().take(idx).all(|p| {
-                p.p_filesz == 0 || p.p_vaddr > last || p.p_vaddr.saturating_add(p.p_filesz) < vaddr
-            });
-        if !one_segment {
-            for i in 1..len as u64 {
-                if self.vaddr_to_offset(vaddr + i)? != start + i {
-                    return Err(ElfError::Unmapped(vaddr + i));
-                }
+        let seg = covering(vaddr)?;
+        let delta = seg.p_vaddr.wrapping_sub(seg.p_offset);
+        let mut backed_to = seg.p_vaddr + seg.p_filesz;
+        while backed_to < end {
+            let next = covering(backed_to)?;
+            if next.p_vaddr.wrapping_sub(next.p_offset) != delta {
+                return Err(ElfError::Unmapped(backed_to));
             }
+            backed_to = next.p_vaddr + next.p_filesz;
         }
-        Ok(range)
+        let start = vaddr.wrapping_sub(delta) as usize;
+        Ok(start..start + len)
     }
 
     /// Borrow `len` bytes of file-backed data at virtual address `vaddr`:
-    /// the bytes a byte-by-byte read through [`Elf::vaddr_to_offset`]
-    /// would return.
+    /// the bytes a loader maps there (the [module doc](self) says why
+    /// every loader that maps in table order agrees).
     ///
     /// # Errors
     ///
@@ -311,7 +311,7 @@ impl Elf {
         let mut hi = 0;
         for p in self.load_segments() {
             lo = lo.min(p.p_vaddr);
-            hi = hi.max(p.p_vaddr.saturating_add(p.p_memsz));
+            hi = hi.max(p.p_vaddr + p.p_memsz);
         }
         if lo == u64::MAX {
             (0, 0)
@@ -324,6 +324,53 @@ impl Elf {
     pub fn into_bytes(self) -> Vec<u8> {
         self.data
     }
+}
+
+/// Refuse a `PT_LOAD` table that breaks a rule of the [module doc](self),
+/// checking page sharing in one sweep: `e_phnum` admits 65,535 headers.
+fn check_load_segments(phdrs: &[Phdr], file_len: u64) -> Result<(), ElfError> {
+    const LAST_PAGE: u64 = u64::MAX - (PAGE_SIZE - 1);
+    let bad = |vaddr, reason| Err(ElfError::BadSegment { vaddr, reason });
+    // Page ranges `(lo, hi, vaddr, key)` a loader maps for each segment:
+    // its file pages, keyed by `p_vaddr − p_offset` unless it is writable
+    // (a private copy), then its last page, keyless if it is zero-filled.
+    let mut pieces = Vec::new();
+    for p in phdrs.iter().filter(|p| p.p_type == PT_LOAD) {
+        let v = p.p_vaddr;
+        if p.p_filesz > file_len || p.p_offset > file_len - p.p_filesz {
+            return bad(v, "file range runs past the end of the input");
+        }
+        if p.p_filesz > p.p_memsz {
+            return bad(v, "p_filesz exceeds p_memsz");
+        }
+        if v > LAST_PAGE || p.p_memsz > LAST_PAGE - v {
+            return bad(v, "memory range runs past the end of the address space");
+        }
+        if v % PAGE_SIZE != p.p_offset % PAGE_SIZE {
+            return bad(v, "p_vaddr and p_offset differ modulo the page size");
+        }
+        let (zero, hi) = (page_floor(v + p.p_filesz), page_ceil(v + p.p_memsz));
+        let key = (p.p_flags & PF_W == 0).then(|| v.wrapping_sub(p.p_offset));
+        pieces.push((page_floor(v), zero, v, key));
+        pieces.push((zero, hi, v, key.filter(|_| p.p_memsz == p.p_filesz)));
+    }
+    pieces.retain(|&(lo, hi, ..)| lo < hi);
+    pieces.sort_by_key(|&(lo, ..)| lo);
+    // `top` reaches furthest so far. A piece starting below its end shares
+    // a page with it and with every earlier open piece, all keyed alike.
+    let mut top: Option<(u64, Option<u64>)> = None;
+    for &(lo, hi, vaddr, key) in &pieces {
+        if let Some((end, top_key)) = top.filter(|&(end, _)| lo < end) {
+            if key.is_none() || key != top_key {
+                return bad(vaddr, "shares a page another PT_LOAD maps differently");
+            }
+            if hi <= end {
+                continue;
+            }
+        }
+        top = Some((hi, key));
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -405,6 +452,114 @@ mod tests {
         assert!(hi >= 0x404000 + 0x1000);
     }
 
+    /// `sample()` with the `PT_LOAD` at `vaddr` changed by `edit`.
+    fn with_segment(vaddr: u64, edit: impl FnOnce(&mut Phdr)) -> Vec<u8> {
+        let mut bytes = sample();
+        let elf = Elf::parse(&bytes).unwrap();
+        let i = elf.phdrs.iter().position(|p| p.p_vaddr == vaddr).unwrap();
+        let mut p = elf.phdrs[i];
+        edit(&mut p);
+        let at = elf.ehdr.e_phoff as usize + i * PHDR_SIZE;
+        bytes[at..at + PHDR_SIZE].copy_from_slice(&p.to_bytes());
+        bytes
+    }
+
+    /// The segment and rule `Elf::parse` names when it refuses `bytes`.
+    fn refusal(bytes: &[u8]) -> (u64, &'static str) {
+        match Elf::parse(bytes) {
+            Err(ElfError::BadSegment { vaddr, reason }) => (vaddr, reason),
+            other => panic!("expected BadSegment, got {:?}", other.map(|e| e.phdrs)),
+        }
+    }
+
+    #[test]
+    fn parse_refuses_each_unloadable_segment() {
+        type Edit = fn(&mut Phdr);
+        // The sample's `.rodata` is 4 bytes at 0x402000, file offset 0x2000;
+        // its `.text` is at 0x401000, file offset 0x1000.
+        let cases: [(Edit, u64, &str); 8] = [
+            (
+                |p| p.p_offset = u64::MAX - 1,
+                0x402000,
+                "past the end of the input",
+            ),
+            (
+                |p| (p.p_filesz, p.p_memsz) = (1 << 20, 1 << 20),
+                0x402000,
+                "past the end of the input",
+            ),
+            (|p| p.p_filesz = 5, 0x402000, "p_filesz exceeds p_memsz"),
+            (
+                |p| p.p_vaddr = u64::MAX - 0xFFF,
+                u64::MAX - 0xFFF,
+                "past the end of the address space",
+            ),
+            (|p| p.p_vaddr = 0x402010, 0x402010, "modulo the page size"),
+            // The text's page from another file page.
+            (|p| p.p_vaddr = 0x401000, 0x401000, "shares a page"),
+            // The text's page and file page, but writable...
+            (
+                |p| (p.p_vaddr, p.p_offset, p.p_flags) = (0x401000, 0x1000, PF_R | PF_W),
+                0x401000,
+                "shares a page",
+            ),
+            // ...or with a zero-filled tail there.
+            (
+                |p| (p.p_vaddr, p.p_offset, p.p_memsz) = (0x401000, 0x1000, 0x10),
+                0x401000,
+                "shares a page",
+            ),
+        ];
+        for (edit, vaddr, rule) in cases {
+            let (v, reason) = refusal(&with_segment(0x402000, edit));
+            assert_eq!(v, vaddr, "{reason}");
+            assert!(reason.contains(rule), "{reason}");
+        }
+        // Ending on the last page below 2^64 does not wrap.
+        let top = with_segment(0x402000, |p| p.p_vaddr = u64::MAX - 0x1FFF);
+        let elf = Elf::parse(&top).unwrap();
+        assert_eq!(elf.slice_at(u64::MAX - 0x1FFF, 4).unwrap(), &[1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn segments_sharing_pages_alike_read_one_byte_each() {
+        // `.rodata` re-pointed at the text's page and file page: the same
+        // bytes through either segment, so parse accepts it.
+        let bytes = with_segment(0x402000, |p| (p.p_vaddr, p.p_offset) = (0x401000, 0x1000));
+        let elf = Elf::parse(&bytes).unwrap();
+        assert_eq!(elf.slice_at(0x401000, 3).unwrap(), &[0x90, 0x90, 0xC3]);
+        assert_eq!(elf.vaddr_to_offset(0x401002), Ok(0x1002));
+    }
+
+    #[test]
+    fn page_sharing_is_checked_by_a_sweep_over_65535_headers() {
+        // e_phnum's largest count of copies of one segment: accepted, and
+        // refused once the last copy maps the page from elsewhere. Testing
+        // every pair would take ~2·10⁹ comparisons.
+        let mut bytes = sample();
+        let elf = Elf::parse(&bytes).unwrap();
+        let text = *elf.load_segments().find(|p| p.p_vaddr == 0x401000).unwrap();
+        let at = bytes.len().next_multiple_of(8);
+        bytes.resize(at, 0);
+        for _ in 0..PN_XNUM {
+            bytes.extend_from_slice(&text.to_bytes());
+        }
+        bytes[32..40].copy_from_slice(&(at as u64).to_le_bytes());
+        bytes[56..58].copy_from_slice(&PN_XNUM.to_le_bytes());
+        let elf = Elf::parse(&bytes).unwrap();
+        assert_eq!(elf.slice_at(0x401000, 3).unwrap(), &[0x90, 0x90, 0xC3]);
+        let last = bytes.len() - PHDR_SIZE;
+        let moved = Phdr {
+            p_offset: 0,
+            ..text
+        };
+        bytes[last..].copy_from_slice(&moved.to_bytes());
+        assert_eq!(
+            refusal(&bytes),
+            (0x401000, "shares a page another PT_LOAD maps differently")
+        );
+    }
+
     #[test]
     fn ranges_across_segments_read_what_single_bytes_read() {
         // The text segment is stretched to its page end, and the next
@@ -422,6 +577,7 @@ mod tests {
             let mut p = *p;
             if p.p_vaddr == 0x401000 {
                 p.p_filesz = 0x1000;
+                p.p_memsz = 0x1000;
             } else if p.p_vaddr == 0x402000 {
                 p.p_offset = 0;
             } else {

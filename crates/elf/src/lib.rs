@@ -8,6 +8,8 @@
 //! * [`image::Elf`] parses an existing binary into a navigable image with
 //!   virtual-address ⇄ file-offset translation (the rewriter patches bytes
 //!   *in place* and never moves existing data, per the paper's §5.1).
+//!   Parsing owns the one segment model: it refuses a `PT_LOAD` table a
+//!   loader would map otherwise than the image reads it ([`image`]).
 //! * [`build::ElfBuilder`] assembles synthetic executables (PIE and
 //!   non-PIE) from raw section bytes — the substitute for compiling
 //!   SPEC2006 with gcc.
@@ -49,7 +51,7 @@ pub fn page_floor(v: u64) -> u64 {
 /// Round `v` up to a page boundary.
 #[inline]
 pub fn page_ceil(v: u64) -> u64 {
-    (v + PAGE_SIZE - 1) & !(PAGE_SIZE - 1)
+    (v + (PAGE_SIZE - 1)) & !(PAGE_SIZE - 1)
 }
 
 #[cfg(test)]
@@ -62,5 +64,7 @@ mod tests {
         assert_eq!(page_ceil(0x1234), 0x2000);
         assert_eq!(page_ceil(0x1000), 0x1000);
         assert_eq!(page_floor(0), 0);
+        // The last page's start rounds to itself, without overflow.
+        assert_eq!(page_ceil(u64::MAX - 0xFFF), u64::MAX - 0xFFF);
     }
 }

@@ -127,16 +127,6 @@ impl Phdr {
         b
     }
 
-    /// Deserialize from the on-disk representation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b` is shorter than [`PHDR_SIZE`]; use
-    /// [`Phdr::try_from_bytes`] for untrusted input.
-    pub fn from_bytes(b: &[u8]) -> Phdr {
-        Phdr::try_from_bytes(b).expect("program header shorter than PHDR_SIZE")
-    }
-
     /// Deserialize from the on-disk representation, or `None` if the slice
     /// is shorter than [`PHDR_SIZE`]. Total: never panics.
     pub fn try_from_bytes(b: &[u8]) -> Option<Phdr> {
@@ -189,7 +179,8 @@ mod tests {
             p_memsz: 0x3000,
             p_align: 0x1000,
         };
-        assert_eq!(Phdr::from_bytes(&p.to_bytes()), p);
+        assert_eq!(Phdr::try_from_bytes(&p.to_bytes()), Some(p));
+        assert_eq!(Phdr::try_from_bytes(&p.to_bytes()[..PHDR_SIZE - 1]), None);
     }
 
     #[test]

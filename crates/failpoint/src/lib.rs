@@ -144,7 +144,6 @@ struct Term {
     fault: Fault,
     when: When,
     hits: AtomicU64,
-    fired: AtomicU64,
 }
 
 impl Term {
@@ -246,7 +245,6 @@ fn parse_spec(spec: &str, seed: u64) -> Result<Registry, String> {
             fault,
             when,
             hits: AtomicU64::new(0),
-            fired: AtomicU64::new(0),
         });
     }
     if terms.is_empty() {
@@ -356,25 +354,6 @@ pub fn active_spec() -> Option<String> {
     registry().map(|r| r.spec.clone())
 }
 
-/// Per-term `(pattern, hits, fired)` counters of the active schedule.
-#[must_use]
-pub fn point_report() -> Vec<(String, u64, u64)> {
-    registry()
-        .map(|r| {
-            r.terms
-                .iter()
-                .map(|t| {
-                    (
-                        t.pattern.clone(),
-                        t.hits.load(Ordering::Relaxed),
-                        t.fired.load(Ordering::Relaxed),
-                    )
-                })
-                .collect()
-        })
-        .unwrap_or_default()
-}
-
 /// Consult the failpoint named `point`. `None` (the overwhelmingly
 /// common answer) costs one relaxed atomic load when no schedule is
 /// active.
@@ -402,7 +381,6 @@ fn check_slow(point: &str) -> Option<Fault> {
             When::OneIn(n) => coin(reg.seed, &term.pattern, hit, n),
         };
         if fire {
-            term.fired.fetch_add(1, Ordering::Relaxed);
             INJECTED.fetch_add(1, Ordering::Relaxed);
             return Some(term.fault);
         }
@@ -522,10 +500,6 @@ mod tests {
             let _ = check("p");
         }
         assert_eq!(injected_total() - before, 2);
-        let report = point_report();
-        assert_eq!(report.len(), 1);
-        assert_eq!(report[0].1, 5); // hits
-        assert_eq!(report[0].2, 2); // fired
     }
 
     #[test]

@@ -60,17 +60,6 @@ impl Backoff {
         self.next = (d * 2).min(self.cap);
         Some(d)
     }
-
-    /// The full delay sequence of a fresh schedule (for tests and
-    /// documentation; consumes nothing from `self`).
-    #[must_use]
-    pub fn delays(mut self) -> Vec<Duration> {
-        let mut out = Vec::new();
-        while let Some(d) = self.next_delay() {
-            out.push(d);
-        }
-        out
-    }
 }
 
 /// Run `op` until it succeeds or the backoff budget is spent, sleeping
@@ -121,10 +110,14 @@ pub fn retry_interrupted<T>(budget: usize, mut op: impl FnMut() -> io::Result<T>
 mod tests {
     use super::*;
 
+    /// Every delay `b` hands out, in order.
+    fn delays(mut b: Backoff) -> Vec<Duration> {
+        std::iter::from_fn(|| b.next_delay()).collect()
+    }
+
     #[test]
     fn standard_schedule_doubles_to_the_cap() {
-        let ms: Vec<u64> = Backoff::standard(9)
-            .delays()
+        let ms: Vec<u64> = delays(Backoff::standard(9))
             .iter()
             .map(|d| u64::try_from(d.as_millis()).unwrap())
             .collect();
@@ -133,9 +126,9 @@ mod tests {
 
     #[test]
     fn attempt_budget_bounds_the_delays() {
-        assert!(Backoff::standard(0).delays().is_empty());
-        assert!(Backoff::standard(1).delays().is_empty());
-        assert_eq!(Backoff::standard(4).delays().len(), 3);
+        assert!(delays(Backoff::standard(0)).is_empty());
+        assert!(delays(Backoff::standard(1)).is_empty());
+        assert_eq!(delays(Backoff::standard(4)).len(), 3);
     }
 
     #[test]

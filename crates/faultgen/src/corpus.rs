@@ -15,7 +15,7 @@ use crate::elf::{
 use e9elf::types::{EHDR_SIZE, PHDR_SIZE, PT_NOTE, SHDR_SIZE, SHF_EXECINSTR};
 
 /// Names of every corpus entry, in generation order.
-pub const NAMES: [&str; 12] = [
+pub const NAMES: [&str; 14] = [
     "trunc-ehdr",
     "trunc-phdrs",
     "phnum-bomb",
@@ -28,6 +28,8 @@ pub const NAMES: [&str; 12] = [
     "note-wrap",
     "text-wrap",
     "phnum-max",
+    "overlap-congruent",
+    "vaddr-incongruent",
 ];
 
 /// Offset of program header `i` of the (well-formed) baseline.
@@ -113,6 +115,25 @@ pub fn generate(name: &str) -> Option<Vec<u8>> {
             put64(&mut b, EH_PHOFF, at as u64);
             put16(&mut b, EH_PHNUM, 0xFFFF);
         }
+        // The header PT_LOAD moved onto the text's page: both segments
+        // are page-congruent, but they map that page from different file
+        // pages (offset 0 and 0x1000), so a loader shows one segment's
+        // bytes where a reader through the other finds different ones.
+        "overlap-congruent" => {
+            let off = phdr(&b, 0);
+            put64(&mut b, off + PH_VADDR, 0x401000);
+        }
+        // A copy of the text PT_LOAD, appended to the table, at p_vaddr
+        // 0x401169 with p_offset 0x1000: the page offsets differ, so no
+        // loader can map it as the table says.
+        "vaddr-incongruent" => {
+            let text = phdr(&b, 1);
+            let copy = b[text..text + PHDR_SIZE].to_vec();
+            let at = phdr(&b, phnum);
+            b[at..at + PHDR_SIZE].copy_from_slice(&copy);
+            put64(&mut b, at + PH_VADDR, 0x401169);
+            put16(&mut b, EH_PHNUM, phnum + 1);
+        }
         _ => return None,
     }
     Some(b)
@@ -129,11 +150,13 @@ pub fn all() -> Vec<(&'static str, Vec<u8>)> {
 /// Corpus entries that a correct parser/loader **must reject** (the rest
 /// may degrade gracefully — e.g. a bad `e_shstrndx` only costs section
 /// names).
-pub const MUST_REJECT: [&str; 6] = [
+pub const MUST_REJECT: [&str; 8] = [
     "trunc-ehdr",
     "trunc-phdrs",
     "phnum-bomb",
     "vaddr-wrap",
     "offset-oob",
     "memsz-bomb",
+    "overlap-congruent",
+    "vaddr-incongruent",
 ];

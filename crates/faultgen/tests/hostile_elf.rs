@@ -72,17 +72,52 @@ fn corpus_failures_are_typed_not_stringly() {
         other => panic!("phnum-bomb: expected Truncated, got {other:?}"),
     }
 
-    // These parse (the header tables are intact) but must be refused by
-    // the loader's segment validation.
-    for name in ["vaddr-wrap", "offset-oob", "memsz-bomb"] {
-        let bytes = read(name);
-        e9elf::Elf::parse(&bytes).unwrap_or_else(|e| panic!("{name} should parse: {e:?}"));
+    // Intact header tables whose PT_LOAD table no loader maps as it
+    // reads: `Elf::parse` refuses each, naming the segment and the rule.
+    for (name, vaddr, rule) in [
+        ("vaddr-wrap", 0xffff_ffff_ffff_f000, "address space"),
+        ("offset-oob", 0x400000, "past the end of the input"),
+        ("memsz-bomb", 0x401000, "shares a page"),
+        ("overlap-congruent", 0x401000, "shares a page"),
+        ("vaddr-incongruent", 0x401169, "modulo the page size"),
+    ] {
+        match e9elf::Elf::parse(&read(name)) {
+            Err(e @ e9elf::ElfError::BadSegment { vaddr: v, reason }) => {
+                assert_eq!(v, vaddr, "{name}: {e}");
+                assert!(reason.contains(rule), "{name}: {e}");
+                assert!(e.to_string().contains(&format!("{vaddr:#x}")), "{e}");
+            }
+            other => panic!("{name}: expected BadSegment, got {other:?}"),
+        }
         let mut vm = e9vm::Vm::new();
         assert!(
-            e9vm::load_elf(&mut vm, &bytes).is_err(),
-            "{name} should be refused by the loader"
+            matches!(
+                e9vm::load_elf(&mut vm, &read(name)),
+                Err(e9vm::LoadError::Elf(e9elf::ElfError::BadSegment { .. }))
+            ),
+            "{name} should be refused by the loader's parse"
         );
     }
+}
+
+#[test]
+fn loader_memory_cap_refuses_an_image_that_parses() {
+    // A `.bss` past the one-segment cap: the table is loadable, so only
+    // the loader's own cap stands between it and a 2 GiB allocation.
+    let mut b = e9elf::build::ElfBuilder::exec(0x400000);
+    b.text(vec![0xC3], 0x401000);
+    b.bss(e9vm::load::MAX_SEGMENT_MEMSZ * 2, 0x500000);
+    b.entry(0x401000);
+    let bytes = b.build();
+    e9elf::Elf::parse(&bytes).expect("a loadable segment table");
+    let mut vm = e9vm::Vm::new();
+    assert_eq!(
+        e9vm::load_elf(&mut vm, &bytes),
+        Err(e9vm::LoadError::SegmentTooBig {
+            vaddr: 0x500000,
+            memsz: e9vm::load::MAX_SEGMENT_MEMSZ * 2,
+        })
+    );
 }
 
 #[test]

@@ -497,6 +497,24 @@ fn rewrite_config_from(args: &Args) -> Result<RewriteConfig, String> {
     Ok(cfg)
 }
 
+/// Write `bytes` to `out` only if `check` passes: stage them beside
+/// `out`, check, then commit. A failed check removes the staged file, so
+/// `out` keeps whatever it held before.
+fn write_checked(
+    out: &str,
+    bytes: &[u8],
+    check: impl FnOnce() -> Result<(), String>,
+) -> Result<(), String> {
+    let path = std::path::Path::new(out);
+    let cannot_write = |e: std::io::Error| format!("cannot write {out}: {e}");
+    let staged = e9front::output::stage(path, bytes).map_err(cannot_write)?;
+    if let Err(e) = check() {
+        let _ = std::fs::remove_file(&staged);
+        return Err(e);
+    }
+    e9front::output::commit(&staged, path).map_err(cannot_write)
+}
+
 fn cmd_patch(args: &Args) -> Result<(), String> {
     args.check_flags(&[REWRITE_FLAGS, &["app", "payload", "report", "verify"]].concat())?;
     let route = resolve_route(args)?;
@@ -534,9 +552,10 @@ fn cmd_patch(args: &Args) -> Result<(), String> {
         |exec| e9front::instrument_on(&bytes, &disasm, &opts, exec),
         |r| r.cache.as_ref(),
     )?;
-    e9front::output::write_atomic(std::path::Path::new(out_path), &res.rewrite.binary)
-        .map_err(|e| format!("cannot write {out_path}: {e}"))?;
-    if args.flag("verify") {
+    write_checked(out_path, &res.rewrite.binary, || {
+        if !args.flag("verify") {
+            return Ok(());
+        }
         let orig = parse_input(path, &bytes)?;
         let patched = e9elf::Elf::parse(&res.rewrite.binary).map_err(|e| e.to_string())?;
         match e9patch::verify::verify(
@@ -546,18 +565,21 @@ fn cmd_patch(args: &Args) -> Result<(), String> {
             &res.rewrite.mappings,
             &res.rewrite.reports,
         ) {
-            Ok(rep) => println!(
-                "verify: OK — {} preserved, {} diverted instruction starts",
-                rep.preserved, rep.diverted
-            ),
+            Ok(rep) => {
+                println!(
+                    "verify: OK — {} preserved, {} diverted instruction starts",
+                    rep.preserved, rep.diverted
+                );
+                Ok(())
+            }
             Err(violations) => {
                 for v in &violations {
                     eprintln!("verify: {v}");
                 }
-                return Err(format!("{} verification violations", violations.len()));
+                Err(format!("{} verification violations", violations.len()))
             }
         }
-    }
+    })?;
     if args.flag("report") {
         println!("site report (processing order, highest address first):");
         for r in &res.rewrite.reports {
@@ -839,6 +861,38 @@ mod tests {
 
     fn parse(words: &[&str]) -> Args {
         Args::parse(&words.iter().map(|s| s.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn failed_check_commits_nothing() {
+        let dir = std::env::temp_dir().join(format!("e9tool-checked-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let out = dir.join("out.e9");
+        let out_str = out.to_str().unwrap();
+        let files = || {
+            let mut v: Vec<String> = std::fs::read_dir(&dir)
+                .unwrap()
+                .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+                .collect();
+            v.sort();
+            v
+        };
+        let violations = || Err("6 verification violations".to_string());
+        assert_eq!(
+            write_checked(out_str, b"patched", violations),
+            Err("6 verification violations".into())
+        );
+        assert!(files().is_empty(), "{:?}", files());
+        // An earlier output survives a failed check; a passing one
+        // replaces it, and neither leaves a staging file behind.
+        std::fs::write(&out, b"previous").unwrap();
+        assert!(write_checked(out_str, b"patched", violations).is_err());
+        assert_eq!(std::fs::read(&out).unwrap(), b"previous");
+        write_checked(out_str, b"patched", || Ok(())).unwrap();
+        assert_eq!(std::fs::read(&out).unwrap(), b"patched");
+        assert_eq!(files(), ["out.e9"]);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

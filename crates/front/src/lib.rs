@@ -203,7 +203,17 @@ pub fn disassemble_text(binary: &[u8]) -> Result<Vec<Insn>, FrontError> {
     let bytes = elf
         .section_bytes(".text")
         .ok_or_else(|| FrontError::Input(".text has no file contents".into()))?;
-    in_address_space(".text", text.sh_addr, text.sh_size)?;
+    // Section headers are not checked at parse: refuse a `.text` whose
+    // last byte would sit past 2^64, so its addresses wrap.
+    let (vaddr, len) = (text.sh_addr, text.sh_size);
+    if len
+        .checked_sub(1)
+        .is_some_and(|last| vaddr.checked_add(last).is_none())
+    {
+        return Err(FrontError::Input(format!(
+            ".text at {vaddr:#x} ({len} bytes) runs past the end of the address space"
+        )));
+    }
     let mut out = Vec::new();
     // Honour a `.note.e9code` marker — `n × (vaddr u64, len u64)` code
     // ranges — when present: it bounds the sweep to real code, excluding
@@ -236,23 +246,12 @@ pub fn disassemble_text(binary: &[u8]) -> Result<Vec<Insn>, FrontError> {
     Ok(out)
 }
 
-/// Refuse `len` bytes of code at `vaddr` whose last byte would sit past
-/// 2^64: their addresses wrap.
-fn in_address_space(what: &str, vaddr: u64, len: u64) -> Result<(), FrontError> {
-    match len.checked_sub(1) {
-        Some(last) if vaddr.checked_add(last).is_none() => Err(FrontError::Input(format!(
-            "{what} at {vaddr:#x} ({len} bytes) runs past the end of the address space"
-        ))),
-        _ => Ok(()),
-    }
-}
-
 /// Fallback frontend for section-stripped binaries: linearly disassemble
 /// every executable `PT_LOAD` segment.
 ///
 /// # Errors
 ///
-/// Fails on unparseable ELF input, or on an executable segment whose
+/// Fails on unparseable ELF input, which includes a segment whose
 /// addresses would run past the end of the 64-bit address space.
 pub fn disassemble_exec_segments(binary: &[u8]) -> Result<Vec<Insn>, FrontError> {
     let elf = Elf::parse(binary).map_err(|e| FrontError::Input(e.to_string()))?;
@@ -261,7 +260,6 @@ pub fn disassemble_exec_segments(binary: &[u8]) -> Result<Vec<Insn>, FrontError>
         if ph.p_flags & e9elf::types::PF_X == 0 {
             continue;
         }
-        in_address_space("executable segment", ph.p_vaddr, ph.p_filesz)?;
         if let Ok(bytes) = elf.slice_at(ph.p_vaddr, ph.p_filesz as usize) {
             linear_sweep_into(bytes, ph.p_vaddr, &mut out);
         }

@@ -76,16 +76,6 @@ pub fn recursive_sweep(elf: &Elf, roots: &[u64]) -> Vec<Insn> {
     out.into_values().collect()
 }
 
-/// Recursive descent rooted at the entry point *and every function
-/// symbol* — the "partial disassembly with symbols" middle ground between
-/// pure recursion and a linear sweep. Indirectly-reached code that carries
-/// a symbol becomes visible.
-pub fn recursive_sweep_with_symbols(elf: &Elf) -> Vec<Insn> {
-    let mut roots = vec![elf.entry()];
-    roots.extend(e9elf::symbols::parse(elf).iter().map(|s| s.value));
-    recursive_sweep(elf, &roots)
-}
-
 fn exec_end(ranges: &[(u64, u64)], addr: u64) -> u64 {
     ranges
         .iter()
@@ -176,7 +166,9 @@ mod tests {
         let sb = generate(&p);
         let elf = Elf::parse(&sb.binary).unwrap();
         let plain = recursive_sweep(&elf, &[sb.entry]);
-        let with_syms = recursive_sweep_with_symbols(&elf);
+        let mut roots = vec![elf.entry()];
+        roots.extend(e9elf::symbols::parse(&elf).iter().map(|s| s.value));
+        let with_syms = recursive_sweep(&elf, &roots);
         // Symbols reveal every function body even when only indirectly
         // called; switch-case interiors remain invisible to both.
         assert!(

@@ -590,6 +590,39 @@ fn patch_verify_flag() {
         .unwrap();
     assert!(out.status.success(), "{out:?}");
     assert!(String::from_utf8_lossy(&out.stdout).contains("verify: OK"));
+    // The verified output is committed, and no staging file is left.
+    assert!(e9elf::Elf::parse(&std::fs::read(&patched).unwrap()).is_ok());
+    let mut files: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    files.sort();
+    assert_eq!(files, ["demo.e9", "demo.elf"]);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn segments_no_loader_maps_as_read_are_refused_with_no_output() {
+    // The hostile corpus's two overlap forms: `patch` and `run` each exit
+    // 1 with a diagnostic naming the segment, and `patch` writes nothing.
+    let corpus = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../faultgen/tests/corpus");
+    let dir = tmpdir("refused-segments");
+    for (name, names) in [
+        ("overlap-congruent", "PT_LOAD at 0x401000"),
+        ("vaddr-incongruent", "PT_LOAD at 0x401169"),
+    ] {
+        let input = corpus.join(format!("{name}.bin"));
+        let output = dir.join(format!("{name}.e9"));
+        let out_arg = output.to_str().unwrap();
+        assert_diagnostic(
+            &["patch", "-o", out_arg, "--payload", "counter", "--verify"],
+            &input,
+            &[names],
+        );
+        assert!(!output.exists(), "{name} wrote an output");
+        assert_diagnostic(&["run"], &input, &[names]);
+    }
+    assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0);
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -3,13 +3,14 @@
 //! hostile-ELF corpus) or a last `PT_LOAD` whose memsz is stretched to
 //! `u64::MAX` used to wrap the runtime placement and the planner's
 //! address-space rounding: a debug build panicked and a release build
-//! wrote an output. A `PT_LOAD` whose file range lies past EOF
-//! (`offset-oob.bin`) was rewritten into an output no loader accepts.
-//! Every driver must refuse all of them with a typed error, in-process
-//! and over a loopback daemon session. Code whose addresses wrap past
-//! 2^64 (`text-wrap.bin`, a `.text` placed 9 bytes below the top) used to
-//! panic a debug build's linear sweep; the frontends must refuse it
-//! before sweeping.
+//! wrote an output. Such images, and a `PT_LOAD` whose file range lies
+//! past EOF (`offset-oob.bin`), now fail `Elf::parse`. Images that parse
+//! but whose segments end at or near the top of the address space must
+//! still be refused with a typed error by the runtime placement, the
+//! planner and the hook layer, in-process and over a loopback daemon
+//! session. Code whose addresses wrap past 2^64 (`text-wrap.bin`, a
+//! `.text` placed 9 bytes below the top) used to panic a debug build's
+//! linear sweep; the frontends must refuse it before sweeping.
 
 use e9elf::types::{PF_X, PHDR_SIZE, PT_LOAD, SHDR_SIZE, SHF_EXECINSTR};
 use e9front::{Application, Exec, FrontError, Options, Payload};
@@ -36,23 +37,40 @@ fn read(b: &[u8], off: usize, n: usize) -> u64 {
         .fold(0u64, |v, &x| v << 8 | u64::from(x))
 }
 
-/// A well-formed synth binary whose last `PT_LOAD` claims `u64::MAX`
-/// bytes of memory.
+/// The highest end a page-rounded memory range can have without wrapping.
+const TOP: u64 = 0xFFFF_FFFF_FFFF_F000;
+
+/// Offsets of the synth binary's `PT_LOAD` headers, in table order.
+fn load_headers(b: &[u8]) -> Vec<usize> {
+    let phoff = read(b, 32, 8) as usize;
+    (0..read(b, 56, 2) as usize)
+        .map(|i| phoff + i * PHDR_SIZE)
+        .filter(|&off| read(b, off, 4) == u64::from(PT_LOAD))
+        .collect()
+}
+
+/// A well-formed synth binary whose first `PT_LOAD` (the header page)
+/// sits on the last page below [`TOP`].
+fn header_at_top() -> Vec<u8> {
+    let mut b = tiny();
+    let first = load_headers(&b)[0];
+    b[first + 16..first + 24].copy_from_slice(&(TOP - 0x1000).to_le_bytes());
+    b
+}
+
+/// A well-formed synth binary whose last `PT_LOAD` claims memory up to
+/// [`TOP`].
 fn stretched_memsz() -> Vec<u8> {
     let mut b = tiny();
-    let phoff = read(&b, 32, 8) as usize;
-    let phnum = read(&b, 56, 2) as usize;
-    let last = (0..phnum)
-        .map(|i| phoff + i * PHDR_SIZE)
-        .rfind(|&off| read(&b, off, 4) == u64::from(PT_LOAD))
-        .expect("a PT_LOAD");
-    b[last + 40..last + 48].copy_from_slice(&u64::MAX.to_le_bytes());
+    let last = *load_headers(&b).last().expect("a PT_LOAD");
+    let memsz = TOP - read(&b, last + 16, 8);
+    b[last + 40..last + 48].copy_from_slice(&memsz.to_le_bytes());
     b
 }
 
 fn inputs() -> [(&'static str, Vec<u8>); 2] {
     [
-        ("vaddr-wrap", corpus("vaddr-wrap.bin")),
+        ("header-at-top", header_at_top()),
         ("stretched-memsz", stretched_memsz()),
     ]
 }
@@ -114,38 +132,30 @@ fn daemon_sessions_refuse_with_typed_errors() {
     }
 }
 
-// `offset-oob.bin` has a `PT_LOAD` whose file range lies past EOF. It
-// parses, and its runtime segments fit, so the planner is what must
-// refuse it.
+// `offset-oob.bin` has a `PT_LOAD` whose file range lies past EOF, so it
+// fails `Elf::parse`: the frontend refuses it before any site is chosen,
+// and a daemon session refuses it at the `binary` command.
 
 #[test]
 fn segment_past_eof_is_a_typed_error_in_process() {
-    let bin = corpus("offset-oob.bin");
-    for payload in [Payload::Counter, Payload::Empty] {
-        match instrument(&bin, payload, Exec::Local) {
-            Err(FrontError::Rewrite(e9patch::Error::SegmentBeyondFile(_))) => {}
-            other => panic!("{payload:?}: {other:?}"),
-        }
-    }
-    match hook(&bin, Exec::Local) {
-        Err(FrontError::Rewrite(e9patch::Error::SegmentBeyondFile(_))) => {}
-        other => panic!("hook: {other:?}"),
+    match e9front::disassemble_text(&corpus("offset-oob.bin")) {
+        Err(FrontError::Input(m)) => assert!(m.contains("past the end of the input"), "{m}"),
+        other => panic!("{other:?}"),
     }
 }
 
 #[test]
 fn segment_past_eof_is_a_typed_error_over_a_daemon_session() {
-    let session = || e9proto::ProtoClient::in_process().expect("loopback daemon");
-    let bin = corpus("offset-oob.bin");
-    for payload in [Payload::Counter, Payload::Empty] {
-        match instrument(&bin, payload, Exec::Backend(&mut session())) {
-            Err(FrontError::Backend(m)) => assert!(m.contains("past the end of the input"), "{m}"),
-            other => panic!("{payload:?}: {other:?}"),
+    let mut session = e9proto::ProtoClient::in_process().expect("loopback daemon");
+    session.negotiate().unwrap();
+    match session.call(e9proto::Command::Binary {
+        bytes: corpus("offset-oob.bin"),
+        digest: None,
+    }) {
+        Err(e9proto::ClientError::Rpc(e)) => {
+            assert!(e.message.contains("past the end of the input"), "{e}")
         }
-    }
-    match hook(&bin, Exec::Backend(&mut session())) {
-        Err(FrontError::Backend(m)) => assert!(m.contains("past the end of the input"), "{m}"),
-        other => panic!("hook: {other:?}"),
+        other => panic!("{other:?}"),
     }
 }
 

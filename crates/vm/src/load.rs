@@ -1,16 +1,22 @@
 //! ELF loading into the emulator.
 //!
 //! Mirrors the kernel loader closely enough for the reproduction:
-//! `PT_LOAD` segments are mapped (read-only/executable segments *alias* the
-//! file image — so a grouped physical block really is shared; writable
-//! segments get private copies, i.e. `MAP_PRIVATE` copy semantics), the
-//! `.bss` tail is zero-filled, a stack is mapped, and the file image is
-//! registered as fd [`SELF_FD`] for the injected loader's `mmap` calls.
-//! `PT_NOTE` segments are scanned for the B0 trap manifest.
+//! `PT_LOAD` segments are mapped in table order (read-only/executable
+//! segments *alias* the file image — so a grouped physical block really is
+//! shared; writable segments get private copies, i.e. `MAP_PRIVATE` copy
+//! semantics), the `.bss` tail is zero-filled, a stack is mapped, and the
+//! file image is registered as fd [`SELF_FD`] for the injected loader's
+//! `mmap` calls. `PT_NOTE` segments are scanned for the B0 trap manifest.
+//!
+//! The segment table is trusted as [`Elf::parse`] accepted it (the rules
+//! in [`e9elf::image`]), so mapping in table order shows each file-backed
+//! byte [`Elf::slice_at`] reads, and what Linux would not map is refused
+//! too. The loader adds only the caps [`MAX_SEGMENT_MEMSZ`] and
+//! [`MAX_TOTAL_MEMSZ`].
 
 use crate::exec::{Vm, STACK_SIZE, STACK_TOP};
 use crate::mem::{Perms, PAGE_SIZE};
-use e9elf::types::{PF_W, PF_X, PT_LOAD, PT_NOTE};
+use e9elf::types::{Phdr, PF_W, PF_X, PT_LOAD, PT_NOTE};
 use e9elf::{Elf, ElfError};
 use std::fmt;
 
@@ -30,14 +36,8 @@ pub const MAX_TOTAL_MEMSZ: u64 = 1 << 32;
 /// Loading error.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LoadError {
-    /// Malformed ELF.
+    /// Malformed ELF, including a segment table [`Elf::parse`] refuses.
     Elf(ElfError),
-    /// A `PT_LOAD` segment's file range lies outside the binary image, its
-    /// address range wraps, or `p_filesz > p_memsz`.
-    SegmentBounds {
-        /// The offending segment's virtual address.
-        vaddr: u64,
-    },
     /// A segment (or the whole image) asks for an implausible amount of
     /// memory — see [`MAX_SEGMENT_MEMSZ`] / [`MAX_TOTAL_MEMSZ`].
     SegmentTooBig {
@@ -52,9 +52,6 @@ impl fmt::Display for LoadError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             LoadError::Elf(e) => write!(f, "load failed: {e}"),
-            LoadError::SegmentBounds { vaddr } => {
-                write!(f, "load failed: segment at {vaddr:#x} out of file bounds")
-            }
             LoadError::SegmentTooBig { vaddr, memsz } => write!(
                 f,
                 "load failed: segment at {vaddr:#x} requests {memsz:#x} bytes of memory"
@@ -71,57 +68,27 @@ impl From<ElfError> for LoadError {
     }
 }
 
-/// Validate one `PT_LOAD` header against the file image and the size caps
-/// before anything is mapped. Returns the page-rounded memory length.
-fn check_load_segment(
-    ph: &e9elf::types::Phdr,
-    file_len: usize,
-    total: &mut u64,
-) -> Result<u64, LoadError> {
-    let bounds = LoadError::SegmentBounds { vaddr: ph.p_vaddr };
-    // File range fully inside the image, and no more file than memory.
-    let file_end = ph.p_offset.checked_add(ph.p_filesz).ok_or(bounds.clone())?;
-    if file_end > file_len as u64 || ph.p_filesz > ph.p_memsz {
-        return Err(bounds.clone());
-    }
-    // Memory range must not wrap, even after page rounding.
-    let mem_end = ph.p_vaddr.checked_add(ph.p_memsz).ok_or(bounds.clone())?;
-    if mem_end.checked_add(0xFFF).is_none() {
-        return Err(bounds);
-    }
-    if ph.p_memsz > MAX_SEGMENT_MEMSZ {
-        return Err(LoadError::SegmentTooBig {
-            vaddr: ph.p_vaddr,
-            memsz: ph.p_memsz,
-        });
-    }
-    let vbase = e9elf::page_floor(ph.p_vaddr);
-    let mem_len = e9elf::page_ceil(mem_end) - vbase;
-    *total = total.saturating_add(mem_len);
-    if *total > MAX_TOTAL_MEMSZ {
-        return Err(LoadError::SegmentTooBig {
-            vaddr: ph.p_vaddr,
-            memsz: ph.p_memsz,
-        });
-    }
-    Ok(mem_len)
-}
-
 /// Load `binary` into `vm` and point `rip` at the entry point.
 ///
 /// # Errors
 ///
-/// Fails on malformed ELF input, on segments whose file or memory ranges
-/// lie outside the image / wrap / exceed the size caps — never panics and
-/// never maps anything for a rejected image.
+/// Fails on input [`Elf::parse`] refuses and on segments that exceed the
+/// memory caps — never panics and never maps anything for a rejected
+/// image.
 pub fn load_elf(vm: &mut Vm, binary: &[u8]) -> Result<(), LoadError> {
     let elf = Elf::parse(binary)?;
-    // Validate every loadable segment up front: rejection must be atomic
-    // (no partially-mapped VM).
+    // Check the memory caps up front: rejection must be atomic (no
+    // partially-mapped VM).
+    let mem_len =
+        |ph: &Phdr| e9elf::page_ceil(ph.p_vaddr + ph.p_memsz) - e9elf::page_floor(ph.p_vaddr);
     let mut total = 0u64;
-    for ph in &elf.phdrs {
-        if ph.p_type == PT_LOAD {
-            check_load_segment(ph, binary.len(), &mut total)?;
+    for ph in elf.load_segments() {
+        total = total.saturating_add(mem_len(ph));
+        if ph.p_memsz > MAX_SEGMENT_MEMSZ || total > MAX_TOTAL_MEMSZ {
+            return Err(LoadError::SegmentTooBig {
+                vaddr: ph.p_vaddr,
+                memsz: ph.p_memsz,
+            });
         }
     }
     let file_phys = vm.mem.add_phys(binary.to_vec());
@@ -137,16 +104,12 @@ pub fn load_elf(vm: &mut Vm, binary: &[u8]) -> Result<(), LoadError> {
                 };
                 let vbase = e9elf::page_floor(ph.p_vaddr);
                 let head = ph.p_vaddr - vbase;
-                let mem_len = e9elf::page_ceil(ph.p_vaddr + ph.p_memsz) - vbase;
+                let mem_len = mem_len(ph);
                 if perms.w {
                     // Private copy: file bytes + zero-filled bss tail.
                     let mut buf = vec![0u8; mem_len as usize];
-                    let fo = ph.p_offset as usize;
-                    let fsz = ph.p_filesz as usize;
-                    if fsz > 0 {
-                        buf[head as usize..head as usize + fsz]
-                            .copy_from_slice(&binary[fo..fo + fsz]);
-                    }
+                    let file = &binary[ph.p_offset as usize..][..ph.p_filesz as usize];
+                    buf[head as usize..][..file.len()].copy_from_slice(file);
                     let phys = vm.mem.add_phys(buf);
                     vm.mem.map_file(vbase, phys, 0, mem_len, perms);
                 } else {

@@ -80,17 +80,6 @@ impl Mem {
         }
     }
 
-    /// `(,%index,scale)` with absolute displacement.
-    pub fn index_disp(index: Reg, scale: u8, disp: i32) -> Mem {
-        assert!(matches!(scale, 1 | 2 | 4 | 8), "bad scale {scale}");
-        Mem {
-            base: None,
-            index: Some((index, scale)),
-            disp,
-            rip_label: None,
-        }
-    }
-
     /// `label(%rip)` — resolved at [`Asm::finish`] time.
     pub fn rip(label: Label) -> Mem {
         Mem {
@@ -611,10 +600,6 @@ impl<B: BorrowMut<Vec<u8>>> Asm<B> {
     pub fn xor_rr(&mut self, w: Width, dst: Reg, src: Reg) {
         self.alu_rr(0x30, w, dst, src);
     }
-    /// `xor %src, mem`.
-    pub fn xor_mr(&mut self, w: Width, mem: Mem, src: Reg) {
-        self.alu_mr(0x30, w, mem, src);
-    }
     /// `cmp %src, %dst` (dst compared with src; sets flags).
     pub fn cmp_rr(&mut self, w: Width, dst: Reg, src: Reg) {
         self.alu_rr(0x38, w, dst, src);
@@ -702,18 +687,6 @@ impl<B: BorrowMut<Vec<u8>>> Asm<B> {
         });
     }
 
-    /// `jmp label` using the 2-byte rel8 form.
-    pub fn jmp_short(&mut self, label: Label) {
-        self.u8(0xEB);
-        let at = self.len();
-        self.u8(0);
-        self.fixups.push(Fixup {
-            at,
-            label,
-            kind: FixKind::Rel8,
-        });
-    }
-
     /// `jcc label` (6-byte rel32 form).
     pub fn jcc(&mut self, cond: Cond, label: Label) {
         self.u8(0x0F);
@@ -759,13 +732,6 @@ impl<B: BorrowMut<Vec<u8>>> Asm<B> {
         self.u8(0xE9);
         self.i32le(d32);
         Ok(())
-    }
-
-    /// `jmp *%r` (indirect through register).
-    pub fn jmp_ind_r(&mut self, r: Reg) {
-        self.rex(false, 0, 0, r.num());
-        self.u8(0xFF);
-        self.modrm_rr(4, r.num());
     }
 
     /// `jmp *mem` (indirect through memory — jump tables).
@@ -891,7 +857,7 @@ mod tests {
     fn rel8_overflow_detected() {
         let mut a = Asm::new(0);
         let end = a.fresh_label();
-        a.jmp_short(end);
+        a.jcc_short(Cond::E, end);
         a.nops(300);
         a.bind(end);
         assert!(matches!(a.finish(), Err(AsmError::DispOutOfRange { .. })));
@@ -946,7 +912,13 @@ mod tests {
             Reg::Rdx,
             Mem::base_index(Reg::Rbp, Reg::Rcx, 4, 0),
         );
-        a.mov_rm(Width::Q, Reg::Rdx, Mem::index_disp(Reg::Rcx, 8, 0x40));
+        let index_only = Mem {
+            base: None,
+            index: Some((Reg::Rcx, 8)),
+            disp: 0x40,
+            rip_label: None,
+        };
+        a.mov_rm(Width::Q, Reg::Rdx, index_only);
         let code = a.finish().unwrap();
         roundtrip(&code);
     }
@@ -1034,7 +1006,6 @@ mod tests {
                 a.mov_mi(Width::D, Mem::base_disp(b, disp), 42);
                 a.mov_mi(Width::B, Mem::base_disp(b, disp), 7);
                 a.add_mr(Width::Q, Mem::base_disp(b, disp), Reg::Rsi);
-                a.xor_mr(Width::D, Mem::base_disp(b, disp), Reg::Rsi);
                 a.inc_m(Width::Q, Mem::base_disp(b, disp));
                 a.movzx_b(Reg::Rcx, Mem::base_disp(b, disp));
                 a.lea(Reg::Rcx, Mem::base_disp(b, disp));
@@ -1042,12 +1013,9 @@ mod tests {
         }
         a.bind(l);
         a.jmp(l);
-        a.jmp_short(l);
         a.jcc(Cond::E, l);
         a.jcc_short(Cond::A, l);
         a.call(l);
-        a.jmp_ind_r(Reg::Rax);
-        a.jmp_ind_r(Reg::R10);
         a.call_ind_r(Reg::Rbx);
         a.jmp_ind_m(Mem::base_index(Reg::R11, Reg::Rax, 8, 0));
         a.syscall();

@@ -37,12 +37,6 @@ impl Cond {
         // Safety: all 16 nibble values are covered by the enum.
         unsafe { std::mem::transmute(n & 0x0F) }
     }
-
-    /// Logical negation of the condition (flips the low bit).
-    #[inline]
-    pub fn negate(self) -> Cond {
-        Cond::from_nibble(self as u8 ^ 1)
-    }
 }
 
 /// The opcode map an instruction was decoded from.
@@ -559,17 +553,6 @@ pub fn by_address(insns: &[Insn]) -> Cow<'_, [Insn]> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn cond_negation() {
-        assert_eq!(Cond::E.negate(), Cond::Ne);
-        assert_eq!(Cond::L.negate(), Cond::Ge);
-        assert_eq!(Cond::O.negate(), Cond::No);
-        for n in 0..16 {
-            let c = Cond::from_nibble(n);
-            assert_eq!(c.negate().negate(), c);
-        }
-    }
 
     #[test]
     fn record_is_at_most_32_bytes() {

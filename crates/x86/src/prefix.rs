@@ -106,18 +106,6 @@ impl Prefixes {
         self.rex.is_some_and(|r| r & 0x08 != 0)
     }
 
-    /// REX.R bit: extends the ModRM `reg` field.
-    #[inline]
-    pub fn rex_r(&self) -> bool {
-        self.rex.is_some_and(|r| r & 0x04 != 0)
-    }
-
-    /// REX.X bit: extends the SIB `index` field.
-    #[inline]
-    pub fn rex_x(&self) -> bool {
-        self.rex.is_some_and(|r| r & 0x02 != 0)
-    }
-
     /// REX.B bit: extends the ModRM `rm` / SIB `base` / opcode register
     /// field.
     #[inline]
@@ -168,8 +156,6 @@ mod tests {
             ..Prefixes::default()
         };
         assert!(p.rex_w());
-        assert!(p.rex_r());
-        assert!(!p.rex_x());
         assert!(p.rex_b());
     }
 }

@@ -33,12 +33,16 @@
 #      every run compares near-canonical instruction lines against
 #      `reference_reply`) must complete with zero panics;
 #      failures print an E9FAULT_SEED replay line. Then the release
-#      `e9tool patch` of four corpus inputs that cannot be rewritten
+#      `e9tool patch` of six corpus inputs that cannot be rewritten
 #      must exit 1 with a message and write no output: vaddr-wrap.bin (a
 #      load segment at the top of the address space), offset-oob.bin (a
 #      load segment whose file range lies past EOF), text-wrap.bin (a
-#      `.text` whose addresses wrap past 2^64) and phnum-max.bin (65,535
-#      program headers, so the output's would not fit `e_phnum`)
+#      `.text` whose addresses wrap past 2^64), phnum-max.bin (65,535
+#      program headers, so the output's would not fit `e_phnum`),
+#      overlap-congruent.bin (two load segments mapping the text's page
+#      from different file pages) and vaddr-incongruent.bin (a load
+#      segment whose p_vaddr and p_offset differ modulo the page); the
+#      diagnostics of these two name the segment and the rule it breaks
 #   6. cross-path cache hit: a cache directory filled by an e9patchd
 #      session must serve a later in-process `e9tool patch --cache-dir`
 #      a hit, byte-identical to a --no-cache rewrite (and to the daemon's
@@ -176,7 +180,9 @@ target/release/e9fault --seed "${E9FAULT_SEED:-42}" --elf-cases 320 --wire-cases
 # load. Each name is paired with text its diagnostic must contain.
 for refused in "vaddr-wrap:address space" "offset-oob:past the end of the input" \
   "text-wrap:runs past the end of the address space" \
-  "phnum-max:program headers"; do
+  "phnum-max:program headers" \
+  "overlap-congruent:PT_LOAD at 0x401000: shares a page" \
+  "vaddr-incongruent:PT_LOAD at 0x401169: p_vaddr and p_offset differ modulo the page"; do
   name=${refused%%:*}
   want=${refused#*:}
   bad_in=crates/faultgen/tests/corpus/$name.bin
