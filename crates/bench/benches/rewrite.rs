@@ -4,11 +4,14 @@
 //!
 //! Two small SPEC-int-like rows, and a browser-mix row at 1/40 of the
 //! paper's Chrome (over 100k sites), where a cost per site that climbs
-//! with the size of the binary shows.
+//! with the size of the binary shows. Beside each rewrite, a `verify`
+//! row times the static verifier on that rewrite's output (both images
+//! already parsed), so its cost reads against the rewrite it checks.
 
 use e9bench::harness::{Harness, Throughput};
+use e9elf::Elf;
 use e9front::{instrument_with_disasm, Application, Options, Payload};
-use e9patch::RewriteConfig;
+use e9patch::{verify::verify, RewriteConfig};
 use e9synth::{generate, PaperRow, Preset, Profile};
 use std::hint::black_box;
 
@@ -36,16 +39,30 @@ fn main() {
         let profile = Profile::scaled("bench-rw", pie, preset, paper, scale, 0, loop_iters);
         let prog = generate(&profile);
         let sites = prog.disasm.iter().filter(|i| i.kind.is_jump()).count();
+        let opts = Options {
+            app: Application::A1Jumps,
+            payload: Payload::Empty,
+            config: RewriteConfig::default(),
+        };
         h.throughput(Throughput::Elements(sites as u64));
         h.bench(&format!("a1_empty/{sites}"), || {
-            instrument_with_disasm(
-                black_box(&prog.binary),
+            instrument_with_disasm(black_box(&prog.binary), &prog.disasm, &opts).unwrap()
+        });
+        let out = instrument_with_disasm(&prog.binary, &prog.disasm, &opts)
+            .unwrap()
+            .rewrite;
+        let (orig, patched) = (
+            Elf::parse(&prog.binary).unwrap(),
+            Elf::parse(&out.binary).unwrap(),
+        );
+        h.throughput(Throughput::Elements(sites as u64));
+        h.bench(&format!("verify/{sites}"), || {
+            verify(
+                black_box(&orig),
+                &patched,
                 &prog.disasm,
-                &Options {
-                    app: Application::A1Jumps,
-                    payload: Payload::Empty,
-                    config: RewriteConfig::default(),
-                },
+                &out.mappings,
+                &out.reports,
             )
             .unwrap()
         });

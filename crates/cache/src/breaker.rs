@@ -118,7 +118,7 @@ impl Breaker {
             }
             OpKind::Write => {
                 s.skipped_writes += 1;
-                if s.skipped_writes % PROBE_INTERVAL == 0 {
+                if s.skipped_writes.is_multiple_of(PROBE_INTERVAL) {
                     s.stats.probes += 1;
                     Admit::Probe
                 } else {

@@ -9,7 +9,7 @@
 //! other test binary runs failpoints.
 
 use e9cache::{breaker, digest, Cache, CacheConfig, Entry, Hit};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 fn tmpdir(name: &str) -> PathBuf {
     let d = std::env::temp_dir().join(format!("e9cache-failpt-{name}-{}", std::process::id()));
@@ -17,9 +17,9 @@ fn tmpdir(name: &str) -> PathBuf {
     d
 }
 
-fn disk_cache(dir: &PathBuf) -> Cache {
+fn disk_cache(dir: &Path) -> Cache {
     Cache::open(&CacheConfig {
-        dir: Some(dir.clone()),
+        dir: Some(dir.to_path_buf()),
         ..CacheConfig::default()
     })
     .unwrap()

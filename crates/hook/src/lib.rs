@@ -481,7 +481,7 @@ mod tests {
         );
         assert!(matches!(
             plan_hooks(
-                &b"not an elf"[..].to_vec().as_slice(),
+                b"not an elf"[..].to_vec().as_slice(),
                 &[],
                 &HookSpec::counters(&["f"])
             ),

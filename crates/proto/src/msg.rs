@@ -141,7 +141,7 @@ fn hex_decode_bytes(s: &[u8]) -> Result<Vec<u8>, String> {
         }
         t
     };
-    if s.len() % 2 != 0 {
+    if !s.len().is_multiple_of(2) {
         return Err(format!("odd hex length {}", s.len()));
     }
     let mut out = Vec::with_capacity(s.len() / 2);

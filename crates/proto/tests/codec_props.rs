@@ -49,13 +49,13 @@ fn build_json(ops: &mut std::vec::IntoIter<u8>, depth: usize) -> Json {
     let structural = depth < 3;
     match op % if structural { 6 } else { 4 } {
         0 => Json::Null,
-        1 => Json::Bool(ops.next().unwrap_or(0) % 2 == 0),
+        1 => Json::Bool(ops.next().unwrap_or(0).is_multiple_of(2)),
         2 => {
             let mut v = 0i128;
             for _ in 0..8 {
                 v = (v << 8) | ops.next().unwrap_or(0) as i128;
             }
-            if ops.next().unwrap_or(0) % 2 == 0 {
+            if ops.next().unwrap_or(0).is_multiple_of(2) {
                 v = -v;
             }
             Json::Int(v)
@@ -289,7 +289,7 @@ fn loose(v: &Json, draw: &mut impl FnMut() -> u8, out: &mut String) {
                     out.push('\\');
                     out.push(c);
                 }
-                c if (c as u32) < 0x20 || draw() % 4 == 0 => {
+                c if (c as u32) < 0x20 || draw().is_multiple_of(4) => {
                     for unit in c.encode_utf16(&mut [0; 2]) {
                         out.push_str(&format!("\\u{unit:04X}"));
                     }
@@ -315,7 +315,7 @@ fn loose(v: &Json, draw: &mut impl FnMut() -> u8, out: &mut String) {
         }
         Json::Obj(members) => {
             let mut order: Vec<&(String, Json)> = members.iter().collect();
-            if draw() % 2 == 0 {
+            if draw().is_multiple_of(2) {
                 order.reverse();
             }
             out.push('{');
@@ -1176,14 +1176,14 @@ props! {
         let mut bomb = Vec::with_capacity(depth * 2 + 1);
         bomb.resize(depth, b'[');
         bomb.push(b'1');
-        bomb.extend(std::iter::repeat(b']').take(depth));
+        bomb.extend(std::iter::repeat_n(b']', depth));
         prop_assert!(json::parse(&bomb).is_err());
         let mut objs = Vec::with_capacity(depth * 8);
         for _ in 0..depth {
             objs.extend_from_slice(b"{\"k\":");
         }
         objs.push(b'1');
-        objs.extend(std::iter::repeat(b'}').take(depth));
+        objs.extend(std::iter::repeat_n(b'}', depth));
         prop_assert!(json::parse(&objs).is_err());
     }
 }

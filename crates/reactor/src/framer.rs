@@ -254,7 +254,7 @@ mod tests {
             if at < input.len() {
                 input[at] = b'\n';
             }
-            if next(&mut state) % 2 == 0 && !input.is_empty() {
+            if next(&mut state).is_multiple_of(2) && !input.is_empty() {
                 let i = (next(&mut state) as usize) % input.len();
                 input[i] = b'\n';
             }

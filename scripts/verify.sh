@@ -6,7 +6,8 @@
 #
 #   1. tier-1: rustfmt check (`cargo fmt --all -- --check`), a rustdoc
 #      gate (every crate's docs, private items included, build with no
-#      warning, so a link to code that is gone fails), release build +
+#      warning, so a link to code that is gone fails), a clippy gate
+#      (every target of every crate, warnings are errors), release build +
 #      full workspace test suite (the root manifest's default-members
 #      make plain `cargo test` cover every crate too)
 #   2. bench smoke: every `cargo bench` target compiles and executes
@@ -93,6 +94,9 @@ cargo fmt --all -- --check
 
 echo "== tier-1: cargo doc (warnings are errors) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace --document-private-items
+
+echo "== tier-1: cargo clippy (warnings are errors) =="
+cargo clippy --offline --workspace --all-targets -- -D warnings
 
 echo "== tier-1: cargo build --release =="
 cargo build --release --offline --workspace

@@ -22,6 +22,9 @@
 //! gcc row pins both ways that template resumes. With the other cases,
 //! every template's trampoline builder has a known answer.
 //!
+//! Every pinned output except the two disassembly-order cases must also
+//! pass `e9patch::verify` against its input.
+//!
 //! The planner's data structures are free to change; its output is not.
 //! A change that moves one of these digests changes what users get.
 
@@ -65,6 +68,18 @@ fn line(name: &str, out: &RewriteOutput) -> String {
     )
 }
 
+/// [`line`], after checking `out` with the static verifier.
+fn verified_line(name: &str, input: &[u8], disasm: &[Insn], out: &RewriteOutput) -> String {
+    let original = e9elf::Elf::parse(input).expect("input parses");
+    let patched = e9elf::Elf::parse(&out.binary).expect("output parses");
+    if let Err(v) =
+        e9patch::verify::verify(&original, &patched, disasm, &out.mappings, &out.reports)
+    {
+        panic!("{name}: {} violations, first {}", v.len(), v[0]);
+    }
+    line(name, out)
+}
+
 /// Compare every line, reporting the whole table on a mismatch so a
 /// deliberate output change can be reviewed row by row.
 fn check(got: &[String], want: &[&str]) {
@@ -102,7 +117,7 @@ fn instrument_rows_with(app: Application, payload: Payload, config: RewriteConfi
             let disasm = e9front::disassemble_text(&sb.binary).expect("disassemble");
             let out =
                 e9front::instrument_with_disasm(&sb.binary, &disasm, &opts).expect("instrument");
-            line(name, &out.rewrite)
+            verified_line(name, &sb.binary, &disasm, &out.rewrite)
         })
         .collect()
 }
@@ -131,7 +146,7 @@ fn hook_rows(spec: &e9hook::HookSpec) -> Vec<String> {
             let disasm = e9front::disassemble_text(&sb.binary).expect("disassemble");
             let out = e9front::hook_with_disasm(&sb.binary, &disasm, spec, Default::default())
                 .expect("hook");
-            line(name, &out.rewrite)
+            verified_line(name, &sb.binary, &disasm, &out.rewrite)
         })
         .collect()
 }
@@ -234,11 +249,21 @@ fn scale_10_outputs_are_pinned() {
             let out =
                 e9front::instrument_with_disasm(&sb.binary, &disasm, &Options::new(app, payload))
                     .expect("instrument");
-            got.push(line(&format!("{name}-{kind}"), &out.rewrite));
+            got.push(verified_line(
+                &format!("{name}-{kind}"),
+                &sb.binary,
+                &disasm,
+                &out.rewrite,
+            ));
         }
         let out = e9front::hook_with_disasm(&sb.binary, &disasm, &spec, Default::default())
             .expect("hook");
-        got.push(line(&format!("{name}-hook"), &out.rewrite));
+        got.push(verified_line(
+            &format!("{name}-hook"),
+            &sb.binary,
+            &disasm,
+            &out.rewrite,
+        ));
     }
     check(&got, SCALE_10);
 }
@@ -313,7 +338,7 @@ fn duplicate_addresses_resolve_last_wins() {
 
 /// The gcc job with every request's template replaced by
 /// `Template::Replace`: a one-byte `nop`, then a jump to `resume`.
-fn replace_job(resume: impl Fn(&Insn) -> Option<u64>) -> RewriteOutput {
+fn replace_job(name: &str, resume: impl Fn(&Insn) -> Option<u64>) -> String {
     let (binary, disasm, requests) = gcc_job();
     let requests: Vec<PatchRequest> = requests
         .into_iter()
@@ -328,22 +353,23 @@ fn replace_job(resume: impl Fn(&Insn) -> Option<u64>) -> RewriteOutput {
             }
         })
         .collect();
-    rewrite(&binary, &disasm, &requests)
+    verified_line(
+        name,
+        &binary,
+        &disasm,
+        &rewrite(&binary, &disasm, &requests),
+    )
 }
 
 #[test]
 fn replace_outputs_are_pinned() {
     // `None` resumes after the replaced instruction; `Some` resumes at
     // the jump's own target, or after a jump that has none.
-    let next = replace_job(|_| None);
-    let target = replace_job(|i| Some(i.branch_target().unwrap_or(i.end())));
-    check(
-        &[
-            line("gcc-replace-next", &next),
-            line("gcc-replace-target", &target),
-        ],
-        REPLACE,
-    );
+    let next = replace_job("gcc-replace-next", |_| None);
+    let target = replace_job("gcc-replace-target", |i| {
+        Some(i.branch_target().unwrap_or(i.end()))
+    });
+    check(&[next, target], REPLACE);
 }
 
 const A1_EMPTY: &[&str] = &[
